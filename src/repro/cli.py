@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "every event; 'vectorized' runs whole cells as "
                         "numpy batches via the renewal closed forms "
                         "(~10-100x faster, statistically equivalent but "
-                        "not byte-identical; cells needing shared "
-                        "failure traces fall back to the DES per cell)")
+                        "not byte-identical; shared failure traces become "
+                        "common random-number streams per M and replica)")
     c.add_argument("--trace", type=pathlib.Path, default=None,
                    metavar="FILE",
                    help="write a Chrome trace-event JSON of the run "

@@ -15,9 +15,8 @@ store publisher, progress tracker) subscribes to:
   of finished ones (sinks that need grid order re-buffer themselves).
 * :class:`repro.sim.vectorized.VectorizedBackend` — in-process, whole
   cells as numpy batches via the renewal closed forms instead of
-  per-event simulation (``engine="vectorized"``); cells that genuinely
-  need event interleaving (shared failure traces) fall back to the
-  scalar DES per cell, byte-identically.
+  per-event simulation (``engine="vectorized"``); shared failure traces
+  become common random-number streams per (M, replica).
 
 Every backend accepts an ``engine`` selector ("des" or "vectorized")
 naming the per-replica simulation; the *backend* decides where cells
@@ -166,18 +165,19 @@ def run_cell_for_engine(
 
     ``engine="des"`` is :func:`run_cell` verbatim.  ``engine="vectorized"``
     batches the cell's replicas through the renewal closed forms
-    (:mod:`repro.sim.vectorized`) *when the cell is vectorizable*;
-    otherwise it falls back to the scalar DES path, producing exactly the
-    bytes :func:`run_cell` would — the fallback is a per-cell decision
-    (:func:`repro.sim.vectorized.cell_engine`), pure in the config and
-    plan, so every worker and the store agree on it.
+    (:mod:`repro.sim.vectorized`), shared-trace cells included: their
+    common streams live in ``trace_cache`` beside the DES traces, under
+    distinct keys.  Only a protocol without the renewal interface runs
+    on the DES (:func:`repro.sim.vectorized.cell_engine`, pure in the
+    config and plan, so every worker and the store agree on it).
     """
     if engine == "des":
         return run_cell(config, plan, controller, trace_cache, heartbeat)
     from .vectorized import cell_engine, run_cell_vectorized
 
     if cell_engine(config, plan) == "vectorized":
-        return run_cell_vectorized(config, plan, controller, heartbeat)
+        return run_cell_vectorized(
+            config, plan, controller, trace_cache, heartbeat)
     return run_cell(config, plan, controller, trace_cache, heartbeat)
 
 

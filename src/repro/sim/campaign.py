@@ -20,7 +20,9 @@ Common-random-numbers support: with ``share_traces=True`` each
 (M, replica) cell pre-generates one failure trace and replays it for
 *every protocol*, so protocol differences are not drowned in sampling
 noise — the standard variance-reduction technique for simulation
-comparisons.
+comparisons.  The vectorized engine does the same with one sampled
+failure stream per (M, replica), of which every cell consumes a prefix
+(:mod:`repro.sim.vectorized`).
 """
 
 from __future__ import annotations

@@ -438,7 +438,7 @@ class DistributedBackend(CampaignBackend):
         self.workers = _resolve_workers(processes)
         self._store = store
         #: Simulation engine ("des" or "vectorized") for claimed cells;
-        #: per-cell fallback is decided inside the chunk runner exactly
+        #: the per-cell engine is decided inside the chunk runner exactly
         #: as in the single-machine backends, so a distributed campaign
         #: produces the same bytes as a serial one with the same policy.
         self.engine = engine

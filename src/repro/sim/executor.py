@@ -102,9 +102,9 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
               CampaignStore (repro.store)       engine (policy.backend)
               hot-cell cache (in-process     "des": per-event simulation (exact)
                 LRU, digest re-check)        "vectorized": cells as numpy batches
-              → segments/<id>.seg + .idx      (renewal closed forms; per-cell DES
-                (compacted: index probe        fallback for shared traces —
-                + one pread)                   see repro.sim.vectorized)
+              → segments/<id>.seg + .idx      (renewal closed forms; shared
+                (compacted: index probe        traces as common random
+                + one pread)                   numbers — repro.sim.vectorized)
               → objects/<2-hex>/<sha256(replica key)>.json
                 (loose: the atomic-rename publish path; `store
                 compact` folds loose files into segments)

@@ -92,10 +92,11 @@ STORE_MODES = ("off", "read", "read-write")
 #: Simulation engines a campaign can run on: ``"des"`` (the per-event
 #: discrete-event simulator, the historical default) or ``"vectorized"``
 #: (:mod:`repro.sim.vectorized` — whole cells as numpy batches via the
-#: renewal closed forms, with a per-cell scalar fallback).  NOT volatile:
-#: the engines are statistically equivalent but not byte-identical, so
-#: the backend participates in identity/fingerprints and a resume or
-#: queue join with a different backend is refused as drift.
+#: renewal closed forms, shared traces as common random numbers).  NOT
+#: volatile: the engines are statistically equivalent but not
+#: byte-identical, so the backend participates in identity/fingerprints
+#: and a resume or queue join with a different backend is refused as
+#: drift.
 CAMPAIGN_BACKENDS = ("des", "vectorized")
 
 SPEC_FORMAT = "repro-campaign-spec"

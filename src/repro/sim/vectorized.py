@@ -26,6 +26,24 @@ to the DES:
   store keys vectorized replicas separately from DES replicas (the
   ``engine`` key field), so the two engines can never serve each
   other's results.
+* Shared failure traces (``share_traces``) are common random numbers:
+  every protocol and φ at the same (M, replica) sees the same failure
+  stream.  Replica ``r`` of grid row ``m_index`` samples its failure
+  instants and its two fatality uniforms from one stream seeded with
+  :func:`~repro.sim.backends.trace_seed`, over the wall-clock horizon
+  (``max_time``, else ``200·work_target``: the DES's shared-trace
+  horizon, a function of the config alone).  The stream is sampled
+  once, sorted, and each cell consumes its prefix ``[0, productive)``.
+  Restricting a Poisson or per-node renewal process to a prefix leaves
+  its law unchanged, so every cell that can complete sees exactly the
+  non-shared failure process and the contract below carries over; only
+  the pairing across cells is new.  (A cell whose productive time
+  passes the horizon can only time out or die, and its failures past
+  the horizon are not sampled.)  Seed, horizon and law are all store-key
+  fields, so the bytes stay pure functions of the key.  Streams live in
+  the backends' ``trace_cache`` under keys distinct from the DES
+  traces, so any worker regenerates identical streams whichever cells
+  it claims.
 * Against the DES the contract is *distribution-level*: completed-
   replica waste agrees to the first order at which the paper's formulas
   operate — the renewal estimator thins failures arriving during
@@ -45,12 +63,6 @@ to the DES:
   group chains under bursty heavy-tailed laws (Weibull ``k<1``,
   mixtures), where the DES sees clustered strikes.  Waste equivalence
   holds for every law — it is conditioned on completion.
-* Cells the closed forms cannot express — shared failure traces
-  (common random numbers require replaying one concrete event
-  interleaving) — **fall back to the scalar DES per cell**
-  (:func:`cell_engine`), and those cells are byte-identical to
-  :class:`~repro.sim.backends.SerialBackend` output, sharing its store
-  keys.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ from ..core.protocols import get_protocol
 from ..core.risk import risk_window, success_probability
 from ..errors import InfeasibleModelError, ParameterError
 from .adaptive import ReplicaController
-from .backends import CampaignBackend, SerialBackend, replica_seed
+from .backends import SerialBackend, replica_seed, trace_seed
 from .campaign import CampaignConfig
 from .results import DesResult
 from .rng import RngFactory
@@ -85,14 +97,10 @@ def cell_engine(config: CampaignConfig, plan) -> str:
     """Which engine actually simulates this cell under ``backend="vectorized"``.
 
     Pure in ``(config, plan)`` — every worker, the executor and the
-    store key the same decision.  Shared failure traces force the DES:
-    common random numbers mean replaying one concrete interleaving of
-    per-node events, which the renewal closed forms cannot express.  A
-    protocol lacking the renewal interface (phase lengths / RE times)
-    would too, though every registered protocol provides it.
+    store key the same decision.  Only a protocol lacking the renewal
+    interface (phase lengths / RE times) needs the DES, though every
+    registered protocol provides it.
     """
-    if config.share_traces:
-        return "des"
     spec = get_protocol(plan.protocol)
     needed = ("phase_lengths", "work_per_period", "recovery_constant",
               "re_time", "effective_phi")
@@ -161,10 +169,64 @@ def _sample_failure_times(
     return np.concatenate(collected)
 
 
+def _shared_stream(config: CampaignConfig, m_index: int, params,
+                   replica: int, horizon: float,
+                   cache: dict) -> tuple[np.ndarray, float, float]:
+    """``(sorted failure instants, u_fatal, u_when)`` of (row, replica).
+
+    Sampled once per ``cache`` from the replica's shared-trace seed over
+    the wall-clock horizon, a function of the config alone — the
+    general-law sampler's batch shape depends on its horizon, so a
+    per-cell horizon would break the pairing.  Every cell of the row
+    takes a prefix of the same instants and the same two fatality
+    uniforms.
+    """
+    key = ("vectorized", m_index, replica)
+    if key not in cache:
+        rng = RngFactory(trace_seed(config, m_index, replica)).replica(0)
+        times = np.sort(_sample_failure_times(
+            rng, config, params.M, params.n, horizon
+        ))
+        cache[key] = (times, rng.uniform(), rng.uniform())
+    return cache[key]
+
+
+def _draws(config: CampaignConfig, plan, params, n_replicas: int,
+           productive: float, horizon: float,
+           cache: dict) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-replica failure instants in ``[0, productive)`` and the two
+    fatality uniforms.
+
+    Without shared traces each replica samples its own stream (store
+    purity); the draw order inside a stream is fixed — count/offsets,
+    then the two fatality uniforms — so outcomes never perturb
+    downstream draws.  With shared traces each replica takes the prefix
+    of its row's common stream (:func:`_shared_stream`).
+    """
+    times_per_replica: list[np.ndarray] = []
+    u_fatal = np.empty(n_replicas)
+    u_when = np.empty(n_replicas)
+    for r in range(n_replicas):
+        if config.share_traces:
+            stream, u_fatal[r], u_when[r] = _shared_stream(
+                config, plan.m_index, params, r, horizon, cache)
+            times_per_replica.append(
+                stream[:np.searchsorted(stream, productive)])
+            continue
+        rng = RngFactory(replica_seed(config, r)).replica(0)
+        times_per_replica.append(_sample_failure_times(
+            rng, config, params.M, params.n, productive
+        ))
+        u_fatal[r] = rng.uniform()
+        u_when[r] = rng.uniform()
+    return times_per_replica, u_fatal, u_when
+
+
 def run_cell_vectorized(
     config: CampaignConfig,
     plan,
     controller: ReplicaController,
+    trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
 ) -> list[DesResult]:
     """Execute one grid cell's replicas as a numpy batch.
@@ -176,6 +238,10 @@ def run_cell_vectorized(
     controllers, resume scans and store cursor replays see exactly the
     sequence a scalar run would produce.  Replicas past the stop are
     computed speculatively (array work is cheap) and discarded.
+
+    ``trace_cache`` holds the shared-trace streams across the cells of
+    one backend run (like :func:`~repro.sim.backends.run_cell`'s DES
+    traces); it only saves work, never changes bytes.
     """
     spec = get_protocol(plan.protocol)
     params = config.base_params.with_updates(M=plan.M)
@@ -203,19 +269,10 @@ def run_cell_vectorized(
     productive = period * config.work_target / work_per_period
 
     n_replicas = controller.max_replicas
-    # Per-replica sampling from per-replica streams (store purity); the
-    # draw order inside a stream is fixed — count/offsets, then the two
-    # fatality uniforms — so outcomes never perturb downstream draws.
-    times_per_replica: list[np.ndarray] = []
-    u_fatal = np.empty(n_replicas)
-    u_when = np.empty(n_replicas)
-    for r in range(n_replicas):
-        rng = RngFactory(replica_seed(config, r)).replica(0)
-        times_per_replica.append(_sample_failure_times(
-            rng, config, params.M, params.n, productive
-        ))
-        u_fatal[r] = rng.uniform()
-        u_when[r] = rng.uniform()
+    times_per_replica, u_fatal, u_when = _draws(
+        config, plan, params, n_replicas, productive, horizon_wall,
+        {} if trace_cache is None else trace_cache,
+    )
 
     counts = np.array([t.size for t in times_per_replica], dtype=int)
     all_times = (np.concatenate(times_per_replica) if counts.sum()
@@ -244,13 +301,12 @@ def run_cell_vectorized(
     total_time = productive + block_sum
     # Fatality from the success-probability model (exact-exponential
     # variant: stays a probability in saturated regimes, agrees with the
-    # paper's Eq. 11/16 to first order).
-    p_succ = np.array([
-        success_probability(spec, params, phi, float(t), method="exponential")
-        for t in total_time
-    ])
+    # paper's Eq. 11/16 to first order), over every replica at once.
+    p_succ = success_probability(spec, params, phi, total_time,
+                                 method="exponential")
     is_fatal = u_fatal >= p_succ
     fatal_at = u_when * total_time
+    offsets_per_replica = np.split(offsets, np.cumsum(counts)[:-1])
 
     results: list[DesResult] = []
     cursor = controller.cursor()
@@ -278,7 +334,7 @@ def run_cell_vectorized(
                 status="fatal", makespan=t_fatal, config=config,
                 work_done=config.work_target * frac,
                 failures=seen, work_per_period=work_per_period,
-                period=period, offsets=offsets[rep_ids == r],
+                period=period, offsets=offsets_per_replica[r],
                 frac=frac, risk_win=risk_win,
                 fatal_time=t_fatal, meta=meta,
             )
@@ -291,7 +347,7 @@ def run_cell_vectorized(
                     times * dilation <= horizon_wall
                 )),
                 work_per_period=work_per_period, period=period,
-                offsets=offsets[rep_ids == r], frac=frac,
+                offsets=offsets_per_replica[r], frac=frac,
                 risk_win=risk_win, fatal_time=float("nan"), meta=meta,
             )
         else:
@@ -299,7 +355,7 @@ def run_cell_vectorized(
                 status="completed", makespan=t_total, config=config,
                 work_done=config.work_target, failures=n_fail,
                 work_per_period=work_per_period, period=period,
-                offsets=offsets[rep_ids == r], frac=1.0,
+                offsets=offsets_per_replica[r], frac=1.0,
                 risk_win=risk_win, fatal_time=float("nan"), meta=meta,
             )
         results.append(result)
@@ -347,11 +403,10 @@ class VectorizedBackend(SerialBackend):
     """In-process backend running each cell as one numpy batch.
 
     A :class:`~repro.sim.backends.SerialBackend` whose engine is
-    ``"vectorized"``: chunks execute in submission order, but each
-    vectorizable cell runs through :func:`run_cell_vectorized`; cells
-    needing event interleaving (:func:`cell_engine`) use the scalar DES
-    path with the inherited shared-trace cache, byte-identical to a
-    plain serial run.
+    ``"vectorized"``: chunks execute in submission order and each cell
+    runs through :func:`run_cell_vectorized`.  The inherited trace cache
+    spans the campaign, so each shared (M, replica) stream is sampled
+    once.
     """
 
     def __init__(self) -> None:

@@ -127,11 +127,11 @@ def replica_key(
     not byte-identical, so they must never serve each other's results:
     any engine other than the historical ``"des"`` is spliced into the
     key (the ``"des"`` spelling is left exactly as always, so existing
-    warehouses keep their contents addressable).  Cells a vectorized
-    campaign *falls back* to the DES for carry ``engine="des"`` — the
-    caller resolves the per-cell engine
-    (:func:`repro.sim.vectorized.plan_engine`) before keying — and
-    those cells therefore share cache entries with plain DES campaigns.
+    warehouses keep their contents addressable).  The caller resolves
+    the per-cell engine (:func:`repro.sim.vectorized.plan_engine`)
+    before keying; shared-trace cells of a vectorized campaign key as
+    ``"vectorized"`` (common random-number streams, not DES traces), so
+    a DES run of the same spec never serves them, nor they it.
     """
     if engine not in _ENGINES:
         raise ParameterError(

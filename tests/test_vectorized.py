@@ -7,8 +7,10 @@ What must hold (``repro/sim/vectorized.py`` module docstring):
 * **Statistical equivalence** — completed-replica waste agrees with the
   DES within combined confidence intervals plus the renewal thinning
   bias, per protocol and per failure law.
-* **Fallback identity** — cells the closed forms can't express (shared
-  traces) run through the scalar DES, byte-identical to SerialBackend.
+* **Common random numbers** — shared-trace cells run vectorized: every
+  protocol and φ at one (M, replica) consumes a prefix of one failure
+  stream, identical across backends, chunk layouts and workers, and
+  paired protocol differences have lower variance than unpaired ones.
 * **Separation** — the store never serves one engine's results to the
   other; specs carry the backend in their identity, so resume and queue
   joins refuse a backend change as drift.
@@ -21,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import DOUBLE_NBL, TRIPLE, io as repro_io, scenarios
+from repro import DOUBLE_BOF, DOUBLE_NBL, TRIPLE, io as repro_io, scenarios
 from repro.errors import InfeasibleModelError, ParameterError
 from repro.sim.adaptive import AdaptiveCI, FixedReplicas
 from repro.sim.backends import (
@@ -29,7 +31,6 @@ from repro.sim.backends import (
     SerialBackend,
     make_backend,
     run_cell,
-    run_cell_for_engine,
 )
 from repro.sim.campaign import CampaignConfig
 from repro.sim.distributions import Gamma, LogNormal, Mixture, Weibull
@@ -72,13 +73,14 @@ class TestEngineSelection:
         assert plan_engine("vectorized", config, plan) == "vectorized"
         assert plan_engine("des", config, plan) == "des"
 
-    def test_shared_traces_fall_back(self):
-        """Common random numbers need one concrete event interleaving —
-        exactly what the renewal closed forms cannot express."""
+    def test_shared_traces_vectorize(self):
+        """Shared traces are common random-number streams, not a reason
+        to leave the vectorized engine."""
         config = make_grid(share_traces=True)
         plan = plan_cells(config)[0]
-        assert cell_engine(config, plan) == "des"
-        assert plan_engine("vectorized", config, plan) == "des"
+        assert cell_engine(config, plan) == "vectorized"
+        assert plan_engine("vectorized", config, plan) == "vectorized"
+        assert plan_engine("des", config, plan) == "des"
 
     def test_make_backend_dispatch(self):
         assert isinstance(make_backend(1, "vectorized"), VectorizedBackend)
@@ -141,27 +143,186 @@ class TestDeterminism:
         assert vec.meta["engine"] == "vectorized"
 
 
-class TestFallbackIdentity:
-    def test_shared_trace_cells_byte_identical_to_serial(self):
-        """A vectorized campaign over a shared-trace grid IS the serial
-        campaign — fallback engages per cell and reuses the DES path."""
-        config = make_grid(share_traces=True, replicas=3)
-        plan = plan_cells(config)[0]
-        via_engine = run_cell_for_engine(
-            "vectorized", config, plan, FixedReplicas(3), {}
-        )
-        scalar = run_cell(config, plan, FixedReplicas(3), {})
-        assert cell_bytes(via_engine) == cell_bytes(scalar)
+def shared_grid(**overrides) -> CampaignConfig:
+    """A small shared-trace grid: 3 protocols × 2 M × 2 φ."""
+    fields = dict(protocols=(DOUBLE_NBL, DOUBLE_BOF, TRIPLE),
+                  m_values=(300.0, 600.0), phi_values=(0.5, 1.0),
+                  replicas=4, work_target=900.0, n=12, share_traces=True)
+    fields.update(overrides)
+    return make_grid(**fields)
 
-    def test_fallback_campaign_file_matches_des_file(self, tmp_path):
-        grid = make_grid(share_traces=True, replicas=2, work_target=900.0,
-                         n=12, m_values=(600.0,), phi_values=(1.0,))
-        a, b = tmp_path / "des.jsonl", tmp_path / "vec.jsonl"
-        execute_spec(CampaignSpec(grid=grid, policy=ExecutionPolicy(
-            backend="des")), results_path=a)
-        execute_spec(CampaignSpec(grid=grid, policy=ExecutionPolicy(
-            backend="vectorized")), results_path=b)
-        assert a.read_bytes() == b.read_bytes()
+
+def campaign_bytes(tmp_path, name, grid, *, chunk_size=None,
+                   backend=None) -> bytes:
+    path = tmp_path / f"{name}.jsonl"
+    policy = ExecutionPolicy(backend="vectorized", chunk_size=chunk_size)
+    execute_spec(CampaignSpec(grid=grid, policy=policy),
+                 results_path=path, backend=backend)
+    return path.read_bytes()
+
+
+def paired_variance(a: dict, b: dict) -> float:
+    """Variance of ``waste_p(a) − waste_q(b)`` per replica, summed over
+    protocol pairs ``p < q`` at every fixed (M, φ) — completed replica
+    pairs only."""
+    total = 0.0
+    for (p, M, phi), waste in a.items():
+        for (q, M_b, phi_b), other in b.items():
+            if (M_b, phi_b) != (M, phi) or q <= p:
+                continue
+            diff = waste - other
+            diff = diff[np.isfinite(diff)]
+            if diff.size > 1:
+                total += float(np.var(diff, ddof=1))
+    return total
+
+
+def cell_wastes(spec) -> dict:
+    execution = execute_spec(spec)
+    return {
+        (c.protocol, c.M, c.phi): np.array([r.waste for r in c.results])
+        for c in execution.cells
+    }
+
+
+class TestCommonRandomNumbers:
+    def test_campaign_identical_across_chunk_layouts(self, tmp_path):
+        grid = shared_grid()
+        serial = campaign_bytes(tmp_path, "serial", grid)
+        for size in (1, 5):
+            assert campaign_bytes(tmp_path, f"chunk{size}", grid,
+                                  chunk_size=size) == serial
+
+    @pytest.mark.campaign
+    def test_campaign_identical_across_backends(self, tmp_path):
+        grid = shared_grid()
+        serial = campaign_bytes(tmp_path, "serial", grid,
+                                backend=SerialBackend("vectorized"))
+        pooled = campaign_bytes(tmp_path, "pool", grid, chunk_size=2,
+                                backend=ProcessPoolBackend(2, "vectorized"))
+        assert pooled == serial
+
+    def test_cell_alone_matches_cell_in_campaign(self):
+        """A cell run with an empty cache (a pool or queue worker's
+        one-cell chunk) equals the same cell run after its row's other
+        cells have filled the cache."""
+        grid = shared_grid()
+        plans = plan_cells(grid)
+        cache: dict = {}
+        in_campaign = [
+            run_cell_vectorized(grid, plan, FixedReplicas(4), cache)
+            for plan in plans
+        ]
+        for plan, expected in zip(plans, in_campaign):
+            alone = run_cell_vectorized(grid, plan, FixedReplicas(4), {})
+            assert cell_bytes(alone) == cell_bytes(expected)
+
+    def test_shared_replicas_independent_of_batch_shape(self):
+        grid = shared_grid(replicas=8)
+        for plan in plan_cells(grid):
+            few = run_cell_vectorized(grid, plan, FixedReplicas(3))
+            many = run_cell_vectorized(grid, plan, FixedReplicas(8))
+            assert cell_bytes(few) == cell_bytes(many)[:3]
+
+    @pytest.mark.parametrize("law", [None, Weibull(1.0, 0.7)],
+                             ids=["exponential", "weibull"])
+    def test_protocols_consume_one_stream(self, law):
+        """Every cell of a row takes a prefix of one stream: ordered by
+        the productive time that bounds the prefix, a completed
+        replica's failure count never decreases across protocols/φ."""
+        from repro.core.period import optimal_period
+        from repro.core.protocols import get_protocol
+
+        # Tens of failures per replica: streams sampled per cell, over
+        # per-cell horizons, draw counts and batch shapes that no longer
+        # nest, so only a horizon common to the row passes.
+        grid = shared_grid(m_values=(300.0,), work_target=7200.0,
+                           replicas=16, distribution=law)
+        params = grid.base_params.with_updates(M=300.0)
+        by_productive = []
+        for plan in plan_cells(grid):
+            spec = get_protocol(plan.protocol)
+            period = optimal_period(spec, params, plan.phi)
+            productive = (period * grid.work_target
+                          / spec.work_per_period(params, plan.phi, period))
+            by_productive.append((
+                float(productive),
+                run_cell_vectorized(grid, plan, FixedReplicas(16)),
+            ))
+        by_productive.sort(key=lambda item: item[0])
+        for r in range(16):
+            counts = [cell[r].failures for _, cell in by_productive
+                      if cell[r].succeeded]
+            assert counts == sorted(counts)
+        assert len({p for p, _ in by_productive}) > 1
+
+    def test_capped_grid_times_out(self):
+        """A ``max_time`` below every cell's productive time: the shared
+        stream, sampled to the cap, is shorter than every prefix, and
+        each replica still times out at the cap or dies before it."""
+        grid = shared_grid(max_time=600.0)
+        for plan in plan_cells(grid):
+            results = run_cell_vectorized(grid, plan, FixedReplicas(4))
+            assert {r.status for r in results} <= {"timeout", "fatal"}
+            for r in results:
+                assert r.makespan <= 600.0
+                if r.status == "timeout":
+                    assert r.makespan == 600.0
+                    assert r.work_done < grid.work_target
+
+    def test_cell_bytes_independent_of_grid_composition(self):
+        """Bytes are pure functions of the store key: a cell two grids
+        share (same seed and M axis, other protocols and φ) has one key
+        and the same bytes in both."""
+        full = shared_grid()
+        narrow = shared_grid(protocols=(DOUBLE_NBL,), phi_values=(1.0,))
+        cells = {(p.protocol, p.M, p.phi): p for p in plan_cells(full)}
+        for plan in plan_cells(narrow):
+            twin = cells[(plan.protocol, plan.M, plan.phi)]
+            assert replica_key(narrow, plan, 0, engine="vectorized") \
+                == replica_key(full, twin, 0, engine="vectorized")
+            assert cell_bytes(run_cell_vectorized(
+                narrow, plan, FixedReplicas(4))) == cell_bytes(
+                run_cell_vectorized(full, twin, FixedReplicas(4)))
+
+    @pytest.mark.parametrize("law", [None, Weibull(1.0, 0.7)],
+                             ids=["exponential", "weibull"])
+    def test_shared_marginals_match_own_streams(self, law):
+        """A prefix of the shared stream is the non-shared failure
+        process: mean failure count and completed-replica waste agree
+        within the summed 95% CIs, so the DES contract carries over."""
+        def cell(share):
+            grid = make_grid(m_values=(300.0,), phi_values=(1.0,),
+                             replicas=400, share_traces=share,
+                             distribution=law)
+            return run_cell_vectorized(grid, plan_cells(grid)[0],
+                                       FixedReplicas(400))
+
+        own, shared = cell(False), cell(True)
+        for field in ("failures", "waste"):
+            a = np.array([getattr(r, field) for r in own], dtype=float)
+            b = np.array([getattr(r, field) for r in shared], dtype=float)
+            tolerance = ci_half_width(a) + ci_half_width(b)
+            assert abs(np.nanmean(a) - np.nanmean(b)) <= tolerance, field
+
+    @pytest.mark.parametrize("preset", ["high-churn", "exa-weibull"])
+    def test_paired_differences_have_lower_variance(self, preset):
+        """The point of sharing traces: pooled over protocol pairs at
+        fixed (M, φ), paired waste differences (one stream per (M,
+        replica)) vary less than unpaired ones (the second protocol's
+        replicas taken from an independently seeded campaign)."""
+        from repro.experiments.scenarios import get_campaign_preset
+
+        def spec(seed):
+            return get_campaign_preset(preset).spec(
+                replicas=16, seed=seed,
+                policy=ExecutionPolicy(backend="vectorized"))
+
+        shared = cell_wastes(spec(2024))
+        other = cell_wastes(spec(4048))
+        paired = paired_variance(shared, shared)
+        unpaired = paired_variance(shared, other)
+        assert paired < 0.5 * unpaired, (paired, unpaired)
 
 
 class TestStatisticalEquivalence:
@@ -299,6 +460,42 @@ class TestStoreSeparation:
         warm = execute_spec(spec, results_path=warm_path)
         assert cold.report.cells_cached == 0
         assert warm.report.cells_cached == len(plan_cells(grid))
+        assert warm.report.replicas_run == 0
+        assert cold_path.read_bytes() == warm_path.read_bytes()
+
+    @pytest.mark.parametrize("first,second", [
+        ("des", "vectorized"), ("vectorized", "des"),
+    ])
+    def test_shared_trace_engines_never_serve_each_other(
+        self, tmp_path, first, second,
+    ):
+        """Shared-trace cells once keyed ``engine="des"`` under either
+        backend; a store warmed by one engine must now serve the other
+        nothing."""
+        grid = shared_grid(replicas=2)
+        store = str(tmp_path / "store")
+
+        def run(backend):
+            spec = CampaignSpec(grid=grid, policy=ExecutionPolicy(
+                backend=backend, store=store))
+            return execute_spec(
+                spec, results_path=tmp_path / f"{backend}.jsonl").report
+
+        assert run(first).cells_cached == 0
+        report = run(second)
+        assert report.cells_cached == 0
+        assert report.cells_run == len(plan_cells(grid))
+
+    def test_shared_trace_warm_rerun_serves_every_cell(self, tmp_path):
+        grid = shared_grid(replicas=2)
+        spec = CampaignSpec(grid=grid, policy=ExecutionPolicy(
+            backend="vectorized", store=str(tmp_path / "store")))
+        cold_path = tmp_path / "cold.jsonl"
+        warm_path = tmp_path / "warm.jsonl"
+        cold = execute_spec(spec, results_path=cold_path)
+        warm = execute_spec(spec, results_path=warm_path)
+        assert cold.report.cells_run == len(plan_cells(grid))
+        assert warm.report.cells_run == 0
         assert warm.report.replicas_run == 0
         assert cold_path.read_bytes() == warm_path.read_bytes()
 
