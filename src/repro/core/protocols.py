@@ -184,15 +184,31 @@ class ProtocolSpec(ABC):
         """
 
     @abstractmethod
+    def re_terms(self, params: Parameters, phi, P):
+        """Offset-free terms ``(bases, shift)`` of :meth:`re_time`.
+
+        ``bases[i]`` is the re-execution of a failure at the very start of
+        phase ``i``; ``shift`` is what blocking-on-failure variants save
+        (0 otherwise).  Constant per ``(φ, P)``, so the event simulator
+        resolves them once per cell.
+        """
+
     def re_time(self, params: Parameters, phi, P, phase: int, offset):
         """Re-execution duration for a failure at ``offset`` into ``phase``.
 
         The offset-resolved version of :meth:`re_expectations`: averaging
         ``re_time`` over a uniform offset within each phase recovers the
         ``RE_i``.  Drives the event simulator's recovery blocks.  Values
-        are clamped at 0 (relevant only for extreme blocking-on-failure
-        corner cases where the first-order shift overshoots).
+        are ``max((bases[phase] + offset) − shift, 0)`` over
+        :meth:`re_terms`: clamped at 0 (relevant only for extreme
+        blocking-on-failure corner cases where the first-order shift
+        overshoots).
         """
+        if phase not in (0, 1, 2):
+            raise ParameterError(f"phase must be 0, 1 or 2, got {phase}")
+        bases, shift = self.re_terms(params, phi, P)
+        out = bases[phase] + np.asarray(offset, dtype=float)
+        return np.maximum(out - shift, 0.0)
 
     def commit_phase(self) -> int:
         """Phase index after which the new snapshot becomes recoverable.
@@ -297,7 +313,7 @@ class DoubleSpec(ProtocolSpec):
             re1, re2, re3 = re1 - phi_eff, re2 - phi_eff, re3 - phi_eff
         return re1, re2, re3
 
-    def re_time(self, params: Parameters, phi, P, phase: int, offset):
+    def re_terms(self, params: Parameters, phi, P):
         """Offset-resolved re-execution (§III-A derivation).
 
         Phase 0 (local ckpt): the previous period's work ``W`` plus the
@@ -305,22 +321,12 @@ class DoubleSpec(ProtocolSpec):
         re-spent, under ``φ`` of overlap overhead: ``θ + σ + offset``.
         Phase 1 (exchange): additionally the whole ``δ``:
         ``θ + σ + δ + offset``.  Phase 2 (compute): only this period's
-        work: ``θ + offset``.
+        work: ``θ + offset``.  BOF saves the ``φ`` overhead.
         """
         phi_eff = self.effective_phi(params, phi)
         _, theta, sigma = self.phase_lengths(params, phi, P)
-        offset = np.asarray(offset, dtype=float)
-        if phase == 0:
-            out = theta + sigma + offset
-        elif phase == 1:
-            out = theta + sigma + params.delta + offset
-        elif phase == 2:
-            out = theta + offset
-        else:
-            raise ParameterError(f"phase must be 0, 1 or 2, got {phase}")
-        if self.blocking_on_failure:
-            out = out - phi_eff
-        return np.maximum(out, 0.0)
+        bases = (theta + sigma, theta + sigma + params.delta, theta)
+        return bases, (phi_eff if self.blocking_on_failure else 0.0)
 
     def commit_phase(self) -> int:
         return 1
@@ -391,7 +397,7 @@ class TripleSpec(ProtocolSpec):
             re1, re2, re3 = re1 - 2 * phi_eff, re2 - 2 * phi_eff, re3 - 2 * phi_eff
         return re1, re2, re3
 
-    def re_time(self, params: Parameters, phi, P, phase: int, offset):
+    def re_terms(self, params: Parameters, phi, P):
         """Offset-resolved re-execution (§V-A derivation).
 
         Phase 0 (first exchange): the new snapshot is not yet safe — redo
@@ -399,22 +405,12 @@ class TripleSpec(ProtocolSpec):
         windows of overhead: ``2θ + σ + offset``.  Phase 1 (second
         exchange): the snapshot shipped in phase 0 is recoverable, only
         phase-1 time is lost: ``θ + offset``.  Phase 2 (compute):
-        ``2θ + offset``.
+        ``2θ + offset``.  BOF saves both windows' ``φ`` overhead.
         """
         phi_eff = self.effective_phi(params, phi)
         theta, _, sigma = self.phase_lengths(params, phi, P)
-        offset = np.asarray(offset, dtype=float)
-        if phase == 0:
-            out = 2.0 * theta + sigma + offset
-        elif phase == 1:
-            out = theta + offset
-        elif phase == 2:
-            out = 2.0 * theta + offset
-        else:
-            raise ParameterError(f"phase must be 0, 1 or 2, got {phase}")
-        if self.blocking_on_failure:
-            out = out - 2.0 * phi_eff
-        return np.maximum(out, 0.0)
+        bases = (2.0 * theta + sigma, theta, 2.0 * theta)
+        return bases, (2.0 * phi_eff if self.blocking_on_failure else 0.0)
 
     def commit_phase(self) -> int:
         return 0

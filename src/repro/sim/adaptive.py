@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ParameterError
-from .results import ci_half_width, wilson_interval
+from .results import ci_half_width, t_quantile, wilson_interval
 
 __all__ = [
     "ReplicaController",
@@ -254,15 +254,13 @@ class _AdaptiveCursor(StopCursor):
         return self._half_width() <= rule.tolerance
 
     def _half_width(self) -> float:
-        from scipy import stats as sps
-
         if self._k < 2:
             return float("inf")
         variance = self._m2 / (self._k - 1)
         if variance <= 0.0:
             return 0.0
         return float(
-            sps.t.ppf(0.5 + self._rule.confidence / 2.0, df=self._k - 1)
+            t_quantile(self._rule.confidence, self._k - 1)
             * math.sqrt(variance) / math.sqrt(self._k)
         )
 

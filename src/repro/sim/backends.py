@@ -43,8 +43,8 @@ from typing import Callable, Iterator, Sequence
 from ..errors import ParameterError
 from .adaptive import ReplicaController
 from .campaign import CampaignConfig
-from .des import DesConfig, run_des
-from .failures import FailureInjector, generate_trace
+from .des import DesConfig, buddy_protocol, run_des
+from .failures import FailureInjector, TraceSchedule, generate_trace
 from .results import DesResult
 from .rng import RngFactory
 
@@ -83,8 +83,8 @@ def _horizon(config: CampaignConfig) -> float:
     return config.max_time or 200.0 * config.work_target
 
 
-def _cell_trace(config: CampaignConfig, plan, replica: int):
-    """Regenerate the shared failure trace of (m_index, replica).
+def _cell_trace(config: CampaignConfig, plan, replica: int) -> TraceSchedule:
+    """Regenerate and parse the shared failure trace of (m_index, replica).
 
     The trace is a pure function of the campaign seed and the grid
     coordinates, so workers rebuild it locally instead of shipping
@@ -95,7 +95,7 @@ def _cell_trace(config: CampaignConfig, plan, replica: int):
     injector = FailureInjector.from_platform_mtbf(
         params.n, params.M, factory, config.distribution
     )
-    return generate_trace(injector, _horizon(config))
+    return TraceSchedule(params.n, generate_trace(injector, _horizon(config)))
 
 
 def run_cell(
@@ -117,11 +117,15 @@ def run_cell(
     ``heartbeat`` (optional) is invoked after every replica: liveness
     hooks such as the distributed backend's lease refresh need to fire
     *within* long cells, not just between them.
-    """
-    from ..core.protocols import get_protocol
 
-    spec = get_protocol(plan.protocol)
+    The cell's simulation model (period, phase plan, stall, risk window,
+    re-execution terms) is resolved once and shared by every replica.
+    Shared failure traces are parsed once per (m_index, replica) into a
+    :class:`~repro.sim.failures.TraceSchedule` cached in ``trace_cache``;
+    each replay walks it with its own cursors and never mutates it.
+    """
     params = config.base_params.with_updates(M=plan.M)
+    model = buddy_protocol(plan.protocol, params, plan.phi)
     results: list[DesResult] = []
     cursor = controller.cursor()
     for r in range(controller.max_replicas):
@@ -135,7 +139,7 @@ def run_cell(
                 if trace_cache is not None:
                     trace_cache[key] = trace
         cfg = DesConfig(
-            protocol=spec,
+            protocol=model,
             params=params,
             phi=plan.phi,
             work_target=config.work_target,
@@ -219,8 +223,8 @@ class SerialBackend(CampaignBackend):
     """In-process execution, chunks in submission order.
 
     One trace cache spans the whole campaign, so each shared
-    (m_index, replica) failure trace is generated exactly once — like the
-    historical serial implementation.
+    (m_index, replica) failure trace is generated and parsed exactly
+    once — like the historical serial implementation.
     """
 
     def __init__(self, engine: str = "des"):

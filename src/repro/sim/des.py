@@ -31,14 +31,15 @@ from .application import Application
 from .cluster import Cluster
 from .distributions import FailureDistribution
 from .engine import Engine
-from .failures import FailureInjector, TraceInjector
+from .failures import FailureInjector, TraceInjector, TraceSchedule
 from .protocols.base import PlatformSim, SimProtocol
 from .protocols.buddy import BuddySimProtocol
 from .results import DesResult, MonteCarloSummary
 from .rng import RngFactory
 from .topology import GroupAssignment, contiguous_groups, random_groups, strided_groups
 
-__all__ = ["DesConfig", "run_des", "run_des_batch", "summarize_waste"]
+__all__ = ["DesConfig", "buddy_protocol", "run_des", "run_des_batch",
+           "summarize_waste"]
 
 _GROUPINGS = ("contiguous", "strided", "random")
 
@@ -68,7 +69,9 @@ class DesConfig:
         Node failure law; ``None`` = exponential at the node MTBF ``n·M``.
     trace:
         Optional recorded failure trace (``failures.generate_trace``
-        output or ``(time, node)`` pairs).  Replayed verbatim —
+        output, ``(time, node)`` pairs, or a
+        :class:`~repro.sim.failures.TraceSchedule`).  Raw traces are
+        parsed into a schedule on construction.  Replayed verbatim —
         ``distribution`` is then ignored; two protocols run on the same
         trace see the identical failure history (common random numbers).
     grouping:
@@ -97,21 +100,31 @@ class DesConfig:
             raise ParameterError(
                 f"grouping must be one of {_GROUPINGS} or a GroupAssignment"
             )
+        if self.trace is not None and not isinstance(self.trace, TraceSchedule):
+            object.__setattr__(
+                self, "trace", TraceSchedule(self.params.n, self.trace))
 
 
-def _build_sim_protocol(config: DesConfig) -> SimProtocol:
-    if isinstance(config.protocol, SimProtocol):
-        return config.protocol
-    spec = get_protocol(config.protocol)
-    period = config.period
+def buddy_protocol(
+    protocol: ProtocolSpec | str,
+    params: Parameters,
+    phi: float,
+    period: float | None = None,
+) -> BuddySimProtocol:
+    """The resolved simulation model of one (protocol, params, φ) cell.
+
+    ``period=None`` picks the model-optimal period.  Build it once and
+    pass it as :attr:`DesConfig.protocol` to every replica of the cell.
+    """
+    spec = get_protocol(protocol)
     if period is None:
-        period = optimal_period(spec, config.params, config.phi)
+        period = optimal_period(spec, params, phi)
         if not np.isfinite(period):
             raise InfeasibleModelError(
-                f"{spec.key}: no feasible period at M={config.params.M:g}s; "
+                f"{spec.key}: no feasible period at M={params.M:g}s; "
                 "pass an explicit period to simulate a saturated regime"
             )
-    return BuddySimProtocol(spec, config.params, config.phi, float(period))
+    return BuddySimProtocol(spec, params, phi, float(period))
 
 
 def _build_cluster(
@@ -141,7 +154,10 @@ def _build_cluster(
 def run_des(config: DesConfig) -> DesResult:
     """Run one event simulation to completion / fatal failure / timeout."""
     rng_factory = RngFactory(config.seed)
-    sim_protocol = _build_sim_protocol(config)
+    sim_protocol = config.protocol
+    if not isinstance(sim_protocol, SimProtocol):
+        sim_protocol = buddy_protocol(
+            sim_protocol, config.params, config.phi, config.period)
     cluster = _build_cluster(sim_protocol, config, rng_factory)
     if config.trace is not None:
         injector = TraceInjector(config.params.n, config.trace)

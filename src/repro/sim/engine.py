@@ -11,14 +11,16 @@ marks the event; the main loop skips dead entries.  This keeps the heap
 simple and is O(1) per cancel.
 
 Determinism: two events at the same timestamp fire in scheduling order
-(monotonic sequence number), so simulations are bit-reproducible.
+(monotonic sequence number), so simulations are bit-reproducible.  The
+heap holds ``(time, seq, event)`` tuples, so ordering is the built-in
+tuple comparison and never reaches the event itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import SimulationError
@@ -26,18 +28,18 @@ from ..errors import SimulationError
 __all__ = ["Event", "Engine"]
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback.  Ordering: (time, sequence)."""
+    """A scheduled callback, fired in (time, sequence) order."""
 
     time: float
     seq: int
-    callback: Callable[["Engine", "Event"], None] = field(compare=False)
+    callback: Callable[["Engine", "Event"], None]
     #: Free-form payload for the callback (e.g. node id).
-    payload: Any = field(default=None, compare=False)
+    payload: Any = None
     #: Category tag for introspection/tracing ("failure", "phase-end", ...).
-    kind: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    kind: str = ""
+    cancelled: bool = False
 
 
 class Engine:
@@ -55,7 +57,7 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         #: Number of events executed (diagnostics / perf counters).
@@ -72,12 +74,16 @@ class Engine:
         kind: str = "",
     ) -> Event:
         """Schedule ``callback(engine, event)`` at absolute ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN, which breaks heap order
+            if time != time:
+                raise SimulationError("cannot schedule at a NaN time")
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
             )
-        event = Event(float(time), next(self._seq), callback, payload, kind)
-        heapq.heappush(self._queue, event)
+        time = float(time)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, payload, kind)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_in(
@@ -100,19 +106,20 @@ class Engine:
     # ------------------------------------------------------------------
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or ``None`` if empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Execute the next live event.  Returns False when queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            if event.time < self.now:  # pragma: no cover - defensive
+            if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event queue corrupted: time went backwards")
-            self.now = event.time
+            self.now = time
             self.executed += 1
             event.callback(self, event)
             return True
@@ -152,4 +159,4 @@ class Engine:
 
     def pending(self) -> int:
         """Number of live events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)

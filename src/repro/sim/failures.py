@@ -29,6 +29,7 @@ from .rng import RngFactory
 __all__ = [
     "FailureInjector",
     "TraceInjector",
+    "TraceSchedule",
     "generate_trace",
     "trace_statistics",
     "TraceStats",
@@ -105,52 +106,93 @@ class FailureInjector:
         return self.distribution.mean() / self.n_nodes
 
 
-class TraceInjector:
-    """Replay a recorded failure trace instead of sampling one.
+class TraceSchedule:
+    """A failure trace parsed once into per-node inter-arrival delays.
 
     Accepts the structured array produced by :func:`generate_trace`
     (fields ``time``/``node``) or any ``(time, node)`` pair sequence.
-    Nodes whose schedule is exhausted never fail again (their next delay
-    is ``+inf`` past the horizon).  Replaying the same trace under two
-    protocols gives a *common-random-numbers* comparison: both face the
-    identical failure history.
+    The parse is vectorized and validates the whole trace: times must be
+    finite, non-negative and sorted, nodes in ``[0, n_nodes)``.
+
+    ``delays`` is node-major: node ``i``'s delays are
+    ``delays[bounds[i]:bounds[i + 1]]``.  A schedule is never mutated,
+    so any number of :class:`TraceInjector` replays (every protocol and
+    φ of a campaign row) can walk one cached instance.
     """
 
-    #: Far-future sentinel returned once a node's schedule is exhausted.
-    NEVER = 1e300
+    __slots__ = ("n_nodes", "delays", "bounds", "total_events")
 
     def __init__(self, n_nodes: int, trace):
         if n_nodes < 1:
             raise ParameterError("n_nodes must be >= 1")
         self.n_nodes = int(n_nodes)
         if hasattr(trace, "dtype") and trace.dtype.names:
-            pairs = [(float(t), int(v)) for t, v in zip(trace["time"], trace["node"])]
+            times = np.asarray(trace["time"], dtype=float)
+            nodes = np.asarray(trace["node"], dtype=np.int64)
         else:
-            pairs = [(float(t), int(v)) for t, v in trace]
-        schedules: dict[int, list[float]] = {}
-        last_time = 0.0
-        for time, node in pairs:
-            if not 0 <= node < self.n_nodes:
-                raise ParameterError(f"trace node {node} out of range")
-            if time < last_time:
-                raise ParameterError("trace must be sorted by time")
-            last_time = time
-            schedules.setdefault(node, []).append(time)
-        # Absolute times -> successive inter-arrival delays per node.
-        self._delays: dict[int, list[float]] = {}
-        for node, times in schedules.items():
-            prev, delays = 0.0, []
-            for t in times:
-                delays.append(t - prev)
-                prev = t
-            self._delays[node] = delays
-        self.total_events = len(pairs)
+            pairs = list(trace)
+            times = np.array([float(t) for t, _ in pairs], dtype=float)
+            nodes = np.array([int(v) for _, v in pairs], dtype=np.int64)
+        if not np.isfinite(times).all():
+            raise ParameterError("trace times must be finite")
+        if (times < 0).any():
+            raise ParameterError("trace times must be >= 0")
+        out_of_range = (nodes < 0) | (nodes >= self.n_nodes)
+        if out_of_range.any():
+            raise ParameterError(
+                f"trace node {nodes[out_of_range][0]} out of range"
+            )
+        if (np.diff(times) < 0).any():
+            raise ParameterError("trace must be sorted by time")
+        # Absolute times -> successive inter-arrival delays per node; a
+        # node's first delay is its first failure time (clock starts at 0).
+        ordered = times[np.argsort(nodes, kind="stable")]
+        counts = np.bincount(nodes, minlength=self.n_nodes)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        first = bounds[:-1][counts > 0]
+        self.delays = np.diff(ordered, prepend=0.0)
+        self.delays[first] = ordered[first]
+        self.bounds = tuple(bounds.tolist())
+        self.total_events = int(times.size)
+
+
+class TraceInjector:
+    """Replay a recorded failure trace instead of sampling one.
+
+    Walks a :class:`TraceSchedule` (raw traces are parsed into one) with
+    one cursor per node and never mutates it, so a schedule parsed once
+    per shared trace serves every replay of it.  Nodes whose schedule is
+    exhausted never fail again (their next delay is ``+inf`` past the
+    horizon).  Replaying the same trace under two protocols gives a
+    *common-random-numbers* comparison: both face the identical failure
+    history.
+    """
+
+    #: Far-future sentinel returned once a node's schedule is exhausted.
+    NEVER = 1e300
+
+    def __init__(self, n_nodes: int, trace):
+        if not isinstance(trace, TraceSchedule):
+            trace = TraceSchedule(n_nodes, trace)
+        elif trace.n_nodes != n_nodes:
+            raise ParameterError(
+                f"trace schedule was built for n_nodes={trace.n_nodes}, "
+                f"not {n_nodes}"
+            )
+        self.n_nodes = trace.n_nodes
+        self.total_events = trace.total_events
+        self._delays = trace.delays
+        self._cursors = list(trace.bounds[:-1])
+        self._ends = trace.bounds[1:]
 
     def next_failure_delay(self, node: int) -> float:
         if not 0 <= node < self.n_nodes:
             raise ParameterError(f"node_id {node} out of range")
-        queue = self._delays.get(node)
-        return queue.pop(0) if queue else self.NEVER
+        i = self._cursors[node]
+        if i == self._ends[node]:
+            return self.NEVER
+        self._cursors[node] = i + 1
+        return self._delays.item(i)
 
 
 # ----------------------------------------------------------------------

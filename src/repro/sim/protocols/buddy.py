@@ -50,6 +50,14 @@ class BuddySimProtocol(SimProtocol):
             PhasePlan(kind.value, length, self._rate_for(kind))
             for kind, length in zip(spec.phase_kinds(), self._lengths)
         )
+        # The per-failure model, resolved once: every event then costs an
+        # attribute read (plus one add and one max for re-execution).
+        self._commit_phase = spec.commit_phase()
+        self._stall = float(np.asarray(spec.recovery_constant(params, self.phi)))
+        self._risk = float(np.asarray(spec.risk_window(params, self.phi)))
+        bases, shift = spec.re_terms(params, self.phi, self.period)
+        self._re_bases = tuple(float(np.asarray(b)) for b in bases)
+        self._re_shift = float(np.asarray(shift))
 
     def _rate_for(self, kind: PhaseKind) -> float:
         if kind is PhaseKind.LOCAL_CHECKPOINT:
@@ -63,20 +71,17 @@ class BuddySimProtocol(SimProtocol):
         return self._plan
 
     def commit_phase(self) -> int | None:
-        return self.spec.commit_phase()
+        return self._commit_phase
 
     def recovery_stall(self) -> float:
-        return float(np.asarray(self.spec.recovery_constant(self.params, self.phi)))
+        return self._stall
 
     def risk_duration(self) -> float | None:
-        return float(np.asarray(self.spec.risk_window(self.params, self.phi)))
+        return self._risk
 
     def re_exec_time(self, phase: int, offset: float, lost_work: float) -> float:
-        return float(
-            np.asarray(
-                self.spec.re_time(self.params, self.phi, self.period, phase, offset)
-            )
-        )
+        # Same evaluation order as ProtocolSpec.re_time, so bit-identical.
+        return max(self._re_bases[phase] + offset - self._re_shift, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

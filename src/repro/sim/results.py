@@ -9,6 +9,7 @@ comparisons can assert statistically, not by eyeball.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,19 @@ class DesResult:
         return self.status == "completed"
 
 
+# scipy's ppf costs ~0.1 ms a call and every cell summary needs two, so the
+# quantiles are cached; their arguments take few distinct values.
+@lru_cache(maxsize=1024)
+def t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t quantile ``t_{(1 + confidence)/2, df}``."""
+    return float(sps.t.ppf(0.5 + confidence / 2.0, df=df))
+
+
+@lru_cache(maxsize=64)
+def _z_quantile(confidence: float) -> float:
+    return float(sps.norm.ppf(0.5 + confidence / 2.0))
+
+
 def wilson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
@@ -68,7 +82,7 @@ def wilson_interval(
         raise ParameterError("trials must be > 0")
     if not 0 <= successes <= trials:
         raise ParameterError("successes must lie in [0, trials]")
-    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
+    z = _z_quantile(confidence)
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     centre = (phat + z**2 / (2 * trials)) / denom
@@ -97,8 +111,7 @@ def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     if std == 0.0:
         return 0.0
     return float(
-        sps.t.ppf(0.5 + confidence / 2.0, df=finite.size - 1)
-        * std / np.sqrt(finite.size)
+        t_quantile(confidence, finite.size - 1) * std / np.sqrt(finite.size)
     )
 
 
@@ -194,8 +207,7 @@ class MonteCarloSummary:
             half = 0.0
         else:
             half = float(
-                sps.t.ppf(0.5 + confidence / 2.0, df=n_finite - 1)
-                * std / np.sqrt(n_finite)
+                t_quantile(confidence, n_finite - 1) * std / np.sqrt(n_finite)
             )
         return cls(
             n_replicas=n_total,

@@ -10,7 +10,13 @@ from repro.errors import ParameterError
 from repro.io import load_results
 from repro.sim.campaign import CampaignCell, CampaignConfig, cells_table, run_campaign
 from repro.sim.des import DesConfig, run_des
-from repro.sim.failures import FailureInjector, TraceInjector, generate_trace
+from repro.io import dump_result
+from repro.sim.failures import (
+    FailureInjector,
+    TraceInjector,
+    TraceSchedule,
+    generate_trace,
+)
 from repro.sim.rng import RngFactory
 
 
@@ -39,6 +45,18 @@ class TestTraceInjector:
         inj = TraceInjector(2, [(1.0, 0)])
         with pytest.raises(ParameterError):
             inj.next_failure_delay(9)
+
+    @pytest.mark.parametrize("trace, message", [
+        ([(1.0, 0), (float("nan"), 1), (0.5, 0)], "finite"),
+        ([(1.0, 0), (float("inf"), 1)], "finite"),
+        ([(-0.5, 0), (1.0, 1)], ">= 0"),
+    ])
+    def test_refuses_non_finite_and_negative_times(self, trace, message):
+        # A NaN used to slip through every sorted-order comparison and
+        # yield node-0 delays [1.0, -0.5]; a negative time was refused only
+        # as "unsorted".
+        with pytest.raises(ParameterError, match=message):
+            TraceInjector(2, trace)
 
     def test_des_replay_reproduces_run(self):
         """Replaying the trace of a sampled run reproduces its makespan."""
@@ -75,6 +93,61 @@ class TestTraceInjector:
         assert nbl.succeeded and bof.succeeded
         assert abs(nbl.failures - bof.failures) <= 2
         assert abs(nbl.makespan - bof.makespan) < 0.15 * nbl.makespan
+
+
+class TestTraceSchedule:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        real = FailureInjector.from_platform_mtbf(8, 50.0, RngFactory(11))
+        return generate_trace(real, horizon=2000.0)
+
+    def test_delays_match_per_node_differences(self, trace):
+        schedule = TraceSchedule(8, trace)
+        for node in range(8):
+            times = [float(t) for t, v in zip(trace["time"], trace["node"])
+                     if v == node]
+            expected = [t - prev for prev, t in zip([0.0] + times, times)]
+            lo, hi = schedule.bounds[node], schedule.bounds[node + 1]
+            assert schedule.delays[lo:hi].tolist() == expected
+        assert schedule.total_events == trace.shape[0]
+
+    def test_injectors_share_a_schedule_without_mutating_it(self, trace):
+        schedule = TraceSchedule(8, trace)
+        before = schedule.delays.copy()
+
+        def replay(injector):
+            return [[injector.next_failure_delay(node)
+                     for _ in range(schedule.total_events + 1)]
+                    for node in range(8)]
+
+        first, second = TraceInjector(8, schedule), TraceInjector(8, schedule)
+        assert replay(first) == replay(second)
+        assert np.array_equal(schedule.delays, before)
+
+    def test_exhausted_node_returns_never(self):
+        injector = TraceInjector(3, TraceSchedule(3, [(2.0, 1)]))
+        assert injector.next_failure_delay(1) == 2.0
+        assert injector.next_failure_delay(1) == TraceInjector.NEVER
+        assert injector.next_failure_delay(0) == TraceInjector.NEVER
+
+    def test_refuses_schedule_for_other_node_count(self, trace):
+        with pytest.raises(ParameterError, match="n_nodes=8"):
+            TraceInjector(4, TraceSchedule(8, trace))
+
+    def test_raw_and_parsed_traces_give_identical_runs(self):
+        params = scenarios.BASE.parameters(M=120.0, n=12)
+        inj = FailureInjector.from_platform_mtbf(12, 120.0, RngFactory(4))
+        trace = generate_trace(inj, horizon=40 * 3600.0)
+
+        def run(replayed):
+            return dump_result(run_des(DesConfig(
+                protocol=TRIPLE, params=params, phi=1.0,
+                work_target=3600.0, trace=replayed, seed=3,
+            )))
+
+        assert run(trace) == run(TraceSchedule(12, trace))
+        pairs = list(zip(trace["time"].tolist(), trace["node"].tolist()))
+        assert run(pairs) == run(trace)
 
 
 class TestCampaign:

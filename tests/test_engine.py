@@ -43,6 +43,16 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             eng.schedule(1.0, lambda e, ev: None)
 
+    def test_rejects_nan_time(self):
+        # NaN compares False with everything, so it used to pass the
+        # past-time check and silently corrupt the heap order.
+        eng = Engine()
+        with pytest.raises(SimulationError, match="NaN"):
+            eng.schedule(float("nan"), lambda e, ev: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            eng.schedule_in(float("nan"), lambda e, ev: None)
+        assert eng.pending() == 0
+
     def test_rejects_negative_delay(self):
         eng = Engine()
         with pytest.raises(SimulationError):

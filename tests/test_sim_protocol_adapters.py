@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro import DOUBLE_BLOCKING, DOUBLE_BOF, DOUBLE_NBL, TRIPLE, Parameters
+from repro import DOUBLE_BLOCKING, DOUBLE_BOF, DOUBLE_NBL, TRIPLE, TRIPLE_BOF, Parameters
+from repro.core.protocols import PROTOCOLS
 from repro.errors import ParameterError, SimulationError
 from repro.sim.protocols.base import PhasePlan
 from repro.sim.protocols.buddy import BuddySimProtocol
@@ -56,6 +57,38 @@ class TestBuddyAdapter:
 
     def test_group_size_forwarded(self):
         assert BuddySimProtocol(TRIPLE, PARAMS, 1.0, 100.0).group_size == 3
+
+
+class TestResolvedBuddyModel:
+    """The adapter resolves the per-failure model once per cell; every
+    value must equal the spec's own (numpy) evaluation exactly."""
+
+    PERIOD = 120.0
+
+    @pytest.mark.parametrize("phi_frac", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("spec", list(PROTOCOLS.values()),
+                             ids=list(PROTOCOLS))
+    def test_bit_exact_against_spec(self, spec, phi_frac):
+        phi = phi_frac * PARAMS.theta_min
+        proto = BuddySimProtocol(spec, PARAMS, phi=phi, period=self.PERIOD)
+        assert proto.commit_phase() == spec.commit_phase()
+        assert proto.recovery_stall() == float(spec.recovery_constant(PARAMS, phi))
+        assert proto.risk_duration() == float(spec.risk_window(PARAMS, phi))
+        for phase, plan in enumerate(proto.phase_plan()):
+            for offset in (0.0, plan.length / 2.0, plan.length):
+                expected = float(spec.re_time(PARAMS, phi, self.PERIOD,
+                                              phase, offset))
+                assert proto.re_exec_time(phase, offset, 0.0) == expected
+
+    def test_bof_clamp_at_zero(self):
+        # TRIPLE-BOF at phi = theta_min: phase 1 re-executes theta + offset
+        # minus 2*phi, negative early in the phase, so the clamp applies.
+        phi = PARAMS.theta_min
+        proto = BuddySimProtocol(TRIPLE_BOF, PARAMS, phi=phi, period=self.PERIOD)
+        bases, shift = TRIPLE_BOF.re_terms(PARAMS, phi, self.PERIOD)
+        assert float(bases[1]) - float(shift) < 0.0
+        assert proto.re_exec_time(1, 0.0, 0.0) == 0.0
+        assert float(TRIPLE_BOF.re_time(PARAMS, phi, self.PERIOD, 1, 0.0)) == 0.0
 
 
 class TestCoordinatedAdapter:
