@@ -152,6 +152,7 @@ class TraceSchedule:
         first = bounds[:-1][counts > 0]
         self.delays = np.diff(ordered, prepend=0.0)
         self.delays[first] = ordered[first]
+        self.delays.flags.writeable = False  # shared by every replay
         self.bounds = tuple(bounds.tolist())
         self.total_events = int(times.size)
 

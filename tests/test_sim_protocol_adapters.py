@@ -64,20 +64,23 @@ class TestResolvedBuddyModel:
     value must equal the spec's own (numpy) evaluation exactly."""
 
     PERIOD = 120.0
+    #: Non-round values, so a reordered float expression changes bits.
+    ODD = Parameters(D=1.3, delta=2.7, R=4.1, alpha=7.3, M=10_000, n=6)
 
-    @pytest.mark.parametrize("phi_frac", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("params, period", [(PARAMS, PERIOD), (ODD, 123.456)],
+                             ids=["round", "odd"])
+    @pytest.mark.parametrize("phi_frac", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("spec", list(PROTOCOLS.values()),
                              ids=list(PROTOCOLS))
-    def test_bit_exact_against_spec(self, spec, phi_frac):
-        phi = phi_frac * PARAMS.theta_min
-        proto = BuddySimProtocol(spec, PARAMS, phi=phi, period=self.PERIOD)
+    def test_bit_exact_against_spec(self, spec, phi_frac, params, period):
+        phi = phi_frac * params.theta_min
+        proto = BuddySimProtocol(spec, params, phi=phi, period=period)
         assert proto.commit_phase() == spec.commit_phase()
-        assert proto.recovery_stall() == float(spec.recovery_constant(PARAMS, phi))
-        assert proto.risk_duration() == float(spec.risk_window(PARAMS, phi))
+        assert proto.recovery_stall() == float(spec.recovery_constant(params, phi))
+        assert proto.risk_duration() == float(spec.risk_window(params, phi))
         for phase, plan in enumerate(proto.phase_plan()):
             for offset in (0.0, plan.length / 2.0, plan.length):
-                expected = float(spec.re_time(PARAMS, phi, self.PERIOD,
-                                              phase, offset))
+                expected = float(spec.re_time(params, phi, period, phase, offset))
                 assert proto.re_exec_time(phase, offset, 0.0) == expected
 
     def test_bof_clamp_at_zero(self):
