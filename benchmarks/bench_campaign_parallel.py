@@ -188,7 +188,7 @@ def test_event_pipeline_overhead_gate(tmp_path, record):
     spec = _spec()
 
     def direct(path):
-        config = spec.config(path)
+        config = spec.grid
         controller = spec.controller()
         sink = make_sink(spec.policy.sink, path)
         sink.begin()

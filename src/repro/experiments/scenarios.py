@@ -297,8 +297,8 @@ class CampaignPreset:
     def campaign_config(self, **overrides: Any):
         """Build the :class:`repro.sim.campaign.CampaignConfig`.
 
-        Keyword overrides replace any config field (``replicas=2``,
-        ``results_path=...``, a trimmed ``m_values`` for quick tests...).
+        Keyword overrides replace any config field (``replicas=2``, a
+        trimmed ``m_values`` for quick tests...).
         """
         from ..sim.campaign import CampaignConfig
 
@@ -323,8 +323,9 @@ class CampaignPreset:
         workload into a JSON file loadable by ``campaign --spec FILE``.
         ``policy`` supplies a non-default
         :class:`~repro.sim.spec.ExecutionPolicy`; grid ``overrides`` pass
-        through to :meth:`campaign_config` (``results_path`` is refused —
-        a spec describes the campaign, not one execution of it).
+        through to :meth:`campaign_config` (the results path is not a
+        grid field — a spec describes the campaign, not one execution of
+        it).
         """
         from ..sim.spec import CampaignSpec, ExecutionPolicy
 

@@ -23,12 +23,9 @@ Guarantees:
 * round-trips are lossless for every field, including ``nan``/``inf``
   (encoded as typed sentinels ``{"__float__": "nan"}``, since JSON has no
   literals for them) **and** payload strings that happen to spell
-  ``"nan"``/``"inf"``/``"-inf"`` — the envelope version was bumped to 2
-  with the sentinels, so the version-1 bare-string float spelling is
-  only ever applied to records that declare version 1, and a version-2
-  string can never be reinterpreted;
-* files written by older library versions either load or fail loudly —
-  never silently mis-parse;
+  ``"nan"``/``"inf"``/``"-inf"`` — strings are never reinterpreted;
+* a record of any other version is refused by number wherever it sits
+  — never guessed at, never silently truncated away;
 * batches are streamed as JSON Lines (one envelope per line), so a
   campaign can append results as runs finish;
 * the tolerant scanners (:func:`scan_results`, :func:`scan_frames`)
@@ -71,18 +68,17 @@ _FORMAT = "repro-results"
 _FRAME_FORMAT = "repro-frames"
 #: Written version.  1 spelled non-finite floats as bare strings — which
 #: silently swallowed legitimate ``"nan"``/``"inf"``/``"-inf"`` *string*
-#: payloads on the way back in; 2 uses typed sentinels instead.  Decoding
-#: is gated on each record's declared version, so the two spellings can
-#: never be confused (a resumed file may legitimately mix both).
+#: payloads on the way back in; 2 uses typed sentinels instead and is the
+#: only version read.
 _VERSION = 2
-_READ_VERSIONS = frozenset({1, 2})
+_READ_VERSIONS = frozenset({2})
 _KINDS = {"DesResult": DesResult, "MonteCarloSummary": MonteCarloSummary}
 
 
 #: The three float values JSON cannot spell, by their stable spelling.
 _FLOAT_STRINGS = {"nan": float("nan"), "inf": float("inf"),
                   "-inf": float("-inf")}
-#: Single-key dicts reserved by the version-2 encoding.  ``__float__``
+#: Single-key dicts reserved by the encoding.  ``__float__``
 #: carries a non-finite float; ``__dict__`` escapes a *user* dict that
 #: happens to look like a marker.
 _MARKER_KEYS = frozenset({"__float__", "__dict__"})
@@ -91,26 +87,15 @@ _MARKER_KEYS = frozenset({"__float__", "__dict__"})
 def _encode_float(value: Any) -> Any:
     """Encode one scalar; non-finite floats become typed sentinels.
 
-    Strings pass through untouched — under version 2 nothing ever
-    reinterprets them, so ``"nan"`` the string and ``nan`` the float are
-    distinct on disk by construction.
+    Strings pass through untouched — nothing ever reinterprets them, so
+    ``"nan"`` the string and ``nan`` the float are distinct on disk by
+    construction.
     """
     if isinstance(value, float):
         if math.isnan(value):
             return {"__float__": "nan"}
         if math.isinf(value):
             return {"__float__": "inf" if value > 0 else "-inf"}
-    return value
-
-
-def _decode_float(value: Any) -> Any:
-    """Inverse of the *version-1* scalar encoding, applied only to
-    records that declare version 1: bare ``"nan"``/``"inf"``/``"-inf"``
-    strings are old-format non-finite floats.  (For version-1 files a
-    genuine string payload spelling one of these is indistinguishable
-    from a float — the historical bug the version bump fixes.)"""
-    if isinstance(value, str) and value in _FLOAT_STRINGS:
-        return _FLOAT_STRINGS[value]
     return value
 
 
@@ -127,13 +112,11 @@ def _encode_payload(obj: Any) -> Any:
     return _encode_float(obj)
 
 
-def _decode_payload(obj: Any, legacy: bool) -> Any:
-    """Decode one payload tree; ``legacy`` selects the version-1 rules
-    (bare-string floats, no sentinels) or the version-2 rules (typed
-    sentinels, strings inviolate) — never both, so neither era's
-    spelling can be misread as the other's."""
+def _decode_payload(obj: Any) -> Any:
+    """Decode one payload tree: typed sentinels become floats, escaped
+    dicts are unwrapped, strings are never touched."""
     if isinstance(obj, dict):
-        if not legacy and len(obj) == 1:
+        if len(obj) == 1:
             (key, value), = obj.items()
             if (key == "__float__" and isinstance(value, str)
                     and value in _FLOAT_STRINGS):
@@ -141,12 +124,11 @@ def _decode_payload(obj: Any, legacy: bool) -> Any:
             if key == "__dict__" and isinstance(value, dict):
                 # Escaped user dict: decode its values, but never
                 # re-interpret the dict itself as a sentinel.
-                return {k: _decode_payload(v, legacy)
-                        for k, v in value.items()}
-        return {k: _decode_payload(v, legacy) for k, v in obj.items()}
+                return {k: _decode_payload(v) for k, v in value.items()}
+        return {k: _decode_payload(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_decode_payload(v, legacy) for v in obj]
-    return _decode_float(obj) if legacy else obj
+        return [_decode_payload(v) for v in obj]
+    return obj
 
 
 def encode_floats(obj: Any) -> Any:
@@ -162,8 +144,22 @@ def encode_floats(obj: Any) -> Any:
 
 
 def decode_floats(obj: Any) -> Any:
-    """Inverse of :func:`encode_floats` (version-2 rules only)."""
-    return _decode_payload(obj, legacy=False)
+    """Inverse of :func:`encode_floats`."""
+    return _decode_payload(obj)
+
+
+class _VersionError(ParameterError):
+    """An intact record of a known format in a version this library does
+    not read."""
+
+
+def _check_version(name: str, envelope: dict) -> None:
+    version = envelope.get("version")
+    if version not in _READ_VERSIONS:
+        raise _VersionError(
+            f"unsupported {name} version {version!r} "
+            f"(this library reads versions {sorted(_READ_VERSIONS)})"
+        )
 
 
 def to_envelope(result: DesResult | MonteCarloSummary) -> dict:
@@ -185,17 +181,12 @@ def from_envelope(envelope: dict) -> DesResult | MonteCarloSummary:
     """Reconstruct a result object; validates format and version."""
     if not isinstance(envelope, dict) or envelope.get("format") != _FORMAT:
         raise ParameterError("not a repro-results envelope")
-    version = envelope.get("version")
-    if version not in _READ_VERSIONS:
-        raise ParameterError(
-            f"unsupported results version {version!r} "
-            f"(this library reads versions {sorted(_READ_VERSIONS)})"
-        )
+    _check_version("results", envelope)
     kind = envelope.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:
         raise ParameterError(f"unknown result kind {kind!r}")
-    payload = _decode_payload(envelope.get("payload", {}), version == 1)
+    payload = _decode_payload(envelope.get("payload", {}))
     if not isinstance(payload, dict):
         raise ParameterError(
             f"corrupt {kind} payload: expected an object, "
@@ -251,7 +242,7 @@ def _scan_envelopes(
     :func:`scan_frames`.
 
     ``decode`` turns one parsed JSON object into a record (raising
-    :class:`ParameterError` on structural corruption).  Three failure
+    :class:`ParameterError` on structural corruption).  Four failure
     modes are distinguished:
 
     * a line that is not even JSON, or the file's **last** line failing to
@@ -261,6 +252,10 @@ def _scan_envelopes(
       file scanned as frames or vice versa, named by ``expected_format``)
       — a sink-mode mismatch, reported as such wherever it sits, since a
       torn write can never produce a whole foreign-format record;
+    * an intact record of a known format in a version this library does
+      not read — refused by version wherever it sits, for the same
+      reason: a torn append never ends in a newline, so a whole line is
+      a whole record some other writer meant, not damage to truncate;
     * a line that parses as JSON but fails record checks **with further
       data behind it** — mid-file corruption an append can never produce;
       raises with the record's byte offset so the damage can be inspected
@@ -294,6 +289,11 @@ def _scan_envelopes(
                             f"{expected_format!r} records were expected; "
                             "was this file written with the other sink "
                             "mode?"
+                        ) from exc
+                    if isinstance(exc, _VersionError):
+                        raise ParameterError(
+                            f"{path}: record at byte offset {offset}: "
+                            f"{exc}; refusing to scan past it"
                         ) from exc
                     if fh.read(1):
                         raise ParameterError(
@@ -386,11 +386,7 @@ def frame_from_envelope(envelope: dict) -> ResultFrame:
     """Reconstruct a :class:`ResultFrame`; validates format and framing."""
     if not isinstance(envelope, dict) or envelope.get("format") != _FRAME_FORMAT:
         raise ParameterError("not a repro-frames envelope")
-    if envelope.get("version") not in _READ_VERSIONS:
-        raise ParameterError(
-            f"unsupported frames version {envelope.get('version')!r} "
-            f"(this library reads versions {sorted(_READ_VERSIONS)})"
-        )
+    _check_version("frames", envelope)
     fields = {}
     for name in ("cell", "replica", "seq"):
         value = envelope.get(name)

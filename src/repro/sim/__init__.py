@@ -27,8 +27,7 @@ touching the others:
     :class:`~repro.sim.spec.Campaign` is the façade:
     ``Campaign(spec).run(path)/resume(path)/report()/merge(out)``.
 ``campaign``  (the grid)
-    :class:`~repro.sim.campaign.CampaignConfig` and validation; the
-    deprecated pre-spec ``run_campaign`` shim.
+    :class:`~repro.sim.campaign.CampaignConfig` and validation.
 ``executor``  (orchestration: the event producer)
     :class:`~repro.sim.executor.CampaignSession` plans the grid into
     deterministic cell chunks, recovers finished cells on resume
@@ -101,7 +100,7 @@ from .results import DesResult, MonteCarloSummary
 from .des import DesConfig, run_des, run_des_batch
 from .renewal import RenewalConfig, run_renewal, run_renewal_batch
 from .riskmc import RiskMcConfig, run_risk_mc
-from .campaign import CampaignCell, CampaignConfig, run_campaign
+from .campaign import CampaignCell, CampaignConfig
 from .adaptive import (
     AdaptiveCI,
     FixedReplicas,
@@ -126,9 +125,7 @@ from .executor import (
     CampaignExecution,
     CampaignSession,
     ExecutionReport,
-    execute_campaign,
     execute_spec,
-    run_campaign_parallel,
 )
 
 __all__ = [
@@ -153,7 +150,6 @@ __all__ = [
     "run_risk_mc",
     "CampaignConfig",
     "CampaignCell",
-    "run_campaign",
     "CampaignSpec",
     "ExecutionPolicy",
     "Campaign",
@@ -170,9 +166,7 @@ __all__ = [
     "CampaignExecution",
     "CampaignSession",
     "ExecutionReport",
-    "execute_campaign",
     "execute_spec",
-    "run_campaign_parallel",
     "EventBus",
     "EventConsumer",
     "CampaignStarted",

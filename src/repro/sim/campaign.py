@@ -13,8 +13,8 @@ description — and :class:`~repro.sim.spec.Campaign` is the public entry
 point that runs/resumes/reports it (execution mechanism:
 :mod:`repro.sim.executor`; live streaming/polling:
 :meth:`~repro.sim.spec.Campaign.session` over the typed event pipeline
-in :mod:`repro.sim.events`).  :func:`run_campaign` is the pre-spec legacy
-API, kept as a deprecation shim that builds a spec.
+in :mod:`repro.sim.events`).  The grid carries no results path: where
+one execution lands is an argument to :meth:`~repro.sim.spec.Campaign.run`.
 
 Common-random-numbers support: with ``share_traces=True`` each
 (M, replica) cell pre-generates one failure trace and replays it for
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import pathlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,7 +43,6 @@ from .results import DesResult, MonteCarloSummary
 __all__ = [
     "CampaignConfig",
     "CampaignCell",
-    "run_campaign",
     "validate_campaign",
     "cells_table",
 ]
@@ -63,8 +61,6 @@ class CampaignConfig:
     seed: int = 777
     #: Replay one failure trace per (M, replica) across all protocols.
     share_traces: bool = False
-    #: Optional JSON Lines sink for every raw run.
-    results_path: str | pathlib.Path | None = None
     max_time: float | None = None
     #: Node failure law; ``None`` = exponential at the node MTBF ``n·M``.
     distribution: FailureDistribution | None = None
@@ -148,41 +144,6 @@ class CampaignCell:
     @property
     def success_rate(self) -> float:
         return self.summary.success_rate
-
-
-def run_campaign(config: CampaignConfig, **kwargs) -> list[CampaignCell]:
-    """Deprecated: execute the sweep serially, one cell per grid cell.
-
-    .. deprecated::
-        Build a :class:`~repro.sim.spec.CampaignSpec` and use
-        :meth:`~repro.sim.spec.Campaign.run` instead::
-
-            Campaign(CampaignSpec(grid=config)).run(results_path)
-
-        Output is unchanged (cells are evaluated protocol-major, shared
-        traces generated once per (M, replica)); the spec object is what
-        serialises, fingerprints and scales to pools and queues.
-
-    ``kwargs`` accepts the historical executor keywords (``workers``,
-    ``sink``, ``controller``, ...) so pre-spec call sites keep working;
-    they are folded into the spec's
-    :class:`~repro.sim.spec.ExecutionPolicy`.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_campaign is deprecated: build a CampaignSpec and use "
-        "Campaign(spec).run(results_path)",
-        DeprecationWarning, stacklevel=2,
-    )
-    from .executor import execute_spec
-    from .spec import CampaignSpec
-
-    resume = bool(kwargs.pop("resume", False))
-    spec = CampaignSpec.from_legacy_kwargs(config, **kwargs)
-    return list(execute_spec(
-        spec, results_path=config.results_path, resume=resume,
-    ).cells)
 
 
 def cells_table(cells: Sequence[CampaignCell]) -> str:

@@ -66,7 +66,7 @@ replica's runtime plus NFS attribute-cache lag.
 The merged file is an ordinary framed campaign results file — cells in
 grid order, contiguous sequence numbers, the campaign manifest at its
 side — indistinguishable from a single-machine ``sink="framed"`` run, so
-``execute_campaign(resume=True)`` and ``repro-checkpoint report`` work on
+``Campaign(spec).resume(path)`` and ``repro-checkpoint report`` work on
 it unchanged.
 """
 
@@ -799,7 +799,7 @@ def merge_shards(
     With ``require_complete`` (the default) a queue that still has
     unfinished chunks is refused; pass ``require_complete=False`` to
     merge the finished cells of a dead campaign into a partial file that
-    ``execute_campaign(resume=True)`` can then finish on one machine.
+    ``Campaign(spec).resume(path)`` can then finish on one machine.
     """
     from .. import io as repro_io
 

@@ -59,8 +59,10 @@ layers together:
 A sidecar manifest (``<results>.manifest``) stores the campaign's
 **spec fingerprint** (:meth:`~repro.sim.spec.CampaignSpec.fingerprint`)
 verbatim, so resuming under drifted settings is detected as *spec
-inequality* and refused instead of silently mixing two campaigns.
-Pre-spec (version-1) manifests are still read and checked.
+inequality* and refused instead of silently mixing two campaigns.  A
+manifest that parses but holds no campaign spec (for instance the
+retired pre-spec version-1 shape) is refused by name: it cannot be
+checked, and guessing would silently drop the drift check.
 
 Layer diagram (single machine, and the distributed shard-merge flow)::
 
@@ -148,10 +150,8 @@ Entry points
 :func:`execute_spec` is the one-call wrapper that drains a session and
 returns its :class:`CampaignExecution` (cells + an
 :class:`ExecutionReport` with skip/run/replica counts and timings).
-The pre-spec kwarg surface — :func:`execute_campaign`,
-:func:`run_campaign_parallel`, ``repro.sim.campaign.run_campaign`` —
-survives as thin shims that build a spec and emit a
-:class:`DeprecationWarning`.
+All three take a :class:`~repro.sim.spec.CampaignSpec`; there is no
+other way to describe a campaign.
 
 Example
 -------
@@ -175,7 +175,6 @@ from __future__ import annotations
 import pathlib
 import threading
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -186,7 +185,6 @@ from ..errors import CampaignCancelled, ParameterError
 from ..obs import MetricsConsumer
 from ..obs import enabled as obs_enabled
 from ..obs.trace import current_tracer
-from .adaptive import ReplicaController
 from .backends import CampaignBackend, make_backend, run_cell  # noqa: F401 - run_cell re-exported
 from .campaign import CampaignCell, CampaignConfig, validate_campaign
 from .events import (
@@ -207,7 +205,7 @@ from .events import (
 )
 from .results import DesResult
 from .sinks import OrderedJsonlSink, ResultSink, make_sink
-from .spec import SPEC_FORMAT, CampaignSpec
+from .spec import CampaignSpec
 from .vectorized import plan_engine
 
 __all__ = [
@@ -217,11 +215,7 @@ __all__ = [
     "CampaignSession",
     "plan_cells",
     "execute_spec",
-    "execute_campaign",
-    "run_campaign_parallel",
 ]
-
-_LEGACY_MANIFEST_FORMAT = "repro-campaign-manifest"
 
 
 @dataclass(frozen=True)
@@ -329,62 +323,11 @@ def plan_cells(config: CampaignConfig) -> list[CellPlan]:
     return plans
 
 
-# The aggregation itself lives in repro.sim.events (make_cell) so the
-# wire decoder can rebuild cells without importing the executor; this
-# alias keeps the historical internal name for existing callers.
-_make_cell = make_cell
-
-
 # ----------------------------------------------------------------------
 # Campaign manifest
 # ----------------------------------------------------------------------
 def _manifest_path(sink: pathlib.Path) -> pathlib.Path:
     return sink.with_name(sink.name + ".manifest")
-
-
-def _campaign_fingerprint(
-    config: CampaignConfig, sink_mode: str, controller: ReplicaController
-) -> dict:
-    """The spec fingerprint for a (config, sink, controller) triple.
-
-    Kept for callers (and tests) that assemble queue manifests from the
-    pre-spec pieces; it is exactly
-    ``CampaignSpec.from_legacy_kwargs(...).fingerprint()``.
-    """
-    spec = CampaignSpec.from_legacy_kwargs(
-        config, sink=sink_mode, controller=controller
-    )
-    return spec.fingerprint()
-
-
-def _legacy_fingerprint(spec: CampaignSpec) -> dict:
-    """The version-1 manifest dict this spec would have produced.
-
-    Pre-spec campaigns wrote hand-built fingerprint dicts; reproducing
-    that exact shape lets their results files keep resuming under the
-    spec-based engine.
-    """
-    from ..core.protocols import get_protocol
-
-    grid = spec.grid
-    dist = grid.distribution
-    controller = spec.controller()
-    return {
-        "format": _LEGACY_MANIFEST_FORMAT,
-        "version": 1,
-        "protocols": [get_protocol(s).key for s in grid.protocols],
-        "params": grid.base_params.describe(),
-        "m_values": [float(m) for m in grid.m_values],
-        "phi_values": [float(p) for p in grid.phi_values],
-        "work_target": grid.work_target,
-        "replicas": int(grid.replicas),
-        "seed": int(grid.seed),
-        "share_traces": grid.share_traces,
-        "max_time": grid.max_time,
-        "distribution": dist.fingerprint() if dist is not None else None,
-        "sink": spec.policy.sink,
-        "adaptive": controller.fingerprint(),
-    }
 
 
 def _write_manifest(spec: CampaignSpec, sink: pathlib.Path) -> None:
@@ -414,13 +357,14 @@ def _check_manifest(spec: CampaignSpec, sink: pathlib.Path) -> bool:
     """Refuse to resume when the stored spec disagrees with this one.
 
     Returns whether a matching manifest was found.  A missing or
-    unreadable manifest (pre-manifest file, hand-copied results) returns
-    False and resume falls back to the per-record checks only.  Drift is
-    decided by **spec inequality**: the stored fingerprint is parsed back
-    into a :class:`~repro.sim.spec.CampaignSpec` and compared against
-    this spec's :meth:`~repro.sim.spec.CampaignSpec.identity`.  Version-1
-    manifests (pre-spec hand-built dicts) are compared against the shape
-    this spec would have written then.
+    non-JSON manifest (pre-manifest file, hand-copied results, a torn
+    write) returns False and resume falls back to the per-record checks
+    only.  Drift is decided by **spec inequality**: the stored
+    fingerprint is parsed back into a
+    :class:`~repro.sim.spec.CampaignSpec` and compared against this
+    spec's :meth:`~repro.sim.spec.CampaignSpec.identity`.  A manifest
+    that parses as JSON but is not a campaign-spec object cannot be
+    checked, so it is refused rather than treated as missing.
     """
     import json
 
@@ -431,42 +375,22 @@ def _check_manifest(spec: CampaignSpec, sink: pathlib.Path) -> bool:
         stored = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return False
-    if isinstance(stored, dict) and stored.get("format") == SPEC_FORMAT:
-        try:
-            stored_spec = CampaignSpec.from_dict(stored)
-        except ParameterError as exc:
-            raise ParameterError(
-                f"{path}: manifest does not hold a loadable campaign "
-                f"spec ({exc}); refusing to resume — delete the results "
-                "file and its manifest to start over"
-            ) from exc
-        if stored_spec != spec.identity():
-            drift = _spec_drift(stored_spec.to_dict(), spec.fingerprint())
-            raise ParameterError(
-                f"{path}: campaign configuration changed since the "
-                f"results file was written (spec differs in: "
-                f"{', '.join(drift)}); refusing to resume — rerun "
-                "without resume to start over, or restore the original "
-                "configuration"
-            )
-        return True
-    # Version-1 manifest: compare against the dict this spec would have
-    # written under the old scheme (pre-sink/adaptive manifests default
-    # to the ordered fixed-replica configuration they necessarily ran).
-    if isinstance(stored, dict):
-        stored.setdefault("sink", "ordered")
-        stored.setdefault("adaptive", None)
-    current = _legacy_fingerprint(spec)
-    if stored != current:
-        drift = sorted(
-            k for k in current
-            if not isinstance(stored, dict) or stored.get(k) != current[k]
-        ) or sorted(set(stored) ^ set(current))
+    try:
+        stored_spec = CampaignSpec.from_dict(stored)
+    except ParameterError as exc:
         raise ParameterError(
-            f"{path}: campaign configuration changed since the results "
-            f"file was written (differs in: {', '.join(drift)}); refusing "
-            "to resume — rerun without resume to start over, or restore "
-            "the original configuration"
+            f"{path}: manifest does not hold a loadable campaign "
+            f"spec ({exc}); refusing to resume — delete the results "
+            "file and its manifest to start over"
+        ) from exc
+    if stored_spec != spec.identity():
+        drift = _spec_drift(stored_spec.to_dict(), spec.fingerprint())
+        raise ParameterError(
+            f"{path}: campaign configuration changed since the "
+            f"results file was written (spec differs in: "
+            f"{', '.join(drift)}); refusing to resume — rerun "
+            "without resume to start over, or restore the original "
+            "configuration"
         )
     return True
 
@@ -523,12 +447,12 @@ class CampaignSession:
         if not isinstance(spec, CampaignSpec):
             raise ParameterError(
                 f"CampaignSession takes a CampaignSpec, got "
-                f"{type(spec).__name__} (legacy CampaignConfig callers: "
-                "use execute_campaign, or better, build a spec)"
+                f"{type(spec).__name__} (wrap a grid as "
+                "CampaignSpec(grid=config))"
             )
         self.spec = spec
         policy = spec.policy
-        config = spec.config(results_path)
+        config = spec.grid
         plans = plan_cells(config)
 
         # Resolve the results store (volatile: cannot change output
@@ -602,7 +526,7 @@ class CampaignSession:
                 shard_path(policy.queue, backend.worker_id)
             )
         else:
-            sink_obj = make_sink(policy.sink, config.results_path)
+            sink_obj = make_sink(policy.sink, results_path)
         if controller.fingerprint() is not None and isinstance(
             sink_obj, OrderedJsonlSink
         ):
@@ -613,8 +537,8 @@ class CampaignSession:
             )
 
         done_results: dict[int, list[DesResult]] = {}
-        if config.results_path is not None:
-            path = pathlib.Path(config.results_path)
+        if results_path is not None:
+            path = pathlib.Path(results_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             if resume and path.exists():
                 trusted = _check_manifest(spec, path)
@@ -1030,89 +954,8 @@ def execute_spec(
         policy fields it mirrors, this argument is volatile per-execution
         state — it cannot change output bytes.
     """
-    if not isinstance(spec, CampaignSpec):
-        raise ParameterError(
-            f"execute_spec takes a CampaignSpec, got {type(spec).__name__} "
-            "(legacy CampaignConfig callers: use execute_campaign, or "
-            "better, build a spec)"
-        )
     session = CampaignSession(
         spec, results_path=results_path, resume=resume, on_cell=on_cell,
         backend=backend, store=store,
     )
     return session.run()
-
-
-# ----------------------------------------------------------------------
-# Legacy kwarg shims
-# ----------------------------------------------------------------------
-def execute_campaign(
-    config: CampaignConfig,
-    *,
-    workers: int | None = 1,
-    chunk_size: int | None = None,
-    resume: bool = False,
-    on_cell: Callable[[CampaignCell], None] | None = None,
-    sink: str = "ordered",
-    controller: ReplicaController | None = None,
-    backend: CampaignBackend | None = None,
-    queue: str | pathlib.Path | None = None,
-    worker_id: str | None = None,
-    lease_timeout: float = 60.0,
-    poll_interval: float = 0.5,
-) -> CampaignExecution:
-    """Deprecated kwarg surface: builds a spec and runs it.
-
-    .. deprecated::
-        Build a :class:`~repro.sim.spec.CampaignSpec` and call
-        :meth:`~repro.sim.spec.Campaign.run` (or :func:`execute_spec`)
-        instead — one object instead of eleven keyword arguments, and
-        the same object serialises, fingerprints and drives queues.
-    """
-    warnings.warn(
-        "execute_campaign(config, **kwargs) is deprecated: build a "
-        "CampaignSpec (grid + ExecutionPolicy) and use "
-        "Campaign(spec).run(results_path) or execute_spec(spec, ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    spec = CampaignSpec.from_legacy_kwargs(
-        config, workers=workers, chunk_size=chunk_size, sink=sink,
-        controller=controller, queue=queue, worker_id=worker_id,
-        lease_timeout=lease_timeout, poll_interval=poll_interval,
-    )
-    return execute_spec(
-        spec, results_path=config.results_path, resume=resume,
-        on_cell=on_cell, backend=backend,
-    )
-
-
-def run_campaign_parallel(
-    config: CampaignConfig,
-    *,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    resume: bool = False,
-    sink: str = "ordered",
-    controller: ReplicaController | None = None,
-) -> list[CampaignCell]:
-    """Deprecated: like ``run_campaign`` but sharded across processes.
-
-    .. deprecated::
-        Use ``Campaign(CampaignSpec(grid=config,
-        policy=ExecutionPolicy(workers=...))).run(path)`` — with the
-        default policy fields (ordered sink, fixed replicas) output is
-        bit-identical to the serial path, exactly as before.
-    """
-    warnings.warn(
-        "run_campaign_parallel is deprecated: build a CampaignSpec with "
-        "ExecutionPolicy(workers=...) and use Campaign(spec).run(path)",
-        DeprecationWarning, stacklevel=2,
-    )
-    spec = CampaignSpec.from_legacy_kwargs(
-        config, workers=workers, chunk_size=chunk_size, sink=sink,
-        controller=controller,
-    )
-    execution = execute_spec(
-        spec, results_path=config.results_path, resume=resume,
-    )
-    return list(execution.cells)

@@ -45,6 +45,7 @@ __all__ = [
     "run_renewal",
     "run_renewal_batch",
     "mean_block_samples",
+    "failure_blocks",
 ]
 
 
@@ -82,6 +83,41 @@ class RenewalResult:
     meta: dict = field(default_factory=dict)
 
 
+def failure_blocks(
+    spec: ProtocolSpec, params: Parameters, phi: float, period: float,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each failure's phase and the wall seconds it costs.
+
+    ``offsets`` are pattern offsets in ``[0, period)``.  Each is binned
+    into its phase (the last phase absorbs any rounding slack between
+    the summed phase lengths and the period), and its block is
+    ``recovery_stall + RE(phase, offset into the phase)``, every phase's
+    ``RE`` evaluated once over all its strikes.  Returns ``(phase_of,
+    blocks)``.  The one kernel behind :func:`run_renewal` and the
+    vectorized campaign engine (:mod:`repro.sim.vectorized`).
+    """
+    lengths = [float(np.asarray(x))
+               for x in spec.phase_lengths(params, phi, period)]
+    bounds = np.cumsum([0.0] + lengths)
+    stall = float(np.asarray(spec.recovery_constant(params, phi)))
+    phase_of = np.clip(
+        np.searchsorted(bounds, offsets, side="right") - 1,
+        0, len(lengths) - 1,
+    )
+    blocks = np.empty_like(offsets)
+    for phase in range(len(lengths)):
+        hit = phase_of == phase
+        if not np.any(hit):
+            continue
+        local = offsets[hit] - bounds[phase]
+        re = np.asarray(
+            spec.re_time(params, phi, period, phase, local), dtype=float
+        )
+        blocks[hit] = stall + re
+    return phase_of, blocks
+
+
 def run_renewal(config: RenewalConfig) -> RenewalResult:
     """One vectorised renewal replica."""
     spec = get_protocol(config.protocol)
@@ -99,28 +135,15 @@ def run_renewal(config: RenewalConfig) -> RenewalResult:
     if period < p_min - 1e-9:
         raise ParameterError(f"period {period} below minimum {p_min}")
 
-    lengths = [float(np.asarray(x)) for x in spec.phase_lengths(params, phi, period)]
-    bounds = np.cumsum([0.0] + lengths)  # phase boundaries within the period
     work_per_period = float(np.asarray(spec.work_per_period(params, phi, period)))
-    stall = float(np.asarray(spec.recovery_constant(params, phi)))
 
     rng = RngFactory(config.seed).replica(0)
     horizon = config.n_periods * period
     n_fail = int(rng.poisson(horizon / params.M))
     offsets = np.sort(rng.uniform(0.0, horizon, size=n_fail)) % period
 
-    blocks = np.zeros(n_fail)
-    phase_hits = [0, 0, 0]
-    for phase in range(3):
-        in_phase = (offsets >= bounds[phase]) & (offsets < bounds[phase + 1])
-        phase_hits[phase] = int(in_phase.sum())
-        if not np.any(in_phase):
-            continue
-        local = offsets[in_phase] - bounds[phase]
-        re = np.asarray(
-            spec.re_time(params, phi, period, phase, local), dtype=float
-        )
-        blocks[in_phase] = stall + re
+    phase_of, blocks = failure_blocks(spec, params, phi, period, offsets)
+    phase_hits = np.bincount(phase_of, minlength=3)
 
     total_time = horizon + float(blocks.sum())
     work_done = config.n_periods * work_per_period
@@ -135,7 +158,7 @@ def run_renewal(config: RenewalConfig) -> RenewalResult:
         work_done=work_done,
         mean_block=float(blocks.mean()) if n_fail else float("nan"),
         waste=waste,
-        phase_hits=tuple(phase_hits),
+        phase_hits=tuple(int(h) for h in phase_hits),
         meta={"M": params.M, "seed": config.seed},
     )
 

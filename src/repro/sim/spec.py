@@ -53,9 +53,9 @@ The façade
     print(Campaign(spec).report("results.jsonl"))    # offline, zero re-simulation
 
 Queue workers run the same spec with ``policy.queue`` set; any machine
-can then ``Campaign(spec).merge("results.jsonl")`` the shards.  The
-legacy kwarg APIs (``run_campaign``, ``execute_campaign(config, ...)``)
-survive as thin shims that build a spec and emit a ``DeprecationWarning``.
+can then ``Campaign(spec).merge("results.jsonl")`` the shards.  The spec
+is the only way to describe a campaign: every runner (the façade,
+:func:`~repro.sim.executor.execute_spec`, the CLI, the service) takes one.
 """
 
 from __future__ import annotations
@@ -344,12 +344,6 @@ class CampaignSpec:
                 f"policy must be an ExecutionPolicy, "
                 f"got {type(self.policy).__name__}"
             )
-        if self.grid.results_path is not None:
-            raise ParameterError(
-                "a CampaignSpec describes the campaign, not one "
-                "execution of it: leave grid.results_path unset and pass "
-                "the path to Campaign.run(path)/resume(path)"
-            )
         object.__setattr__(self, "grid", replace(
             self.grid,
             protocols=tuple(get_protocol(s).key for s in self.grid.protocols),
@@ -379,13 +373,9 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def config(
-        self, results_path: str | pathlib.Path | None = None
-    ) -> CampaignConfig:
-        """The grid bound to one execution's results path."""
-        if results_path is None:
-            return self.grid
-        return replace(self.grid, results_path=results_path)
+    def config(self) -> CampaignConfig:
+        """The grid the backends execute."""
+        return self.grid
 
     def controller(self) -> ReplicaController:
         """The effective replica controller (default: every replica)."""
@@ -524,42 +514,6 @@ class CampaignSpec:
             return cls.from_dict(data)
         except ParameterError as exc:
             raise ParameterError(f"{path}: {exc}") from exc
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        config: CampaignConfig,
-        *,
-        workers: int | None = 1,
-        chunk_size: int | None = None,
-        sink: str = "ordered",
-        controller: ReplicaController | None = None,
-        queue: str | pathlib.Path | None = None,
-        worker_id: str | None = None,
-        lease_timeout: float = 60.0,
-        poll_interval: float = 0.5,
-    ) -> "CampaignSpec":
-        """Build a spec from the pre-spec kwarg surface (the shim path).
-
-        ``config.results_path`` is allowed here (the legacy config
-        carried it); callers pass it to :meth:`Campaign.run` separately.
-        """
-        grid = replace(config, results_path=None) \
-            if config.results_path is not None else config
-        return cls(
-            grid=grid,
-            policy=ExecutionPolicy(
-                workers=workers,
-                chunk_size=chunk_size,
-                sink=sink,
-                controller=controller,
-                queue=None if queue is None else str(queue),
-                worker_id=worker_id,
-                lease_timeout=lease_timeout,
-                poll_interval=poll_interval,
-            ),
-        )
 
 
 class Campaign:

@@ -3,13 +3,14 @@
 The DES pays ~45 µs of interpreter overhead per *event*
 (``benchmarks/PROFILE_high_churn.md``); a high-churn cell is hundreds of
 thousands of events.  This module replaces the per-event loop with the
-protocols' renewal closed forms — the same mathematics
-:func:`repro.sim.renewal.run_renewal` already vectorizes for one replica
-— generalized to execute every replica of a campaign cell as one batch
-of array operations: sample all failure times, bin all pattern offsets
-into phases with one ``searchsorted``, evaluate each phase's ``RE``
-formula once over all its strikes across all replicas, and reduce block
-sums per replica with one ``bincount``.  Cost becomes O(failures) array
+protocols' renewal closed forms — the same kernel
+(:func:`repro.sim.renewal.failure_blocks`) that
+:func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
+every replica of a campaign cell as one batch of array operations:
+sample all failure times, bin all pattern offsets into phases with one
+``searchsorted``, evaluate each phase's ``RE`` formula once over all its
+strikes across all replicas, and reduce block sums per replica with one
+``bincount``.  Cost becomes O(failures) array
 math instead of O(events) Python dispatch.
 
 Identity / equivalence contract
@@ -78,6 +79,7 @@ from ..errors import InfeasibleModelError, ParameterError
 from .adaptive import ReplicaController
 from .backends import SerialBackend, replica_seed, trace_seed
 from .campaign import CampaignConfig
+from .renewal import failure_blocks
 from .results import DesResult
 from .rng import RngFactory
 
@@ -256,11 +258,7 @@ def run_cell_vectorized(
         )
     period = float(period)
     eff_phi = float(np.asarray(spec.effective_phi(params, phi)))
-    lengths = [float(np.asarray(x))
-               for x in spec.phase_lengths(params, phi, period)]
-    bounds = np.cumsum([0.0] + lengths)
     work_per_period = float(np.asarray(spec.work_per_period(params, phi, period)))
-    stall = float(np.asarray(spec.recovery_constant(params, phi)))
     risk_win = float(np.asarray(risk_window(spec, params, phi)))
     horizon_wall = (config.max_time if config.max_time is not None
                     else 200.0 * config.work_target)
@@ -282,21 +280,7 @@ def run_cell_vectorized(
     # One batch over every failure of every replica: pattern offset →
     # phase bin → that phase's RE formula over all its strikes at once.
     offsets = all_times % period
-    phase_of = np.clip(
-        np.searchsorted(bounds, offsets, side="right") - 1,
-        0, len(lengths) - 1,
-    )
-    blocks = np.empty_like(offsets)
-    for phase in range(len(lengths)):
-        hit = phase_of == phase
-        if not np.any(hit):
-            continue
-        local = offsets[hit] - bounds[phase]
-        re = np.asarray(
-            spec.re_time(params, phi, period, phase, local), dtype=float
-        )
-        blocks[hit] = stall + re
-
+    _, blocks = failure_blocks(spec, params, phi, period, offsets)
     block_sum = np.bincount(rep_ids, weights=blocks, minlength=n_replicas)
     total_time = productive + block_sum
     # Fatality from the success-probability model (exact-exponential

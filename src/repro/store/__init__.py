@@ -36,12 +36,11 @@ Design:
   ``store compact`` packs loose entries into append-only segment files
   with a sorted hash index (warm lookup = one index probe + one
   ``pread``; ``ls``/``stat``/``query`` read no data at all), the loose
-  tree fans out across 2-hex shard directories (historical flat files
-  migrate transparently), and a process-wide byte-bounded
-  :class:`~repro.store.cache.HotCellCache` serves hot cells without
-  disk I/O (full verification on first read, digest-level on cached
-  re-reads) — warm-replay and report latency stay flat as the store
-  grows to fleet scale.
+  tree fans out across 2-hex shard directories, and a process-wide
+  byte-bounded :class:`~repro.store.cache.HotCellCache` serves hot
+  cells without disk I/O (full verification on first read,
+  digest-level on cached re-reads) — warm-replay and report latency
+  stay flat as the store grows to fleet scale.
 
 Campaigns opt in through the volatile
 :class:`~repro.sim.spec.ExecutionPolicy` fields ``store``/``store_mode``

@@ -9,16 +9,17 @@ module holds the mechanism:
 * :func:`cells_from_store` — a spec's aggregated cells with zero
   re-simulation (the engine behind ``report --from-spec``).
 
-Storage layout (all three coexist; lookups check them in this order):
+Storage layout (the two coexist; lookups check them in this order):
 
 * ``segments/<id>.seg`` + ``.idx`` — compacted entries
   (:mod:`repro.store.segments`): one index probe + one ``pread`` per
   lookup, index-only queries, written by :meth:`CampaignStore.compact`;
 * ``objects/<2-hex>/<hash>.json`` — loose entries, the atomic-rename
-  publish path (2-hex fan-out so no single directory grows unbounded);
-* ``objects/<hash>.json`` — the historical flat layout, read
-  transparently and migrated into the fan-out on first touch (and into
-  segments by compaction).
+  publish path (2-hex fan-out so no single directory grows unbounded).
+
+A ``<hash>.json`` directly under ``objects/`` (the retired flat layout)
+is never served: lookups miss and recompute, and
+:meth:`CampaignStore.verify` reports it as an error by path.
 
 Hot reads are additionally served by an in-process byte-bounded LRU
 (:mod:`repro.store.cache`): full verification on the first disk read,
@@ -325,7 +326,8 @@ class VerifyReport:
 class CompactReport:
     """What one :meth:`CampaignStore.compact` pass did (or would do)."""
 
-    #: Loose entry files found (including historical flat-layout files).
+    #: Loose entry files found in the 2-hex fan-out (segment duplicates
+    #: included).
     loose_before: int
     #: Entries packed into the new segment.
     packed_entries: int
@@ -540,10 +542,6 @@ class CampaignStore:
     def _entry_path(self, hash_: str) -> pathlib.Path:
         return self._objects() / hash_[:2] / f"{hash_}.json"
 
-    def _flat_path(self, hash_: str) -> pathlib.Path:
-        """Where the historical flat layout kept this entry."""
-        return self._objects() / f"{hash_}.json"
-
     # -- segment state -------------------------------------------------
     def _refresh_segments(self) -> None:
         """(Re-)scan the segments directory for committed segments."""
@@ -579,44 +577,19 @@ class CampaignStore:
             return None  # torn view of a vanishing segment
         return data, f"{segment.data_path}@{row.offset}"
 
-    def _adopt_flat(self, hash_: str) -> None:
-        """Migrate one flat-layout file into the 2-hex fan-out.
-
-        Atomic (``os.replace`` within the objects tree) and best-effort:
-        a concurrent reader that misses the flat path re-checks the
-        sharded path, and losing a race to another migrator is success.
-        """
-        target = self._entry_path(hash_)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self._flat_path(hash_), target)
-        except OSError:
-            pass
-
     def _read_loose(self, hash_: str) -> tuple[str, pathlib.Path] | None:
-        """The loose entry text and its (post-migration) path, if any."""
-        sharded = self._entry_path(hash_)
+        """The loose entry text and its path, if any."""
+        path = self._entry_path(hash_)
         try:
-            return sharded.read_text(), sharded
+            return path.read_text(), path
         except FileNotFoundError:
-            pass
-        try:
-            text = self._flat_path(hash_).read_text()
-        except FileNotFoundError:
-            # A concurrent migrator may have just moved flat → sharded.
-            try:
-                return sharded.read_text(), sharded
-            except FileNotFoundError:
-                return None
-        self._adopt_flat(hash_)
-        return text, sharded
+            return None
 
     def _contains(self, hash_: str) -> bool:
         if self._segments is None:
             self._refresh_segments()
         return (hash_ in self._segment_map
-                or self._entry_path(hash_).exists()
-                or self._flat_path(hash_).exists())
+                or self._entry_path(hash_).exists())
 
     def _touch(self, hash_: str) -> None:
         """Refresh the loose LRU clock (no-op for segment entries)."""
@@ -970,18 +943,13 @@ class CampaignStore:
 
     # -- index / query layer -------------------------------------------
     def _object_files(self) -> Iterator[tuple[str, pathlib.Path]]:
-        """Every loose entry file — 2-hex fan-out shards first, then any
-        historical flat-layout files at the objects root."""
+        """Every loose entry file in the 2-hex fan-out, in hash order."""
         objects = self._objects()
         try:
             names = sorted(os.listdir(objects))
         except FileNotFoundError:
             return
-        flat: list[str] = []
         for name in names:
-            if _HASH_RE.match(name):
-                flat.append(name)
-                continue
             shard_dir = objects / name
             try:
                 entries = sorted(os.listdir(shard_dir))
@@ -990,8 +958,6 @@ class CampaignStore:
             for entry in entries:
                 if _HASH_RE.match(entry):
                     yield entry[:-5], shard_dir / entry
-        for name in flat:
-            yield name[:-5], objects / name
 
     def entries(self) -> Iterator[StoreEntry]:
         """Every stored entry, as queryable metadata, streamed.
@@ -1179,6 +1145,21 @@ class CampaignStore:
                 continue
             _tally(entry["key"].get("protocol"), stat.st_size,
                    stat.st_mtime, segment=False)
+        # A root-level <hash>.json is the retired flat layout: lookups
+        # never serve it, so a clean report must not hide it.
+        objects = self._objects()
+        try:
+            names = sorted(os.listdir(objects))
+        except FileNotFoundError:
+            names = []
+        for name in names:
+            if _HASH_RE.match(name):
+                checked += 1
+                errors.append(
+                    f"{objects / name}: entry in the retired flat layout "
+                    f"is never served; move it into {objects / name[:2]}/ "
+                    "or delete it"
+                )
         return VerifyReport(
             checked=checked, errors=tuple(errors),
             stat=StoreStat(
@@ -1212,9 +1193,7 @@ class CampaignStore:
 
         Each loose file is validated (parse, format, address, payload
         digest) before packing; corrupt files are left loose and
-        reported, never baked into a segment.  Historical flat-layout
-        files are packed like any other loose entry, which migrates
-        them off the objects root for good.
+        reported, never baked into a segment.
         """
         self._refresh_segments()
         listing: list[tuple[str, pathlib.Path]] = []
@@ -1603,10 +1582,10 @@ def cells_from_store(store: CampaignStore, spec) -> list:
     CampaignCell` with a full Monte-Carlo summary).  Raises when any
     cell is absent — a report must never silently cover a partial grid.
     """
-    from ..sim.executor import _make_cell
+    from ..sim.events import make_cell
 
     return [
-        _make_cell(plan, results)
+        make_cell(plan, results)
         for plan, results in _resolve_spec(store, spec)
     ]
 

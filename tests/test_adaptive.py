@@ -23,7 +23,8 @@ from repro.sim.adaptive import (
     stop_count,
 )
 from repro.sim.campaign import CampaignConfig
-from repro.sim.executor import execute_campaign
+from repro.sim.executor import execute_spec
+from repro.sim.spec import CampaignSpec, ExecutionPolicy
 
 
 class TestCiHalfWidth:
@@ -201,9 +202,9 @@ class TestCursor:
         assert calls["n"] == n - 1
 
 
-def adaptive_grid(results_path=None, **overrides) -> CampaignConfig:
+def adaptive_spec(policy: ExecutionPolicy = ExecutionPolicy()) -> CampaignSpec:
     """A grid with a converged low-churn cell (M=3600: few failures)."""
-    fields = dict(
+    return CampaignSpec(grid=CampaignConfig(
         protocols=(DOUBLE_NBL, TRIPLE),
         base_params=scenarios.BASE.parameters(M=600.0, n=12),
         m_values=(300.0, 3600.0),
@@ -212,10 +213,7 @@ def adaptive_grid(results_path=None, **overrides) -> CampaignConfig:
         replicas=8,
         seed=2026,
         share_traces=True,
-        results_path=results_path,
-    )
-    fields.update(overrides)
-    return CampaignConfig(**fields)
+    ), policy=policy)
 
 
 class TestExecutorIntegration:
@@ -226,14 +224,18 @@ class TestExecutorIntegration:
             max_replicas=8, tolerance=self.TOLERANCE, min_replicas=3, batch=1
         )
 
+    def adaptive(self, **policy) -> CampaignSpec:
+        """The grid under this class's adaptive controller."""
+        return adaptive_spec(
+            ExecutionPolicy(controller=self.controller(), **policy)
+        )
+
     def test_adaptive_spends_fewer_replicas_and_keeps_ci(self):
         """The acceptance criterion: a converged cell stops early, the
         budget shrinks, and every early-stopped cell's CI half-width meets
         the tolerance."""
-        fixed = execute_campaign(adaptive_grid(), workers=1)
-        adaptive = execute_campaign(
-            adaptive_grid(), workers=1, controller=self.controller()
-        )
+        fixed = execute_spec(adaptive_spec())
+        adaptive = execute_spec(self.adaptive())
         assert fixed.report.replicas_run == 4 * 8
         assert adaptive.report.replicas_run < fixed.report.replicas_run
 
@@ -249,10 +251,8 @@ class TestExecutorIntegration:
     def test_adaptive_prefix_matches_fixed_replicas(self):
         """Early stopping only truncates the replica schedule — the
         replicas that do run are bit-identical to the fixed path's."""
-        fixed = execute_campaign(adaptive_grid(), workers=1)
-        adaptive = execute_campaign(
-            adaptive_grid(), workers=1, controller=self.controller()
-        )
+        fixed = execute_spec(adaptive_spec())
+        adaptive = execute_spec(self.adaptive())
         for f_cell, a_cell in zip(fixed.cells, adaptive.cells):
             n = len(a_cell.results)
             assert [repro_io.dump_result(r) for r in a_cell.results] == \
@@ -261,25 +261,17 @@ class TestExecutorIntegration:
     def test_adaptive_is_deterministic(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        execute_campaign(
-            adaptive_grid(a), workers=1, sink="framed",
-            controller=self.controller(),
-        )
-        execute_campaign(
-            adaptive_grid(b), workers=1, sink="framed",
-            controller=self.controller(),
-        )
+        execute_spec(self.adaptive(sink="framed"), results_path=a)
+        execute_spec(self.adaptive(sink="framed"), results_path=b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.campaign
     def test_adaptive_parallel_matches_serial(self, tmp_path):
-        serial = execute_campaign(
-            adaptive_grid(tmp_path / "s.jsonl"), workers=1, sink="framed",
-            controller=self.controller(),
-        )
-        parallel = execute_campaign(
-            adaptive_grid(tmp_path / "p.jsonl"), workers=2, chunk_size=1,
-            sink="framed", controller=self.controller(),
+        serial = execute_spec(self.adaptive(sink="framed"),
+                              results_path=tmp_path / "s.jsonl")
+        parallel = execute_spec(
+            self.adaptive(sink="framed", workers=2, chunk_size=1),
+            results_path=tmp_path / "p.jsonl",
         )
         assert [repro_io.dump_result(c.summary) for c in serial.cells] == \
             [repro_io.dump_result(c.summary) for c in parallel.cells]
@@ -287,17 +279,13 @@ class TestExecutorIntegration:
 
     def test_adaptive_resume_completes_interrupted_cells(self, tmp_path):
         path = tmp_path / "adaptive.jsonl"
-        full_exec = execute_campaign(
-            adaptive_grid(path), workers=1, sink="framed",
-            controller=self.controller(),
-        )
+        full_exec = execute_spec(self.adaptive(sink="framed"),
+                                 results_path=path)
         full = path.read_bytes()
         lines = full.split(b"\n")
         path.write_bytes(b"\n".join(lines[:5]) + b"\n")
-        resumed = execute_campaign(
-            adaptive_grid(path), workers=1, sink="framed", resume=True,
-            controller=self.controller(),
-        )
+        resumed = execute_spec(self.adaptive(sink="framed"),
+                               results_path=path, resume=True)
         assert path.read_bytes() == full
         assert [repro_io.dump_result(c.summary) for c in resumed.cells] == \
             [repro_io.dump_result(c.summary) for c in full_exec.cells]

@@ -8,7 +8,7 @@ import pytest
 from repro import DOUBLE_BOF, DOUBLE_NBL, TRIPLE, scenarios
 from repro.errors import ParameterError
 from repro.io import load_results
-from repro.sim.campaign import CampaignCell, CampaignConfig, cells_table, run_campaign
+from repro.sim.campaign import CampaignCell, CampaignConfig, cells_table
 from repro.sim.des import DesConfig, run_des
 from repro.io import dump_result
 from repro.sim.failures import (
@@ -18,6 +18,12 @@ from repro.sim.failures import (
     generate_trace,
 )
 from repro.sim.rng import RngFactory
+from repro.sim.spec import Campaign, CampaignSpec
+
+
+def run_grid(config: CampaignConfig, results_path=None):
+    """Run a grid under the default policy; returns its cells."""
+    return Campaign(CampaignSpec(grid=config)).run(results_path).cells
 
 
 class TestTraceInjector:
@@ -164,18 +170,18 @@ class TestCampaign:
         )
 
     def test_grid_coverage(self, small_campaign):
-        cells = run_campaign(small_campaign)
+        cells = run_grid(small_campaign)
         assert len(cells) == 2 * 2 * 2  # protocols × M × phi
         keys = {(c.protocol, c.M, c.phi) for c in cells}
         assert ("triple", 1200.0, 0.5) in keys
 
     def test_cells_have_replicas(self, small_campaign):
-        cells = run_campaign(small_campaign)
+        cells = run_grid(small_campaign)
         assert all(len(c.results) == 3 for c in cells)
         assert all(0.0 <= c.success_rate <= 1.0 for c in cells)
 
     def test_waste_improves_with_m(self, small_campaign):
-        cells = run_campaign(small_campaign)
+        cells = run_grid(small_campaign)
         by_key = {(c.protocol, c.M, c.phi): c for c in cells}
         for proto in ("double-nbl", "triple"):
             lo = by_key[(proto, 600.0, 0.5)].mean_waste
@@ -190,9 +196,8 @@ class TestCampaign:
             phi_values=(1.0,),
             work_target=900.0,
             replicas=2,
-            results_path=tmp_path / "campaign.jsonl",
         )
-        cells = run_campaign(cfg)
+        cells = run_grid(cfg, tmp_path / "campaign.jsonl")
         stored = list(load_results(tmp_path / "campaign.jsonl"))
         assert len(stored) == 2
         assert stored[0].meta["protocol"] == "double-nbl"
@@ -209,7 +214,7 @@ class TestCampaign:
             share_traces=True,
             seed=31,
         )
-        cells = run_campaign(cfg)
+        cells = run_grid(cfg)
         by_proto = {c.protocol: c for c in cells}
         nbl = by_proto["double-nbl"].results
         bof = by_proto["double-bof"].results
@@ -219,7 +224,7 @@ class TestCampaign:
                 assert b.makespan >= a.makespan - 1e-6
 
     def test_rendering(self, small_campaign):
-        cells = run_campaign(small_campaign)
+        cells = run_grid(small_campaign)
         text = cells_table(cells)
         assert "campaign results" in text and "triple" in text
 
@@ -268,13 +273,12 @@ class TestCampaign:
             work_target=900.0,
             replicas=np.int64(2),
             seed=np.int64(11),
-            results_path=tmp_path / "np.jsonl",
         )
-        cells = run_campaign(cfg)
+        cells = run_grid(cfg, tmp_path / "np.jsonl")
         assert len(cells) == 1 and len(cells[0].results) == 2
         assert cells[0].results[0].meta["seed"] == 11
 
-    def test_run_campaign_revalidates_duck_typed_config(self):
+    def test_spec_revalidates_duck_typed_config(self):
         """Configs built around __post_init__ (object.__new__, stubs...)
         must still fail loudly at execution time, not run a zero-replica
         sweep to an empty answer."""
@@ -288,13 +292,12 @@ class TestCampaign:
             replicas=0,  # invalid, snuck past construction
             seed=7,
             share_traces=False,
-            results_path=None,
             max_time=None,
             distribution=None,
         ).items():
             object.__setattr__(config, name, value)
         with pytest.raises(ParameterError, match="replicas"):
-            run_campaign(config)
+            run_grid(config)
 
     def test_campaign_with_failure_distribution(self):
         """The distribution field reaches every injector (incl. traces)."""
@@ -311,9 +314,9 @@ class TestCampaign:
             distribution=Weibull(1.0, 0.7),
             seed=11,
         )
-        cells = run_campaign(cfg)
+        cells = run_grid(cfg)
         assert len(cells) == 1
-        exp_cells = run_campaign(
+        exp_cells = run_grid(
             CampaignConfig(
                 protocols=(DOUBLE_NBL,),
                 base_params=scenarios.BASE.parameters(M=300.0, n=12),

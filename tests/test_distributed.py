@@ -33,11 +33,14 @@ from repro.sim.distributed import (
     queue_status,
     shard_path,
 )
-from repro.sim.executor import _campaign_fingerprint, execute_campaign
+from repro.sim.executor import execute_spec
 from repro.sim.sinks import WorkerShardSink
+from repro.sim.spec import CampaignSpec, ExecutionPolicy
+
+FRAMED = ExecutionPolicy(sink="framed")
 
 
-def make_config(results_path=None, **overrides) -> CampaignConfig:
+def make_config(**overrides) -> CampaignConfig:
     """2 protocols × 2 M × 1 φ × 2 replicas: four fast grid cells."""
     fields = dict(
         protocols=(DOUBLE_NBL, TRIPLE),
@@ -48,23 +51,26 @@ def make_config(results_path=None, **overrides) -> CampaignConfig:
         replicas=2,
         seed=2026,
         share_traces=True,
-        results_path=results_path,
     )
     fields.update(overrides)
     return CampaignConfig(**fields)
 
 
+def make_spec(policy: ExecutionPolicy = FRAMED, **overrides) -> CampaignSpec:
+    return CampaignSpec(grid=make_config(**overrides), policy=policy)
+
+
 def framed_reference(path, **overrides) -> bytes:
     """The single-machine framed file every merge must reproduce."""
-    execute_campaign(make_config(path, **overrides), workers=1, sink="framed")
+    execute_spec(make_spec(**overrides), results_path=path)
     return path.read_bytes()
 
 
 def run_worker(queue, worker_id, *, lease=5.0, poll=0.01, **overrides):
-    return execute_campaign(
-        make_config(**overrides), sink="framed", queue=queue,
-        worker_id=worker_id, lease_timeout=lease, poll_interval=poll,
-    )
+    return execute_spec(make_spec(ExecutionPolicy(
+        sink="framed", queue=queue, worker_id=worker_id,
+        lease_timeout=lease, poll_interval=poll,
+    ), **overrides))
 
 
 class TestQueueLifecycle:
@@ -92,9 +98,7 @@ class TestQueueLifecycle:
         run_worker(queue, "w1")
         merged = tmp_path / "merged.jsonl"
         merge_shards(queue, merged)
-        resumed = execute_campaign(
-            make_config(merged), workers=1, sink="framed", resume=True
-        )
+        resumed = execute_spec(make_spec(), results_path=merged, resume=True)
         assert resumed.report.cells_run == 0
         assert resumed.report.cells_skipped == 4
 
@@ -108,7 +112,7 @@ class TestQueueLifecycle:
         queue = tmp_path / "queue"
         config = make_config()
         ensure_queue(
-            queue, _campaign_fingerprint(config, "framed", FixedReplicas(2)),
+            queue, make_spec().fingerprint(),
             n_chunks=4, chunk_size=1, n_cells=4,
         )
         status = queue_status(queue)
@@ -137,7 +141,7 @@ class TestQueueLifecycle:
         with pytest.raises(ParameterError, match="another worker"):
             ensure_queue(
                 tmp_path / "queue",
-                _campaign_fingerprint(config, "framed", FixedReplicas(2)),
+                make_spec().fingerprint(),
                 n_chunks=4, chunk_size=1, n_cells=4,
             )
 
@@ -187,7 +191,7 @@ class TestQueueLifecycle:
         config = make_config()
         queue = tmp_path / "queue"
         ensure_queue(
-            queue, _campaign_fingerprint(config, "framed", FixedReplicas(2)),
+            queue, make_spec().fingerprint(),
             n_chunks=4, chunk_size=1, n_cells=4,
         )
         past = time.time() - 3600.0
@@ -200,20 +204,35 @@ class TestQueueLifecycle:
     def test_executor_rejects_conflicting_arguments(self, tmp_path):
         queue = tmp_path / "queue"
         with pytest.raises(ParameterError, match="sink='framed'"):
-            execute_campaign(make_config(), queue=queue)
+            execute_spec(make_spec(ExecutionPolicy(queue=queue)))
         with pytest.raises(ParameterError, match="resumable"):
-            execute_campaign(make_config(), queue=queue, sink="framed",
-                             resume=True)
+            execute_spec(
+                make_spec(ExecutionPolicy(queue=queue, sink="framed")),
+                resume=True,
+            )
         with pytest.raises(ParameterError, match="shards"):
-            execute_campaign(make_config(tmp_path / "r.jsonl"), queue=queue,
-                             sink="framed")
+            execute_spec(
+                make_spec(ExecutionPolicy(queue=queue, sink="framed")),
+                results_path=tmp_path / "r.jsonl",
+            )
         with pytest.raises(ParameterError, match="workers"):
-            execute_campaign(make_config(), queue=queue, sink="framed",
-                             workers=4)
+            execute_spec(make_spec(
+                ExecutionPolicy(queue=queue, sink="framed", workers=4)
+            ))
         backend = DistributedBackend(queue, "w1")
         with pytest.raises(ParameterError, match="mutually exclusive"):
-            execute_campaign(make_config(), queue=queue, sink="framed",
-                             backend=backend)
+            execute_spec(
+                make_spec(ExecutionPolicy(queue=queue, sink="framed")),
+                backend=backend,
+            )
+
+
+def live_worker(config: CampaignConfig, queue) -> CampaignSpec:
+    """A worker that joins ``queue`` with a short lease and fast polls."""
+    return CampaignSpec(grid=config, policy=ExecutionPolicy(
+        sink="framed", queue=queue, worker_id="live", chunk_size=2,
+        lease_timeout=5.0, poll_interval=0.01,
+    ))
 
 
 class TestWorkStealing:
@@ -236,7 +255,7 @@ class TestWorkStealing:
         queue = tmp_path / "queue"
         config = make_config()
         ensure_queue(
-            queue, _campaign_fingerprint(config, "framed", FixedReplicas(2)),
+            queue, make_spec().fingerprint(),
             n_chunks=2, chunk_size=2, n_cells=4,
         )
         dead = DistributedBackend(queue, "dead", lease_timeout=5.0)
@@ -291,10 +310,7 @@ class TestWorkStealing:
         queue, config, ref, _ = self._queue_with_dead_worker(
             tmp_path, dead_shard=dead_shard
         )
-        execution = execute_campaign(
-            config, sink="framed", queue=queue, worker_id="live",
-            chunk_size=2, lease_timeout=5.0, poll_interval=0.01,
-        )
+        execution = execute_spec(live_worker(config, queue))
         assert execution.report.cells_run == 4  # both chunks, incl. stolen
         assert queue_status(queue).complete
         done = json.loads(
@@ -319,9 +335,8 @@ class TestWorkStealing:
         report = merge_shards(queue, partial, require_complete=False)
         assert report.cells == 1        # cell 0 survived the dead shard
         assert report.incomplete_cells == 1  # torn cell 1 dropped
-        resumed = execute_campaign(
-            make_config(partial), workers=1, sink="framed", resume=True
-        )
+        resumed = execute_spec(make_spec(), results_path=partial,
+                               resume=True)
         assert resumed.report.cells_skipped == 1
         assert resumed.report.cells_run == 3
         assert partial.read_bytes() == ref
@@ -360,10 +375,7 @@ class TestWorkStealing:
         """Two shards disagreeing about the same cell cannot happen under
         one configuration — the merge must refuse, not pick one."""
         queue, config, ref, _ = self._queue_with_dead_worker(tmp_path)
-        execute_campaign(
-            config, sink="framed", queue=queue, worker_id="live",
-            chunk_size=2, lease_timeout=5.0, poll_interval=0.01,
-        )
+        execute_spec(live_worker(config, queue))
         # Tamper with the dead worker's copy of cell 0.
         shard = shard_path(queue, "dead")
         frames = [json.loads(line) for line in
@@ -434,18 +446,18 @@ class TestAdaptiveDistributed:
     def test_adaptive_queue_merges_like_serial(self, tmp_path):
         controller = AdaptiveCI(max_replicas=8, tolerance=0.03,
                                 min_replicas=3, batch=1)
-        config = make_config(
-            tmp_path / "ref.jsonl", m_values=(300.0, 3600.0), replicas=8
+        grid = dict(m_values=(300.0, 3600.0), replicas=8)
+        execute_spec(
+            make_spec(ExecutionPolicy(sink="framed", controller=controller),
+                      **grid),
+            results_path=tmp_path / "ref.jsonl",
         )
-        execute_campaign(config, workers=1, sink="framed",
-                         controller=controller)
         ref = (tmp_path / "ref.jsonl").read_bytes()
         queue = tmp_path / "queue"
-        execute_campaign(
-            make_config(m_values=(300.0, 3600.0), replicas=8),
+        execute_spec(make_spec(ExecutionPolicy(
             sink="framed", queue=queue, worker_id="w1",
             controller=controller, lease_timeout=5.0, poll_interval=0.01,
-        )
+        ), **grid))
         merged = tmp_path / "merged.jsonl"
         merge_shards(queue, merged)
         assert merged.read_bytes() == ref
@@ -485,19 +497,12 @@ class TestMultiProcessAcceptance:
         assert proc.returncode == 0, err
 
         ref = tmp_path / "ref.jsonl"
-        config = scenarios.get_campaign_preset("smoke").campaign_config(
-            results_path=ref
-        )
-        execute_campaign(config, workers=1, sink="framed")
+        spec = scenarios.get_campaign_preset("smoke").spec(policy=FRAMED)
+        execute_spec(spec, results_path=ref)
         assert merged.read_bytes() == ref.read_bytes()
 
         # The merged file resumes as complete and reports identically.
-        resumed = execute_campaign(
-            scenarios.get_campaign_preset("smoke").campaign_config(
-                results_path=merged
-            ),
-            workers=1, sink="framed", resume=True,
-        )
+        resumed = execute_spec(spec, results_path=merged, resume=True)
         assert resumed.report.cells_run == 0
         from repro.experiments.report import campaign_report
 

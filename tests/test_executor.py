@@ -16,15 +16,12 @@ from repro import DOUBLE_BLOCKING, DOUBLE_NBL, TRIPLE, scenarios
 from repro import io as repro_io
 from repro.errors import ParameterError
 from repro.sim import backends
-from repro.sim.campaign import CampaignConfig, run_campaign
-from repro.sim.executor import (
-    execute_campaign,
-    plan_cells,
-    run_campaign_parallel,
-)
+from repro.sim.campaign import CampaignConfig
+from repro.sim.executor import execute_spec, plan_cells
+from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 
 
-def make_config(results_path=None, **overrides) -> CampaignConfig:
+def make_config(**overrides) -> CampaignConfig:
     """The acceptance grid: 2 protocols × 3 M × 1 φ × 4 replicas."""
     fields = dict(
         protocols=(DOUBLE_NBL, TRIPLE),
@@ -35,10 +32,15 @@ def make_config(results_path=None, **overrides) -> CampaignConfig:
         replicas=4,
         seed=2026,
         share_traces=True,
-        results_path=results_path,
     )
     fields.update(overrides)
     return CampaignConfig(**fields)
+
+
+def make_spec(policy: ExecutionPolicy = ExecutionPolicy(),
+              **overrides) -> CampaignSpec:
+    """The acceptance grid (with ``overrides``) under ``policy``."""
+    return CampaignSpec(grid=make_config(**overrides), policy=policy)
 
 
 def canonical(cells):
@@ -87,37 +89,38 @@ class TestSerialEngineParity:
         files = {}
         for chunk in (1, 2, 5):
             path = tmp_path / f"c{chunk}.jsonl"
-            execution = execute_campaign(
-                make_config(path), workers=1, chunk_size=chunk
+            execution = execute_spec(
+                make_spec(ExecutionPolicy(chunk_size=chunk)),
+                results_path=path,
             )
             assert execution.report.cells_run == 6
             files[chunk] = path.read_bytes()
         assert files[1] == files[2] == files[5]
 
-    def test_run_campaign_matches_executor(self, tmp_path):
-        serial = run_campaign(make_config(tmp_path / "a.jsonl"))
-        execution = execute_campaign(make_config(tmp_path / "b.jsonl"), workers=1)
-        assert canonical(serial) == canonical(execution.cells)
+    def test_campaign_facade_matches_execute_spec(self, tmp_path):
+        facade = Campaign(make_spec()).run(tmp_path / "a.jsonl")
+        execution = execute_spec(make_spec(), results_path=tmp_path / "b.jsonl")
+        assert canonical(facade.cells) == canonical(execution.cells)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 @pytest.mark.campaign
 class TestParallelBitIdentity:
     def test_workers_match_serial(self, tmp_path):
-        serial = run_campaign(make_config(tmp_path / "serial.jsonl"))
-        parallel = run_campaign_parallel(
-            make_config(tmp_path / "par.jsonl"), workers=2
-        )
-        assert canonical(serial) == canonical(parallel)
+        serial = execute_spec(make_spec(),
+                              results_path=tmp_path / "serial.jsonl")
+        parallel = execute_spec(make_spec(ExecutionPolicy(workers=2)),
+                                results_path=tmp_path / "par.jsonl")
+        assert canonical(serial.cells) == canonical(parallel.cells)
         assert (tmp_path / "serial.jsonl").read_bytes() == \
             (tmp_path / "par.jsonl").read_bytes()
 
     def test_without_shared_traces(self, tmp_path):
-        serial = run_campaign(make_config(share_traces=False))
-        parallel = run_campaign_parallel(
-            make_config(share_traces=False), workers=2, chunk_size=1
-        )
-        assert canonical(serial) == canonical(parallel)
+        serial = execute_spec(make_spec(share_traces=False))
+        parallel = execute_spec(make_spec(
+            ExecutionPolicy(workers=2, chunk_size=1), share_traces=False,
+        ))
+        assert canonical(serial.cells) == canonical(parallel.cells)
 
 
 class TestResume:
@@ -125,7 +128,7 @@ class TestResume:
     def finished(self, tmp_path):
         """A completed campaign: (config factory, full file bytes, cells)."""
         path = tmp_path / "campaign.jsonl"
-        cells = run_campaign(make_config(path))
+        cells = execute_spec(make_spec(), results_path=path).cells
         return path, path.read_bytes(), cells
 
     def test_resume_truncated_mid_cell(self, finished, monkeypatch):
@@ -139,7 +142,7 @@ class TestResume:
         monkeypatch.setattr(
             backends, "run_des", lambda cfg: calls.append(cfg) or real_run_des(cfg)
         )
-        execution = execute_campaign(make_config(path), workers=1, resume=True)
+        execution = execute_spec(make_spec(), results_path=path, resume=True)
         assert execution.report.cells_skipped == 1
         assert execution.report.cells_run == 5
         # The finished cell was not re-simulated: only 5 cells × 4 replicas ran.
@@ -149,7 +152,7 @@ class TestResume:
 
     def test_resume_complete_file_runs_nothing(self, finished):
         path, full, cells = finished
-        execution = execute_campaign(make_config(path), workers=1, resume=True)
+        execution = execute_spec(make_spec(), results_path=path, resume=True)
         assert execution.report.cells_run == 0
         assert execution.report.cells_skipped == 6
         assert canonical(execution.cells) == canonical(cells)
@@ -157,19 +160,19 @@ class TestResume:
 
     def test_resume_missing_file_runs_everything(self, tmp_path):
         path = tmp_path / "fresh.jsonl"
-        execution = execute_campaign(make_config(path), workers=1, resume=True)
+        execution = execute_spec(make_spec(), results_path=path, resume=True)
         assert execution.report.cells_skipped == 0
         assert execution.report.cells_run == 6
 
     def test_resume_requires_results_path(self):
         with pytest.raises(ParameterError, match="results_path"):
-            execute_campaign(make_config(), resume=True)
+            execute_spec(make_spec(), resume=True)
 
     def test_resume_rejects_foreign_file(self, finished):
         path, full, _ = finished
-        other = make_config(path, m_values=(450.0, 900.0, 1800.0))
+        other = make_spec(m_values=(450.0, 900.0, 1800.0))
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(other, workers=1, resume=True)
+            execute_spec(other, results_path=path, resume=True)
         assert path.read_bytes() == full  # refused before touching the file
 
     def test_resume_rejects_changed_seed(self, finished):
@@ -177,8 +180,8 @@ class TestResume:
         replicas into one irreproducible result set."""
         path, full, _ = finished
         with pytest.raises(ParameterError, match="seed"):
-            execute_campaign(make_config(path, seed=2027), workers=1,
-                             resume=True)
+            execute_spec(make_spec(seed=2027), results_path=path,
+                         resume=True)
         assert path.read_bytes() == full
 
     def test_resume_checks_partial_trailing_cell(self, finished):
@@ -189,17 +192,17 @@ class TestResume:
         path.with_name(path.name + ".manifest").unlink()  # legacy file
         first_line = full.split(b"\n")[0] + b"\n"
         path.write_bytes(first_line)  # 1 record < replicas=4
-        other = make_config(path, m_values=(450.0, 900.0, 1800.0))
+        other = make_spec(m_values=(450.0, 900.0, 1800.0))
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(other, workers=1, resume=True)
+            execute_spec(other, results_path=path, resume=True)
         assert path.read_bytes() == first_line
 
     def test_resume_rejects_oversized_file(self, finished):
         path, full, _ = finished
         path.with_name(path.name + ".manifest").unlink()
-        smaller = make_config(path, m_values=(300.0, 600.0))
+        smaller = make_spec(m_values=(300.0, 600.0))
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(smaller, workers=1, resume=True)
+            execute_spec(smaller, results_path=path, resume=True)
         assert path.read_bytes() == full
 
     @pytest.mark.parametrize(
@@ -216,17 +219,17 @@ class TestResume:
         """Settings invisible in per-record metadata still refuse resume."""
         path, full, _ = finished
         with pytest.raises(ParameterError, match="configuration changed"):
-            execute_campaign(make_config(path, **drift), workers=1,
-                             resume=True)
+            execute_spec(make_spec(**drift), results_path=path,
+                         resume=True)
         assert path.read_bytes() == full
 
     def test_manifest_refuses_changed_distribution(self, finished):
         from repro.sim.distributions import Weibull
 
         path, full, _ = finished
-        drifted = make_config(path, distribution=Weibull(1.0, 0.7))
+        drifted = make_spec(distribution=Weibull(1.0, 0.7))
         with pytest.raises(ParameterError, match="distribution"):
-            execute_campaign(drifted, workers=1, resume=True)
+            execute_spec(drifted, results_path=path, resume=True)
         assert path.read_bytes() == full
 
     def test_manifestless_resume_rejects_changed_work_target(self, finished):
@@ -235,8 +238,8 @@ class TestResume:
         path, full, _ = finished
         path.with_name(path.name + ".manifest").unlink()
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(make_config(path, work_target=1800.0),
-                             workers=1, resume=True)
+            execute_spec(make_spec(work_target=1800.0), results_path=path,
+                         resume=True)
         assert path.read_bytes() == full
 
     def test_manifestless_resume_rejects_changed_node_count(self, finished):
@@ -244,11 +247,11 @@ class TestResume:
         manifest sidecar is gone (protocol/M/phi/seed alone cannot)."""
         path, full, _ = finished
         path.with_name(path.name + ".manifest").unlink()
-        drifted = make_config(
-            path, base_params=scenarios.BASE.parameters(M=600.0, n=24)
+        drifted = make_spec(
+            base_params=scenarios.BASE.parameters(M=600.0, n=24)
         )
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(drifted, workers=1, resume=True)
+            execute_spec(drifted, results_path=path, resume=True)
         assert path.read_bytes() == full
 
     def test_resume_refuses_unrecognisable_file(self, tmp_path):
@@ -257,7 +260,7 @@ class TestResume:
         path = tmp_path / "notes.txt"
         path.write_text("precious non-campaign content\n")
         with pytest.raises(ParameterError, match="no intact campaign records"):
-            execute_campaign(make_config(path), workers=1, resume=True)
+            execute_spec(make_spec(), results_path=path, resume=True)
         assert path.read_text() == "precious non-campaign content\n"
 
     def test_resume_own_file_torn_in_first_record(self, finished):
@@ -265,7 +268,7 @@ class TestResume:
         first record completed: resume restarts from scratch cleanly."""
         path, full, cells = finished
         path.write_bytes(full.split(b"\n")[0][:30])  # torn record 0
-        execution = execute_campaign(make_config(path), workers=1, resume=True)
+        execution = execute_spec(make_spec(), results_path=path, resume=True)
         assert execution.report.cells_skipped == 0
         assert canonical(execution.cells) == canonical(cells)
         assert path.read_bytes() == full
@@ -277,15 +280,13 @@ class TestResume:
 
         path = tmp_path / "emp.jsonl"
         small = dict(m_values=(300.0,), phi_values=(1.0,), replicas=2)
-        execute_campaign(
-            make_config(path, distribution=Empirical([1.0, 2.0, 3.0]), **small),
-            workers=1,
+        execute_spec(
+            make_spec(distribution=Empirical([1.0, 2.0, 3.0]), **small),
+            results_path=path,
         )
-        drifted = make_config(
-            path, distribution=Empirical([2.0, 2.0, 2.0]), **small
-        )
+        drifted = make_spec(distribution=Empirical([2.0, 2.0, 2.0]), **small)
         with pytest.raises(ParameterError, match="distribution"):
-            execute_campaign(drifted, workers=1, resume=True)
+            execute_spec(drifted, results_path=path, resume=True)
 
     def test_resume_without_manifest_still_works(self, finished):
         """Pre-manifest files resume via the per-record checks alone."""
@@ -293,21 +294,23 @@ class TestResume:
         path.with_name(path.name + ".manifest").unlink()
         lines = full.split(b"\n")
         path.write_bytes(b"\n".join(lines[:9]) + b"\n")
-        execution = execute_campaign(make_config(path), workers=1, resume=True)
+        execution = execute_spec(make_spec(), results_path=path, resume=True)
         assert canonical(execution.cells) == canonical(cells)
         assert path.read_bytes() == full
 
     def test_invalid_workers_does_not_wipe_results(self, finished):
         path, full, _ = finished
         with pytest.raises(ParameterError, match="workers"):
-            execute_campaign(make_config(path), workers=-1)
+            execute_spec(make_spec(ExecutionPolicy(workers=-1)),
+                         results_path=path)
         with pytest.raises(ParameterError, match="chunk_size"):
-            execute_campaign(make_config(path), workers=1, chunk_size=0)
+            execute_spec(make_spec(ExecutionPolicy(chunk_size=0)),
+                         results_path=path)
         assert path.read_bytes() == full
 
     def test_without_resume_truncates(self, finished):
         path, full, _ = finished
-        execution = execute_campaign(make_config(path), workers=1)
+        execution = execute_spec(make_spec(), results_path=path)
         assert execution.report.cells_run == 6
         assert path.read_bytes() == full
 
@@ -316,8 +319,9 @@ class TestResume:
         path, full, cells = finished
         lines = full.split(b"\n")
         path.write_bytes(b"\n".join(lines[:9]) + b"\n")  # 2 cells + 1 run
-        execution = execute_campaign(
-            make_config(path), workers=2, resume=True
+        execution = execute_spec(
+            make_spec(ExecutionPolicy(workers=2)), results_path=path,
+            resume=True,
         )
         assert execution.report.cells_skipped == 2
         assert canonical(execution.cells) == canonical(cells)
@@ -340,9 +344,10 @@ class TestBackendInjection:
                 yield from reversed(list(inner.execute(config, chunks, controller)))
 
         a, b = tmp_path / "serial.jsonl", tmp_path / "reversed.jsonl"
-        serial = execute_campaign(make_config(a), workers=1)
-        rev = execute_campaign(
-            make_config(b), backend=ReversedBackend(), chunk_size=1
+        serial = execute_spec(make_spec(), results_path=a)
+        rev = execute_spec(
+            make_spec(ExecutionPolicy(chunk_size=1)), results_path=b,
+            backend=ReversedBackend(),
         )
         assert canonical(serial.cells) == canonical(rev.cells)
         assert a.read_bytes() == b.read_bytes()
@@ -350,23 +355,22 @@ class TestBackendInjection:
 
 class TestReport:
     def test_describe(self, tmp_path):
-        execution = execute_campaign(make_config(), workers=1)
+        execution = execute_spec(make_spec())
         text = execution.report.describe()
         assert "6/6 cells run" in text and "workers=1" in text
         assert "sink=ordered" in text and "replicas=24" in text
 
     def test_replica_budget_counts_fresh_work_only(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        full = execute_campaign(make_config(path), workers=1)
+        full = execute_spec(make_spec(), results_path=path)
         assert full.report.replicas_run == 24
-        resumed = execute_campaign(make_config(path), workers=1, resume=True)
+        resumed = execute_spec(make_spec(), results_path=path, resume=True)
         assert resumed.report.replicas_run == 0
 
     def test_on_cell_callback_order(self):
         seen = []
-        execute_campaign(
-            make_config(), workers=1,
-            on_cell=lambda c: seen.append((c.protocol, c.M)),
+        execute_spec(
+            make_spec(), on_cell=lambda c: seen.append((c.protocol, c.M)),
         )
         assert seen == [
             ("double-nbl", 300.0), ("double-nbl", 600.0), ("double-nbl", 1200.0),
@@ -375,6 +379,6 @@ class TestReport:
 
     def test_invalid_worker_and_chunk_counts(self):
         with pytest.raises(ParameterError, match="workers"):
-            execute_campaign(make_config(), workers=-1)
+            ExecutionPolicy(workers=-1)
         with pytest.raises(ParameterError, match="chunk_size"):
-            execute_campaign(make_config(), workers=1, chunk_size=0)
+            ExecutionPolicy(chunk_size=0)

@@ -30,7 +30,7 @@ import pytest
 from repro.core.protocols import get_protocol
 from repro.core.waste import waste_at_optimum
 from repro.experiments.scenarios import CAMPAIGN_PRESETS, get_campaign_preset
-from repro.sim.executor import execute_campaign
+from repro.sim.executor import execute_spec
 
 #: |DES waste − first-order waste| bound where the regimes agree.
 MODEL_TOLERANCE = 0.10
@@ -40,9 +40,9 @@ MODEL_TOLERANCE = 0.10
 def preset_run(request):
     """One full (replica-trimmed) campaign per preset, shared module-wide."""
     preset = get_campaign_preset(request.param)
-    config = preset.campaign_config(replicas=3)
-    execution = execute_campaign(config, workers=1)
-    return preset, config, list(execution.cells)
+    spec = preset.spec(replicas=3)
+    execution = execute_spec(spec)
+    return preset, spec.grid, list(execution.cells)
 
 
 @pytest.mark.campaign
@@ -162,19 +162,9 @@ class TestPresetDefinitions:
         """Preset -> config -> manifest fingerprint is stable and complete
         (what resume compares): rebuilding the preset gives an identical
         fingerprint, and the failure law survives with its shape."""
-        from repro.sim.adaptive import FixedReplicas
-        from repro.sim.executor import _campaign_fingerprint
-
         for key in ("weibull-wearout", "hetero-mtbf"):
-            preset = get_campaign_preset(key)
-            fp1 = _campaign_fingerprint(
-                preset.campaign_config(), "ordered",
-                FixedReplicas(preset.replicas),
-            )
-            fp2 = _campaign_fingerprint(
-                get_campaign_preset(key).campaign_config(), "ordered",
-                FixedReplicas(preset.replicas),
-            )
+            fp1 = get_campaign_preset(key).spec().fingerprint()
+            fp2 = get_campaign_preset(key).spec().fingerprint()
             assert fp1 == fp2
             assert fp1["grid"]["distribution"] is not None
 

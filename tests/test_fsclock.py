@@ -24,9 +24,8 @@ import pytest
 from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.fsclock import clamped_age, filesystem_now
 from repro.sim.campaign import CampaignConfig
-from repro.sim.adaptive import FixedReplicas
 from repro.sim.distributed import DistributedBackend, ensure_queue
-from repro.sim.executor import _campaign_fingerprint, execute_spec
+from repro.sim.executor import execute_spec
 from repro.sim.spec import CampaignSpec, ExecutionPolicy
 from repro.store import CampaignStore
 
@@ -91,12 +90,11 @@ class TestLeaseSkewRegression:
     """A worker whose wall clock runs ahead must not steal live leases."""
 
     def make_queue(self, tmp_path):
-        spec = make_spec()
+        spec = CampaignSpec(grid=make_spec().grid,
+                            policy=ExecutionPolicy(sink="framed"))
         queue = tmp_path / "queue"
         ensure_queue(
-            queue,
-            _campaign_fingerprint(spec.config(), "framed", FixedReplicas(2)),
-            n_chunks=2, chunk_size=1, n_cells=2,
+            queue, spec.fingerprint(), n_chunks=2, chunk_size=1, n_cells=2,
         )
         return queue
 

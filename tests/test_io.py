@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import pathlib
+import shutil
 
 import pytest
 
@@ -21,6 +24,9 @@ from repro.io import (
     to_envelope,
 )
 from repro.sim.results import DesResult, MonteCarloSummary
+from repro.sim.spec import Campaign, CampaignSpec
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def sample_des(**kw) -> DesResult:
@@ -106,36 +112,6 @@ class TestRoundTrip:
         assert restored.meta["y"] == {"__str__": "inf"}
         assert restored.meta["z"] == {"__dict__": "plain"}
         assert math.isnan(restored.meta["w"]["__float__"])
-
-    def test_legacy_bare_string_floats_still_load(self):
-        """Version-1 files spelled non-finite floats as bare strings;
-        records declaring version 1 must keep loading them as floats."""
-        import json
-
-        env = json.loads(dump_result(sample_des()))
-        env["version"] = 1
-        env["payload"]["fatal_time"] = "nan"
-        env["payload"]["meta"] = {"period": "inf", "seed": 42}
-        restored = from_envelope(env)
-        assert math.isnan(restored.fatal_time)
-        assert restored.meta["period"] == float("inf")
-
-    def test_legacy_records_never_see_sentinels(self):
-        """Version-1 payloads predate the sentinels: a v1 user dict that
-        happens to be marker-shaped must load as a dict exactly like the
-        old decoder produced (values string-coerced, shape intact) — it
-        must never collapse into a float."""
-        import json
-
-        env = json.loads(dump_result(sample_des()))
-        env["version"] = 1
-        env["payload"]["fatal_time"] = 0.0  # keep the payload JSON-clean
-        env["payload"]["meta"] = {"odd": {"__float__": "nan"},
-                                  "wrapped": {"__dict__": {"a": 1}}}
-        restored = from_envelope(env)
-        odd = restored.meta["odd"]
-        assert isinstance(odd, dict) and math.isnan(odd["__float__"])
-        assert restored.meta["wrapped"] == {"__dict__": {"a": 1}}
 
     def test_version_is_stamped_per_record(self):
         import json
@@ -278,7 +254,7 @@ class TestScanResults:
         import json
 
         path = tmp_path / "runs.jsonl"
-        bad = json.dumps({"format": "repro-results", "version": 1,
+        bad = json.dumps({"format": "repro-results", "version": 2,
                           "kind": "DesResult", "payload": "oops"})
         path.write_text(dump_result(sample_des()) + "\n" + bad + "\n")
         scanned = list(scan_results(path))
@@ -306,7 +282,7 @@ class TestScanResults:
 
         path = tmp_path / "runs.jsonl"
         first = dump_result(sample_des()) + "\n"
-        bad = json.dumps({"format": "repro-results", "version": 1,
+        bad = json.dumps({"format": "repro-results", "version": 2,
                           "kind": "DesResult", "payload": "oops"}) + "\n"
         path.write_text(first + bad + dump_result(sample_des()) + "\n")
         with pytest.raises(ParameterError, match=rf"byte offset {len(first)}"):
@@ -326,7 +302,7 @@ class TestScanResults:
         import json
 
         path = tmp_path / "runs.jsonl"
-        bad = json.dumps({"format": "repro-results", "version": 1,
+        bad = json.dumps({"format": "repro-results", "version": 2,
                           "kind": "DesResult", "payload": "oops"})
         path.write_text(dump_result(sample_des()) + "\n" + bad + "\n")
         assert len(list(scan_results(path))) == 1
@@ -446,3 +422,73 @@ class TestIterCampaignRuns:
         )
         assert [c for c, _ in scan_campaign_runs(plain)] == [None]
         assert [c for c, _ in scan_campaign_runs(framed)] == [5]
+
+
+class TestUnsupportedVersions:
+    """An intact record in a version this library does not read is
+    refused by version wherever it sits.  A torn append never ends in a
+    newline, so a whole line at the tail is another writer's record, not
+    damage to truncate away."""
+
+    @staticmethod
+    def write(path, lines, at, version):
+        envelope = json.loads(lines[at])
+        envelope["version"] = version
+        lines = list(lines)
+        lines[at] = json.dumps(envelope, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("at", [1, -1], ids=["mid-file", "tail"])
+    def test_results(self, tmp_path, version, at):
+        path = tmp_path / "runs.jsonl"
+        self.write(path, [dump_result(sample_des(failures=i))
+                          for i in range(3)], at, version)
+        with pytest.raises(ParameterError,
+                           match=f"unsupported results version {version}"):
+            list(scan_results(path))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("at", [1, -1], ids=["mid-file", "tail"])
+    def test_frames(self, tmp_path, version, at):
+        path = tmp_path / "frames.jsonl"
+        self.write(path, [dump_frame(sample_des(), cell=0, replica=i, seq=i)
+                          for i in range(3)], at, version)
+        with pytest.raises(ParameterError,
+                           match=f"unsupported frames version {version}"):
+            list(scan_frames(path))
+
+    def test_framed_payload_version_at_tail(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        lines = [dump_frame(sample_des(), cell=0, replica=i, seq=i)
+                 for i in range(2)]
+        last = json.loads(lines[-1])
+        last["payload"]["version"] = 3
+        lines[-1] = json.dumps(last, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError,
+                           match="unsupported results version 3"):
+            list(scan_frames(path))
+
+    def test_campaign_runs(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        self.write(path, [dump_result(sample_des()) for _ in range(2)],
+                   -1, 3)
+        with pytest.raises(ParameterError, match="version 3"):
+            list(iter_campaign_runs(path))
+
+    def test_resume_never_truncates_a_newer_record(self, tmp_path):
+        """The golden ordered campaign with its last record from a newer
+        writer: resume refuses and leaves the file byte-for-byte alone
+        instead of truncating the record and recomputing over it."""
+        path = tmp_path / "ordered_fixed.jsonl"
+        shutil.copy(GOLDEN / "ordered_fixed.manifest",
+                    tmp_path / "ordered_fixed.jsonl.manifest")
+        lines = (GOLDEN / "ordered_fixed.jsonl").read_text().splitlines()
+        self.write(path, lines, -1, 3)
+        before = path.read_bytes()
+        spec = CampaignSpec.load(GOLDEN / "ordered_fixed.spec.json")
+        with pytest.raises(ParameterError,
+                           match="unsupported results version 3"):
+            Campaign(spec).resume(path)
+        assert path.read_bytes() == before

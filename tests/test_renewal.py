@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,32 @@ class TestFormulaValidation:
         f_model = float(np.asarray(
             DOUBLE_BLOCKING.expected_lost_time(params, 0.0, r.period)))
         assert r.mean_block == pytest.approx(f_model, rel=0.05)
+
+
+class TestSharedKernel:
+    """``run_renewal`` bins failures through the vectorized engine's
+    kernel (``failure_blocks``); the bytes it produces must not move."""
+
+    #: sha256 of the grid below, recorded before the kernel was shared.
+    DIGEST = "842326deeb8b62bda6f126360bc95b73a8cd2ba855dcb01ef1691fb00115a2ce"
+
+    def test_batch_output_is_pinned(self):
+        digest = hashlib.sha256()
+        for spec in ALL_PROTOCOLS:
+            for M in (300.0, 600.0, 3600.0):
+                params = scenarios.BASE.parameters(M=M)
+                for phi in (0.0, 0.37, 1.0):
+                    results, summary = run_renewal_batch(RenewalConfig(
+                        protocol=spec, params=params, phi=phi,
+                        n_periods=200, seed=5,
+                    ), replicas=3)
+                    for r in results:
+                        digest.update(repr((
+                            r.protocol, r.period, r.phi, r.horizon,
+                            r.n_failures, r.total_time, r.work_done,
+                            r.mean_block, r.waste, r.phase_hits,
+                        )).encode())
+                    digest.update(repr((
+                        summary.mean, summary.ci_low, summary.ci_high,
+                    )).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -21,16 +21,19 @@ from repro import io as repro_io
 from repro.errors import ParameterError
 from repro.sim.adaptive import AdaptiveCI
 from repro.sim.campaign import CampaignConfig
-from repro.sim.executor import execute_campaign
+from repro.sim.executor import execute_spec
 from repro.sim.sinks import (
     FramedJsonlSink,
     NullSink,
     OrderedJsonlSink,
     make_sink,
 )
+from repro.sim.spec import CampaignSpec, ExecutionPolicy
+
+FRAMED = ExecutionPolicy(sink="framed")
 
 
-def make_config(results_path=None, **overrides) -> CampaignConfig:
+def make_config(**overrides) -> CampaignConfig:
     fields = dict(
         protocols=(DOUBLE_NBL, TRIPLE),
         base_params=scenarios.BASE.parameters(M=600.0, n=12),
@@ -40,10 +43,14 @@ def make_config(results_path=None, **overrides) -> CampaignConfig:
         replicas=4,
         seed=2026,
         share_traces=True,
-        results_path=results_path,
     )
     fields.update(overrides)
     return CampaignConfig(**fields)
+
+
+def make_spec(policy: ExecutionPolicy = ExecutionPolicy(),
+              **overrides) -> CampaignSpec:
+    return CampaignSpec(grid=make_config(**overrides), policy=policy)
 
 
 def canonical(cells):
@@ -86,13 +93,13 @@ class TestMakeSink:
 class TestFramedWrites:
     def test_same_records_as_ordered(self, tmp_path):
         ordered, framed = tmp_path / "o.jsonl", tmp_path / "f.jsonl"
-        execute_campaign(make_config(ordered), workers=1)
-        execute_campaign(make_config(framed), workers=1, sink="framed")
+        execute_spec(make_spec(), results_path=ordered)
+        execute_spec(make_spec(FRAMED), results_path=framed)
         assert record_set(ordered) == record_set(framed)
 
     def test_frames_carry_contiguous_sequence(self, tmp_path):
         path = tmp_path / "f.jsonl"
-        execute_campaign(make_config(path), workers=1, sink="framed")
+        execute_spec(make_spec(FRAMED), results_path=path)
         frames = [f for f, _ in repro_io.scan_frames(path)]
         assert [f.seq for f in frames] == list(range(len(frames)))
         assert len(frames) == 6 * 4  # 6 cells x 4 replicas
@@ -103,18 +110,20 @@ class TestFramedWrites:
         assert all(v == list(range(4)) for v in by_cell.values())
 
     def test_cells_identical_to_ordered_run(self, tmp_path):
-        ordered = execute_campaign(make_config(), workers=1)
-        framed = execute_campaign(
-            make_config(tmp_path / "f.jsonl"), workers=1, sink="framed"
+        ordered = execute_spec(make_spec())
+        framed = execute_spec(
+            make_spec(FRAMED), results_path=tmp_path / "f.jsonl",
         )
         assert canonical(ordered.cells) == canonical(framed.cells)
 
     @pytest.mark.campaign
     def test_parallel_framed_matches_serial_record_set(self, tmp_path):
         serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        s = execute_campaign(make_config(serial), workers=1, sink="framed")
-        p = execute_campaign(
-            make_config(parallel), workers=2, chunk_size=1, sink="framed"
+        s = execute_spec(make_spec(FRAMED), results_path=serial)
+        p = execute_spec(
+            make_spec(ExecutionPolicy(workers=2, chunk_size=1,
+                                      sink="framed")),
+            results_path=parallel,
         )
         assert record_set(serial) == record_set(parallel)
         # Cells come back in grid order regardless of completion order.
@@ -128,7 +137,7 @@ class TestFramedResume:
     @pytest.fixture()
     def finished(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        execution = execute_campaign(make_config(path), workers=1, sink="framed")
+        execution = execute_spec(make_spec(FRAMED), results_path=path)
         return path, path.read_bytes(), execution.cells
 
     #: Cut points: after frame k (boundary) for several k, and mid-frame.
@@ -150,8 +159,8 @@ class TestFramedResume:
             kept += lines[frames_kept][:extra_bytes]
         path.write_bytes(kept)
 
-        execution = execute_campaign(
-            make_config(path), workers=1, sink="framed", resume=True
+        execution = execute_spec(
+            make_spec(FRAMED), results_path=path, resume=True,
         )
         assert path.read_bytes() == full
         assert canonical(execution.cells) == canonical(cells)
@@ -161,8 +170,8 @@ class TestFramedResume:
 
     def test_resume_complete_file_runs_nothing(self, finished):
         path, full, cells = finished
-        execution = execute_campaign(
-            make_config(path), workers=1, sink="framed", resume=True
+        execution = execute_spec(
+            make_spec(FRAMED), results_path=path, resume=True,
         )
         assert execution.report.cells_run == 0
         assert execution.report.cells_skipped == 6
@@ -172,9 +181,10 @@ class TestFramedResume:
     def test_parallel_resume(self, finished):
         path, full, cells = finished
         path.write_bytes(b"\n".join(full.split(b"\n")[:9]) + b"\n")
-        execution = execute_campaign(
-            make_config(path), workers=2, chunk_size=1, sink="framed",
-            resume=True,
+        execution = execute_spec(
+            make_spec(ExecutionPolicy(workers=2, chunk_size=1,
+                                      sink="framed")),
+            results_path=path, resume=True,
         )
         assert execution.report.cells_skipped == 2
         assert canonical(execution.cells) == canonical(cells)
@@ -184,17 +194,16 @@ class TestFramedResume:
 
     def test_refuses_foreign_grid(self, finished):
         path, full, _ = finished
-        other = make_config(path, m_values=(450.0, 900.0, 1800.0))
+        other = make_spec(FRAMED, m_values=(450.0, 900.0, 1800.0))
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(other, workers=1, sink="framed", resume=True)
+            execute_spec(other, results_path=path, resume=True)
         assert path.read_bytes() == full
 
     def test_refuses_changed_seed(self, finished):
         path, full, _ = finished
         with pytest.raises(ParameterError, match="seed"):
-            execute_campaign(
-                make_config(path, seed=2027), workers=1, sink="framed",
-                resume=True,
+            execute_spec(
+                make_spec(FRAMED, seed=2027), results_path=path, resume=True,
             )
         assert path.read_bytes() == full
 
@@ -203,7 +212,7 @@ class TestFramedResume:
         configuration drift the manifest names explicitly."""
         path, full, _ = finished
         with pytest.raises(ParameterError, match="sink"):
-            execute_campaign(make_config(path), workers=1, resume=True)
+            execute_spec(make_spec(), results_path=path, resume=True)
         assert path.read_bytes() == full
 
     def test_refuses_sequence_gap(self, finished):
@@ -215,9 +224,7 @@ class TestFramedResume:
         del lines[2]  # drop one mid-cell frame
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(
-                make_config(path), workers=1, sink="framed", resume=True
-            )
+            execute_spec(make_spec(FRAMED), results_path=path, resume=True)
 
     def test_refuses_reopened_cell(self, finished):
         """Frames of one cell must be one contiguous group."""
@@ -235,17 +242,13 @@ class TestFramedResume:
             "\n".join(json.dumps(f, sort_keys=True) for f in frames) + "\n"
         )
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(
-                make_config(path), workers=1, sink="framed", resume=True
-            )
+            execute_spec(make_spec(FRAMED), results_path=path, resume=True)
 
     def test_refuses_unrecognisable_file(self, tmp_path):
         path = tmp_path / "notes.txt"
         path.write_text("precious non-campaign content\n")
         with pytest.raises(ParameterError, match="no intact campaign records"):
-            execute_campaign(
-                make_config(path), workers=1, sink="framed", resume=True
-            )
+            execute_spec(make_spec(FRAMED), results_path=path, resume=True)
         assert path.read_text() == "precious non-campaign content\n"
 
     def test_own_file_torn_in_first_frame(self, finished):
@@ -253,8 +256,8 @@ class TestFramedResume:
         first frame completed: resume restarts cleanly."""
         path, full, cells = finished
         path.write_bytes(full.split(b"\n")[0][:30])
-        execution = execute_campaign(
-            make_config(path), workers=1, sink="framed", resume=True
+        execution = execute_spec(
+            make_spec(FRAMED), results_path=path, resume=True,
         )
         assert execution.report.cells_skipped == 0
         assert canonical(execution.cells) == canonical(cells)
@@ -265,52 +268,51 @@ class TestAdaptiveSinkRules:
     def test_adaptive_requires_framed_sink_when_persisted(self, tmp_path):
         controller = AdaptiveCI(max_replicas=4, tolerance=0.05)
         with pytest.raises(ParameterError, match="framed"):
-            execute_campaign(
-                make_config(tmp_path / "a.jsonl"), workers=1,
-                controller=controller,
+            execute_spec(
+                make_spec(ExecutionPolicy(controller=controller)),
+                results_path=tmp_path / "a.jsonl",
             )
 
     def test_adaptive_without_results_is_fine(self):
         controller = AdaptiveCI(max_replicas=4, tolerance=1.0)
-        execution = execute_campaign(
-            make_config(), workers=1, controller=controller
+        execution = execute_spec(
+            make_spec(ExecutionPolicy(controller=controller)),
         )
         assert execution.report.cells_run == 6
 
     def test_controller_ceiling_must_match_config(self, tmp_path):
         controller = AdaptiveCI(max_replicas=5, tolerance=0.05)
         with pytest.raises(ParameterError, match="max_replicas"):
-            execute_campaign(
-                make_config(tmp_path / "a.jsonl"), workers=1, sink="framed",
-                controller=controller,
+            execute_spec(
+                make_spec(ExecutionPolicy(sink="framed",
+                                          controller=controller)),
+                results_path=tmp_path / "a.jsonl",
             )
 
     def test_adaptive_resume_refuses_tolerance_drift(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        execute_campaign(
-            make_config(path), workers=1, sink="framed",
-            controller=AdaptiveCI(max_replicas=4, tolerance=0.5),
-        )
+        def adaptive(tolerance):
+            return make_spec(ExecutionPolicy(
+                sink="framed",
+                controller=AdaptiveCI(max_replicas=4, tolerance=tolerance),
+            ))
+
+        execute_spec(adaptive(0.5), results_path=path)
         with pytest.raises(ParameterError, match="adaptive"):
-            execute_campaign(
-                make_config(path), workers=1, sink="framed", resume=True,
-                controller=AdaptiveCI(max_replicas=4, tolerance=0.05),
-            )
+            execute_spec(adaptive(0.05), results_path=path, resume=True)
 
     def test_fixed_resume_refuses_adaptive_file_without_manifest(self, tmp_path):
         """Even with the manifest gone, a file holding fewer replicas than
         the fixed controller runs cannot be mistaken for complete cells."""
         path = tmp_path / "a.jsonl"
-        execution = execute_campaign(
-            make_config(path), workers=1, sink="framed",
-            controller=AdaptiveCI(
+        execution = execute_spec(
+            make_spec(ExecutionPolicy(sink="framed", controller=AdaptiveCI(
                 max_replicas=4, tolerance=10.0, min_replicas=2, batch=1
-            ),
+            ))),
+            results_path=path,
         )
         # The huge tolerance stopped every cell at 2 < 4 replicas.
         assert execution.report.replicas_run == 12
         path.with_name(path.name + ".manifest").unlink()
         with pytest.raises(ParameterError, match="refusing to resume"):
-            execute_campaign(
-                make_config(path), workers=1, sink="framed", resume=True
-            )
+            execute_spec(make_spec(FRAMED), results_path=path, resume=True)

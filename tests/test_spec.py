@@ -2,16 +2,14 @@
 
 The contract under test: one serializable object describes a whole
 campaign; ``from_dict(to_dict(spec)) == spec`` exactly (property-tested
-over every preset and randomised policies); a spec-driven run is
-byte-identical to the legacy-kwarg run it replaces; manifests store the
-spec verbatim so drift is spec inequality; and the legacy kwarg APIs
-keep working behind a single ``DeprecationWarning``.
+over every preset and randomised policies); manifests store the spec
+verbatim so drift is spec inequality; and a manifest that holds no spec
+is refused, never guessed at.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.errors import ParameterError
 from repro.sim.adaptive import AdaptiveCI, FixedReplicas, WilsonSuccessRate
-from repro.sim.campaign import CampaignConfig, run_campaign
+from repro.sim.campaign import CampaignConfig
 from repro.sim.distributions import (
     Empirical,
     Exponential,
@@ -28,7 +26,7 @@ from repro.sim.distributions import (
     Weibull,
     distribution_from_dict,
 )
-from repro.sim.executor import execute_campaign, execute_spec
+from repro.sim.executor import execute_spec
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 
 
@@ -45,10 +43,6 @@ def make_grid(**overrides) -> CampaignConfig:
     )
     fields.update(overrides)
     return CampaignConfig(**fields)
-
-
-def legacy_config(results_path=None, **overrides) -> CampaignConfig:
-    return make_grid(results_path=results_path, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +162,10 @@ class TestVersionGating:
 # ----------------------------------------------------------------------
 class TestValidation:
     def test_results_path_is_not_spec_state(self):
+        data = CampaignSpec(grid=make_grid()).to_dict()
+        data["grid"]["results_path"] = "r.jsonl"
         with pytest.raises(ParameterError, match="results_path"):
-            CampaignSpec(grid=make_grid(results_path="r.jsonl"))
+            CampaignSpec.from_dict(data)
 
     def test_queue_with_workers_rejected_at_spec_time(self):
         """The satellite: refused when the policy is *built*, long before
@@ -211,22 +207,9 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# Spec-driven execution vs the legacy kwarg path
+# Spec-driven execution
 # ----------------------------------------------------------------------
 class TestSpecExecution:
-    @pytest.mark.parametrize("sink", ["ordered", "framed"])
-    def test_spec_run_byte_identical_to_legacy(self, tmp_path, sink):
-        spec_path = tmp_path / "spec.jsonl"
-        legacy_path = tmp_path / "legacy.jsonl"
-        Campaign(CampaignSpec(
-            grid=make_grid(), policy=ExecutionPolicy(sink=sink),
-        )).run(spec_path)
-        with pytest.warns(DeprecationWarning):
-            execute_campaign(legacy_config(legacy_path), workers=1, sink=sink)
-        assert spec_path.read_bytes() == legacy_path.read_bytes()
-        assert spec_path.with_name("spec.jsonl.manifest").read_text() == \
-            legacy_path.with_name("legacy.jsonl.manifest").read_text()
-
     def test_manifest_is_the_spec_verbatim(self, tmp_path):
         path = tmp_path / "r.jsonl"
         spec = CampaignSpec(grid=make_grid())
@@ -264,37 +247,43 @@ class TestSpecExecution:
         Campaign(repoliced).resume(path)
         assert path.read_bytes() == full
 
-    def test_resume_reads_version1_manifests(self, tmp_path):
-        """Results files written before the spec existed keep resuming:
-        their sidecar holds the old hand-built fingerprint dict."""
-        from repro.sim.executor import _legacy_fingerprint
+    def test_resume_refuses_version1_manifest(self, tmp_path):
+        """A pre-spec (version-1) manifest cannot be checked against the
+        spec, so resume refuses it by name instead of treating it as
+        missing and silently dropping the drift check."""
+        path = tmp_path / "r.jsonl"
+        spec = CampaignSpec(grid=make_grid())
+        Campaign(spec).run(path)
+        path.write_bytes(b"\n".join(path.read_bytes().split(b"\n")[:3])
+                         + b"\n")
+        partial = path.read_bytes()
+        path.with_name("r.jsonl.manifest").write_text(json.dumps({
+            "format": "repro-campaign-manifest", "version": 1,
+            "protocols": ["double-nbl", "triple"], "seed": 2026,
+            "replicas": 2, "sink": "ordered", "adaptive": None,
+        }, sort_keys=True) + "\n")
+        with pytest.raises(ParameterError,
+                           match="repro-campaign-manifest") as info:
+            Campaign(spec).resume(path)
+        assert "refusing to resume" in str(info.value)
+        assert path.read_bytes() == partial
 
+    @pytest.mark.parametrize("text", ["", "{\"grid\": "])
+    def test_torn_manifest_falls_back_to_record_checks(
+        self, tmp_path, text
+    ):
         path = tmp_path / "r.jsonl"
         spec = CampaignSpec(grid=make_grid())
         Campaign(spec).run(path)
         full = path.read_bytes()
-        manifest = path.with_name("r.jsonl.manifest")
-        manifest.write_text(
-            json.dumps(_legacy_fingerprint(spec), sort_keys=True) + "\n"
-        )
         path.write_bytes(b"\n".join(full.split(b"\n")[:3]) + b"\n")
+        path.with_name("r.jsonl.manifest").write_text(text)
         Campaign(spec).resume(path)
         assert path.read_bytes() == full
 
-    def test_version1_manifest_still_detects_drift(self, tmp_path):
-        from repro.sim.executor import _legacy_fingerprint
-
-        path = tmp_path / "r.jsonl"
-        spec = CampaignSpec(grid=make_grid())
-        Campaign(spec).run(path)
-        path.with_name("r.jsonl.manifest").write_text(
-            json.dumps(_legacy_fingerprint(spec), sort_keys=True) + "\n"
-        )
-        with pytest.raises(ParameterError, match="seed"):
-            Campaign(CampaignSpec(grid=make_grid(seed=9))).resume(path)
-
     def test_execute_spec_rejects_configs(self):
-        with pytest.raises(ParameterError, match="CampaignSpec"):
+        with pytest.raises(ParameterError,
+                           match=r"wrap a grid as CampaignSpec\(grid=config\)"):
             execute_spec(make_grid())
 
     def test_facade_report_without_persistence(self):
@@ -372,53 +361,6 @@ class TestSpecQueue:
         )
         with pytest.raises(ParameterError, match="different campaign"):
             Campaign(drifted).run()
-
-
-# ----------------------------------------------------------------------
-# The deprecated kwarg surface
-# ----------------------------------------------------------------------
-class TestLegacyShims:
-    def test_run_campaign_still_works_with_one_warning(self):
-        config = legacy_config(m_values=(300.0,), replicas=1)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            cells = run_campaign(config)
-        deprecations = [w for w in record
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "CampaignSpec" in str(deprecations[0].message)
-        assert len(cells) == 2  # 2 protocols x 1 M x 1 phi
-
-    def test_run_campaign_accepts_legacy_executor_kwargs(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        with pytest.warns(DeprecationWarning):
-            run_campaign(legacy_config(path), sink="framed")
-        assert path.exists()
-
-    def test_run_campaign_matches_spec_path(self):
-        config = legacy_config()
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign(config)
-        spec_cells = Campaign(CampaignSpec(grid=make_grid())).run().cells
-        assert [c.summary.mean for c in legacy] == \
-            [c.summary.mean for c in spec_cells]
-
-    def test_execute_campaign_warns_and_delegates(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="CampaignSpec"):
-            execution = execute_campaign(legacy_config(), workers=1)
-        assert execution.report.cells_run == 4
-
-    def test_legacy_queue_workers_conflict_comes_from_the_policy(self,
-                                                                 tmp_path):
-        """The old deep-in-the-executor refusal now fires during spec
-        construction — before the queue directory is even touched."""
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ParameterError, match="workers"):
-                execute_campaign(
-                    legacy_config(), queue=tmp_path / "q", sink="framed",
-                    workers=4,
-                )
-        assert not (tmp_path / "q").exists()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fleet-scale store layer: segments, layout migration, hot-cell cache.
+"""Fleet-scale store layer: segments, the loose layout, hot-cell cache.
 
 The contracts under test, in order of importance:
 
@@ -14,8 +14,9 @@ The contracts under test, in order of importance:
   without disk I/O but still refuses corruption: a poisoned cached
   entry falls back to the (verified) disk copy, and disk corruption is
   caught on first read because publishes never pre-warm the cache.
-* **Layout longevity** — historical flat-layout stores keep working and
-  migrate to the sharded fan-out on first touch.
+* **One loose layout** — a root-level entry left by the retired flat
+  layout is never served: lookups miss and recompute, and ``verify``
+  names the file.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def populate(tmp_path, *, seed=2027) -> tuple[CampaignSpec, pathlib.Path]:
 
 def loose_files(store_dir: pathlib.Path) -> list[pathlib.Path]:
     objects = store_dir / "objects"
-    return sorted(objects.glob("*/*.json")) + sorted(objects.glob("*.json"))
+    return sorted(objects.glob("*/*.json"))
 
 
 def dump(result) -> str:
@@ -364,41 +365,29 @@ class TestVerifySegments:
         assert "index row disagrees" in report.errors[0]
 
 
-class TestFlatLayoutMigration:
-    def _flatten(self, store_dir: pathlib.Path) -> None:
-        """Rewrite the objects tree into the historical flat layout."""
+class TestRetiredFlatLayout:
+    def test_flat_entry_is_a_miss_and_verify_names_it(self, tmp_path):
+        spec, store_dir = populate(tmp_path)
         objects = store_dir / "objects"
-        for path in list(objects.glob("*/*.json")):
-            os.replace(path, objects / path.name)
-            path.parent.rmdir()
-
-    def test_flat_store_reads_and_migrates_on_touch(self, tmp_path):
-        spec, store_dir = populate(tmp_path)
-        self._flatten(store_dir)
-        store = CampaignStore(store_dir, cache=None)
-        # The flat store is fully readable as-is...
-        assert store.stat().entries == 8
         key = all_keys(spec)[0]
-        assert store.lookup(key) is not None
-        # ...and the touched entry migrated into the 2-hex fan-out.
         hash_ = key_hash(key)
-        assert not (store_dir / "objects" / f"{hash_}.json").exists()
-        assert (store_dir / "objects" / hash_[:2] / f"{hash_}.json").exists()
-
-    def test_flat_to_sharded_to_segment_round_trip(self, tmp_path):
-        spec, store_dir = populate(tmp_path)
-        before = {
-            key_hash(k): dump(CampaignStore(store_dir, cache=None).lookup(k))
-            for k in all_keys(spec)
-        }
-        self._flatten(store_dir)
+        sharded = objects / hash_[:2] / f"{hash_}.json"
+        flat = objects / f"{hash_}.json"
+        os.replace(sharded, flat)
         store = CampaignStore(store_dir, cache=None)
-        report = store.compact()
-        assert report.packed_entries == 8
-        assert list((store_dir / "objects").glob("*.json")) == []
-        for key in all_keys(spec):
-            assert dump(store.lookup(key)) == before[key_hash(key)]
-        assert store.verify().ok
+        assert store.lookup(key) is None
+        report = store.verify()
+        assert report.checked == 8 and len(report.errors) == 1
+        assert report.errors[0].startswith(f"{flat}: ")
+        assert "never served" in report.errors[0]
+        # A warm re-run recomputes the one cell that lost a replica,
+        # byte-identically, and republishes it in the sharded layout.
+        warm = execute_spec(spec, results_path=tmp_path / "warm.jsonl",
+                            store=store_dir)
+        assert (warm.report.cells_cached, warm.report.cells_run) == (3, 1)
+        assert (tmp_path / "warm.jsonl").read_bytes() == \
+            (tmp_path / "cold-2027.jsonl").read_bytes()
+        assert sharded.exists()
 
 
 class TestGcSegments:
