@@ -2,8 +2,8 @@
 
 Not a paper artefact — this measures the tentpole claim of the
 content-addressed results store (:mod:`repro.store`): because every
-(cell, replica) simulation is warehoused under a key derived from
-exactly the inputs that determine its bytes, a warm re-run of a
+grid cell is warehoused under a key derived from exactly the inputs
+that determine its bytes, a warm re-run of a
 completed spec performs **zero** simulations (and is byte-identical),
 and a half-overlapping grid pays for only its missing half.
 

@@ -7,12 +7,13 @@ a compacted lookup is one in-memory index probe + one ``pread`` and a
 cache hit is no I/O at all.  The loose one-file-per-entry layout is the
 baseline it must beat.
 
-For each store size (10k / 100k / 500k entries by default; override
-with ``STORE_SCALE_SIZES=1000,5000`` for a quick local pass):
+For each store size (10k / 100k / 500k cell entries by default;
+override with ``STORE_SCALE_SIZES=1000,5000`` for a quick local pass):
 
-* **populate** — publish N synthetic entries through the ordinary
-  atomic-rename path (synthetic keys varying only the seed field, one
-  template result, so half a million entries need no simulation);
+* **populate** — publish N synthetic cell entries through the ordinary
+  atomic-rename path (synthetic keys varying only the seed field, each
+  entry a prefix of ``REPLICAS`` copies of one template result, so half
+  a million entries need no simulation);
 * **loose**    — per-lookup latency against the uncompacted tree with
   the cache disabled (full re-verification per hit: the pre-PR cost);
 * **segment**  — the same probes after ``compact()`` (index + pread,
@@ -42,7 +43,7 @@ from repro.sim.campaign import CampaignConfig
 from repro.sim.executor import execute_spec
 from repro.sim.results import DesResult
 from repro.sim.spec import CampaignSpec, ExecutionPolicy
-from repro.store import CampaignStore, HotCellCache
+from repro.store import ENTRY_VERSION, CampaignStore, HotCellCache
 
 SIZES = tuple(
     int(s) for s in
@@ -51,13 +52,15 @@ SIZES = tuple(
 #: Lookups per timed pass (spread evenly across the key space).
 PROBES = int(os.environ.get("STORE_SCALE_PROBES", "2000"))
 REPEATS = 3
+#: Replicas per synthetic cell entry (every lookup verifies them all).
+REPLICAS = 4
 
-#: One synthetic replica key per entry: the shape of a real
-#: :func:`repro.store.replica_key`, varying only the seed field, so a
+#: One synthetic cell key per entry: the shape of a real
+#: :func:`repro.store.cell_key`, varying only the seed field, so a
 #: 500k-entry store needs no simulation time to build.
 _KEY_TEMPLATE = {
     "format": "repro-store-entry",
-    "version": 1,
+    "version": ENTRY_VERSION,
     "protocol": "double-nbl",
     "phi": 1.0,
     "work_target": 900.0,
@@ -67,11 +70,11 @@ _KEY_TEMPLATE = {
     "trace_seed": None,
 }
 
-_RESULT = DesResult(
+_RESULTS = (DesResult(
     status="success", makespan=40_000.0, work_target=36_000.0,
     work_done=36_000.0, failures=12, rollbacks=11, work_lost=480.0,
     commits=120, risk_time=3_600.0,
-)
+),) * REPLICAS
 
 
 def _key(i: int) -> dict:
@@ -106,7 +109,7 @@ def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
         writer = CampaignStore(store_dir)
         start = time.perf_counter()
         for i in range(n):
-            writer.publish(_key(i), _RESULT)
+            writer.publish(_key(i), _RESULTS)
         t_populate = time.perf_counter() - start
         keys = _probe_keys(n)
 
@@ -127,7 +130,7 @@ def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
         cached_us[n] = _per_lookup(cached, keys) * 1e6
 
         lines.append(
-            f"{n:>7} entries: populate {t_populate:5.1f}s, compact "
+            f"{n:>7} cell entries: populate {t_populate:5.1f}s, compact "
             f"{t_compact:5.1f}s; per-lookup loose {loose_us[n]:7.1f}us, "
             f"segment {segment_us[n]:6.1f}us, cached {cached_us[n]:5.2f}us"
         )
@@ -181,7 +184,7 @@ def test_export_byte_identical_across_compaction(tmp_path, record):
     identical = (tmp_path / "pre.jsonl").read_bytes() \
         == (tmp_path / "post.jsonl").read_bytes()
     record("store export across compaction", [
-        f"packed {report.packed_entries} entries into 1 segment; "
+        f"packed {report.packed_entries} cell entries into 1 segment; "
         f"export byte-identical: {identical}",
     ])
     assert identical

@@ -30,7 +30,7 @@ def main() -> None:
         tmp = Path(tmp)
         store = tmp / "store"
 
-        # Cold: every cell simulates, every replica is published.
+        # Cold: every cell simulates and is published as one entry.
         cold = Campaign(spec).run(tmp / "cold.jsonl", store=store)
         print(f"cold   : {cold.report.describe()}")
 

@@ -49,8 +49,9 @@ Commands
     internals; see :mod:`repro.obs`), and every run's
     ``ExecutionReport.metrics`` carries the campaign's metric series.
 ``store``
-    Inspect and manage a results store: ``store ls`` (filterable entry
-    listing), ``store stat`` (totals, ``--verify`` re-checks every entry
+    Inspect and manage a results store: ``store ls`` (filterable
+    listing, one row per cell entry with its stored replica count),
+    ``store stat`` (totals, ``--verify`` re-checks every entry
     against its stored bytes), ``store gc`` (LRU eviction to
     ``--max-bytes``/``--max-age``, with ``--pin-queue``/``--pin-spec``
     footprints immune), ``store export`` (materialise a spec's
@@ -851,13 +852,17 @@ def _run_store_command(args: argparse.Namespace) -> int:
             key=lambda e: (e.protocol or "", e.M, e.phi, e.seed or 0),
         )
         shown = entries if not args.limit else entries[:args.limit]
+        # One row per cell entry: seeds are replica 0's, "replicas" the
+        # stored prefix length.
         rows = [
             [e.protocol, e.M, e.phi, e.n, e.seed,
-             "-" if e.trace_seed is None else e.trace_seed, e.size]
+             "-" if e.trace_seed is None else e.trace_seed,
+             e.replicas if e.origin != "retired" else "retired", e.size]
             for e in shown
         ]
         print(ascii_table(
-            ["protocol", "M", "phi", "n", "seed", "trace seed", "bytes"],
+            ["protocol", "M", "phi", "n", "seed", "trace seed",
+             "replicas", "bytes"],
             rows,
             title=f"=== store {args.store} "
                   f"({len(shown)}/{len(entries)} entries) ===",

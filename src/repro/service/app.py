@@ -242,7 +242,8 @@ class CampaignService:
         self.metrics.histogram(
             "repro_http_request_seconds", DEFAULT_TIME_BUCKETS,
             help="HTTP request handling wall-clock, by route and method "
-                 "(streams count until the last byte).",
+                 "(until the reply is sent; streams until their last "
+                 "event).",
             unit="seconds", labels={"route": route, "method": method},
         ).observe(elapsed)
         self.metrics.counter(
@@ -281,7 +282,7 @@ class CampaignService:
             # misses (and N identical concurrent queries fill once).
             if on_miss == "fail":
                 raise _MissingCells(
-                    f"store covers {present}/{total} replica entries of "
+                    f"store covers {present}/{total} replicas of "
                     "this spec and on_miss='fail' forbids simulating "
                     "the rest; submit the campaign (POST /campaigns) "
                     "or query with on_miss=run"
@@ -331,6 +332,9 @@ def _build_handler(service: CampaignService):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-campaign-service/1"
+        # Headers and body go out as two writes; with Nagle on, a
+        # keep-alive client's delayed ACK holds the body back ~40 ms.
+        disable_nagle_algorithm = True
 
         # -- plumbing --------------------------------------------------
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -348,8 +352,21 @@ def _build_handler(service: CampaignService):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            self._meter()
             self.end_headers()
             self.wfile.write(body)
+
+        def _meter(self) -> None:
+            """Record this request's metrics, once, before the client
+            can see any of the reply (``end_headers`` sends the status
+            line): a client holding a reply, even one that never reads
+            its body, always finds its request in a later ``/metrics``."""
+            if self._obs_route is not None:
+                service._observe_request(
+                    self._obs_route, self._obs_method, self._obs_status,
+                    time.perf_counter() - self._obs_started,
+                )
+                self._obs_route = None
 
         def _error(self, status: int, message: str) -> None:
             self._send_json(status, {"error": message})
@@ -359,7 +376,8 @@ def _build_handler(service: CampaignService):
             parts = [p for p in parsed.path.split("/") if p]
             route = _route_template(parts)
             self._obs_status = None
-            started = time.perf_counter()
+            self._obs_route, self._obs_method = route, method
+            self._obs_started = time.perf_counter()
             tracer = current_tracer()
             try:
                 if tracer is None:
@@ -370,10 +388,7 @@ def _build_handler(service: CampaignService):
                         self._handle(method, parts, parsed.query)
                         span.args["code"] = self._obs_status
             finally:
-                service._observe_request(
-                    route, method, self._obs_status,
-                    time.perf_counter() - started,
-                )
+                self._meter()  # no-op unless the reply never finished
 
         def _handle(self, method: str, parts: list[str],
                     raw_query: str) -> None:
@@ -455,6 +470,7 @@ def _build_handler(service: CampaignService):
             self.send_response(HTTPStatus.OK)
             self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
             self.send_header("Content-Length", str(len(body)))
+            self._meter()
             self.end_headers()
             self.wfile.write(body)
 
@@ -528,6 +544,9 @@ def _build_handler(service: CampaignService):
                     self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 pass  # the client hung up; the campaign is unaffected
+            # The stream ends at EOF, which the client sees only once
+            # this handler returns and the connection closes.
+            self._meter()
 
         def _shutdown(self) -> None:
             drain = True

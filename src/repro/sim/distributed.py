@@ -78,6 +78,7 @@ import os
 import pathlib
 import re
 import socket
+import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -183,8 +184,11 @@ def _done_path(queue: pathlib.Path, chunk: int) -> pathlib.Path:
 
 
 def _atomic_write(path: pathlib.Path, text: str) -> None:
-    """Write-then-rename so readers never see a torn file."""
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    """Write-then-rename so readers never see a torn file.  The temp name
+    is per thread: two threads of one process (the campaign service's
+    concurrent campaigns) may publish the same store cell at once."""
+    tmp = path.with_name(
+        path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
     tmp.write_text(text)
     os.replace(tmp, path)
 

@@ -107,14 +107,16 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
               → segments/<id>.seg + .idx      (renewal closed forms; shared
                 (compacted: index probe        traces as common random
                 + one pread)                   numbers — repro.sim.vectorized)
-              → objects/<2-hex>/<sha256(replica key)>.json
+              → objects/<2-hex>/<sha256(cell key)>.json
                 (loose: the atomic-rename publish path; `store
                 compact` folds loose files into segments)
-              — key carries the engine when != "des"
+              — one entry per cell (its replica prefix); the key
+                carries the engine when != "des"
 
-    Store data flows (replica key = protocol ⊕ φ ⊕ workload ⊕ resolved
-    platform params ⊕ failure law ⊕ seed-schedule entry — finer than the
-    spec fingerprint, so *different* campaigns share overlapping cells):
+    Store data flows (cell key = protocol ⊕ φ ⊕ workload ⊕ resolved
+    platform params ⊕ failure law ⊕ replica 0's seed-schedule entry —
+    finer than the spec fingerprint, so *different* campaigns share
+    overlapping cells):
 
     * cold  — every lookup misses; every cell simulates, is appended to
       the sink, then published: results file byte-identical to a
@@ -559,25 +561,17 @@ class CampaignSession:
         # instead.)
         cached_results: dict[int, list[DesResult]] = {}
         if store is not None and not distributed:
-            from ..store import replica_key
+            from ..store import cell_key
 
-            # Bulk-stage the whole footprint first: segment-resident
-            # entries stream in with a few sequential reads per segment,
-            # so the per-cell loads below are cache hits instead of one
-            # pread per replica.
-            store.preload(
-                replica_key(
-                    config, plan, replica,
-                    engine=plan_engine(policy.backend, config, plan),
-                )
-                for plan in todo
-                for replica in range(controller.max_replicas)
-            )
-            for plan in todo:
-                hit = store.load_cell(
-                    config, plan, controller,
-                    engine=plan_engine(policy.backend, config, plan),
-                )
+            engines = [plan_engine(policy.backend, config, plan)
+                       for plan in todo]
+            # Bulk-stage every cell entry first: segment-resident entries
+            # stream in with a few sequential reads per segment, so the
+            # per-cell loads below are cache hits.
+            store.preload(cell_key(config, plan, engine=engine)
+                          for plan, engine in zip(todo, engines))
+            for plan, engine in zip(todo, engines):
+                hit = store.load_cell(config, plan, controller, engine=engine)
                 if hit is not None:
                     cached_results[plan.index] = hit
 

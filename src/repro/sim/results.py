@@ -93,6 +93,24 @@ def wilson_interval(
     return (float(lo), float(hi))
 
 
+def _overflow_safe(reduce, finite: np.ndarray) -> float:
+    """``reduce(finite)`` exactly as numpy computes it, unless that
+    overflows (a batch of extreme but finite values): then the scaled
+    two-pass ``scale * reduce(finite / scale)`` with ``scale = max|x|``,
+    equal up to rounding for the scale-equivariant mean and sample std,
+    and finite wherever the true value is representable."""
+    try:
+        with np.errstate(over="raise"):
+            return float(reduce(finite))
+    except FloatingPointError:
+        scale = float(np.abs(finite).max())
+        return scale * float(reduce(finite / scale))
+
+
+def _sample_std(finite: np.ndarray) -> float:
+    return finite.std(ddof=1)
+
+
 def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     """Student-t CI half-width of the mean over the finite samples.
 
@@ -107,7 +125,7 @@ def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     finite = arr[np.isfinite(arr)]
     if finite.size < 2:
         return float("inf")
-    std = float(finite.std(ddof=1))
+    std = _overflow_safe(_sample_std, finite)
     if std == 0.0:
         return 0.0
     return float(
@@ -154,8 +172,8 @@ class MonteCarloSummary:
         finite = arr[np.isfinite(arr)]
         n_ok = finite.size
         n_success = n_ok if successes is None else successes
-        mean = float(finite.mean()) if n_ok else float("nan")
-        std = float(finite.std(ddof=1)) if n_ok > 1 else 0.0
+        mean = _overflow_safe(np.mean, finite) if n_ok else float("nan")
+        std = _overflow_safe(_sample_std, finite) if n_ok > 1 else 0.0
         half = ci_half_width(arr, confidence)
         if not np.isfinite(half):
             half = 0.0  # < 2 finite samples: degenerate point interval

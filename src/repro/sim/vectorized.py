@@ -20,13 +20,13 @@ to the DES:
 
 * Each replica draws from its *own* stream seeded with the cell's
   :func:`~repro.sim.backends.replica_seed` — results are pure functions
-  of the replica key (protocol, M, φ, workload, failure law, seed)
-  alone, never of batch shape, worker identity or execution order.
-  Re-running a cell anywhere reproduces its bytes exactly, which is
-  what the content-addressed store's convergent publish requires; the
-  store keys vectorized replicas separately from DES replicas (the
-  ``engine`` key field), so the two engines can never serve each
-  other's results.
+  of the cell's store key (protocol, M, φ, workload, failure law, seed)
+  and the replica index alone, never of batch shape, worker identity or
+  execution order.  Re-running a cell anywhere reproduces its bytes
+  exactly, which is what the content-addressed store's convergent
+  publish requires; the store keys vectorized cells separately from DES
+  cells (the ``engine`` key field), so the two engines can never serve
+  each other's results.
 * Shared failure traces (``share_traces``) are common random numbers:
   every protocol and φ at the same (M, replica) sees the same failure
   stream.  Replica ``r`` of grid row ``m_index`` samples its failure

@@ -11,19 +11,26 @@ checkpointing literature, applied to the simulations themselves).
 
 Design:
 
-* **Keying** (:func:`replica_key`) — one entry per (grid cell, replica)
-  simulation, addressed by the SHA-256 of exactly the inputs that
-  determine its output bytes: protocol, φ, workload, horizon, resolved
-  platform parameters, failure-law dict, and the *derived* seed-schedule
-  entry.  Deliberately finer than a campaign fingerprint: two different
+* **Keying** (:func:`cell_key`) — one entry per grid cell, holding the
+  cell's ordered replica prefix ``[0, n)`` and addressed by the SHA-256
+  of exactly the inputs that determine its output bytes: protocol, φ,
+  workload, horizon, resolved platform parameters, failure-law dict,
+  and replica 0's *derived* seeds (the rest follow by fixed strides, so
+  prefixes nest and fixed-count and adaptive campaigns share entries).
+  Deliberately finer than a campaign fingerprint: two different
   campaigns whose grids overlap share cached cells.
-* **Concurrency** — publishing is write-then-rename (the queue
-  directory's atomic-publish pattern), so any number of processes
-  publish and look up the same cells race-free; identical keys can only
-  ever carry identical bytes, so the last rename winning is harmless.
-* **Integrity** — every lookup re-verifies the entry: full-key match
-  (collisions/tampering refused) and an exact serialisation round-trip
-  against the stored bytes, which are the bytes a warm campaign emits.
+* **Concurrency** — publishing is one write-then-rename per cell (the
+  queue directory's atomic-publish pattern), so any number of processes
+  publish and look up the same cells race-free; a longer prefix
+  replaces a shorter one, never the reverse, and a shorter publish that
+  wins a race costs only a recompute.
+* **Integrity** — every lookup re-verifies the entry once per cell:
+  full-key match (collisions/tampering refused), the payload digest,
+  and each replica re-serialising to exactly its stored line, which is
+  the byte string a warm campaign emits.
+* **Old stores** — version-1 per-replica entries still open but are
+  never served: each recomputes, ``store verify`` names it by path, and
+  ``gc`` evicts it.
 * **Retention** (:meth:`CampaignStore.gc`) — bounded-size caching, not
   an unbounded archive: LRU/mtime eviction to a byte budget, with the
   footprints of pinned specs and in-progress queue campaigns immune.
@@ -63,6 +70,7 @@ from .store import (
     STORE_FORMAT,
     STORE_MODES,
     STORE_VERSION,
+    ENTRY_VERSION,
     CampaignStore,
     CompactReport,
     ExportReport,
@@ -71,16 +79,16 @@ from .store import (
     StoreEntry,
     StoreStat,
     VerifyReport,
-    cell_keys,
+    cell_key,
     cells_from_store,
     key_hash,
-    replica_key,
 )
 
 __all__ = [
     "STORE_FORMAT",
     "STORE_MODES",
     "STORE_VERSION",
+    "ENTRY_VERSION",
     "CampaignStore",
     "ReadStats",
     "StoreEntry",
@@ -89,8 +97,7 @@ __all__ = [
     "ExportReport",
     "VerifyReport",
     "CompactReport",
-    "replica_key",
-    "cell_keys",
+    "cell_key",
     "key_hash",
     "cells_from_store",
     "CACHED_VERIFICATION_LEVELS",

@@ -3,8 +3,8 @@
 Every consumer of :class:`~repro.store.CampaignStore` — the executor's
 store-mode cell reads, :class:`~repro.sim.distributed.DistributedBackend`
 workers, and ``report --from-spec`` — pays the same per-hit cost on a
-warm lookup: read the entry bytes, JSON-decode them, and re-verify the
-decoded result against the stored payload (full-key match, payload
+warm lookup: read the cell entry's bytes, decode every replica, and
+re-verify them against the stored payload (full-key match, payload
 digest, serialisation round-trip).  That is the right price to pay
 *once* — the store must never silently serve a wrong result — but hot
 cells (a report queried in a loop, overlapping campaigns replaying the
@@ -28,9 +28,9 @@ level*:
   round-trip serialisation are skipped;
 * ``"full"`` may be requested for cached re-reads too
   (``CampaignStore(..., cached_verification="full")``): the cached
-  result object is additionally re-serialised and compared against the
-  cached payload text, catching in-place mutation of the shared result
-  object at decode-equivalent cost (disk is still not touched).
+  result objects are additionally re-serialised and compared against
+  the cached payload text, catching in-place mutation of the shared
+  results at decode-equivalent cost (disk is still not touched).
 
 One module-level default cache (:func:`default_cache`) is shared by
 every ``CampaignStore`` that does not bring its own, so the executor, a
@@ -39,7 +39,7 @@ the same process all warm one another.  :func:`configure_cache` resizes
 (or disables) that shared cache process-wide.
 
 The cache is keyed on ``(store root, surrogate)`` where the surrogate
-(:func:`cache_key`) is a cheap flat tuple of the replica key's scalar
+(:func:`cache_key`) is a cheap flat tuple of the cell key's scalar
 fields — computing the store's real content address costs ~8µs of
 canonical-JSON + SHA-256 per call, which would dominate a cache hit.
 The surrogate is *not* guaranteed unique (two keys differing only in,
@@ -82,7 +82,7 @@ DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def cache_key(key: dict) -> tuple:
-    """Cheap hashable surrogate of a replica key, for cache addressing.
+    """Cheap hashable surrogate of a cell key, for cache addressing.
 
     A flat tuple of the key's scalar fields — ~10x cheaper to build
     than the store's canonical-JSON SHA-256 address, which matters
@@ -103,19 +103,20 @@ def cache_key(key: dict) -> tuple:
 
 @dataclass(frozen=True)
 class CachedEntry:
-    """One verified, decoded store entry as the cache holds it.
+    """One verified, decoded cell entry as the cache holds it.
 
-    ``payload_text`` is the canonical payload serialisation — exactly the
-    byte string (as ``str``) a warm campaign emits for this replica, and
-    exactly what ``payload_sha256`` digests.  Keeping it lets a cached
-    re-read re-verify at ``"digest"`` level without re-serialising, and
-    at ``"full"`` level without touching disk.  ``hash``/``origin``
-    record where the bytes came from, so a loose hit can refresh its
-    file's gc-LRU clock without recomputing the content address.
+    ``results`` is the stored replica prefix, in seed order, and
+    ``payload_text`` its stored lines (one :func:`repro.io.dump_result`
+    per replica), exactly what ``payload_sha256`` digests.  Keeping it
+    lets a cached re-read re-verify at ``"digest"`` level without
+    re-serialising, and at ``"full"`` level without touching disk.
+    ``hash``/``origin`` record where the bytes came from, so a loose hit
+    can refresh its file's gc-LRU clock without recomputing the content
+    address.
     """
 
     key: dict
-    result: object
+    results: tuple
     payload_text: str
     payload_sha256: str
     hash: str = ""
@@ -135,7 +136,9 @@ class CachedEntry:
         if level == "full":
             from .. import io as repro_io
 
-            return repro_io.dump_result(self.result) == self.payload_text
+            return "".join(
+                repro_io.dump_result(r) + "\n" for r in self.results
+            ) == self.payload_text
         return True
 
 

@@ -1,7 +1,7 @@
 """Segment files: the store's compaction format.
 
-A fresh store keeps one *loose* file per (cell, replica) entry —
-publish stays a single atomic rename, which is what makes any number of
+A fresh store keeps one *loose* file per grid-cell entry — publish
+stays a single atomic rename, which is what makes any number of
 concurrent writers race-free.  But a fleet-scale store accumulates
 hundreds of thousands of entries, and every maintenance walk
 (``entries``/``stat``/``gc``/``verify``) then pays a ``stat`` per file
@@ -10,7 +10,8 @@ while the objects tree grinds against directory-scaling walls.
 ``store compact`` packs loose entries into **segments**: an append-only
 data file holding the entries' exact bytes back to back, plus a sorted
 hash index carrying everything the query layer needs (offset, length,
-access mtime, and the key's queryable fields).  After compaction:
+access mtime, the key's queryable fields and the entry's replica
+count).  After compaction:
 
 * a lookup is one in-memory index probe + one ``pread`` — no directory
   walk, no per-entry ``stat``;
@@ -45,6 +46,10 @@ Concurrency contract (the part that must never regress):
 Everything in the data file is byte-identical to the loose entry it
 replaced, so exports and warm re-runs are byte-identical before and
 after compaction by construction.
+
+Version 1 segments (one row per replica) still load, so an old store
+opens and ``gc`` ages them, but :attr:`Segment.retired` keeps them out
+of every lookup.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import json
 import os
 import pathlib
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from ..errors import ParameterError
@@ -71,9 +76,10 @@ __all__ = [
 ]
 
 SEGMENT_INDEX_FORMAT = "repro-store-segment-index"
-#: Written version; readers refuse other numbers by name, like every
+#: Written version; readers refuse unknown numbers by name, like every
 #: envelope in :mod:`repro.io`.
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
+_ROW_FIELDS = {1: 11, 2: 12}
 
 #: Bulk reads merge two needed rows into one sequential read when the
 #: unneeded hole between them is at most this many bytes (64 KiB ≈ a
@@ -100,15 +106,20 @@ class SegmentEntry:
     seed: int | None
     trace_seed: int | None
     work_target: float
+    #: Replicas the entry holds (its stored prefix length); a version-1
+    #: row is one replica.
+    replicas: int = 1
 
-    def to_row(self) -> list:
+    def to_row(self, version: int = SEGMENT_VERSION) -> list:
         return [self.hash, self.offset, self.length, self.mtime,
                 self.protocol, self.M, self.phi, self.n, self.seed,
-                self.trace_seed, self.work_target]
+                self.trace_seed, self.work_target,
+                self.replicas][:_ROW_FIELDS[version]]
 
     @classmethod
-    def from_row(cls, row: list) -> "SegmentEntry":
-        if not isinstance(row, list) or len(row) != 11:
+    def from_row(cls, row: list,
+                 version: int = SEGMENT_VERSION) -> "SegmentEntry":
+        if not isinstance(row, list) or len(row) != _ROW_FIELDS[version]:
             raise ParameterError(
                 f"malformed segment index row: {row!r}"
             )
@@ -117,6 +128,7 @@ class SegmentEntry:
             mtime=float(row[3]), protocol=row[4], M=float(row[5]),
             phi=float(row[6]), n=int(row[7]), seed=row[8],
             trace_seed=row[9], work_target=float(row[10]),
+            replicas=int(row[11]) if version > 1 else 1,
         )
 
 
@@ -128,6 +140,12 @@ class Segment:
     data_path: pathlib.Path
     #: Index rows by hash — the in-memory probe a warm lookup does.
     entries: dict[str, SegmentEntry]
+    version: int = SEGMENT_VERSION
+
+    @property
+    def retired(self) -> bool:
+        """Holds the per-replica format: never served, only aged out."""
+        return self.version < SEGMENT_VERSION
 
     @property
     def data_bytes(self) -> int:
@@ -202,6 +220,8 @@ def segment_index_path(segments_dir: pathlib.Path, id_: str) -> pathlib.Path:
 def write_segment(
     segments_dir: pathlib.Path,
     records: Iterable[tuple[SegmentEntry, bytes]],
+    *,
+    version: int = SEGMENT_VERSION,
 ) -> Segment | None:
     """Pack ``records`` into a new committed segment; None when empty.
 
@@ -209,7 +229,8 @@ def write_segment(
     here) with the entry's exact bytes.  Rows are laid out sorted by
     hash, so identical entry sets always produce identical segments.
     The data file is renamed into place first, the index second: the
-    index rename is the commit point.
+    index rename is the commit point.  ``version`` is only ever lowered
+    to rewrite a retired segment in its own format.
     """
     from ..sim.distributed import _atomic_write
 
@@ -227,29 +248,26 @@ def write_segment(
     with tmp.open("wb") as fh:
         for meta, data in ordered:
             fh.write(data)
-            entries[meta.hash] = SegmentEntry(
-                hash=meta.hash, offset=offset, length=len(data),
-                mtime=meta.mtime, protocol=meta.protocol, M=meta.M,
-                phi=meta.phi, n=meta.n, seed=meta.seed,
-                trace_seed=meta.trace_seed, work_target=meta.work_target,
-            )
+            entries[meta.hash] = replace(
+                meta, offset=offset, length=len(data))
             offset += len(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, data_path)
     index = {
         "format": SEGMENT_INDEX_FORMAT,
-        "version": SEGMENT_VERSION,
+        "version": version,
         "segment": data_path.name,
         "entries": [
-            entries[h].to_row() for h in sorted(entries)
+            entries[h].to_row(version) for h in sorted(entries)
         ],
     }
     _atomic_write(
         segment_index_path(segments_dir, id_),
         json.dumps(index, sort_keys=True) + "\n",
     )
-    return Segment(id=id_, data_path=data_path, entries=entries)
+    return Segment(id=id_, data_path=data_path, entries=entries,
+                   version=version)
 
 
 def _load_index(segments_dir: pathlib.Path, id_: str) -> Segment:
@@ -268,20 +286,21 @@ def _load_index(segments_dir: pathlib.Path, id_: str) -> Segment:
             f"{path}: not a {SEGMENT_INDEX_FORMAT} record; the store "
             "directory holds foreign files"
         )
-    if index.get("version") != SEGMENT_VERSION:
+    version = index.get("version")
+    if version not in _ROW_FIELDS:
         raise ParameterError(
-            f"{path}: unsupported segment version "
-            f"{index.get('version')!r} (this library speaks version "
-            f"{SEGMENT_VERSION})"
+            f"{path}: unsupported segment version {version!r} (this "
+            f"library reads versions {sorted(_ROW_FIELDS)})"
         )
     entries = {}
     for row in index.get("entries", ()):
-        entry = SegmentEntry.from_row(row)
+        entry = SegmentEntry.from_row(row, version)
         entries[entry.hash] = entry
     return Segment(
         id=id_,
         data_path=segment_data_path(segments_dir, id_),
         entries=entries,
+        version=version,
     )
 
 

@@ -3,13 +3,17 @@
 See the package docstring (:mod:`repro.store`) for the design; this
 module holds the mechanism:
 
-* :func:`replica_key` — the identity of one stored simulation,
+* :func:`cell_key` — the identity of one stored grid cell,
 * :class:`CampaignStore` — publish/lookup/query/compact/gc/export over
   a store directory,
 * :func:`cells_from_store` — a spec's aggregated cells with zero
   re-simulation (the engine behind ``report --from-spec``).
 
-Storage layout (the two coexist; lookups check them in this order):
+One entry per grid cell holds the cell's ordered replica prefix
+``[0, n)``: a header line (format, version, key, replica count, payload
+digest) followed by one canonical :func:`repro.io.dump_result` line per
+replica.  Storage layout (the two coexist; a lookup serves the longer
+copy):
 
 * ``segments/<id>.seg`` + ``.idx`` — compacted entries
   (:mod:`repro.store.segments`): one index probe + one ``pread`` per
@@ -17,9 +21,11 @@ Storage layout (the two coexist; lookups check them in this order):
 * ``objects/<2-hex>/<hash>.json`` — loose entries, the atomic-rename
   publish path (2-hex fan-out so no single directory grows unbounded).
 
-A ``<hash>.json`` directly under ``objects/`` (the retired flat layout)
-is never served: lookups miss and recompute, and
-:meth:`CampaignStore.verify` reports it as an error by path.
+Retired formats are never served: a ``<hash>.json`` directly under
+``objects/`` (the flat layout) and the version-1 one-entry-per-replica
+entries, loose or in version-1 segments.  Lookups miss and recompute,
+:meth:`CampaignStore.verify` reports each one as an error by path, and
+``gc`` ages them out like any entry.
 
 Hot reads are additionally served by an in-process byte-bounded LRU
 (:mod:`repro.store.cache`): full verification on the first disk read,
@@ -34,6 +40,7 @@ that need it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -65,9 +72,9 @@ from .segments import Segment, SegmentEntry, load_segments, write_segment
 __all__ = [
     "STORE_FORMAT",
     "STORE_VERSION",
+    "ENTRY_VERSION",
     "STORE_MODES",
-    "replica_key",
-    "cell_keys",
+    "cell_key",
     "key_hash",
     "CampaignStore",
     "ReadStats",
@@ -82,12 +89,16 @@ __all__ = [
 
 STORE_FORMAT = "repro-store"
 _ENTRY_FORMAT = "repro-store-entry"
-#: Written version; readers refuse other numbers by name, like every
-#: envelope in :mod:`repro.io`.  Segments are *additive*: a compacted
-#: store still speaks version 1, and a pre-segment reader simply sees
-#: the segment-resident entries as cache misses (wasted work, never
-#: wrong results).
+#: Version of the store manifest (``store.json``).  It names the
+#: directory layout, which entry versions do not change, so every store
+#: opens; readers refuse other numbers by name, like every envelope in
+#: :mod:`repro.io`.
 STORE_VERSION = 1
+#: Written entry version: one entry per grid cell.  Version 1 (one
+#: entry per replica) is retired — never served, reported by ``verify``.
+ENTRY_VERSION = 2
+_RETIRED = ("retired per-replica entry (store-entry version 1) is never "
+            "served; delete it or evict it with `repro-checkpoint store gc`")
 
 _HASH_RE = re.compile(r"^[0-9a-f]{64}\.json$")
 #: A publish is write-temp-then-rename; gc only sweeps temp files (and
@@ -104,35 +115,34 @@ _DEFAULT_CACHE = object()
 
 
 # ----------------------------------------------------------------------
-# Keys
+# Keys and entry bytes
 # ----------------------------------------------------------------------
-def replica_key(
-    config: CampaignConfig, plan, replica: int, *, engine: str = "des"
-) -> dict:
-    """The store identity of one (grid cell, replica) simulation.
+def cell_key(config: CampaignConfig, plan, *, engine: str = "des") -> dict:
+    """The store identity of one grid cell's stored replica prefix.
 
     Deliberately *finer* than a campaign fingerprint: it names exactly
-    the inputs that determine the simulation's output bytes — protocol,
+    the inputs that determine the cell's output bytes — protocol,
     requested φ, workload, horizon, the fully-resolved platform
-    parameters (M substituted), the failure-law dict, and the *derived*
-    seed-schedule entry (the DES seed, and the shared-trace seed or
-    ``None`` when traces are not shared).  The campaign seed and the
-    cell's grid coordinates appear only through the derived seeds, so
-    two different campaigns whose grids overlap share cached cells —
-    including campaigns whose M axes list the same value at different
-    positions (no trace sharing), where the raw ``(seed, m_index)`` pair
-    would differ but the derived schedule does not.
+    parameters (M substituted), the failure-law dict, and replica 0's
+    *derived* seeds (its DES seed, and its shared-trace seed or
+    ``None``).  Replica r's seeds follow by the fixed strides of
+    :mod:`repro.sim.backends`, so stored prefixes nest: a 32-replica
+    entry holds the 8-replica one.  The campaign seed and grid
+    coordinates appear only through the derived seeds, so campaigns
+    whose grids overlap share cached cells, even when their M axes list
+    a value at different positions (no trace sharing).  Campaigns whose
+    seeds differ by a multiple of a stride share no entry although
+    their replicas overlap: the accepted price of one entry per cell.
 
     ``engine`` names the simulation engine that produced (or must
     produce) the bytes.  The engines are statistically equivalent but
     not byte-identical, so they must never serve each other's results:
-    any engine other than the historical ``"des"`` is spliced into the
-    key (the ``"des"`` spelling is left exactly as always, so existing
-    warehouses keep their contents addressable).  The caller resolves
-    the per-cell engine (:func:`repro.sim.vectorized.plan_engine`)
-    before keying; shared-trace cells of a vectorized campaign key as
-    ``"vectorized"`` (common random-number streams, not DES traces), so
-    a DES run of the same spec never serves them, nor they it.
+    any engine other than ``"des"`` is spliced into the key.  The caller
+    resolves the per-cell engine
+    (:func:`repro.sim.vectorized.plan_engine`) before keying;
+    shared-trace cells of a vectorized campaign key as ``"vectorized"``
+    (common random-number streams, not DES traces), so a DES run of the
+    same spec never serves them, nor they it.
     """
     if engine not in _ENGINES:
         raise ParameterError(
@@ -142,28 +152,20 @@ def replica_key(
     dist = config.distribution
     key = {
         "format": _ENTRY_FORMAT,
-        "version": STORE_VERSION,
+        "version": ENTRY_VERSION,
         "protocol": plan.protocol,
         "phi": float(plan.phi),
         "work_target": float(config.work_target),
         "max_time": None if config.max_time is None else float(config.max_time),
         "params": params.to_dict(),
         "distribution": None if dist is None else dist.to_dict(),
-        "seed": replica_seed(config, replica),
-        "trace_seed": trace_seed(config, plan.m_index, replica)
+        "seed": replica_seed(config, 0),
+        "trace_seed": trace_seed(config, plan.m_index, 0)
         if config.share_traces else None,
     }
     if engine != "des":
         key["engine"] = engine
     return key
-
-
-def cell_keys(
-    config: CampaignConfig, plan, max_replicas: int, *, engine: str = "des"
-) -> Iterator[dict]:
-    """The replica keys of one grid cell, in seed order."""
-    for replica in range(max_replicas):
-        yield replica_key(config, plan, replica, engine=engine)
 
 
 def key_hash(key: dict) -> str:
@@ -172,10 +174,106 @@ def key_hash(key: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _payload_digest(payload: dict) -> str:
-    """SHA-256 of a payload's canonical JSON (the tamper witness)."""
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(body: str) -> str:
+    """SHA-256 of an entry's replica lines (the tamper witness)."""
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def _entry_text(key: dict, results) -> str:
+    """An entry's bytes: a header line, then each replica serialised
+    once (:func:`repro.io.dump_result`), the text the digest covers."""
+    from .. import io as repro_io
+
+    body = "".join(repro_io.dump_result(r) + "\n" for r in results)
+    header = {
+        "format": _ENTRY_FORMAT,
+        "version": ENTRY_VERSION,
+        "key": key,
+        "replicas": len(results),
+        # The address hashes the *key*, so without this a well-formed
+        # but altered payload would be undetectable.
+        "payload_sha256": _digest(body),
+    }
+    return json.dumps(header, sort_keys=True) + "\n" + body
+
+
+def _header_replicas(data: bytes) -> int:
+    """The replica count a live entry's header line claims, else -1."""
+    try:
+        header = json.loads(data.partition(b"\n")[0])
+        if header.get("version") != ENTRY_VERSION:
+            return -1
+        return int(header["replicas"])
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return -1
+
+
+def _check_entry(label, data: bytes) -> tuple[dict, str]:
+    """An entry's header and replica-line body, structurally checked:
+    the header parses and speaks :data:`ENTRY_VERSION`, and the body
+    matches the recorded line count and digest.  Raises naming
+    ``label``."""
+    try:
+        head, _, body = data.decode("utf-8").partition("\n")
+        header = json.loads(head)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(
+            f"{label}: corrupt store entry (invalid JSON: {exc}); delete "
+            "it (or run `repro-checkpoint store gc`) and re-run to "
+            "repopulate it"
+        ) from exc
+    if not isinstance(header, dict) \
+            or header.get("format") != _ENTRY_FORMAT:
+        raise ParameterError(
+            f"{label}: not a {_ENTRY_FORMAT} record; the store "
+            "directory holds foreign files"
+        )
+    version = header.get("version")
+    if version != ENTRY_VERSION:
+        raise ParameterError(f"{label}: {_RETIRED}" if version == 1 else (
+            f"{label}: unsupported store-entry version {version!r} (this "
+            f"library speaks version {ENTRY_VERSION})"))
+    if _digest(body) != header.get("payload_sha256") \
+            or body.count("\n") != header.get("replicas"):
+        raise ParameterError(
+            f"{label}: entry payload does not match its recorded "
+            "digest; the entry is corrupt — delete it and re-run to "
+            "repopulate"
+        )
+    return header, body
+
+
+def _verify_entry(label, data: bytes, expected_key: dict | None):
+    """Every check a lookup makes, once per entry: :func:`_check_entry`,
+    the full stored key against ``expected_key`` (a collision or renamed
+    file is a hard error, not a wrong answer), and each replica line
+    decoding into a raw DES run that re-serialises to exactly that
+    line.  Returns ``(header, results, body)``."""
+    from .. import io as repro_io
+
+    header, body = _check_entry(label, data)
+    if expected_key is not None and header.get("key") != expected_key:
+        raise ParameterError(
+            f"{label}: stored key does not match the requested one "
+            "(hash collision or tampered entry); refusing to serve "
+            "a different simulation's result"
+        )
+    results = []
+    for line in body.split("\n")[:-1]:
+        result = repro_io.load_result(line)
+        if not isinstance(result, DesResult):
+            raise ParameterError(
+                f"{label}: store entries hold raw DES runs, found a "
+                f"{type(result).__name__}"
+            )
+        if repro_io.dump_result(result) != line:
+            raise ParameterError(
+                f"{label}: entry payload does not survive a "
+                "serialisation round-trip; the entry is corrupt — "
+                "delete it and re-run to repopulate"
+            )
+        results.append(result)
+    return header, tuple(results), body
 
 
 def _key_fields(key: dict) -> dict:
@@ -192,25 +290,34 @@ def _key_fields(key: dict) -> dict:
     }
 
 
-def _spec_hashes(spec) -> set[str]:
-    """Every replica hash a spec can touch (its pin/coverage footprint).
-
-    Uses the grid's full replica budget, not the adaptive stop points:
-    pinning a superset is always safe, and the footprint stays a pure
-    function of the spec (no simulation, no store access).
-    """
+def _footprint(spec) -> list[tuple]:
+    """``(plan, engine, cell key)`` of every grid cell of ``spec``, in
+    plan order: the entries a spec reads, pins and covers."""
     from ..sim.executor import plan_cells
-
     from ..sim.vectorized import plan_engine
 
     config = spec.config()
-    backend = getattr(spec.policy, "backend", "des")
-    hashes: set[str] = set()
+    cells = []
     for plan in plan_cells(config):
-        engine = plan_engine(backend, config, plan)
-        for key in cell_keys(config, plan, spec.grid.replicas, engine=engine):
-            hashes.add(key_hash(key))
-    return hashes
+        engine = plan_engine(spec.policy.backend, config, plan)
+        cells.append((plan, engine, cell_key(config, plan, engine=engine)))
+    return cells
+
+
+def _raise(error: Exception):
+    raise error
+
+
+def _replay(stored, controller) -> list | None:
+    """The prefix of ``stored`` at which ``controller``'s cursor stops,
+    or ``None`` when it never stops inside it."""
+    if stored is None:
+        return None
+    cursor = controller.cursor()
+    for count, result in enumerate(stored[:controller.max_replicas], 1):
+        if cursor.push(result.waste):
+            return list(stored[:count])
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +325,8 @@ def _spec_hashes(spec) -> set[str]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StoreEntry:
-    """One stored replica result, as the query layer sees it."""
+    """One stored cell entry (a replica prefix), as the query layer
+    sees it."""
 
     hash: str
     protocol: str
@@ -230,7 +338,10 @@ class StoreEntry:
     work_target: float
     size: int
     mtime: float
-    #: Where the bytes live: ``"loose"`` (one file) or ``"segment"``.
+    #: Replicas the entry holds (one for a retired per-replica entry).
+    replicas: int = 1
+    #: Where the bytes live: ``"loose"`` (one file), ``"segment"``, or
+    #: ``"retired"`` (a version-1 per-replica entry, never served).
     origin: str = "loose"
 
 
@@ -243,10 +354,12 @@ class StoreStat:
     protocols: dict[str, int]
     oldest_mtime: float | None
     newest_mtime: float | None
-    #: Layout breakdown: loose files vs segment-resident entries.
+    #: Layout breakdown: loose files vs segment-resident entries, plus
+    #: retired per-replica entries wherever they sit.
     loose_entries: int = 0
     segment_entries: int = 0
     segments: int = 0
+    retired_entries: int = 0
 
     def describe(self) -> str:
         per_protocol = ", ".join(
@@ -256,6 +369,8 @@ class StoreStat:
         if self.segments:
             layout += (f" + {self.segment_entries} in "
                        f"{self.segments} segment(s)")
+        if self.retired_entries:
+            layout += f", {self.retired_entries} retired"
         return (f"{self.entries} entries, {self.total_bytes} bytes "
                 f"({per_protocol}; {layout})")
 
@@ -333,9 +448,11 @@ class CompactReport:
     packed_entries: int
     packed_bytes: int
     #: Loose files removed because a segment already held their hash
-    #: (leftovers of a crashed compaction or a publish/compact race).
+    #: with at least as many replicas (leftovers of a crashed compaction
+    #: or a publish/compact race).
     deduplicated: int
-    #: Loose files left in place because they failed validation.
+    #: Loose files left in place because they failed validation
+    #: (retired per-replica entries included).
     corrupt: tuple[str, ...]
     #: Id of the segment written, or ``None`` when nothing was packed.
     segment_id: str | None
@@ -389,21 +506,24 @@ class ReadStats:
 # The store
 # ----------------------------------------------------------------------
 class CampaignStore:
-    """A content-addressed, concurrency-safe warehouse of replica results.
+    """A content-addressed, concurrency-safe warehouse of cell results.
 
-    One entry per (grid cell, replica) simulation, filed under the
-    SHA-256 of its :func:`replica_key`.  Publishing is write-then-rename
-    (the same atomic-publish pattern as the distributed queue's done
-    markers), so readers never observe a torn entry and concurrent
-    publishers of the same key converge on identical bytes.  Lookups
-    re-verify the entry against its stored bytes — the full key must
-    match (hash collisions and tampering are refused, never silently
-    served) and the decoded result must re-serialise to exactly the
-    payload on disk, which is the byte string a warm campaign will emit.
+    One entry per grid cell, filed under the SHA-256 of its
+    :func:`cell_key` and holding the cell's ordered replica prefix
+    ``[0, n)``.  Publishing is one write-then-rename per cell (the same
+    atomic-publish pattern as the distributed queue's done markers), so
+    readers never observe a torn entry; a longer prefix replaces a
+    shorter one and a shorter one never replaces a longer one (if a
+    shorter publish wins a race, the only cost is a recompute).
+    Lookups re-verify the entry against its stored bytes, once per cell
+    — the full key must match (hash collisions and tampering are
+    refused, never silently served), the replica lines must match their
+    digest, and each decoded replica must re-serialise to exactly its
+    stored line, which is the byte string a warm campaign will emit.
 
     Entries live loose (one file each, the write path) or packed into
-    segments (:meth:`compact`, the read-at-scale path); lookups probe
-    segments first, then the loose tree, then re-scan for segments a
+    segments (:meth:`compact`, the read-at-scale path); lookups serve
+    the longer of the two copies, then re-scan for segments a
     concurrent compaction may have just committed — so an entry is
     always found wherever a racing maintenance pass left it.
 
@@ -480,10 +600,9 @@ class CampaignStore:
         }
         self._m_preload = registry.register(Counter(
             "repro_store_preload_entries_total",
-            help="Entries admitted to the hot-cell cache by preload."))
+            help="Cell entries admitted to the hot-cell cache by preload."))
         #: Lazily-loaded committed segments (id → Segment) and the
-        #: merged hash → segment-id probe map (first id wins, so every
-        #: process resolves duplicate hashes to the same copy).
+        #: merged hash → segment-id probe map (see _refresh_segments).
         self._segments: dict[str, Segment] | None = None
         self._segment_map: dict[str, str] = {}
         manifest = self.root / "store.json"
@@ -544,52 +663,70 @@ class CampaignStore:
 
     # -- segment state -------------------------------------------------
     def _refresh_segments(self) -> None:
-        """(Re-)scan the segments directory for committed segments."""
-        segments: dict[str, Segment] = {}
-        for segment in load_segments(self._segments_dir()):
-            segments[segment.id] = segment
+        """(Re-)scan the segments directory for committed segments.
+
+        The probe map sends each hash to its longest live copy (the
+        lowest id among equals, so every process resolves duplicates to
+        the same copy); retired segments load but are never probed.
+        """
+        segments = {s.id: s for s in load_segments(self._segments_dir())}
         merged: dict[str, str] = {}
         for sid in sorted(segments):
-            for hash_ in segments[sid].entries:
-                merged.setdefault(hash_, sid)
+            if segments[sid].retired:
+                continue
+            for hash_, row in segments[sid].entries.items():
+                best = merged.get(hash_)
+                if best is None or row.replicas \
+                        > segments[best].entries[hash_].replicas:
+                    merged[hash_] = sid
         self._segments = segments
         self._segment_map = merged
 
-    def _segment_probe(self, hash_: str) -> tuple[bytes, str] | None:
-        """This entry's exact bytes from a segment, or ``None``.
-
-        Uses the cached index view; a segment rewritten underneath us
-        (gc) reads as a miss here and the caller's re-scan finds the
-        successor.
-        """
+    def _segment_row(self, hash_: str) -> tuple[Segment, SegmentEntry] | None:
         if self._segments is None:
             self._refresh_segments()
         sid = self._segment_map.get(hash_)
         if sid is None:
             return None
-        segment = self._segments[sid]
-        row = segment.entries[hash_]
-        try:
-            data = segment.read(row)
-        except OSError:
-            return None  # concurrently rewritten
-        if len(data) != row.length:
-            return None  # torn view of a vanishing segment
-        return data, f"{segment.data_path}@{row.offset}"
+        return self._segments[sid], self._segments[sid].entries[hash_]
 
-    def _read_loose(self, hash_: str) -> tuple[str, pathlib.Path] | None:
-        """The loose entry text and its path, if any."""
+    def _read_longest(self, hash_: str):
+        """``(bytes, label, origin)`` of the longer stored copy of an
+        entry, or ``None``.
+
+        Uses the cached index view; a segment rewritten underneath us
+        (gc) reads as a miss here and the caller's re-scan finds the
+        successor.
+        """
         path = self._entry_path(hash_)
         try:
-            return path.read_text(), path
+            loose = path.read_bytes()
         except FileNotFoundError:
-            return None
+            loose = None
+        found = self._segment_row(hash_)
+        if found is not None:
+            segment, row = found
+            if loose is None or _header_replicas(loose) <= row.replicas:
+                try:
+                    data = segment.read(row)
+                except OSError:
+                    data = b""  # concurrently rewritten
+                if len(data) == row.length:
+                    return data, f"{segment.data_path}@{row.offset}", \
+                        "segment"
+        return None if loose is None else (loose, str(path), "loose")
 
-    def _contains(self, hash_: str) -> bool:
-        if self._segments is None:
-            self._refresh_segments()
-        return (hash_ in self._segment_map
-                or self._entry_path(hash_).exists())
+    def _stored_replicas(self, hash_: str) -> int:
+        """Length of the longest stored copy of an entry (0 when absent),
+        from its index row and loose header line — no payload is read."""
+        found = self._segment_row(hash_)
+        stored = 0 if found is None else found[1].replicas
+        try:
+            with self._entry_path(hash_).open("rb") as fh:
+                stored = max(stored, _header_replicas(fh.readline()))
+        except OSError:
+            pass
+        return stored
 
     def _touch(self, hash_: str) -> None:
         """Refresh the loose LRU clock (no-op for segment entries)."""
@@ -599,8 +736,9 @@ class CampaignStore:
             pass  # segment-resident or concurrently evicted
 
     # -- publish / lookup ----------------------------------------------
-    def publish(self, key: dict, result: DesResult) -> bool:
-        """Store one replica result; returns False if already present.
+    def publish(self, key: dict, results) -> bool:
+        """Store one cell's replica prefix; False when a copy at least as
+        long is already present.
 
         Always writes a *loose* entry — one atomic write-temp-then-
         rename, the property that makes any number of concurrent
@@ -608,33 +746,20 @@ class CampaignStore:
         segments later.  A crashed publisher leaves only a temp file
         that the next :meth:`gc` sweeps up.
         """
-        from .. import io as repro_io
-
         tracer = current_tracer()
         if tracer is not None:
             with tracer.span("store.publish", "store"):
-                return self._publish(key, result, repro_io)
-        return self._publish(key, result, repro_io)
+                return self._publish(key, results)
+        return self._publish(key, results)
 
-    def _publish(self, key: dict, result: DesResult, repro_io) -> bool:
+    def _publish(self, key: dict, results) -> bool:
         hash_ = key_hash(key)
-        if self._contains(hash_):
+        if self._stored_replicas(hash_) >= len(results):
             self._m_publish["duplicate"].inc()
             return False
-        payload = repro_io.to_envelope(result)
-        entry = {
-            "format": _ENTRY_FORMAT,
-            "version": STORE_VERSION,
-            "key": key,
-            "payload": payload,
-            # The payload's own digest: the address hashes the *key*, so
-            # without this a well-formed but altered payload would be
-            # undetectable (the simulation bytes are not in the address).
-            "payload_sha256": _payload_digest(payload),
-        }
         path = self._entry_path(hash_)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, json.dumps(entry, sort_keys=True) + "\n")
+        _atomic_write(path, _entry_text(key, results))
         self._m_publish["stored"].inc()
         return True
 
@@ -657,23 +782,20 @@ class CampaignStore:
                 peak_concurrent=int(self._m_peak.value),
             )
 
-    def lookup(self, key: dict) -> DesResult | None:
-        """The stored result of ``key``, or ``None`` on a miss.
+    def lookup(self, key: dict, *, cached: bool = True) -> tuple | None:
+        """The stored replica prefix of ``key``, or ``None`` on a miss.
 
-        A hit is integrity-checked before it is served: the entry's full
-        stored key must equal the requested one (a hash collision or a
-        renamed file is a hard error, not a wrong answer), and the
-        decoded result must re-serialise to exactly the payload bytes on
-        disk — the bytes a warm campaign re-emits.  Corruption raises a
-        :class:`~repro.errors.ParameterError` naming the entry; a store
+        A hit is integrity-checked before it is served (see
+        :func:`_verify_entry`); corruption raises a
+        :class:`~repro.errors.ParameterError` naming the entry — a store
         must never silently substitute wrong results for a simulation.
 
-        Read path: the in-process hot-cell cache (digest-level re-check)
-        first, then segments (index probe + ``pread``), then the loose
-        tree, then one segment re-scan — the re-scan is what makes a
-        concurrent compaction invisible: an entry whose loose file was
-        just packed away is found in the segment the compaction
-        committed first.
+        Read path: the in-process hot-cell cache (digest-level re-check;
+        skipped with ``cached=False``) first, then the longer of the
+        segment and loose copies, then one segment re-scan — the
+        re-scan is what makes a concurrent compaction invisible: an
+        entry whose loose file was just packed away is found in the
+        segment the compaction committed first.
 
         Safe to call from many threads at once against one instance
         (the campaign service does); :meth:`read_stats` reports how
@@ -689,83 +811,65 @@ class CampaignStore:
         tracer = current_tracer()
         try:
             if tracer is None:
-                result = self._lookup(key)
+                results = self._lookup(key, cached)
             else:
                 with tracer.span("store.lookup", "store") as span:
-                    result = self._lookup(key)
+                    results = self._lookup(key, cached)
                     span.args["result"] = \
-                        "hit" if result is not None else "miss"
-            outcome = "hit" if result is not None else "miss"
+                        "hit" if results is not None else "miss"
+            outcome = "hit" if results is not None else "miss"
             self._m_results[outcome].inc()
             self._m_lookup_seconds[outcome].observe(
                 time.perf_counter() - started)
-            return result
+            return results
         finally:
             with self._read_lock:
                 self._m_active.dec()
 
-    def _lookup(self, key: dict) -> DesResult | None:
+    def _lookup(self, key: dict, cached: bool) -> tuple | None:
         token = None
         if self._cache is not None:
             # Probed by cheap surrogate, resolved by full-key equality:
             # the content address (canonical JSON + SHA-256, ~8us) is
             # only computed when the disk must be touched anyway.
             token = cache_key(key)
-            cached = self._cache.get(self._cache_root, token)
-            if cached is not None and cached.key == key:
-                if cached.verify(self._cached_verification):
-                    if cached.origin == "loose":
-                        self._touch(cached.hash)  # LRU clock for gc
-                    return cached.result
+            hit = self._cache.get(self._cache_root, token) \
+                if cached else None
+            if hit is not None and hit.key == key:
+                if hit.verify(self._cached_verification):
+                    if hit.origin == "loose":
+                        self._touch(hit.hash)  # LRU clock for gc
+                    return hit.results
                 # In-memory corruption: drop it and re-read from disk.
                 self._cache.invalidate(self._cache_root, token)
 
         hash_ = key_hash(key)
-        found = self._segment_probe(hash_)
-        if found is not None:
-            text, label = found
-            loose_path = None
-        else:
-            loose = self._read_loose(hash_)
-            if loose is None:
-                # A concurrent compaction may have just moved the loose
-                # file into a segment we have not scanned yet.
-                self._refresh_segments()
-                found = self._segment_probe(hash_)
-                if found is None:
-                    return None
-                text, label = found
-                loose_path = None
-            else:
-                text, loose_path = loose
-                label = str(loose_path)
-        try:
-            entry = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParameterError(
-                f"{label}: corrupt store entry (invalid JSON: {exc}); "
-                "delete the file (or run `repro-checkpoint store gc`) "
-                "and re-run to repopulate it"
-            ) from exc
-        verify_started = time.perf_counter()
-        result = self._decode_entry(label, entry, expected_key=key)
-        self._m_verify_seconds.observe(
-            time.perf_counter() - verify_started)
+        found = self._read_longest(hash_)
+        if found is None:
+            # A concurrent compaction may have just moved the loose
+            # file into a segment we have not scanned yet.
+            self._refresh_segments()
+            found = self._read_longest(hash_)
+            if found is None:
+                return None
+        results = self._admit(key, token, hash_, *found)
+        if found[2] == "loose":
+            self._touch(hash_)  # LRU clock for gc
+        return results
+
+    def _admit(self, key, token, hash_, data, label, origin) -> tuple:
+        """Fully verify an entry read from disk, stage it in the hot-cell
+        cache, and return its replicas."""
+        started = time.perf_counter()
+        header, results, body = _verify_entry(label, data, key)
+        self._m_verify_seconds.observe(time.perf_counter() - started)
         if self._cache is not None:
             self._cache.put(self._cache_root, token, CachedEntry(
-                key=key,
-                result=result,
-                payload_text=json.dumps(entry["payload"], sort_keys=True),
-                payload_sha256=entry["payload_sha256"],
-                hash=hash_,
-                origin="loose" if loose_path is not None else "segment",
+                key=key, results=results, payload_text=body,
+                payload_sha256=header["payload_sha256"],
+                hash=hash_, origin=origin,
             ))
-        if loose_path is not None:
-            try:
-                os.utime(loose_path)  # LRU clock for gc
-            except OSError:
-                pass  # concurrently evicted: the result in hand is good
-        return result
+        return results
 
     def preload(self, keys) -> int:
         """Prime the hot-cell cache for ``keys`` with bulk segment reads.
@@ -773,20 +877,21 @@ class CampaignStore:
         The sequential-read fast path behind spec-footprint resolution
         (``store export``, ``report --from-spec``, the executor's
         pre-dispatch store consult): instead of one index probe plus one
-        ``pread`` per replica entry, the footprint's segment-resident
+        ``pread`` per cell entry, the footprint's segment-resident
         entries are grouped per segment, coalesced into contiguous
         spans, and streamed with a few sequential reads
         (:meth:`~repro.store.segments.Segment.read_many`) — a spec
         whose footprint resolves to few segments reads each of them
         once, front to back.  Every admitted entry passes the same full
-        verification a cold :meth:`lookup` performs; the per-key lookup
-        that follows is then a memory hit.
+        verification a cold :meth:`lookup` performs; the per-cell
+        lookup that follows is then a memory hit.
 
-        Purely an I/O-pattern optimisation, never a semantic one: loose
-        entries, absent keys and torn bulk reads (a concurrent gc
-        rewrite) are simply left for the per-entry lookup path, and with
-        the cache disabled there is nowhere to stage decoded entries, so
-        this is a no-op.  Returns the number of entries admitted.
+        Purely an I/O-pattern optimisation, never a semantic one: cells
+        with a loose copy (which may be the longer one), absent keys and
+        torn bulk reads (a concurrent gc rewrite) are simply left for
+        the per-cell lookup path, and with the cache disabled there is
+        nowhere to stage decoded entries, so this is a no-op.  Returns
+        the number of cell entries admitted.
         """
         if self._cache is None:
             return 0
@@ -799,17 +904,16 @@ class CampaignStore:
         return self._preload(keys)
 
     def _preload(self, keys) -> int:
-        if self._segments is None:
-            self._refresh_segments()
         wanted: dict[str, list[tuple[dict, tuple, str]]] = {}
         for key in keys:
             token = cache_key(key)
             if self._cache.peek(self._cache_root, token) is not None:
                 continue
             hash_ = key_hash(key)
-            sid = self._segment_map.get(hash_)
-            if sid is not None:
-                wanted.setdefault(sid, []).append((key, token, hash_))
+            found = self._segment_row(hash_)
+            if found is not None and not self._entry_path(hash_).exists():
+                wanted.setdefault(found[0].id, []).append(
+                    (key, token, hash_))
         loaded = 0
         for sid, items in wanted.items():
             segment = self._segments[sid]
@@ -820,86 +924,11 @@ class CampaignStore:
                 raw = data.get(hash_)
                 if raw is None:
                     continue  # torn read: lookup's re-scan recovers
-                label = (f"{segment.data_path}"
-                         f"@{segment.entries[hash_].offset}")
-                try:
-                    entry = json.loads(raw)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise ParameterError(
-                        f"{label}: corrupt store entry (invalid JSON: "
-                        f"{exc}); delete the segment pair (or run "
-                        "`repro-checkpoint store gc`) and re-run to "
-                        "repopulate it"
-                    ) from exc
-                verify_started = time.perf_counter()
-                result = self._decode_entry(label, entry, expected_key=key)
-                self._m_verify_seconds.observe(
-                    time.perf_counter() - verify_started)
-                self._cache.put(self._cache_root, token, CachedEntry(
-                    key=key,
-                    result=result,
-                    payload_text=json.dumps(
-                        entry["payload"], sort_keys=True
-                    ),
-                    payload_sha256=entry["payload_sha256"],
-                    hash=hash_,
-                    origin="segment",
-                ))
+                label = f"{segment.data_path}@{segment.entries[hash_].offset}"
+                self._admit(key, token, hash_, raw, label, "segment")
                 loaded += 1
         self._m_preload.inc(loaded)
         return loaded
-
-    @staticmethod
-    def _decode_entry(
-        path, entry: dict, *, expected_key: dict | None
-    ) -> DesResult:
-        from .. import io as repro_io
-
-        if not isinstance(entry, dict) \
-                or entry.get("format") != _ENTRY_FORMAT:
-            raise ParameterError(
-                f"{path}: not a {_ENTRY_FORMAT} record; the store "
-                "directory holds foreign files"
-            )
-        if entry.get("version") != STORE_VERSION:
-            raise ParameterError(
-                f"{path}: unsupported store-entry version "
-                f"{entry.get('version')!r} (this library speaks "
-                f"version {STORE_VERSION})"
-            )
-        stored_key = entry.get("key")
-        if expected_key is not None and stored_key != expected_key:
-            raise ParameterError(
-                f"{path}: stored key does not match the requested one "
-                "(hash collision or tampered entry); refusing to serve "
-                "a different simulation's result"
-            )
-        result = repro_io.from_envelope(entry.get("payload"))
-        if not isinstance(result, DesResult):
-            raise ParameterError(
-                f"{path}: store entries hold raw DES runs, found a "
-                f"{type(result).__name__}"
-            )
-        # Re-verification against the stored frame bytes: the payload
-        # must match its recorded digest (the address only hashes the
-        # key, so tampering inside the payload needs its own witness)
-        # and the object we hand out must re-serialise to exactly what
-        # is on disk, because that is the byte string a warm campaign
-        # emits in place of a simulation.
-        if _payload_digest(entry["payload"]) != entry.get("payload_sha256"):
-            raise ParameterError(
-                f"{path}: entry payload does not match its recorded "
-                "digest; the entry is corrupt — delete it and re-run to "
-                "repopulate"
-            )
-        if json.dumps(entry["payload"], sort_keys=True) \
-                != repro_io.dump_result(result):
-            raise ParameterError(
-                f"{path}: entry payload does not survive a serialisation "
-                "round-trip; the entry is corrupt — delete it and re-run "
-                "to repopulate"
-            )
-        return result
 
     # -- cell-level API (what the executor drives) ---------------------
     def load_cell(
@@ -907,39 +936,32 @@ class CampaignStore:
     ):
         """A complete cell from the store, or ``None``.
 
-        Replica entries are pulled in seed order and pushed through the
+        One lookup per cell: the stored prefix is pushed through the
         ``controller``'s incremental cursor — the *same* cursor live
         execution and resume scans drive — so a hit returns exactly the
         replica prefix a fresh run would have produced, whatever
-        controller stored the entries.  A store populated by a
+        controller stored the entry.  A store populated by a
         fixed-count campaign therefore serves an adaptive campaign's
-        shorter prefix for free, while a store holding fewer replicas
-        than this controller needs is a miss (the cell re-runs in full).
+        shorter prefix for free, while a stored prefix shorter than this
+        controller needs is a miss (the cell re-runs in full).
         """
-        cursor = controller.cursor()
-        results: list[DesResult] = []
-        for replica in range(controller.max_replicas):
-            result = self.lookup(
-                replica_key(config, plan, replica, engine=engine)
-            )
-            if result is None:
-                return None
-            results.append(result)
-            if cursor.push(result.waste):
-                return results
-        return None  # controller never stopped inside the budget
+        key = cell_key(config, plan, engine=engine)
+        stored = self.lookup(key)
+        hit = _replay(stored, controller)
+        if hit is None and stored is not None and self._cache is not None \
+                and len(stored) < controller.max_replicas:
+            # A longer prefix may have landed since the cache admitted
+            # this one (another process, or a fill in this one).
+            hit = _replay(self.lookup(key, cached=False), controller)
+        return hit
 
     def publish_cell(
         self, config: CampaignConfig, plan, results, *, engine: str = "des"
     ) -> int:
-        """Publish every replica of one finished cell; returns how many
-        entries were new."""
-        published = 0
-        for replica, result in enumerate(results):
-            published += self.publish(
-                replica_key(config, plan, replica, engine=engine), result
-            )
-        return published
+        """Publish one finished cell as one entry; 1 if it was stored,
+        0 if a copy at least as long already was."""
+        return int(self.publish(cell_key(config, plan, engine=engine),
+                                tuple(results)))
 
     # -- index / query layer -------------------------------------------
     def _object_files(self) -> Iterator[tuple[str, pathlib.Path]]:
@@ -959,52 +981,77 @@ class CampaignStore:
                 if _HASH_RE.match(entry):
                     yield entry[:-5], shard_dir / entry
 
-    def entries(self) -> Iterator[StoreEntry]:
-        """Every stored entry, as queryable metadata, streamed.
+    def _listing(self) -> Iterator[tuple]:
+        """Every entry once, as the copy a lookup serves: ``(entry,
+        label, read)``, ``read()`` returning the stored bytes.
 
-        Segment-resident entries come straight from the in-memory index
-        rows — **no data file is read at all** — which is what keeps
-        ``ls``/``stat``/``query`` latency flat as the store grows.
-        Loose entries are self-describing (the key travels inside the
-        file), so the loose index can never drift from the contents and
-        needs no cross-process coordination; a loose file whose hash a
-        segment already holds (a compaction-race leftover) is reported
-        once, as its segment copy.
+        Loose files come first, and only their header line is read: a
+        loose copy no longer than its segment copy is skipped as a
+        duplicate, a longer one hides the segment row.  Index rows
+        follow, straight from memory.  An unreadable loose file yields
+        ``entry=None`` with a ``read`` that raises its error.
         """
         self._refresh_segments()
+        shadowed: set[str] = set()
+        for hash_, path in self._object_files():
+            try:
+                stat = path.stat()
+                with path.open("rb") as fh:
+                    header = json.loads(fh.readline())
+                live = header.get("version") == ENTRY_VERSION
+                replicas = int(header["replicas"]) if live else 1
+                fields = _key_fields(header["key"])
+            except (OSError, ValueError, TypeError, KeyError,
+                    AttributeError) as exc:
+                error = ParameterError(
+                    f"{path}: unreadable store entry ({exc})")
+                yield None, str(path), functools.partial(_raise, error)
+                continue
+            found = self._segment_row(hash_)
+            if live and found is not None:
+                if replicas <= found[1].replicas:
+                    continue  # a duplicate: listed as its segment copy
+                shadowed.add(hash_)
+            yield StoreEntry(
+                hash=hash_, size=stat.st_size, mtime=stat.st_mtime,
+                replicas=replicas, origin="loose" if live else "retired",
+                **fields,
+            ), str(path), path.read_bytes
         for sid in sorted(self._segments):
             segment = self._segments[sid]
             for hash_ in sorted(segment.entries):
-                if self._segment_map[hash_] != sid:
-                    continue  # duplicate across segments: first id wins
+                if not segment.retired and (
+                        self._segment_map[hash_] != sid
+                        or hash_ in shadowed):
+                    continue  # another copy is the one served
                 row = segment.entries[hash_]
                 yield StoreEntry(
                     hash=hash_, protocol=row.protocol, M=row.M,
                     phi=row.phi, n=row.n, seed=row.seed,
                     trace_seed=row.trace_seed,
                     work_target=row.work_target, size=row.length,
-                    mtime=row.mtime, origin="segment",
-                )
-        for hash_, path in self._object_files():
-            if hash_ in self._segment_map:
-                continue
-            try:
-                stat = path.stat()
-                entry = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ParameterError(
-                    f"{path}: unreadable store entry ({exc})"
-                ) from exc
-            key = entry.get("key") if isinstance(entry, dict) else None
-            if not isinstance(key, dict):
-                raise ParameterError(
-                    f"{path}: store entry carries no key; the store "
-                    "directory holds foreign files"
-                )
-            yield StoreEntry(
-                hash=hash_, size=stat.st_size, mtime=stat.st_mtime,
-                origin="loose", **_key_fields(key),
-            )
+                    mtime=row.mtime, replicas=row.replicas,
+                    origin="retired" if segment.retired else "segment",
+                ), f"{segment.data_path}@{row.offset}", \
+                    functools.partial(segment.read, row)
+
+    def entries(self) -> Iterator[StoreEntry]:
+        """Every stored entry, as queryable metadata, streamed.
+
+        Segment-resident entries come straight from the in-memory index
+        rows — **no data file is read at all** — which is what keeps
+        ``ls``/``stat``/``query`` latency flat as the store grows.
+        Loose entries are self-describing (the key travels in the
+        file's header line, the only line read), so the loose index can
+        never drift from the contents and needs no cross-process
+        coordination.  An entry with copies in both layouts is reported
+        once, as the copy a lookup serves (the longer one).  Retired
+        per-replica entries are listed with ``origin="retired"``.
+        """
+        for entry, _, read in self._listing():
+            if entry is None:
+                read()  # raises the unreadable file's error
+            yield entry
 
     def query(
         self,
@@ -1033,118 +1080,45 @@ class CampaignStore:
         stream by, and segment-resident entries are counted from their
         index rows without touching the data files.
         """
-        entries = 0
-        total = 0
-        loose = 0
-        in_segments = 0
+        return self._fold(self.entries())
+
+    def _fold(self, entries: Iterable[StoreEntry]) -> StoreStat:
+        count = total = 0
+        origins = {"loose": 0, "segment": 0, "retired": 0}
         protocols: dict[str, int] = {}
         oldest: float | None = None
         newest: float | None = None
-        for entry in self.entries():
-            entries += 1
+        for entry in entries:
+            count += 1
             total += entry.size
-            if entry.origin == "segment":
-                in_segments += 1
-            else:
-                loose += 1
+            origins[entry.origin] += 1
             protocols[entry.protocol] = protocols.get(entry.protocol, 0) + 1
             oldest = entry.mtime if oldest is None else min(oldest, entry.mtime)
             newest = entry.mtime if newest is None else max(newest, entry.mtime)
         return StoreStat(
-            entries=entries, total_bytes=total, protocols=protocols,
+            entries=count, total_bytes=total, protocols=protocols,
             oldest_mtime=oldest, newest_mtime=newest,
-            loose_entries=loose, segment_entries=in_segments,
+            loose_entries=origins["loose"],
+            segment_entries=origins["segment"],
             segments=len(self._segments or {}),
+            retired_entries=origins["retired"],
         )
 
     def verify(self) -> VerifyReport:
         """Re-verify every entry against its stored bytes, streamed.
 
-        Checks, per entry: the address (file name, or index row hash)
-        matches the SHA-256 of the stored key (content addressing), the
-        payload decodes into a raw DES run, and the decoded run
-        re-serialises to the exact payload bytes on disk.  Segment
-        entries additionally check that the index row's queryable
-        fields agree with the stored key.  Collects problems instead of
-        stopping at the first, so one corrupt entry does not hide the
-        rest; nothing is materialised beyond the running aggregates.
+        Checks each entry as the copy a lookup serves: its address (file
+        name, or index row hash) matches the SHA-256 of the stored key
+        (content addressing), every check a lookup makes passes
+        (:func:`_verify_entry`), and an index row's queryable fields and
+        replica count agree with the stored entry.  Retired per-replica
+        entries and the flat layout are reported by path: they are never
+        served.  Collects problems instead of stopping at the first, so
+        one corrupt entry does not hide the rest; nothing is
+        materialised beyond the running aggregates.
         """
-        checked = 0
         errors: list[str] = []
-        entries = 0
-        total = 0
-        loose = 0
-        in_segments = 0
-        protocols: dict[str, int] = {}
-        oldest: float | None = None
-        newest: float | None = None
-
-        def _tally(protocol, size: int, mtime: float, *, segment: bool):
-            nonlocal entries, total, loose, in_segments, oldest, newest
-            entries += 1
-            total += size
-            if segment:
-                in_segments += 1
-            else:
-                loose += 1
-            protocols[protocol] = protocols.get(protocol, 0) + 1
-            oldest = mtime if oldest is None else min(oldest, mtime)
-            newest = mtime if newest is None else max(newest, mtime)
-
-        self._refresh_segments()
-        for sid in sorted(self._segments):
-            segment = self._segments[sid]
-            for hash_ in sorted(segment.entries):
-                if self._segment_map[hash_] != sid:
-                    continue
-                row = segment.entries[hash_]
-                label = f"{segment.data_path}@{row.offset}"
-                checked += 1
-                try:
-                    raw = segment.read(row)
-                    if len(raw) != row.length:
-                        raise ParameterError(
-                            "segment data is shorter than the index row"
-                        )
-                    entry = json.loads(raw)
-                    if not isinstance(entry, dict):
-                        raise ParameterError("entry is not an object")
-                    if key_hash(entry.get("key", {})) != hash_:
-                        raise ParameterError(
-                            "index hash does not match the stored key's "
-                            "hash"
-                        )
-                    self._decode_entry(label, entry, expected_key=None)
-                    fields = _key_fields(entry["key"])
-                    if fields["protocol"] != row.protocol \
-                            or fields["seed"] != row.seed:
-                        raise ParameterError(
-                            "index row disagrees with the stored key"
-                        )
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                        ParameterError) as exc:
-                    errors.append(f"{label}: {exc}")
-                    continue
-                _tally(row.protocol, row.length, row.mtime, segment=True)
-        for hash_, path in self._object_files():
-            if hash_ in self._segment_map:
-                continue  # verified above, as its segment copy
-            checked += 1
-            try:
-                stat = path.stat()
-                entry = json.loads(path.read_text())
-                if not isinstance(entry, dict):
-                    raise ParameterError("entry is not an object")
-                if key_hash(entry.get("key", {})) != hash_:
-                    raise ParameterError(
-                        "file name does not match the stored key's hash"
-                    )
-                self._decode_entry(path, entry, expected_key=None)
-            except (OSError, json.JSONDecodeError, ParameterError) as exc:
-                errors.append(f"{path}: {exc}")
-                continue
-            _tally(entry["key"].get("protocol"), stat.st_size,
-                   stat.st_mtime, segment=False)
+        stat = self._fold(self._verified(errors))
         # A root-level <hash>.json is the retired flat layout: lookups
         # never serve it, so a clean report must not hide it.
         objects = self._objects()
@@ -1154,21 +1128,47 @@ class CampaignStore:
             names = []
         for name in names:
             if _HASH_RE.match(name):
-                checked += 1
                 errors.append(
                     f"{objects / name}: entry in the retired flat layout "
                     f"is never served; move it into {objects / name[:2]}/ "
                     "or delete it"
                 )
-        return VerifyReport(
-            checked=checked, errors=tuple(errors),
-            stat=StoreStat(
-                entries=entries, total_bytes=total, protocols=protocols,
-                oldest_mtime=oldest, newest_mtime=newest,
-                loose_entries=loose, segment_entries=in_segments,
-                segments=len(self._segments or {}),
-            ),
-        )
+        return VerifyReport(checked=stat.entries + len(errors),
+                            errors=tuple(errors), stat=stat)
+
+    def _verified(self, errors: list[str]) -> Iterator[StoreEntry]:
+        """The entries that verify clean; the others' problems go to
+        ``errors``."""
+        for entry, label, read in self._listing():
+            try:
+                if entry is None:
+                    read()  # raises the unreadable file's error
+                if entry.origin == "retired":
+                    raise ParameterError(f"{label}: {_RETIRED}")
+                raw = read()
+                if entry.origin == "segment" and len(raw) != entry.size:
+                    raise ParameterError(
+                        f"{label}: segment data is shorter than the index "
+                        "row"
+                    )
+                header, _, _ = _verify_entry(label, raw, None)
+                if key_hash(header["key"]) != entry.hash:
+                    raise ParameterError(
+                        f"{label}: address does not match the stored "
+                        "key's hash"
+                    )
+                fields = _key_fields(header["key"])
+                if header["replicas"] != entry.replicas or fields != {
+                        name: getattr(entry, name) for name in fields}:
+                    raise ParameterError(
+                        f"{label}: index row disagrees with the stored key"
+                    )
+            except OSError as exc:
+                errors.append(f"{label}: {exc}")
+            except ParameterError as exc:
+                errors.append(str(exc))
+            else:
+                yield entry
 
     # -- compaction ----------------------------------------------------
     def compact(self, *, dry_run: bool = False) -> CompactReport:
@@ -1182,32 +1182,27 @@ class CampaignStore:
           which a packed entry is findable nowhere;
         * **writers** — publish only ever creates loose files, which the
           *next* compaction folds in; a publish racing this pass at
-          worst re-creates a loose duplicate with identical bytes
-          (content-addressed keys make that harmless), removed as a
-          duplicate later;
+          worst re-creates a loose copy, which lookups weigh against
+          the segment copy by length and a later pass packs or removes;
         * **gc** — eviction unlinks loose files or rewrites other
           segments; a loose file that vanishes mid-pack is simply
           dropped from the batch.  (A file gc unlinks *after* this pass
           read it is resurrected inside the segment — rerun ``gc`` after
           ``compact`` to re-apply a byte budget exactly.)
 
-        Each loose file is validated (parse, format, address, payload
-        digest) before packing; corrupt files are left loose and
-        reported, never baked into a segment.
+        Copies in both layouts keep the longest: a loose entry no longer
+        than its segment copy is removed as a duplicate, a longer one is
+        packed and the shorter row rewritten out of its old segment.
+        Each packed file is validated (parse, format, version, address,
+        replica count, payload digest) first; corrupt and retired files
+        are left loose and reported, never baked into a segment.
         """
         self._refresh_segments()
-        listing: list[tuple[str, pathlib.Path]] = []
-        duplicates: list[pathlib.Path] = []
-        for hash_, path in self._object_files():
-            if hash_ in self._segment_map:
-                duplicates.append(path)
-            else:
-                listing.append((hash_, path))
-        loose_before = len(listing) + len(duplicates)
-        listing.sort()  # hash order: identical sets pack identically
-
+        listing = list(self._object_files())
         corrupt: list[str] = []
-        packed: list[tuple[str, pathlib.Path]] = []
+        duplicates: list[pathlib.Path] = []
+        packed: list[pathlib.Path] = []
+        superseded: dict[str, set[str]] = {}
         packed_bytes = 0
 
         def _records() -> Iterator[tuple[SegmentEntry, bytes]]:
@@ -1219,38 +1214,27 @@ class CampaignStore:
                 except OSError:
                     continue  # concurrently evicted by gc: drop it
                 try:
-                    entry = json.loads(raw)
-                    if not isinstance(entry, dict) \
-                            or entry.get("format") != _ENTRY_FORMAT:
+                    header, _ = _check_entry(path, raw)
+                    if key_hash(header.get("key")) != hash_:
                         raise ParameterError(
-                            f"not a {_ENTRY_FORMAT} record"
+                            f"{path}: file name does not match the "
+                            "stored key's hash"
                         )
-                    if entry.get("version") != STORE_VERSION:
-                        raise ParameterError(
-                            "unsupported store-entry version "
-                            f"{entry.get('version')!r}"
-                        )
-                    if key_hash(entry.get("key", {})) != hash_:
-                        raise ParameterError(
-                            "file name does not match the stored key's "
-                            "hash"
-                        )
-                    if _payload_digest(entry["payload"]) \
-                            != entry.get("payload_sha256"):
-                        raise ParameterError(
-                            "entry payload does not match its recorded "
-                            "digest"
-                        )
-                except (json.JSONDecodeError, UnicodeDecodeError,
-                        ParameterError, KeyError) as exc:
-                    corrupt.append(f"{path}: {exc}")
+                except ParameterError as exc:
+                    corrupt.append(str(exc))
                     continue
-                fields = _key_fields(entry["key"])
-                packed.append((hash_, path))
+                found = self._segment_row(hash_)
+                if found is not None:
+                    if header["replicas"] <= found[1].replicas:
+                        duplicates.append(path)
+                        continue
+                    superseded.setdefault(found[0].id, set()).add(hash_)
+                packed.append(path)
                 packed_bytes += len(raw)
                 yield SegmentEntry(
                     hash=hash_, offset=0, length=len(raw),
-                    mtime=stat.st_mtime, **fields,
+                    mtime=stat.st_mtime, replicas=header["replicas"],
+                    **_key_fields(header["key"]),
                 ), raw
 
         if dry_run:
@@ -1260,20 +1244,18 @@ class CampaignStore:
         else:
             segment = write_segment(self._segments_dir(), _records())
             # The segment is committed: now (and only now) retire the
-            # packed loose files and any pre-existing duplicates.
-            for _, path in packed:
+            # packed loose files, the duplicates and the shorter rows
+            # the packed entries supersede.
+            for path in packed + duplicates:
                 try:
                     path.unlink()
                 except OSError:
                     pass
-            for path in duplicates:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            for sid, drops in superseded.items():
+                self._rewrite_segment(sid, drops)
             self._refresh_segments()
         return CompactReport(
-            loose_before=loose_before,
+            loose_before=len(listing),
             packed_entries=len(packed),
             packed_bytes=packed_bytes,
             deduplicated=len(duplicates),
@@ -1282,17 +1264,24 @@ class CampaignStore:
             segments_total=len(self._segments or {}),
             segment_entries_total=len(self._segment_map),
             loose_remaining=len(corrupt) if not dry_run
-            else loose_before - len(duplicates),
+            else len(listing) - len(duplicates),
             dry_run=dry_run,
         )
 
     # -- coverage / eviction -------------------------------------------
     def coverage(self, spec) -> tuple[int, int]:
-        """``(present, total)`` replica entries of a spec's footprint."""
+        """``(present, total)`` replicas of a spec's footprint.
+
+        Each cell counts its longest stored prefix, capped at the grid's
+        replica budget, read from index rows and loose header lines
+        alone — no payload is touched.
+        """
         self._refresh_segments()
-        hashes = _spec_hashes(spec)
-        present = sum(1 for h in hashes if self._contains(h))
-        return present, len(hashes)
+        budget = spec.grid.replicas
+        cells = _footprint(spec)
+        present = sum(min(self._stored_replicas(key_hash(key)), budget)
+                      for _, _, key in cells)
+        return present, budget * len(cells)
 
     def gc(
         self,
@@ -1339,15 +1328,15 @@ class CampaignStore:
         else:
             now = float(now)
 
-        pinned: set[str] = set()
-        for spec in pin_specs:
-            pinned |= _spec_hashes(spec)
-        for queue in pin_queues:
-            from ..sim.distributed import read_queue_manifest
-            from ..sim.spec import CampaignSpec
+        from ..sim.distributed import read_queue_manifest
+        from ..sim.spec import CampaignSpec
 
-            manifest = read_queue_manifest(queue)
-            pinned |= _spec_hashes(CampaignSpec.from_dict(manifest["campaign"]))
+        pins = list(pin_specs) + [
+            CampaignSpec.from_dict(read_queue_manifest(queue)["campaign"])
+            for queue in pin_queues
+        ]
+        pinned = {key_hash(key) for spec in pins
+                  for _, _, key in _footprint(spec)}
 
         # Sweep crashed writers' leftovers (never the entries) — but
         # only stale ones: a fresh temp may be a live writer's in-flight
@@ -1474,7 +1463,8 @@ class CampaignStore:
                     yield row, raw
 
         if keep:
-            write_segment(self._segments_dir(), _survivor_records())
+            write_segment(self._segments_dir(), _survivor_records(),
+                          version=segment.version)
         for path in (segment_index_path(self._segments_dir(), sid),
                      segment.data_path):
             try:
@@ -1550,7 +1540,7 @@ class CampaignStore:
         """
         from .. import io as repro_io
 
-        resolved = _resolve_spec(self, spec)
+        resolved = _load_cells(self, spec)
         out_path = pathlib.Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         frames = 0
@@ -1584,40 +1574,25 @@ def cells_from_store(store: CampaignStore, spec) -> list:
     """
     from ..sim.events import make_cell
 
-    return [
-        make_cell(plan, results)
-        for plan, results in _resolve_spec(store, spec)
-    ]
+    return [make_cell(plan, results)
+            for plan, results in _load_cells(store, spec)]
 
 
-def _resolve_spec(store: CampaignStore, spec) -> list[tuple]:
-    """Every grid cell of ``spec`` resolved from the store, in plan
-    order, as ``(plan, replica results)`` pairs.
-
-    The shared engine behind :meth:`CampaignStore.export` and
-    :func:`cells_from_store`: all-or-nothing — missing cells raise with
-    grid coordinates rather than returning a partial sweep.
-    """
-    from ..sim.executor import plan_cells
-
+def _load_cells(store: CampaignStore, spec) -> list[tuple]:
+    """Every grid cell of ``spec`` as ``(plan, replica results)``, in
+    plan order — all-or-nothing: missing cells raise with grid
+    coordinates rather than returning a partial sweep."""
     config = spec.config()
     controller = spec.controller()
-    plans = plan_cells(config)
+    cells = _footprint(spec)
     # Bulk-stage the footprint's segment-resident entries with
     # sequential per-segment reads; the per-cell loads below then hit
-    # the cache instead of issuing one pread per replica.  (The
-    # footprint over-approximates under adaptive control — the
-    # controller may stop before max_replicas — which only means a few
-    # absent hashes are skipped.)
-    store.preload(
-        replica_key(config, plan, replica)
-        for plan in plans
-        for replica in range(controller.max_replicas)
-    )
+    # the cache.
+    store.preload(key for _, _, key in cells)
     resolved: list[tuple] = []
     missing: list = []
-    for plan in plans:
-        results = store.load_cell(config, plan, controller)
+    for plan, engine, _ in cells:
+        results = store.load_cell(config, plan, controller, engine=engine)
         if results is None:
             missing.append(plan)
         else:
@@ -1629,7 +1604,7 @@ def _resolve_spec(store: CampaignStore, spec) -> list[tuple]:
         )
         raise ParameterError(
             f"{store.root}: store is missing {len(missing)} of "
-            f"{len(plans)} cells for this spec (first missing: {head}"
+            f"{len(cells)} cells for this spec (first missing: {head}"
             f"{', ...' if len(missing) > 3 else ''}); run the campaign "
             "with --store to populate them"
         )

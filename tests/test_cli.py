@@ -530,14 +530,15 @@ class TestStoreCommand:
         store = self._populate(capsys, tmp_path)
         assert main(["store", "ls", "--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "8/8 entries" in out and "double-nbl" in out
+        assert "4/4 entries" in out and "double-nbl" in out
+        assert "replicas" in out  # one row per cell entry
         assert main(["store", "ls", "--store", str(store),
                      "--protocol", "triple", "--M", "5min"]) == 0
-        assert "2/2 entries" in capsys.readouterr().out
+        assert "1/1 entries" in capsys.readouterr().out
         assert main(["store", "stat", "--store", str(store),
                      "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "8 entries" in out and "no corruption" in out
+        assert "4 entries" in out and "no corruption" in out
 
     def test_stat_verify_fails_on_corruption(self, capsys, tmp_path):
         store = self._populate(capsys, tmp_path)
@@ -552,15 +553,15 @@ class TestStoreCommand:
         store = self._populate(capsys, tmp_path)
         assert main(["store", "compact", "--store", str(store),
                      "--dry-run"]) == 0
-        assert "would pack 8 of 8 loose entries" in capsys.readouterr().out
+        assert "would pack 4 of 4 loose entries" in capsys.readouterr().out
         assert main(["store", "compact", "--store", str(store)]) == 0
-        assert "packed 8 of 8 loose entries" in capsys.readouterr().out
+        assert "packed 4 of 4 loose entries" in capsys.readouterr().out
 
         assert main(["store", "stat", "--store", str(store),
                      "--verify"]) == 0
         out = capsys.readouterr().out
         assert "no corruption" in out
-        assert "0 loose + 8 in 1 segment(s)" in out
+        assert "0 loose + 4 in 1 segment(s)" in out
 
         # The segment-resident store still serves a warm re-run in full.
         assert main(self.QUICK + ["--store", str(store), "--results",
@@ -576,7 +577,7 @@ class TestStoreCommand:
         assert "retention budget" in capsys.readouterr().err
         assert main(["store", "gc", "--store", str(store),
                      "--max-bytes", "0"]) == 0
-        assert "evicted 8 entries" in capsys.readouterr().out
+        assert "evicted 4 entries" in capsys.readouterr().out
 
     def test_export_and_report_from_spec(self, capsys, tmp_path):
         store = self._populate(capsys, tmp_path)

@@ -440,7 +440,7 @@ class TestThinViews:
         cache = HotCellCache(max_bytes=1 << 20, registry=registry)
         text = '{"payload": 1}'
         entry = CachedEntry(
-            key={"k": 1}, result=object(), payload_text=text,
+            key={"k": 1}, results=(object(),), payload_text=text,
             payload_sha256=__import__("hashlib")
             .sha256(text.encode()).hexdigest(),
         )
@@ -512,18 +512,12 @@ class TestServiceObservability:
             ):
                 assert family in samples, f"{family} missing"
             # The first scrape itself gets metered under its own route
-            # label — in the handler's finally, *after* the body is on
-            # the wire, so poll briefly rather than race it.
-            deadline = time.monotonic() + 5.0
-            while True:
-                with urllib.request.urlopen(svc.url("/metrics"),
-                                            timeout=10.0) as resp:
-                    second = resp.read().decode("utf-8")
-                parse_exposition(second)  # still fully parseable
-                if 'route="/metrics"' in second \
-                        or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
+            # label before its body is written, so the next scrape
+            # already shows it.
+            with urllib.request.urlopen(svc.url("/metrics"),
+                                        timeout=10.0) as resp:
+                second = resp.read().decode("utf-8")
+            parse_exposition(second)  # still fully parseable
         # The POST /reports was metered under its route label, and the
         # first scrape shows up in a later one.
         route_lines = [
@@ -532,6 +526,55 @@ class TestServiceObservability:
         ]
         assert any('route="/reports"' in line for line in route_lines)
         assert 'route="/metrics"' in second
+
+    def test_request_is_counted_before_its_reply_ends(self, tmp_path):
+        """A client holding a reply's status line finds its request in
+        the very next scrape, before it even reads the body: 200
+        back-to-back GET /reports + GET /metrics pairs, with no polling
+        and no retries.  Each route keeps its own persistent connection:
+        the server handles one connection's requests in order on one
+        thread, so only a second connection can scrape while the first
+        request's handler is still running."""
+        import http.client
+        from urllib.parse import quote, urlparse
+
+        series = re.compile(
+            r"^repro_http_request_seconds_count\{([^}]*)\} (\S+)$", re.M)
+
+        def reports_counted(text: str) -> float:
+            return sum(float(value) for labels, value in series.findall(text)
+                       if 'route="/reports"' in labels
+                       and 'method="GET"' in labels)
+
+        query = "/reports?spec=" + quote(json.dumps(tiny_spec().to_dict()))
+        with CampaignService(store=tmp_path / "store",
+                             data_dir=tmp_path / "data") as svc:
+            url = urlparse(svc.url("/"))
+            reports, metrics = (
+                http.client.HTTPConnection(url.hostname, url.port,
+                                           timeout=60.0)
+                for _ in range(2))
+
+            def get(conn, target: str) -> str:
+                conn.request("GET", target)
+                resp = conn.getresponse()
+                body = resp.read().decode("utf-8")
+                assert resp.status == 200, body
+                return body
+
+            try:
+                get(reports, query)  # the cold query fills the store once
+                before = reports_counted(get(metrics, "/metrics"))
+                for i in range(1, 201):
+                    reports.request("GET", query)
+                    reply = reports.getresponse()  # status and headers
+                    assert reports_counted(get(metrics, "/metrics")) \
+                        == before + i
+                    assert reply.status == 200, reply.read()
+                    reply.read()
+            finally:
+                reports.close()
+                metrics.close()
 
     def test_event_followers_wake_without_polling(self):
         handle = CampaignHandle("obs-test", None,

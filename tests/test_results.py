@@ -95,3 +95,31 @@ class TestSummary:
             MonteCarloSummary.from_samples([])
         with pytest.raises(ParameterError):
             MonteCarloSummary.from_samples([1.0], confidence=2.0)
+
+
+class TestExtremeSamples:
+    """Extreme but finite wastes must not overflow the summary."""
+
+    def test_extreme_finite_batch_gives_a_finite_std(self):
+        import warnings
+
+        from repro.sim.results import ci_half_width
+
+        samples = [1e200, -1e200, 3e199]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails
+            summary = MonteCarloSummary.from_samples(samples)
+            half = ci_half_width(samples)
+        expected = 1e200 * float(np.std([1.0, -1.0, 0.3], ddof=1))
+        assert np.isfinite(summary.std) and np.isfinite(half)
+        assert summary.std == pytest.approx(expected, rel=1e-12)
+        assert summary.mean == pytest.approx(1e199, rel=1e-12)
+
+    def test_ordinary_batches_keep_numpy_bits(self):
+        """The scaled fallback only runs when numpy overflows."""
+        rng = np.random.default_rng(7)
+        for values in (rng.random(40), rng.normal(0.3, 1e-9, 17),
+                       np.array([0.25, 0.75])):
+            summary = MonteCarloSummary.from_samples(values)
+            assert summary.mean == float(values.mean())
+            assert summary.std == float(values.std(ddof=1))

@@ -353,11 +353,14 @@ class TestCoalescedReports:
     def test_concurrent_cold_queries_simulate_each_cell_once(self, tmp_path):
         """Eight identical cold report queries against an empty store:
         exactly one fill campaign runs (4 cells total dispatched), and
-        every caller gets the full report."""
+        every caller gets the full report.  The leader's backend is held
+        until all seven followers have joined its flight, so a late
+        thread can never arrive after the fill and be served warm."""
         backends = []
+        all_joined = threading.Event()
 
         def factory(spec):
-            backend = CountingBackend()
+            backend = CountingBackend(gate=all_joined)
             backends.append(backend)
             return backend
 
@@ -366,6 +369,15 @@ class TestCoalescedReports:
             store=tmp_path / "store", data_dir=tmp_path / "svc",
             backend_factory=factory,
         ) as service:
+            joined = service.coalescer._joined
+            count_join = joined.inc
+
+            def inc(amount=1.0):
+                count_join(amount)
+                if joined.value >= 7:
+                    all_joined.set()
+
+            joined.inc = inc
             started = threading.Barrier(8)
             payloads = [None] * 8
 

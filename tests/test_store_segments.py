@@ -38,10 +38,10 @@ from repro.sim.spec import CampaignSpec, ExecutionPolicy
 from repro.store import (
     CampaignStore,
     HotCellCache,
+    cell_key,
     configure_cache,
     default_cache,
     key_hash,
-    replica_key,
 )
 from repro.store.cache import DEFAULT_CACHE_BYTES, CachedEntry, cache_key
 from repro.store.segments import load_segments
@@ -62,15 +62,12 @@ def make_spec(*, m_values=(300.0, 600.0), replicas=2, seed=2027,
 
 
 def all_keys(spec: CampaignSpec) -> list[dict]:
-    return [
-        replica_key(spec.grid, plan, replica)
-        for plan in plan_cells(spec.grid)
-        for replica in range(spec.grid.replicas)
-    ]
+    return [cell_key(spec.grid, plan) for plan in plan_cells(spec.grid)]
 
 
 def populate(tmp_path, *, seed=2027) -> tuple[CampaignSpec, pathlib.Path]:
-    """Run a small campaign into a fresh store; 8 entries."""
+    """Run a small campaign into a fresh store; 4 cell entries of 2
+    replicas each."""
     spec = make_spec(seed=seed)
     store_dir = tmp_path / "store"
     execute_spec(spec, results_path=tmp_path / f"cold-{seed}.jsonl",
@@ -83,10 +80,10 @@ def loose_files(store_dir: pathlib.Path) -> list[pathlib.Path]:
     return sorted(objects.glob("*/*.json"))
 
 
-def dump(result) -> str:
+def dump(results) -> list[str]:
     from repro import io as repro_io
 
-    return repro_io.dump_result(result)
+    return [repro_io.dump_result(r) for r in results]
 
 
 class TestCompaction:
@@ -96,15 +93,15 @@ class TestCompaction:
         before = {key_hash(k): dump(store.lookup(k)) for k in all_keys(spec)}
 
         report = store.compact()
-        assert report.packed_entries == 8
-        assert report.loose_before == 8
+        assert report.packed_entries == 4
+        assert report.loose_before == 4
         assert report.segment_id is not None
         assert report.segments_total == 1
-        assert report.segment_entries_total == 8
+        assert report.segment_entries_total == 4
         assert report.loose_remaining == 0
         assert not report.corrupt and not report.deduplicated
         assert loose_files(store_dir) == []
-        assert "packed 8 of 8 loose entries" in report.describe()
+        assert "packed 4 of 4 loose entries" in report.describe()
 
         # Every lookup now resolves through the segment, byte-for-byte.
         for key in all_keys(spec):
@@ -119,52 +116,52 @@ class TestCompaction:
         store = CampaignStore(store_dir, cache=None)
         loose_stat = store.stat()
         assert (loose_stat.loose_entries, loose_stat.segment_entries,
-                loose_stat.segments) == (8, 0, 0)
+                loose_stat.segments) == (4, 0, 0)
         loose_meta = {
             (e.hash, e.protocol, e.M, e.phi, e.n, e.seed, e.work_target,
-             e.size)
+             e.size, e.replicas)
             for e in store.entries()
         }
 
         store.compact()
         stat = store.stat()
-        assert stat.entries == 8
+        assert stat.entries == 4
         assert (stat.loose_entries, stat.segment_entries, stat.segments) \
-            == (0, 8, 1)
-        assert stat.describe().startswith("8 entries")
-        assert "8 in 1 segment(s)" in stat.describe()
+            == (0, 4, 1)
+        assert stat.describe().startswith("4 entries")
+        assert "4 in 1 segment(s)" in stat.describe()
         # The queryable metadata is identical, served from the index
         # alone; only the origin changed.
         entries = list(store.entries())
         assert all(e.origin == "segment" for e in entries)
         assert {
             (e.hash, e.protocol, e.M, e.phi, e.n, e.seed, e.work_target,
-             e.size)
+             e.size, e.replicas)
             for e in entries
         } == loose_meta
-        assert len(list(store.query(protocol="double-nbl"))) == 4
+        assert len(list(store.query(protocol="double-nbl"))) == 2
 
     def test_dry_run_changes_nothing(self, tmp_path):
         _, store_dir = populate(tmp_path)
         store = CampaignStore(store_dir, cache=None)
         report = store.compact(dry_run=True)
-        assert report.dry_run and report.packed_entries == 8
+        assert report.dry_run and report.packed_entries == 4
         assert report.segment_id is None
         assert "would pack" in report.describe()
-        assert len(loose_files(store_dir)) == 8
+        assert len(loose_files(store_dir)) == 4
         assert list(load_segments(store_dir / "segments")) == []
 
     def test_incremental_compaction_adds_segments(self, tmp_path):
         spec_a, store_dir = populate(tmp_path)
         store = CampaignStore(store_dir, cache=None)
         store.compact()
-        # A second campaign publishes 8 new loose entries.
+        # A second campaign publishes 4 new loose entries.
         spec_b, _ = populate(tmp_path, seed=999)
         report = store.compact()
-        assert report.packed_entries == 8
+        assert report.packed_entries == 4
         assert report.segments_total == 2
         stat = store.stat()
-        assert stat.entries == 16 and stat.segments == 2
+        assert stat.entries == 8 and stat.segments == 2
         for key in all_keys(spec_a) + all_keys(spec_b):
             assert store.lookup(key) is not None
         # Nothing loose left: a third pass is a no-op.
@@ -178,7 +175,7 @@ class TestCompaction:
         victim.write_text("garbage\n")
         store = CampaignStore(store_dir, cache=None)
         report = store.compact()
-        assert report.packed_entries == 7
+        assert report.packed_entries == 3
         assert len(report.corrupt) == 1 and str(victim) in report.corrupt[0]
         assert "corrupt left loose" in report.describe()
         assert victim.exists()  # quarantined in place, never packed
@@ -199,7 +196,7 @@ class TestCompaction:
         report = store.compact()
         assert report.deduplicated == 1 and report.packed_entries == 0
         assert not victim.exists()
-        assert store.stat().entries == 8
+        assert store.stat().entries == 4
 
 
 class TestByteIdentity:
@@ -314,7 +311,7 @@ class TestBulkReads:
         CampaignStore(store_dir, cache=None).compact()
         store = CampaignStore(store_dir, cache=HotCellCache())
         report = store.export(spec, tmp_path / "bulk.jsonl")
-        assert report.frames == len(all_keys(spec))
+        assert report.frames == len(all_keys(spec)) * spec.grid.replicas
         assert (tmp_path / "bulk.jsonl").read_bytes() \
             == (tmp_path / "loose.jsonl").read_bytes()
         stats = store.cache_stats()
@@ -328,9 +325,9 @@ class TestVerifySegments:
         store = CampaignStore(store_dir, cache=None)
         store.compact()
         report = store.verify()
-        assert report.ok and report.checked == 8
+        assert report.ok and report.checked == 4
         assert "no corruption" in report.describe()
-        assert report.stat.segment_entries == 8
+        assert report.stat.segment_entries == 4
 
     def test_flipped_segment_bytes_are_refused(self, tmp_path):
         spec, store_dir = populate(tmp_path)
@@ -377,10 +374,10 @@ class TestRetiredFlatLayout:
         store = CampaignStore(store_dir, cache=None)
         assert store.lookup(key) is None
         report = store.verify()
-        assert report.checked == 8 and len(report.errors) == 1
+        assert report.checked == 4 and len(report.errors) == 1
         assert report.errors[0].startswith(f"{flat}: ")
         assert "never served" in report.errors[0]
-        # A warm re-run recomputes the one cell that lost a replica,
+        # A warm re-run recomputes the one cell whose entry moved,
         # byte-identically, and republishes it in the sharded layout.
         warm = execute_spec(spec, results_path=tmp_path / "warm.jsonl",
                             store=store_dir)
@@ -407,8 +404,8 @@ class TestGcSegments:
         now = os.stat(next(iter(loose_files(tmp_path / "store")), None)
                       or (store_dir / "store.json")).st_mtime
         report = store.gc(max_age=3600.0, now=now)
-        assert report.evicted_entries == 8
-        assert store.stat().entries == 8
+        assert report.evicted_entries == 4
+        assert store.stat().entries == 4
         for key in all_keys(spec):
             assert store.lookup(key) is None
         for key in all_keys(spec_b):
@@ -426,7 +423,7 @@ class TestGcSegments:
         store.compact()
         report = store.gc(max_age=5.0, now=0.0)
         assert report.evicted_entries == 0
-        assert store.stat().entries == 8
+        assert store.stat().entries == 4
 
     def test_pinned_footprint_survives_segment_rewrite(self, tmp_path):
         """gc to a zero budget right after compaction: the pinned
@@ -437,8 +434,8 @@ class TestGcSegments:
         store = CampaignStore(store_dir, cache=None)
         store.compact()  # both campaigns land in one segment
         report = store.gc(max_bytes=0, pin_specs=[spec_a])
-        assert report.pinned_entries == 8
-        assert report.evicted_entries == 8
+        assert report.pinned_entries == 4
+        assert report.evicted_entries == 4
         for key in all_keys(spec_a):
             assert store.lookup(key) is not None
         for key in all_keys(spec_b):
@@ -478,7 +475,7 @@ class TestHotCellCache:
             import hashlib
 
             return CachedEntry(
-                key={"i": i}, result=None, payload_text=text,
+                key={"i": i}, results=(), payload_text=text,
                 payload_sha256=hashlib.sha256(
                     text.encode("utf-8")).hexdigest(),
             )
@@ -525,7 +522,7 @@ class TestHotCellCache:
         key = all_keys(spec)[0]
         truth = dump(store.lookup(key))
         cache.put(str(store_dir.resolve()), cache_key(key), CachedEntry(
-            key=key, result=None, payload_text="tampered",
+            key=key, results=(), payload_text="tampered",
             payload_sha256="0" * 64, hash=key_hash(key),
         ))
         # Digest re-check fails → invalidate → disk re-read, full check.
@@ -547,7 +544,7 @@ class TestHotCellCache:
         assert cache_key(other) == cache_key(key)
         occupant = cache.get(str(store_dir.resolve()), cache_key(key))
         cache.put(str(store_dir.resolve()), cache_key(other),
-                  CachedEntry(key=other, result=occupant.result,
+                  CachedEntry(key=other, results=occupant.results,
                               payload_text=occupant.payload_text,
                               payload_sha256=occupant.payload_sha256))
         # The poisoned surrogate does not satisfy `key` ...
@@ -600,11 +597,11 @@ _READER_WRITER = textwrap.dedent("""\
             if store.lookup(key) is None:
                 raise SystemExit(f"lost entry during compaction: {key}")
         store.publish({
-            "format": "repro-store-entry", "version": 1,
+            "format": "repro-store-entry", "version": 2,
             "protocol": "double-nbl", "phi": 1.0, "work_target": 900.0,
             "max_time": None, "params": {"M": 600.0, "n": 12},
             "distribution": None, "seed": 10_000 + i, "trace_seed": None,
-        }, synthetic)
+        }, (synthetic, synthetic))
     print("reader-writer-ok")
 """)
 
@@ -657,7 +654,7 @@ class TestConcurrentCompaction:
         for key in all_keys(spec):
             assert store.lookup(key) is not None
         stat = store.stat()
-        assert stat.entries == 8 + rounds  # originals + publishes
+        assert stat.entries == 4 + rounds  # originals + publishes
         assert store.verify().ok
         # A final pass leaves the store fully compacted and consistent.
         store.compact()

@@ -43,7 +43,7 @@ from repro.sim.vectorized import (
     plan_engine,
     run_cell_vectorized,
 )
-from repro.store import CampaignStore, key_hash, replica_key
+from repro.store import CampaignStore, cell_key, key_hash
 
 
 def make_grid(*, protocols=(DOUBLE_NBL,), m_values=(600.0,), phi_values=(0.5,),
@@ -279,8 +279,8 @@ class TestCommonRandomNumbers:
         cells = {(p.protocol, p.M, p.phi): p for p in plan_cells(full)}
         for plan in plan_cells(narrow):
             twin = cells[(plan.protocol, plan.M, plan.phi)]
-            assert replica_key(narrow, plan, 0, engine="vectorized") \
-                == replica_key(full, twin, 0, engine="vectorized")
+            assert cell_key(narrow, plan, engine="vectorized") \
+                == cell_key(full, twin, engine="vectorized")
             assert cell_bytes(run_cell_vectorized(
                 narrow, plan, FixedReplicas(4))) == cell_bytes(
                 run_cell_vectorized(full, twin, FixedReplicas(4)))
@@ -424,13 +424,13 @@ class TestStoreSeparation:
     def test_engine_key_field(self):
         config = make_grid()
         plan = plan_cells(config)[0]
-        des_key = replica_key(config, plan, 0)
-        vec_key = replica_key(config, plan, 0, engine="vectorized")
+        des_key = cell_key(config, plan)
+        vec_key = cell_key(config, plan, engine="vectorized")
         assert "engine" not in des_key  # existing warehouses stay valid
         assert vec_key["engine"] == "vectorized"
         assert key_hash(des_key) != key_hash(vec_key)
         with pytest.raises(ParameterError, match="unknown engine"):
-            replica_key(config, plan, 0, engine="warp-drive")
+            cell_key(config, plan, engine="warp-drive")
 
     def test_engines_never_share_entries(self, tmp_path):
         config = make_grid(replicas=2)
@@ -462,6 +462,11 @@ class TestStoreSeparation:
         assert warm.report.cells_cached == len(plan_cells(grid))
         assert warm.report.replicas_run == 0
         assert cold_path.read_bytes() == warm_path.read_bytes()
+        # Reports resolve the spec's own engine's entries.
+        from repro.store import cells_from_store
+
+        cells = cells_from_store(CampaignStore(tmp_path / "store"), spec)
+        assert [c.summary for c in cells] == [c.summary for c in cold.cells]
 
     @pytest.mark.parametrize("first,second", [
         ("des", "vectorized"), ("vectorized", "des"),
