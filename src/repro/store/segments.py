@@ -48,8 +48,9 @@ replaced, so exports and warm re-runs are byte-identical before and
 after compaction by construction.
 
 Version 1 segments (one row per replica) still load, so an old store
-opens and ``gc`` ages them, but :attr:`Segment.retired` keeps them out
-of every lookup.
+opens, but :attr:`Segment.retired` keeps them out of every lookup; they
+are never rewritten — ``gc`` evicts every retired row, so a version-1
+segment only ever goes away whole.
 """
 
 from __future__ import annotations
@@ -110,11 +111,10 @@ class SegmentEntry:
     #: row is one replica.
     replicas: int = 1
 
-    def to_row(self, version: int = SEGMENT_VERSION) -> list:
+    def to_row(self) -> list:
         return [self.hash, self.offset, self.length, self.mtime,
                 self.protocol, self.M, self.phi, self.n, self.seed,
-                self.trace_seed, self.work_target,
-                self.replicas][:_ROW_FIELDS[version]]
+                self.trace_seed, self.work_target, self.replicas]
 
     @classmethod
     def from_row(cls, row: list,
@@ -220,8 +220,6 @@ def segment_index_path(segments_dir: pathlib.Path, id_: str) -> pathlib.Path:
 def write_segment(
     segments_dir: pathlib.Path,
     records: Iterable[tuple[SegmentEntry, bytes]],
-    *,
-    version: int = SEGMENT_VERSION,
 ) -> Segment | None:
     """Pack ``records`` into a new committed segment; None when empty.
 
@@ -229,8 +227,7 @@ def write_segment(
     here) with the entry's exact bytes.  Rows are laid out sorted by
     hash, so identical entry sets always produce identical segments.
     The data file is renamed into place first, the index second: the
-    index rename is the commit point.  ``version`` is only ever lowered
-    to rewrite a retired segment in its own format.
+    index rename is the commit point.
     """
     from ..sim.distributed import _atomic_write
 
@@ -256,18 +253,15 @@ def write_segment(
     os.replace(tmp, data_path)
     index = {
         "format": SEGMENT_INDEX_FORMAT,
-        "version": version,
+        "version": SEGMENT_VERSION,
         "segment": data_path.name,
-        "entries": [
-            entries[h].to_row(version) for h in sorted(entries)
-        ],
+        "entries": [entries[h].to_row() for h in sorted(entries)],
     }
     _atomic_write(
         segment_index_path(segments_dir, id_),
         json.dumps(index, sort_keys=True) + "\n",
     )
-    return Segment(id=id_, data_path=data_path, entries=entries,
-                   version=version)
+    return Segment(id=id_, data_path=data_path, entries=entries)
 
 
 def _load_index(segments_dir: pathlib.Path, id_: str) -> Segment:

@@ -24,8 +24,9 @@ copy):
 Retired formats are never served: a ``<hash>.json`` directly under
 ``objects/`` (the flat layout) and the version-1 one-entry-per-replica
 entries, loose or in version-1 segments.  Lookups miss and recompute,
-:meth:`CampaignStore.verify` reports each one as an error by path, and
-``gc`` ages them out like any entry.
+:meth:`CampaignStore.verify` reports each one as an error by path.
+``gc`` evicts every version-1 segment whole and ages retired loose
+files out like any entry.
 
 Hot reads are additionally served by an in-process byte-bounded LRU
 (:mod:`repro.store.cache`): full verification on the first disk read,
@@ -302,10 +303,6 @@ def _footprint(spec) -> list[tuple]:
         engine = plan_engine(spec.policy.backend, config, plan)
         cells.append((plan, engine, cell_key(config, plan, engine=engine)))
     return cells
-
-
-def _raise(error: Exception):
-    raise error
 
 
 def _replay(stored, controller) -> list | None:
@@ -782,7 +779,7 @@ class CampaignStore:
                 peak_concurrent=int(self._m_peak.value),
             )
 
-    def lookup(self, key: dict, *, cached: bool = True) -> tuple | None:
+    def lookup(self, key: dict) -> tuple | None:
         """The stored replica prefix of ``key``, or ``None`` on a miss.
 
         A hit is integrity-checked before it is served (see
@@ -790,12 +787,11 @@ class CampaignStore:
         :class:`~repro.errors.ParameterError` naming the entry — a store
         must never silently substitute wrong results for a simulation.
 
-        Read path: the in-process hot-cell cache (digest-level re-check;
-        skipped with ``cached=False``) first, then the longer of the
-        segment and loose copies, then one segment re-scan — the
-        re-scan is what makes a concurrent compaction invisible: an
-        entry whose loose file was just packed away is found in the
-        segment the compaction committed first.
+        Read path: the in-process hot-cell cache (digest-level re-check)
+        first, then the longer of the segment and loose copies, then one
+        segment re-scan — the re-scan is what makes a concurrent
+        compaction invisible: an entry whose loose file was just packed
+        away is found in the segment the compaction committed first.
 
         Safe to call from many threads at once against one instance
         (the campaign service does); :meth:`read_stats` reports how
@@ -811,10 +807,10 @@ class CampaignStore:
         tracer = current_tracer()
         try:
             if tracer is None:
-                results = self._lookup(key, cached)
+                results = self._lookup(key)
             else:
                 with tracer.span("store.lookup", "store") as span:
-                    results = self._lookup(key, cached)
+                    results = self._lookup(key)
                     span.args["result"] = \
                         "hit" if results is not None else "miss"
             outcome = "hit" if results is not None else "miss"
@@ -826,15 +822,14 @@ class CampaignStore:
             with self._read_lock:
                 self._m_active.dec()
 
-    def _lookup(self, key: dict, cached: bool) -> tuple | None:
+    def _lookup(self, key: dict) -> tuple | None:
         token = None
         if self._cache is not None:
             # Probed by cheap surrogate, resolved by full-key equality:
             # the content address (canonical JSON + SHA-256, ~8us) is
             # only computed when the disk must be touched anyway.
             token = cache_key(key)
-            hit = self._cache.get(self._cache_root, token) \
-                if cached else None
+            hit = self._cache.get(self._cache_root, token)
             if hit is not None and hit.key == key:
                 if hit.verify(self._cached_verification):
                     if hit.origin == "loose":
@@ -946,13 +941,16 @@ class CampaignStore:
         controller needs is a miss (the cell re-runs in full).
         """
         key = cell_key(config, plan, engine=engine)
+        token = cache_key(key)
+        held = self._cache and self._cache.peek(self._cache_root, token)
         stored = self.lookup(key)
         hit = _replay(stored, controller)
-        if hit is None and stored is not None and self._cache is not None \
+        if hit is None and stored and held and held.key == key \
                 and len(stored) < controller.max_replicas:
-            # A longer prefix may have landed since the cache admitted
-            # this one (another process, or a fill in this one).
-            hit = _replay(self.lookup(key, cached=False), controller)
+            # The short prefix came from the cache: a longer one may
+            # have landed since (another process, or a fill in this one).
+            self._cache.invalidate(self._cache_root, token)
+            hit = _replay(self.lookup(key), controller)
         return hit
 
     def publish_cell(
@@ -989,7 +987,8 @@ class CampaignStore:
         loose copy no longer than its segment copy is skipped as a
         duplicate, a longer one hides the segment row.  Index rows
         follow, straight from memory.  An unreadable loose file yields
-        ``entry=None`` with a ``read`` that raises its error.
+        its :class:`~repro.errors.ParameterError` in place of the entry
+        (and ``read=None``).
         """
         self._refresh_segments()
         shadowed: set[str] = set()
@@ -1005,7 +1004,7 @@ class CampaignStore:
                     AttributeError) as exc:
                 error = ParameterError(
                     f"{path}: unreadable store entry ({exc})")
-                yield None, str(path), functools.partial(_raise, error)
+                yield error, str(path), None
                 continue
             found = self._segment_row(hash_)
             if live and found is not None:
@@ -1048,9 +1047,9 @@ class CampaignStore:
         once, as the copy a lookup serves (the longer one).  Retired
         per-replica entries are listed with ``origin="retired"``.
         """
-        for entry, _, read in self._listing():
-            if entry is None:
-                read()  # raises the unreadable file's error
+        for entry, _, _ in self._listing():
+            if isinstance(entry, ParameterError):
+                raise entry
             yield entry
 
     def query(
@@ -1141,8 +1140,8 @@ class CampaignStore:
         ``errors``."""
         for entry, label, read in self._listing():
             try:
-                if entry is None:
-                    read()  # raises the unreadable file's error
+                if isinstance(entry, ParameterError):
+                    raise entry
                 if entry.origin == "retired":
                     raise ParameterError(f"{label}: {_RETIRED}")
                 raw = read()
@@ -1304,7 +1303,9 @@ class CampaignStore:
         the *store filesystem's* clock, so cross-machine skew can never
         age a fresh entry past the budget.  Evicting from a segment
         atomically rewrites that segment without the evicted rows (or
-        removes it outright when empty).
+        removes it outright when empty).  Rows of a retired version-1
+        segment are evicted whatever the budget, so such a segment is
+        never rewritten, only removed.
 
         Entries in the footprint of a ``pin_specs`` spec or of the
         campaign recorded in a ``pin_queues`` queue-directory manifest
@@ -1355,7 +1356,8 @@ class CampaignStore:
         for sid, segment in (self._segments or {}).items():
             for hash_, row in segment.entries.items():
                 copies.setdefault(hash_, []).append(
-                    (row.mtime, row.length, "segment", sid)
+                    (row.mtime, row.length,
+                     "retired" if segment.retired else "segment", sid)
                 )
         for hash_, path in self._object_files():
             try:
@@ -1399,6 +1401,10 @@ class CampaignStore:
         for mtime, size, hash_, copy_list in sorted(
             listing, key=lambda item: item[:3]
         ):
+            # Never served: evicted whatever the budget (see docstring).
+            if any(kind == "retired" for _, _, kind, _ in copy_list):
+                _evict(size, hash_, copy_list)
+                continue
             if hash_ in pinned:
                 survivors.append((mtime, size, hash_, copy_list))
                 continue
@@ -1463,8 +1469,7 @@ class CampaignStore:
                     yield row, raw
 
         if keep:
-            write_segment(self._segments_dir(), _survivor_records(),
-                          version=segment.version)
+            write_segment(self._segments_dir(), _survivor_records())
         for path in (segment_index_path(self._segments_dir(), sid),
                      segment.data_path):
             try:

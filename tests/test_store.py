@@ -37,6 +37,7 @@ from repro.sim.executor import execute_spec, plan_cells
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 from repro.store import (
     CampaignStore,
+    HotCellCache,
     cell_key,
     cells_from_store,
     key_hash,
@@ -602,6 +603,33 @@ class TestCellEntries:
         assert (tmp_path / "warm.jsonl").read_bytes() \
             == (tmp_path / "two.jsonl").read_bytes()
 
+    def test_short_cached_prefix_rereads_the_disk_once(self, tmp_path):
+        """A cached prefix too short for the controller is re-read from
+        disk, where a longer one may have landed since (another
+        process); a short prefix just read from disk is a plain miss."""
+        from repro import io as repro_io
+        from repro.sim.adaptive import FixedReplicas
+        from repro.sim.backends import run_cell
+
+        config = make_spec(replicas=4).grid
+        plan = plan_cells(config)[0]
+        four = run_cell(config, plan, FixedReplicas(4))
+        other = CampaignStore(tmp_path / "store", cache=None)
+        other.publish_cell(config, plan, four[:2])
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+
+        def load(replicas):
+            hit = store.load_cell(config, plan, FixedReplicas(replicas))
+            return hit and [repro_io.dump_result(r) for r in hit]
+
+        assert load(4) is None
+        assert store.read_stats().lookups == 1
+        assert load(2) == [repro_io.dump_result(r) for r in four[:2]]
+        assert store.read_stats().lookups == 2  # served from the cache
+        other.publish_cell(config, plan, four)
+        assert load(4) == [repro_io.dump_result(r) for r in four]
+        assert store.read_stats().lookups == 4
+
     def test_compact_keeps_the_longest_copy(self, tmp_path):
         from repro.store.segments import load_segments
 
@@ -659,14 +687,13 @@ class TestCellEntries:
         from repro import io as repro_io
         from repro.sim.adaptive import FixedReplicas
         from repro.sim.backends import replica_seed, run_cell
-        from repro.store.segments import SegmentEntry, write_segment
 
         spec = make_spec()
         config = spec.grid
         execute_spec(spec, results_path=tmp_path / "ref.jsonl")
         store_dir = tmp_path / "store"
         CampaignStore(store_dir)
-        loose, rows = [], []
+        loose, rows, data = [], [], b""
         for plan in plan_cells(config):
             results = run_cell(config, plan, FixedReplicas(2))
             for replica, result in enumerate(results):
@@ -686,13 +713,17 @@ class TestCellEntries:
                     path.write_text(text)
                     os.utime(path, (1.0, 1.0))
                     loose.append(str(path))
-                else:
-                    rows.append((SegmentEntry(
-                        hash=hash_, offset=0, length=len(text), mtime=1.0,
-                        protocol=plan.protocol, M=plan.M, phi=plan.phi,
-                        n=12, seed=key["seed"], trace_seed=None,
-                        work_target=900.0), text.encode()))
-        write_segment(store_dir / "segments", rows, version=1)
+                else:  # a version-1 segment row: 11 fields, no replicas
+                    rows.append([hash_, len(data), len(text), 1.0,
+                                 plan.protocol, plan.M, plan.phi, 12,
+                                 key["seed"], None, 900.0])
+                    data += text.encode()
+        (store_dir / "segments").mkdir()
+        (store_dir / "segments" / "old.seg").write_bytes(data)
+        (store_dir / "segments" / "old.idx").write_text(json.dumps({
+            "format": "repro-store-segment-index", "version": 1,
+            "segment": "old.seg", "entries": rows,
+        }))
 
         store = CampaignStore(store_dir, cache=None)
         stat = store.stat()
@@ -712,12 +743,16 @@ class TestCellEntries:
         assert (tmp_path / "warm.jsonl").read_bytes() \
             == (tmp_path / "ref.jsonl").read_bytes()
 
+        # Any budget drops the version-1 segment whole, never rewriting
+        # it; the retired loose files age out like any entry.
+        gc = store.gc(max_bytes=10**12)
+        assert gc.evicted_entries == 6
+        assert list((store_dir / "segments").iterdir()) == []
         gc = store.gc(max_age=3600.0)
-        assert gc.evicted_entries == 8
+        assert gc.evicted_entries == 2
         stat = store.stat()
         assert (stat.entries, stat.retired_entries, stat.segments) \
             == (4, 0, 0)
-        assert list((store_dir / "segments").glob("*.idx")) == []
         assert store.verify().ok
 
     def test_racing_publishers_of_one_cell_never_tear(self, tmp_path):
