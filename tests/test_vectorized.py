@@ -18,6 +18,7 @@ What must hold (``repro/sim/vectorized.py`` module docstring):
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.sim.vectorized import (
     run_cell_vectorized,
 )
 from repro.store import CampaignStore, cell_key, key_hash
+from tests.conftest import ALL_PROTOCOLS
 
 
 def make_grid(*, protocols=(DOUBLE_NBL,), m_values=(600.0,), phi_values=(0.5,),
@@ -418,6 +420,36 @@ class TestSpecAndResume:
                 CampaignSpec(grid=grid, policy=ExecutionPolicy(backend="des")),
                 results_path=path, resume=True,
             )
+
+
+class TestVectorizedBytes:
+    """Vectorized output is deterministic, so its bytes are pinned: a
+    refactor of the engine or of the model it reads must not move them."""
+
+    #: sha256 of the grid below, recorded before the engine read its
+    #: model from the resolved per-cell model.
+    DIGEST = "1a9f572185a8154b3d24310004351646e1bf1ccdb014f83dd727f6b90e00a727"
+
+    def test_cell_output_is_pinned(self):
+        digest = hashlib.sha256()
+        statuses = set()
+        for law in (None, Weibull(1.0, 0.7)):
+            for share in (False, True):
+                # M=60 s kills and times out replicas; M=600 s completes.
+                grid = make_grid(protocols=tuple(ALL_PROTOCOLS),
+                                 m_values=(60.0, 600.0),
+                                 phi_values=(0.5,), replicas=4, n=12,
+                                 max_time=4000.0, share_traces=share,
+                                 distribution=law)
+                cache: dict = {}
+                for plan in plan_cells(grid):
+                    results = run_cell_vectorized(
+                        grid, plan, FixedReplicas(4), cache)
+                    statuses.update(r.status for r in results)
+                    for line in cell_bytes(results):
+                        digest.update(line.encode())
+        assert statuses == {"completed", "fatal", "timeout"}
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestStoreSeparation:
