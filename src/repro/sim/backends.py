@@ -13,14 +13,13 @@ store publisher, progress tracker) subscribes to:
 * :class:`ProcessPoolBackend` — chunks across worker processes, yielded
   in *completion* order so a slow cell never blocks downstream handling
   of finished ones (sinks that need grid order re-buffer themselves).
-* :class:`repro.sim.vectorized.VectorizedBackend` — in-process, whole
-  cells as numpy batches via the renewal closed forms instead of
-  per-event simulation (``engine="vectorized"``); shared failure traces
-  become common random-number streams per (M, replica).
-
-Every backend accepts an ``engine`` selector ("des" or "vectorized")
-naming the per-replica simulation; the *backend* decides where cells
-run, the *engine* decides how.
+Every backend accepts an ``engine`` — the policy's backend, ``"des"``
+or ``"vectorized"`` — and runs every cell of the campaign on it: the
+*backend* decides where cells run, the *engine* decides how.  The
+vectorized engine (:mod:`repro.sim.vectorized`) runs whole cells as
+numpy batches via the renewal closed forms instead of per-event
+simulation; shared failure traces become common random-number streams
+per (M, replica).
 
 The interface is deliberately narrow — ``execute(config, chunks,
 controller)`` yielding ``(chunk_index, per-cell results)`` — which is
@@ -165,24 +164,18 @@ def run_cell_for_engine(
     trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
 ) -> list[DesResult]:
-    """Run one cell on the requested simulation engine.
+    """Run one cell on ``engine``, the policy's backend.
 
-    ``engine="des"`` is :func:`run_cell` verbatim.  ``engine="vectorized"``
-    batches the cell's replicas through the renewal closed forms
-    (:mod:`repro.sim.vectorized`), shared-trace cells included: their
-    common streams live in ``trace_cache`` beside the DES traces, under
-    distinct keys.  Only a protocol without the renewal interface runs
-    on the DES (:func:`repro.sim.vectorized.cell_engine`, pure in the
-    config and plan, so every worker and the store agree on it).
+    ``engine="des"`` is :func:`run_cell`; ``engine="vectorized"`` batches
+    the cell's replicas through the renewal closed forms
+    (:func:`repro.sim.vectorized.run_cell_vectorized`), shared-trace
+    cells included: their common streams live in ``trace_cache`` beside
+    the DES traces, under distinct keys.
     """
-    if engine == "des":
-        return run_cell(config, plan, controller, trace_cache, heartbeat)
-    from .vectorized import cell_engine, run_cell_vectorized
+    from .vectorized import run_cell_vectorized
 
-    if cell_engine(config, plan) == "vectorized":
-        return run_cell_vectorized(
-            config, plan, controller, trace_cache, heartbeat)
-    return run_cell(config, plan, controller, trace_cache, heartbeat)
+    run = run_cell_vectorized if engine == "vectorized" else run_cell
+    return run(config, plan, controller, trace_cache, heartbeat)
 
 
 def _execute_chunk(
@@ -285,9 +278,7 @@ def make_backend(
     ``None``/``0`` = every core, in-process if that resolves to one).
 
     ``engine`` selects the per-replica simulation
-    (:data:`repro.sim.spec.CAMPAIGN_BACKENDS`); the in-process vectorized
-    combination returns the dedicated
-    :class:`~repro.sim.vectorized.VectorizedBackend`.
+    (:data:`repro.sim.spec.CAMPAIGN_BACKENDS`).
     """
     from .spec import CAMPAIGN_BACKENDS
 
@@ -299,9 +290,5 @@ def make_backend(
         raise ParameterError(f"workers must be >= 0, got {workers}")
     backend = ProcessPoolBackend(workers, engine)  # single resolution site
     if backend.workers == 1:
-        if engine == "vectorized":
-            from .vectorized import VectorizedBackend
-
-            return VectorizedBackend()
         return SerialBackend(engine)
     return backend

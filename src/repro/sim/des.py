@@ -111,10 +111,12 @@ def buddy_protocol(
     phi: float,
     period: float | None = None,
 ) -> BuddySimProtocol:
-    """The resolved simulation model of one (protocol, params, φ) cell.
+    """The resolved model of one (protocol, params, φ) cell.
 
-    ``period=None`` picks the model-optimal period.  Build it once and
-    pass it as :attr:`DesConfig.protocol` to every replica of the cell.
+    ``period=None`` picks the model-optimal period.  The one place any
+    engine resolves a cell: the DES takes it as :attr:`DesConfig.protocol`
+    for every replica, the vectorized engine and the renewal Monte Carlo
+    read its floats (:func:`repro.sim.renewal.failure_blocks`).
     """
     spec = get_protocol(protocol)
     if period is None:

@@ -97,7 +97,6 @@ from .backends import (
 )
 from .campaign import CampaignConfig
 from .results import DesResult
-from .vectorized import plan_engine
 
 __all__ = [
     "DistributedBackend",
@@ -441,10 +440,10 @@ class DistributedBackend(CampaignBackend):
         #: In-worker pool size (1 = run claimed cells in-process).
         self.workers = _resolve_workers(processes)
         self._store = store
-        #: Simulation engine ("des" or "vectorized") for claimed cells;
-        #: the per-cell engine is decided inside the chunk runner exactly
-        #: as in the single-machine backends, so a distributed campaign
-        #: produces the same bytes as a serial one with the same policy.
+        #: Simulation engine ("des" or "vectorized"), the policy's
+        #: backend, for every claimed cell — as in the single-machine
+        #: backends, so a distributed campaign produces the same bytes
+        #: as a serial one with the same policy.
         self.engine = engine
         #: Cells/replicas served from the store instead of simulated
         #: (the executor folds these into its report counters).
@@ -706,7 +705,7 @@ class DistributedBackend(CampaignBackend):
                 if self._store is not None:
                     hit = self._store.load_cell(
                         config, plan, controller,
-                        engine=plan_engine(self.engine, config, plan),
+                        engine=self.engine,
                     )
                 if hit is not None:
                     slots[(ci, pos)] = hit

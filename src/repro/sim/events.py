@@ -607,12 +607,9 @@ class StorePublisher(EventConsumer):
     """
 
     def __init__(self, store, config: CampaignConfig, engine: str):
-        from .vectorized import plan_engine
-
         self.store = store
         self.config = config
         self.engine = engine
-        self._plan_engine = plan_engine
         #: Cells this consumer published (observability/tests).
         self.published = 0
 
@@ -620,9 +617,7 @@ class StorePublisher(EventConsumer):
         if isinstance(event, CellFinished) and event.source == "backend":
             self.store.publish_cell(
                 self.config, event.plan, list(event.results),
-                engine=self._plan_engine(
-                    self.engine, self.config, event.plan
-                ),
+                engine=self.engine,
             )
             self.published += 1
 

@@ -208,7 +208,6 @@ from .events import (
 from .results import DesResult
 from .sinks import OrderedJsonlSink, ResultSink, make_sink
 from .spec import CampaignSpec
-from .vectorized import plan_engine
 
 __all__ = [
     "CellPlan",
@@ -563,15 +562,14 @@ class CampaignSession:
         if store is not None and not distributed:
             from ..store import cell_key
 
-            engines = [plan_engine(policy.backend, config, plan)
-                       for plan in todo]
             # Bulk-stage every cell entry first: segment-resident entries
             # stream in with a few sequential reads per segment, so the
             # per-cell loads below are cache hits.
-            store.preload(cell_key(config, plan, engine=engine)
-                          for plan, engine in zip(todo, engines))
-            for plan, engine in zip(todo, engines):
-                hit = store.load_cell(config, plan, controller, engine=engine)
+            store.preload(cell_key(config, plan, engine=policy.backend)
+                          for plan in todo)
+            for plan in todo:
+                hit = store.load_cell(config, plan, controller,
+                                      engine=policy.backend)
                 if hit is not None:
                     cached_results[plan.index] = hit
 

@@ -7,6 +7,10 @@ so their agreement (checked by the validation experiments) genuinely tests
 the formulas' derivations — phase structure, overlap slowdown, commit
 points, recovery stalls and risk windows are all resolved here from the
 spec, at scalar values of ``(φ, P)``.
+
+The same resolved cell model drives the vectorized campaign engine and
+the renewal Monte Carlo (:func:`repro.sim.renewal.failure_blocks`), so
+every engine reads one set of per-cell floats.
 """
 
 from __future__ import annotations
@@ -22,7 +26,16 @@ __all__ = ["BuddySimProtocol"]
 
 
 class BuddySimProtocol(SimProtocol):
-    """One (spec, params, φ, P) configuration ready for event simulation."""
+    """One (spec, params, φ, P) cell's model, resolved once and frozen.
+
+    Every per-cell constant of the paper's model is evaluated once, at
+    scalar ``(φ, P)``, into a read-only float: ``period``, ``phi`` (the
+    effective overhead), ``theta``, the phase ``lengths``, the recovery
+    ``stall``, the ``risk`` window, the re-execution terms ``re_bases``
+    and ``re_shift`` (:meth:`~repro.core.protocols.ProtocolSpec.re_terms`)
+    and ``work_per_period``.  Each equals the spec's own evaluation
+    bit for bit.
+    """
 
     def __init__(
         self,
@@ -32,39 +45,43 @@ class BuddySimProtocol(SimProtocol):
         period: float,
     ):
         spec = get_protocol(spec)
-        self.spec = spec
-        self.params = params
-        self.key = spec.key
-        self.group_size = spec.group_size
-        self.phi = float(np.asarray(spec.effective_phi(params, phi)))
-        self.period = float(period)
+        eff_phi = float(np.asarray(spec.effective_phi(params, phi)))
+        period = float(period)
         p_min = float(np.asarray(spec.min_period(params, phi)))
-        if self.period < p_min - 1e-9:
+        if period < p_min - 1e-9:
             raise ParameterError(
                 f"period {period} below minimum {p_min} for {spec.key}"
             )
-        self.theta = float(np.asarray(spec.theta(params, phi)))
-        lengths = spec.phase_lengths(params, phi, self.period)
-        self._lengths = tuple(float(np.asarray(x)) for x in lengths)
-        self._plan = tuple(
-            PhasePlan(kind.value, length, self._rate_for(kind))
-            for kind, length in zip(spec.phase_kinds(), self._lengths)
+        theta = float(np.asarray(spec.theta(params, phi)))
+        lengths = tuple(float(np.asarray(x))
+                        for x in spec.phase_lengths(params, phi, period))
+        bases, shift = spec.re_terms(params, eff_phi, period)
+        rates = {PhaseKind.LOCAL_CHECKPOINT: 0.0,
+                 PhaseKind.EXCHANGE: (theta - eff_phi) / theta}
+        vars(self).update(
+            spec=spec,
+            params=params,
+            key=spec.key,
+            group_size=spec.group_size,
+            phi=eff_phi,
+            period=period,
+            theta=theta,
+            lengths=lengths,
+            stall=float(np.asarray(spec.recovery_constant(params, eff_phi))),
+            risk=float(np.asarray(spec.risk_window(params, eff_phi))),
+            re_bases=tuple(float(np.asarray(b)) for b in bases),
+            re_shift=float(np.asarray(shift)),
+            work_per_period=float(np.asarray(
+                spec.work_per_period(params, phi, period))),
+            _commit_phase=spec.commit_phase(),
+            _plan=tuple(
+                PhasePlan(kind.value, length, rates.get(kind, 1.0))
+                for kind, length in zip(spec.phase_kinds(), lengths)
+            ),
         )
-        # The per-failure model, resolved once: every event then costs an
-        # attribute read (plus one add and one max for re-execution).
-        self._commit_phase = spec.commit_phase()
-        self._stall = float(np.asarray(spec.recovery_constant(params, self.phi)))
-        self._risk = float(np.asarray(spec.risk_window(params, self.phi)))
-        bases, shift = spec.re_terms(params, self.phi, self.period)
-        self._re_bases = tuple(float(np.asarray(b)) for b in bases)
-        self._re_shift = float(np.asarray(shift))
 
-    def _rate_for(self, kind: PhaseKind) -> float:
-        if kind is PhaseKind.LOCAL_CHECKPOINT:
-            return 0.0
-        if kind is PhaseKind.EXCHANGE:
-            return (self.theta - self.phi) / self.theta
-        return 1.0
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen")
 
     # ------------------------------------------------------------------
     def phase_plan(self) -> tuple[PhasePlan, ...]:
@@ -74,14 +91,14 @@ class BuddySimProtocol(SimProtocol):
         return self._commit_phase
 
     def recovery_stall(self) -> float:
-        return self._stall
+        return self.stall
 
     def risk_duration(self) -> float | None:
-        return self._risk
+        return self.risk
 
     def re_exec_time(self, phase: int, offset: float, lost_work: float) -> float:
         # Same evaluation order as ProtocolSpec.re_time, so bit-identical.
-        return max(self._re_bases[phase] + offset - self._re_shift, 0.0)
+        return max(self.re_bases[phase] + offset - self.re_shift, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.parameters import Parameters
-from ..core.period import optimal_period
-from ..core.protocols import ProtocolSpec, get_protocol
-from ..errors import InfeasibleModelError, ParameterError
+from ..core.protocols import ProtocolSpec
+from ..errors import ParameterError
+from .des import buddy_protocol
+from .protocols.buddy import BuddySimProtocol
 from .results import MonteCarloSummary
 from .rng import RngFactory
 
@@ -84,74 +85,56 @@ class RenewalResult:
 
 
 def failure_blocks(
-    spec: ProtocolSpec, params: Parameters, phi: float, period: float,
-    offsets: np.ndarray,
+    model: BuddySimProtocol, offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each failure's phase and the wall seconds it costs.
 
-    ``offsets`` are pattern offsets in ``[0, period)``.  Each is binned
-    into its phase (the last phase absorbs any rounding slack between
-    the summed phase lengths and the period), and its block is
-    ``recovery_stall + RE(phase, offset into the phase)``, every phase's
-    ``RE`` evaluated once over all its strikes.  Returns ``(phase_of,
-    blocks)``.  The one kernel behind :func:`run_renewal` and the
-    vectorized campaign engine (:mod:`repro.sim.vectorized`).
+    ``offsets`` are pattern offsets in ``[0, model.period)``.  Each is
+    binned into its phase (the last phase absorbs any rounding slack
+    between the summed phase lengths and the period), and its block is
+    ``stall + max(base + offset into the phase − shift, 0)`` over the
+    cell model's re-execution terms, every phase evaluated once over all
+    its strikes.  Returns ``(phase_of, blocks)``.  The one kernel behind
+    :func:`run_renewal` and the vectorized campaign engine
+    (:mod:`repro.sim.vectorized`).
     """
-    lengths = [float(np.asarray(x))
-               for x in spec.phase_lengths(params, phi, period)]
-    bounds = np.cumsum([0.0] + lengths)
-    stall = float(np.asarray(spec.recovery_constant(params, phi)))
+    bounds = np.cumsum((0.0,) + model.lengths)
     phase_of = np.clip(
         np.searchsorted(bounds, offsets, side="right") - 1,
-        0, len(lengths) - 1,
+        0, len(model.lengths) - 1,
     )
     blocks = np.empty_like(offsets)
-    for phase in range(len(lengths)):
+    for phase, base in enumerate(model.re_bases):
         hit = phase_of == phase
         if not np.any(hit):
             continue
         local = offsets[hit] - bounds[phase]
-        re = np.asarray(
-            spec.re_time(params, phi, period, phase, local), dtype=float
-        )
-        blocks[hit] = stall + re
+        blocks[hit] = model.stall + np.maximum(
+            base + local - model.re_shift, 0.0)
     return phase_of, blocks
 
 
 def run_renewal(config: RenewalConfig) -> RenewalResult:
     """One vectorised renewal replica."""
-    spec = get_protocol(config.protocol)
     params = config.params
-    phi = config.phi
-    period = config.period
-    if period is None:
-        period = optimal_period(spec, params, phi)
-        if not np.isfinite(period):
-            raise InfeasibleModelError(
-                f"{spec.key}: no feasible period at M={params.M:g}s"
-            )
-    period = float(period)
-    p_min = float(np.asarray(spec.min_period(params, phi)))
-    if period < p_min - 1e-9:
-        raise ParameterError(f"period {period} below minimum {p_min}")
-
-    work_per_period = float(np.asarray(spec.work_per_period(params, phi, period)))
+    model = buddy_protocol(config.protocol, params, config.phi, config.period)
+    period = model.period
 
     rng = RngFactory(config.seed).replica(0)
     horizon = config.n_periods * period
     n_fail = int(rng.poisson(horizon / params.M))
     offsets = np.sort(rng.uniform(0.0, horizon, size=n_fail)) % period
 
-    phase_of, blocks = failure_blocks(spec, params, phi, period, offsets)
+    phase_of, blocks = failure_blocks(model, offsets)
     phase_hits = np.bincount(phase_of, minlength=3)
 
     total_time = horizon + float(blocks.sum())
-    work_done = config.n_periods * work_per_period
+    work_done = config.n_periods * model.work_per_period
     waste = 1.0 - work_done / total_time
     return RenewalResult(
-        protocol=spec.key,
+        protocol=model.key,
         period=period,
-        phi=float(np.asarray(spec.effective_phi(params, phi))),
+        phi=model.phi,
         horizon=horizon,
         n_failures=n_fail,
         total_time=total_time,

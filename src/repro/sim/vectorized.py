@@ -11,7 +11,13 @@ sample all failure times, bin all pattern offsets into phases with one
 ``searchsorted``, evaluate each phase's ``RE`` formula once over all its
 strikes across all replicas, and reduce block sums per replica with one
 ``bincount``.  Cost becomes O(failures) array
-math instead of O(events) Python dispatch.
+math instead of O(events) Python dispatch.  The cell's model (period,
+phase lengths, stall, risk window, re-execution terms) is the DES's
+own, resolved once by :func:`repro.sim.des.buddy_protocol`.
+
+The engine is the campaign policy's backend: under
+``backend="vectorized"`` every cell runs here, shared-trace cells
+included.
 
 Identity / equivalence contract
 -------------------------------
@@ -72,20 +78,18 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.period import optimal_period
-from ..core.protocols import get_protocol
-from ..core.risk import risk_window, success_probability
-from ..errors import InfeasibleModelError, ParameterError
+from ..core.risk import success_probability
+from ..errors import ParameterError
 from .adaptive import ReplicaController
-from .backends import SerialBackend, replica_seed, trace_seed
+from .backends import _horizon, replica_seed, trace_seed
 from .campaign import CampaignConfig
+from .des import buddy_protocol
+from .protocols.buddy import BuddySimProtocol
 from .renewal import failure_blocks
 from .results import DesResult
 from .rng import RngFactory
 
 __all__ = [
-    "VectorizedBackend",
-    "cell_engine",
     "plan_engine",
     "run_cell_vectorized",
 ]
@@ -95,27 +99,9 @@ __all__ = [
 _MAX_SAMPLING_ROUNDS = 10_000
 
 
-def cell_engine(config: CampaignConfig, plan) -> str:
-    """Which engine actually simulates this cell under ``backend="vectorized"``.
-
-    Pure in ``(config, plan)`` — every worker, the executor and the
-    store key the same decision.  Only a protocol lacking the renewal
-    interface (phase lengths / RE times) needs the DES, though every
-    registered protocol provides it.
-    """
-    spec = get_protocol(plan.protocol)
-    needed = ("phase_lengths", "work_per_period", "recovery_constant",
-              "re_time", "effective_phi")
-    if not all(hasattr(spec, a) for a in needed):
-        return "des"
-    return "vectorized"
-
-
 def plan_engine(backend: str, config: CampaignConfig, plan) -> str:
-    """Resolve a policy-level backend selector to this cell's engine."""
-    if backend == "des":
-        return "des"
-    return cell_engine(config, plan)
+    """The engine of any cell under ``backend``: the backend itself."""
+    return backend
 
 
 def _sample_failure_times(
@@ -245,26 +231,13 @@ def run_cell_vectorized(
     one backend run (like :func:`~repro.sim.backends.run_cell`'s DES
     traces); it only saves work, never changes bytes.
     """
-    spec = get_protocol(plan.protocol)
     params = config.base_params.with_updates(M=plan.M)
-    phi = plan.phi
-
-    period = optimal_period(spec, params, phi)
-    if not np.isfinite(period):
-        # Same failure surface (type and guidance) as the DES path.
-        raise InfeasibleModelError(
-            f"{spec.key}: no feasible period at M={params.M:g}s; "
-            "pass an explicit period to simulate a saturated regime"
-        )
-    period = float(period)
-    eff_phi = float(np.asarray(spec.effective_phi(params, phi)))
-    work_per_period = float(np.asarray(spec.work_per_period(params, phi, period)))
-    risk_win = float(np.asarray(risk_window(spec, params, phi)))
-    horizon_wall = (config.max_time if config.max_time is not None
-                    else 200.0 * config.work_target)
+    model = buddy_protocol(plan.protocol, params, plan.phi)
+    period = model.period
+    horizon_wall = _horizon(config)
     # Productive time needed for the target work: the pattern delivers
     # work_per_period seconds of work every `period` seconds it runs.
-    productive = period * config.work_target / work_per_period
+    productive = period * config.work_target / model.work_per_period
 
     n_replicas = controller.max_replicas
     times_per_replica, u_fatal, u_when = _draws(
@@ -280,13 +253,13 @@ def run_cell_vectorized(
     # One batch over every failure of every replica: pattern offset →
     # phase bin → that phase's RE formula over all its strikes at once.
     offsets = all_times % period
-    _, blocks = failure_blocks(spec, params, phi, period, offsets)
+    _, blocks = failure_blocks(model, offsets)
     block_sum = np.bincount(rep_ids, weights=blocks, minlength=n_replicas)
     total_time = productive + block_sum
     # Fatality from the success-probability model (exact-exponential
     # variant: stays a probability in saturated regimes, agrees with the
     # paper's Eq. 11/16 to first order), over every replica at once.
-    p_succ = success_probability(spec, params, phi, total_time,
+    p_succ = success_probability(model.spec, params, plan.phi, total_time,
                                  method="exponential")
     is_fatal = u_fatal >= p_succ
     fatal_at = u_when * total_time
@@ -302,9 +275,9 @@ def run_cell_vectorized(
         # assumed spread uniformly over the run).
         dilation = t_total / productive if productive > 0 else 1.0
         meta = {
-            "protocol": spec.key,
+            "protocol": model.key,
             "period": period,
-            "phi": eff_phi,
+            "phi": model.phi,
             "seed": replica_seed(config, r),
             "n": params.n,
             "M": params.M,
@@ -316,31 +289,27 @@ def run_cell_vectorized(
             frac = t_fatal / t_total if t_total > 0 else 0.0
             result = _assemble(
                 status="fatal", makespan=t_fatal, config=config,
-                work_done=config.work_target * frac,
-                failures=seen, work_per_period=work_per_period,
-                period=period, offsets=offsets_per_replica[r],
-                frac=frac, risk_win=risk_win,
-                fatal_time=t_fatal, meta=meta,
+                model=model, work_done=config.work_target * frac,
+                failures=seen, offsets=offsets_per_replica[r],
+                frac=frac, fatal_time=t_fatal, meta=meta,
             )
         elif t_total > horizon_wall:
             frac = horizon_wall / t_total
             result = _assemble(
                 status="timeout", makespan=horizon_wall, config=config,
-                work_done=config.work_target * frac,
+                model=model, work_done=config.work_target * frac,
                 failures=int(np.count_nonzero(
                     times * dilation <= horizon_wall
                 )),
-                work_per_period=work_per_period, period=period,
                 offsets=offsets_per_replica[r], frac=frac,
-                risk_win=risk_win, fatal_time=float("nan"), meta=meta,
+                fatal_time=float("nan"), meta=meta,
             )
         else:
             result = _assemble(
                 status="completed", makespan=t_total, config=config,
-                work_done=config.work_target, failures=n_fail,
-                work_per_period=work_per_period, period=period,
-                offsets=offsets_per_replica[r], frac=1.0,
-                risk_win=risk_win, fatal_time=float("nan"), meta=meta,
+                model=model, work_done=config.work_target,
+                failures=n_fail, offsets=offsets_per_replica[r], frac=1.0,
+                fatal_time=float("nan"), meta=meta,
             )
         results.append(result)
         if heartbeat is not None:
@@ -352,9 +321,8 @@ def run_cell_vectorized(
 
 def _assemble(
     *, status: str, makespan: float, config: CampaignConfig,
-    work_done: float, failures: int, work_per_period: float, period: float,
-    offsets: np.ndarray, frac: float, risk_win: float, fatal_time: float,
-    meta: dict,
+    model: BuddySimProtocol, work_done: float, failures: int,
+    offsets: np.ndarray, frac: float, fatal_time: float, meta: dict,
 ) -> DesResult:
     """Fill a :class:`DesResult` with first-order renewal estimates.
 
@@ -365,8 +333,9 @@ def _assemble(
     window per strike.  Only ``status``/``makespan`` (hence ``waste``)
     are covered by the equivalence contract.
     """
-    work_lost = float((offsets / period).sum() * work_per_period * frac)
-    commits = int(work_done // work_per_period)
+    work_lost = float(
+        (offsets / model.period).sum() * model.work_per_period * frac)
+    commits = int(work_done // model.work_per_period)
     return DesResult(
         status=status,
         makespan=float(makespan),
@@ -376,22 +345,9 @@ def _assemble(
         rollbacks=int(failures),
         work_lost=work_lost,
         commits=commits,
-        risk_time=float(failures) * risk_win,
+        risk_time=float(failures) * model.risk,
         fatal_time=fatal_time,
         fatal_group=(),
         meta=meta,
     )
 
-
-class VectorizedBackend(SerialBackend):
-    """In-process backend running each cell as one numpy batch.
-
-    A :class:`~repro.sim.backends.SerialBackend` whose engine is
-    ``"vectorized"``: chunks execute in submission order and each cell
-    runs through :func:`run_cell_vectorized`.  The inherited trace cache
-    spans the campaign, so each shared (M, replica) stream is sampled
-    once.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(engine="vectorized")

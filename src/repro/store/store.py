@@ -139,11 +139,10 @@ def cell_key(config: CampaignConfig, plan, *, engine: str = "des") -> dict:
     produce) the bytes.  The engines are statistically equivalent but
     not byte-identical, so they must never serve each other's results:
     any engine other than ``"des"`` is spliced into the key.  The caller
-    resolves the per-cell engine
-    (:func:`repro.sim.vectorized.plan_engine`) before keying;
-    shared-trace cells of a vectorized campaign key as ``"vectorized"``
-    (common random-number streams, not DES traces), so a DES run of the
-    same spec never serves them, nor they it.
+    passes the policy's backend: shared-trace cells of a vectorized
+    campaign key as ``"vectorized"`` (common random-number streams, not
+    DES traces), so a DES run of the same spec never serves them, nor
+    they it.
     """
     if engine not in _ENGINES:
         raise ParameterError(
@@ -292,17 +291,13 @@ def _key_fields(key: dict) -> dict:
 
 
 def _footprint(spec) -> list[tuple]:
-    """``(plan, engine, cell key)`` of every grid cell of ``spec``, in
-    plan order: the entries a spec reads, pins and covers."""
+    """``(plan, cell key)`` of every grid cell of ``spec``, in plan
+    order: the entries a spec reads, pins and covers."""
     from ..sim.executor import plan_cells
-    from ..sim.vectorized import plan_engine
 
     config = spec.config()
-    cells = []
-    for plan in plan_cells(config):
-        engine = plan_engine(spec.policy.backend, config, plan)
-        cells.append((plan, engine, cell_key(config, plan, engine=engine)))
-    return cells
+    return [(plan, cell_key(config, plan, engine=spec.policy.backend))
+            for plan in plan_cells(config)]
 
 
 def _replay(stored, controller) -> list | None:
@@ -1279,7 +1274,7 @@ class CampaignStore:
         budget = spec.grid.replicas
         cells = _footprint(spec)
         present = sum(min(self._stored_replicas(key_hash(key)), budget)
-                      for _, _, key in cells)
+                      for _, key in cells)
         return present, budget * len(cells)
 
     def gc(
@@ -1337,7 +1332,7 @@ class CampaignStore:
             for queue in pin_queues
         ]
         pinned = {key_hash(key) for spec in pins
-                  for _, _, key in _footprint(spec)}
+                  for _, key in _footprint(spec)}
 
         # Sweep crashed writers' leftovers (never the entries) — but
         # only stale ones: a fresh temp may be a live writer's in-flight
@@ -1593,11 +1588,12 @@ def _load_cells(store: CampaignStore, spec) -> list[tuple]:
     # Bulk-stage the footprint's segment-resident entries with
     # sequential per-segment reads; the per-cell loads below then hit
     # the cache.
-    store.preload(key for _, _, key in cells)
+    store.preload(key for _, key in cells)
     resolved: list[tuple] = []
     missing: list = []
-    for plan, engine, _ in cells:
-        results = store.load_cell(config, plan, controller, engine=engine)
+    for plan, _ in cells:
+        results = store.load_cell(config, plan, controller,
+                                  engine=spec.policy.backend)
         if results is None:
             missing.append(plan)
         else:

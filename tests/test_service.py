@@ -19,10 +19,12 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pathlib
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -487,6 +489,30 @@ class TestServiceSmoke:
                 assert excinfo.value.code == expect
                 detail = json.loads(excinfo.value.read())
                 assert "error" in detail
+
+    def test_keep_alive_gets_do_not_stall(self, tmp_path):
+        """Fifty small GETs in a row on one persistent connection.  The
+        handler writes headers and body separately; with Nagle's
+        algorithm on, the client's delayed ACK holds each body back for
+        at least 40 ms, so a median under 20 ms proves it is off."""
+        with CampaignService(
+            store=tmp_path / "store", data_dir=tmp_path / "svc",
+        ) as service:
+            url = urllib.parse.urlsplit(service.url("/healthz"))
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10.0)
+            seconds = []
+            try:
+                for _ in range(50):
+                    start = time.perf_counter()
+                    conn.request("GET", url.path)
+                    resp = conn.getresponse()
+                    resp.read()
+                    seconds.append(time.perf_counter() - start)
+                    assert resp.status == 200
+            finally:
+                conn.close()
+        assert statistics.median(seconds) < 0.020, seconds
 
     def test_cold_report_with_on_miss_fail_is_409(self, tmp_path):
         with CampaignService(

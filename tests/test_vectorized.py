@@ -38,12 +38,7 @@ from repro.sim.distributions import Gamma, LogNormal, Mixture, Weibull
 from repro.sim.executor import execute_spec, plan_cells
 from repro.sim.results import ci_half_width
 from repro.sim.spec import CAMPAIGN_BACKENDS, Campaign, CampaignSpec, ExecutionPolicy
-from repro.sim.vectorized import (
-    VectorizedBackend,
-    cell_engine,
-    plan_engine,
-    run_cell_vectorized,
-)
+from repro.sim.vectorized import plan_engine, run_cell_vectorized
 from repro.store import CampaignStore, cell_key, key_hash
 from tests.conftest import ALL_PROTOCOLS
 
@@ -71,7 +66,6 @@ class TestEngineSelection:
     def test_plain_cells_vectorize(self):
         config = make_grid()
         plan = plan_cells(config)[0]
-        assert cell_engine(config, plan) == "vectorized"
         assert plan_engine("vectorized", config, plan) == "vectorized"
         assert plan_engine("des", config, plan) == "des"
 
@@ -80,13 +74,15 @@ class TestEngineSelection:
         to leave the vectorized engine."""
         config = make_grid(share_traces=True)
         plan = plan_cells(config)[0]
-        assert cell_engine(config, plan) == "vectorized"
         assert plan_engine("vectorized", config, plan) == "vectorized"
         assert plan_engine("des", config, plan) == "des"
 
     def test_make_backend_dispatch(self):
-        assert isinstance(make_backend(1, "vectorized"), VectorizedBackend)
+        serial = make_backend(1, "vectorized")
+        assert type(serial) is SerialBackend
+        assert serial.engine == "vectorized"
         assert isinstance(make_backend(1, "des"), SerialBackend)
+        assert make_backend(1, "des").engine == "des"
         pooled = make_backend(2, "vectorized")
         assert isinstance(pooled, ProcessPoolBackend)
         assert pooled.engine == "vectorized"
