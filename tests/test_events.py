@@ -19,8 +19,11 @@ import pathlib
 
 import pytest
 
+from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.errors import ParameterError
 from repro.sim.adaptive import FixedReplicas
+from repro.sim.backends import CampaignBackend, SerialBackend
+from repro.sim.campaign import CampaignConfig
 from repro.sim.events import (
     CampaignFinished,
     CampaignProgress,
@@ -35,8 +38,9 @@ from repro.sim.events import (
     SinkWriter,
     StorePublisher,
 )
+from repro.sim.executor import CampaignSession, execute_spec
 from repro.sim.sinks import make_sink
-from repro.sim.spec import Campaign, CampaignSpec
+from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 #: Every frozen pre-refactor output: (name, sink kind, control kind).
@@ -382,3 +386,117 @@ class TestBusContract:
         with pytest.raises(ParameterError, match="does not replay"):
             replay.on_event(truncated)
         assert replay.validated == 0
+
+
+# ----------------------------------------------------------------------
+# Emission order, pinned cell for cell
+# ----------------------------------------------------------------------
+def half_warm_spec(m_values=(600.0, 1200.0), policy=None) -> CampaignSpec:
+    """Four cells (2 protocols × 2 M, no shared traces, so a cell's
+    store key does not depend on its grid position): warming the store
+    with ``m_values=(300.0, 600.0)`` covers cells 0 and 2 of the
+    default grid."""
+    return CampaignSpec(
+        grid=CampaignConfig(
+            protocols=(DOUBLE_NBL, TRIPLE),
+            base_params=scenarios.BASE.parameters(M=600.0, n=12),
+            m_values=m_values, phi_values=(1.0,), work_target=900.0,
+            replicas=2, seed=2027, share_traces=False,
+        ),
+        policy=policy or ExecutionPolicy(),
+    )
+
+
+class ReversedBackend(CampaignBackend):
+    """Completes chunks in reverse submission order."""
+
+    def execute(self, config, chunks, controller):
+        inner = SerialBackend()
+        yield from reversed(list(inner.execute(config, chunks, controller)))
+
+
+def cell_sequence(tmp_path, sink, backend, state):
+    """``[(plan.index, source)]`` of every ``CellFinished`` of one run.
+
+    ``state`` is the store/results-file situation the run starts from:
+    ``cold`` (no store), ``half-warm`` (store holds cells 0 and 2),
+    ``resume-warm`` (a store-backed cold run's file cut in half, resumed
+    over that now fully-warm store) and ``resume-half-warm`` (a storeless
+    run's file cut in half, resumed over the half-warm store).
+    """
+    policy = ExecutionPolicy(sink=sink)
+    if backend == "reversed":
+        policy = dataclasses.replace(policy, chunk_size=1)
+    spec = half_warm_spec(policy=policy)
+    store = tmp_path / "store"
+    out = tmp_path / "results.jsonl"
+
+    def session(**kwargs):
+        return CampaignSession(
+            spec, results_path=out,
+            backend=ReversedBackend() if backend == "reversed" else None,
+            **kwargs)
+
+    if state in ("half-warm", "resume-half-warm"):
+        execute_spec(half_warm_spec(m_values=(300.0, 600.0)), store=store)
+    if state.startswith("resume"):
+        session(store=store if state == "resume-warm" else None).run()
+        data = out.read_bytes()
+        out.write_bytes(data[:len(data) // 2])
+    recorder = Recorder()
+    session(
+        store=None if state == "cold" else store,
+        resume=state.startswith("resume"), consumers=[recorder],
+    ).run()
+    return [(e.plan.index, e.source) for e in recorder.events
+            if isinstance(e, CellFinished)]
+
+
+#: Recorded on the pre-refactor session (separate ordered/framed
+#: emission branches); any producer rewrite must reproduce it exactly.
+EMISSION_ORDER = {
+    ('framed', 'reversed', 'cold'):
+        [(3, 'backend'), (2, 'backend'), (1, 'backend'), (0, 'backend')],
+    ('framed', 'reversed', 'half-warm'):
+        [(0, 'store'), (2, 'store'), (3, 'backend'), (1, 'backend')],
+    ('framed', 'reversed', 'resume-half-warm'):
+        [(2, 'resume'), (3, 'resume'), (0, 'store'), (1, 'backend')],
+    ('framed', 'reversed', 'resume-warm'):
+        [(2, 'resume'), (3, 'resume'), (0, 'store'), (1, 'store')],
+    ('framed', 'serial', 'cold'):
+        [(0, 'backend'), (1, 'backend'), (2, 'backend'), (3, 'backend')],
+    ('framed', 'serial', 'half-warm'):
+        [(0, 'store'), (2, 'store'), (1, 'backend'), (3, 'backend')],
+    ('framed', 'serial', 'resume-half-warm'):
+        [(0, 'resume'), (2, 'store'), (1, 'backend'), (3, 'backend')],
+    ('framed', 'serial', 'resume-warm'):
+        [(0, 'resume'), (1, 'store'), (2, 'store'), (3, 'store')],
+    ('ordered', 'reversed', 'cold'):
+        [(0, 'backend'), (1, 'backend'), (2, 'backend'), (3, 'backend')],
+    ('ordered', 'reversed', 'half-warm'):
+        [(0, 'store'), (1, 'backend'), (2, 'store'), (3, 'backend')],
+    ('ordered', 'reversed', 'resume-half-warm'):
+        [(0, 'resume'), (1, 'backend'), (2, 'store'), (3, 'backend')],
+    ('ordered', 'reversed', 'resume-warm'):
+        [(0, 'resume'), (1, 'store'), (2, 'store'), (3, 'store')],
+    ('ordered', 'serial', 'cold'):
+        [(0, 'backend'), (1, 'backend'), (2, 'backend'), (3, 'backend')],
+    ('ordered', 'serial', 'half-warm'):
+        [(0, 'store'), (1, 'backend'), (2, 'store'), (3, 'backend')],
+    ('ordered', 'serial', 'resume-half-warm'):
+        [(0, 'resume'), (1, 'backend'), (2, 'store'), (3, 'backend')],
+    ('ordered', 'serial', 'resume-warm'):
+        [(0, 'resume'), (1, 'store'), (2, 'store'), (3, 'store')],
+}
+
+
+class TestEmissionOrder:
+    """Resume cells, store hits and backend cells arrive in a fixed
+    order: grid order under the ordered sink (completion-order chunks
+    buffered), store hits before completion-order backend cells under
+    the framed one."""
+
+    @pytest.mark.parametrize("sink, backend, state", sorted(EMISSION_ORDER))
+    def test_cell_sequence(self, sink, backend, state, tmp_path):
+        assert cell_sequence(tmp_path, sink, backend, state) \
+            == EMISSION_ORDER[sink, backend, state]
