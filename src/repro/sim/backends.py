@@ -12,7 +12,7 @@ store publisher, progress tracker) subscribes to:
   whole grid; reproduces the historical serial execution exactly.
 * :class:`ProcessPoolBackend` — chunks across worker processes, yielded
   in *completion* order so a slow cell never blocks downstream handling
-  of finished ones (sinks that need grid order re-buffer themselves).
+  of finished ones (the session re-sequences them for a grid-order sink).
 Every backend accepts an ``engine`` — the policy's backend, ``"des"``
 or ``"vectorized"`` — and runs every cell of the campaign on it: the
 *backend* decides where cells run, the *engine* decides how.  The
@@ -22,8 +22,8 @@ simulation; shared failure traces become common random-number streams
 per (M, replica).
 
 The interface is deliberately narrow — ``execute(config, chunks,
-controller)`` yielding ``(chunk_index, per-cell results)`` — which is
-what lets the multi-machine work-stealing backend
+controller)`` yielding ``(chunk_index, per-cell results, per-cell
+sources)`` — which is what lets the multi-machine work-stealing backend
 (:class:`repro.sim.distributed.DistributedBackend`) slot in without
 touching the executor, the sinks or any caller: every replica seed and
 shared failure trace is derived from the campaign seed and the cell's
@@ -195,12 +195,18 @@ def _execute_chunk(
 class CampaignBackend(ABC):
     """Executes planned chunks of grid cells and streams their results.
 
-    Implementations yield ``(chunk_index, results)`` pairs where
-    ``results[i]`` holds the replica results of ``chunks[chunk_index][i]``.
-    Pairs may arrive in **any order** — consumers that need grid order
-    (the ordered sink) buffer out-of-order chunks themselves.  Every chunk
-    must be yielded exactly once.
+    Implementations yield ``(chunk_index, results, sources)`` triples
+    where ``results[i]`` holds the replica results of
+    ``chunks[chunk_index][i]`` and ``sources[i]`` says where they came
+    from: ``"backend"`` (simulated) or ``"store"`` (served from a results
+    store, as a queue worker does inside its claimed chunks).  Triples
+    may arrive in **any order** — the session re-sequences them for a
+    sink that needs grid order.  Every chunk must be yielded exactly
+    once.
     """
+
+    #: Processes running cells (reported as ``ExecutionReport.workers``).
+    workers: int = 1
 
     @abstractmethod
     def execute(
@@ -208,7 +214,7 @@ class CampaignBackend(ABC):
         config: CampaignConfig,
         chunks: Sequence[list],
         controller: ReplicaController,
-    ) -> Iterator[tuple[int, list[list[DesResult]]]]:
+    ) -> Iterator[tuple[int, list[list[DesResult]], list[str]]]:
         """Run every chunk, yielding per-chunk results as they complete."""
 
 
@@ -231,7 +237,7 @@ class SerialBackend(CampaignBackend):
                     self.engine, config, plan, controller, trace_cache
                 )
                 for plan in chunk
-            ]
+            ], ["backend"] * len(chunk)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -268,7 +274,8 @@ class ProcessPoolBackend(CampaignBackend):
                 for index, chunk in enumerate(chunks)
             }
             for future in concurrent.futures.as_completed(futures):
-                yield futures[future], future.result()
+                index = futures[future]
+                yield index, future.result(), ["backend"] * len(chunks[index])
 
 
 def make_backend(

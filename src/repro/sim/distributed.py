@@ -9,9 +9,9 @@ per-worker outputs.  This module provides both on top of nothing but a
 shared directory (NFS, a bind-mounted volume, or plain ``/tmp`` for
 multi-process runs on one box).  To the event pipeline
 (:mod:`repro.sim.events`) a distributed worker is just another producer:
-every cell it claims — simulated or served from its store — is emitted
-as a ``backend`` cell, and the store hits it resolved inside claimed
-chunks are reconciled into the progress counters after the loop:
+every cell it claims is emitted with the source the worker reports for
+it — ``backend`` when simulated, ``store`` when served from its store
+inside the claimed chunk:
 
 ``queue-dir/``
     ``manifest.json``
@@ -401,11 +401,14 @@ class DistributedBackend(CampaignBackend):
     cells complete).
 
     With a ``store`` (:class:`~repro.store.CampaignStore`), the worker
-    consults the warehouse per claimed cell before simulating it —
+    consults the warehouse once per claim
+    (:meth:`~repro.store.CampaignStore.load_cells`) before simulating —
     chunk *claiming* stays untouched (the queue layout must remain a
     pure function of the spec), only the simulation inside a claim is
-    skipped.  Served cells still land in the worker's shard, so the
-    merge sees a complete campaign.  Store reads share the process-wide
+    skipped.  Served cells are yielded with source ``"store"`` and still
+    land in the worker's shard, so the merge sees a complete campaign
+    and the store is never re-published to.  Store reads share the
+    process-wide
     hot-cell cache (:mod:`repro.store.cache`) with every other store
     consumer in this process, so a worker re-claiming overlapping cells
     (steal races, resumed queues) re-verifies at digest level instead of
@@ -445,10 +448,6 @@ class DistributedBackend(CampaignBackend):
         #: backends, so a distributed campaign produces the same bytes
         #: as a serial one with the same policy.
         self.engine = engine
-        #: Cells/replicas served from the store instead of simulated
-        #: (the executor folds these into its report counters).
-        self.cells_from_store = 0
-        self.replicas_from_store = 0
         #: Per-worker queue-protocol counters (repro_queue_*): claims
         #: won, leases stolen from presumed-dead workers, lease-clock
         #: refreshes, chunks certified done, and straggler chunks —
@@ -620,7 +619,7 @@ class DistributedBackend(CampaignBackend):
         config: CampaignConfig,
         chunks: Sequence[list],
         controller: ReplicaController,
-    ) -> Iterator[tuple[int, list[list[DesResult]]]]:
+    ) -> Iterator[tuple[int, list[list[DesResult]], list[str]]]:
         read_queue_manifest(self.queue)  # fail fast on a foreign directory
         pool: concurrent.futures.ProcessPoolExecutor | None = None
         if self.workers > 1:
@@ -667,8 +666,10 @@ class DistributedBackend(CampaignBackend):
                     config, [chunks[c] for c, _ in claims], controller,
                     pool, heartbeat,
                 )
-                for (chunk, claim), results in zip(claims, per_chunk):
-                    yield chunk, results
+                for (chunk, claim), (results, sources) in zip(
+                    claims, per_chunk
+                ):
+                    yield chunk, results, sources
                     # The executor appended the chunk to this worker's
                     # shard while we were suspended at the yield: the
                     # completion is durable, so certify it.
@@ -686,40 +687,32 @@ class DistributedBackend(CampaignBackend):
         controller: ReplicaController,
         pool: concurrent.futures.ProcessPoolExecutor | None,
         heartbeat,
-    ) -> list[list[list[DesResult]]]:
-        """The claimed chunks' per-cell results, chunk- and plan-ordered.
+    ) -> list[tuple[list[list[DesResult]], list[str]]]:
+        """The claimed chunks' ``(per-cell results, per-cell sources)``,
+        chunk- and plan-ordered.
 
-        Store hits are resolved first (and counted); the remaining cells
-        run in-process or concurrently across the worker's pool —
-        pooling spans *all* held chunks, which is what lets a
-        fine-grained chunk layout still saturate the local cores.
-        Either way the lease keeps beating: in-process via
+        One store consult covers every held cell (the lease is refreshed
+        once after it); the misses run in-process or concurrently across
+        the worker's pool — pooling spans *all* held chunks, which is
+        what lets a fine-grained chunk layout still saturate the local
+        cores.  Either way the lease keeps beating: in-process via
         :func:`run_cell`'s per-replica hook, pooled via the coordinating
         process refreshing while it waits on cell futures.
         """
-        slots: dict[tuple[int, int], list[DesResult]] = {}
-        remaining: list[tuple[tuple[int, int], object]] = []
-        for ci, plans in enumerate(plan_chunks):
-            for pos, plan in enumerate(plans):
-                hit = None
-                if self._store is not None:
-                    hit = self._store.load_cell(
-                        config, plan, controller,
-                        engine=self.engine,
-                    )
-                if hit is not None:
-                    slots[(ci, pos)] = hit
-                    self.cells_from_store += 1
-                    self.replicas_from_store += len(hit)
-                    heartbeat()
-                else:
-                    remaining.append(((ci, pos), plan))
+        held = [plan for plans in plan_chunks for plan in plans]
+        slots: dict[int, list[DesResult]] = {}
+        if self._store is not None:
+            slots = self._store.load_cells(
+                config, held, controller, engine=self.engine)
+            heartbeat()
+        served = set(slots)
+        remaining = [plan for plan in held if plan.index not in served]
         if pool is not None and remaining:
             futures = {
                 pool.submit(
                     _execute_chunk, config, [plan], controller, self.engine
-                ): key
-                for key, plan in remaining
+                ): plan.index
+                for plan in remaining
             }
             pending = set(futures)
             while pending:
@@ -731,14 +724,16 @@ class DistributedBackend(CampaignBackend):
                     slots[futures[future]] = future.result()[0]
         else:
             trace_cache: dict = {}
-            for key, plan in remaining:
-                slots[key] = run_cell_for_engine(
+            for plan in remaining:
+                slots[plan.index] = run_cell_for_engine(
                     self.engine, config, plan, controller, trace_cache,
                     heartbeat=heartbeat,
                 )
         return [
-            [slots[(ci, pos)] for pos in range(len(plans))]
-            for ci, plans in enumerate(plan_chunks)
+            ([slots[plan.index] for plan in plans],
+             ["store" if plan.index in served else "backend"
+              for plan in plans])
+            for plans in plan_chunks
         ]
 
 

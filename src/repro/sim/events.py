@@ -35,7 +35,9 @@ source     meaning                               sink append  store pub
 ========== ===================================== ============ =========
 backend    freshly simulated this execution      yes          yes
 store      served from the content-addressed     yes          no
-           results store (zero simulations)
+           results store (zero simulations) —
+           before dispatch, or by a queue worker
+           inside its claimed chunk
 resume     recovered from the existing results   no (already  no
            file before execution began           on disk)
 ========== ===================================== ============ =========
@@ -665,8 +667,7 @@ class ProgressTracker(EventConsumer):
     endpoint): updates are O(1) under a lock, and
     :meth:`snapshot` returns a consistent :class:`CampaignProgress` at
     any moment — before the first event (all zeros), mid-stream, or
-    after the last.  ``reconcile`` folds in facts only known after the
-    loop (a distributed worker's in-backend store hits).
+    after the last.  Every count comes from the events' ``source``.
     """
 
     def __init__(self, cells_total: int = 0):
@@ -691,21 +692,6 @@ class ProgressTracker(EventConsumer):
                 else:
                     self._run += 1
                     self._replicas += len(event.results)
-
-    def reconcile(
-        self, *, cells_from_store: int = 0, replicas_from_store: int = 0
-    ) -> None:
-        """Reclassify cells a distributed backend served from the store.
-
-        The emission loop sees a worker's claimed-chunk store hits as
-        ``backend`` cells (the worker resolves them inside the backend);
-        the backend counts what it served, and this folds those counts
-        back into ``cached``/``run``/``replicas`` after the loop.
-        """
-        with self._lock:
-            self._cached += cells_from_store
-            self._run -= cells_from_store
-            self._replicas -= replicas_from_store
 
     def snapshot(self) -> CampaignProgress:
         with self._lock:

@@ -26,9 +26,11 @@ layers together:
   processes (:class:`~repro.sim.backends.ProcessPoolBackend`), or across
   *machines* (:class:`~repro.sim.distributed.DistributedBackend`, a
   work-stealing consumer of a shared chunk-queue directory), all
-  yielding chunks in completion order.  The policy's ``workers`` /
-  ``queue`` fields pick one.  The session turns their raw chunk output
-  (plus store hits and resume recoveries) into the typed event stream.
+  yielding chunks in completion order, each cell tagged with its
+  source (a queue worker serves store hits inside its claimed chunks).
+  The policy's ``workers`` / ``queue`` fields pick one.  The session
+  turns one stream of ``(plan, results, source)`` — resume recoveries,
+  then store hits, then backend cells — into the typed event stream.
 * **Sinks — a consumer** (:mod:`repro.sim.sinks`) — the
   :class:`~repro.sim.events.SinkWriter` consumer appends each finished
   cell to the :class:`~repro.sim.sinks.ResultSink` chosen by
@@ -47,8 +49,10 @@ layers together:
   :class:`~repro.sim.adaptive.WilsonSuccessRate`; framed sink required).
 * **Results store** (:mod:`repro.store`) — with ``policy.store`` (or
   ``execute_spec(..., store=...)``) set, every planned cell is looked up
-  in a content-addressed warehouse *before* anything is dispatched to a
-  backend, and the :class:`~repro.sim.events.StorePublisher` consumer
+  in a content-addressed warehouse (one
+  :meth:`~repro.store.CampaignStore.load_cells` consult) *before*
+  anything is dispatched to a backend, and the
+  :class:`~repro.sim.events.StorePublisher` consumer
   publishes fresh cells right after their sink append (it subscribes
   after the sink writer, so the warehouse can never get ahead of the
   durable results file).  Cache hits flow through the replica
@@ -509,7 +513,7 @@ class CampaignSession:
                 processes=policy.worker_processes,
                 # A queue's chunk layout must stay a pure function of
                 # the spec, so store lookups cannot prune the plan here;
-                # the worker instead consults the store per claimed cell.
+                # the worker instead consults the store per claim.
                 store=store,
                 engine=policy.backend,
             )
@@ -556,22 +560,11 @@ class CampaignSession:
         # a cell whose replica prefix is already warehoused is emitted
         # without simulating.  (Not under a queue policy — the queue's
         # chunk layout is a pure function of the spec, so the
-        # distributed backend consults the store per claimed cell
-        # instead.)
+        # distributed backend consults the store per claim instead.)
         cached_results: dict[int, list[DesResult]] = {}
         if store is not None and not distributed:
-            from ..store import cell_key
-
-            # Bulk-stage every cell entry first: segment-resident entries
-            # stream in with a few sequential reads per segment, so the
-            # per-cell loads below are cache hits.
-            store.preload(cell_key(config, plan, engine=policy.backend)
-                          for plan in todo)
-            for plan in todo:
-                hit = store.load_cell(config, plan, controller,
-                                      engine=policy.backend)
-                if hit is not None:
-                    cached_results[plan.index] = hit
+            cached_results = store.load_cells(
+                config, todo, controller, engine=policy.backend)
 
         run_plans = [p for p in todo if p.index not in cached_results]
         chunks = [
@@ -780,81 +773,35 @@ class CampaignSession:
             spec=self.spec, plans=tuple(self._plans),
             resumed=tuple(sorted(self._done_results)),
         ))
-        # Recovered cells replay first, in grid order: consumers see a
-        # stream that reaches the campaign's full final state (the sink
-        # writer skips them — their bytes are already in the file).
-        for index in sorted(self._done_results):
-            yield from self._cell_events(
-                self._plans[index], self._done_results[index], "resume"
-            )
-        cached = self._cached_results
-        if self._sink.ordered:
-            # Emit strictly in grid order, interleaving store hits with
-            # completion-order backend chunks (the results file stays an
-            # exact prefix of the serial file at all times).
-            ready: dict[int, list[DesResult]] = {}
-            emit_pos = 0
 
-            def _flush_ordered():
-                nonlocal emit_pos
-                while emit_pos < len(self._todo):
-                    plan = self._todo[emit_pos]
-                    if plan.index in cached:
-                        yield from self._cell_events(
-                            plan, cached.pop(plan.index), "store"
-                        )
-                    elif plan.index in ready:
-                        yield from self._cell_events(
-                            plan, ready.pop(plan.index), "backend"
-                        )
-                    else:
-                        return
-                    emit_pos += 1
-
-            yield from _flush_ordered()
-            if self._chunks:
-                for index, chunk_results in self._backend.execute(
-                    self._config, self._chunks, self._controller
-                ):
-                    self._check_cancel()
-                    for plan, results in zip(
-                        self._chunks[index], chunk_results
-                    ):
-                        ready[plan.index] = results
-                    yield from _flush_ordered()
-        else:
-            # Out-of-order sink: store hits land first (in grid order —
-            # the deterministic choice, and what makes a fully-warm
-            # serial run byte-identical to its cold twin), fresh cells
-            # the moment their chunk completes.
+        def cells():
+            # Every cell as (plan, results, source).  Recovered cells
+            # first, in grid order, so consumers replay to the campaign's
+            # full state (the sink writer skips them — their bytes are
+            # already in the file).  Then store hits in grid order — what
+            # makes a fully-warm serial run byte-identical to its cold
+            # twin under the framed sink — then backend cells in
+            # completion order.
+            for index in sorted(self._done_results):
+                yield self._plans[index], self._done_results[index], "resume"
+            cached = self._cached_results
             for plan in self._todo:
                 if plan.index in cached:
-                    yield from self._cell_events(
-                        plan, cached.pop(plan.index), "store"
-                    )
-            if self._chunks:
-                for index, chunk_results in self._backend.execute(
-                    self._config, self._chunks, self._controller
-                ):
-                    for plan, results in zip(
-                        self._chunks[index], chunk_results
-                    ):
-                        yield from self._cell_events(
-                            plan, results, "backend"
-                        )
+                    yield plan, cached.pop(plan.index), "store"
+            if not self._chunks:
+                return
+            for index, results, sources in self._backend.execute(
+                self._config, self._chunks, self._controller
+            ):
+                self._check_cancel()
+                yield from zip(self._chunks[index], results, sources)
 
-        if self._distributed:
-            # The worker resolved its store hits inside claimed chunks,
-            # so the emission loop above saw them as backend cells; the
-            # backend counted what it served — reclassify.
-            self._tracker.reconcile(
-                cells_from_store=getattr(
-                    self._backend, "cells_from_store", 0
-                ),
-                replicas_from_store=getattr(
-                    self._backend, "replicas_from_store", 0
-                ),
-            )
+        stream = cells()
+        if self._sink.ordered:
+            # The results file stays an exact prefix of the serial file.
+            stream = _in_grid_order(stream, self._plans)
+        for plan, results, source in stream:
+            yield from self._cell_events(plan, results, source)
 
         progress = self._tracker.snapshot()
         if self._distributed:
@@ -882,7 +829,7 @@ class CampaignSession:
                 - progress.cells_cached - progress.cells_run
             ),
             cells_run=progress.cells_run,
-            workers=getattr(self._backend, "workers", 1),
+            workers=self._backend.workers,
             chunk_size=self._chunk_size,
             elapsed=elapsed,
             replicas_run=progress.replicas_run,
@@ -893,6 +840,19 @@ class CampaignSession:
         )
         self._execution = CampaignExecution(cells=cells, report=report)
         yield emit(CampaignFinished(report=report))
+
+
+def _in_grid_order(cells, plans):
+    """Re-sequence a ``(plan, results, source)`` stream to ``plans``
+    order, holding each cell until every earlier one has passed."""
+    ready: dict[int, tuple] = {}
+    pending = iter(plans)
+    want = next(pending, None)
+    for cell in cells:
+        ready[cell[0].index] = cell
+        while want is not None and want.index in ready:
+            yield ready.pop(want.index)
+            want = next(pending, None)
 
 
 def execute_spec(

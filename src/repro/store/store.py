@@ -864,9 +864,10 @@ class CampaignStore:
     def preload(self, keys) -> int:
         """Prime the hot-cell cache for ``keys`` with bulk segment reads.
 
-        The sequential-read fast path behind spec-footprint resolution
-        (``store export``, ``report --from-spec``, the executor's
-        pre-dispatch store consult): instead of one index probe plus one
+        The sequential-read fast path behind :meth:`load_cells`, the
+        one store consult of every caller (``store export``, ``report
+        --from-spec``, the executor before dispatch, a queue worker per
+        claim): instead of one index probe plus one
         ``pread`` per cell entry, the footprint's segment-resident
         entries are grouped per segment, coalesced into contiguous
         spans, and streamed with a few sequential reads
@@ -947,6 +948,26 @@ class CampaignStore:
             self._cache.invalidate(self._cache_root, token)
             hit = _replay(self.lookup(key), controller)
         return hit
+
+    def load_cells(
+        self, config: CampaignConfig, plans, controller, *,
+        engine: str = "des",
+    ) -> dict[int, list]:
+        """The cells of ``plans`` the store can serve, by plan index.
+
+        One :meth:`preload` of every cell entry (segment-resident ones
+        stream in with a few sequential reads per segment), then one
+        :meth:`load_cell` per plan, which the preload made a cache hit.
+        Misses are simply absent from the result.
+        """
+        self.preload(cell_key(config, plan, engine=engine)
+                     for plan in plans)
+        hits: dict[int, list] = {}
+        for plan in plans:
+            results = self.load_cell(config, plan, controller, engine=engine)
+            if results is not None:
+                hits[plan.index] = results
+        return hits
 
     def publish_cell(
         self, config: CampaignConfig, plan, results, *, engine: str = "des"
@@ -1582,22 +1603,13 @@ def _load_cells(store: CampaignStore, spec) -> list[tuple]:
     """Every grid cell of ``spec`` as ``(plan, replica results)``, in
     plan order — all-or-nothing: missing cells raise with grid
     coordinates rather than returning a partial sweep."""
+    from ..sim.executor import plan_cells
+
     config = spec.config()
-    controller = spec.controller()
-    cells = _footprint(spec)
-    # Bulk-stage the footprint's segment-resident entries with
-    # sequential per-segment reads; the per-cell loads below then hit
-    # the cache.
-    store.preload(key for _, key in cells)
-    resolved: list[tuple] = []
-    missing: list = []
-    for plan, _ in cells:
-        results = store.load_cell(config, plan, controller,
-                                  engine=spec.policy.backend)
-        if results is None:
-            missing.append(plan)
-        else:
-            resolved.append((plan, results))
+    plans = plan_cells(config)
+    hits = store.load_cells(config, plans, spec.controller(),
+                            engine=spec.policy.backend)
+    missing = [plan for plan in plans if plan.index not in hits]
     if missing:
         head = ", ".join(
             f"({p.protocol}, M={p.M:g}, phi={p.phi:g})"
@@ -1605,8 +1617,8 @@ def _load_cells(store: CampaignStore, spec) -> list[tuple]:
         )
         raise ParameterError(
             f"{store.root}: store is missing {len(missing)} of "
-            f"{len(cells)} cells for this spec (first missing: {head}"
+            f"{len(plans)} cells for this spec (first missing: {head}"
             f"{', ...' if len(missing) > 3 else ''}); run the campaign "
             "with --store to populate them"
         )
-    return resolved
+    return [(plan, hits[plan.index]) for plan in plans]

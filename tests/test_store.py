@@ -859,6 +859,57 @@ class TestDistributedStore:
         status = queue_status(queue)
         assert (status.n_chunks, status.done) == (4, 4)
 
+    @pytest.mark.parametrize("placement", ["single-machine", "queue"])
+    def test_half_warm_sources_are_true(self, placement, tmp_path):
+        """Over a half-warm store a queue worker labels its in-chunk
+        store hits ``source="store"`` exactly like a single-machine run:
+        same per-source counts, only backend cells published, no
+        duplicate publish, and the report counts the same cells."""
+        import collections
+        import gc
+
+        from repro.obs import default_registry
+        from repro.obs.metrics import snapshot_from_dict
+        from repro.sim.events import CellFinished, EventConsumer, StorePublisher
+        from repro.sim.executor import CampaignSession
+
+        def duplicates():
+            return sum(
+                e["value"] for e in snapshot_from_dict(
+                    default_registry().snapshot())
+                if e["name"] == "repro_store_publish_total"
+                and e["labels"] == {"result": "duplicate"})
+
+        class Sources(EventConsumer):
+            def __init__(self):
+                self.counts = collections.Counter()
+
+            def on_event(self, event):
+                if isinstance(event, CellFinished):
+                    self.counts[event.source] += 1
+
+        store = CampaignStore(tmp_path / "store", create=True)
+        execute_spec(make_spec(m_values=(300.0, 600.0)), store=store)
+        policy = ExecutionPolicy(sink="framed")
+        if placement == "queue":
+            policy = ExecutionPolicy(
+                sink="framed", queue=str(tmp_path / "queue"),
+                worker_id="w1", lease_timeout=30.0, poll_interval=0.01)
+        sources = Sources()
+        session = CampaignSession(
+            make_spec(m_values=(600.0, 1200.0), policy=policy),
+            store=store, consumers=[sources])
+        gc.collect()  # dead stores must not leave the sum mid-run
+        before = duplicates()
+        report = session.run().report
+        assert sources.counts == {"store": 2, "backend": 2}
+        publisher = next(c for c in session.bus.consumers
+                         if isinstance(c, StorePublisher))
+        assert publisher.published == sources.counts["backend"]
+        assert duplicates() - before == 0
+        assert (report.cells_cached, report.cells_run,
+                report.replicas_run) == (2, 2, 4)
+
 
 class TestPooledWorker:
     def test_worker_processes_requires_queue(self):
