@@ -89,8 +89,7 @@ def test_concurrent_fleet_against_one_store(tmp_path, record):
     assert cold_merged.read_bytes() == ref
 
     # The publish storm left a coherent store: full integrity sweep.
-    proc = _cli("store", "stat", "--store", str(store), "--verify",
-                "--cache")
+    proc = _cli("store", "stat", "--store", str(store), "--verify")
     out, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err
 

@@ -6,6 +6,7 @@ an in-process `CampaignService` (what `repro-checkpoint serve` runs):
   * start the daemon on an ephemeral port over a fresh store,
   * POST a CampaignSpec and follow its NDJSON event stream live,
   * decode the stream with the same wire format the tests property-check,
+    and check its grammar: one CellFinished per grid cell,
   * re-query the now-warm store: a full report with zero simulations,
   * shut down gracefully (in-flight campaigns drain, never tear).
 
@@ -53,7 +54,7 @@ def main() -> None:
             # Follow the live event stream: NDJSON, one wire dict per
             # line, decodable with the library's own event codec.  The
             # stream replays from the start and ends when the campaign
-            # is terminal.
+            # is terminal; each cell's results travel exactly once.
             kinds: dict[str, int] = {}
             with urllib.request.urlopen(
                 service.url(f"/campaigns/{cid}/events"), timeout=120
@@ -68,6 +69,11 @@ def main() -> None:
             status = fetch(service.url(f"/campaigns/{cid}"))
             assert status["state"] == "finished"
             print(f"progress: {status['progress']}")
+            # The grammar: CampaignStarted CellFinished* CampaignFinished,
+            # one CellFinished per grid cell.
+            cells = status["progress"]["cells_total"]
+            assert kinds == {"CampaignStarted": 1, "CellFinished": cells,
+                             "CampaignFinished": 1}, kinds
 
             # The store is now warm for this spec: the report renders
             # from cached cells, with zero simulations — the query path
@@ -82,7 +88,7 @@ def main() -> None:
             print(report["report"])
 
             health = fetch(service.url("/healthz"))
-            print(f"store reads: {health['store']['reads']}")
+            print(f"store cache: {health['store']['cache']}")
         print("daemon stopped (drained cleanly)")
 
 

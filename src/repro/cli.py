@@ -45,8 +45,9 @@ Commands
     fresh cells are published for the next run; ``--store-mode read``
     consults without publishing.
     Observability: ``--trace FILE`` writes a Chrome trace-event JSON of
-    the run (campaign → cell → replica-batch spans plus store and queue
-    internals; see :mod:`repro.obs`), and every run's
+    the run (campaign → cell spans, one ``cell`` span per published
+    ``CellFinished``, plus store and queue internals; see
+    :mod:`repro.obs`), and every run's
     ``ExecutionReport.metrics`` carries the campaign's metric series.
 ``store``
     Inspect and manage a results store: ``store ls`` (filterable
@@ -72,8 +73,7 @@ Commands
     in-flight sessions before exiting (``--no-drain`` cancels them at
     the next cell boundary instead).  ``GET /metrics`` serves the
     process's Prometheus exposition (``--metrics`` prints the scrape
-    URL on startup); ``store stat --metrics`` prints the same text for
-    a one-shot CLI process.
+    URL on startup).
 """
 
 from __future__ import annotations
@@ -300,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trace", type=pathlib.Path, default=None,
                    metavar="FILE",
                    help="write a Chrome trace-event JSON of the run "
-                        "(campaign/cell/replica-batch spans plus store "
-                        "and queue internals; load in chrome://tracing "
-                        "or Perfetto); volatile like --store, so it "
+                        "(campaign/cell spans plus store and queue "
+                        "internals; load in chrome://tracing or "
+                        "Perfetto); volatile like --store, so it "
                         "combines with --spec")
     c.add_argument("--out", type=pathlib.Path, default=None,
                    metavar="FILE",
@@ -345,16 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--verify", action="store_true",
                     help="(stat) re-verify every entry against its "
                          "stored bytes; exit 1 on corruption")
-    st.add_argument("--cache", action="store_true",
-                    help="(stat) also print this process's hot-cell "
-                         "cache counters (hits/misses/evictions/bytes) "
-                         "— meaningful in a live session or service "
-                         "process; a fresh CLI process reports a cold "
-                         "cache")
-    st.add_argument("--metrics", action="store_true",
-                    help="(stat) also print this process's metrics "
-                         "registry in Prometheus text exposition format "
-                         "(the same body GET /metrics serves)")
     st.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="(gc) evict least-recently-used entries until "
                          "the store holds at most N bytes")
@@ -871,17 +861,6 @@ def _run_store_command(args: argparse.Namespace) -> int:
 
     if args.action == "stat":
         print(f"store: {args.store}")
-
-        def _print_cache() -> None:
-            stats = store.cache_stats()
-            print("cache: " + ("disabled" if stats is None
-                               else stats.describe()))
-
-        def _print_metrics() -> None:
-            from .obs import default_registry
-
-            print(default_registry().render_prometheus(), end="")
-
         if args.verify:
             # One scan serves both: verify() *collects* corruption
             # (where the plain stat scan would die on the first
@@ -893,16 +872,8 @@ def _run_store_command(args: argparse.Namespace) -> int:
                     print(error, file=sys.stderr)
                 return 1
             print(report.stat.describe())
-            if args.cache:
-                _print_cache()
-            if args.metrics:
-                _print_metrics()
             return 0
         print(store.stat().describe())
-        if args.cache:
-            _print_cache()
-        if args.metrics:
-            _print_metrics()
         return 0
 
     if args.action == "gc":

@@ -10,7 +10,7 @@ reproduction answer the same question about *its own* execution:
   (``repro-metrics`` v1) and Prometheus text exposition (served at
   ``GET /metrics`` by :mod:`repro.service`);
 * :class:`Tracer` (:mod:`repro.obs.trace`) — nested spans (campaign →
-  cell → replica-batch; store lookup/publish/preload; queue
+  cell; store lookup/publish/preload; queue
   claim/steal/lease-refresh; HTTP request) exportable as NDJSON and
   Chrome trace-event JSON (``repro-checkpoint campaign --trace FILE``);
 * :class:`MetricsConsumer` (:mod:`repro.obs.consumer`) — the EventBus
@@ -40,9 +40,9 @@ Instrumentation is **on by default** (its cost is gated ≤3% wall-clock
 in ``benchmarks/bench_campaign_parallel.py``).  ``REPRO_OBS=off`` in
 the environment — or :func:`set_enabled` at runtime — disables the
 export side: nothing registers, snapshots are empty, the executor
-skips its :class:`MetricsConsumer`.  Component-owned counters behind
-``cache_stats()``/``read_stats()`` keep counting regardless; they are
-API, not telemetry.
+skips its :class:`MetricsConsumer`.  Instruments owned by components
+(the store's lookup/reader series, the hot-cell cache counters behind
+``cache_stats()``) keep counting regardless.
 """
 
 from __future__ import annotations

@@ -2,16 +2,16 @@
 
 :class:`MetricsConsumer` subscribes alongside the sink writer, store
 publisher and progress tracker (:mod:`repro.sim.events`) and turns the
-event stream into registry series — cell duration histograms, cell and
-replica counters broken down by source (``backend``/``store``/
+event stream into registry series — a cell interval histogram, cell
+and replica counters broken down by source (``backend``/``store``/
 ``resume``), and an end-of-campaign replicas-per-second gauge.
 
 It observes into a *campaign-private* :class:`MetricsRegistry` (always
 enabled), whose snapshot becomes ``ExecutionReport.metrics`` — the
 per-run "where did the time go" answer.  On ``close`` the private
 totals are absorbed into the process-wide default registry, so
-``GET /metrics`` and ``store stat --metrics`` see the cumulative view
-without per-campaign series ever double counting.
+``GET /metrics`` sees the cumulative view without per-campaign series
+ever double counting.
 
 Like every consumer it is a pure observer: it never touches the events
 or the sink, so its presence cannot perturb result bytes (proven
@@ -22,14 +22,7 @@ from __future__ import annotations
 
 import time
 
-from ..sim.events import (
-    CampaignFinished,
-    CampaignStarted,
-    CellFinished,
-    CellStarted,
-    EventConsumer,
-    ReplicaBatch,
-)
+from ..sim.events import CampaignStarted, CellFinished, EventConsumer
 from .metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
 __all__ = ["MetricsConsumer"]
@@ -50,16 +43,18 @@ class MetricsConsumer(EventConsumer):
             help="Campaign executions observed on the event bus.")
         self._cell_seconds = self.registry.histogram(
             "repro_executor_cell_seconds", DEFAULT_TIME_BUCKETS,
-            help="Wall-clock per grid cell, CellStarted to CellFinished "
-                 "(includes consumer fan-out).", unit="seconds")
+            help="Wall-clock between consecutive CellFinished events "
+                 "(the first cell from CampaignStarted): producing, "
+                 "aggregating and fanning out each cell; the sum covers "
+                 "the stream's wall-clock.", unit="seconds")
         self._replicas_per_second = self.registry.gauge(
             "repro_executor_replicas_per_second", aggregate="max",
             help="Replica throughput of the last finished campaign.")
         self._cells: dict = {}
         self._replicas: dict = {}
-        self._batches: dict = {}
-        self._started: dict = {}
         self._clock = time.perf_counter
+        #: When the previous CellFinished (or CampaignStarted) arrived.
+        self._last = self._clock()
 
     def _by_source(self, table, name, help, source):
         counter = table.get(source)
@@ -69,32 +64,21 @@ class MetricsConsumer(EventConsumer):
         return counter
 
     def on_event(self, event) -> None:
-        if isinstance(event, CellStarted):
-            self._started[event.plan.index] = self._clock()
-        elif isinstance(event, ReplicaBatch):
-            self._by_source(
-                self._replicas, "repro_executor_replicas_total",
-                "Replica results emitted, by source.", event.source,
-            ).inc(len(event.results))
-            self._by_source(
-                self._batches, "repro_executor_batches_total",
-                "Replica batches emitted, by source.", event.source,
-            ).inc()
-        elif isinstance(event, CellFinished):
+        if isinstance(event, CellFinished):
+            now = self._clock()
             self._by_source(
                 self._cells, "repro_executor_cells_total",
                 "Grid cells finished, by source.", event.source,
             ).inc()
-            started = self._started.pop(event.plan.index, None)
-            if started is not None:
-                self._cell_seconds.observe(self._clock() - started)
+            self._by_source(
+                self._replicas, "repro_executor_replicas_total",
+                "Replica results emitted, by source.", event.source,
+            ).inc(len(event.results))
+            self._cell_seconds.observe(now - self._last)
+            self._last = now
         elif isinstance(event, CampaignStarted):
             self._campaigns.inc()
-        elif isinstance(event, CampaignFinished):
-            report = event.report
-            if report.elapsed > 0:
-                self._replicas_per_second.set(
-                    report.replicas_run / report.elapsed)
+            self._last = self._clock()
 
     def finalize(self, *, elapsed: float, replicas_run: int) -> None:
         """Record end-of-campaign throughput before the report is

@@ -18,16 +18,16 @@ by default (gated ≤3% in ``benchmarks/bench_campaign_parallel.py``):
 * instruments are plain objects with one lock and O(1) updates —
   components hold direct references and never pay a registry lookup on
   the hot path;
-* per-instance counters (a store's :class:`~repro.store.store.ReadStats`,
-  a cache's :class:`~repro.store.cache.CacheStats`) *are* instruments;
-  the registry only aggregates them at snapshot time, so legacy
-  per-instance views stay exact while the process-wide view sums over
+* per-instance counters (a store's lookup and reader gauges, a
+  cache's :class:`~repro.store.cache.CacheStats`) *are* instruments;
+  the registry only aggregates them at snapshot time, so a
+  per-instance view stays exact while the process-wide view sums over
   live instances;
 * disabling observability (``REPRO_OBS=off`` or
   :func:`repro.obs.set_enabled`) empties the *export* side only —
   registration and snapshots become no-ops, but instruments owned by
-  components keep counting, because ``cache_stats()`` and
-  ``read_stats()`` are load-bearing APIs, not telemetry.
+  components keep counting, because ``cache_stats()`` is an API the
+  service's ``/healthz`` and benchmarks read, not just telemetry.
 """
 
 from __future__ import annotations

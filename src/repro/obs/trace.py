@@ -10,8 +10,9 @@ ways:
 * Chrome trace-event JSON (``chrome://tracing`` / Perfetto loadable),
   which is what ``repro-checkpoint campaign --trace FILE`` writes.
 
-The executor opens a ``campaign`` root span, a ``cell`` span per grid
-cell and a ``replica-batch`` span per emitted batch; the store traces
+The executor opens a ``campaign`` root span and a ``cell`` span per
+``CellFinished`` it publishes (aggregation plus the synchronous
+consumer fan-out); the store traces
 ``store.lookup`` / ``store.publish`` / ``store.preload``; the
 distributed queue traces ``queue.claim`` / ``queue.steal`` /
 ``queue.lease-refresh``; the service traces each HTTP request.  All of

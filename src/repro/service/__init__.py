@@ -35,9 +35,9 @@ event streamers) plus a small writer pool (campaign sessions) share one
 store *instance* — safe because store reads are lock-free on disk
 (atomic-rename publish means a reader never sees a torn entry), the
 hot-cell cache takes a lock only around its map, and the event logs use
-one condition variable each.  :meth:`CampaignStore.read_stats`
-(``peak_concurrent``) exists to *prove* the concurrency under load
-rather than assume it.
+one condition variable each.  The store's
+``repro_store_readers_peak_concurrent`` gauge (``GET /metrics``)
+exists to *prove* the concurrency under load rather than assume it.
 
 Observability: every request is metered into the process-wide
 :func:`repro.obs.default_registry` (per-route latency histograms and

@@ -5,7 +5,7 @@ coalescer to a threaded stdlib HTTP server (one thread per connection,
 ``ThreadingHTTPServer``).  Endpoints, all JSON unless noted:
 
 =========================================  ===============================
-``GET  /healthz``                          liveness + store/cache/read
+``GET  /healthz``                          liveness + store/cache
                                            counters
 ``GET  /metrics``                          Prometheus text exposition of
                                            the process-wide registry
@@ -209,7 +209,6 @@ class CampaignService:
     # ------------------------------------------------------------------
     def status(self) -> dict:
         cache = self.store.cache_stats()
-        reads = self.store.read_stats()
         return {
             "status": "ok" if self._accepting else "draining",
             "accepting": self._accepting,
@@ -222,11 +221,6 @@ class CampaignService:
                     "hits": cache.hits,
                     "misses": cache.misses,
                     "evictions": cache.evictions,
-                },
-                "reads": {
-                    "lookups": reads.lookups,
-                    "active": reads.active,
-                    "peak_concurrent": reads.peak_concurrent,
                 },
             },
             "coalescer": self.coalescer.stats().describe(),

@@ -103,8 +103,9 @@ class CampaignHandle:
 
     def _reopen(self) -> None:
         """Back to ``queued`` for a resume run; the log starts over
-        (the new stream replays recovered cells as ``resume`` triples,
-        so a fresh follower still reaches the campaign's full state)."""
+        (the new stream replays each recovered cell as one ``resume``
+        CellFinished, so a fresh follower still reaches the campaign's
+        full state)."""
         with self._cond:
             self.state = "queued"
             self.error = None

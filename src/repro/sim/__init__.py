@@ -33,8 +33,7 @@ touching the others:
     deterministic cell chunks, recovers finished cells on resume
     (manifest + per-record identity checks), then *produces* the typed
     event stream of ``events`` — every cell (recovered, store-served or
-    freshly simulated) as a ``CellStarted``/``ReplicaBatch``/
-    ``CellFinished`` triple — and aggregates
+    freshly simulated) as exactly one ``CellFinished`` — and aggregates
     :class:`~repro.sim.campaign.CampaignCell` summaries.
     :func:`~repro.sim.executor.execute_spec` is the drain-it-all
     wrapper.
@@ -115,11 +114,9 @@ from .events import (
     CampaignProgress,
     CampaignStarted,
     CellFinished,
-    CellStarted,
     EventBus,
     EventConsumer,
     ProgressTracker,
-    ReplicaBatch,
 )
 from .executor import (
     CampaignExecution,
@@ -170,8 +167,6 @@ __all__ = [
     "EventBus",
     "EventConsumer",
     "CampaignStarted",
-    "CellStarted",
-    "ReplicaBatch",
     "CellFinished",
     "CampaignProgress",
     "CampaignFinished",

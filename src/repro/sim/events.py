@@ -18,16 +18,16 @@ Event grammar
 -------------
 One campaign produces exactly this stream (a regular language)::
 
-    CampaignStarted
-      ( CellStarted ReplicaBatch CellFinished CampaignProgress )*
-    CampaignFinished
+    CampaignStarted CellFinished* CampaignFinished
 
 Every cell — recovered, store-served or freshly simulated — appears as
-one ``CellStarted``/``ReplicaBatch``/``CellFinished`` triple, so any
-consumer can replay the stream to the campaign's exact final state (the
-consistent-observer property: an observer must never see a stream that
-replays to a different state than the ground-truth files).  The
-``source`` field says where the replicas came from and drives each
+exactly one ``CellFinished`` carrying all of its replica results, so
+any consumer can replay the stream to the campaign's exact final state
+(the consistent-observer property: an observer must never see a stream
+that replays to a different state than the ground-truth files), and no
+result travels twice.  Progress is not an event: it is a snapshot
+(:class:`CampaignProgress`) polled from the :class:`ProgressTracker`.
+The ``source`` field says where the replicas came from and drives each
 consumer's filter:
 
 ========== ===================================== ============ =========
@@ -54,7 +54,7 @@ fixed — controller replay, sink writer, store publisher, progress
 tracker, cell callback, then user consumers — which encodes the
 durability rule directly: a cell reaches the results file before the
 store can publish it, and progress counters only ever describe cells
-that are already durable.  Cell triples arrive in *emission order*:
+that are already durable.  Cells arrive in *emission order*:
 grid order under an ordered sink, store-hits-then-completion-order
 under a framed one — exactly the order the file is written in.
 
@@ -142,8 +142,6 @@ __all__ = [
     "EVENT_WIRE_VERSION",
     "CampaignEvent",
     "CampaignStarted",
-    "CellStarted",
-    "ReplicaBatch",
     "CellFinished",
     "CampaignProgress",
     "CampaignFinished",
@@ -183,7 +181,7 @@ class CampaignStarted(CampaignEvent):
     """First event of every stream: the full plan, before any cell.
 
     ``resumed`` holds the plan indices recovered from the results file —
-    their triples follow immediately, in grid order, tagged
+    their cells follow immediately, in grid order, tagged
     ``source="resume"``.
     """
 
@@ -197,29 +195,6 @@ class CampaignStarted(CampaignEvent):
 
 
 @dataclass(frozen=True)
-class CellStarted(CampaignEvent):
-    """A cell's triple is beginning: its results enter the pipeline."""
-
-    plan: "CellPlan"
-    source: str = "backend"
-
-
-@dataclass(frozen=True)
-class ReplicaBatch(CampaignEvent):
-    """One batch of replica results for a cell.
-
-    Today each cell delivers exactly one batch (backends hand the
-    executor whole cells); the event is separate from
-    :class:`CellFinished` so replica-streaming producers can emit
-    several batches per cell without changing the grammar.
-    """
-
-    plan: "CellPlan"
-    results: tuple[DesResult, ...]
-    source: str = "backend"
-
-
-@dataclass(frozen=True)
 class CellFinished(CampaignEvent):
     """A cell is complete: all of its replicas, plus the summary."""
 
@@ -230,13 +205,13 @@ class CellFinished(CampaignEvent):
 
 
 @dataclass(frozen=True)
-class CampaignProgress(CampaignEvent):
-    """A point-in-time counter snapshot (also pollable on demand).
+class CampaignProgress:
+    """A point-in-time counter snapshot, polled on demand.
 
-    Published after every :class:`CellFinished`; identical snapshots are
-    returned by :meth:`ProgressTracker.snapshot` /
-    :meth:`~repro.sim.executor.CampaignSession.progress` from any
-    thread.
+    Not an event: :meth:`ProgressTracker.snapshot` /
+    :meth:`~repro.sim.executor.CampaignSession.progress` return it from
+    any thread; the stream itself carries only the cells the counters
+    are derived from.
     """
 
     cells_total: int
@@ -290,8 +265,6 @@ def make_cell(plan: "CellPlan", results) -> CampaignCell:
 # Wire format
 # ----------------------------------------------------------------------
 _PLAN_FIELDS = ("index", "protocol", "m_index", "M", "phi", "effective_phi")
-_PROGRESS_FIELDS = ("cells_total", "cells_resumed", "cells_cached",
-                    "cells_run", "replicas_run", "elapsed")
 _REPORT_FIELDS = ("cells_total", "cells_skipped", "cells_run", "workers",
                   "chunk_size", "elapsed", "replicas_run", "sink",
                   "cells_cached")
@@ -378,19 +351,12 @@ def event_to_dict(event: CampaignEvent) -> dict:
                 "spec": event.spec.to_dict(),
                 "plans": [_plan_to_dict(p) for p in event.plans],
                 "resumed": [int(i) for i in event.resumed]}
-    if isinstance(event, CellStarted):
-        return {**head, "plan": _plan_to_dict(event.plan),
-                "source": event.source}
-    if isinstance(event, (ReplicaBatch, CellFinished)):
-        # CellFinished's aggregated cell is derivable state — recomputed
-        # on read by make_cell, never transmitted.
+    if isinstance(event, CellFinished):
+        # The aggregated cell is derivable state — recomputed on read
+        # by make_cell, never transmitted.
         return {**head, "plan": _plan_to_dict(event.plan),
                 "source": event.source,
                 "results": _results_to_wire(event.results)}
-    if isinstance(event, CampaignProgress):
-        return {**head, **{
-            name: getattr(event, name) for name in _PROGRESS_FIELDS
-        }}
     if isinstance(event, CampaignFinished):
         return {**head, "report": {
             name: getattr(event.report, name) for name in _REPORT_FIELDS
@@ -417,18 +383,6 @@ def _started_from_dict(data) -> CampaignStarted:
         plans=tuple(_plan_from_dict(p) for p in data["plans"]),
         resumed=tuple(int(i) for i in data.get("resumed", ())),
     )
-
-
-def _progress_from_dict(data) -> CampaignProgress:
-    _check_fields("CampaignProgress event", data,
-                  ("format", "version", "kind") + _PROGRESS_FIELDS,
-                  required=_PROGRESS_FIELDS)
-    fields = {name: data[name] for name in _PROGRESS_FIELDS}
-    fields["elapsed"] = float(fields["elapsed"])
-    return CampaignProgress(**{
-        name: value if name == "elapsed" else int(value)
-        for name, value in fields.items()
-    })
 
 
 def _finished_from_dict(data) -> CampaignFinished:
@@ -467,36 +421,23 @@ def event_from_dict(data: dict) -> CampaignEvent:
     kind = data.get("kind")
     if kind == "CampaignStarted":
         return _started_from_dict(data)
-    if kind == "CellStarted":
-        _check_fields("CellStarted event", data,
-                      ("format", "version", "kind", "plan", "source"),
-                      required=("plan",))
-        return CellStarted(
-            plan=_plan_from_dict(data["plan"]),
-            source=_check_source(data.get("source", "backend")),
-        )
-    if kind in ("ReplicaBatch", "CellFinished"):
-        _check_fields(f"{kind} event", data,
+    if kind == "CellFinished":
+        _check_fields("CellFinished event", data,
                       ("format", "version", "kind", "plan", "source",
                        "results"),
                       required=("plan", "results"))
         plan = _plan_from_dict(data["plan"])
         source = _check_source(data.get("source", "backend"))
         results = _results_from_wire(data["results"])
-        if kind == "ReplicaBatch":
-            return ReplicaBatch(plan=plan, results=results, source=source)
         return CellFinished(
             plan=plan, cell=make_cell(plan, results), results=results,
             source=source,
         )
-    if kind == "CampaignProgress":
-        return _progress_from_dict(data)
     if kind == "CampaignFinished":
         return _finished_from_dict(data)
     raise ParameterError(
         f"unknown campaign-event kind {kind!r}; known: CampaignStarted, "
-        "CellStarted, ReplicaBatch, CellFinished, CampaignProgress, "
-        "CampaignFinished"
+        "CellFinished, CampaignFinished"
     )
 
 

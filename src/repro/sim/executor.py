@@ -6,8 +6,8 @@ A campaign is *described* by one value — the
 mechanism that executes it.  The execution core is a typed result-event
 pipeline (:mod:`repro.sim.events`): a :class:`CampaignSession` opens the
 spec, *produces* one event stream
-(``CampaignStarted (CellStarted ReplicaBatch CellFinished
-CampaignProgress)* CampaignFinished``), and everything that persists or
+(``CampaignStarted CellFinished* CampaignFinished``, one event per
+cell), and everything that persists or
 observes results — the sink writer, the store publisher, controller
 replay, progress counters, the ``on_cell`` callback — is an independent
 *consumer* on one synchronous :class:`~repro.sim.events.EventBus` with
@@ -88,8 +88,8 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
                   (per cell, miss ⇒ run)    Serial/ProcessPool│ (+ store hits,
                        ▲                    Distributed/Vec.  │  resume recovery)
                        │                                      ▼
-                       │             CampaignStarted (CellStarted ReplicaBatch
-                       │               CellFinished CampaignProgress)* CampaignFinished
+                       │          CampaignStarted CellFinished* CampaignFinished
+                       │                    (one CellFinished per cell)
                        │                                      │
                        │                EventBus (synchronous, subscription-order
                        │                 fan-out — repro.sim.events)
@@ -199,12 +199,10 @@ from .events import (
     CampaignStarted,
     CellCallback,
     CellFinished,
-    CellStarted,
     ControllerReplay,
     EventBus,
     EventConsumer,
     ProgressTracker,
-    ReplicaBatch,
     SinkWriter,
     StorePublisher,
     make_cell,
@@ -260,7 +258,7 @@ class ExecutionReport:
     #: Cells served from the results store instead of simulated.
     cells_cached: int = 0
     #: This run's telemetry — a ``repro-metrics`` snapshot from the
-    #: session's :class:`~repro.obs.MetricsConsumer` (cell duration
+    #: session's :class:`~repro.obs.MetricsConsumer` (cell interval
     #: histogram, cell/replica counters by source), or ``None`` when
     #: observability is off.  Excluded from equality and from the event
     #: wire format (``_REPORT_FIELDS``): two runs of the same campaign
@@ -720,9 +718,10 @@ class CampaignSession:
         return self.result()
 
     # ------------------------------------------------------------------
-    def _cell_events(self, plan, results, source):
-        """One cell's triple (plus a progress snapshot), published then
-        yielded."""
+    def _finish_cell(self, plan, results, source) -> CellFinished:
+        """Build one cell and publish its ``CellFinished``; the ``cell``
+        span covers the aggregation and the synchronous consumer fan-out
+        (sink append, store publish)."""
         self._check_cancel()
         tracer = current_tracer()
         cell_span = nullcontext() if tracer is None else tracer.span(
@@ -730,33 +729,13 @@ class CampaignSession:
             M=plan.M, phi=plan.phi, source=source,
         )
         with cell_span:
-            yield from self._emit_cell(plan, results, source, tracer)
-
-    def _emit_cell(self, plan, results, source, tracer):
-        emit = self.bus.publish
-        results = tuple(results)
-        yield emit(CellStarted(plan=plan, source=source))
-        if tracer is None:
-            event = emit(
-                ReplicaBatch(plan=plan, results=results, source=source))
-        else:
-            # The batch span covers the synchronous consumer fan-out
-            # (sink append, store publish) — closed before the yield so
-            # it never absorbs the caller's time between events.
-            with tracer.span("replica-batch", "executor",
-                             replicas=len(results)):
-                event = emit(ReplicaBatch(
-                    plan=plan, results=results, source=source))
-        yield event
-        cell = make_cell(plan, results)
-        if source == "resume":
-            self._done_cells[plan.index] = cell
-        else:
-            self._fresh[plan.index] = cell
-        yield emit(CellFinished(
-            plan=plan, cell=cell, results=results, source=source,
-        ))
-        yield emit(self._tracker.snapshot())
+            results = tuple(results)
+            cell = make_cell(plan, results)
+            done = self._done_cells if source == "resume" else self._fresh
+            done[plan.index] = cell
+            return self.bus.publish(CellFinished(
+                plan=plan, cell=cell, results=results, source=source,
+            ))
 
     def _produce(self):
         tracer = current_tracer()
@@ -801,7 +780,7 @@ class CampaignSession:
             # The results file stays an exact prefix of the serial file.
             stream = _in_grid_order(stream, self._plans)
         for plan, results, source in stream:
-            yield from self._cell_events(plan, results, source)
+            yield self._finish_cell(plan, results, source)
 
         progress = self._tracker.snapshot()
         if self._distributed:

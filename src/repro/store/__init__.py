@@ -75,7 +75,6 @@ from .store import (
     CompactReport,
     ExportReport,
     GcReport,
-    ReadStats,
     StoreEntry,
     StoreStat,
     VerifyReport,
@@ -90,7 +89,6 @@ __all__ = [
     "STORE_VERSION",
     "ENTRY_VERSION",
     "CampaignStore",
-    "ReadStats",
     "StoreEntry",
     "StoreStat",
     "GcReport",

@@ -78,7 +78,6 @@ __all__ = [
     "cell_key",
     "key_hash",
     "CampaignStore",
-    "ReadStats",
     "StoreEntry",
     "StoreStat",
     "GcReport",
@@ -471,29 +470,6 @@ class CompactReport:
         return head + tail
 
 
-@dataclass(frozen=True)
-class ReadStats:
-    """Concurrent-read counters of one :class:`CampaignStore` instance.
-
-    ``lookups`` counts every :meth:`CampaignStore.lookup` call (hit or
-    miss), ``active`` the lookups in flight at the instant of the
-    snapshot, and ``peak_concurrent`` the high-water mark of
-    simultaneous readers — the number that proves (or disproves) that a
-    shared store instance really was read concurrently, which is what
-    the campaign service's load tests assert.  Per *instance*, unlike
-    the hot-cell cache counters, which belong to the (usually shared)
-    cache object.
-    """
-
-    lookups: int
-    active: int
-    peak_concurrent: int
-
-    def describe(self) -> str:
-        return (f"{self.lookups} lookups, {self.active} active, "
-                f"peak {self.peak_concurrent} concurrent")
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
@@ -549,11 +525,9 @@ class CampaignStore:
         self._cached_verification = cached_verification
         self._cache = default_cache() if cache is _DEFAULT_CACHE else cache
         self._cache_root = str(self.root.resolve())
-        #: Concurrent-read accounting (see :meth:`read_stats`).  The
-        #: counters are registry instruments — per-instance, so
-        #: ``read_stats()`` stays exact for tests that construct private
-        #: stores, while the process-wide registry sums live instances
-        #: for ``GET /metrics``.  ``_read_lock`` still serialises the
+        #: Concurrent-read accounting: per-instance registry
+        #: instruments, summed over live instances by the process-wide
+        #: registry for ``GET /metrics``.  ``_read_lock`` serialises the
         #: active/peak pair (the high-water mark must see a consistent
         #: active count).
         registry = default_registry()
@@ -755,25 +729,6 @@ class CampaignStore:
         self._m_publish["stored"].inc()
         return True
 
-    def read_stats(self) -> ReadStats:
-        """This instance's concurrent-read counters (see
-        :class:`ReadStats`); callable from any thread.
-
-        .. deprecated:: the ad-hoc snapshot shape — this is now a thin
-           view over the instance's registry instruments
-           (``repro_store_lookups_total`` /
-           ``repro_store_readers_active`` /
-           ``repro_store_readers_peak_concurrent``); prefer the
-           process-wide :func:`repro.obs.default_registry` snapshot for
-           anything new.  Kept exact per instance for existing callers.
-        """
-        with self._read_lock:
-            return ReadStats(
-                lookups=int(self._m_lookups.value),
-                active=int(self._m_active.value),
-                peak_concurrent=int(self._m_peak.value),
-            )
-
     def lookup(self, key: dict) -> tuple | None:
         """The stored replica prefix of ``key``, or ``None`` on a miss.
 
@@ -789,7 +744,8 @@ class CampaignStore:
         away is found in the segment the compaction committed first.
 
         Safe to call from many threads at once against one instance
-        (the campaign service does); :meth:`read_stats` reports how
+        (the campaign service does); the
+        ``repro_store_readers_peak_concurrent`` gauge reports how
         concurrent the reads actually were.
         """
         with self._read_lock:

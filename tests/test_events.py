@@ -26,15 +26,12 @@ from repro.sim.backends import CampaignBackend, SerialBackend
 from repro.sim.campaign import CampaignConfig
 from repro.sim.events import (
     CampaignFinished,
-    CampaignProgress,
     CampaignStarted,
     CellFinished,
-    CellStarted,
     ControllerReplay,
     EventBus,
     EventConsumer,
     ProgressTracker,
-    ReplicaBatch,
     SinkWriter,
     StorePublisher,
 )
@@ -123,34 +120,41 @@ class TestGoldenByteIdentity:
 class TestEventStream:
     """The grammar, the source tags, and replay-to-state equivalence."""
 
-    def test_grammar_and_fanout_order(self, tmp_path):
-        spec, _, _ = golden("framed_fixed")
+    @pytest.mark.parametrize("state", ["cold", "warm", "resume"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_grammar_and_fanout_order(self, name, state, tmp_path):
+        """``CampaignStarted CellFinished* CampaignFinished`` with one
+        CellFinished per grid cell, whatever the cells' source: a cold
+        run, a fully-warm store, or a resume of a truncated file."""
+        spec, data, manifest = golden(name)
+        out = tmp_path / "r.jsonl"
+        store = None
+        if state == "warm":
+            store = str(tmp_path / "store")
+            Campaign(spec).session(tmp_path / "cold.jsonl",
+                                   store=store).run()
+        elif state == "resume":
+            out.write_bytes(data[:len(data) // 2])
+            out.with_name(out.name + ".manifest").write_bytes(manifest)
         recorder = Recorder()
         session = Campaign(spec).session(
-            tmp_path / "r.jsonl", consumers=[recorder]
+            out, resume=state == "resume", store=store,
+            consumers=[recorder],
         )
         yielded = list(session.events())
         # Consumers see exactly the yielded stream, in the same order.
         assert recorder.events == yielded
         assert recorder.closed == [None]
-        # CampaignStarted (Started Batch Finished Progress)* Finished
         cells = yielded[0].cells_total
-        assert isinstance(yielded[0], CampaignStarted)
-        assert isinstance(yielded[-1], CampaignFinished)
-        assert len(yielded) == 2 + 4 * cells
-        for i in range(cells):
-            started, batch, finished, progress = \
-                yielded[1 + 4 * i:5 + 4 * i]
-            assert isinstance(started, CellStarted)
-            assert isinstance(batch, ReplicaBatch)
-            assert isinstance(finished, CellFinished)
-            assert isinstance(progress, CampaignProgress)
-            assert started.plan is batch.plan is finished.plan
-            assert started.source == batch.source == finished.source \
-                == "backend"
-            assert finished.results == batch.results
-            assert progress.cells_done == i + 1
+        assert [type(e) for e in yielded] == \
+            [CampaignStarted] + [CellFinished] * cells + [CampaignFinished]
+        assert sorted(e.plan.index for e in yielded[1:-1]) \
+            == list(range(cells))
+        expected = {"cold": {"backend"}, "warm": {"store"},
+                    "resume": {"resume", "backend"}}[state]
+        assert {e.source for e in yielded[1:-1]} == expected
         assert yielded[-1].report is session.result().report
+        assert out.read_bytes() == data
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_replay_reconstructs_file_bytes(self, name, tmp_path):

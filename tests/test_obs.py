@@ -11,9 +11,11 @@ The contract under test, in order of importance:
   values (the :mod:`repro.io` float sentinels), and unknown formats,
   versions, kinds and fields are refused by name.
 * **The span tree matches the event stream** — a traced campaign's
-  cell and replica-batch spans mirror the typed events one-to-one,
-  parented under a single campaign root, and both exports (NDJSON,
-  Chrome trace-event JSON) reload faithfully.
+  cell spans mirror its ``CellFinished`` events one-to-one, parented
+  under a single campaign root, and both exports (NDJSON, Chrome
+  trace-event JSON) reload faithfully.
+* **Cell time adds up** — ``repro_executor_cell_seconds`` observes one
+  interval per cell whose sum covers the campaign's wall-clock.
 * **GET /metrics is real exposition** — a live service serves
   parseable Prometheus text covering executor, store, coalescer and
   HTTP-route series after a report fill.
@@ -58,9 +60,8 @@ from repro.obs import (
 from repro.service import CampaignService
 from repro.service.registry import CampaignHandle
 from repro.sim.campaign import CampaignConfig
-from repro.sim.events import CellStarted, EventConsumer, ReplicaBatch
+from repro.sim.events import CellFinished, EventConsumer
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
-from repro.store import CampaignStore
 from repro.store.cache import HotCellCache
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -286,6 +287,23 @@ class TestMetricsConsumer:
         assert series["repro_executor_cell_seconds"]["count"] \
             == execution.report.cells_total
 
+    @pytest.mark.parametrize("name", ["framed_fixed", "ordered_fixed"])
+    def test_cell_seconds_cover_the_campaign(self, name, tmp_path):
+        """One observation per cell, and together they account for the
+        campaign's wall-clock (not just each cell's fan-out)."""
+        spec, _ = golden(name)
+        execution = Campaign(spec).run(tmp_path / "r.jsonl")
+        report = execution.report
+        series = snapshot_from_dict(report.metrics)
+        (cell_seconds,) = [e for e in series
+                           if e["name"] == "repro_executor_cell_seconds"]
+        cells = sum(e["value"] for e in series
+                    if e["name"] == "repro_executor_cells_total")
+        assert cell_seconds["count"] == cells == report.cells_total
+        assert cell_seconds["sum"] >= 0.8 * report.elapsed
+        assert "repro_executor_batches_total" \
+            not in {e["name"] for e in series}
+
     def test_report_carries_metrics_snapshot(self, tmp_path):
         execution = Campaign(tiny_spec()).run(tmp_path / "r.jsonl")
         metrics = execution.report.metrics
@@ -355,19 +373,14 @@ class TestTracer:
         assert len(by_name["campaign"]) == 1
         root = by_name["campaign"][0]
         assert root.parent_id is None
-        started = [e for e in recorder.events
-                   if isinstance(e, CellStarted)]
-        batches = [e for e in recorder.events
-                   if isinstance(e, ReplicaBatch)]
+        finished = [e for e in recorder.events
+                    if isinstance(e, CellFinished)]
         cells = by_name["cell"]
-        assert len(cells) == len(started)
+        assert len(cells) == len(finished)
         assert all(record.parent_id == root.span_id for record in cells)
-        assert {record.args["index"] for record in cells} \
-            == {e.plan.index for e in started}
-        cell_ids = {record.span_id for record in cells}
-        replica = by_name["replica-batch"]
-        assert len(replica) == len(batches)
-        assert all(record.parent_id in cell_ids for record in replica)
+        assert [record.args["index"] for record in cells] \
+            == [e.plan.index for e in finished]
+        assert "replica-batch" not in by_name
 
     def test_ndjson_round_trip(self, tmp_path):
         tracer = Tracer()
@@ -412,27 +425,9 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Store / cache thin views stay exact over the instruments
+# The cache's thin view stays exact over the instruments
 # ----------------------------------------------------------------------
 class TestThinViews:
-    def test_read_stats_view_equals_instruments(self, tmp_path):
-        store = CampaignStore(tmp_path / "store", create=True)
-        spec = tiny_spec()
-        from repro.sim.executor import execute_spec
-
-        execute_spec(spec, store=store)     # cold: miss + publish
-        execute_spec(spec, store=store)     # warm: hits
-        reads = store.read_stats()
-        assert reads.lookups >= 2
-        assert reads.active == 0
-        assert reads.peak_concurrent >= 1
-        from repro.obs import default_registry
-
-        names = {e["name"]: e for e in snapshot_from_dict(
-            default_registry().snapshot())}
-        assert names["repro_store_lookups_total"]["value"] \
-            >= reads.lookups
-
     def test_cache_stats_view_equals_instruments(self):
         from repro.store.cache import CachedEntry
 

@@ -19,6 +19,7 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
@@ -37,6 +38,7 @@ import pytest
 
 from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.errors import CampaignCancelled, ParameterError
+from repro.obs import default_registry, snapshot_from_dict
 from repro.service import (
     CampaignRegistry,
     CampaignService,
@@ -98,6 +100,12 @@ def post_json(url: str, payload: dict, timeout: float = 30.0):
     )
     with urllib.request.urlopen(req, timeout=timeout) as resp:
         return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+def registry_value(name: str) -> float:
+    """``name`` summed over the process registry's live series."""
+    return sum(e["value"] for e in snapshot_from_dict(
+        default_registry().snapshot()) if e["name"] == name)
 
 
 def report_url(service: CampaignService, spec: CampaignSpec,
@@ -551,6 +559,8 @@ class TestAcceptance:
             store=tmp_path / "store", data_dir=tmp_path / "svc",
             backend_factory=factory,
         ) as service:
+            gc.collect()  # dead stores must not leave the sum mid-test
+            lookups_before = registry_value("repro_store_lookups_total")
             status, submitted = post_json(
                 service.url("/campaigns"), cold_spec.to_dict())
             assert status == 201
@@ -608,11 +618,11 @@ class TestAcceptance:
             assert handle.results_path.read_bytes() \
                 == direct.read_bytes()
 
-            # The store saw concurrent readers; the service's own
-            # counters prove the warm path went through lookups.
-            reads = service.store.read_stats()
-            assert reads.lookups > 0
-            assert reads.active == 0
+            # The store saw concurrent readers; the process registry
+            # proves the warm path went through lookups.
+            assert registry_value("repro_store_lookups_total") \
+                > lookups_before
+            assert registry_value("repro_store_readers_active") == 0
 
 
 # ----------------------------------------------------------------------

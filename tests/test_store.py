@@ -617,18 +617,26 @@ class TestCellEntries:
         other = CampaignStore(tmp_path / "store", cache=None)
         other.publish_cell(config, plan, four[:2])
         store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        lookups = []
+        lookup = store.lookup
+
+        def counting_lookup(key):
+            lookups.append(key)
+            return lookup(key)
+
+        store.lookup = counting_lookup
 
         def load(replicas):
             hit = store.load_cell(config, plan, FixedReplicas(replicas))
             return hit and [repro_io.dump_result(r) for r in hit]
 
         assert load(4) is None
-        assert store.read_stats().lookups == 1
+        assert len(lookups) == 1
         assert load(2) == [repro_io.dump_result(r) for r in four[:2]]
-        assert store.read_stats().lookups == 2  # served from the cache
+        assert len(lookups) == 2  # served from the cache
         other.publish_cell(config, plan, four)
         assert load(4) == [repro_io.dump_result(r) for r in four]
-        assert store.read_stats().lookups == 4
+        assert len(lookups) == 4
 
     def test_compact_keeps_the_longest_copy(self, tmp_path):
         from repro.store.segments import load_segments
