@@ -194,8 +194,10 @@ def test_event_pipeline_overhead_gate(tmp_path, record):
         sink.begin()
         trace_cache: dict = {}
         for plan in plan_cells(config):
-            sink.emit(plan, run_cell(config, plan, controller,
-                                     trace_cache))
+            sink.emit(plan, [
+                repro_io.dump_result(r)
+                for r in run_cell(config, plan, controller, trace_cache)
+            ])
 
     def piped(path):
         execute_spec(spec, results_path=path)

@@ -39,6 +39,7 @@ import os
 import time
 
 from repro import DOUBLE_NBL, TRIPLE, scenarios
+from repro.io import dump_result
 from repro.sim.campaign import CampaignConfig
 from repro.sim.executor import execute_spec
 from repro.sim.results import DesResult
@@ -70,11 +71,11 @@ _KEY_TEMPLATE = {
     "trace_seed": None,
 }
 
-_RESULTS = (DesResult(
+_RECORDS = (dump_result(DesResult(
     status="success", makespan=40_000.0, work_target=36_000.0,
     work_done=36_000.0, failures=12, rollbacks=11, work_lost=480.0,
     commits=120, risk_time=3_600.0,
-),) * REPLICAS
+)),) * REPLICAS
 
 
 def _key(i: int) -> dict:
@@ -109,7 +110,7 @@ def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
         writer = CampaignStore(store_dir)
         start = time.perf_counter()
         for i in range(n):
-            writer.publish(_key(i), _RESULTS)
+            writer.publish(_key(i), _RECORDS)
         t_populate = time.perf_counter() - start
         keys = _probe_keys(n)
 

@@ -7,16 +7,25 @@ serialises the library's result types to a stable JSON envelope::
     {"format": "repro-results", "version": 2,
      "kind": "DesResult", "payload": {...}}
 
-and, for out-of-order campaign sinks, a *framed* variant that wraps the
-same payload with the record's provenance — which grid cell produced it,
-which replica it is, and a contiguous file-wide sequence number::
+One result's canonical *record text* is its :func:`dump_result` line
+(keys sorted, non-finite floats as typed sentinels).  That line is
+produced once per replica and is the text every writer uses: the
+campaign sinks append it, the results store digests and files it, and a
+store hit hands back the stored line it just verified.
 
-    {"format": "repro-frames", "version": 2,
-     "cell": 7, "replica": 0, "seq": 21, "payload": {...}}
+For out-of-order campaign sinks, a *framed* variant wraps the same
+record with its provenance — which grid cell produced it, which replica
+it is, and a contiguous file-wide sequence number::
 
-Frames let records land in any cell order while still supporting exact
-resume: :func:`scan_frames` reconstructs per-cell completion from the
-framing alone (see :mod:`repro.sim.sinks`).
+    {"cell": 7, "format": "repro-frames", "payload": {...},
+     "replica": 0, "seq": 21, "version": 2}
+
+A frame is one fixed template around a record line
+(:func:`frame_record`); :func:`dump_frame` is that template over
+:func:`dump_result`, so there is one spelling of a frame.  Frames let
+records land in any cell order while still supporting exact resume:
+:func:`scan_frames` reconstructs per-cell completion from the framing
+alone (see :mod:`repro.sim.sinks`).
 
 Guarantees:
 
@@ -57,6 +66,7 @@ __all__ = [
     "to_envelope",
     "from_envelope",
     "ResultFrame",
+    "frame_record",
     "dump_frame",
     "load_frame",
     "scan_frames",
@@ -363,15 +373,19 @@ class ResultFrame:
     result: DesResult | MonteCarloSummary
 
 
-def frame_envelope(
-    result: DesResult | MonteCarloSummary, *, cell: int, replica: int, seq: int
-) -> dict:
-    """Wrap a result in the framed envelope (as a plain dict)."""
+def _check_framing(cell, replica, seq) -> None:
     for name, value in (("cell", cell), ("replica", replica), ("seq", seq)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParameterError(
                 f"frame {name} must be a non-negative integer, got {value!r}"
             )
+
+
+def frame_envelope(
+    result: DesResult | MonteCarloSummary, *, cell: int, replica: int, seq: int
+) -> dict:
+    """Wrap a result in the framed envelope (as a plain dict)."""
+    _check_framing(cell, replica, seq)
     return {
         "format": _FRAME_FORMAT,
         "version": _VERSION,
@@ -399,14 +413,32 @@ def frame_from_envelope(envelope: dict) -> ResultFrame:
     return ResultFrame(result=from_envelope(envelope.get("payload")), **fields)
 
 
+#: ``json.dumps(frame_envelope(...), sort_keys=True)`` with the record
+#: line spliced in as the payload: the keys in sorted order, the
+#: default separators.
+_FRAME_TEMPLATE = (
+    '{"cell": %d, "format": ' + json.dumps(_FRAME_FORMAT)
+    + ', "payload": %s, "replica": %d, "seq": %d, "version": '
+    + str(_VERSION) + "}"
+)
+
+
+def frame_record(record: str, *, cell: int, replica: int, seq: int) -> str:
+    """Frame one record line (a :func:`dump_result` string).
+
+    Byte-identical to serialising :func:`frame_envelope` of the record's
+    result, without decoding or re-encoding the record.
+    """
+    _check_framing(cell, replica, seq)
+    return _FRAME_TEMPLATE % (cell, record, replica, seq)
+
+
 def dump_frame(
     result: DesResult | MonteCarloSummary, *, cell: int, replica: int, seq: int
 ) -> str:
     """One framed result as a compact JSON string."""
-    return json.dumps(
-        frame_envelope(result, cell=cell, replica=replica, seq=seq),
-        sort_keys=True,
-    )
+    return frame_record(dump_result(result), cell=cell, replica=replica,
+                        seq=seq)
 
 
 def load_frame(text: str) -> ResultFrame:

@@ -702,8 +702,9 @@ class DistributedBackend(CampaignBackend):
         held = [plan for plans in plan_chunks for plan in plans]
         slots: dict[int, list[DesResult]] = {}
         if self._store is not None:
-            slots = self._store.load_cells(
+            hits = self._store.load_cells(
                 config, held, controller, engine=self.engine)
+            slots = {index: hit.results for index, hit in hits.items()}
             heartbeat()
         served = set(slots)
         remaining = [plan for plan in held if plan.index not in served]

@@ -77,13 +77,15 @@ order, with the terminating exception (or ``None``).
 Built-in consumers
 ------------------
 :class:`SinkWriter`
-    appends ``backend``/``store`` cells to the
+    appends ``backend``/``store`` cells' record lines
+    (:attr:`CellFinished.records`) to the
     :class:`~repro.sim.sinks.ResultSink` — the byte-identical file path.
 :class:`StorePublisher`
     publishes ``backend`` cells to the
     :class:`~repro.store.CampaignStore` *after* the sink append (it
     subscribes after the writer; the warehouse must never get ahead of
-    the durable results file).
+    the durable results file), filing the same record lines the sink
+    wrote — each replica is encoded once for both.
 :class:`ControllerReplay`
     replays every finished cell's waste sequence through a fresh
     :class:`~repro.sim.adaptive.ReplicaController` cursor and refuses a
@@ -114,7 +116,10 @@ up to IEEE NaN, which compares unequal to itself — results carrying
 NaN round trip); a :class:`CellFinished` event's aggregated cell is
 *not* transmitted — it is a pure function of ``(plan, results)`` and is
 recomputed on read via :func:`make_cell`, so the wire carries no
-derivable state that could drift from its inputs.  This one schema is
+derivable state that could drift from its inputs.  Nor are its
+:attr:`CellFinished.records` (the canonical record lines): a decoded
+event encodes them from its results on first use, byte for byte the
+lines the live event carried.  This one schema is
 shared by the campaign service's NDJSON stream
 (``GET /campaigns/<id>/events``) and any future replay consumer.
 """
@@ -123,14 +128,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import ParameterError
 from .adaptive import ReplicaController, stop_count
 from .campaign import CampaignCell, CampaignConfig
 from .results import DesResult, MonteCarloSummary
-from .sinks import ResultSink
+from .sinks import NullSink, ResultSink
 
 if TYPE_CHECKING:  # circular at runtime: executor builds on this module
     from .executor import CellPlan, ExecutionReport
@@ -196,12 +201,41 @@ class CampaignStarted(CampaignEvent):
 
 @dataclass(frozen=True)
 class CellFinished(CampaignEvent):
-    """A cell is complete: all of its replicas, plus the summary."""
+    """A cell is complete: all of its replicas, plus the summary.
+
+    :attr:`records` is each replica's canonical record line
+    (:func:`repro.io.dump_result`), the text every writer — the sink,
+    the store publisher — writes.  A producer that already holds
+    verified lines (a store hit) passes them as ``records=``; otherwise
+    they are encoded from ``results`` on first use, once, so a campaign
+    nobody writes encodes nothing.  Volatile: excluded from equality and
+    ``repr`` and never put on the wire (a decoded event re-encodes them
+    from its results, to the same bytes).
+    """
 
     plan: "CellPlan"
     cell: CampaignCell
     results: tuple[DesResult, ...]
     source: str = "backend"
+    _records: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __init__(self, plan, cell, results, source="backend", records=None):
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(
+            self, "_records", None if records is None else tuple(records))
+
+    @property
+    def records(self) -> tuple[str, ...]:
+        if self._records is None:
+            from .. import io as repro_io
+
+            object.__setattr__(self, "_records", tuple(
+                repro_io.dump_result(res) for res in self.results))
+        return self._records
 
 
 @dataclass(frozen=True)
@@ -525,18 +559,22 @@ class EventBus:
 # Built-in consumers
 # ----------------------------------------------------------------------
 class SinkWriter(EventConsumer):
-    """Appends finished cells to the results sink.
+    """Appends finished cells' record lines to the results sink.
 
     ``resume`` cells are skipped — their bytes are already in the file
-    the sink recovered; re-appending would duplicate them.
+    the sink recovered; re-appending would duplicate them.  A
+    :class:`~repro.sim.sinks.NullSink` is skipped too: it writes
+    nothing, so asking for its cells' records would encode them for
+    nobody.
     """
 
     def __init__(self, sink: ResultSink):
         self.sink = sink
 
     def on_event(self, event: CampaignEvent) -> None:
-        if isinstance(event, CellFinished) and event.source != "resume":
-            self.sink.emit(event.plan, list(event.results))
+        if isinstance(event, CellFinished) and event.source != "resume" \
+                and not isinstance(self.sink, NullSink):
+            self.sink.emit(event.plan, event.records)
 
 
 class StorePublisher(EventConsumer):
@@ -559,8 +597,7 @@ class StorePublisher(EventConsumer):
     def on_event(self, event: CampaignEvent) -> None:
         if isinstance(event, CellFinished) and event.source == "backend":
             self.store.publish_cell(
-                self.config, event.plan, list(event.results),
-                engine=self.engine,
+                self.config, event.plan, event.records, engine=self.engine,
             )
             self.published += 1
 

@@ -29,8 +29,13 @@ layers together:
   yielding chunks in completion order, each cell tagged with its
   source (a queue worker serves store hits inside its claimed chunks).
   The policy's ``workers`` / ``queue`` fields pick one.  The session
-  turns one stream of ``(plan, results, source)`` — resume recoveries,
-  then store hits, then backend cells — into the typed event stream.
+  turns one stream of ``(plan, results, source, records)`` — resume
+  recoveries, then store hits, then backend cells — into the typed
+  event stream.  ``records`` are the replicas' canonical record lines
+  when the producer already holds them (a store hit hands over the
+  lines it just verified) and ``None`` otherwise; the event then
+  encodes them once, on first use, for the sink and store publisher to
+  share.
 * **Sinks — a consumer** (:mod:`repro.sim.sinks`) — the
   :class:`~repro.sim.events.SinkWriter` consumer appends each finished
   cell to the :class:`~repro.sim.sinks.ResultSink` chosen by
@@ -559,7 +564,7 @@ class CampaignSession:
         # without simulating.  (Not under a queue policy — the queue's
         # chunk layout is a pure function of the spec, so the
         # distributed backend consults the store per claim instead.)
-        cached_results: dict[int, list[DesResult]] = {}
+        cached_results: dict = {}  # plan index -> store.StoredCell
         if store is not None and not distributed:
             cached_results = store.load_cells(
                 config, todo, controller, engine=policy.backend)
@@ -718,7 +723,7 @@ class CampaignSession:
         return self.result()
 
     # ------------------------------------------------------------------
-    def _finish_cell(self, plan, results, source) -> CellFinished:
+    def _finish_cell(self, plan, results, source, records) -> CellFinished:
         """Build one cell and publish its ``CellFinished``; the ``cell``
         span covers the aggregation and the synchronous consumer fan-out
         (sink append, store publish)."""
@@ -735,6 +740,7 @@ class CampaignSession:
             done[plan.index] = cell
             return self.bus.publish(CellFinished(
                 plan=plan, cell=cell, results=results, source=source,
+                records=records,
             ))
 
     def _produce(self):
@@ -754,33 +760,38 @@ class CampaignSession:
         ))
 
         def cells():
-            # Every cell as (plan, results, source).  Recovered cells
-            # first, in grid order, so consumers replay to the campaign's
-            # full state (the sink writer skips them — their bytes are
-            # already in the file).  Then store hits in grid order — what
+            # Every cell as (plan, results, source, records).  Recovered
+            # cells first, in grid order, so consumers replay to the
+            # campaign's full state (the sink writer skips them — their
+            # bytes are already in the file).  Then store hits in grid
+            # order, with the record lines the store verified — what
             # makes a fully-warm serial run byte-identical to its cold
             # twin under the framed sink — then backend cells in
             # completion order.
             for index in sorted(self._done_results):
-                yield self._plans[index], self._done_results[index], "resume"
+                yield (self._plans[index], self._done_results[index],
+                       "resume", None)
             cached = self._cached_results
             for plan in self._todo:
                 if plan.index in cached:
-                    yield plan, cached.pop(plan.index), "store"
+                    hit = cached.pop(plan.index)
+                    yield plan, hit.results, "store", hit.records
             if not self._chunks:
                 return
             for index, results, sources in self._backend.execute(
                 self._config, self._chunks, self._controller
             ):
                 self._check_cancel()
-                yield from zip(self._chunks[index], results, sources)
+                for plan, cell_results, source in zip(
+                        self._chunks[index], results, sources):
+                    yield plan, cell_results, source, None
 
         stream = cells()
         if self._sink.ordered:
             # The results file stays an exact prefix of the serial file.
             stream = _in_grid_order(stream, self._plans)
-        for plan, results, source in stream:
-            yield self._finish_cell(plan, results, source)
+        for plan, results, source, records in stream:
+            yield self._finish_cell(plan, results, source, records)
 
         progress = self._tracker.snapshot()
         if self._distributed:
@@ -822,8 +833,9 @@ class CampaignSession:
 
 
 def _in_grid_order(cells, plans):
-    """Re-sequence a ``(plan, results, source)`` stream to ``plans``
-    order, holding each cell until every earlier one has passed."""
+    """Re-sequence a ``(plan, results, source, records)`` stream to
+    ``plans`` order, holding each cell until every earlier one has
+    passed."""
     ready: dict[int, tuple] = {}
     pending = iter(plans)
     want = next(pending, None)

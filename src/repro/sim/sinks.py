@@ -4,20 +4,24 @@ A sink is the durability consumer of the result-event pipeline: the
 :class:`~repro.sim.events.SinkWriter` consumer feeds every finished
 ``backend``/``store`` cell from the event bus into a
 :class:`ResultSink` (``resume`` cells are skipped — their bytes are
-already in the recovered file), and the sink decides the on-disk
-format:
+already in the recovered file).  What a sink receives is *text*: each
+replica's canonical record line (:func:`repro.io.dump_result`), encoded
+once per replica by whoever produced the cell — or, for a store hit,
+the stored line the store just verified — and never re-encoded here.
+The sink decides the on-disk format:
 
-* :class:`OrderedJsonlSink` — plain result envelopes in strict grid
-  order.  The results file is an exact byte prefix of the serial file at
-  all times (the historical format), which is the strongest possible
-  reproducibility statement but serialises output behind the slowest
-  in-flight cell.
-* :class:`FramedJsonlSink` — framed envelopes
+* :class:`OrderedJsonlSink` — the record lines themselves, in strict
+  grid order.  The results file is an exact byte prefix of the serial
+  file at all times (the historical format), which is the strongest
+  possible reproducibility statement but serialises output behind the
+  slowest in-flight cell.
+* :class:`FramedJsonlSink` — framed records
   (:class:`repro.io.ResultFrame`: cell index + replica + file-wide
-  sequence number) appended the moment a cell completes, in *completion*
-  order.  No head-of-line blocking; resume reconstructs per-cell
-  completion from the framing alone, so arbitrary truncation recovers
-  exactly like the ordered sink does.
+  sequence number, spelled by the :func:`repro.io.frame_record`
+  template around each record line) appended the moment a cell
+  completes, in *completion* order.  No head-of-line blocking; resume
+  reconstructs per-cell completion from the framing alone, so
+  arbitrary truncation recovers exactly like the ordered sink does.
 * :class:`WorkerShardSink` — a distributed worker's private framed shard
   (:mod:`repro.sim.distributed`); re-opens instead of truncating, since a
   shard accumulates across worker restarts and the *queue* tracks which
@@ -30,9 +34,10 @@ M, effective φ, per-replica seed, platform size, workload), truncate any
 torn trailing cell, and report which cells are already complete.  A file
 the campaign cannot have written is refused, never truncated.
 
-Writes are cell-atomic — one ``write``+``flush`` per cell — so an
-interrupted campaign tears at most the trailing cell, which is exactly
-the damage ``recover`` knows how to undo.
+Writes are cell-atomic — one ``write`` of the cell's joined text, then
+the close that flushes it — so an interrupted campaign tears at most
+the trailing cell, which is exactly the damage ``recover`` knows how to
+undo.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ class ResultSink(ABC):
     path: pathlib.Path | None = None
 
     @abstractmethod
-    def emit(self, plan, results: list[DesResult]) -> None:
-        """Persist one finished cell's replica results."""
+    def emit(self, plan, records) -> None:
+        """Persist one finished cell: ``records`` holds one canonical
+        record line (:func:`repro.io.dump_result`) per replica."""
 
     def begin(self) -> None:
         """Start a fresh campaign: truncate — a campaign owns its file."""
@@ -110,7 +116,7 @@ class NullSink(ResultSink):
     def __init__(self, ordered: bool = True):
         self.ordered = ordered
 
-    def emit(self, plan, results) -> None:  # noqa: D102 - interface impl
+    def emit(self, plan, records) -> None:  # noqa: D102 - interface impl
         pass
 
 
@@ -177,10 +183,9 @@ class OrderedJsonlSink(ResultSink):
     def __init__(self, path: str | pathlib.Path):
         self.path = pathlib.Path(path)
 
-    def emit(self, plan, results) -> None:
-        from .. import io as repro_io
-
-        repro_io.save_results(results, self.path, append=True)
+    def emit(self, plan, records) -> None:
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in records))
 
     def recover(self, config, plans, controller, trusted):
         from .. import io as repro_io
@@ -244,18 +249,18 @@ class FramedJsonlSink(ResultSink):
         super().begin()
         self._seq = 0
 
-    def emit(self, plan, results) -> None:
+    def emit(self, plan, records) -> None:
         from .. import io as repro_io
 
-        lines = [
-            repro_io.dump_frame(
-                res, cell=plan.index, replica=r, seq=self._seq + r
-            )
-            for r, res in enumerate(results)
-        ]
+        text = "".join(
+            repro_io.frame_record(
+                line, cell=plan.index, replica=r, seq=self._seq + r
+            ) + "\n"
+            for r, line in enumerate(records)
+        )
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        self._seq += len(results)
+            fh.write(text)
+        self._seq += len(records)
 
     def recover(self, config, plans, controller, trusted):
         from .. import io as repro_io

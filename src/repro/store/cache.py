@@ -109,7 +109,9 @@ class CachedEntry:
     ``payload_text`` its stored lines (one :func:`repro.io.dump_result`
     per replica), exactly what ``payload_sha256`` digests.  Keeping it
     lets a cached re-read re-verify at ``"digest"`` level without
-    re-serialising, and at ``"full"`` level without touching disk.
+    re-serialising, and at ``"full"`` level without touching disk; a
+    hit also serves those lines as the cell's record text, so a warm
+    campaign writes the verified bytes instead of re-encoding them.
     ``hash``/``origin`` record where the bytes came from, so a loose hit
     can refresh its file's gc-LRU clock without recomputing the content
     address.

@@ -49,7 +49,7 @@ import pathlib
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..errors import ParameterError
@@ -84,6 +84,7 @@ __all__ = [
     "ExportReport",
     "VerifyReport",
     "CompactReport",
+    "StoredCell",
     "cells_from_store",
 ]
 
@@ -178,17 +179,15 @@ def _digest(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _entry_text(key: dict, results) -> str:
-    """An entry's bytes: a header line, then each replica serialised
-    once (:func:`repro.io.dump_result`), the text the digest covers."""
-    from .. import io as repro_io
-
-    body = "".join(repro_io.dump_result(r) + "\n" for r in results)
+def _entry_text(key: dict, records) -> str:
+    """An entry's bytes: a header line, then each replica's record line
+    (:func:`repro.io.dump_result`), the text the digest covers."""
+    body = "".join(line + "\n" for line in records)
     header = {
         "format": _ENTRY_FORMAT,
         "version": ENTRY_VERSION,
         "key": key,
-        "replicas": len(results),
+        "replicas": len(records),
         # The address hashes the *key*, so without this a well-formed
         # but altered payload would be undetectable.
         "payload_sha256": _digest(body),
@@ -299,15 +298,37 @@ def _footprint(spec) -> list[tuple]:
             for plan in plan_cells(config)]
 
 
-def _replay(stored, controller) -> list | None:
-    """The prefix of ``stored`` at which ``controller``'s cursor stops,
-    or ``None`` when it never stops inside it."""
-    if stored is None:
+@dataclass(frozen=True)
+class StoredCell:
+    """A store hit: a cell's replica prefix, and the verified entry text
+    it was decoded from.
+
+    :attr:`records` are the prefix's stored lines (one
+    :func:`repro.io.dump_result` per replica) — the exact text a warm
+    campaign writes, so nobody re-encodes it.  They are sliced on
+    demand: a caller that only aggregates (a report) never pays for
+    them.
+    """
+
+    results: list
+    payload_text: str = field(repr=False)
+
+    @property
+    def records(self) -> tuple[str, ...]:
+        count = len(self.results)
+        return tuple(self.payload_text.split("\n", count)[:count])
+
+
+def _replay(entry: CachedEntry | None, controller) -> StoredCell | None:
+    """The prefix of a verified entry at which ``controller``'s cursor
+    stops, or ``None`` when it never stops inside it."""
+    if entry is None:
         return None
+    stored = entry.results
     cursor = controller.cursor()
     for count, result in enumerate(stored[:controller.max_replicas], 1):
         if cursor.push(result.waste):
-            return list(stored[:count])
+            return StoredCell(list(stored[:count]), entry.payload_text)
     return None
 
 
@@ -702,9 +723,10 @@ class CampaignStore:
             pass  # segment-resident or concurrently evicted
 
     # -- publish / lookup ----------------------------------------------
-    def publish(self, key: dict, results) -> bool:
-        """Store one cell's replica prefix; False when a copy at least as
-        long is already present.
+    def publish(self, key: dict, records) -> bool:
+        """Store one cell's replica prefix, given as its record lines
+        (one :func:`repro.io.dump_result` per replica, in seed order);
+        False when a copy at least as long is already present.
 
         Always writes a *loose* entry — one atomic write-temp-then-
         rename, the property that makes any number of concurrent
@@ -715,17 +737,17 @@ class CampaignStore:
         tracer = current_tracer()
         if tracer is not None:
             with tracer.span("store.publish", "store"):
-                return self._publish(key, results)
-        return self._publish(key, results)
+                return self._publish(key, records)
+        return self._publish(key, records)
 
-    def _publish(self, key: dict, results) -> bool:
+    def _publish(self, key: dict, records) -> bool:
         hash_ = key_hash(key)
-        if self._stored_replicas(hash_) >= len(results):
+        if self._stored_replicas(hash_) >= len(records):
             self._m_publish["duplicate"].inc()
             return False
         path = self._entry_path(hash_)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, _entry_text(key, results))
+        _atomic_write(path, _entry_text(key, records))
         self._m_publish["stored"].inc()
         return True
 
@@ -748,6 +770,12 @@ class CampaignStore:
         ``repro_store_readers_peak_concurrent`` gauge reports how
         concurrent the reads actually were.
         """
+        entry = self._read(key)
+        return None if entry is None else entry.results
+
+    def _read(self, key: dict) -> CachedEntry | None:
+        """:meth:`lookup`, returning the whole verified entry (its
+        replicas and their stored lines)."""
         with self._read_lock:
             self._m_lookups.inc()
             self._m_active.inc()
@@ -758,22 +786,22 @@ class CampaignStore:
         tracer = current_tracer()
         try:
             if tracer is None:
-                results = self._lookup(key)
+                entry = self._lookup(key)
             else:
                 with tracer.span("store.lookup", "store") as span:
-                    results = self._lookup(key)
+                    entry = self._lookup(key)
                     span.args["result"] = \
-                        "hit" if results is not None else "miss"
-            outcome = "hit" if results is not None else "miss"
+                        "hit" if entry is not None else "miss"
+            outcome = "hit" if entry is not None else "miss"
             self._m_results[outcome].inc()
             self._m_lookup_seconds[outcome].observe(
                 time.perf_counter() - started)
-            return results
+            return entry
         finally:
             with self._read_lock:
                 self._m_active.dec()
 
-    def _lookup(self, key: dict) -> tuple | None:
+    def _lookup(self, key: dict) -> CachedEntry | None:
         token = None
         if self._cache is not None:
             # Probed by cheap surrogate, resolved by full-key equality:
@@ -785,7 +813,7 @@ class CampaignStore:
                 if hit.verify(self._cached_verification):
                     if hit.origin == "loose":
                         self._touch(hit.hash)  # LRU clock for gc
-                    return hit.results
+                    return hit
                 # In-memory corruption: drop it and re-read from disk.
                 self._cache.invalidate(self._cache_root, token)
 
@@ -798,24 +826,25 @@ class CampaignStore:
             found = self._read_longest(hash_)
             if found is None:
                 return None
-        results = self._admit(key, token, hash_, *found)
+        entry = self._admit(key, token, hash_, *found)
         if found[2] == "loose":
             self._touch(hash_)  # LRU clock for gc
-        return results
+        return entry
 
-    def _admit(self, key, token, hash_, data, label, origin) -> tuple:
+    def _admit(self, key, token, hash_, data, label, origin) -> CachedEntry:
         """Fully verify an entry read from disk, stage it in the hot-cell
-        cache, and return its replicas."""
+        cache, and return it."""
         started = time.perf_counter()
         header, results, body = _verify_entry(label, data, key)
         self._m_verify_seconds.observe(time.perf_counter() - started)
+        entry = CachedEntry(
+            key=key, results=results, payload_text=body,
+            payload_sha256=header["payload_sha256"],
+            hash=hash_, origin=origin,
+        )
         if self._cache is not None:
-            self._cache.put(self._cache_root, token, CachedEntry(
-                key=key, results=results, payload_text=body,
-                payload_sha256=header["payload_sha256"],
-                hash=hash_, origin=origin,
-            ))
-        return results
+            self._cache.put(self._cache_root, token, entry)
+        return entry
 
     def preload(self, keys) -> int:
         """Prime the hot-cell cache for ``keys`` with bulk segment reads.
@@ -881,13 +910,15 @@ class CampaignStore:
     def load_cell(
         self, config: CampaignConfig, plan, controller, *, engine: str = "des"
     ):
-        """A complete cell from the store, or ``None``.
+        """A complete cell from the store as a :class:`StoredCell`, or
+        ``None``.
 
         One lookup per cell: the stored prefix is pushed through the
         ``controller``'s incremental cursor — the *same* cursor live
         execution and resume scans drive — so a hit returns exactly the
         replica prefix a fresh run would have produced, whatever
-        controller stored the entry.  A store populated by a
+        controller stored the entry, together with the same prefix of
+        the entry's verified record lines.  A store populated by a
         fixed-count campaign therefore serves an adaptive campaign's
         shorter prefix for free, while a stored prefix shorter than this
         controller needs is a miss (the cell re-runs in full).
@@ -895,20 +926,20 @@ class CampaignStore:
         key = cell_key(config, plan, engine=engine)
         token = cache_key(key)
         held = self._cache and self._cache.peek(self._cache_root, token)
-        stored = self.lookup(key)
-        hit = _replay(stored, controller)
-        if hit is None and stored and held and held.key == key \
-                and len(stored) < controller.max_replicas:
+        entry = self._read(key)
+        hit = _replay(entry, controller)
+        if hit is None and entry is not None and held and held.key == key \
+                and len(entry.results) < controller.max_replicas:
             # The short prefix came from the cache: a longer one may
             # have landed since (another process, or a fill in this one).
             self._cache.invalidate(self._cache_root, token)
-            hit = _replay(self.lookup(key), controller)
+            hit = _replay(self._read(key), controller)
         return hit
 
     def load_cells(
         self, config: CampaignConfig, plans, controller, *,
         engine: str = "des",
-    ) -> dict[int, list]:
+    ) -> dict[int, StoredCell]:
         """The cells of ``plans`` the store can serve, by plan index.
 
         One :meth:`preload` of every cell entry (segment-resident ones
@@ -918,20 +949,20 @@ class CampaignStore:
         """
         self.preload(cell_key(config, plan, engine=engine)
                      for plan in plans)
-        hits: dict[int, list] = {}
+        hits: dict[int, StoredCell] = {}
         for plan in plans:
-            results = self.load_cell(config, plan, controller, engine=engine)
-            if results is not None:
-                hits[plan.index] = results
+            hit = self.load_cell(config, plan, controller, engine=engine)
+            if hit is not None:
+                hits[plan.index] = hit
         return hits
 
     def publish_cell(
-        self, config: CampaignConfig, plan, results, *, engine: str = "des"
+        self, config: CampaignConfig, plan, records, *, engine: str = "des"
     ) -> int:
-        """Publish one finished cell as one entry; 1 if it was stored,
-        0 if a copy at least as long already was."""
+        """Publish one finished cell's record lines as one entry; 1 if it
+        was stored, 0 if a copy at least as long already was."""
         return int(self.publish(cell_key(config, plan, engine=engine),
-                                tuple(results)))
+                                records))
 
     # -- index / query layer -------------------------------------------
     def _object_files(self) -> Iterator[tuple[str, pathlib.Path]]:
@@ -1523,10 +1554,10 @@ class CampaignStore:
         frames = 0
         tmp = out_path.with_name(out_path.name + f".tmp-{os.getpid()}")
         with tmp.open("w", encoding="utf-8") as fh:
-            for plan, results in resolved:
-                for replica, result in enumerate(results):
-                    fh.write(repro_io.dump_frame(
-                        result, cell=plan.index, replica=replica, seq=frames,
+            for plan, hit in resolved:
+                for replica, line in enumerate(hit.records):
+                    fh.write(repro_io.frame_record(
+                        line, cell=plan.index, replica=replica, seq=frames,
                     ) + "\n")
                     frames += 1
         os.replace(tmp, out_path)
@@ -1551,13 +1582,13 @@ def cells_from_store(store: CampaignStore, spec) -> list:
     """
     from ..sim.events import make_cell
 
-    return [make_cell(plan, results)
-            for plan, results in _load_cells(store, spec)]
+    return [make_cell(plan, hit.results)
+            for plan, hit in _load_cells(store, spec)]
 
 
 def _load_cells(store: CampaignStore, spec) -> list[tuple]:
-    """Every grid cell of ``spec`` as ``(plan, replica results)``, in
-    plan order — all-or-nothing: missing cells raise with grid
+    """Every grid cell of ``spec`` as ``(plan, StoredCell)``, in plan
+    order — all-or-nothing: missing cells raise with grid
     coordinates rather than returning a partial sweep."""
     from ..sim.executor import plan_cells
 

@@ -412,7 +412,7 @@ class TestWorkerShardSink:
         class Plan:
             index = 0
 
-        sink.emit(Plan, [res(0), res(1)])
+        sink.emit(Plan, [repro_io.dump_result(res(i)) for i in (0, 1)])
         intact = shard.read_bytes()
         shard.write_bytes(intact + intact[:25])  # torn next append
         rejoined = WorkerShardSink(shard)

@@ -173,6 +173,77 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
+# Record lines: volatile, never on the wire
+# ----------------------------------------------------------------------
+finite_results = st.builds(
+    DesResult,
+    status=st.just("completed"),
+    makespan=st.floats(min_value=900.0, max_value=1e7),
+    work_target=st.just(900.0),
+    work_done=st.just(900.0),
+    failures=st.integers(min_value=0, max_value=1000),
+    rollbacks=st.integers(min_value=0, max_value=1000),
+    work_lost=st.floats(min_value=0.0, max_value=1e6),
+    commits=st.integers(min_value=0, max_value=10_000),
+    risk_time=st.floats(min_value=0.0, max_value=1e6),
+    fatal_time=st.floats(min_value=0.0, max_value=1e6),
+    meta=st.dictionaries(st.text(max_size=12),
+                         st.one_of(st.text(max_size=12),
+                                   st.integers(min_value=-2**53,
+                                               max_value=2**53)),
+                         max_size=4),
+)
+
+
+class TestRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(plan=plans, results=st.lists(finite_results, min_size=1,
+                                        max_size=4),
+           source=sources)
+    def test_decoded_event_equals_live_and_reencodes_its_records(
+            self, plan, results, source):
+        results = tuple(results)
+        live = CellFinished(plan=plan, cell=make_cell(plan, results),
+                            results=results, source=source)
+        texts = tuple(repro_io.dump_result(r) for r in results)
+        supplied = CellFinished(plan=plan, cell=live.cell,
+                                results=results, source=source,
+                                records=texts)
+        assert live.records == texts
+        assert supplied == live  # records are excluded from equality
+        assert repr(supplied) == repr(live)
+        wire = event_to_dict(supplied)
+        assert wire == event_to_dict(live)
+        assert "records" not in wire
+        back = wire_round_trip(supplied)
+        assert back == live
+        assert back.records == live.records
+
+    def test_live_records_never_ride_the_wire(self, tmp_path):
+        """A warm campaign's cells carry the store's verified lines —
+        the cold file's lines — outside their wire dicts, and a decoded
+        event re-encodes exactly those lines."""
+        spec = get_campaign_preset("smoke").spec()
+        store = tmp_path / "store"
+        cold = tmp_path / "cold.jsonl"
+        Campaign(spec).run(cold, store=store)
+        lines = cold.read_text().splitlines()
+        session = Campaign(spec).session(tmp_path / "warm.jsonl",
+                                         store=store)
+        records = []
+        for event in session.events():
+            if not isinstance(event, CellFinished):
+                continue
+            assert event.source == "store"
+            assert set(event_to_dict(event)) == {
+                "format", "version", "kind", "plan", "source", "results"}
+            back = wire_round_trip(event)
+            assert back.records == event.records
+            records.extend(event.records)
+        assert records == lines
+
+
+# ----------------------------------------------------------------------
 # Refused by name
 # ----------------------------------------------------------------------
 class TestValidation:

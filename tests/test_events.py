@@ -173,7 +173,7 @@ class TestEventStream:
         for event in recorder.events:
             if isinstance(event, CellFinished) \
                     and event.source != "resume":
-                sink.emit(event.plan, list(event.results))
+                sink.emit(event.plan, event.records)
         assert rebuilt.read_bytes() == data
         assert (tmp_path / "live.jsonl").read_bytes() == data
 

@@ -13,6 +13,8 @@ from repro.errors import ParameterError
 from repro.io import (
     dump_frame,
     dump_result,
+    frame_envelope,
+    frame_record,
     from_envelope,
     iter_campaign_runs,
     load_frame,
@@ -373,6 +375,59 @@ class TestFrames:
             list(scan_results(framed))
         with pytest.raises(ParameterError, match="other sink mode"):
             list(scan_frames(plain))
+
+
+class TestFrameTemplateProperties:
+    """Hypothesis: the frame template around a record line spells
+    exactly what serialising the whole framed envelope spells."""
+
+    from hypothesis import given, settings, strategies as st
+
+    floats = st.one_of(st.floats(), st.just(float("nan")),
+                       st.just(float("inf")), st.just(float("-inf")))
+    meta_values = st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="éüß漢字🙂\u0000\u2028\"\\", max_size=6),
+        floats,
+        st.integers(min_value=-2**53, max_value=2**53),
+        st.booleans(),
+        st.none(),
+        st.sampled_from([{"__float__": "nan"}, {"__float__": "inf"},
+                         {"__dict__": {"a": 1}}, {"__dict__": "x"}]),
+    )
+    results = st.builds(
+        sample_des,
+        makespan=floats, work_lost=floats, risk_time=floats,
+        fatal_time=floats,
+        meta=st.dictionaries(st.text(max_size=12), meta_values,
+                             max_size=5),
+    )
+    framing = st.integers(min_value=0, max_value=2**62)
+
+    @settings(max_examples=200)
+    @given(result=results, cell=framing, replica=framing, seq=framing)
+    def test_template_equals_the_serialised_envelope(
+            self, result, cell, replica, seq):
+        framed = frame_record(dump_result(result), cell=cell,
+                              replica=replica, seq=seq)
+        assert framed == json.dumps(
+            frame_envelope(result, cell=cell, replica=replica, seq=seq),
+            sort_keys=True,
+        )
+        assert framed == dump_frame(result, cell=cell, replica=replica,
+                                    seq=seq)
+        frame = load_frame(framed)
+        assert (frame.cell, frame.replica, frame.seq) == (cell, replica, seq)
+        assert dump_result(frame.result) == dump_result(result)
+
+    @settings(max_examples=100)
+    @given(field=st.sampled_from(["cell", "replica", "seq"]),
+           value=st.one_of(st.integers(max_value=-1), st.booleans()))
+    def test_template_refuses_bad_framing(self, field, value):
+        framing = dict(cell=0, replica=0, seq=0)
+        framing[field] = value
+        with pytest.raises(ParameterError, match=field):
+            frame_record(dump_result(sample_des()), **framing)
 
 
 class TestIterCampaignRuns:

@@ -609,7 +609,7 @@ class TestAcceptance:
             for event in events:
                 if isinstance(event, CellFinished) \
                         and event.source != "resume":
-                    sink.emit(event.plan, list(event.results))
+                    sink.emit(event.plan, event.records)
 
             direct = tmp_path / "direct.jsonl"
             execute_spec(cold_spec, results_path=direct,

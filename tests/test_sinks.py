@@ -13,6 +13,7 @@ equality.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -316,3 +317,45 @@ class TestAdaptiveSinkRules:
         path.with_name(path.name + ".manifest").unlink()
         with pytest.raises(ParameterError, match="refusing to resume"):
             execute_spec(make_spec(FRAMED), results_path=path, resume=True)
+
+
+class TestCellAtomicWrites:
+    """Each cell reaches the results file as one ``write`` of its joined
+    text, so a crash can tear only the trailing cell."""
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_one_write_per_cell(self, sink, tmp_path, monkeypatch):
+        path = tmp_path / f"{sink}.jsonl"
+        writes: list[str] = []
+        real_open = pathlib.Path.open
+
+        class CountingFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                writes.append(text)
+                return self._fh.write(text)
+
+            def __enter__(self):
+                self._fh.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return CountingFile(fh) if self == path and "a" in mode else fh
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        spec = make_spec(policy=ExecutionPolicy(sink=sink), replicas=32,
+                         m_values=(300.0, 600.0))
+        execution = execute_spec(spec, results_path=path)
+        monkeypatch.undo()
+        assert len(writes) == len(execution.cells) == 4
+        assert [w.count("\n") for w in writes] == [32] * 4
+        assert "".join(writes).encode("utf-8") == path.read_bytes()

@@ -591,8 +591,8 @@ class TestCellEntries:
         config = make_spec(replicas=2).grid
         plan = plan_cells(config)[0]
         two = store.load_cell(config, plan, FixedReplicas(2))
-        assert len(two) == 2
-        assert store.publish_cell(config, plan, two) == 0
+        assert len(two.results) == len(two.records) == 2
+        assert store.publish_cell(config, plan, two.records) == 0
         assert [e.replicas for e in store.entries()] == [4] * 4
         # The 4-prefixes serve the 2-replica campaign, byte for byte.
         backend = CountingBackend()
@@ -615,27 +615,32 @@ class TestCellEntries:
         plan = plan_cells(config)[0]
         four = run_cell(config, plan, FixedReplicas(4))
         other = CampaignStore(tmp_path / "store", cache=None)
-        other.publish_cell(config, plan, four[:2])
+        texts = [repro_io.dump_result(r) for r in four]
+        other.publish_cell(config, plan, texts[:2])
         store = CampaignStore(tmp_path / "store", cache=HotCellCache())
         lookups = []
-        lookup = store.lookup
+        read = store._read
 
-        def counting_lookup(key):
+        def counting_read(key):
             lookups.append(key)
-            return lookup(key)
+            return read(key)
 
-        store.lookup = counting_lookup
+        store._read = counting_read
 
         def load(replicas):
             hit = store.load_cell(config, plan, FixedReplicas(replicas))
-            return hit and [repro_io.dump_result(r) for r in hit]
+            if hit is None:
+                return None
+            got = [repro_io.dump_result(r) for r in hit.results]
+            assert list(hit.records) == got
+            return got
 
         assert load(4) is None
         assert len(lookups) == 1
-        assert load(2) == [repro_io.dump_result(r) for r in four[:2]]
+        assert load(2) == texts[:2]
         assert len(lookups) == 2  # served from the cache
-        other.publish_cell(config, plan, four)
-        assert load(4) == [repro_io.dump_result(r) for r in four]
+        other.publish_cell(config, plan, texts)
+        assert load(4) == texts
         assert len(lookups) == 4
 
     def test_compact_keeps_the_longest_copy(self, tmp_path):
@@ -790,7 +795,7 @@ class TestCellEntries:
             rng = random.Random(seed)
             try:
                 for key in keys:
-                    store.publish(key, full[:rng.randint(1, 4)])
+                    store.publish(key, texts[:rng.randint(1, 4)])
                     got = store.lookup(key)
                     assert [repro_io.dump_result(r) for r in got] \
                         == texts[:len(got)]
@@ -825,6 +830,104 @@ class TestCellEntries:
         store = CampaignStore(store_dir, cache=None)
         assert [e.replicas for e in store.entries()] == [32] * 18
         assert store.coverage(spec) == (576, 576)
+
+
+def _count_encodes(monkeypatch) -> list:
+    """Every record encode from here on, by result: each call of
+    ``repro.io.dump_result`` or ``repro.io.dump_frame`` made from
+    outside the other."""
+    from repro import io as repro_io
+
+    calls: list = []
+    depth = [0]
+
+    def counting(encode):
+        def wrapper(result, **framing):
+            if not depth[0]:
+                calls.append(result)
+            depth[0] += 1
+            try:
+                return encode(result, **framing)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("dump_result", "dump_frame"):
+        monkeypatch.setattr(repro_io, name,
+                            counting(getattr(repro_io, name)))
+    return calls
+
+
+class TestEncodeOnce:
+    """Each replica's record line is encoded once and shared by every
+    writer: the sink and the store entry of a cold run, the store's own
+    admit check and the sink of a warm one."""
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_cold_run_with_store_writes_encodes_each_replica_once(
+            self, sink, tmp_path, monkeypatch):
+        calls = _count_encodes(monkeypatch)
+        execution = execute_spec(
+            make_spec(replicas=3, policy=ExecutionPolicy(sink=sink)),
+            results_path=tmp_path / "cold.jsonl",
+            store=tmp_path / "store")
+        replicas = [r for cell in execution.cells for r in cell.results]
+        assert len(replicas) == 12
+        assert len(calls) == len(replicas)
+        assert {id(r) for r in calls} == {id(r) for r in replicas}
+        assert len(_loose_entries(tmp_path / "store")) == 4
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_warm_rerun_encodes_only_inside_admit(
+            self, sink, tmp_path, monkeypatch):
+        spec = make_spec(replicas=3, policy=ExecutionPolicy(sink=sink))
+        cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+        execute_spec(spec, results_path=cold, store=tmp_path / "store")
+        calls = _count_encodes(monkeypatch)
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        inside: list[int] = []
+        admit = store._admit
+
+        def counting_admit(*args):
+            before = len(calls)
+            try:
+                return admit(*args)
+            finally:
+                inside.append(len(calls) - before)
+
+        store._admit = counting_admit
+        backend = CountingBackend()
+        execute_spec(spec, results_path=warm, backend=backend, store=store)
+        assert backend.cells_dispatched == 0
+        assert inside == [3] * 4  # one verification encode per replica
+        assert len(calls) == sum(inside)  # the sink and session add 0
+        assert warm.read_bytes() == cold.read_bytes()
+
+    def test_campaign_nobody_writes_encodes_nothing(self, monkeypatch):
+        calls = _count_encodes(monkeypatch)
+        execution = execute_spec(make_spec(replicas=3))
+        assert len(execution.cells) == 4
+        assert calls == []
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_longer_entry_serves_a_shorter_spec_byte_for_byte(
+            self, sink, tmp_path):
+        """A 4-replica entry serves a 2-replica spec: its record lines
+        are sliced with its results, so the warm file is that spec's
+        cold file."""
+        policy = ExecutionPolicy(sink=sink)
+        two, warm = tmp_path / "two.jsonl", tmp_path / "warm.jsonl"
+        store_dir = tmp_path / "store"
+        execute_spec(make_spec(replicas=2, policy=policy), results_path=two)
+        execute_spec(make_spec(replicas=4, policy=policy),
+                     results_path=tmp_path / "four.jsonl", store=store_dir)
+        assert [e.replicas for e in CampaignStore(store_dir).entries()] \
+            == [4] * 4
+        backend = CountingBackend()
+        execute_spec(make_spec(replicas=2, policy=policy),
+                     results_path=warm, backend=backend, store=store_dir)
+        assert backend.cells_dispatched == 0
+        assert warm.read_bytes() == two.read_bytes()
 
 
 class TestDistributedStore:

@@ -581,6 +581,7 @@ class TestHotCellCache:
 _READER_WRITER = textwrap.dedent("""\
     import json, pathlib, sys
     from repro.errors import ParameterError
+    from repro.io import dump_result
     from repro.sim.results import DesResult
     from repro.store import CampaignStore
 
@@ -601,7 +602,7 @@ _READER_WRITER = textwrap.dedent("""\
             "protocol": "double-nbl", "phi": 1.0, "work_target": 900.0,
             "max_time": None, "params": {"M": 600.0, "n": 12},
             "distribution": None, "seed": 10_000 + i, "trace_seed": None,
-        }, (synthetic, synthetic))
+        }, (dump_result(synthetic),) * 2)
     print("reader-writer-ok")
 """)
 

@@ -465,12 +465,13 @@ class TestStoreSeparation:
         plan = plan_cells(config)[0]
         store = CampaignStore(tmp_path / "store")
         vec = run_cell_vectorized(config, plan, FixedReplicas(2))
-        store.publish_cell(config, plan, vec, engine="vectorized")
+        store.publish_cell(config, plan, cell_bytes(vec), engine="vectorized")
         assert store.load_cell(config, plan, FixedReplicas(2)) is None
         hit = store.load_cell(
             config, plan, FixedReplicas(2), engine="vectorized"
         )
-        assert cell_bytes(hit) == cell_bytes(vec)
+        assert cell_bytes(hit.results) == cell_bytes(vec)
+        assert list(hit.records) == cell_bytes(vec)
 
     def test_warm_rerun_serves_every_cell(self, tmp_path):
         """Cold vectorized run publishes; an identical warm run performs
