@@ -13,6 +13,18 @@ produced once per replica and is the text every writer uses: the
 campaign sinks append it, the results store digests and files it, and a
 store hit hands back the stored line it just verified.
 
+The record codec has one reference and one fast path.  The reference
+is the generic walker: :func:`to_envelope` / :func:`from_envelope` over
+any payload tree, serialised with ``json.dumps(..., sort_keys=True)``.
+The fast path serves the records the engines write — a
+:class:`~repro.sim.results.DesResult` whose fields are exact
+``int``/``float``/``str`` values, whose ``fatal_group`` is a tuple of
+ints and whose ``meta`` holds only the engine-written keys: encoding
+fills one fixed template in ``sort_keys`` order, decoding extracts the
+fields directly under strict shape checks.  Anything else (bools, numpy
+scalars, user or marker-like ``meta``, summaries) takes the walker, and
+both paths spell and accept exactly the same lines.
+
 For out-of-order campaign sinks, a *framed* variant wraps the same
 record with its provenance — which grid cell produced it, which replica
 it is, and a contiguous file-wide sequence number::
@@ -46,7 +58,9 @@ Guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import json.encoder
 import math
 import pathlib
 from dataclasses import dataclass
@@ -165,11 +179,130 @@ class _VersionError(ParameterError):
 
 def _check_version(name: str, envelope: dict) -> None:
     version = envelope.get("version")
-    if version not in _READ_VERSIONS:
+    # A number test first: an unhashable (corrupt) value must be refused,
+    # not raise TypeError out of the set lookup.
+    if not (isinstance(version, (int, float))
+            and version in _READ_VERSIONS):
         raise _VersionError(
             f"unsupported {name} version {version!r} "
             f"(this library reads versions {sorted(_READ_VERSIONS)})"
         )
+
+
+#: :class:`DesResult`'s fields in ``sort_keys`` order (the order every
+#: record line spells them in), the numeric ones among them, and the
+#: ``meta`` keys the engines write.
+_DES_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(DesResult)))
+_DES_FIELDSET = frozenset(_DES_FIELDS)
+_DES_NUMBERS = tuple(name for name in _DES_FIELDS
+                     if name not in ("fatal_group", "meta", "status"))
+_DES_META_KEYS = frozenset(
+    ("protocol", "period", "phi", "seed", "n", "M", "engine"))
+#: The JSON types a fast-path ``meta`` value may decode to.
+_META_TYPES = (str, int, float)
+#: The record line of a :class:`DesResult` — ``json.dumps`` of its
+#: envelope with ``sort_keys`` and the default separators — as one
+#: template over the encoded field texts.
+_DES_TEMPLATE = (
+    '{"format": ' + json.dumps(_FORMAT) + ', "kind": "DesResult", '
+    '"payload": {' + ", ".join(f"{json.dumps(name)}: %({name})s"
+                               for name in _DES_FIELDS)
+    + '}, "version": ' + str(_VERSION) + "}"
+)
+#: Each engine-written meta key's ``"key": `` prefix, in sorted order.
+_DES_META_PREFIXES = tuple((key, json.dumps(key) + ": ")
+                           for key in sorted(_DES_META_KEYS))
+#: The JSON text of each non-finite float's typed sentinel.
+_SENTINEL_TEXT = {name: json.dumps({"__float__": name})
+                  for name in _FLOAT_STRINGS}
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dump_des_result(result: DesResult) -> str | None:
+    """The fast path of :func:`dump_result`: one template over the
+    fields, byte-identical to the generic walker.  ``None`` when a value
+    falls outside the template's exact shape (bools, numpy scalars, a
+    non-tuple ``fatal_group``, user ``meta``...); the generic walker
+    then encodes the result.
+
+    ``repr`` of an exact ``int`` or finite ``float`` is what ``json``
+    writes for it; a non-finite float becomes its typed sentinel.
+    """
+    fields = result.__dict__
+    if fields.keys() != _DES_FIELDSET:
+        return None
+    meta = fields["meta"]
+    group = fields["fatal_group"]
+    status = fields["status"]
+    if (type(status) is not str or type(meta) is not dict
+            or not meta.keys() <= _DES_META_KEYS
+            or type(group) is not tuple
+            or any(type(member) is not int for member in group)):
+        return None
+    texts = {}
+    for name in _DES_NUMBERS:
+        value = fields[name]
+        kind = type(value)
+        if kind is float:
+            if value - value == 0.0:
+                texts[name] = repr(value)
+            else:
+                texts[name] = _SENTINEL_TEXT[
+                    "nan" if value != value else "inf" if value > 0
+                    else "-inf"]
+        elif kind is int:
+            texts[name] = repr(value)
+        else:
+            return None
+    parts = []
+    for key, prefix in _DES_META_PREFIXES:
+        if key in meta:
+            value = meta[key]
+            kind = type(value)
+            if kind is str:
+                parts.append(prefix + _escape(value))
+            elif kind is int or (kind is float and value - value == 0.0):
+                parts.append(prefix + repr(value))
+            else:
+                return None
+    texts["meta"] = "{" + ", ".join(parts) + "}"
+    texts["fatal_group"] = "[" + ", ".join(map(repr, group)) + "]"
+    texts["status"] = _escape(status)
+    return _DES_TEMPLATE % texts
+
+
+def _load_des_result(payload: Any) -> DesResult | None:
+    """The fast path of :func:`from_envelope` for a ``DesResult``
+    payload: direct field extraction under strict shape checks.  ``None``
+    when the payload is not exactly the shape :func:`_dump_des_result`
+    writes; the generic walker then decides (and refuses what is
+    corrupt)."""
+    if type(payload) is not dict or payload.keys() != _DES_FIELDSET:
+        return None
+    meta = payload["meta"]
+    group = payload["fatal_group"]
+    status = payload["status"]
+    if (type(status) is not str or type(meta) is not dict
+            or not meta.keys() <= _DES_META_KEYS
+            or any(type(v) not in _META_TYPES for v in meta.values())
+            or type(group) is not list
+            or any(type(member) is not int for member in group)):
+        return None
+    values = {}
+    for name in _DES_NUMBERS:
+        value = payload[name]
+        kind = type(value)
+        if kind is dict and len(value) == 1:
+            # A typed sentinel: {"__float__": "nan" | "inf" | "-inf"}.
+            value = value.get("__float__")
+            if type(value) is not str or value not in _FLOAT_STRINGS:
+                return None
+            value = _FLOAT_STRINGS[value]
+        elif kind is not float and kind is not int:
+            return None
+        values[name] = value
+    return DesResult(status=status, fatal_group=tuple(group),
+                     meta=dict(meta), **values)
 
 
 def to_envelope(result: DesResult | MonteCarloSummary) -> dict:
@@ -193,9 +326,13 @@ def from_envelope(envelope: dict) -> DesResult | MonteCarloSummary:
         raise ParameterError("not a repro-results envelope")
     _check_version("results", envelope)
     kind = envelope.get("kind")
-    cls = _KINDS.get(kind)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParameterError(f"unknown result kind {kind!r}")
+    if kind == "DesResult":
+        result = _load_des_result(envelope.get("payload"))
+        if result is not None:
+            return result
     payload = _decode_payload(envelope.get("payload", {}))
     if not isinstance(payload, dict):
         raise ParameterError(
@@ -213,7 +350,17 @@ def from_envelope(envelope: dict) -> DesResult | MonteCarloSummary:
 
 
 def dump_result(result: DesResult | MonteCarloSummary) -> str:
-    """One result as a compact JSON string."""
+    """One result as a compact JSON string: its record line.
+
+    A :class:`DesResult` of the engines' exact shape takes the template
+    fast path (:func:`_dump_des_result`); anything else — and the
+    reference the fast path is tested against — is
+    ``json.dumps(to_envelope(result), sort_keys=True)``.
+    """
+    if type(result) is DesResult:
+        line = _dump_des_result(result)
+        if line is not None:
+            return line
     return json.dumps(to_envelope(result), sort_keys=True)
 
 

@@ -43,7 +43,7 @@ from ..errors import ParameterError
 from .adaptive import ReplicaController
 from .campaign import CampaignConfig
 from .des import DesConfig, buddy_protocol, run_des
-from .failures import FailureInjector, TraceSchedule, generate_trace
+from .failures import FailureInjector, TraceSchedule
 from .results import DesResult
 from .rng import RngFactory
 
@@ -83,18 +83,19 @@ def _horizon(config: CampaignConfig) -> float:
 
 
 def _cell_trace(config: CampaignConfig, plan, replica: int) -> TraceSchedule:
-    """Regenerate and parse the shared failure trace of (m_index, replica).
+    """The shared failure schedule of (m_index, replica), drawn on demand.
 
     The trace is a pure function of the campaign seed and the grid
     coordinates, so workers rebuild it locally instead of shipping
-    potentially-huge arrays through the process pool.
+    arrays through the process pool; each node's stream is drawn only
+    as far as some replay reads it (:meth:`TraceSchedule.generate`).
     """
     params = config.base_params.with_updates(M=plan.M)
     factory = RngFactory(trace_seed(config, plan.m_index, replica))
     injector = FailureInjector.from_platform_mtbf(
         params.n, params.M, factory, config.distribution
     )
-    return TraceSchedule(params.n, generate_trace(injector, _horizon(config)))
+    return TraceSchedule.generate(injector, _horizon(config))
 
 
 def run_cell(
@@ -119,9 +120,11 @@ def run_cell(
 
     The cell's simulation model (period, phase plan, stall, risk window,
     re-execution terms) is resolved once and shared by every replica.
-    Shared failure traces are parsed once per (m_index, replica) into a
-    :class:`~repro.sim.failures.TraceSchedule` cached in ``trace_cache``;
-    each replay walks it with its own cursors and never mutates it.
+    Shared failure traces are one
+    :class:`~repro.sim.failures.TraceSchedule` per (m_index, replica),
+    cached in ``trace_cache``: each replay walks it with its own cursors,
+    draws a node's next failure only when it is the first to read past
+    the drawn ones, and never alters a drawn value.
     """
     params = config.base_params.with_updates(M=plan.M)
     model = buddy_protocol(plan.protocol, params, plan.phi)
@@ -222,8 +225,8 @@ class SerialBackend(CampaignBackend):
     """In-process execution, chunks in submission order.
 
     One trace cache spans the whole campaign, so each shared
-    (m_index, replica) failure trace is generated and parsed exactly
-    once — like the historical serial implementation.
+    (m_index, replica) failure schedule is built once and every failure
+    in it is drawn at most once, however many cells replay it.
     """
 
     def __init__(self, engine: str = "des"):
@@ -250,8 +253,9 @@ def _resolve_workers(workers: int | None) -> int:
 class ProcessPoolBackend(CampaignBackend):
     """Chunks across worker processes, yielded in completion order.
 
-    Workers regenerate shared traces locally (per chunk), trading a little
-    recomputation for never pickling trace arrays.  Because results carry
+    Workers rebuild shared failure schedules locally (one trace cache
+    per chunk), trading a little recomputation for never pickling them;
+    the values are the same wherever they are drawn.  Because results carry
     their chunk index, consumers needing grid order can re-sequence them,
     while out-of-order sinks stream a slow chunk's neighbours immediately.
     """

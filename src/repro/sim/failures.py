@@ -11,13 +11,24 @@ Scale conventions: the paper parameterises by the *platform* MTBF ``M``;
 individual nodes then have ``M_ind = n·M`` (§VII).  Constructors accept
 either scale.
 
+Replays walk a :class:`TraceSchedule` through a :class:`TraceInjector`.
+A schedule is either parsed whole from a recorded trace or *generated*
+from a :class:`FailureInjector`: campaigns sharing failure traces
+(``share_traces``) generate theirs, and each node's stream is then drawn
+on demand — only as far as some replay reads it, with the same
+arithmetic as generating the whole trace to the horizon and parsing it,
+so the delays are identical while the failures past every replay's end
+are never drawn.
+
 The module also provides trace generation/statistics so experiments can
 record and replay failure schedules (:func:`generate_trace`,
-:func:`trace_statistics`).
+:func:`trace_statistics`); :func:`generate_trace` is also the reference
+the on-demand schedules are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +38,7 @@ from .distributions import Exponential, FailureDistribution
 from .rng import RngFactory
 
 __all__ = [
+    "NEVER",
     "FailureInjector",
     "TraceInjector",
     "TraceSchedule",
@@ -106,21 +118,42 @@ class FailureInjector:
         return self.distribution.mean() / self.n_nodes
 
 
+#: Far-future sentinel a replay returns once a node's schedule is
+#: exhausted: that node never fails again.
+NEVER = 1e300
+
+_NEGATIVE = "trace times must be >= 0"
+
+
 class TraceSchedule:
-    """A failure trace parsed once into per-node inter-arrival delays.
+    """Per-node failure inter-arrival delays, shared by every replay.
 
-    Accepts the structured array produced by :func:`generate_trace`
-    (fields ``time``/``node``) or any ``(time, node)`` pair sequence.
-    The parse is vectorized and validates the whole trace: times must be
-    finite, non-negative and sorted, nodes in ``[0, n_nodes)``.
+    ``delays[i]`` lists node ``i``'s delays in order (its first delay is
+    its first failure time: clocks start at 0).  ``ends[i]`` is that
+    list's final length once the node can fail no more, else ``-1``.
+    Replays (:class:`TraceInjector`) walk the lists with their own
+    cursors; a delay, once in a list, never changes, so any number of
+    replays (every protocol and φ of a campaign row) share one instance.
 
-    ``delays`` is node-major: node ``i``'s delays are
-    ``delays[bounds[i]:bounds[i + 1]]``.  A schedule is never mutated,
-    so any number of :class:`TraceInjector` replays (every protocol and
-    φ of a campaign row) can walk one cached instance.
+    A schedule comes from one of two sources:
+
+    * **Recorded** — ``TraceSchedule(n_nodes, trace)`` parses the
+      structured array produced by :func:`generate_trace` (fields
+      ``time``/``node``) or any ``(time, node)`` pair sequence, eagerly
+      and whole.  The parse validates the entire trace: times must be
+      finite, non-negative and sorted, nodes in ``[0, n_nodes)``.
+    * **Generated** — :meth:`generate` keeps each node's
+      :class:`FailureInjector` stream and its clock and draws on demand:
+      a node's list grows only when some replay's cursor reaches its
+      end (:meth:`draw`).  The arithmetic is :func:`generate_trace`'s
+      followed by the parse — ``t += draw``, delay ``t_k − t_{k−1}``,
+      first delay ``t_0``, a node exhausted once its clock passes the
+      horizon — so every delay equals the eager schedule's exactly,
+      while failures no replay reaches are never drawn.
     """
 
-    __slots__ = ("n_nodes", "delays", "bounds", "total_events")
+    __slots__ = ("n_nodes", "delays", "ends", "_injector", "_horizon",
+                 "_clocks")
 
     def __init__(self, n_nodes: int, trace):
         if n_nodes < 1:
@@ -136,7 +169,7 @@ class TraceSchedule:
         if not np.isfinite(times).all():
             raise ParameterError("trace times must be finite")
         if (times < 0).any():
-            raise ParameterError("trace times must be >= 0")
+            raise ParameterError(_NEGATIVE)
         out_of_range = (nodes < 0) | (nodes >= self.n_nodes)
         if out_of_range.any():
             raise ParameterError(
@@ -150,27 +183,71 @@ class TraceSchedule:
         counts = np.bincount(nodes, minlength=self.n_nodes)
         bounds = np.concatenate(([0], np.cumsum(counts)))
         first = bounds[:-1][counts > 0]
-        self.delays = np.diff(ordered, prepend=0.0)
-        self.delays[first] = ordered[first]
-        self.delays.flags.writeable = False  # shared by every replay
-        self.bounds = tuple(bounds.tolist())
-        self.total_events = int(times.size)
+        delays = np.diff(ordered, prepend=0.0)
+        delays[first] = ordered[first]
+        flat, edges = delays.tolist(), bounds.tolist()
+        self.delays = [flat[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        self.ends = counts.tolist()
+
+    @classmethod
+    def generate(
+        cls, injector: FailureInjector, horizon: float
+    ) -> "TraceSchedule":
+        """The schedule of ``generate_trace(injector, horizon)``, drawn on
+        demand from ``injector``'s node streams (which it takes over)."""
+        if horizon <= 0:
+            raise ParameterError("horizon must be > 0")
+        schedule = cls.__new__(cls)
+        schedule.n_nodes = n = injector.n_nodes
+        schedule.delays = [[] for _ in range(n)]
+        schedule.ends = [-1] * n
+        schedule._injector = injector
+        schedule._horizon = horizon
+        schedule._clocks = [0.0] * n
+        return schedule
+
+    @property
+    def total_events(self) -> int:
+        """Failures in the schedule so far (a recorded trace's all)."""
+        return sum(map(len, self.delays))
+
+    def draw(self, node: int) -> float:
+        """Extend ``node``'s delays by one draw; :data:`NEVER` (and the
+        node marked exhausted) once its clock passes the horizon."""
+        delays = self.delays[node]
+        if self.ends[node] >= 0:  # exhausted (a recorded node always is)
+            return NEVER
+        prev = self._clocks[node]
+        draw = self._injector.next_failure_delay(node)
+        t = prev + draw if delays else draw
+        if t < 0:
+            raise ParameterError(
+                _NEGATIVE if t > -math.inf else "trace times must be finite")
+        if not t <= self._horizon:  # past the horizon (or NaN)
+            self.ends[node] = len(delays)
+            return NEVER
+        delay = t - prev if delays else t
+        self._clocks[node] = t
+        delays.append(delay)
+        return delay
 
 
 class TraceInjector:
-    """Replay a recorded failure trace instead of sampling one.
+    """Replay a failure trace instead of sampling one.
 
     Walks a :class:`TraceSchedule` (raw traces are parsed into one) with
-    one cursor per node and never mutates it, so a schedule parsed once
-    per shared trace serves every replay of it.  Nodes whose schedule is
-    exhausted never fail again (their next delay is ``+inf`` past the
-    horizon).  Replaying the same trace under two protocols gives a
-    *common-random-numbers* comparison: both face the identical failure
-    history.
+    one cursor per node and never alters a delay already in it, so one
+    schedule per shared trace serves every replay of it.  A replay that
+    runs past a generated schedule's drawn delays draws the node's next
+    one (:meth:`TraceSchedule.draw`), which every later replay then
+    reads.  Nodes whose schedule is exhausted never fail again (their
+    next delay is :data:`NEVER`, past any horizon).  Replaying the same
+    trace under two protocols gives a *common-random-numbers*
+    comparison: both face the identical failure history.
     """
 
     #: Far-future sentinel returned once a node's schedule is exhausted.
-    NEVER = 1e300
+    NEVER = NEVER
 
     def __init__(self, n_nodes: int, trace):
         if not isinstance(trace, TraceSchedule):
@@ -181,19 +258,30 @@ class TraceInjector:
                 f"not {n_nodes}"
             )
         self.n_nodes = trace.n_nodes
-        self.total_events = trace.total_events
+        self.schedule = trace
         self._delays = trace.delays
-        self._cursors = list(trace.bounds[:-1])
-        self._ends = trace.bounds[1:]
+        self._ends = trace.ends
+        self._cursors = [0] * trace.n_nodes
+
+    @property
+    def total_events(self) -> int:
+        """Failures in the replayed schedule so far."""
+        return self.schedule.total_events
 
     def next_failure_delay(self, node: int) -> float:
         if not 0 <= node < self.n_nodes:
             raise ParameterError(f"node_id {node} out of range")
         i = self._cursors[node]
+        delays = self._delays[node]
+        if i < len(delays):
+            self._cursors[node] = i + 1
+            return delays[i]
         if i == self._ends[node]:
-            return self.NEVER
-        self._cursors[node] = i + 1
-        return self._delays.item(i)
+            return NEVER
+        delay = self.schedule.draw(node)
+        if delay != NEVER:
+            self._cursors[node] = i + 1
+        return delay
 
 
 # ----------------------------------------------------------------------

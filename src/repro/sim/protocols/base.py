@@ -41,7 +41,7 @@ from ...errors import SimulationError
 from ..application import Application
 from ..cluster import Cluster
 from ..engine import Engine, Event
-from ..failures import FailureInjector
+from ..failures import NEVER, FailureInjector
 
 __all__ = ["PhasePlan", "SimProtocol", "PlatformSim"]
 
@@ -101,7 +101,9 @@ class PlatformSim:
     protocol:
         Protocol adapter.
     injector:
-        Per-node failure processes.
+        Per-node failure processes.  A node whose next delay is
+        :data:`~repro.sim.failures.NEVER` never fails again, so no event
+        is scheduled for it.
     application:
         Work target and progress tracking.
     engine:
@@ -156,7 +158,9 @@ class PlatformSim:
         """Schedule initial failures and enter the first phase at t=0."""
         for node in range(self.injector.n_nodes):
             delay = self.injector.next_failure_delay(node)
-            self.engine.schedule(delay, self._on_failure, payload=node, kind="failure")
+            if delay != NEVER:  # an exhausted node's event could never fire
+                self.engine.schedule(delay, self._on_failure, payload=node,
+                                     kind="failure")
         self._enter_phase(0)
 
     # ------------------------------------------------------------------
@@ -239,8 +243,9 @@ class PlatformSim:
         node = event.payload
         # Renewal process: the (replacement) node's next failure.
         delay = self.injector.next_failure_delay(node)
-        engine.schedule(engine.now + delay, self._on_failure, payload=node,
-                        kind="failure")
+        if delay != NEVER:
+            engine.schedule(engine.now + delay, self._on_failure,
+                            payload=node, kind="failure")
         if self.status is not None:
             return
         self.failures_seen += 1

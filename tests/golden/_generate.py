@@ -1,12 +1,21 @@
 """Regenerate the campaign golden files (run from the repo root).
 
-The goldens freeze the *pre-event-pipeline* executor's output bytes
-(the PR 7 tree, commit 4d0e591): ``ordered_fixed.jsonl`` (ordered sink,
-fixed replicas — the historical byte-prefix format), ``framed_fixed``
-and ``framed_adaptive`` (framed sink, fixed / AdaptiveCI control), plus
-the spec JSON that produced each.  ``tests/test_events.py`` re-runs the
-specs through the event-driven engine and compares bytes — the
-refactor's hard constraint is that these files never change.
+Each golden freezes one campaign's output bytes, plus the spec JSON
+that produced it, as generated at the commit named below:
+
+* ``ordered_fixed.jsonl`` (ordered sink, fixed replicas — the historical
+  byte-prefix format), ``framed_fixed`` and ``framed_adaptive`` (framed
+  sink, fixed / AdaptiveCI control) — the smoke preset's exponential
+  shared traces, generated by the pre-event-pipeline executor at commit
+  4d0e591;
+* ``ordered_hetero`` (ordered sink, 3 fixed replicas) — the
+  ``hetero-mtbf`` preset's shared traces under a non-exponential
+  (hyperexponential ``Mixture``) law, generated at commit b0732b9, the
+  last commit that drew every shared trace eagerly to the horizon.
+
+``tests/test_events.py`` re-runs the specs through the current engine
+and compares bytes — the hard constraint is that these files never
+change.
 
 Deterministic by construction: every replica is a pure function of the
 spec (seed schedule ⊕ grid coordinates), so regeneration on any machine
@@ -30,7 +39,8 @@ HERE = pathlib.Path(__file__).parent
 
 #: The grids: the smoke preset (2 protocols x 2 MTBFs x 1 phi, 12
 #: nodes), replicas raised to 6 for the adaptive case so the stopping
-#: rule has room to cut cells short.
+#: rule has room to cut cells short; and the hetero-mtbf preset (3
+#: protocols x 3 MTBFs x 2 phi, 24 nodes) at 3 replicas.
 GOLDENS: dict[str, CampaignSpec] = {
     "ordered_fixed": get_campaign_preset("smoke").spec(
         replicas=4, policy=ExecutionPolicy()
@@ -44,6 +54,9 @@ GOLDENS: dict[str, CampaignSpec] = {
             sink="framed",
             controller=AdaptiveCI(max_replicas=6, tolerance=0.2),
         ),
+    ),
+    "ordered_hetero": get_campaign_preset("hetero-mtbf").spec(
+        replicas=3, policy=ExecutionPolicy()
     ),
 }
 

@@ -11,7 +11,12 @@ from repro.io import load_results
 from repro.sim.campaign import CampaignCell, CampaignConfig, cells_table
 from repro.sim.des import DesConfig, run_des
 from repro.io import dump_result
+from repro.experiments.scenarios import CAMPAIGN_PRESETS
+from repro.sim.backends import _cell_trace, _horizon, trace_seed
+from repro.sim.distributions import FailureDistribution
+from repro.sim.executor import plan_cells
 from repro.sim.failures import (
+    NEVER,
     FailureInjector,
     TraceInjector,
     TraceSchedule,
@@ -113,13 +118,13 @@ class TestTraceSchedule:
             times = [float(t) for t, v in zip(trace["time"], trace["node"])
                      if v == node]
             expected = [t - prev for prev, t in zip([0.0] + times, times)]
-            lo, hi = schedule.bounds[node], schedule.bounds[node + 1]
-            assert schedule.delays[lo:hi].tolist() == expected
+            assert schedule.delays[node] == expected
+            assert schedule.ends[node] == len(expected)
         assert schedule.total_events == trace.shape[0]
 
     def test_injectors_share_a_schedule_without_mutating_it(self, trace):
         schedule = TraceSchedule(8, trace)
-        before = schedule.delays.copy()
+        before = [list(delays) for delays in schedule.delays]
 
         def replay(injector):
             return [[injector.next_failure_delay(node)
@@ -128,7 +133,7 @@ class TestTraceSchedule:
 
         first, second = TraceInjector(8, schedule), TraceInjector(8, schedule)
         assert replay(first) == replay(second)
-        assert np.array_equal(schedule.delays, before)
+        assert schedule.delays == before
 
     def test_exhausted_node_returns_never(self):
         injector = TraceInjector(3, TraceSchedule(3, [(2.0, 1)]))
@@ -154,6 +159,125 @@ class TestTraceSchedule:
         assert run(trace) == run(TraceSchedule(12, trace))
         pairs = list(zip(trace["time"].tolist(), trace["node"].tolist()))
         assert run(pairs) == run(trace)
+
+
+class CountingLaw(FailureDistribution):
+    """A node law that counts its draws."""
+
+    def __init__(self, law: FailureDistribution):
+        self.law = law
+        self.draws = 0
+
+    def mean(self) -> float:
+        return self.law.mean()
+
+    def sample(self, rng, size=()):
+        self.draws += 1
+        return self.law.sample(rng, size)
+
+
+def _row_plans(config):
+    """One cell plan per M row (the schedule depends on the row only)."""
+    return list({plan.m_index: plan for plan in plan_cells(config)}.values())
+
+
+def _drain(injector, node):
+    """``node``'s delays until the replay returns NEVER."""
+    out = []
+    while (delay := injector.next_failure_delay(node)) != NEVER:
+        out.append(delay)
+    return out
+
+
+class TestGeneratedSchedule:
+    """Shared schedules drawn on demand equal the eagerly generated and
+    parsed trace — the oracle — on every shipped preset's failure law,
+    every M row and replicas 0-3."""
+
+    @pytest.fixture(params=sorted(CAMPAIGN_PRESETS))
+    def rows(self, request):
+        config = CAMPAIGN_PRESETS[request.param].campaign_config(replicas=4)
+        out = []
+        for plan in _row_plans(config):
+            for replica in range(4):
+                injector = FailureInjector.from_platform_mtbf(
+                    config.base_params.n, plan.M,
+                    RngFactory(trace_seed(config, plan.m_index, replica)),
+                    config.distribution,
+                )
+                oracle = TraceSchedule(
+                    injector.n_nodes,
+                    generate_trace(injector, _horizon(config)))
+                out.append((config, plan, replica, oracle))
+        return out
+
+    def test_node_by_node_matches_oracle(self, rows):
+        for config, plan, replica, oracle in rows:
+            injector = TraceInjector(oracle.n_nodes,
+                                     _cell_trace(config, plan, replica))
+            for node in range(oracle.n_nodes):
+                assert _drain(injector, node) == oracle.delays[node]
+                assert injector.next_failure_delay(node) == NEVER
+            assert injector.schedule.ends == oracle.ends
+
+    def test_round_robin_matches_oracle(self, rows):
+        for config, plan, replica, oracle in rows:
+            schedule = _cell_trace(config, plan, replica)
+            injector = TraceInjector(oracle.n_nodes, schedule)
+            seen = [[] for _ in range(oracle.n_nodes)]
+            live = set(range(oracle.n_nodes))
+            while live:
+                for node in sorted(live):
+                    delay = injector.next_failure_delay(node)
+                    if delay == NEVER:
+                        live.discard(node)
+                    else:
+                        seen[node].append(delay)
+            assert seen == oracle.delays
+            assert schedule.delays == oracle.delays
+            assert schedule.ends == oracle.ends
+
+    def test_shared_replays_draw_once(self, rows):
+        for config, plan, replica, oracle in rows:
+            node_law = FailureInjector.from_platform_mtbf(
+                config.base_params.n, plan.M, RngFactory(0),
+                config.distribution,
+            ).distribution
+            law = CountingLaw(node_law)
+            schedule = TraceSchedule.generate(
+                FailureInjector(
+                    oracle.n_nodes, law,
+                    RngFactory(trace_seed(config, plan.m_index, replica))),
+                _horizon(config))
+            first = TraceInjector(oracle.n_nodes, schedule)
+            second = TraceInjector(oracle.n_nodes, schedule)
+            # The first replay reads part of every node, the second all.
+            partial = [[first.next_failure_delay(node)
+                        for _ in range(len(oracle.delays[node]) // 2)]
+                       for node in range(oracle.n_nodes)]
+            full = [_drain(second, node) for node in range(oracle.n_nodes)]
+            draws = law.draws
+            # One draw per delay, plus the one past the horizon per node.
+            assert draws == oracle.total_events + oracle.n_nodes
+            rest = [_drain(first, node) for node in range(oracle.n_nodes)]
+            assert [a + b for a, b in zip(partial, rest)] == full
+            assert full == oracle.delays
+            assert law.draws == draws  # the second replay drew nothing
+
+    def test_negative_instant_is_refused(self):
+        class Backwards(CountingLaw):
+            def sample(self, rng, size=()):
+                return -1.0
+
+        schedule = TraceSchedule.generate(
+            FailureInjector(2, Backwards(None), RngFactory(1)), 10.0)
+        with pytest.raises(ParameterError, match=">= 0"):
+            TraceInjector(2, schedule).next_failure_delay(0)
+
+    def test_horizon_must_be_positive(self):
+        injector = FailureInjector.from_platform_mtbf(2, 5.0, RngFactory(1))
+        with pytest.raises(ParameterError):
+            TraceSchedule.generate(injector, 0.0)
 
 
 class TestCampaign:

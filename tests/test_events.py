@@ -4,8 +4,10 @@ The executor was refactored around a typed result-event pipeline
 (:mod:`repro.sim.events`): backends produce events, and the JSONL sink,
 store publisher, controller replay and progress tracker are independent
 consumers on one bus.  The goldens under ``tests/golden/`` freeze the
-*pre-refactor* engine's output bytes (commit 4d0e591); these tests prove
-the event-driven engine reproduces them exactly — ordered and framed
+*pre-refactor* engine's output bytes (commit 4d0e591) and, for a
+non-exponential law, the eagerly drawn shared traces' bytes (commit
+b0732b9; see ``tests/golden/_generate.py``); these tests prove the
+event-driven engine reproduces them exactly — ordered and framed
 sinks, fixed and adaptive control, resume from arbitrary truncation,
 and distributed shard merge — and pin down the bus contract every
 consumer relies on (ordering, single-shot streams, error propagation,
@@ -40,8 +42,9 @@ from repro.sim.sinks import make_sink
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-#: Every frozen pre-refactor output: (name, sink kind, control kind).
-GOLDEN_NAMES = ("ordered_fixed", "framed_fixed", "framed_adaptive")
+#: Every frozen output: (grid, sink kind, control kind).
+GOLDEN_NAMES = ("ordered_fixed", "framed_fixed", "framed_adaptive",
+                "ordered_hetero")
 
 
 def golden(name: str):

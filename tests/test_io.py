@@ -6,11 +6,18 @@ import json
 import math
 import pathlib
 import shutil
+from unittest import mock
 
+import numpy as np
 import pytest
+
+import repro.io as repro_io
 
 from repro.errors import ParameterError
 from repro.io import (
+    _DES_FIELDS,
+    _dump_des_result,
+    _load_des_result,
     dump_frame,
     dump_result,
     frame_envelope,
@@ -205,6 +212,20 @@ class TestValidation:
         env["kind"] = "Mystery"
         with pytest.raises(ParameterError, match="kind"):
             from_envelope(env)
+
+    @pytest.mark.parametrize("field, match", [("kind", "kind"),
+                                              ("version", "version")])
+    def test_rejects_unhashable_kind_and_version(self, field, match):
+        # A corrupt line may hold any JSON there; a list used to escape
+        # the set lookups as TypeError instead of a refusal.
+        env = to_envelope(sample_des())
+        env[field] = [2]
+        with pytest.raises(ParameterError, match=match):
+            from_envelope(env)
+        with pytest.raises(ParameterError, match=match):
+            load_frame(json.dumps({**frame_envelope(sample_des(), cell=0,
+                                                    replica=0, seq=0),
+                                   "payload": env}))
 
     def test_rejects_corrupt_payload(self):
         env = to_envelope(sample_des())
@@ -428,6 +449,156 @@ class TestFrameTemplateProperties:
         framing[field] = value
         with pytest.raises(ParameterError, match=field):
             frame_record(dump_result(sample_des()), **framing)
+
+
+def _reference_line(result) -> str:
+    """The generic walker's record line: what the fast path must spell."""
+    return json.dumps(to_envelope(result), sort_keys=True)
+
+
+def _outcome(call, *args):
+    """``("ok", value)`` or ``("error", exception type)``."""
+    try:
+        return "ok", call(*args)
+    except (ParameterError, TypeError, ValueError) as exc:
+        return "error", type(exc)
+
+
+class TestRecordCodecProperties:
+    """Hypothesis: the ``DesResult`` template encoder and the strict
+    field-extraction decoder agree with the generic walker, which stays
+    the reference, on arbitrary results and corrupt lines."""
+
+    from hypothesis import given, settings, strategies as st
+
+    floats = st.one_of(st.floats(), st.just(float("nan")),
+                       st.just(float("inf")), st.just(float("-inf")))
+    ints = st.integers(min_value=-2**70, max_value=2**70)
+    numpy_scalars = st.one_of(
+        st.floats(allow_nan=False).map(np.float64),
+        st.integers(min_value=-2**31, max_value=2**31).map(np.int64),
+        st.booleans().map(np.bool_),
+    )
+    numbers = st.one_of(floats, ints, st.booleans(), numpy_scalars)
+    engine_keys = st.sampled_from(
+        ("M", "engine", "n", "period", "phi", "protocol", "seed"))
+    text = st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="éüß漢字🙂\u0000\u2028\"\\", max_size=6),
+    )
+    meta_values = st.one_of(
+        text, floats, ints, st.booleans(), st.none(), numpy_scalars,
+        st.sampled_from([{"__float__": "nan"}, {"__float__": "inf"},
+                         {"__dict__": {"a": 1}}, {"__dict__": "x"}]),
+    )
+    meta = st.dictionaries(
+        st.one_of(engine_keys, text,
+                  st.sampled_from(("__float__", "__dict__"))),
+        meta_values, max_size=8,
+    )
+    groups = st.one_of(
+        st.lists(st.integers(min_value=0, max_value=10**6),
+                 max_size=4).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=10**6), max_size=3),
+        st.lists(st.one_of(st.booleans(), numpy_scalars),
+                 min_size=1, max_size=2).map(tuple),
+    )
+    statuses = st.one_of(st.sampled_from(["completed", "fatal", "timeout"]),
+                         text, st.none(), st.integers())
+    results = st.builds(
+        DesResult, status=statuses, makespan=numbers, work_target=numbers,
+        work_done=numbers, failures=numbers, rollbacks=numbers,
+        work_lost=numbers, commits=numbers, risk_time=numbers,
+        fatal_time=numbers, fatal_group=groups, meta=meta,
+    )
+    #: The shape the engines write: every value takes the fast path.
+    engine_numbers = st.one_of(floats, ints)
+    engine_results = st.builds(
+        DesResult, status=text, makespan=engine_numbers,
+        work_target=engine_numbers, work_done=engine_numbers,
+        failures=engine_numbers, rollbacks=engine_numbers,
+        work_lost=engine_numbers, commits=engine_numbers,
+        risk_time=engine_numbers, fatal_time=engine_numbers,
+        fatal_group=st.lists(st.integers(min_value=0, max_value=10**6),
+                             max_size=4).map(tuple),
+        meta=st.dictionaries(
+            engine_keys,
+            st.one_of(text, ints, st.floats(allow_nan=False,
+                                            allow_infinity=False)),
+        ),
+    )
+    junk = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=5), ints, st.floats(),
+        st.lists(st.integers(), max_size=3),
+        st.lists(st.text(max_size=3), max_size=2),
+        st.dictionaries(st.text(max_size=5), st.integers(), max_size=2),
+        st.dictionaries(engine_keys, st.one_of(st.none(), st.booleans(),
+                                               st.lists(st.integers())),
+                        min_size=1, max_size=2),
+        st.sampled_from([{"__float__": "nan"}, {"__float__": "-inf"},
+                         {"__float__": "bogus"}, {"__float__": 1},
+                         {"__dict__": {"a": 1}}, {"__dict__": "x"},
+                         {"__float__": "nan", "x": 1}]),
+    )
+
+    @settings(max_examples=300)
+    @given(result=results)
+    def test_fast_encoder_equals_the_generic_walker(self, result):
+        expected = _outcome(_reference_line, result)
+        assert _outcome(dump_result, result) == expected
+
+    @settings(max_examples=200)
+    @given(result=engine_results)
+    def test_engine_shaped_results_take_the_fast_path(self, result):
+        line = _dump_des_result(result)
+        assert line is not None
+        assert line == _reference_line(result)
+        assert _load_des_result(json.loads(line)["payload"]) is not None
+        assert dump_result(load_result(line)) == line
+
+    @staticmethod
+    def _generic_load(line):
+        with mock.patch.object(repro_io, "_load_des_result",
+                               return_value=None):
+            return load_result(line)
+
+    def _assert_same_decode(self, line):
+        fast = _outcome(load_result, line)
+        generic = _outcome(self._generic_load, line)
+        if generic[0] == "error":
+            assert fast == generic
+            assert issubclass(generic[1], ParameterError)
+            return
+        assert fast[0] == "ok"
+        assert _reference_line(fast[1]) == _reference_line(generic[1])
+        assert [type(getattr(fast[1], name)) for name in _DES_FIELDS] \
+            == [type(getattr(generic[1], name)) for name in _DES_FIELDS]
+
+    @settings(max_examples=300)
+    @given(result=engine_results,
+           field=st.sampled_from(_DES_FIELDS + ("extra",)),
+           value=junk, drop=st.booleans())
+    def test_fast_and_generic_decode_agree_on_corrupt_payloads(
+            self, result, field, value, drop):
+        envelope = json.loads(dump_result(result))
+        if drop:
+            envelope["payload"].pop(field, None)
+        else:
+            envelope["payload"][field] = value
+        self._assert_same_decode(json.dumps(envelope))
+
+    @settings(max_examples=200)
+    @given(result=engine_results,
+           field=st.sampled_from(("format", "kind", "version", "payload")),
+           value=junk, cut=st.integers(min_value=0, max_value=400))
+    def test_fast_and_generic_decode_agree_on_corrupt_lines(
+            self, result, field, value, cut):
+        line = dump_result(result)
+        self._assert_same_decode(line)
+        self._assert_same_decode(line[:cut])
+        envelope = json.loads(line)
+        envelope[field] = value
+        self._assert_same_decode(json.dumps(envelope))
 
 
 class TestIterCampaignRuns:

@@ -16,6 +16,7 @@ from repro.errors import SimulationError
 from repro.sim.application import Application
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
+from repro.sim.failures import TraceInjector, TraceSchedule
 from repro.sim.protocols.base import PlatformSim
 from repro.sim.protocols.buddy import BuddySimProtocol
 from repro.sim.protocols.coordinated import CoordinatedSimProtocol
@@ -249,3 +250,37 @@ class TestTimeout:
         status, makespan, _, _ = run_platform(DOUBLE_NBL, 1e9, {}, until=5000.0)
         assert status == "timeout"
         assert makespan == pytest.approx(5000.0)
+
+
+class TestExhaustedNodes:
+    """A node whose schedule is exhausted gets no failure event: it could
+    never fire, and dropping it keeps every other event's order."""
+
+    def _platform(self, trace):
+        protocol = BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD)
+        engine = Engine()
+        sim = PlatformSim(
+            protocol, TraceInjector(4, TraceSchedule(4, trace)),
+            Application(work_target=3 * 97.0), engine,
+            Cluster(contiguous_groups(4, 2)),
+        )
+        return sim, engine
+
+    def test_start_schedules_only_the_phase_event(self):
+        sim, engine = self._platform([])
+        sim.start()
+        assert [event.kind for _, _, event in engine._queue] == ["phase-end"]
+
+    def test_last_failure_is_not_rescheduled(self):
+        sim, engine = self._platform([(50.0, 0)])
+        sim.start()
+        assert sorted(event.kind for _, _, event in engine._queue) \
+            == ["failure", "phase-end"]
+        engine.run(until=60.0)
+        assert "failure" not in {event.kind for _, _, event in engine._queue}
+        engine.run(until=1e9)
+        # Same makespan as a scripted run whose exhausted nodes keep a
+        # far-future event queued (TestSingleFailure).
+        _, makespan, _, _ = run_platform(DOUBLE_NBL, 3 * 97.0, {0: [50.0]})
+        assert sim.finalize() == "completed"
+        assert engine.now == makespan
