@@ -197,14 +197,7 @@ def test_service_warm_query_load(tmp_path, record):
     assert len(samples) == THREADS * QUERIES_PER_THREAD
     # Zero simulations is a counting fact: no fill backend was built.
     assert built == []
-    # The daemon really served requests concurrently: total in-handler
-    # time well past the wall clock is only possible with overlap.
     busy_ratio = busy_seconds / wall
-    assert busy_ratio >= MIN_BUSY_RATIO, (
-        f"server-side busy time {busy_seconds:.2f} s over {wall:.2f} s "
-        f"wall is a concurrency ratio of {busy_ratio:.2f} "
-        f"(need >= {MIN_BUSY_RATIO})"
-    )
     assert seen_requests >= expected_requests, (
         f"request histogram saw {seen_requests:.0f} /reports requests, "
         f"clients issued {expected_requests}"
@@ -239,3 +232,12 @@ def test_service_warm_query_load(tmp_path, record):
         f"metered (clients issued {expected_requests})",
         "simulations during load: 0 (counting-backend proof)",
     ])
+    # The daemon really served requests concurrently: total in-handler
+    # time well past the wall clock is only possible with overlap.
+    # Checked after the other gates and the summary, so a failure here
+    # still reports them.
+    assert busy_ratio >= MIN_BUSY_RATIO, (
+        f"server-side busy time {busy_seconds:.2f} s over {wall:.2f} s "
+        f"wall is a concurrency ratio of {busy_ratio:.2f} "
+        f"(need >= {MIN_BUSY_RATIO})"
+    )

@@ -334,19 +334,22 @@ def campaign_report(path) -> str:
                                   source=path.name)
 
 
-def store_report(store, spec) -> str:
+def store_report(store, spec, resolved=None) -> str:
     """The campaign report of a spec, resolved straight from a results
     store (:mod:`repro.store`) — no results file, zero re-simulation.
 
     Every grid cell must be present in the store (populated by earlier
     ``--store`` campaigns); missing cells raise with grid coordinates
-    rather than silently reporting a partial sweep.
+    rather than silently reporting a partial sweep.  ``resolved`` is a
+    :meth:`~repro.store.CampaignStore.resolve` result of ``store`` the
+    caller already holds, passed through to
+    :func:`~repro.store.cells_from_store`.
     """
     from ..store import CampaignStore, cells_from_store
 
     if not isinstance(store, CampaignStore):
         store = CampaignStore(store, create=False)
-    cells = cells_from_store(store, spec)
+    cells = cells_from_store(store, spec, resolved)
     return _render_campaign_cells(cells, source=f"store {store.root.name}")
 
 

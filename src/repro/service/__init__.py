@@ -8,6 +8,7 @@ web framework — and deliberately thin: the campaign engine already
 exposes exactly the service-shaped seams
 (:class:`~repro.sim.executor.CampaignSession` = submit/stream/poll, the
 event wire format of :mod:`repro.sim.events` = the NDJSON schema,
+:meth:`repro.store.CampaignStore.resolve` +
 :func:`repro.store.store.cells_from_store` = the zero-simulation query
 path), so the service only binds them to HTTP.
 

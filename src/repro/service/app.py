@@ -24,12 +24,15 @@ coalescer to a threaded stdlib HTTP server (one thread per connection,
 ``POST /shutdown``                         graceful drain and exit
 =========================================  ===============================
 
-The report path is the service's reason to exist: coverage is checked
-against the store first, a fully-warehoused spec renders straight from
-``preload`` + :class:`~repro.store.cache.HotCellCache` +
-:func:`~repro.experiments.report.store_report` with **zero**
-simulations, and only missing cells trigger a (single-flight coalesced)
-fill campaign whose results are published for every later query.
+The report path is the service's reason to exist: one store pass
+(:meth:`~repro.store.CampaignStore.resolve`: preload, then every cell
+through the hot-cell cache) yields the coverage and every cell the
+store replays; when each cell replays, the report renders from that
+pass with **zero** simulations (:func:`~repro.experiments.report.
+store_report`, each cell's summary taken from its verified cache
+entry), and only cells that do not replay trigger a (single-flight
+coalesced) fill campaign whose results are published for every later
+query.
 
 Shutdown never tears a sink: draining lets sessions finish, a bounded
 or immediate shutdown cancels them *between* cells, and either way the
@@ -249,11 +252,21 @@ class CampaignService:
     def report_query(self, spec, *, on_miss: str = "run") -> dict:
         """A spec's waste-surface report, warm cells costing zero sims.
 
-        The store's coverage decides the path: fully covered renders
-        directly (``preload`` + hot-cell cache + ``store_report``);
-        missing cells either refuse (``on_miss="fail"``) or run a
+        One store pass decides the path: :meth:`CampaignStore.resolve`
+        preloads the footprint and replays every cell through the
+        spec's controller.  When every cell replays, the report renders
+        from that pass — each cell's summary is the one memoized on its
+        cache entry (:meth:`~repro.store.StoredCell.cell`), served only
+        after the hit re-verified the entry at the store's
+        ``cached_verification`` level.  When some cell does not replay,
+        the query either refuses (``on_miss="fail"``) or runs a
         single-flight coalesced fill campaign that publishes into the
-        store, after which the render proceeds warm.
+        store, after which the render reads the cells again
+        (:meth:`CampaignStore.load_cells`, no coverage probes: the reply
+        keeps the coverage the query found).  An adaptive spec
+        whose stopped prefixes are all stored renders directly even
+        though ``coverage`` (replicas stored out of the grid's budget,
+        as of the query) is short.
         """
         from ..experiments.report import store_report
 
@@ -267,22 +280,25 @@ class CampaignService:
                 "report queries cannot drive a distributed queue "
                 "campaign; drop policy.queue from the spec"
             )
-        present, total = self.store.coverage(spec)
+        resolved = self.store.resolve(spec)
+        present, total, cells = resolved
+        missing = sum(hit is None for _, hit in cells)
         filled = None
-        if present < total:
-            # The footprint over-approximates under adaptive control,
-            # so "not covered" may still resolve warm — the fill run
-            # consults the store per cell and only simulates true
-            # misses (and N identical concurrent queries fill once).
+        if missing:
             if on_miss == "fail":
                 raise _MissingCells(
                     f"store covers {present}/{total} replicas of "
-                    "this spec and on_miss='fail' forbids simulating "
-                    "the rest; submit the campaign (POST /campaigns) "
-                    "or query with on_miss=run"
+                    f"this spec and {missing} of its {len(cells)} cells "
+                    "do not replay from it; on_miss='fail' forbids "
+                    "simulating them; submit the campaign (POST "
+                    "/campaigns) or query with on_miss=run"
                 )
+            # The fill run consults the store per cell and only
+            # simulates true misses (and N identical concurrent queries
+            # fill once).
             filled = self._fill(spec)
-        text = store_report(self.store, spec)
+            resolved = None
+        text = store_report(self.store, spec, resolved)
         return {
             "report": text,
             "coverage": {"present": present, "total": total},

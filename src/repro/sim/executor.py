@@ -81,7 +81,7 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
       │   (idempotent        CampaignSession per spec identity          │
       │    per identity)                                                │
       │ GET /campaigns/<id>/events ─► NDJSON (event_to_dict per event)  │
-      │ GET /reports?spec=… ─► store.coverage ─► warm: store_report     │
+      │ GET /reports?spec=… ─► store.resolve ─► warm: store_report      │
       │   (zero simulation)        miss: single-flight coalesced fill   │
       └──────────────────────────────┬──────────────────────────────────┘
                               ▼

@@ -46,9 +46,21 @@ The surrogate is *not* guaranteed unique (two keys differing only in,
 say, their failure-law dict share one), so every hit compares the full
 stored key: a mismatch is simply a miss (the caller falls through to
 the content-addressed disk path), never a wrong answer.  A lock guards
-the map, so concurrent readers (the planned campaign-service threads)
-are safe; it is per-process state — distributed workers on other
-machines each warm their own.
+the map, so concurrent readers (the campaign-service threads) are
+safe; it is per-process state — distributed workers on other machines
+each warm their own.
+
+Each entry also keeps the aggregated cells built from it
+(:attr:`CachedEntry.cells`: prefix length → the
+:class:`~repro.sim.campaign.CampaignCell` that
+:func:`repro.sim.events.make_cell` returned).  A warm report reads the
+same prefixes on every query, and the summary is a pure function of
+the entry's verified bytes, so it is computed once per entry and
+prefix.  The memo is only ever reached through a hit that has just
+passed :meth:`CachedEntry.verify` at the store's level (the store hands
+it out on a :class:`~repro.store.store.StoredCell`), and it lives and
+dies with its entry: an invalidated or evicted entry takes its cells
+with it, and a re-read starts an empty memo.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ParameterError
 from ..obs import Counter, Gauge, default_registry
@@ -115,6 +127,14 @@ class CachedEntry:
     ``hash``/``origin`` record where the bytes came from, so a loose hit
     can refresh its file's gc-LRU clock without recomputing the content
     address.
+
+    ``cells`` memoizes the aggregated cell of each prefix length served
+    from this entry (:meth:`repro.store.store.StoredCell.cell` fills
+    it).  The entry's key pins the protocol, M and φ that
+    :func:`~repro.sim.events.make_cell` reads from a plan, so the
+    prefix length alone names the cell.  It is served only from a hit
+    that has just passed :meth:`verify`, is not part of the entry's
+    equality or size, and goes wherever the entry goes.
     """
 
     key: dict
@@ -123,6 +143,7 @@ class CachedEntry:
     payload_sha256: str
     hash: str = ""
     origin: str = "loose"
+    cells: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:

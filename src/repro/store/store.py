@@ -300,23 +300,46 @@ def _footprint(spec) -> list[tuple]:
 
 @dataclass(frozen=True)
 class StoredCell:
-    """A store hit: a cell's replica prefix, and the verified entry text
-    it was decoded from.
+    """A store hit: a cell's replica prefix, and the verified entry it
+    was read from.
 
     :attr:`records` are the prefix's stored lines (one
     :func:`repro.io.dump_result` per replica) — the exact text a warm
     campaign writes, so nobody re-encodes it.  They are sliced on
     demand: a caller that only aggregates (a report) never pays for
-    them.
+    them.  :meth:`cell` is the prefix's aggregated cell, kept on the
+    entry's memo (:attr:`CachedEntry.cells`).
+
+    A ``StoredCell`` is only ever built from an entry that passed its
+    check in the same lookup — full verification on a disk read,
+    :meth:`CachedEntry.verify` at the store's ``cached_verification``
+    level on a cache hit — so the memo it reads is always that of an
+    intact entry.
     """
 
     results: list
-    payload_text: str = field(repr=False)
+    entry: CachedEntry = field(repr=False)
 
     @property
     def records(self) -> tuple[str, ...]:
         count = len(self.results)
-        return tuple(self.payload_text.split("\n", count)[:count])
+        return tuple(self.entry.payload_text.split("\n", count)[:count])
+
+    def cell(self, plan):
+        """``make_cell(plan, self.results)``, built once per entry and
+        prefix length.
+
+        Concurrent callers may both build it; ``setdefault`` keeps the
+        first, so every caller gets the same cell object.
+        """
+        memo = self.entry.cells
+        count = len(self.results)
+        cell = memo.get(count)
+        if cell is None:
+            from ..sim.events import make_cell
+
+            cell = memo.setdefault(count, make_cell(plan, self.results))
+        return cell
 
 
 def _replay(entry: CachedEntry | None, controller) -> StoredCell | None:
@@ -328,7 +351,7 @@ def _replay(entry: CachedEntry | None, controller) -> StoredCell | None:
     cursor = controller.cursor()
     for count, result in enumerate(stored[:controller.max_replicas], 1):
         if cursor.push(result.waste):
-            return StoredCell(list(stored[:count]), entry.payload_text)
+            return StoredCell(list(stored[:count]), entry)
     return None
 
 
@@ -908,7 +931,8 @@ class CampaignStore:
 
     # -- cell-level API (what the executor drives) ---------------------
     def load_cell(
-        self, config: CampaignConfig, plan, controller, *, engine: str = "des"
+        self, config: CampaignConfig, plan, controller, *,
+        engine: str = "des", key: dict | None = None,
     ):
         """A complete cell from the store as a :class:`StoredCell`, or
         ``None``.
@@ -922,19 +946,30 @@ class CampaignStore:
         fixed-count campaign therefore serves an adaptive campaign's
         shorter prefix for free, while a stored prefix shorter than this
         controller needs is a miss (the cell re-runs in full).
+
+        ``key`` is the cell's :func:`cell_key`, for a caller that
+        already computed it (:meth:`resolve`).
         """
-        key = cell_key(config, plan, engine=engine)
-        token = cache_key(key)
-        held = self._cache and self._cache.peek(self._cache_root, token)
+        if key is None:
+            key = cell_key(config, plan, engine=engine)
+        held = self._held(key)
         entry = self._read(key)
         hit = _replay(entry, controller)
-        if hit is None and entry is not None and held and held.key == key \
+        if hit is None and entry is not None and held is not None \
                 and len(entry.results) < controller.max_replicas:
             # The short prefix came from the cache: a longer one may
             # have landed since (another process, or a fill in this one).
-            self._cache.invalidate(self._cache_root, token)
+            self._cache.invalidate(self._cache_root, cache_key(key))
             hit = _replay(self._read(key), controller)
         return hit
+
+    def _held(self, key: dict) -> CachedEntry | None:
+        """The hot-cell cache's entry for ``key``, or ``None`` — a peek:
+        not verified, not counted, no LRU refresh."""
+        if self._cache is None:
+            return None
+        entry = self._cache.peek(self._cache_root, cache_key(key))
+        return entry if entry is not None and entry.key == key else None
 
     def load_cells(
         self, config: CampaignConfig, plans, controller, *,
@@ -947,14 +982,78 @@ class CampaignStore:
         :meth:`load_cell` per plan, which the preload made a cache hit.
         Misses are simply absent from the result.
         """
-        self.preload(cell_key(config, plan, engine=engine)
-                     for plan in plans)
-        hits: dict[int, StoredCell] = {}
-        for plan in plans:
-            hit = self.load_cell(config, plan, controller, engine=engine)
-            if hit is not None:
-                hits[plan.index] = hit
-        return hits
+        footprint = [(plan, cell_key(config, plan, engine=engine))
+                     for plan in plans]
+        hits = self._load_footprint(config, footprint, controller, engine)
+        return {plan.index: hit for (plan, _), hit in zip(footprint, hits)
+                if hit is not None}
+
+    def _load_footprint(self, config, footprint, controller,
+                        engine) -> list[StoredCell | None]:
+        """:meth:`load_cells` over ``(plan, cell key)`` pairs whose keys
+        are already computed: one preload, then one :meth:`load_cell`
+        per pair (through the instance, so a wrapped ``load_cell`` sees
+        every cell), aligned with ``footprint``."""
+        self.preload(key for _, key in footprint)
+        return [self.load_cell(config, plan, controller, engine=engine,
+                               key=key)
+                for plan, key in footprint]
+
+    def resolve(self, spec) -> tuple[int, int, list[tuple]]:
+        """``(present, total, [(plan, StoredCell | None)])`` of a spec:
+        its coverage and every grid cell the store serves, in one pass.
+
+        The warm report path (``GET /reports``): the footprint is built
+        once and read as :meth:`load_cells` reads it, each cell through
+        the spec's controller — a ``None`` is a cell that does not
+        replay from the store.  ``present``/``total`` count replicas as
+        :meth:`coverage` does: each cell contributes its verified
+        entry's length, capped at the grid's replica budget, and only a
+        cell the hot-cell cache does not hold in full probes the index
+        rows and loose headers (after one segment re-scan for the whole
+        pass).  A cell that probe finds absent is not looked up at all,
+        so a cold query costs one re-scan, not one per missing cell.
+        The one difference from :meth:`coverage`: an entry still held
+        by the cache after ``gc`` evicted its file counts its cached
+        length, because that is what this store will serve.
+        """
+        budget = spec.grid.replicas
+        footprint = _footprint(spec)
+        rescanned = False
+
+        def on_disk(key: dict) -> int:
+            nonlocal rescanned
+            if not rescanned:
+                self._refresh_segments()
+                rescanned = True
+            return min(self._stored_replicas(key_hash(key)), budget)
+
+        probed: dict[int, int] = {}
+        absent = set()
+        for plan, key in footprint:
+            held = self._held(key)
+            if held is None or len(held.results) < budget:
+                probed[plan.index] = on_disk(key)
+                if held is None and not probed[plan.index]:
+                    absent.add(plan.index)
+        live = [(plan, key) for plan, key in footprint
+                if plan.index not in absent]
+        hits = dict(zip(
+            (plan.index for plan, _ in live),
+            self._load_footprint(spec.config(), live, spec.controller(),
+                                 spec.policy.backend)))
+        present = 0
+        cells = []
+        for plan, key in footprint:
+            hit = hits.get(plan.index)
+            stored = 0 if hit is None else min(len(hit.entry.results),
+                                                budget)
+            if stored < budget:
+                disk = probed.get(plan.index)
+                stored = max(stored, on_disk(key) if disk is None else disk)
+            present += stored
+            cells.append((plan, hit))
+        return present, budget * len(footprint), cells
 
     def publish_cell(
         self, config: CampaignConfig, plan, records, *, engine: str = "des"
@@ -1571,7 +1670,7 @@ class CampaignStore:
         )
 
 
-def cells_from_store(store: CampaignStore, spec) -> list:
+def cells_from_store(store: CampaignStore, spec, resolved=None) -> list:
     """A spec's aggregated campaign cells, resolved with zero simulation.
 
     The query layer behind ``report --from-spec --store``: every grid
@@ -1579,24 +1678,36 @@ def cells_from_store(store: CampaignStore, spec) -> list:
     exactly as a live run would have (:class:`~repro.sim.campaign.
     CampaignCell` with a full Monte-Carlo summary).  Raises when any
     cell is absent — a report must never silently cover a partial grid.
+
+    ``resolved`` is a :meth:`CampaignStore.resolve` result the caller
+    already holds (the service's report query), so the footprint is not
+    walked again.  Each cell comes from its hit's memo
+    (:meth:`StoredCell.cell`): a warm entry is summarised once, and
+    every later report reuses that summary after the hit's
+    verification.
     """
-    from ..sim.events import make_cell
-
-    return [make_cell(plan, hit.results)
-            for plan, hit in _load_cells(store, spec)]
+    return [hit.cell(plan) for plan, hit in _load_cells(store, spec,
+                                                         resolved)]
 
 
-def _load_cells(store: CampaignStore, spec) -> list[tuple]:
+def _load_cells(store: CampaignStore, spec, resolved=None) -> list[tuple]:
     """Every grid cell of ``spec`` as ``(plan, StoredCell)``, in plan
     order — all-or-nothing: missing cells raise with grid
-    coordinates rather than returning a partial sweep."""
-    from ..sim.executor import plan_cells
+    coordinates rather than returning a partial sweep.  Without a
+    ``resolved`` pass the cells come from :meth:`CampaignStore.
+    load_cells`, which reads the same cells but skips the coverage
+    probes nobody here would read."""
+    if resolved is None:
+        from ..sim.executor import plan_cells
 
-    config = spec.config()
-    plans = plan_cells(config)
-    hits = store.load_cells(config, plans, spec.controller(),
-                            engine=spec.policy.backend)
-    missing = [plan for plan in plans if plan.index not in hits]
+        config = spec.config()
+        plans = plan_cells(config)
+        hits = store.load_cells(config, plans, spec.controller(),
+                                engine=spec.policy.backend)
+        cells = [(plan, hits.get(plan.index)) for plan in plans]
+    else:
+        cells = resolved[2]
+    missing = [plan for plan, hit in cells if hit is None]
     if missing:
         head = ", ".join(
             f"({p.protocol}, M={p.M:g}, phi={p.phi:g})"
@@ -1604,8 +1715,8 @@ def _load_cells(store: CampaignStore, spec) -> list[tuple]:
         )
         raise ParameterError(
             f"{store.root}: store is missing {len(missing)} of "
-            f"{len(plans)} cells for this spec (first missing: {head}"
+            f"{len(cells)} cells for this spec (first missing: {head}"
             f"{', ...' if len(missing) > 3 else ''}); run the campaign "
             "with --store to populate them"
         )
-    return [(plan, hits[plan.index]) for plan in plans]
+    return cells

@@ -38,6 +38,7 @@ import pytest
 
 from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.errors import CampaignCancelled, ParameterError
+from repro.experiments.report import store_report
 from repro.obs import default_registry, snapshot_from_dict
 from repro.service import (
     CampaignRegistry,
@@ -45,14 +46,16 @@ from repro.service import (
     Coalescer,
     CoalesceTimeout,
 )
+from repro.service.app import _MissingCells
 from repro.service.registry import campaign_id
+from repro.sim.adaptive import AdaptiveCI
 from repro.sim.backends import CampaignBackend, SerialBackend
 from repro.sim.campaign import CampaignConfig
 from repro.sim.events import CellFinished, event_from_dict
 from repro.sim.executor import execute_spec
 from repro.sim.sinks import make_sink
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
-from repro.store import CampaignStore
+from repro.store import CampaignStore, HotCellCache, cells_from_store
 
 
 def make_spec(*, m_values=(300.0, 600.0), replicas=2, seed=2027,
@@ -418,12 +421,197 @@ class TestCoalescedReports:
         with CampaignService(
             store=tmp_path / "store", data_dir=tmp_path / "svc",
         ) as service:
-            from repro.service.app import _MissingCells
-
             with pytest.raises(_MissingCells, match="0/8"):
                 service.report_query(make_spec(), on_miss="fail")
             with pytest.raises(ParameterError, match="on_miss"):
                 service.report_query(make_spec(), on_miss="maybe")
+
+
+def adaptive_spec(max_replicas: int, *,
+                  min_replicas: int = 3) -> CampaignSpec:
+    """An adaptive spec whose loose tolerance stops every cell at
+    ``min_replicas``."""
+    controller = AdaptiveCI(max_replicas=max_replicas, tolerance=100,
+                            min_replicas=min_replicas)
+    return make_spec(replicas=max_replicas, policy=ExecutionPolicy(
+        sink="framed", controller=controller))
+
+
+def fresh_expectation(store_dir, spec) -> tuple[str, dict]:
+    """The report text and coverage a fresh store instance with its own
+    cache gives for ``spec`` (the reference for the service's reply)."""
+    text = store_report(
+        CampaignStore(store_dir, create=False, cache=HotCellCache()), spec)
+    present, total = CampaignStore(
+        store_dir, create=False, cache=HotCellCache()).coverage(spec)
+    return text, {"present": present, "total": total}
+
+
+def counting_service(tmp_path, **store_kwargs):
+    """A service over its own store instance and cache, whose fill
+    runs are built by a recording factory (the list it returns)."""
+    backends: list[CountingBackend] = []
+
+    def factory(spec):
+        backends.append(CountingBackend())
+        return backends[-1]
+
+    store = CampaignStore(tmp_path / "store", cache=HotCellCache(),
+                          **store_kwargs)
+    service = CampaignService(store=store, data_dir=tmp_path / "svc",
+                              backend_factory=factory)
+    return service, backends
+
+
+class TestReportResolve:
+    """``report_query`` answers from one store pass: its reply equals a
+    fresh store's ``store_report`` and ``coverage``, and it fills only
+    when some cell does not replay."""
+
+    @pytest.mark.parametrize("on_miss", ["run", "fail"])
+    def test_adaptive_prefix_of_a_short_fixed_store_renders_directly(
+            self, tmp_path, on_miss):
+        """A 4-replica store covers 16 of the 64 replicas an adaptive
+        spec may use, but each cell stops at 3: both modes render from
+        the store with no fill, no 409 and no dispatch."""
+        execute_spec(make_spec(replicas=4), store=tmp_path / "store",
+                     backend=SerialBackend())
+        spec = adaptive_spec(16)
+        text, coverage = fresh_expectation(tmp_path / "store", spec)
+        assert coverage == {"present": 16, "total": 64}
+        service, backends = counting_service(tmp_path)
+        with service:
+            reply = service.report_query(spec, on_miss=on_miss)
+        assert reply["report"] == text
+        assert reply["coverage"] == coverage
+        assert reply["simulated_cells"] == 0
+        assert reply["simulated_replicas"] == 0
+        assert sum(b.cells_dispatched for b in backends) == 0
+        assert backends == []  # no fill campaign was even built
+        assert service.coalescer.stats().led == 0
+
+    def test_fully_warm(self, tmp_path):
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store",
+                     backend=SerialBackend())
+        text, coverage = fresh_expectation(tmp_path / "store", spec)
+        service, backends = counting_service(tmp_path)
+        with service:
+            replies = [service.report_query(spec, on_miss="fail")
+                       for _ in range(2)]
+        for reply in replies:
+            assert reply["report"] == text
+            assert reply["coverage"] == coverage == \
+                {"present": 8, "total": 8}
+        assert backends == []
+
+    def test_half_warm_fills_then_renders(self, tmp_path):
+        """The fill path: coverage is the store as the query found it,
+        the report is the store after the fill."""
+        execute_spec(make_spec(m_values=(300.0,)), store=tmp_path / "store",
+                     backend=SerialBackend())
+        spec = make_spec()
+        present, total = CampaignStore(
+            tmp_path / "store", cache=HotCellCache()).coverage(spec)
+        assert (present, total) == (4, 8)
+        service, backends = counting_service(tmp_path)
+        with service:
+            with pytest.raises(_MissingCells, match="4/8"):
+                service.report_query(spec, on_miss="fail")
+            reply = service.report_query(spec)
+        assert reply["simulated_cells"] == 2
+        assert sum(b.cells_dispatched for b in backends) == 2
+        assert reply["coverage"] == {"present": present, "total": total}
+        text, after = fresh_expectation(tmp_path / "store", spec)
+        assert after == {"present": 8, "total": 8}
+        assert reply["report"] == text
+
+    def test_adaptive_prefix_shorter_than_the_stored_one(self, tmp_path):
+        execute_spec(make_spec(replicas=4), store=tmp_path / "store",
+                     backend=SerialBackend())
+        spec = adaptive_spec(4)
+        text, coverage = fresh_expectation(tmp_path / "store", spec)
+        assert coverage == {"present": 16, "total": 16}
+        stopped = cells_from_store(
+            CampaignStore(tmp_path / "store", cache=HotCellCache()), spec)
+        assert [c.summary.n_replicas for c in stopped] == [3] * 4
+        service, backends = counting_service(tmp_path)
+        with service:
+            reply = service.report_query(spec, on_miss="fail")
+        assert reply["report"] == text
+        assert reply["coverage"] == coverage
+        assert backends == []
+
+    def test_longer_prefix_published_by_another_instance(self, tmp_path):
+        """The service caches 2-replica entries, then another store
+        instance publishes 4-replica ones.  A spec that stops inside the
+        cached prefix still counts the longer copy on disk; a spec that
+        needs more re-reads it (``load_cell``'s invalidate path)."""
+        store_dir = tmp_path / "store"
+        execute_spec(make_spec(replicas=2), store=store_dir,
+                     backend=SerialBackend())
+        service, backends = counting_service(tmp_path)
+        with service:
+            service.report_query(make_spec(replicas=2), on_miss="fail")
+            execute_spec(make_spec(replicas=4), store=CampaignStore(
+                store_dir, cache=None), backend=SerialBackend())
+            for spec in (adaptive_spec(4, min_replicas=2),
+                         make_spec(replicas=4)):
+                text, coverage = fresh_expectation(store_dir, spec)
+                assert coverage == {"present": 16, "total": 16}
+                reply = service.report_query(spec, on_miss="fail")
+                assert reply["report"] == text
+                assert reply["coverage"] == coverage
+        assert backends == []
+
+    def test_gc_evicted_entry_still_cached_reports_its_cached_length(
+            self, tmp_path):
+        """Pinned: the reply's coverage counts what this store serves.
+        After gc evicts every file, the service still holds verified
+        entries in its cache and renders from them, so it reports their
+        length where a fresh store's coverage finds nothing."""
+        spec = make_spec()
+        store_dir = tmp_path / "store"
+        execute_spec(spec, store=store_dir, backend=SerialBackend())
+        text, coverage = fresh_expectation(store_dir, spec)
+        service, backends = counting_service(tmp_path)
+        with service:
+            service.report_query(spec, on_miss="fail")
+            CampaignStore(store_dir, cache=None).gc(max_bytes=0)
+            assert CampaignStore(store_dir, cache=HotCellCache()) \
+                .coverage(spec) == (0, 8)
+            reply = service.report_query(spec, on_miss="fail")
+        assert reply["coverage"] == coverage == {"present": 8, "total": 8}
+        assert reply["report"] == text
+        assert backends == []
+
+    @pytest.mark.parametrize("level", ["digest", "full"])
+    def test_second_warm_query_builds_no_summary(
+            self, tmp_path, monkeypatch, level):
+        """Each cell's summary is memoized on its cache entry: the
+        second warm query calls ``make_cell`` zero times."""
+        import repro.sim.events as events
+
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store",
+                     backend=SerialBackend())
+        text, _ = fresh_expectation(tmp_path / "store", spec)
+        calls = []
+        make_cell = events.make_cell
+
+        def counting(plan, results):
+            calls.append(plan)
+            return make_cell(plan, results)
+
+        monkeypatch.setattr(events, "make_cell", counting)
+        service, _ = counting_service(tmp_path,
+                                      cached_verification=level)
+        with service:
+            first = service.report_query(spec, on_miss="fail")
+            assert len(calls) == 4
+            second = service.report_query(spec, on_miss="fail")
+        assert len(calls) == 4
+        assert first["report"] == second["report"] == text
 
 
 # ----------------------------------------------------------------------

@@ -20,11 +20,13 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -42,6 +44,7 @@ from repro.store import (
     cells_from_store,
     key_hash,
 )
+from repro.store.cache import cache_key
 
 
 def make_spec(*, m_values=(300.0, 600.0), share_traces=False, replicas=2,
@@ -928,6 +931,220 @@ class TestEncodeOnce:
                      results_path=warm, backend=backend, store=store_dir)
         assert backend.cells_dispatched == 0
         assert warm.read_bytes() == two.read_bytes()
+
+
+def _assert_same_cell(got, want) -> None:
+    """``got`` equals ``want`` field by field (the summary's fields by
+    ``repr``, so NaN statistics compare equal to themselves)."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "summary":
+            for g in dataclasses.fields(b):
+                assert repr(getattr(a, g.name)) == repr(getattr(b, g.name))
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("level", ["digest", "full"])
+class TestSummaryMemo:
+    """A cell entry keeps the aggregated cell of each prefix it served
+    (``CachedEntry.cells``); it is served only from a hit that passed
+    its verification, at either cached-verification level."""
+
+    def _warm(self, tmp_path, level, replicas=4):
+        spec = make_spec(replicas=replicas)
+        execute_spec(spec, store=tmp_path / "store",
+                     backend=SerialBackend())
+        cache = HotCellCache()
+        store = CampaignStore(tmp_path / "store", cache=cache,
+                              cached_verification=level)
+        return spec, cache, store
+
+    def test_corrupt_payload_is_invalidated_not_served(
+            self, tmp_path, level):
+        spec, cache, store = self._warm(tmp_path, level)
+        reference = cells_from_store(
+            CampaignStore(tmp_path / "store", cache=None), spec)
+        cells_from_store(store, spec)
+        config = spec.config()
+        key = cell_key(config, plan_cells(config)[0])
+        entry = cache.peek(store._cache_root, cache_key(key))
+        original = entry.payload_text
+        assert set(entry.cells) == {4}
+        poison = object()
+        entry.cells[4] = poison
+        object.__setattr__(entry, "payload_text",
+                           original.replace('"', "'", 1))
+        reads = []
+        read_longest = store._read_longest
+
+        def counting(hash_):
+            reads.append(hash_)
+            return read_longest(hash_)
+
+        store._read_longest = counting
+        cells = cells_from_store(store, spec)
+        assert poison not in cells
+        for got, want in zip(cells, reference):
+            _assert_same_cell(got, want)
+        assert reads == [key_hash(key)]  # that entry alone, from disk
+        reread = cache.peek(store._cache_root, cache_key(key))
+        assert reread is not entry
+        assert reread.payload_text == original
+        assert set(reread.cells) == {4} and reread.cells[4] is cells[0]
+
+    def test_controllers_reading_different_prefixes(self, tmp_path, level):
+        from repro.sim.adaptive import FixedReplicas
+        from repro.sim.events import make_cell
+
+        spec, _, store = self._warm(tmp_path, level)
+        config = spec.config()
+        controllers = (
+            (FixedReplicas(2), 2),
+            (AdaptiveCI(max_replicas=4, tolerance=100, min_replicas=3), 3),
+            (FixedReplicas(4), 4),
+        )
+        for plan in plan_cells(config):
+            for controller, length in controllers * 2:
+                hit = store.load_cell(config, plan, controller)
+                cell = hit.cell(plan)
+                assert cell.summary.n_replicas == length
+                _assert_same_cell(cell, make_cell(plan, hit.results))
+            assert sorted(hit.entry.cells) == [2, 3, 4]
+
+    def test_concurrent_readers_share_one_cell_per_prefix(
+            self, tmp_path, level):
+        """Eight threads resolving one spec at once all get the same cell
+        objects: a racing build never replaces a cell already handed
+        out.  Ten rounds, each over a fresh cache whose entries (but no
+        cells) are loaded first, so the first builds race ten times."""
+        spec, _, _ = self._warm(tmp_path, level, replicas=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                store = CampaignStore(tmp_path / "store",
+                                      cache=HotCellCache(),
+                                      cached_verification=level)
+                store.resolve(spec)
+                barrier = threading.Barrier(8)
+                got: list = [None] * 8
+
+                def read(i: int) -> None:
+                    barrier.wait(timeout=10.0)
+                    got[i] = [cells_from_store(store, spec)
+                              for _ in range(3)]
+
+                threads = [threading.Thread(target=read, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+                first = got[0][0]
+                for runs in got:
+                    for cells in runs:
+                        assert all(a is b for a, b
+                                   in zip(cells, first, strict=True))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestResolvePass:
+    """``CampaignStore.resolve`` and ``load_cells`` walk a footprint
+    once: each cell key is computed once, a cold pass re-scans the
+    segments once instead of once per missing cell, and a render
+    without a ``resolve`` result skips the coverage probes."""
+
+    def _counting(self, monkeypatch, store, name) -> list:
+        calls = []
+        method = getattr(store, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(store, name, counting)
+        return calls
+
+    def test_load_cells_computes_each_key_once(self, tmp_path, monkeypatch):
+        import repro.store.store as store_module
+
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store",
+                     backend=SerialBackend())
+        keys = []
+        real = store_module.cell_key
+
+        def counting(config, plan, *, engine="des"):
+            keys.append(plan.index)
+            return real(config, plan, engine=engine)
+
+        monkeypatch.setattr(store_module, "cell_key", counting)
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        config = spec.config()
+        plans = plan_cells(config)
+        hits = store.load_cells(config, plans, spec.controller())
+        assert sorted(hits) == sorted(keys) == [p.index for p in plans]
+
+    def test_cold_cells_rescan_once_and_are_not_looked_up(
+            self, tmp_path, monkeypatch):
+        """Half the grid stored and compacted, the other half absent:
+        one segment re-scan for the pass, lookups only for the stored
+        cells, and the coverage a fresh store reports."""
+        store_dir = tmp_path / "store"
+        execute_spec(make_spec(m_values=(300.0,)), store=store_dir,
+                     backend=SerialBackend())
+        CampaignStore(store_dir).compact()
+        spec = make_spec()
+        store = CampaignStore(store_dir, cache=HotCellCache())
+        rescans = self._counting(monkeypatch, store, "_refresh_segments")
+        reads = self._counting(monkeypatch, store, "_read")
+        present, total, cells = store.resolve(spec)
+        assert (present, total) == CampaignStore(
+            store_dir, cache=HotCellCache()).coverage(spec) == (4, 8)
+        assert len(rescans) == 1
+        warm = [plan for plan, hit in cells if hit is not None]
+        assert [plan.M for plan in warm] == [300.0, 300.0]
+        assert [plan.M for plan, hit in cells if hit is None] \
+            == [600.0, 600.0]
+        assert sorted(key_hash(key) for (key,) in reads) == sorted(
+            key_hash(cell_key(spec.config(), plan)) for plan in warm)
+
+    def test_warm_pass_touches_no_segment_index(self, tmp_path,
+                                                 monkeypatch):
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store",
+                     backend=SerialBackend())
+        CampaignStore(tmp_path / "store").compact()
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        assert store.resolve(spec)[:2] == (8, 8)
+        rescans = self._counting(monkeypatch, store, "_refresh_segments")
+        probes = self._counting(monkeypatch, store, "_stored_replicas")
+        assert store.resolve(spec)[:2] == (8, 8)
+        assert rescans == [] and probes == []
+
+    def test_render_without_a_resolve_result_skips_coverage_probes(
+            self, tmp_path, monkeypatch):
+        """An adaptive spec stopping at 3 of a 16-replica budget: its
+        ``resolve`` probes every cell for a longer copy on disk, a plain
+        ``cells_from_store`` (the render after a fill) probes none."""
+        execute_spec(make_spec(replicas=4), store=tmp_path / "store",
+                     backend=SerialBackend())
+        spec = make_spec(replicas=16, policy=ExecutionPolicy(
+            sink="framed", controller=AdaptiveCI(
+                max_replicas=16, tolerance=100, min_replicas=3)))
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        probes = self._counting(monkeypatch, store, "_stored_replicas")
+        present, total, cells = store.resolve(spec)
+        assert (present, total) == (16, 64)
+        assert len(probes) == 4
+        probes.clear()
+        plain = cells_from_store(store, spec)
+        assert probes == []
+        assert plain == cells_from_store(store, spec, (present, total,
+                                                       cells))
 
 
 class TestDistributedStore:
