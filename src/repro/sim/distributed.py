@@ -48,11 +48,11 @@ mid-chunk its claim expires and another worker re-runs the chunk from
 scratch.  Because every replica is a pure function of the campaign seed
 and grid coordinates, a re-run (or a steal racing the original worker's
 slow finish) produces *byte-identical* results, so :func:`merge_shards`
-can simply deduplicate cells across shards — after verifying the
-duplicates really are identical, which doubles as an end-to-end
-integrity check.  The rare benign races (two initialisers recreating a
-ticket, a stolen chunk finishing twice) therefore cost duplicate work,
-never wrong output.
+can simply keep the longest copy of each cell — after verifying that
+every other copy, in the same shard or another, is a byte prefix of it,
+which doubles as an end-to-end integrity check.  The rare benign races
+(two initialisers recreating a ticket, a stolen chunk finishing twice)
+therefore cost duplicate work, never wrong output.
 
 Clock caveat: lease expiry reads *now* from the queue directory's own
 filesystem clock (:func:`repro.fsclock.filesystem_now` touch-and-stats
@@ -97,6 +97,7 @@ from .backends import (
 )
 from .campaign import CampaignConfig
 from .results import DesResult
+from .sinks import _check_cell, frame_groups, write_framed
 
 __all__ = [
     "DistributedBackend",
@@ -741,22 +742,6 @@ class DistributedBackend(CampaignBackend):
 # ----------------------------------------------------------------------
 # Shard merging
 # ----------------------------------------------------------------------
-def _controller_from_manifest(campaign_fp: dict) -> ReplicaController:
-    """Rebuild the replica controller a queue's campaign ran under.
-
-    The queue manifest embeds the campaign's spec fingerprint, which
-    records the controller (or ``None`` for the fixed-count default) —
-    everything the merge needs to replay per-cell completeness without
-    access to the original :class:`~repro.sim.adaptive.ReplicaController`
-    object.  Parsing the whole spec (rather than plucking one key) also
-    validates that the queue really was written by a compatible library.
-    """
-    from .spec import CampaignSpec
-
-    spec = CampaignSpec.from_dict(campaign_fp)
-    return spec.controller()
-
-
 @dataclass(frozen=True)
 class MergeReport:
     """What :func:`merge_shards` combined."""
@@ -785,15 +770,15 @@ def merge_shards(
 ) -> MergeReport:
     """Combine every worker shard into one resumable campaign file.
 
-    Reads each ``shards/*.jsonl`` with the tolerant
-    :func:`repro.io.scan_frames` (a crashed worker's torn trailing write
-    ends that shard's scan silently), regroups frames by grid cell,
-    verifies that cells executed by several workers (steal races,
-    re-runs) produced byte-identical results, drops incomplete trailing
-    cell groups, and writes the cells in grid order with contiguous
-    sequence numbers — plus the campaign manifest sidecar — so the output
-    is exactly what a single-machine framed campaign would have written
-    and resumes/reports identically.
+    Reads each ``shards/*.jsonl`` with the framed resume's reader
+    (:func:`repro.sim.sinks.frame_groups`) and identity checks against
+    the queue campaign's grid.  A cell copied more than once (steal
+    races, re-runs, a restarted worker's torn group) keeps its longest
+    copy; every other copy must be a byte prefix of it.  Incomplete
+    cells are dropped, and the rest go in grid order through
+    :func:`repro.sim.sinks.write_framed`, the ``store export`` writer —
+    so the output is what a single-machine framed campaign would have
+    written and resumes/reports identically.
 
     With ``require_complete`` (the default) a queue that still has
     unfinished chunks is refused; pass ``require_complete=False`` to
@@ -801,10 +786,15 @@ def merge_shards(
     ``Campaign(spec).resume(path)`` can then finish on one machine.
     """
     from .. import io as repro_io
+    from .executor import plan_cells
+    from .spec import CampaignSpec
 
     queue = pathlib.Path(queue)
-    out_path = pathlib.Path(out_path)
     manifest = read_queue_manifest(queue)
+    spec = CampaignSpec.from_dict(manifest["campaign"])
+    config = spec.config()
+    plans = plan_cells(config)
+    controller = spec.controller()
 
     if require_complete:
         status = queue_status(queue)
@@ -819,120 +809,60 @@ def merge_shards(
         _shards(queue) / name for name in _list_dir(_shards(queue))
         if name.endswith(".jsonl")
     ]
-    # cell -> replica -> result.  Serialisation (the cross-shard identity
-    # witness) happens lazily, only when a cell actually collides —
-    # collisions are rare (steal races), so the common path serialises
-    # each record once, at output time.
-    cells: dict[int, dict[int, DesResult]] = {}
+    # cell -> (results, record lines, shard) of its longest copy so far.
+    copies: dict[int, tuple[list[DesResult], list[str], pathlib.Path]] = {}
     duplicated_cells: set[int] = set()
     for shard in shard_files:
-        shard_cells: dict[int, dict[int, DesResult]] = {}
-        for frame, _ in repro_io.scan_frames(shard):
-            replicas = shard_cells.setdefault(frame.cell, {})
-            known = replicas.get(frame.replica)
-            if known is not None:
-                # The same (cell, replica) twice in one shard: a worker
-                # that restarted and re-claimed the chunk it died
-                # holding.  Unlike a cross-shard torn copy, both copies
-                # here are whole (the rejoin truncated any torn tail
-                # before re-appending), so they must be identical.
-                duplicated_cells.add(frame.cell)
-                if (repro_io.dump_result(known)
-                        != repro_io.dump_result(frame.result)):
-                    raise ParameterError(
-                        f"{shard}: cell {frame.cell} replica "
-                        f"{frame.replica} appears twice in this shard "
-                        "with different results — campaign execution is "
-                        "deterministic, so the shard is corrupt; "
-                        "refusing to merge"
-                    )
-                continue
-            replicas[frame.replica] = frame.result
-        for cell, replicas in shard_cells.items():
-            if sorted(replicas) != list(range(len(replicas))):
-                raise ParameterError(
-                    f"{shard}: cell {cell} has replica indices "
-                    f"{sorted(replicas)}; shard frames are corrupt"
-                )
-            known = cells.get(cell)
+        for cell, results, _, _ in frame_groups(shard):
+            _check_cell(shard, cell, results, plans, config)
+            copy = (results, [repro_io.dump_result(r) for r in results],
+                    shard)
+            known = copies.get(cell)
             if known is None:
-                cells[cell] = replicas
+                copies[cell] = copy
                 continue
-            # The same cell in several shards: a steal race or a re-run.
-            # Replicas execute in seed order, so a torn shorter copy must
-            # be an exact prefix of the longer one — anything else means
-            # the shards came from different configurations.
             duplicated_cells.add(cell)
-            shorter, longer = sorted((known, replicas), key=len)
-            if any(
-                repro_io.dump_result(shorter[r])
-                != repro_io.dump_result(longer[r])
-                for r in shorter
-            ):
+            shorter, longer = sorted((known, copy), key=lambda c: len(c[0]))
+            if longer[1][:len(shorter[1])] != shorter[1]:
+                where = ("appears twice in this shard" if known[2] == shard
+                         else "disagrees with another shard's copy")
                 raise ParameterError(
-                    f"{shard}: cell {cell} disagrees with another "
-                    "shard's copy of the same cell — campaign execution "
-                    "is deterministic, so the shards were produced by "
-                    "different configurations; refusing to merge"
+                    f"{shard}: cell {cell} {where} with different results"
+                    " — execution is deterministic; refusing to merge"
                 )
-            cells[cell] = longer
+            copies[cell] = longer
 
-    # Completeness per cell: replay the replica controller (rebuilt from
-    # the queue manifest) over each cell's recorded wastes, exactly like
-    # the framed sink's resume scan.  A crashed worker's torn trailing
-    # write can leave a *prefix* of a cell in its shard; if no other
-    # worker holds the full copy, the cell is incomplete and dropped —
-    # the merged file then resumes cleanly instead of passing a short
-    # cell off as finished.
-    controller = _controller_from_manifest(manifest["campaign"])
-    n_cells = int(manifest["n_cells"])
+    # Completeness, as in the framed resume: a cell with no whole copy
+    # is dropped, so the merged file resumes it instead of passing a
+    # short cell off as finished.
     incomplete = 0
-    merged: dict[int, list[DesResult]] = {}
-    for cell in sorted(cells):
-        if cell >= n_cells:
+    merged: list[tuple[int, list[str]]] = []
+    for cell in sorted(copies):
+        results, records, _ = copies[cell]
+        stops_at = stop_count(controller, [res.waste for res in results])
+        if stops_at is not None and stops_at < len(results):
             raise ParameterError(
-                f"{queue}: shards hold cell {cell} but the campaign only "
-                f"has {n_cells} cells; queue and shards disagree"
-            )
-        replicas = cells[cell]
-        ordered = [replicas[r] for r in range(len(replicas))]
-        stops_at = stop_count(controller, [res.waste for res in ordered])
-        if stops_at is not None and stops_at < len(ordered):
-            raise ParameterError(
-                f"{queue}: cell {cell} holds {len(ordered)} replicas but "
+                f"{queue}: cell {cell} holds {len(results)} replicas but "
                 f"the replica controller stops it after {stops_at}; the "
                 "shards were written under different adaptive settings"
             )
         if stops_at is None:
             incomplete += 1
             continue
-        merged[cell] = ordered
+        merged.append((cell, records))
 
-    if require_complete and len(merged) < n_cells:
-        missing = sorted(set(range(n_cells)) - set(merged))
+    if require_complete and len(merged) < len(plans):
+        missing = sorted(set(range(len(plans))) - {c for c, _ in merged})
         raise ParameterError(
             f"{queue}: every chunk is marked done but cells {missing} "
             "are absent or incomplete in the shards — was a shard file "
             "deleted?"
         )
 
-    frames_written = 0
-    tmp = out_path.with_name(out_path.name + f".tmp-{os.getpid()}")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for cell in sorted(merged):
-            for replica, res in enumerate(merged[cell]):
-                fh.write(repro_io.dump_frame(
-                    res, cell=cell, replica=replica, seq=frames_written
-                ) + "\n")
-                frames_written += 1
-    os.replace(tmp, out_path)
-    _atomic_write(
-        out_path.with_name(out_path.name + ".manifest"),
-        json.dumps(manifest["campaign"], sort_keys=True) + "\n",
-    )
+    frames = write_framed(out_path, manifest["campaign"], merged)
     return MergeReport(
         cells=len(merged),
-        frames=frames_written,
+        frames=frames,
         shards=len(shard_files),
         duplicate_cells=len(duplicated_cells),
         incomplete_cells=incomplete,

@@ -148,7 +148,7 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
     │ shards/worker-A.jsonl ◄──────┼─────┤   → done marker              │
     │ shards/worker-B.jsonl  ...   │     │   WorkerShardSink            │
     └──────────────┬───────────────┘     └──────────────────────────────┘
-                   ▼ Campaign(spec).merge(out) — scan_frames + dedupe + reorder
+                   ▼ Campaign(spec).merge(out) — frame_groups + dedupe + write_framed
           results.jsonl + .manifest   — resumes/reports like any
                                         single-machine framed run
 
@@ -213,7 +213,13 @@ from .events import (
     make_cell,
 )
 from .results import DesResult
-from .sinks import OrderedJsonlSink, ResultSink, make_sink
+from .sinks import (
+    OrderedJsonlSink,
+    ResultSink,
+    make_sink,
+    manifest_path,
+    write_manifest,
+)
 from .spec import CampaignSpec
 
 __all__ = [
@@ -334,18 +340,6 @@ def plan_cells(config: CampaignConfig) -> list[CellPlan]:
 # ----------------------------------------------------------------------
 # Campaign manifest
 # ----------------------------------------------------------------------
-def _manifest_path(sink: pathlib.Path) -> pathlib.Path:
-    return sink.with_name(sink.name + ".manifest")
-
-
-def _write_manifest(spec: CampaignSpec, sink: pathlib.Path) -> None:
-    import json
-
-    _manifest_path(sink).write_text(
-        json.dumps(spec.fingerprint(), sort_keys=True) + "\n"
-    )
-
-
 def _spec_drift(stored: dict, current: dict) -> list[str]:
     """Grid/policy field names on which two spec dicts disagree."""
     drift: list[str] = []
@@ -376,7 +370,7 @@ def _check_manifest(spec: CampaignSpec, sink: pathlib.Path) -> bool:
     """
     import json
 
-    path = _manifest_path(sink)
+    path = manifest_path(sink)
     if not path.exists():
         return False
     try:
@@ -555,7 +549,7 @@ class CampaignSession:
                 )
             else:
                 sink_obj.begin()
-            _write_manifest(spec, path)
+            write_manifest(path, spec.fingerprint())
 
         todo = [p for p in plans if p.index not in done_results]
 

@@ -38,12 +38,22 @@ Writes are cell-atomic — one ``write`` of the cell's joined text, then
 the close that flushes it — so an interrupted campaign tears at most
 the trailing cell, which is exactly the damage ``recover`` knows how to
 undo.
+
+Every framed path (resume, shard rejoin, queue merge, store export)
+reads through :func:`frame_groups` — contiguous per-cell groups, the
+sequence and replica-order invariants checked once — and writes whole
+files through :func:`write_framed` (temp file + rename, then the
+manifest); :func:`manifest_path` and :func:`write_manifest`
+(write-then-rename) own the ``.manifest`` sidecar.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
 from abc import ABC, abstractmethod
+from typing import Iterable, Iterator
 
 from ..errors import ParameterError
 from .adaptive import ReplicaController, stop_count
@@ -59,6 +69,10 @@ __all__ = [
     "WorkerShardSink",
     "make_sink",
     "SINK_MODES",
+    "frame_groups",
+    "write_framed",
+    "manifest_path",
+    "write_manifest",
 ]
 
 #: The sink modes the executor (and ``campaign --sink``) accepts.
@@ -165,8 +179,134 @@ def _check_identity(
             f"phi={plan.effective_phi}, seed={expected_seed}, "
             f"n={config.base_params.n}, "
             f"work_target={config.work_target}); "
-            "refusing to resume a different campaign's file"
+            "refusing to resume or merge a different campaign's file"
         )
+
+
+def _check_cell(
+    path: pathlib.Path,
+    cell: int,
+    results: list,
+    plans: list,
+    config: CampaignConfig,
+) -> None:
+    """Range, type and identity checks for one frame group of ``cell``
+    (a violation means a foreign or hand-edited file or shard)."""
+    if cell >= len(plans):
+        raise ParameterError(
+            f"{path}: a frame names cell {cell} but the campaign grid "
+            f"only has {len(plans)} cells; refusing to resume or merge a "
+            "different campaign's file"
+        )
+    if len(results) > config.replicas:
+        raise ParameterError(
+            f"{path}: cell {cell} holds replica {len(results) - 1} but "
+            f"the campaign runs at most {config.replicas}; refusing to "
+            "resume or merge a different campaign's file"
+        )
+    for replica, res in enumerate(results):
+        if not isinstance(res, DesResult):
+            raise ParameterError(
+                f"{path}: cell {cell} replica {replica} holds a "
+                f"{type(res).__name__} record where raw DES runs were "
+                "expected"
+            )
+        _check_identity(path, f"cell {cell} replica {replica}", res,
+                        plans[cell], config, replica)
+
+
+def frame_groups(
+    path: str | pathlib.Path,
+) -> Iterator[tuple[int, list, int, int]]:
+    """The intact frames of a framed file as contiguous per-cell groups.
+
+    Yields ``(cell, results, start, end)``, the byte offsets bounding the
+    group.  A group ends when the cell changes or the replica index goes
+    back to 0 (a restarted worker re-running a cell).  Sequence numbers
+    must run 0, 1, 2, … and replicas count up from 0 in each group, or
+    the file is refused; a torn trailing write ends the scan silently.
+    """
+    from .. import io as repro_io
+
+    cell, results, start, end = -1, [], 0, 0
+    for pos, (frame, frame_end) in enumerate(repro_io.scan_frames(path)):
+        if frame.seq != pos:
+            raise ParameterError(
+                f"{path}: frame {pos} carries sequence number "
+                f"{frame.seq} (expected {pos}); refusing to resume or "
+                "merge a reordered or foreign frames file"
+            )
+        if frame.cell != cell or frame.replica == 0:
+            if results:
+                yield cell, results, start, end
+            cell, results, start = frame.cell, [], end
+        if frame.replica != len(results):
+            raise ParameterError(
+                f"{path}: frame {pos} is replica {frame.replica} of cell "
+                f"{cell} but replica {len(results)} was expected; "
+                "refusing to resume or merge a corrupt frames file"
+            )
+        results.append(frame.result)
+        end = frame_end
+    if results:
+        yield cell, results, start, end
+
+
+def _frame_text(cell: int, records, seq: int) -> str:
+    """One cell's frames: replicas from 0, sequence numbers from ``seq``."""
+    from .. import io as repro_io
+
+    return "".join(
+        repro_io.frame_record(line, cell=cell, replica=r, seq=seq + r)
+        + "\n"
+        for r, line in enumerate(records)
+    )
+
+
+def manifest_path(results: str | pathlib.Path) -> pathlib.Path:
+    """The ``.manifest`` sidecar of a results file."""
+    results = pathlib.Path(results)
+    return results.with_name(results.name + ".manifest")
+
+
+def write_manifest(results: str | pathlib.Path, fingerprint: dict) -> None:
+    """Write a results file's manifest (the spec fingerprint) by
+    write-then-rename, so a reader never sees a torn one."""
+    from .distributed import _atomic_write
+
+    _atomic_write(manifest_path(results),
+                  json.dumps(fingerprint, sort_keys=True) + "\n")
+
+
+def write_framed(
+    out_path: str | pathlib.Path,
+    fingerprint: dict,
+    cells: Iterable[tuple[int, list[str]]],
+) -> int:
+    """Write a whole framed results file, then its manifest; returns
+    the frame count.
+
+    ``cells`` yields ``(cell_index, record_lines)`` in grid order — the
+    bytes a single-machine ``sink="framed"`` run of those cells writes.
+    The temp file replaces ``out_path`` only once complete; on a failed
+    write (a full disk, say) it is removed and any previous output and
+    manifest are left as they were.
+    """
+    out_path = pathlib.Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out_path.with_name(out_path.name + f".tmp-{os.getpid()}")
+    seq = 0
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for cell, records in cells:
+                fh.write(_frame_text(cell, records, seq))
+                seq += len(records)
+        os.replace(tmp, out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    write_manifest(out_path, fingerprint)
+    return seq
 
 
 class OrderedJsonlSink(ResultSink):
@@ -250,106 +390,29 @@ class FramedJsonlSink(ResultSink):
         self._seq = 0
 
     def emit(self, plan, records) -> None:
-        from .. import io as repro_io
-
-        text = "".join(
-            repro_io.frame_record(
-                line, cell=plan.index, replica=r, seq=self._seq + r
-            ) + "\n"
-            for r, line in enumerate(records)
-        )
+        text = _frame_text(plan.index, records, self._seq)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(text)
         self._seq += len(records)
 
     def recover(self, config, plans, controller, trusted):
-        from .. import io as repro_io
-
-        frames: list = []
-        ends: list[int] = []
-        for frame, end in repro_io.scan_frames(self.path):
-            frames.append(frame)
-            ends.append(end)
-
-        if not frames:
+        groups = list(frame_groups(self.path))
+        if not groups:
             _refuse_unrecognisable(self.path, trusted)
-            self._seq = 0
-            with self.path.open("r+b") as fh:
-                fh.truncate(0)
-            return {}
 
-        # Frame invariants: the sequence counter is contiguous from 0 and
-        # every (cell, replica) pair is in range — an append under this
-        # configuration cannot produce anything else, so violations mean a
-        # foreign or hand-edited file.
-        for pos, frame in enumerate(frames):
-            if frame.seq != pos:
-                raise ParameterError(
-                    f"{self.path}: frame {pos} carries sequence number "
-                    f"{frame.seq} (expected {pos}); refusing to resume a "
-                    "reordered or foreign frames file"
-                )
-            if frame.cell >= len(plans):
-                raise ParameterError(
-                    f"{self.path}: frame {pos} names cell {frame.cell} but "
-                    f"the campaign grid only has {len(plans)} cells; "
-                    "refusing to resume a different campaign's file"
-                )
-            if frame.replica >= config.replicas:
-                raise ParameterError(
-                    f"{self.path}: frame {pos} names replica "
-                    f"{frame.replica} but the campaign runs at most "
-                    f"{config.replicas}; refusing to resume a different "
-                    "campaign's file"
-                )
-            if not isinstance(frame.result, DesResult):
-                raise ParameterError(
-                    f"{self.path}: cannot resume: frame {pos} holds a "
-                    f"{type(frame.result).__name__} record where raw DES "
-                    "runs were expected"
-                )
-            _check_identity(
-                self.path, f"frame {pos}", frame.result,
-                plans[frame.cell], config, frame.replica,
-            )
-
-        # Group into cell runs: frames of one cell are contiguous (cell
-        # appends are atomic) with replicas counting up from 0, and no
-        # cell appears twice.
-        groups: list[tuple[int, list[DesResult], int]] = []  # (cell, results, start)
-        seen: set[int] = set()
-        pos = 0
-        while pos < len(frames):
-            cell = frames[pos].cell
-            if cell in seen:
-                raise ParameterError(
-                    f"{self.path}: frame {pos} reopens cell {cell}, which "
-                    "an earlier frame group already wrote; refusing to "
-                    "resume a corrupt frames file"
-                )
-            seen.add(cell)
-            start = ends[pos - 1] if pos else 0
-            results: list[DesResult] = []
-            while pos < len(frames) and frames[pos].cell == cell:
-                if frames[pos].replica != len(results):
-                    raise ParameterError(
-                        f"{self.path}: frame {pos} is replica "
-                        f"{frames[pos].replica} of cell {cell} but replica "
-                        f"{len(results)} was expected; refusing to resume "
-                        "a corrupt frames file"
-                    )
-                results.append(frames[pos].result)
-                pos += 1
-            groups.append((cell, results, start))
-
-        # Completeness: replay the replica controller over each group's
-        # recorded wastes.  All groups but the last must be complete (an
-        # atomic-append file can only tear at the tail); the last may be
-        # an interrupted cell, which is dropped and re-run.
+        # Every record must match the grid.  Cell appends are atomic, so
+        # a cell is one group, and replaying the replica controller over
+        # each group's wastes must find all groups but the last complete;
+        # the last may be an interrupted cell, which is dropped and re-run.
         done: dict[int, list[DesResult]] = {}
-        keep = ends[-1]
-        kept_frames = len(frames)
-        for gi, (cell, results, start) in enumerate(groups):
+        keep = self._seq = 0
+        for gi, (cell, results, _, end) in enumerate(groups):
+            _check_cell(self.path, cell, results, plans, config)
+            if cell in done:
+                raise ParameterError(
+                    f"{self.path}: cell {cell} is reopened by a later "
+                    "frame group; refusing to resume a corrupt frames file"
+                )
             stops_at = stop_count(controller, [r.waste for r in results])
             if stops_at is not None and stops_at < len(results):
                 raise ParameterError(
@@ -360,10 +423,9 @@ class FramedJsonlSink(ResultSink):
                 )
             if stops_at == len(results):
                 done[cell] = results
-            elif gi == len(groups) - 1:
-                keep = start  # interrupted trailing cell: drop and re-run
-                kept_frames -= len(results)
-            else:
+                keep = end
+                self._seq += len(results)
+            elif gi < len(groups) - 1:
                 raise ParameterError(
                     f"{self.path}: cell {cell} is incomplete "
                     f"({len(results)} replicas) but later cells follow "
@@ -373,7 +435,6 @@ class FramedJsonlSink(ResultSink):
 
         with self.path.open("r+b") as fh:
             fh.truncate(keep)
-        self._seq = kept_frames
         return done
 
 
@@ -393,27 +454,14 @@ class WorkerShardSink(FramedJsonlSink):
     """
 
     def begin(self) -> None:
-        from .. import io as repro_io
-
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
-            self.path.touch()
-            self._seq = 0
-            return
-        keep = 0
-        count = 0
-        for frame, end in repro_io.scan_frames(self.path):
-            if frame.seq != count:
-                raise ParameterError(
-                    f"{self.path}: frame {count} carries sequence number "
-                    f"{frame.seq} (expected {count}); this is not a "
-                    "worker shard this campaign wrote"
-                )
-            count += 1
+        self.path.touch()
+        keep = self._seq = 0
+        for _, results, _, end in frame_groups(self.path):
             keep = end
+            self._seq += len(results)
         with self.path.open("r+b") as fh:
             fh.truncate(keep)
-        self._seq = count
 
     def recover(self, config, plans, controller, trusted):
         raise ParameterError(

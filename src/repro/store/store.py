@@ -61,6 +61,7 @@ from ..sim.backends import replica_seed, trace_seed
 from ..sim.campaign import CampaignConfig
 from ..sim.distributed import _atomic_write
 from ..sim.results import DesResult
+from ..sim.sinks import write_framed
 from ..sim.spec import STORE_MODES  # noqa: F401 - canonical home is the policy
 from .cache import (
     CACHED_VERIFICATION_LEVELS,
@@ -1635,38 +1636,26 @@ class CampaignStore:
     def export(self, spec, out_path: str | pathlib.Path) -> ExportReport:
         """Materialise a spec's results file straight from the store.
 
-        Writes the framed, grid-ordered, contiguously-sequenced results
-        file (plus the ``.manifest`` sidecar holding the spec
-        fingerprint) that a single-machine ``sink="framed"`` run of the
-        spec would have produced — byte-identical, with **zero**
-        simulations.  Cells resolve through the same segment-first
-        lookup path as a warm run, so an export is byte-identical before
-        and after compaction.  Every cell must be resolvable from the
-        store; missing cells are reported by grid coordinates, never
-        silently skipped.
+        Hands the stored record lines of every grid cell, in grid order,
+        to :func:`repro.sim.sinks.write_framed` — the framed format's
+        one writer, which ``campaign merge`` uses too — so the output
+        (plus its ``.manifest`` sidecar holding the spec fingerprint)
+        is the file a single-machine ``sink="framed"`` run of the spec
+        would have produced: byte-identical, with **zero** simulations.
+        Cells resolve through the same segment-first lookup path as a
+        warm run, so an export is byte-identical before and after
+        compaction.  Every cell must be resolvable from the store;
+        missing cells are reported by grid coordinates, never silently
+        skipped.
         """
-        from .. import io as repro_io
-
         resolved = _load_cells(self, spec)
-        out_path = pathlib.Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        frames = 0
-        tmp = out_path.with_name(out_path.name + f".tmp-{os.getpid()}")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for plan, hit in resolved:
-                for replica, line in enumerate(hit.records):
-                    fh.write(repro_io.frame_record(
-                        line, cell=plan.index, replica=replica, seq=frames,
-                    ) + "\n")
-                    frames += 1
-        os.replace(tmp, out_path)
-        _atomic_write(
-            out_path.with_name(out_path.name + ".manifest"),
-            json.dumps(spec.fingerprint(), sort_keys=True) + "\n",
+        frames = write_framed(
+            out_path, spec.fingerprint(),
+            ((plan.index, hit.records) for plan, hit in resolved),
         )
         return ExportReport(
             cells=len(resolved), frames=frames,
-            bytes_written=out_path.stat().st_size,
+            bytes_written=pathlib.Path(out_path).stat().st_size,
         )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import pathlib
+
 import pytest
 
 from repro import (
@@ -49,3 +52,34 @@ def any_protocol(request):
 def figure_protocol(request):
     """Parametrised over the three protocols evaluated in §VI."""
     return request.param
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every temp file (``*.tmp-*``) written through
+    :meth:`pathlib.Path.open` raise ENOSPC on its second ``write``, as a
+    disk that fills up part-way through a file would."""
+    real_open = pathlib.Path.open
+
+    class FullFile:
+        def __init__(self, fh):
+            self._fh = fh
+            self._writes = 0
+
+        def write(self, text):
+            if self._writes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self._writes += 1
+            return self._fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return FullFile(fh) if ".tmp-" in self.name and "w" in mode else fh
+
+    monkeypatch.setattr(pathlib.Path, "open", open_)

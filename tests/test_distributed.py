@@ -17,6 +17,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -386,6 +387,132 @@ class TestWorkStealing:
         ))
         with pytest.raises(ParameterError, match="disagrees"):
             merge_shards(queue, tmp_path / "merged.jsonl")
+
+
+def _frames(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_frames(path, frames, *, renumber=True) -> None:
+    if renumber:
+        for seq, frame in enumerate(frames):
+            frame["seq"] = seq
+    path.write_text("".join(
+        json.dumps(frame, sort_keys=True) + "\n" for frame in frames
+    ))
+
+
+class TestMergeRules:
+    """One duplicate rule (every shorter copy of a cell is a prefix of
+    the longest, in one shard or across shards), frame-group invariants
+    and the campaign grid's identity checks, all before any output."""
+
+    def test_restarted_workers_shard_merges_like_serial(self, tmp_path):
+        """A worker died mid-append of cell 1 with its replica 0 intact,
+        rejoined (dropping the torn tail) and re-ran cell 1 and the rest:
+        its shard holds a partial group of cell 1, then a whole one."""
+        ref = framed_reference(tmp_path / "ref.jsonl")
+        lines = ref.decode().splitlines()
+        records = [repro_io.dump_result(repro_io.load_frame(line).result)
+                   for line in lines]
+        queue = tmp_path / "queue"
+        run_worker(queue, "w1")  # completes the queue: done markers
+        shard = shard_path(queue, "w1")
+        shard.write_text("\n".join(lines[:3]) + "\n" + lines[3][:40])
+        sink = WorkerShardSink(shard)
+        sink.begin()
+        assert sink._seq == 3
+        for cell in (1, 2, 3):
+            sink.emit(SimpleNamespace(index=cell),
+                      records[2 * cell:2 * cell + 2])
+        assert [(f["cell"], f["replica"]) for f in _frames(shard)] == [
+            (0, 0), (0, 1), (1, 0), (1, 0), (1, 1),
+            (2, 0), (2, 1), (3, 0), (3, 1),
+        ]
+        merged = tmp_path / "merged.jsonl"
+        report = merge_shards(queue, merged)
+        assert merged.read_bytes() == ref
+        assert (report.cells, report.duplicate_cells) == (4, 1)
+
+    def test_refuses_sequence_gap(self, tmp_path):
+        """A shard missing a whole cell group mid-file was edited, which
+        shard rejoin refuses; the merge refuses it too and writes
+        nothing."""
+        queue = tmp_path / "queue"
+        run_worker(queue, "w1")
+        shard = shard_path(queue, "w1")
+        frames = _frames(shard)
+        del frames[2:4]
+        _write_frames(shard, frames, renumber=False)
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ParameterError, match="sequence"):
+            merge_shards(queue, out, require_complete=False)
+        assert not out.exists()
+
+    def test_refuses_out_of_order_replicas(self, tmp_path):
+        queue = tmp_path / "queue"
+        run_worker(queue, "w1")
+        shard = shard_path(queue, "w1")
+        frames = _frames(shard)
+        frames[0], frames[1] = frames[1], frames[0]
+        _write_frames(shard, frames)
+        with pytest.raises(ParameterError, match="replica 0 was expected"):
+            merge_shards(queue, tmp_path / "merged.jsonl")
+
+    @pytest.mark.parametrize("where", ["same shard", "other shard"])
+    def test_refuses_copy_that_is_not_a_prefix(self, tmp_path, where):
+        """A torn copy (one replica) of a cell that differs from the
+        whole copy is refused wherever the two copies sit."""
+        queue = tmp_path / "queue"
+        run_worker(queue, "w1")
+        shard = shard_path(queue, "w1")
+        frames = _frames(shard)
+        torn = dict(frames[0], payload=json.loads(json.dumps(
+            frames[0]["payload"])))
+        torn["payload"]["payload"]["makespan"] += 1.0
+        if where == "same shard":
+            _write_frames(shard, frames + [torn])
+            match = "twice in this shard"
+        else:
+            _write_frames(shard_path(queue, "w2"), [torn])
+            match = "disagrees"
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ParameterError, match=match):
+            merge_shards(queue, out)
+        assert not out.exists()
+
+    def test_refuses_shard_of_another_campaign(self, tmp_path):
+        """A shard written under a different seed holds well-formed
+        frames of every cell, but not this campaign's: merging it would
+        write a file that resume refuses."""
+        queue = tmp_path / "queue"
+        ensure_queue(queue, make_spec().fingerprint(),
+                     n_chunks=2, chunk_size=2, n_cells=4)
+        foreign = framed_reference(tmp_path / "foreign.jsonl", seed=2027)
+        shard = shard_path(queue, "w1")
+        shard.parent.mkdir(parents=True, exist_ok=True)
+        shard.write_bytes(foreign)
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ParameterError, match="seed"):
+            merge_shards(queue, out, require_complete=False)
+        assert not out.exists()
+
+    def test_full_disk_leaves_previous_output(self, tmp_path, full_disk):
+        """A write that fails part-way leaves no temp file, and the
+        previous merged file and manifest as they were."""
+        queue = tmp_path / "queue"
+        run_worker(queue, "w1")
+        out = tmp_path / "out" / "merged.jsonl"
+        out.parent.mkdir()
+        out.write_text("previous\n")
+        manifest = out.with_name(out.name + ".manifest")
+        manifest.write_text("{}\n")
+        with pytest.raises(OSError):
+            merge_shards(queue, out)
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "merged.jsonl", "merged.jsonl.manifest"]
+        assert out.read_text() == "previous\n"
+        assert manifest.read_text() == "{}\n"
 
 
 class TestWorkerShardSink:

@@ -455,8 +455,12 @@ class TestThinViews:
 # ----------------------------------------------------------------------
 # Service: GET /metrics and condition-variable streaming
 # ----------------------------------------------------------------------
+#: A label value is a quoted string (``\\``, ``\"`` and ``\n`` escapes),
+#: so it may hold ``{``, ``}`` or ``,`` — e.g. ``route="/campaigns/{id}"``.
+_LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"'
 _SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$")
+    rf"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{{(?:{_LABEL}(?:,{_LABEL})*,?)?\}})?"
+    r" (\S+)$")
 
 
 def parse_exposition(text: str) -> dict[str, list[str]]:
@@ -478,6 +482,32 @@ def parse_exposition(text: str) -> dict[str, list[str]]:
         assert match, f"unparseable exposition line: {line!r}"
         samples.setdefault(match.group(1), []).append(match.group(3))
     return samples
+
+
+class TestExpositionParser:
+    def test_label_values_may_hold_braces(self):
+        samples = parse_exposition(
+            'repro_http_request_seconds_bucket{method="GET",'
+            'route="/campaigns/{id}",le="0.0001"} 0\n'
+            'x{a="q\\"}\\\\"} 1\n'
+            "y 2\n"
+        )
+        assert samples == {"repro_http_request_seconds_bucket": ["0"],
+                           "x": ["1"], "y": ["2"]}
+
+    @pytest.mark.parametrize("line", [
+        'x{a="unterminated} 1',
+        'x{a="b"}',
+        'x{a="b"} ',
+        'x{a=b} 1',
+        'x{a="b"c="d"} 1',
+        'x{="b"} 1',
+        'x{a="b"}} 1',
+        '1x 1',
+    ])
+    def test_rejects_malformed_lines(self, line):
+        with pytest.raises(AssertionError, match="unparseable"):
+            parse_exposition(line + "\n")
 
 
 class TestServiceObservability:

@@ -533,6 +533,24 @@ class TestQueryExportReport:
         assert resumed.report.cells_run == 0
         assert resumed.report.cells_skipped == 4
 
+    def test_export_on_full_disk_leaves_previous_output(self, tmp_path,
+                                                         full_disk):
+        store_dir = tmp_path / "store"
+        spec_framed = make_spec(policy=ExecutionPolicy(sink="framed"))
+        execute_spec(spec_framed, results_path=tmp_path / "ref.jsonl",
+                     store=store_dir)
+        out = tmp_path / "out" / "export.jsonl"
+        out.parent.mkdir()
+        out.write_text("previous\n")
+        manifest = out.with_name(out.name + ".manifest")
+        manifest.write_text("{}\n")
+        with pytest.raises(OSError):
+            CampaignStore(store_dir).export(spec_framed, out)
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "export.jsonl", "export.jsonl.manifest"]
+        assert out.read_text() == "previous\n"
+        assert manifest.read_text() == "{}\n"
+
     def test_export_refuses_missing_cells(self, tmp_path):
         store_dir = tmp_path / "store"
         execute_spec(make_spec(m_values=(300.0,)),
