@@ -42,10 +42,12 @@ figure grids evaluate in one call.
 from __future__ import annotations
 
 import enum
+import functools
 from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import ParameterError
+from .overlap import OverlapModel
 from .parameters import Parameters
 
 __all__ = [
@@ -98,16 +100,30 @@ class ProtocolSpec(ABC):
     # Choice variables
     # ------------------------------------------------------------------
     def effective_phi(self, params: Parameters, phi):
-        """Overhead actually incurred; blocking protocols pin it at ``θmin``."""
+        """Overhead actually incurred; blocking protocols pin it at ``θmin``.
+
+        A scalar ``φ`` is validated once per (protocol, overlap model)
+        and its value reused (:func:`_scalar_phi`): each formula below
+        resolves ``φ`` again, a dozen times per simulated cell.
+        """
+        if isinstance(phi, (int, float)):
+            return _scalar_phi(self, params.overlap, phi)[0]
+        return self._validated_phi(params.theta_min, phi)
+
+    def _validated_phi(self, theta_min: float, phi):
+        """:meth:`effective_phi` evaluated: refuses ``φ`` outside
+        ``[0, θmin]``, then clips rounding noise."""
         phi_arr = np.asarray(phi, dtype=float)
-        if np.any(phi_arr < -1e-12) or np.any(phi_arr > params.theta_min * (1 + 1e-12)):
+        if np.any(phi_arr < -1e-12) or np.any(phi_arr > theta_min * (1 + 1e-12)):
             raise ParameterError(
-                f"phi must lie in [0, R={params.theta_min}], got {phi!r}"
+                f"phi must lie in [0, R={theta_min}], got {phi!r}"
             )
-        return np.clip(phi_arr, 0.0, params.theta_min)
+        return np.clip(phi_arr, 0.0, theta_min)
 
     def theta(self, params: Parameters, phi):
         """Exchange-window length ``θ(φ)``."""
+        if isinstance(phi, (int, float)):
+            return _scalar_phi(self, params.overlap, phi)[1]
         return params.overlap.theta_of_phi(self.effective_phi(params, phi))
 
     # ------------------------------------------------------------------
@@ -252,10 +268,10 @@ class DoubleSpec(ProtocolSpec):
         #: Pin ``φ = θmin`` (the original fully blocking algorithm of [1]).
         self.always_blocking = always_blocking
 
-    def effective_phi(self, params: Parameters, phi):
-        validated = super().effective_phi(params, phi)
+    def _validated_phi(self, theta_min: float, phi):
+        validated = super()._validated_phi(theta_min, phi)
         if self.always_blocking:
-            return np.full_like(validated, params.theta_min)
+            return np.full_like(validated, theta_min)
         return validated
 
     # -- first-order coefficients --------------------------------------
@@ -414,6 +430,19 @@ class TripleSpec(ProtocolSpec):
 
     def commit_phase(self) -> int:
         return 0
+
+
+@functools.lru_cache(maxsize=4096)
+def _scalar_phi(spec: ProtocolSpec, overlap: OverlapModel, phi):
+    """``(effective φ, θ(φ))`` of one scalar ``φ``, validated once.
+
+    Both are the array path's values bit for bit (the same numpy
+    evaluation, run on the first call); ``effective φ`` is kept as a
+    numpy scalar, which no caller can modify in place.  A ``φ`` that
+    fails validation raises and is not cached.
+    """
+    eff = spec._validated_phi(overlap.theta_min, phi)[()]
+    return eff, overlap.theta_of_phi(eff)
 
 
 #: The original blocking buddy algorithm of Zheng, Shi & Kalé [1].

@@ -100,6 +100,10 @@ class DesConfig:
             raise ParameterError(
                 f"grouping must be one of {_GROUPINGS} or a GroupAssignment"
             )
+        if self.seed is not None and (
+                not isinstance(self.seed, int) or self.seed < 0):
+            raise ParameterError(
+                f"seed must be a non-negative int, got {self.seed!r}")
         if self.trace is not None and not isinstance(self.trace, TraceSchedule):
             object.__setattr__(
                 self, "trace", TraceSchedule(self.params.n, self.trace))
@@ -130,7 +134,7 @@ def buddy_protocol(
 
 
 def _build_cluster(
-    sim_protocol: SimProtocol, config: DesConfig, rng_factory: RngFactory
+    sim_protocol: SimProtocol, config: DesConfig, rng_factory: RngFactory | None
 ) -> Cluster | None:
     g = sim_protocol.group_size
     if g == 0:
@@ -155,7 +159,11 @@ def _build_cluster(
 
 def run_des(config: DesConfig) -> DesResult:
     """Run one event simulation to completion / fatal failure / timeout."""
-    rng_factory = RngFactory(config.seed)
+    # The seed's streams feed the failure injector and random groupings
+    # only; a replayed trace with fixed groups never reads them.
+    rng_factory = None
+    if config.trace is None or config.grouping == "random":
+        rng_factory = RngFactory(config.seed)
     sim_protocol = config.protocol
     if not isinstance(sim_protocol, SimProtocol):
         sim_protocol = buddy_protocol(

@@ -14,12 +14,23 @@ Determinism: two events at the same timestamp fire in scheduling order
 (monotonic sequence number), so simulations are bit-reproducible.  The
 heap holds ``(time, seq, event)`` tuples, so ordering is the built-in
 tuple comparison and never reaches the event itself.
+
+Inline steps: a state machine whose next transition is fixed and lands
+*strictly* before every queued event need not queue it.  While
+:meth:`Engine.run` is running, :meth:`Engine.step_inline` advances the
+clock and the executed count exactly as that event firing next would,
+provided it would fire within the run's ``until`` and ``max_events``;
+otherwise the caller schedules it like any other event.  What stays an
+event is everything that can interleave: anything at or after the next
+queued time (equal times keep their FIFO order on the heap), past the
+horizon, or past the budget.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -28,7 +39,7 @@ from ..errors import SimulationError
 __all__ = ["Event", "Engine"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A scheduled callback, fired in (time, sequence) order."""
 
@@ -64,6 +75,10 @@ class Engine:
         self.executed: int = 0
         self._running = False
         self._stopped = False
+        #: The running ``run``'s horizon and event budget (inline steps
+        #: must stay within both).
+        self._until = math.inf
+        self._budget = math.inf
 
     # ------------------------------------------------------------------
     def schedule(
@@ -125,17 +140,42 @@ class Engine:
             return True
         return False
 
+    def step_inline(self, time: float) -> bool:
+        """Fire an unqueued event at ``time`` in place, if it would fire next.
+
+        True when a run is in progress, not stopped, and an event
+        scheduled now at ``time`` would be the next one to fire: strictly
+        before the next live queued event, at or before the run's
+        ``until``, and within its ``max_events``.  The clock then moves to
+        ``time`` and the executed count grows by one, as :meth:`step`
+        would do; the caller runs the event's callback itself.  False
+        leaves the engine untouched: schedule the event instead.
+        """
+        if not self._running or self._stopped:
+            return False
+        if time > self._until or self.executed >= self._budget:
+            return False
+        next_time = self.peek_time()
+        if next_time is not None and not time < next_time:
+            return False
+        self.now = time
+        self.executed += 1
+        return True
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue empties, ``until`` is reached, or the budget.
 
         ``until`` advances the clock to exactly ``until`` if the simulation
-        outlives it.  ``max_events`` guards against runaway state machines.
+        outlives it.  ``max_events`` guards against runaway state machines;
+        events fired by :meth:`step_inline` count against it.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
         self._stopped = False
         budget = max_events if max_events is not None else float("inf")
+        self._until = until if until is not None else math.inf
+        self._budget = budget
         try:
             while not self._stopped:
                 if self.executed >= budget:

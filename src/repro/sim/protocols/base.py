@@ -29,6 +29,15 @@ platform may be RUNNING with groups still at risk.
 The same machine runs the centralised baseline (no risk windows) and the
 no-checkpointing baseline (rollback to zero), so cross-protocol
 comparisons share one execution engine.
+
+What is an engine event: every failure, risk-window end, recovery-block
+end and completion, plus each phase end that ties or follows the next
+queued event or lies past the run's ``until`` or ``max_events``.  Any
+other phase end — most of them, since phases are short against the
+time between failures — is applied in place when it is reached
+(:meth:`~repro.sim.engine.Engine.step_inline`): the same state changes
+in the same order, the same clock and the same executed count as the
+event it replaces, so results are byte-identical to queuing it.
 """
 
 from __future__ import annotations
@@ -168,41 +177,59 @@ class PlatformSim:
     # ------------------------------------------------------------------
     def _enter_phase(self, idx: int, offset: float = 0.0) -> None:
         """Enter phase ``idx`` at ``offset`` seconds into it (0 normally;
-        >0 when resuming after a recovery block)."""
-        plan = self.phases[idx]
-        now = self.engine.now
-        self.mode = self._RUNNING
-        self.phase_idx = idx
-        self.phase_start = now - offset
-        self._phase_entry_offset = offset
-        if idx == 0 and offset == 0.0:
-            self.period_start_work = self.app.work_done
-        remaining_phase = plan.length - offset
-        if remaining_phase < -1e-9:
-            raise SimulationError("resume offset beyond phase length")
-        if self.app.complete:
-            # Recovery restored exactly the target amount of work (a
-            # failure struck at the completion instant): finish now.
-            self._pending = self.engine.schedule(
-                now, self._on_complete, kind="complete"
-            )
-            return
-        # Completion may land inside this phase.
-        if plan.rate > 0 and self.app.remaining > 0:
-            t_complete = now + self.app.remaining / plan.rate
-        else:
-            t_complete = math.inf
-        t_phase_end = now + max(remaining_phase, 0.0)
-        if t_complete <= t_phase_end + 1e-12:
-            self._pending = self.engine.schedule(
-                t_complete, self._on_complete, kind="complete"
-            )
-        elif math.isfinite(t_phase_end):
-            self._pending = self.engine.schedule(
-                t_phase_end, self._on_phase_end, kind="phase-end"
-            )
-        else:
-            self._pending = None  # infinite compute phase; completion is the exit
+        >0 when resuming after a recovery block).
+
+        A phase end that would fire before anything queued is applied
+        here, in a loop, rather than queued (:meth:`Engine.step_inline`):
+        nothing can happen between it and the next phase entry, so the
+        walk reproduces the fired events' state, clock and count.  Only
+        the first phase end that reaches the next queued event, the run's
+        horizon or its budget becomes an event.
+        """
+        engine = self.engine
+        app = self.app
+        phases = self.phases
+        while True:
+            plan = phases[idx]
+            now = engine.now
+            self.mode = self._RUNNING
+            self.phase_idx = idx
+            self.phase_start = now - offset
+            self._phase_entry_offset = offset
+            if idx == 0 and offset == 0.0:
+                self.period_start_work = app.work_done
+            remaining_phase = plan.length - offset
+            if remaining_phase < -1e-9:
+                raise SimulationError("resume offset beyond phase length")
+            if app.complete:
+                # Recovery restored exactly the target amount of work (a
+                # failure struck at the completion instant): finish now.
+                self._pending = engine.schedule(
+                    now, self._on_complete, kind="complete"
+                )
+                return
+            # Completion may land inside this phase.
+            remaining_work = app.remaining
+            if plan.rate > 0 and remaining_work > 0:
+                t_complete = now + remaining_work / plan.rate
+            else:
+                t_complete = math.inf
+            t_phase_end = now + max(remaining_phase, 0.0)
+            if t_complete <= t_phase_end + 1e-12:
+                self._pending = engine.schedule(
+                    t_complete, self._on_complete, kind="complete"
+                )
+                return
+            if not math.isfinite(t_phase_end):
+                self._pending = None  # infinite compute phase; completion is the exit
+                return
+            if not engine.step_inline(t_phase_end):
+                self._pending = engine.schedule(
+                    t_phase_end, self._on_phase_end, kind="phase-end"
+                )
+                return
+            idx = self._end_phase()
+            offset = 0.0
 
     def _advance_partial(self) -> float:
         """Credit work executed since the phase was (re-)entered.
@@ -221,15 +248,19 @@ class PlatformSim:
             self.app.advance(executed * plan.rate)
         return offset
 
-    def _on_phase_end(self, engine: Engine, event: Event) -> None:
+    def _end_phase(self) -> int:
+        """Credit the current phase's work, commit if it is the commit
+        phase, and return the next phase's index."""
         plan = self.phases[self.phase_idx]
         executed = plan.length - self._phase_entry_offset
         if plan.rate > 0 and executed > 0:
             self.app.advance(executed * plan.rate)
         if self.protocol.commit_phase() == self.phase_idx:
-            self.app.commit_snapshot(engine.now, self.period_start_work)
-        next_idx = (self.phase_idx + 1) % len(self.phases)
-        self._enter_phase(next_idx)
+            self.app.commit_snapshot(self.engine.now, self.period_start_work)
+        return (self.phase_idx + 1) % len(self.phases)
+
+    def _on_phase_end(self, engine: Engine, event: Event) -> None:
+        self._enter_phase(self._end_phase())
 
     def _on_complete(self, engine: Engine, event: Event) -> None:
         self.app.advance(self.app.remaining)

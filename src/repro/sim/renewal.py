@@ -93,8 +93,8 @@ def failure_blocks(
     binned into its phase (the last phase absorbs any rounding slack
     between the summed phase lengths and the period), and its block is
     ``stall + max(base + offset into the phase − shift, 0)`` over the
-    cell model's re-execution terms, every phase evaluated once over all
-    its strikes.  Returns ``(phase_of, blocks)``.  The one kernel behind
+    cell model's re-execution terms, evaluated over all strikes at once.
+    Returns ``(phase_of, blocks)``.  The one kernel behind
     :func:`run_renewal` and the vectorized campaign engine
     (:mod:`repro.sim.vectorized`).
     """
@@ -103,14 +103,9 @@ def failure_blocks(
         np.searchsorted(bounds, offsets, side="right") - 1,
         0, len(model.lengths) - 1,
     )
-    blocks = np.empty_like(offsets)
-    for phase, base in enumerate(model.re_bases):
-        hit = phase_of == phase
-        if not np.any(hit):
-            continue
-        local = offsets[hit] - bounds[phase]
-        blocks[hit] = model.stall + np.maximum(
-            base + local - model.re_shift, 0.0)
+    local = offsets - bounds[phase_of]
+    base = np.array(model.re_bases)[phase_of]
+    blocks = model.stall + np.maximum(base + local - model.re_shift, 0.0)
     return phase_of, blocks
 
 

@@ -1,16 +1,16 @@
 """Vectorized cell execution: whole cells as numpy batches.
 
-The DES pays ~45 µs of interpreter overhead per *event*
-(``benchmarks/PROFILE_high_churn.md``); a high-churn cell is hundreds of
-thousands of events.  This module replaces the per-event loop with the
-protocols' renewal closed forms — the same kernel
-(:func:`repro.sim.renewal.failure_blocks`) that
+The DES pays interpreter overhead for every failure, recovery block and
+risk window of every replica, and for every period phase it walks
+(``benchmarks/PROFILE_high_churn.md``).  This module replaces the
+per-event loop with the protocols' renewal closed forms — the same
+kernel (:func:`repro.sim.renewal.failure_blocks`) that
 :func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
 every replica of a campaign cell as one batch of array operations:
 sample all failure times, bin all pattern offsets into phases with one
-``searchsorted``, evaluate each phase's ``RE`` formula once over all its
-strikes across all replicas, and reduce block sums per replica with one
-``bincount``.  Cost becomes O(failures) array
+``searchsorted``, evaluate every strike's ``RE`` formula in one array
+expression across all replicas, and reduce block sums per replica with
+one ``bincount``.  Cost becomes O(failures) array
 math instead of O(events) Python dispatch.  The cell's model (period,
 phase lengths, stall, risk window, re-execution terms) is the DES's
 own, resolved once by :func:`repro.sim.des.buddy_protocol`.
@@ -84,7 +84,6 @@ from .adaptive import ReplicaController
 from .backends import _horizon, replica_seed, trace_seed
 from .campaign import CampaignConfig
 from .des import buddy_protocol
-from .protocols.buddy import BuddySimProtocol
 from .renewal import failure_blocks
 from .results import DesResult
 from .rng import RngFactory
@@ -157,25 +156,49 @@ def _sample_failure_times(
     return np.concatenate(collected)
 
 
-def _shared_stream(config: CampaignConfig, m_index: int, params,
-                   replica: int, horizon: float,
-                   cache: dict) -> tuple[np.ndarray, float, float]:
-    """``(sorted failure instants, u_fatal, u_when)`` of (row, replica).
+def _sample_replicas(config: CampaignConfig, params, seeds: list[int],
+                     horizon: float) -> tuple[list[np.ndarray], np.ndarray,
+                                              np.ndarray]:
+    """Each seed's failure instants in ``[0, horizon)`` and its two
+    fatality uniforms.
 
-    Sampled once per ``cache`` from the replica's shared-trace seed over
-    the wall-clock horizon, a function of the config alone — the
+    The draw order inside a stream is fixed — count/offsets, then the
+    two fatality uniforms — so outcomes never perturb downstream draws.
+    """
+    times = []
+    u_fatal = np.empty(len(seeds))
+    u_when = np.empty(len(seeds))
+    for r, seed in enumerate(seeds):
+        rng = RngFactory(seed).replica(0)
+        times.append(_sample_failure_times(
+            rng, config, params.M, params.n, horizon))
+        u_fatal[r] = rng.uniform()
+        u_when[r] = rng.uniform()
+    return times, u_fatal, u_when
+
+
+def _shared_row(config: CampaignConfig, m_index: int, params,
+                n_replicas: int, horizon: float,
+                cache: dict) -> tuple[list[np.ndarray], np.ndarray,
+                                      np.ndarray]:
+    """``(sorted failure instants per replica, u_fatal, u_when)`` of
+    grid row ``m_index``.
+
+    Replica ``r`` samples once per ``cache`` from its shared-trace seed
+    over the wall-clock horizon, a function of the config alone — the
     general-law sampler's batch shape depends on its horizon, so a
     per-cell horizon would break the pairing.  Every cell of the row
-    takes a prefix of the same instants and the same two fatality
-    uniforms.
+    takes a prefix of each replica's instants and the same two
+    fatality uniforms.
     """
-    key = ("vectorized", m_index, replica)
+    key = ("vectorized", m_index, n_replicas)
     if key not in cache:
-        rng = RngFactory(trace_seed(config, m_index, replica)).replica(0)
-        times = np.sort(_sample_failure_times(
-            rng, config, params.M, params.n, horizon
-        ))
-        cache[key] = (times, rng.uniform(), rng.uniform())
+        streams, u_fatal, u_when = _sample_replicas(
+            config, params,
+            [trace_seed(config, m_index, r) for r in range(n_replicas)],
+            horizon)
+        cache[key] = ([np.sort(stream) for stream in streams],
+                      u_fatal, u_when)
     return cache[key]
 
 
@@ -186,28 +209,17 @@ def _draws(config: CampaignConfig, plan, params, n_replicas: int,
     fatality uniforms.
 
     Without shared traces each replica samples its own stream (store
-    purity); the draw order inside a stream is fixed — count/offsets,
-    then the two fatality uniforms — so outcomes never perturb
-    downstream draws.  With shared traces each replica takes the prefix
-    of its row's common stream (:func:`_shared_stream`).
+    purity).  With shared traces each replica takes the prefix of its
+    row's common stream (:func:`_shared_row`).
     """
-    times_per_replica: list[np.ndarray] = []
-    u_fatal = np.empty(n_replicas)
-    u_when = np.empty(n_replicas)
-    for r in range(n_replicas):
-        if config.share_traces:
-            stream, u_fatal[r], u_when[r] = _shared_stream(
-                config, plan.m_index, params, r, horizon, cache)
-            times_per_replica.append(
-                stream[:np.searchsorted(stream, productive)])
-            continue
-        rng = RngFactory(replica_seed(config, r)).replica(0)
-        times_per_replica.append(_sample_failure_times(
-            rng, config, params.M, params.n, productive
-        ))
-        u_fatal[r] = rng.uniform()
-        u_when[r] = rng.uniform()
-    return times_per_replica, u_fatal, u_when
+    if config.share_traces:
+        streams, u_fatal, u_when = _shared_row(
+            config, plan.m_index, params, n_replicas, horizon, cache)
+        return ([stream[:stream.searchsorted(productive)]
+                 for stream in streams], u_fatal, u_when)
+    return _sample_replicas(
+        config, params, [replica_seed(config, r) for r in range(n_replicas)],
+        productive)
 
 
 def run_cell_vectorized(
@@ -244,14 +256,12 @@ def run_cell_vectorized(
         config, plan, params, n_replicas, productive, horizon_wall,
         {} if trace_cache is None else trace_cache,
     )
-
-    counts = np.array([t.size for t in times_per_replica], dtype=int)
-    all_times = (np.concatenate(times_per_replica) if counts.sum()
-                 else np.empty(0))
+    counts = [times.size for times in times_per_replica]
+    all_times = np.concatenate(times_per_replica)
     rep_ids = np.repeat(np.arange(n_replicas), counts)
 
     # One batch over every failure of every replica: pattern offset →
-    # phase bin → that phase's RE formula over all its strikes at once.
+    # phase bin → its phase's RE formula, over all strikes at once.
     offsets = all_times % period
     _, blocks = failure_blocks(model, offsets)
     block_sum = np.bincount(rep_ids, weights=blocks, minlength=n_replicas)
@@ -261,93 +271,72 @@ def run_cell_vectorized(
     # paper's Eq. 11/16 to first order), over every replica at once.
     p_succ = success_probability(model.spec, params, plan.phi, total_time,
                                  method="exponential")
-    is_fatal = u_fatal >= p_succ
-    fatal_at = u_when * total_time
-    offsets_per_replica = np.split(offsets, np.cumsum(counts)[:-1])
+    is_fatal = (u_fatal >= p_succ).tolist()
+    fatal_at = (u_when * total_time).tolist()
+    total_time = total_time.tolist()
 
+    meta = {
+        "protocol": model.key,
+        "period": period,
+        "phi": model.phi,
+        "seed": None,
+        "n": params.n,
+        "M": params.M,
+        "engine": "vectorized",
+    }
+    work_target = config.work_target
     results: list[DesResult] = []
     cursor = controller.cursor()
-    for r in range(n_replicas):
-        t_total = float(total_time[r])
-        times = times_per_replica[r]
-        n_fail = int(counts[r])
+    end = 0
+    for r, times in enumerate(times_per_replica):
+        start, end = end, end + counts[r]
+        t_total = total_time[r]
         # Wall-clock position of each failure, to first order (blocks
         # assumed spread uniformly over the run).
         dilation = t_total / productive if productive > 0 else 1.0
-        meta = {
-            "protocol": model.key,
-            "period": period,
-            "phi": model.phi,
-            "seed": replica_seed(config, r),
-            "n": params.n,
-            "M": params.M,
-            "engine": "vectorized",
-        }
         if is_fatal[r] and fatal_at[r] <= horizon_wall:
-            t_fatal = float(fatal_at[r])
-            seen = int(np.count_nonzero(times * dilation <= t_fatal)) + 1
-            frac = t_fatal / t_total if t_total > 0 else 0.0
-            result = _assemble(
-                status="fatal", makespan=t_fatal, config=config,
-                model=model, work_done=config.work_target * frac,
-                failures=seen, offsets=offsets_per_replica[r],
-                frac=frac, fatal_time=t_fatal, meta=meta,
-            )
+            status, makespan = "fatal", fatal_at[r]
+            fatal_time = makespan
+            failures = int(np.count_nonzero(times * dilation <= makespan)) + 1
+            frac = makespan / t_total if t_total > 0 else 0.0
         elif t_total > horizon_wall:
+            status, makespan = "timeout", horizon_wall
+            fatal_time = float("nan")
+            failures = int(np.count_nonzero(times * dilation <= makespan))
             frac = horizon_wall / t_total
-            result = _assemble(
-                status="timeout", makespan=horizon_wall, config=config,
-                model=model, work_done=config.work_target * frac,
-                failures=int(np.count_nonzero(
-                    times * dilation <= horizon_wall
-                )),
-                offsets=offsets_per_replica[r], frac=frac,
-                fatal_time=float("nan"), meta=meta,
-            )
         else:
-            result = _assemble(
-                status="completed", makespan=t_total, config=config,
-                model=model, work_done=config.work_target,
-                failures=n_fail, offsets=offsets_per_replica[r], frac=1.0,
-                fatal_time=float("nan"), meta=meta,
-            )
+            status, makespan = "completed", t_total
+            fatal_time = float("nan")
+            failures = times.size
+            frac = 1.0
+        work_done = work_target * frac
+        replica_meta = meta.copy()
+        replica_meta["seed"] = replica_seed(config, r)
+        # First-order renewal estimates: ``failures`` is exact for
+        # completed runs and ``rollbacks`` equals it (every strike rolls
+        # back once in these protocols); ``work_lost`` charges each
+        # strike the work accrued since its period began; ``commits``
+        # counts completed patterns; ``risk_time`` opens one risk window
+        # per strike.  Only ``status``/``makespan`` (hence ``waste``) are
+        # covered by the equivalence contract.
+        result = DesResult(
+            status=status,
+            makespan=float(makespan),
+            work_target=work_target,
+            work_done=float(work_done),
+            failures=failures,
+            rollbacks=failures,
+            work_lost=float((offsets[start:end] / period).sum()
+                            * model.work_per_period * frac),
+            commits=int(work_done // model.work_per_period),
+            risk_time=float(failures) * model.risk,
+            fatal_time=fatal_time,
+            fatal_group=(),
+            meta=replica_meta,
+        )
         results.append(result)
         if heartbeat is not None:
             heartbeat()
         if cursor.push(result.waste):
             break
     return results
-
-
-def _assemble(
-    *, status: str, makespan: float, config: CampaignConfig,
-    model: BuddySimProtocol, work_done: float, failures: int,
-    offsets: np.ndarray, frac: float, fatal_time: float, meta: dict,
-) -> DesResult:
-    """Fill a :class:`DesResult` with first-order renewal estimates.
-
-    ``failures`` is exact for completed runs; ``rollbacks`` equals it
-    (every strike rolls back once in these protocols); ``work_lost``
-    charges each strike the work accrued since its period began;
-    ``commits`` counts completed patterns; ``risk_time`` opens one risk
-    window per strike.  Only ``status``/``makespan`` (hence ``waste``)
-    are covered by the equivalence contract.
-    """
-    work_lost = float(
-        (offsets / model.period).sum() * model.work_per_period * frac)
-    commits = int(work_done // model.work_per_period)
-    return DesResult(
-        status=status,
-        makespan=float(makespan),
-        work_target=config.work_target,
-        work_done=float(work_done),
-        failures=int(failures),
-        rollbacks=int(failures),
-        work_lost=work_lost,
-        commits=commits,
-        risk_time=float(failures) * model.risk,
-        fatal_time=fatal_time,
-        fatal_group=(),
-        meta=meta,
-    )
-

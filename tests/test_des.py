@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import DOUBLE_NBL, TRIPLE, scenarios
 from repro.core.waste import waste_at_optimum
 from repro.errors import InfeasibleModelError, ParameterError
+from repro.experiments.scenarios import CAMPAIGN_PRESETS
+from repro.sim.executor import CampaignSession
 from repro.sim.des import DesConfig, run_des, run_des_batch, summarize_waste
 from repro.sim.distributions import Weibull
 from repro.sim.protocols.coordinated import CoordinatedSimProtocol
@@ -143,3 +147,47 @@ class TestModelAgreement:
         fatal = next(r for r in results if r.status == "fatal")
         assert len(fatal.fatal_group) == 2
         assert np.isfinite(fatal.fatal_time)
+
+
+class TestPresetBytes:
+    """Every shipped preset's DES output is pinned, byte for byte.
+
+    Each digest is the sha256 of the ordered results file of the preset
+    as shipped (DES backend, its own failure law and trace sharing) at
+    4 replicas and seed 4242.  The digests were recorded before the
+    platform machine walked phase ends inline between queued events, so
+    any change to the DES's event handling that moves a single byte of
+    any preset fails here, not only on ``high-churn`` and the goldens.
+    """
+
+    DIGESTS = {
+        "exa-weibull":
+            "7b1ba1be9059f6429acc4e34d314551224874163452215ad55b0ce7f5730de6a",
+        "hetero-mtbf":
+            "514b2864dec512d4f07c9ac0453951287a5871a8bdbfe0a32d3a39f898a87d8c",
+        "high-churn":
+            "f1e9fbf305f39ce9e74694c9eed3c5fa2db0eb2d3962bb2eee2b179b92c51a68",
+        "slow-storage":
+            "436e9b49782cf42f29dea44ecc29df1d9a24ccc9dd8586a6d4e3216b6b791647",
+        "smoke":
+            "7e685b1aa6098017568ad780d0195c4d02370f37436a5ab475651cc1d26f1e64",
+        "trace-bootstrap":
+            "68014b9c60da9f4ba63c134c06f1f693b604d215b84da8aec49f1709b654299e",
+        "weibull-wearout":
+            "2bc5e0a89e221cf24ad6941b6e5ccdb44b61e7331c581f75ccb4eaed08713d13",
+    }
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(self.DIGESTS) == sorted(CAMPAIGN_PRESETS)
+
+    @pytest.mark.parametrize("key", sorted(CAMPAIGN_PRESETS))
+    def test_des_bytes(self, key, tmp_path):
+        spec = CAMPAIGN_PRESETS[key].spec(replicas=4, seed=4242)
+        assert spec.policy.backend == "des"
+        assert spec.policy.sink == "ordered"
+        path = tmp_path / f"{key}.jsonl"
+        session = CampaignSession(spec, results_path=path)
+        for _ in session.events():
+            pass
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.DIGESTS[key]

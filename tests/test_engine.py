@@ -155,6 +155,70 @@ class TestRunControl:
         assert eng.peek_time() is None
 
 
+class TestStepInline:
+    """An unqueued event may fire in place only if it would fire next."""
+
+    @staticmethod
+    def _probe(eng, at, *times, answers=None, **run):
+        """Run ``eng`` and, from an event at ``at``, try each of ``times``
+        inline in turn; returns the answers and the (now, executed) after
+        each."""
+        answers = [] if answers is None else answers
+
+        def probe(e, ev):
+            for t in times:
+                answers.append((e.step_inline(t), e.now, e.executed))
+
+        eng.schedule(at, probe)
+        eng.run(**run)
+        return answers
+
+    def test_refused_outside_run(self):
+        eng = Engine()
+        assert eng.step_inline(1.0) is False
+        assert (eng.now, eng.executed) == (0.0, 0)
+
+    def test_strictly_before_the_next_queued_event(self):
+        eng = Engine()
+        eng.schedule(5.0, lambda e, v: None)
+        answers = self._probe(eng, 1.0, 2.0, 5.0, 6.0)
+        # 2 fires in place; 5 ties the queued event (FIFO: the queued one
+        # goes first), 6 comes after it: both must be scheduled instead.
+        assert answers == [(True, 2.0, 2), (False, 2.0, 2), (False, 2.0, 2)]
+        assert eng.executed == 3
+
+    def test_cancelled_events_do_not_block(self):
+        eng = Engine()
+        Engine.cancel(eng.schedule(3.0, lambda e, v: None))
+        assert self._probe(eng, 1.0, 4.0) == [(True, 4.0, 2)]
+
+    def test_within_until(self):
+        eng = Engine()
+        answers = self._probe(eng, 1.0, 3.0, 3.0, 3.5, until=3.0)
+        assert answers == [(True, 3.0, 2), (True, 3.0, 3), (False, 3.0, 3)]
+
+    def test_within_budget(self):
+        eng = Engine()
+        answers = []
+        with pytest.raises(SimulationError, match="budget exhausted"):
+            self._probe(eng, 1.0, 2.0, 3.0, 4.0, answers=answers,
+                        max_events=3)
+        # Inline events count against the budget like queued ones.
+        assert answers == [(True, 2.0, 2), (True, 3.0, 3), (False, 3.0, 3)]
+
+    def test_refused_after_stop(self):
+        eng = Engine()
+        answers = []
+
+        def stop_then_probe(e, ev):
+            e.stop()
+            answers.append(e.step_inline(2.0))
+
+        eng.schedule(1.0, stop_then_probe)
+        eng.run()
+        assert answers == [False]
+
+
 #: A coarse time grid so random schedules collide often — the interesting
 #: case for tie-breaking is many events at the identical timestamp.
 _tick = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0])

@@ -284,3 +284,117 @@ class TestExhaustedNodes:
         _, makespan, _, _ = run_platform(DOUBLE_NBL, 3 * 97.0, {0: [50.0]})
         assert sim.finalize() == "completed"
         assert engine.now == makespan
+
+
+class TestInlinePhaseWalk:
+    """Phase ends that fire before anything queued are applied in place
+    (:meth:`Engine.step_inline`) instead of being queued.  Every case
+    here pins what the per-event machine did: state, clock, executed
+    count and tie order."""
+
+    def _platform(self, schedules, work=3 * 97.0):
+        protocol = BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD)
+        engine = Engine()
+        app = Application(work_target=work)
+        sim = PlatformSim(protocol, ScriptedInjector(4, schedules), app,
+                          engine, Cluster(contiguous_groups(4, 2)))
+        return sim, engine, app
+
+    @staticmethod
+    def _queued_phase_ends(engine):
+        return [event.time for _, _, event in engine._queue
+                if event.kind == "phase-end" and not event.cancelled]
+
+    def test_fault_free_run_counts_every_phase_end(self):
+        sim, engine, app = self._platform({})
+        sim.start()
+        engine.run(until=1e9, max_events=100)
+        assert sim.finalize() == "completed"
+        # Eight phase ends, then completion at the end of the third
+        # period's compute phase: nine events, as if each were queued.
+        assert engine.executed == 9
+        assert engine.now == 300.0
+        assert app.commits == [(36.0, 0.0), (136.0, 97.0), (236.0, 194.0)]
+
+    def test_failure_queued_before_phase_entry_wins_the_tie(self):
+        # Node 0 fails at t=136, the instant its exchange phase ends.
+        # The failure was queued first, so it fires first: the period's
+        # snapshot is never committed and the failure re-executes it.
+        sim, engine, app = self._platform({0: [136.0]})
+        sim.start()
+        engine.run(until=1e9, max_events=100)
+        assert sim.finalize() == "completed"
+        assert app.commits[:2] == [(36.0, 0.0), (136.0 + 4.0 + 134.0, 97.0)]
+        assert app.work_lost == pytest.approx(97.0 + 33.0)
+        # Block: D + R + re_time(1, 34) = 4 + (θ + σ + δ + 34).
+        assert engine.now == pytest.approx(300.0 + 4.0 + 134.0)
+
+    def test_failure_queued_after_phase_entry_loses_the_tie(self):
+        # A failure queued while the exchange phase runs, for the instant
+        # it ends: the phase end was queued first (a probe at t=120 was
+        # pending when the phase began), so it fires first and commits.
+        sim, engine, app = self._platform({})
+        sim.start()
+
+        def probe(eng, event):
+            eng.schedule(136.0, sim._on_failure, payload=0, kind="failure")
+
+        engine.schedule(120.0, probe, kind="probe")
+        engine.run(until=1e9, max_events=100)
+        assert sim.finalize() == "completed"
+        assert app.commits[:2] == [(36.0, 0.0), (136.0, 97.0)]
+        # The rollback loses only the exchange work done since the
+        # period began; the compute phase resumes at offset 0.
+        assert app.work_lost == pytest.approx(33.0)
+        assert engine.now == pytest.approx(300.0 + 4.0 + 34.0)
+
+    def test_until_exactly_on_a_phase_end_fires_it(self):
+        sim, engine, app = self._platform({})
+        sim.start()
+        engine.run(until=36.0)
+        assert engine.now == 36.0
+        assert engine.executed == 2
+        assert app.commits == [(36.0, 0.0)]
+        assert sim.phase_idx == 2
+        # The next phase end is queued, not walked past the horizon.
+        assert self._queued_phase_ends(engine) == [100.0]
+        engine.run(until=1e9)
+        assert sim.finalize() == "completed"
+        assert engine.now == 300.0
+        assert engine.executed == 9
+
+    def test_until_between_phase_ends_stops_on_until(self):
+        sim, engine, app = self._platform({})
+        sim.start()
+        engine.run(until=120.0)
+        assert engine.now == 120.0
+        assert engine.executed == 4  # t = 2, 36, 100, 102
+        assert app.commits == [(36.0, 0.0)]
+        assert sim.phase_idx == 1
+
+    def test_budget_exhausts_at_the_same_event(self):
+        sim, engine, app = self._platform({}, work=1e9)
+        sim.start()
+        with pytest.raises(SimulationError, match="budget exhausted"):
+            engine.run(until=1e9, max_events=5)
+        # Phase ends at t = 2, 36, 100, 102, 136 fired; the sixth (t=200)
+        # is queued and never runs.
+        assert engine.executed == 5
+        assert engine.now == 136.0
+        assert app.commits == [(36.0, 0.0), (136.0, 97.0)]
+        assert self._queued_phase_ends(engine) == [200.0]
+
+    def test_resume_offset_after_a_block(self):
+        # Failure at t=50: compute phase, offset 14.  The block (D + R +
+        # θ + 14 = 52 s) ends at t=102, re-entering the compute phase at
+        # offset 14; its end (t=152) and the next periods walk from there.
+        sim, engine, app = self._platform({0: [50.0]})
+        sim.start()
+        engine.run(until=102.0)
+        assert engine.now == 102.0
+        assert sim.phase_idx == 2
+        assert sim.phase_start == 102.0 - 14.0
+        engine.run(until=1e9)
+        assert sim.finalize() == "completed"
+        assert app.commits == [(36.0, 0.0), (188.0, 97.0), (288.0, 194.0)]
+        assert engine.now == 352.0

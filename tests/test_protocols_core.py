@@ -201,3 +201,42 @@ class TestMemoryClaim:
             any_protocol.effective_phi(params, -1.0)
         with pytest.raises(ParameterError):
             any_protocol.effective_phi(params, 5.0)
+
+
+class TestScalarPhi:
+    """A scalar φ is validated once and its value reused; the reused
+    values are the array evaluation's, bit for bit."""
+
+    ODD = Parameters(D=1.3, delta=2.7, R=4.1, alpha=7.3, M=10_000, n=6)
+
+    @pytest.mark.parametrize("phi_frac", [0.0, 0.37, 1.0])
+    def test_scalar_equals_array_path(self, any_protocol, phi_frac):
+        phi = phi_frac * self.ODD.theta_min
+        arr = np.array([phi])
+        for _ in range(2):  # first call fills the memo, second reads it
+            eff = any_protocol.effective_phi(self.ODD, phi)
+            assert float(eff) == float(
+                any_protocol.effective_phi(self.ODD, arr)[0])
+            assert float(any_protocol.theta(self.ODD, phi)) == float(
+                any_protocol.theta(self.ODD, arr)[0])
+            assert float(any_protocol.risk_window(self.ODD, phi)) == float(
+                any_protocol.risk_window(self.ODD, arr)[0])
+
+    def test_int_and_numpy_scalars_share_the_value(self, any_protocol):
+        base = any_protocol.effective_phi(self.ODD, 1.0)
+        assert any_protocol.effective_phi(self.ODD, 1) == base
+        assert any_protocol.effective_phi(self.ODD, np.float64(1.0)) == base
+        assert any_protocol.theta(self.ODD, 1) \
+            == any_protocol.theta(self.ODD, 1.0)
+
+    def test_values_are_not_shared_across_platforms(self, any_protocol):
+        other = Parameters(D=1.3, delta=2.7, R=8.2, alpha=7.3, M=10_000, n=6)
+        assert any_protocol.theta(self.ODD, 1.0) \
+            != any_protocol.theta(other, 1.0)
+
+    def test_refused_phi_is_refused_every_time(self, any_protocol):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                any_protocol.effective_phi(self.ODD, 5.0)
+            with pytest.raises(ParameterError):
+                any_protocol.theta(self.ODD, -1.0)
