@@ -68,11 +68,16 @@ class Cluster:
             GroupStatus(index=i, members=members)
             for i, members in enumerate(assignment.groups)
         ]
+        #: node -> its group's status (a list read on every failure).
+        self._node_group = [None] * self.n_nodes
+        for group in self.groups:
+            for node in group.members:
+                self._node_group[node] = group
         self.total_failures = 0
 
     # ------------------------------------------------------------------
     def group_of(self, node: int) -> GroupStatus:
-        return self.groups[self.assignment.group_of(node)]
+        return self._node_group[node]
 
     def on_failure(self, node: int, now: float, risk_duration: float) -> bool:
         """Register a failure at ``now``.

@@ -15,15 +15,19 @@ Determinism: two events at the same timestamp fire in scheduling order
 heap holds ``(time, seq, event)`` tuples, so ordering is the built-in
 tuple comparison and never reaches the event itself.
 
-Inline steps: a state machine whose next transition is fixed and lands
-*strictly* before every queued event need not queue it.  While
-:meth:`Engine.run` is running, :meth:`Engine.step_inline` advances the
-clock and the executed count exactly as that event firing next would,
-provided it would fire within the run's ``until`` and ``max_events``;
-otherwise the caller schedules it like any other event.  What stays an
-event is everything that can interleave: anything at or after the next
-queued time (equal times keep their FIFO order on the heap), past the
-horizon, or past the budget.
+Walk windows: a state machine whose next transitions are fixed and land
+*strictly* before every queued event need not queue them.  While
+:meth:`Engine.run` is running, :meth:`Engine.walk_window` tells it how
+far it may go in place: the next live queued time, the run's ``until``
+and the events left in its budget.  The machine applies the transitions
+that fit (each strictly before the queued time, at or before ``until``,
+one budget event each) on its own, then hands the final clock and the
+number of transitions to :meth:`Engine.commit_walk` in one call — the
+same clock and executed count as those events firing one by one.  What
+stays an event is everything that can interleave: anything at or after
+the next queued time (equal times keep their FIFO order on the heap),
+past the horizon, or past the budget.  Outside a run, or after
+:meth:`Engine.stop`, the window is empty and every transition is queued.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from typing import Any, Callable
 from ..errors import SimulationError
 
 __all__ = ["Event", "Engine"]
+
+#: The window of no walk: no time lies before ``-inf``, no event fits in 0.
+_EMPTY_WINDOW = (-math.inf, -math.inf, 0)
 
 
 @dataclass(slots=True)
@@ -75,8 +82,8 @@ class Engine:
         self.executed: int = 0
         self._running = False
         self._stopped = False
-        #: The running ``run``'s horizon and event budget (inline steps
-        #: must stay within both).
+        #: The running ``run``'s horizon and event budget (walks must
+        #: stay within both).
         self._until = math.inf
         self._budget = math.inf
 
@@ -140,34 +147,47 @@ class Engine:
             return True
         return False
 
-    def step_inline(self, time: float) -> bool:
-        """Fire an unqueued event at ``time`` in place, if it would fire next.
+    def walk_window(self) -> tuple[float, float, float]:
+        """How far a state machine may walk without queuing events.
 
-        True when a run is in progress, not stopped, and an event
-        scheduled now at ``time`` would be the next one to fire: strictly
-        before the next live queued event, at or before the run's
-        ``until``, and within its ``max_events``.  The clock then moves to
-        ``time`` and the executed count grows by one, as :meth:`step`
-        would do; the caller runs the event's callback itself.  False
-        leaves the engine untouched: schedule the event instead.
+        ``(next_time, until, left)``: unqueued events may fire in place
+        while each lands strictly before ``next_time`` (the next live
+        queued event, ``inf`` when none), at or before ``until`` (the
+        running ``run``'s horizon) and while fewer than ``left`` have
+        fired (what is left of its ``max_events``).  Nothing is queued
+        or fires during the walk, so the window holds for all of it.
+        Empty (nothing fits) when no run is in progress or the run was
+        stopped.  Report the walk with :meth:`commit_walk`.
         """
         if not self._running or self._stopped:
-            return False
-        if time > self._until or self.executed >= self._budget:
-            return False
+            return _EMPTY_WINDOW
         next_time = self.peek_time()
-        if next_time is not None and not time < next_time:
-            return False
-        self.now = time
-        self.executed += 1
-        return True
+        return (
+            math.inf if next_time is None else next_time,
+            self._until,
+            self._budget - self.executed,
+        )
+
+    def commit_walk(self, now: float, steps: int) -> None:
+        """Record a walk of ``steps`` in-place events ending at ``now``.
+
+        The clock moves to ``now`` and the executed count grows by
+        ``steps``, as if each walked event had fired through :meth:`step`;
+        the caller ran their effects itself.
+        """
+        if not now >= self.now:
+            raise SimulationError(
+                f"walk cannot move the clock back: {now} < now={self.now}"
+            )
+        self.now = now
+        self.executed += steps
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue empties, ``until`` is reached, or the budget.
 
         ``until`` advances the clock to exactly ``until`` if the simulation
         outlives it.  ``max_events`` guards against runaway state machines;
-        events fired by :meth:`step_inline` count against it.
+        events walked in place (:meth:`commit_walk`) count against it.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")

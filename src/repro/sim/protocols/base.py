@@ -34,10 +34,13 @@ What is an engine event: every failure, risk-window end, recovery-block
 end and completion, plus each phase end that ties or follows the next
 queued event or lies past the run's ``until`` or ``max_events``.  Any
 other phase end — most of them, since phases are short against the
-time between failures — is applied in place when it is reached
-(:meth:`~repro.sim.engine.Engine.step_inline`): the same state changes
-in the same order, the same clock and the same executed count as the
-event it replaces, so results are byte-identical to queuing it.
+time between failures — is walked in place: :meth:`PlatformSim._enter_phase`
+opens one engine window per walk (:meth:`~repro.sim.engine.Engine.walk_window`),
+applies the phase ends that fit in local variables, and hands the final
+clock and count back in one :meth:`~repro.sim.engine.Engine.commit_walk`.
+The same float operations run in the same order, with the same clock
+and executed count as the events they replace, so results are
+byte-identical to queuing them.
 """
 
 from __future__ import annotations
@@ -71,7 +74,13 @@ class PhasePlan:
 
 
 class SimProtocol(ABC):
-    """What the platform machine needs to know about a protocol."""
+    """What the platform machine needs to know about a protocol.
+
+    :meth:`phase_plan` and :meth:`commit_phase` are read once per run,
+    when :class:`PlatformSim` is built: the machine walks the phases from
+    constants resolved then, so both must describe a fixed period.
+    The failure-path methods are called per failure.
+    """
 
     key: str = "abstract"
     #: Buddy-group size, or 0 when the protocol has no buddy groups
@@ -144,6 +153,17 @@ class PlatformSim:
         self.phases = protocol.phase_plan()
         if not self.phases:
             raise SimulationError("protocol has no phases")
+        # Phase constants of the walk, resolved once: a fully executed
+        # phase credits ``gain`` (the ``length * rate`` that crediting it
+        # computes), none when it has no length or no rate.
+        self._lengths = tuple(plan.length for plan in self.phases)
+        self._rates = tuple(plan.rate for plan in self.phases)
+        self._gains = tuple(
+            plan.length * plan.rate if plan.rate > 0 and plan.length > 0
+            else 0.0
+            for plan in self.phases
+        )
+        self._commit_idx = protocol.commit_phase()
 
         self.mode = self._RUNNING
         self.status: str | None = None  # "completed" | "fatal" after stop
@@ -179,57 +199,104 @@ class PlatformSim:
         """Enter phase ``idx`` at ``offset`` seconds into it (0 normally;
         >0 when resuming after a recovery block).
 
-        A phase end that would fire before anything queued is applied
-        here, in a loop, rather than queued (:meth:`Engine.step_inline`):
-        nothing can happen between it and the next phase entry, so the
-        walk reproduces the fired events' state, clock and count.  Only
-        the first phase end that reaches the next queued event, the run's
-        horizon or its budget becomes an event.
+        Phase ends that would fire before anything queued are walked
+        here, in a loop over local clock, work, phase index and
+        period-start work, within one engine window
+        (:meth:`Engine.walk_window`): nothing can happen between such a
+        phase end and the next phase entry, so the walk reproduces the
+        fired events' state, clock and count.  State is written back
+        where the walk stops — the first phase end that reaches the next
+        queued event, the run's horizon or its budget (it becomes an
+        event), completion, an infinite phase, or an error.
         """
         engine = self.engine
         app = self.app
-        phases = self.phases
-        while True:
-            plan = phases[idx]
-            now = engine.now
-            self.mode = self._RUNNING
-            self.phase_idx = idx
-            self.phase_start = now - offset
-            self._phase_entry_offset = offset
-            if idx == 0 and offset == 0.0:
-                self.period_start_work = app.work_done
-            remaining_phase = plan.length - offset
-            if remaining_phase < -1e-9:
-                raise SimulationError("resume offset beyond phase length")
-            if app.complete:
-                # Recovery restored exactly the target amount of work (a
-                # failure struck at the completion instant): finish now.
-                self._pending = engine.schedule(
-                    now, self._on_complete, kind="complete"
-                )
-                return
-            # Completion may land inside this phase.
-            remaining_work = app.remaining
-            if plan.rate > 0 and remaining_work > 0:
-                t_complete = now + remaining_work / plan.rate
-            else:
-                t_complete = math.inf
-            t_phase_end = now + max(remaining_phase, 0.0)
-            if t_complete <= t_phase_end + 1e-12:
-                self._pending = engine.schedule(
-                    t_complete, self._on_complete, kind="complete"
-                )
-                return
-            if not math.isfinite(t_phase_end):
-                self._pending = None  # infinite compute phase; completion is the exit
-                return
-            if not engine.step_inline(t_phase_end):
-                self._pending = engine.schedule(
-                    t_phase_end, self._on_phase_end, kind="phase-end"
-                )
-                return
-            idx = self._end_phase()
-            offset = 0.0
+        lengths = self._lengths
+        rates = self._rates
+        gains = self._gains
+        commit_idx = self._commit_idx
+        n_phases = len(lengths)
+        target = app.work_target
+        done_at = target - 1e-9  # Application.complete's threshold
+        next_time, until, left = engine.walk_window()
+        now = t_end = engine.now
+        work = app.work_done
+        period_start_work = self.period_start_work
+        steps = 0
+        try:
+            while True:
+                if idx == 0 and offset == 0.0:
+                    period_start_work = work
+                remaining_phase = lengths[idx] - offset
+                if remaining_phase < -1e-9:
+                    raise SimulationError("resume offset beyond phase length")
+                if work >= done_at:
+                    # Recovery restored exactly the target amount of work
+                    # (a failure struck at the completion instant): finish
+                    # now.
+                    t_event, callback, kind = now, self._on_complete, "complete"
+                    break
+                # Completion may land inside this phase.  The two
+                # ``max`` calls of Application.remaining and of the
+                # phase's rest are spelled out: the same floats, NaN and
+                # -0.0 included, without two builtin calls per phase.
+                rate = rates[idx]
+                remaining_work = target - work
+                if remaining_work > 0.0 and rate > 0:
+                    t_complete = now + remaining_work / rate
+                else:
+                    t_complete = math.inf
+                t_end = now + (0.0 if remaining_phase < 0.0 else remaining_phase)
+                if t_complete <= t_end + 1e-12:
+                    t_event, callback, kind = (
+                        t_complete, self._on_complete, "complete")
+                    break
+                if not math.isfinite(t_end):
+                    # Infinite compute phase; completion is the exit.
+                    t_event = callback = None
+                    break
+                if not (t_end < next_time and t_end <= until
+                        and steps < left):
+                    t_event, callback, kind = (
+                        t_end, self._on_phase_end, "phase-end")
+                    break
+                # The phase end fires in place: credit the phase's work,
+                # commit on the commit phase, enter the next phase.
+                steps += 1
+                if offset == 0.0:
+                    work += gains[idx]
+                else:
+                    if rate > 0 and remaining_phase > 0:
+                        work += remaining_phase * rate
+                    offset = 0.0
+                if idx == commit_idx:
+                    app.work_done = work
+                    app.commit_snapshot(t_end, period_start_work)
+                idx += 1
+                if idx == n_phases:
+                    idx = 0
+                now = t_end
+        except BaseException:
+            # ``t_end`` is the clock of the last phase end fired (the
+            # phase's own end when its commit raised).
+            self._park(idx, now, offset, work, period_start_work)
+            engine.commit_walk(t_end, steps)
+            raise
+        self._park(idx, now, offset, work, period_start_work)
+        engine.commit_walk(now, steps)
+        self._pending = None if callback is None else engine.schedule(
+            t_event, callback, kind=kind)
+
+    def _park(self, idx: int, now: float, offset: float, work: float,
+              period_start_work: float) -> None:
+        """Write a walk's locals back: in phase ``idx``, entered at
+        ``now`` with ``offset`` seconds of it already credited."""
+        self.mode = self._RUNNING
+        self.phase_idx = idx
+        self.phase_start = now - offset
+        self._phase_entry_offset = offset
+        self.period_start_work = period_start_work
+        self.app.work_done = work
 
     def _advance_partial(self) -> float:
         """Credit work executed since the phase was (re-)entered.
@@ -250,12 +317,13 @@ class PlatformSim:
 
     def _end_phase(self) -> int:
         """Credit the current phase's work, commit if it is the commit
-        phase, and return the next phase's index."""
+        phase, and return the next phase's index (a queued phase end;
+        :meth:`_enter_phase` walks the rest in place)."""
         plan = self.phases[self.phase_idx]
         executed = plan.length - self._phase_entry_offset
         if plan.rate > 0 and executed > 0:
             self.app.advance(executed * plan.rate)
-        if self.protocol.commit_phase() == self.phase_idx:
+        if self._commit_idx == self.phase_idx:
             self.app.commit_snapshot(self.engine.now, self.period_start_work)
         return (self.phase_idx + 1) % len(self.phases)
 

@@ -16,10 +16,13 @@ failures inside a group defeat the replication).  This module provides:
   predicate (e.g. "different racks").
 
 All return a :class:`GroupAssignment`, validated to be a partition.
+The two fixed layouts are pure functions of ``(n, g)`` and memoised: every
+call with the same arguments returns the same (immutable) assignment.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -102,6 +105,7 @@ def _check(n_nodes: int, group_size: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def contiguous_groups(n_nodes: int, group_size: int) -> GroupAssignment:
     """Adjacent node ids share a group: ``(0..g-1), (g..2g-1), ...``."""
     _check(n_nodes, group_size)
@@ -111,6 +115,7 @@ def contiguous_groups(n_nodes: int, group_size: int) -> GroupAssignment:
     return GroupAssignment(n_nodes, group_size, groups)
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def strided_groups(n_nodes: int, group_size: int) -> GroupAssignment:
     """Group ``i`` = ``(i, i + n/g, i + 2n/g, ...)`` — maximally spread ids."""
     _check(n_nodes, group_size)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError, SimulationError
 from repro.sim.application import Application
 from repro.sim.cluster import Cluster, NodeState
-from repro.sim.topology import contiguous_groups
+from repro.sim.topology import (
+    GroupAssignment,
+    contiguous_groups,
+    random_groups,
+    strided_groups,
+)
 
 
 @pytest.fixture
@@ -82,6 +88,53 @@ class TestClusterFailures:
 
     def test_describe(self, pair_cluster):
         assert "n=4" in pair_cluster.describe()
+
+
+class TestClusterGroupLookup:
+    """``Cluster.group_of`` reads a node -> group list built once; it must
+    name the same group as the assignment it was built from."""
+
+    @pytest.mark.parametrize("assignment", [
+        contiguous_groups(12, 2),
+        contiguous_groups(12, 3),
+        strided_groups(12, 2),
+        strided_groups(12, 3),
+        random_groups(12, 3, np.random.default_rng(7)),
+        GroupAssignment(6, 2, ((5, 0), (3, 1), (2, 4))),
+    ], ids=["contiguous-2", "contiguous-3", "strided-2", "strided-3",
+            "random-3", "user"])
+    def test_agrees_with_the_assignment(self, assignment):
+        cluster = Cluster(assignment)
+        for node in range(assignment.n_nodes):
+            group = cluster.group_of(node)
+            assert group is cluster.groups[assignment.group_of(node)]
+            assert group.members == assignment.members(node)
+
+    @pytest.mark.parametrize("layout", [contiguous_groups, strided_groups])
+    def test_fixed_layouts_are_memoised(self, layout):
+        first = layout(24, 3)
+        assert layout(24, 3) is first
+        assert layout(24, 2) is not first
+        # Clusters over the shared assignment keep their own risk state.
+        a, b = Cluster(first), Cluster(first)
+        a.on_failure(0, now=1.0, risk_duration=5.0)
+        assert a.group_of(0).at_risk and not b.group_of(0).at_risk
+
+    def test_memoised_layouts_still_refuse(self):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                contiguous_groups(5, 2)
+            with pytest.raises(ParameterError):
+                strided_groups(7, 3)
+
+    def test_random_groups_draw_every_call(self):
+        a = random_groups(24, 2, np.random.default_rng(1))
+        b = random_groups(24, 2, np.random.default_rng(2))
+        assert a is not b
+        assert a.groups != b.groups
+        rng = np.random.default_rng(3)
+        assert random_groups(24, 2, rng).groups \
+            != random_groups(24, 2, rng).groups
 
 
 class TestApplication:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,28 +157,51 @@ class TestRunControl:
         assert eng.peek_time() is None
 
 
-class TestStepInline:
-    """An unqueued event may fire in place only if it would fire next."""
+class TestWalkWindow:
+    """Unqueued events may fire in place only while each would fire
+    next: :meth:`Engine.walk_window` bounds the walk, and one
+    :meth:`Engine.commit_walk` books its clock and count."""
 
     @staticmethod
     def _probe(eng, at, *times, answers=None, **run):
-        """Run ``eng`` and, from an event at ``at``, try each of ``times``
-        inline in turn; returns the answers and the (now, executed) after
-        each."""
+        """Run ``eng`` and, from an event at ``at``, walk each of
+        ``times`` in one window, as a state machine would; returns
+        whether each fit and the (now, executed) it would leave."""
         answers = [] if answers is None else answers
 
         def probe(e, ev):
+            next_time, until, left = e.walk_window()
+            now, steps = e.now, 0
             for t in times:
-                answers.append((e.step_inline(t), e.now, e.executed))
+                fits = t < next_time and t <= until and steps < left
+                if fits:
+                    now, steps = t, steps + 1
+                answers.append((fits, now, e.executed + steps))
+            e.commit_walk(now, steps)
+            assert (e.now, e.executed) == answers[-1][1:]
 
         eng.schedule(at, probe)
         eng.run(**run)
         return answers
 
-    def test_refused_outside_run(self):
+    def test_empty_outside_run(self):
         eng = Engine()
-        assert eng.step_inline(1.0) is False
+        eng.schedule(4.0, lambda e, v: None)
+        next_time, until, left = eng.walk_window()
+        assert not 0.0 < next_time and not 0.0 <= until and left == 0
         assert (eng.now, eng.executed) == (0.0, 0)
+
+    def test_window_reads_the_queue_horizon_and_budget(self):
+        eng = Engine()
+        windows = []
+        eng.schedule(1.0, lambda e, v: windows.append(e.walk_window()))
+        eng.schedule(5.0, lambda e, v: windows.append(e.walk_window()))
+        eng.run(until=9.0, max_events=10)
+        # At t=1 the t=5 event is next; at t=5 the queue is empty.
+        assert windows == [(5.0, 9.0, 9), (math.inf, 9.0, 8)]
+        eng.schedule(10.0, lambda e, v: windows.append(e.walk_window()))
+        eng.run()
+        assert windows[-1] == (math.inf, math.inf, math.inf)
 
     def test_strictly_before_the_next_queued_event(self):
         eng = Engine()
@@ -203,20 +228,29 @@ class TestStepInline:
         with pytest.raises(SimulationError, match="budget exhausted"):
             self._probe(eng, 1.0, 2.0, 3.0, 4.0, answers=answers,
                         max_events=3)
-        # Inline events count against the budget like queued ones.
+        # Walked events count against the budget like queued ones.
         assert answers == [(True, 2.0, 2), (True, 3.0, 3), (False, 3.0, 3)]
 
-    def test_refused_after_stop(self):
+    def test_empty_after_stop(self):
         eng = Engine()
-        answers = []
+        windows = []
 
         def stop_then_probe(e, ev):
             e.stop()
-            answers.append(e.step_inline(2.0))
+            windows.append(e.walk_window())
 
         eng.schedule(1.0, stop_then_probe)
+        eng.schedule(2.0, lambda e, v: None)
         eng.run()
-        assert answers == [False]
+        (next_time, until, left), = windows
+        assert not 1.0 < next_time and not 1.0 <= until and left == 0
+
+    def test_commit_cannot_move_the_clock_back(self):
+        eng = Engine()
+        eng.schedule(2.0, lambda e, v: e.commit_walk(1.0, 1))
+        with pytest.raises(SimulationError, match="move the clock back"):
+            eng.run()
+        assert (eng.now, eng.executed) == (2.0, 1)
 
 
 #: A coarse time grid so random schedules collide often — the interesting

@@ -13,9 +13,11 @@ import pytest
 
 from repro import DOUBLE_NBL, TRIPLE, Parameters
 from repro.errors import SimulationError
+from repro.experiments.scenarios import CAMPAIGN_PRESETS
 from repro.sim.application import Application
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
+from repro.sim.executor import CampaignSession, plan_cells
 from repro.sim.failures import TraceInjector, TraceSchedule
 from repro.sim.protocols.base import PlatformSim
 from repro.sim.protocols.buddy import BuddySimProtocol
@@ -287,10 +289,10 @@ class TestExhaustedNodes:
 
 
 class TestInlinePhaseWalk:
-    """Phase ends that fire before anything queued are applied in place
-    (:meth:`Engine.step_inline`) instead of being queued.  Every case
-    here pins what the per-event machine did: state, clock, executed
-    count and tie order."""
+    """Phase ends that fire before anything queued are walked in place
+    (within one :meth:`Engine.walk_window`) instead of being queued.
+    Every case here pins what the per-event machine did: state, clock,
+    executed count and tie order."""
 
     def _platform(self, schedules, work=3 * 97.0):
         protocol = BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD)
@@ -398,3 +400,134 @@ class TestInlinePhaseWalk:
         assert sim.finalize() == "completed"
         assert app.commits == [(36.0, 0.0), (188.0, 97.0), (288.0, 194.0)]
         assert engine.now == 352.0
+
+
+def _queue_every_phase_end(monkeypatch):
+    """Force every walk window empty: each phase end becomes an event,
+    as in the machine before phase ends were walked in place."""
+    monkeypatch.setattr(Engine, "walk_window",
+                        lambda self: (-math.inf, -math.inf, 0))
+
+
+class TestQueuedPhaseEnds(TestInlinePhaseWalk):
+    """The walk cases again with every phase end queued: the expected
+    clocks, counts, commits and tie orders above are the per-event
+    machine's own."""
+
+    @pytest.fixture(autouse=True)
+    def _queued(self, monkeypatch):
+        _queue_every_phase_end(monkeypatch)
+
+
+class TestWalkMatchesQueuedMachine:
+    """Differential check of the walk: the same runs with the walk and
+    with every phase end queued give the same records, the same
+    ``engine.executed`` per replica, and the same platform state at
+    every failure (the walk writes its locals back where it stops)."""
+
+    @staticmethod
+    def _observe(monkeypatch):
+        """Record each run's ``engine.executed``, the platform state each
+        failure finds, and how many phase ends were walked in place."""
+        seen = {"executed": [], "failures": [], "walked": 0}
+        run, on_failure = Engine.run, PlatformSim._on_failure
+        commit_walk = Engine.commit_walk
+
+        def recorded_run(self, *args, **kwargs):
+            try:
+                run(self, *args, **kwargs)
+            finally:
+                seen["executed"].append(self.executed)
+
+        def recorded_failure(self, engine, event):
+            seen["failures"].append((
+                engine.now, self.mode, self.phase_idx, self.phase_start,
+                self._phase_entry_offset, self.period_start_work,
+                self.app.work_done,
+            ))
+            on_failure(self, engine, event)
+
+        def recorded_commit_walk(self, now, steps):
+            seen["walked"] += steps
+            commit_walk(self, now, steps)
+
+        monkeypatch.setattr(Engine, "run", recorded_run)
+        monkeypatch.setattr(Engine, "commit_walk", recorded_commit_walk)
+        monkeypatch.setattr(PlatformSim, "_on_failure", recorded_failure)
+        return seen
+
+    def _both(self, monkeypatch, run):
+        """``run()`` with the walk, then with every phase end queued."""
+        seen = self._observe(monkeypatch)
+        walked_out = run()
+        walked = dict(seen)
+        seen.update(executed=[], failures=[], walked=0)
+        _queue_every_phase_end(monkeypatch)
+        queued_out = run()
+        queued = seen
+        assert walked["walked"] > 0 and queued["walked"] == 0
+        assert walked_out == queued_out
+        assert walked["executed"] == queued["executed"]
+        assert walked["failures"] == queued["failures"]
+        return walked
+
+    @pytest.mark.parametrize("key", sorted(CAMPAIGN_PRESETS))
+    def test_preset_records(self, key, tmp_path, monkeypatch):
+        spec = CAMPAIGN_PRESETS[key].spec(replicas=4, seed=4242)
+        paths = iter([tmp_path / "walked.jsonl", tmp_path / "queued.jsonl"])
+
+        def run():
+            path = next(paths)
+            for _ in CampaignSession(spec, results_path=path).events():
+                pass
+            return path.read_bytes().splitlines()
+
+        seen = self._both(monkeypatch, run)
+        # One DES run per replica, all in this process.
+        assert len(seen["executed"]) == 4 * len(plan_cells(spec.config()))
+
+    def test_state_at_failures_during_walks_and_blocks(self, monkeypatch):
+        # Node 0 fails mid-compute, node 2 inside node 0's recovery
+        # block, then both again and node 3 later on, each interrupting
+        # a walk of several periods; buddies never overlap.
+        schedules = {0: [50.0, 150.0, 420.5], 2: [60.0, 333.3],
+                     3: [610.25]}
+
+        def run():
+            status, now, app, sim = run_platform(
+                DOUBLE_NBL, 10 * 97.0, {k: list(v)
+                                        for k, v in schedules.items()})
+            return (status, now, sim.engine.executed, app.work_done,
+                    app.commits, app.work_lost, sim.phase_idx,
+                    sim.phase_start, sim.period_start_work)
+
+        seen = self._both(monkeypatch, run)
+        assert len(seen["failures"]) == 6
+
+    def test_state_when_a_commit_raises(self, monkeypatch):
+        # The third commit refuses; the walk applying it writes back what
+        # the queued machine leaves when its phase-end event raises.
+        commit = Application.commit_snapshot
+
+        def refusing_commit(app, now, work_level=None):
+            if len(app.commits) == 2:
+                raise SimulationError("commit refused")
+            commit(app, now, work_level)
+
+        monkeypatch.setattr(Application, "commit_snapshot", refusing_commit)
+
+        def run():
+            protocol = BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD)
+            engine = Engine()
+            app = Application(work_target=10 * 97.0)
+            sim = PlatformSim(protocol, ScriptedInjector(4, {0: [50.0]}),
+                              app, engine, Cluster(contiguous_groups(4, 2)))
+            sim.start()
+            with pytest.raises(SimulationError, match="commit refused"):
+                engine.run(until=1e9, max_events=100)
+            return (engine.now, engine.executed, sim.mode, sim.phase_idx,
+                    sim.phase_start, sim._phase_entry_offset,
+                    sim.period_start_work, app.work_done, app.commits)
+
+        self._both(monkeypatch, run)
+
