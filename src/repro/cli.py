@@ -705,7 +705,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
                     plan = event.plan
                     print(f"  cell {plan.index}: {plan.protocol} "
                           f"M={plan.M:g} phi={plan.phi:g} "
-                          f"({len(event.results)} replicas, "
+                          f"({len(event.block)} replicas, "
                           f"{event.source}) "
                           f"— {session.progress().describe()}",
                           file=sys.stderr)

@@ -117,7 +117,14 @@ class Parameters:
         unknown = set(changes) - allowed
         if unknown:
             raise ParameterError(f"unknown parameter(s): {sorted(unknown)}")
-        return replace(self, **changes)
+        if changes.keys() != {"M"}:
+            return replace(self, **changes)
+        # A per-cell M update: every other field is already normalised,
+        # so only M is checked (exactly as the constructor checks it).
+        updated = object.__new__(type(self))
+        updated.__dict__.update(
+            self.__dict__, M=_duration("M", changes["M"], positive=True))
+        return updated
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "Parameters":

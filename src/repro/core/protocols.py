@@ -297,8 +297,10 @@ class DoubleSpec(ProtocolSpec):
     def phase_lengths(self, params: Parameters, phi, P):
         theta = np.asarray(self.theta(params, phi), dtype=float)
         P = np.asarray(P, dtype=float)
-        delta = np.broadcast_to(params.delta, np.broadcast_shapes(theta.shape, P.shape)).copy()
         sigma = P - params.delta - theta
+        if theta.ndim == P.ndim == 0:  # a scalar cell: nothing to broadcast
+            return np.array(params.delta), theta, np.asarray(sigma)
+        delta = np.broadcast_to(params.delta, np.broadcast_shapes(theta.shape, P.shape)).copy()
         return np.broadcast_arrays(delta, theta, sigma)
 
     def work_per_period(self, params: Parameters, phi, P):
@@ -384,6 +386,8 @@ class TripleSpec(ProtocolSpec):
         theta = np.asarray(self.theta(params, phi), dtype=float)
         P = np.asarray(P, dtype=float)
         sigma = P - 2.0 * theta
+        if theta.ndim == P.ndim == 0:  # a scalar cell: nothing to broadcast
+            return theta, theta.copy(), np.asarray(sigma)
         return np.broadcast_arrays(theta, theta.copy(), sigma)
 
     def work_per_period(self, params: Parameters, phi, P):

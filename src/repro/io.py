@@ -23,7 +23,10 @@ ints and whose ``meta`` holds only the engine-written keys: encoding
 fills one fixed template in ``sort_keys`` order, decoding extracts the
 fields directly under strict shape checks.  Anything else (bools, numpy
 scalars, user or marker-like ``meta``, summaries) takes the walker, and
-both paths spell and accept exactly the same lines.
+both paths spell and accept exactly the same lines.  A whole campaign
+cell held as columns (:class:`~repro.sim.results.CellBlock`) is encoded
+by :func:`dump_cell` through the same template, its cell-constant text
+formatted once per cell, to the same lines.
 
 For out-of-order campaign sinks, a *framed* variant wraps the same
 record with its provenance — which grid cell produced it, which replica
@@ -73,6 +76,7 @@ __all__ = [
     "encode_floats",
     "decode_floats",
     "dump_result",
+    "dump_cell",
     "load_result",
     "save_results",
     "load_results",
@@ -81,6 +85,7 @@ __all__ = [
     "from_envelope",
     "ResultFrame",
     "frame_record",
+    "frame_cell",
     "dump_frame",
     "load_frame",
     "scan_frames",
@@ -200,75 +205,170 @@ _DES_META_KEYS = frozenset(
     ("protocol", "period", "phi", "seed", "n", "M", "engine"))
 #: The JSON types a fast-path ``meta`` value may decode to.
 _META_TYPES = (str, int, float)
+_NUMBER_TYPES = frozenset((int, float))
 #: The record line of a :class:`DesResult` — ``json.dumps`` of its
 #: envelope with ``sort_keys`` and the default separators — as one
-#: template over the encoded field texts.
+#: template with a ``%s`` slot per field, in :data:`_DES_FIELDS` order.
 _DES_TEMPLATE = (
     '{"format": ' + json.dumps(_FORMAT) + ', "kind": "DesResult", '
-    '"payload": {' + ", ".join(f"{json.dumps(name)}: %({name})s"
+    '"payload": {' + ", ".join(f"{json.dumps(name)}: %s"
                                for name in _DES_FIELDS)
     + '}, "version": ' + str(_VERSION) + "}"
 )
-#: Each engine-written meta key's ``"key": `` prefix, in sorted order.
+#: Each engine-written meta key's ``"key": `` prefix, in sorted order
+#: (``seed`` sorts last).
 _DES_META_PREFIXES = tuple((key, json.dumps(key) + ": ")
                            for key in sorted(_DES_META_KEYS))
-#: The JSON text of each non-finite float's typed sentinel.
+#: The JSON text of each non-finite float's typed sentinel, by the
+#: float's ``repr``.
 _SENTINEL_TEXT = {name: json.dumps({"__float__": name})
                   for name in _FLOAT_STRINGS}
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _dump_des_result(result: DesResult) -> str | None:
-    """The fast path of :func:`dump_result`: one template over the
-    fields, byte-identical to the generic walker.  ``None`` when a value
-    falls outside the template's exact shape (bools, numpy scalars, a
-    non-tuple ``fatal_group``, user ``meta``...); the generic walker
-    then encodes the result.
+def _number_texts(values) -> list[str] | None:
+    """The JSON texts of a column of numbers: ``repr`` of an exact
+    ``int`` or finite ``float`` is what ``json`` writes for it, and a
+    non-finite float becomes its typed sentinel.  ``None`` when any
+    value is another type (a bool, a numpy scalar...)."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return None
+    texts = list(map(repr, values))
+    if _SENTINEL_TEXT.keys().isdisjoint(texts):
+        return texts
+    return [_SENTINEL_TEXT.get(text, text) for text in texts]
 
-    ``repr`` of an exact ``int`` or finite ``float`` is what ``json``
-    writes for it; a non-finite float becomes its typed sentinel.
-    """
-    fields = result.__dict__
-    if fields.keys() != _DES_FIELDSET:
-        return None
-    meta = fields["meta"]
-    group = fields["fatal_group"]
-    status = fields["status"]
-    if (type(status) is not str or type(meta) is not dict
-            or not meta.keys() <= _DES_META_KEYS
-            or type(group) is not tuple
-            or any(type(member) is not int for member in group)):
-        return None
-    texts = {}
-    for name in _DES_NUMBERS:
-        value = fields[name]
-        kind = type(value)
-        if kind is float:
-            if value - value == 0.0:
-                texts[name] = repr(value)
-            else:
-                texts[name] = _SENTINEL_TEXT[
-                    "nan" if value != value else "inf" if value > 0
-                    else "-inf"]
-        elif kind is int:
-            texts[name] = repr(value)
-        else:
+
+def _meta_text(value) -> str | None:
+    """A fast-path ``meta`` value's JSON text (a ``str``, an exact
+    ``int`` or a finite ``float``), else ``None``."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int or (kind is float and value - value == 0.0):
+        return repr(value)
+    return None
+
+
+def _column_texts(name: str, values) -> list[str] | None:
+    """The JSON texts of one per-replica column, or ``None`` when a
+    value falls outside the template's shape."""
+    if name == "status":
+        if not {str}.issuperset(map(type, values)):
             return None
+        return list(map(_escape, values))
+    if name == "fatal_group":
+        if not ({tuple}.issuperset(map(type, values)) and {int}.issuperset(
+                type(member) for group in values for member in group)):
+            return None
+        return ["[" + ", ".join(map(repr, group)) + "]" for group in values]
+    if name == "seed":
+        if {int}.issuperset(map(type, values)):
+            return list(map(repr, values))
+        texts = list(map(_meta_text, values))
+        return None if None in texts else texts
+    return _number_texts(values)
+
+
+def _meta_parts(meta) -> list[str] | None:
+    """The ``"key": value`` texts of a fast-path ``meta`` dict, in
+    sorted order; ``None`` when it is not one."""
+    if type(meta) is not dict or not meta.keys() <= _DES_META_KEYS:
+        return None
     parts = []
     for key, prefix in _DES_META_PREFIXES:
         if key in meta:
-            value = meta[key]
-            kind = type(value)
-            if kind is str:
-                parts.append(prefix + _escape(value))
-            elif kind is int or (kind is float and value - value == 0.0):
-                parts.append(prefix + repr(value))
-            else:
+            text = _meta_text(meta[key])
+            if text is None:
                 return None
-    texts["meta"] = "{" + ", ".join(parts) + "}"
-    texts["fatal_group"] = "[" + ", ".join(map(repr, group)) + "]"
-    texts["status"] = _escape(status)
-    return _DES_TEMPLATE % texts
+            parts.append(prefix + text)
+    return parts
+
+
+def _encode_cell(meta, work_target, columns: dict) -> list[str] | None:
+    """Every replica's record line from one cell's columns.
+
+    The cell-constant text — ``meta`` but the seed, and
+    ``work_target`` — is formatted once into a per-cell copy of
+    :data:`_DES_TEMPLATE`, leaving a ``%s`` slot per per-replica field
+    (the seed's inside ``meta``); each line is then one ``%``.
+    ``None`` when a value falls outside the template's exact shape
+    (user ``meta``, bools, numpy scalars...); the generic walker then
+    encodes the rows.
+    """
+    parts = _meta_parts(meta)
+    target = _number_texts((work_target,))
+    if parts is None or target is None or "seed" in meta and "seed" in columns:
+        return None
+    parts = [part.replace("%", "%%") for part in parts]
+    if "seed" in columns:
+        parts.append('"seed": %s')
+    slots, texts = [], []
+    for name in _DES_FIELDS:
+        if name == "work_target":
+            slots.append(target[0])
+            continue
+        if name == "meta":
+            slots.append("{" + ", ".join(parts) + "}")
+            if "seed" not in columns:
+                continue
+            name = "seed"
+        else:
+            slots.append("%s")
+        column = _column_texts(name, columns[name])
+        if column is None:
+            return None
+        texts.append(column)
+    template = _DES_TEMPLATE % tuple(slots)
+    return [template % row for row in zip(*texts)]
+
+
+def dump_cell(block) -> tuple[str, ...]:
+    """Every replica's record line of a :class:`~repro.sim.results.
+    CellBlock`, byte-identical to :func:`dump_result` per row: one
+    per-cell template (:func:`_encode_cell`) over the block's columns,
+    or each row alone when the block has no columnar shape."""
+    lines = None if block.columns is None else _encode_cell(
+        block.meta, block.work_target, block.columns)
+    if lines is None:
+        return tuple(dump_result(row) for row in block.rows)
+    return tuple(lines)
+
+
+def _dump_des_result(result: DesResult) -> str | None:
+    """The fast path of :func:`dump_result`: the one-row case of
+    :func:`_encode_cell` — the same template and value texts, filled in
+    one ``%`` (a per-record copy of the template would cost more than
+    it saves) — byte-identical to the generic walker.  ``None`` when a
+    value falls outside the template's exact shape; the generic walker
+    then encodes the result."""
+    fields = result.__dict__
+    if fields.keys() != _DES_FIELDSET:
+        return None
+    parts = _meta_parts(fields["meta"])
+    group = fields["fatal_group"]
+    if (parts is None or type(fields["status"]) is not str
+            or type(group) is not tuple
+            or any(type(member) is not int for member in group)):
+        return None
+    texts = []
+    for name in _DES_FIELDS:
+        value = fields[name]
+        kind = type(value)
+        if kind is float:
+            text = repr(value)
+            texts.append(_SENTINEL_TEXT.get(text, text))
+        elif kind is int:
+            texts.append(repr(value))
+        elif name == "meta":
+            texts.append("{" + ", ".join(parts) + "}")
+        elif name == "fatal_group":
+            texts.append("[" + ", ".join(map(repr, group)) + "]")
+        elif name == "status":
+            texts.append(_escape(value))
+        else:
+            return None
+    return _DES_TEMPLATE % tuple(texts)
 
 
 def _load_des_result(payload: Any) -> DesResult | None:
@@ -578,6 +678,15 @@ def frame_record(record: str, *, cell: int, replica: int, seq: int) -> str:
     """
     _check_framing(cell, replica, seq)
     return _FRAME_TEMPLATE % (cell, record, replica, seq)
+
+
+def frame_cell(records, *, cell: int, seq: int) -> str:
+    """One cell's frames as file text: replica ``r`` of ``records``
+    framed by :func:`frame_record` with sequence number ``seq + r``,
+    each line newline-terminated.  The framing is checked once."""
+    _check_framing(cell, 0, seq)
+    return "".join(_FRAME_TEMPLATE % (cell, record, replica, seq + replica)
+                   + "\n" for replica, record in enumerate(records))
 
 
 def dump_frame(

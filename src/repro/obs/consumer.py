@@ -73,7 +73,7 @@ class MetricsConsumer(EventConsumer):
             self._by_source(
                 self._replicas, "repro_executor_replicas_total",
                 "Replica results emitted, by source.", event.source,
-            ).inc(len(event.results))
+            ).inc(len(event.block))
             self._cell_seconds.observe(now - self._last)
             self._last = now
         elif isinstance(event, CampaignStarted):

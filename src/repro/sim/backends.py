@@ -22,8 +22,9 @@ simulation; shared failure traces become common random-number streams
 per (M, replica).
 
 The interface is deliberately narrow — ``execute(config, chunks,
-controller)`` yielding ``(chunk_index, per-cell results, per-cell
-sources)`` — which is what lets the multi-machine work-stealing backend
+controller)`` yielding ``(chunk_index, per-cell blocks, per-cell
+sources)``, each cell one :class:`~repro.sim.results.CellBlock` —
+which is what lets the multi-machine work-stealing backend
 (:class:`repro.sim.distributed.DistributedBackend`) slot in without
 touching the executor, the sinks or any caller: every replica seed and
 shared failure trace is derived from the campaign seed and the cell's
@@ -44,7 +45,7 @@ from .adaptive import ReplicaController
 from .campaign import CampaignConfig
 from .des import DesConfig, buddy_protocol, run_des
 from .failures import FailureInjector, TraceSchedule
-from .results import DesResult
+from .results import CellBlock, DesResult
 from .rng import RngFactory
 
 __all__ = [
@@ -104,8 +105,9 @@ def run_cell(
     controller: ReplicaController,
     trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
-) -> list[DesResult]:
-    """Execute one grid cell's replicas (any process, any order).
+) -> CellBlock:
+    """Execute one grid cell's replicas (any process, any order), as
+    the block of their DES rows.
 
     Replicas run in seed order; after each one the ``controller``'s
     incremental :class:`~repro.sim.adaptive.StopCursor` is pushed the new
@@ -156,7 +158,7 @@ def run_cell(
             heartbeat()
         if cursor.push(result.waste):
             break
-    return results
+    return CellBlock.from_rows(results)
 
 
 def run_cell_for_engine(
@@ -166,7 +168,7 @@ def run_cell_for_engine(
     controller: ReplicaController,
     trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
-) -> list[DesResult]:
+) -> CellBlock:
     """Run one cell on ``engine``, the policy's backend.
 
     ``engine="des"`` is :func:`run_cell`; ``engine="vectorized"`` batches
@@ -186,7 +188,7 @@ def _execute_chunk(
     plans: list,
     controller: ReplicaController,
     engine: str = "des",
-) -> list[list[DesResult]]:
+) -> list[CellBlock]:
     """Worker entry point: run a chunk of cells, sharing traces within it."""
     trace_cache: dict = {}
     return [
@@ -217,8 +219,16 @@ class CampaignBackend(ABC):
         config: CampaignConfig,
         chunks: Sequence[list],
         controller: ReplicaController,
-    ) -> Iterator[tuple[int, list[list[DesResult]], list[str]]]:
-        """Run every chunk, yielding per-chunk results as they complete."""
+    ) -> Iterator[tuple[int, list[CellBlock], list[str]]]:
+        """Run every chunk, yielding per-chunk results as they complete.
+
+        Each cell's results are one :class:`~repro.sim.results.CellBlock`
+        (``len`` is its replica count): the vectorized engine fills its
+        columns from arrays, the DES and a store hit pass rows, and
+        :class:`~repro.sim.results.DesResult` objects are built only
+        when a caller reads a cell's ``results``.  A plain sequence of
+        results is wrapped into a block.
+        """
 
 
 class SerialBackend(CampaignBackend):

@@ -38,7 +38,7 @@ from ..core.parameters import Parameters
 from ..core.protocols import ProtocolSpec, get_protocol
 from ..errors import ParameterError
 from .distributions import FailureDistribution
-from .results import DesResult, MonteCarloSummary
+from .results import CellBlock, DesResult, MonteCarloSummary
 
 __all__ = [
     "CampaignConfig",
@@ -129,13 +129,20 @@ def validate_campaign(config: CampaignConfig) -> None:
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """Aggregated outcome of one (protocol, M, φ) grid cell."""
+    """Aggregated outcome of one (protocol, M, φ) grid cell; ``block``
+    holds its replicas (``None`` for a summary-only cell), and
+    :attr:`results` builds them as :class:`DesResult` objects when read.
+    """
 
     protocol: str
     M: float
     phi: float
     summary: MonteCarloSummary
-    results: tuple[DesResult, ...] = field(repr=False, default=())
+    block: CellBlock | None = field(repr=False, default=None)
+
+    @property
+    def results(self) -> tuple[DesResult, ...]:
+        return () if self.block is None else self.block.rows
 
     @property
     def mean_waste(self) -> float:

@@ -96,7 +96,7 @@ from .backends import (
     run_cell_for_engine,
 )
 from .campaign import CampaignConfig
-from .results import DesResult
+from .results import CellBlock, DesResult
 from .sinks import _check_cell, frame_groups, write_framed
 
 __all__ = [
@@ -620,7 +620,7 @@ class DistributedBackend(CampaignBackend):
         config: CampaignConfig,
         chunks: Sequence[list],
         controller: ReplicaController,
-    ) -> Iterator[tuple[int, list[list[DesResult]], list[str]]]:
+    ) -> Iterator[tuple[int, list[CellBlock], list[str]]]:
         read_queue_manifest(self.queue)  # fail fast on a foreign directory
         pool: concurrent.futures.ProcessPoolExecutor | None = None
         if self.workers > 1:
@@ -688,24 +688,25 @@ class DistributedBackend(CampaignBackend):
         controller: ReplicaController,
         pool: concurrent.futures.ProcessPoolExecutor | None,
         heartbeat,
-    ) -> list[tuple[list[list[DesResult]], list[str]]]:
-        """The claimed chunks' ``(per-cell results, per-cell sources)``,
+    ) -> list[tuple[list[CellBlock], list[str]]]:
+        """The claimed chunks' ``(per-cell blocks, per-cell sources)``,
         chunk- and plan-ordered.
 
         One store consult covers every held cell (the lease is refreshed
-        once after it); the misses run in-process or concurrently across
-        the worker's pool — pooling spans *all* held chunks, which is
-        what lets a fine-grained chunk layout still saturate the local
-        cores.  Either way the lease keeps beating: in-process via
+        once after it; a hit's block carries its verified lines, so the
+        shard writes them without re-encoding); the misses run
+        in-process or concurrently across the worker's pool — pooling
+        spans *all* held chunks, which is what lets a fine-grained chunk
+        layout still saturate the local cores.  Either way the lease keeps beating: in-process via
         :func:`run_cell`'s per-replica hook, pooled via the coordinating
         process refreshing while it waits on cell futures.
         """
         held = [plan for plans in plan_chunks for plan in plans]
-        slots: dict[int, list[DesResult]] = {}
+        slots: dict[int, CellBlock] = {}
         if self._store is not None:
             hits = self._store.load_cells(
                 config, held, controller, engine=self.engine)
-            slots = {index: hit.results for index, hit in hits.items()}
+            slots = {index: hit.block for index, hit in hits.items()}
             heartbeat()
         served = set(slots)
         remaining = [plan for plan in held if plan.index not in served]

@@ -134,7 +134,7 @@ from typing import TYPE_CHECKING, Callable
 from ..errors import ParameterError
 from .adaptive import ReplicaController, stop_count
 from .campaign import CampaignCell, CampaignConfig
-from .results import DesResult, MonteCarloSummary
+from .results import CellBlock, DesResult, MonteCarloSummary, as_block
 from .sinks import NullSink, ResultSink
 
 if TYPE_CHECKING:  # circular at runtime: executor builds on this module
@@ -203,39 +203,38 @@ class CampaignStarted(CampaignEvent):
 class CellFinished(CampaignEvent):
     """A cell is complete: all of its replicas, plus the summary.
 
-    :attr:`records` is each replica's canonical record line
-    (:func:`repro.io.dump_result`), the text every writer — the sink,
-    the store publisher — writes.  A producer that already holds
-    verified lines (a store hit) passes them as ``records=``; otherwise
-    they are encoded from ``results`` on first use, once, so a campaign
-    nobody writes encodes nothing.  Volatile: excluded from equality and
-    ``repr`` and never put on the wire (a decoded event re-encodes them
-    from its results, to the same bytes).
+    :attr:`block` is the cell's :class:`~repro.sim.results.CellBlock`
+    as its producer handed it over; consumers read its ``waste``
+    column, its length and :attr:`records` — each replica's
+    canonical record line (:func:`repro.io.dump_result`), the text
+    every writer (the sink, the store publisher) writes, encoded once
+    from one per-cell template on first use, or a store hit's verified
+    lines (``records=``).  :attr:`results`, the replicas as
+    :class:`~repro.sim.results.DesResult` objects, are built only when
+    read.  ``results=`` takes a block or any sequence of results.
+    Records are volatile: excluded from equality and ``repr`` and never
+    put on the wire (a decoded event re-encodes them from its results,
+    to the same bytes).
     """
 
     plan: "CellPlan"
     cell: CampaignCell
-    results: tuple[DesResult, ...]
     source: str = "backend"
-    _records: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    block: CellBlock = field(init=False, repr=False)
 
     def __init__(self, plan, cell, results, source="backend", records=None):
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "block", as_block(results, records))
         object.__setattr__(self, "source", source)
-        object.__setattr__(
-            self, "_records", None if records is None else tuple(records))
+
+    @property
+    def results(self) -> tuple[DesResult, ...]:
+        return self.block.rows
 
     @property
     def records(self) -> tuple[str, ...]:
-        if self._records is None:
-            from .. import io as repro_io
-
-            object.__setattr__(self, "_records", tuple(
-                repro_io.dump_result(res) for res in self.results))
-        return self._records
+        return self.block.records
 
 
 @dataclass(frozen=True)
@@ -276,22 +275,23 @@ class CampaignFinished(CampaignEvent):
 
 
 def make_cell(plan: "CellPlan", results) -> CampaignCell:
-    """Aggregate one cell from its plan and replica results.
+    """Aggregate one cell from its plan and replica results (a
+    :class:`~repro.sim.results.CellBlock` or any sequence of results).
 
     The deterministic function behind every :class:`CellFinished.cell`
     — live emission, store resolution and wire decoding all build the
     cell through here, so an aggregated cell can never disagree with
-    the replicas it summarises.
+    the replicas it summarises.  The summary reads the block's
+    ``waste`` column; the cell keeps the block.
     """
-    results = tuple(results)
+    block = as_block(results)
     summary = MonteCarloSummary.from_samples(
-        [res.waste for res in results],
-        successes=sum(res.succeeded for res in results),
+        block.waste, successes=block.successes,
         meta={"protocol": plan.protocol, "M": plan.M, "phi": plan.phi},
     )
     return CampaignCell(
         protocol=plan.protocol, M=plan.M, phi=plan.phi,
-        summary=summary, results=results,
+        summary=summary, block=block,
     )
 
 
@@ -462,7 +462,7 @@ def event_from_dict(data: dict) -> CampaignEvent:
                       required=("plan", "results"))
         plan = _plan_from_dict(data["plan"])
         source = _check_source(data.get("source", "backend"))
-        results = _results_from_wire(data["results"])
+        results = CellBlock.from_rows(_results_from_wire(data["results"]))
         return CellFinished(
             plan=plan, cell=make_cell(plan, results), results=results,
             source=source,
@@ -623,7 +623,7 @@ class ControllerReplay(EventConsumer):
     def on_event(self, event: CampaignEvent) -> None:
         if not isinstance(event, CellFinished):
             return
-        wastes = [res.waste for res in event.results]
+        wastes = event.block.waste
         stop = stop_count(self.controller, wastes)
         if stop != len(wastes):
             rule = self.controller.fingerprint() or {"rule": "fixed"}
@@ -669,7 +669,7 @@ class ProgressTracker(EventConsumer):
                     self._cached += 1
                 else:
                     self._run += 1
-                    self._replicas += len(event.results)
+                    self._replicas += len(event.block)
 
     def snapshot(self) -> CampaignProgress:
         with self._lock:

@@ -29,13 +29,12 @@ layers together:
   yielding chunks in completion order, each cell tagged with its
   source (a queue worker serves store hits inside its claimed chunks).
   The policy's ``workers`` / ``queue`` fields pick one.  The session
-  turns one stream of ``(plan, results, source, records)`` — resume
-  recoveries, then store hits, then backend cells — into the typed
-  event stream.  ``records`` are the replicas' canonical record lines
-  when the producer already holds them (a store hit hands over the
-  lines it just verified) and ``None`` otherwise; the event then
-  encodes them once, on first use, for the sink and store publisher to
-  share.
+  turns one stream of ``(plan, block, source)`` — resume recoveries,
+  then store hits, then backend cells — into the typed event stream;
+  each cell travels as one :class:`~repro.sim.results.CellBlock`.  A
+  store hit's block holds the lines the store just verified; any other
+  block encodes its record lines once, on first use, for the sink and
+  store publisher to share.
 * **Sinks — a consumer** (:mod:`repro.sim.sinks`) — the
   :class:`~repro.sim.events.SinkWriter` consumer appends each finished
   cell to the :class:`~repro.sim.sinks.ResultSink` chosen by
@@ -212,7 +211,7 @@ from .events import (
     StorePublisher,
     make_cell,
 )
-from .results import DesResult
+from .results import CellBlock, DesResult, as_block
 from .sinks import (
     OrderedJsonlSink,
     ResultSink,
@@ -717,7 +716,7 @@ class CampaignSession:
         return self.result()
 
     # ------------------------------------------------------------------
-    def _finish_cell(self, plan, results, source, records) -> CellFinished:
+    def _finish_cell(self, plan, block, source) -> CellFinished:
         """Build one cell and publish its ``CellFinished``; the ``cell``
         span covers the aggregation and the synchronous consumer fan-out
         (sink append, store publish)."""
@@ -728,14 +727,11 @@ class CampaignSession:
             M=plan.M, phi=plan.phi, source=source,
         )
         with cell_span:
-            results = tuple(results)
-            cell = make_cell(plan, results)
+            cell = make_cell(plan, block)
             done = self._done_cells if source == "resume" else self._fresh
             done[plan.index] = cell
             return self.bus.publish(CellFinished(
-                plan=plan, cell=cell, results=results, source=source,
-                records=records,
-            ))
+                plan=plan, cell=cell, results=block, source=source))
 
     def _produce(self):
         tracer = current_tracer()
@@ -754,8 +750,8 @@ class CampaignSession:
         ))
 
         def cells():
-            # Every cell as (plan, results, source, records).  Recovered
-            # cells first, in grid order, so consumers replay to the
+            # Every cell as (plan, CellBlock, source).  Recovered cells
+            # first, in grid order, so consumers replay to the
             # campaign's full state (the sink writer skips them — their
             # bytes are already in the file).  Then store hits in grid
             # order, with the record lines the store verified — what
@@ -763,13 +759,13 @@ class CampaignSession:
             # twin under the framed sink — then backend cells in
             # completion order.
             for index in sorted(self._done_results):
-                yield (self._plans[index], self._done_results[index],
-                       "resume", None)
+                yield (self._plans[index],
+                       CellBlock.from_rows(self._done_results[index]),
+                       "resume")
             cached = self._cached_results
             for plan in self._todo:
                 if plan.index in cached:
-                    hit = cached.pop(plan.index)
-                    yield plan, hit.results, "store", hit.records
+                    yield plan, cached.pop(plan.index).block, "store"
             if not self._chunks:
                 return
             for index, results, sources in self._backend.execute(
@@ -778,14 +774,14 @@ class CampaignSession:
                 self._check_cancel()
                 for plan, cell_results, source in zip(
                         self._chunks[index], results, sources):
-                    yield plan, cell_results, source, None
+                    yield plan, as_block(cell_results), source
 
         stream = cells()
         if self._sink.ordered:
             # The results file stays an exact prefix of the serial file.
             stream = _in_grid_order(stream, self._plans)
-        for plan, results, source, records in stream:
-            yield self._finish_cell(plan, results, source, records)
+        for plan, block, source in stream:
+            yield self._finish_cell(plan, block, source)
 
         progress = self._tracker.snapshot()
         if self._distributed:
@@ -827,7 +823,7 @@ class CampaignSession:
 
 
 def _in_grid_order(cells, plans):
-    """Re-sequence a ``(plan, results, source, records)`` stream to
+    """Re-sequence a ``(plan, block, source)`` stream to
     ``plans`` order, holding each cell until every earlier one has
     passed."""
     ready: dict[int, tuple] = {}

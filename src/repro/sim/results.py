@@ -1,6 +1,7 @@
 """Result containers and statistics for the simulators.
 
-:class:`DesResult` captures one event-simulation run;
+:class:`DesResult` captures one event-simulation run; :class:`CellBlock`
+holds one campaign cell's runs as columns;
 :class:`MonteCarloSummary` aggregates replicas with confidence intervals
 (Student-t for means, Wilson for proportions) so model-vs-simulation
 comparisons can assert statistically, not by eyeball.
@@ -8,16 +9,22 @@ comparisons can assert statistically, not by eyeball.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy import stats as sps
 
 from ..errors import ParameterError
 
-__all__ = ["DesResult", "MonteCarloSummary", "wilson_interval", "ci_half_width"]
+__all__ = ["DesResult", "CellBlock", "as_block", "MonteCarloSummary",
+           "wilson_interval", "ci_half_width"]
+
+#: The one NaN object unset ``fatal_time`` fields share, so rows built
+#: at different times compare equal field for field.
+NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class DesResult:
     #: Total time any group spent inside a risk window.
     risk_time: float
     #: Time of the fatal failure (nan unless status == "fatal").
-    fatal_time: float = float("nan")
+    fatal_time: float = NAN
     #: Group that suffered the fatal failure (empty unless fatal).
     fatal_group: tuple[int, ...] = ()
     #: Free-form extras (protocol key, period, seed...).
@@ -59,6 +66,109 @@ class DesResult:
     @property
     def succeeded(self) -> bool:
         return self.status == "completed"
+
+
+#: A :class:`CellBlock`'s per-replica columns: every :class:`DesResult`
+#: field but the cell's shared ``work_target`` and ``meta``, then the
+#: replica's ``meta["seed"]``.
+ROW_FIELDS = ("status", "makespan", "work_done", "failures", "rollbacks",
+              "work_lost", "commits", "risk_time", "fatal_time",
+              "fatal_group", "seed")
+_VALUE_FIELDS = ROW_FIELDS[:-1]
+
+
+class CellBlock(Sequence):
+    """One campaign cell's replica results, frozen, as columns.
+
+    What every producer hands the session.  The vectorized engine fills
+    the per-replica ``columns`` (:data:`ROW_FIELDS`) from its arrays,
+    plus what the whole cell shares: ``meta`` (the engine-written keys
+    but ``seed``) and ``work_target``; its :class:`DesResult` rows are
+    built only when read (:attr:`rows`, indexing, iteration).  The DES,
+    a store hit and a resumed cell pass their rows (:meth:`from_rows`),
+    a store hit with the lines it verified.  Downstream reads
+    :attr:`waste` (summary, controller replay), ``len`` (progress,
+    metrics) and :attr:`records` (sink, store: one per-cell template,
+    :func:`repro.io.dump_cell`).
+    """
+
+    __slots__ = ("meta", "work_target", "columns", "_rows", "_records",
+                 "_waste")
+
+    def __init__(self, meta, work_target, columns, rows=None, records=None):
+        self.meta, self.work_target, self.columns = meta, work_target, columns
+        self._rows, self._records, self._waste = rows, records, None
+
+    @classmethod
+    def from_rows(cls, rows, records=None) -> "CellBlock":
+        """A block over ready rows (``columns`` is ``None``: each row
+        encodes alone, the one-row case of the cell template)."""
+        return cls(None, None, None, tuple(rows),
+                   None if records is None else tuple(records))
+
+    @property
+    def rows(self) -> tuple[DesResult, ...]:
+        """The replicas as :class:`DesResult` objects, built once."""
+        if self._rows is None:
+            self._rows = tuple(
+                DesResult(work_target=self.work_target,
+                          meta={**self.meta, "seed": seed},
+                          **dict(zip(_VALUE_FIELDS, values)))
+                for *values, seed in zip(*map(self.columns.get, ROW_FIELDS)))
+        return self._rows
+
+    @property
+    def records(self) -> tuple[str, ...]:
+        """Each replica's canonical record line, encoded once."""
+        if self._records is None:
+            from .. import io as repro_io
+
+            self._records = repro_io.dump_cell(self)
+        return self._records
+
+    @property
+    def waste(self) -> list[float]:
+        """Each replica's :attr:`DesResult.waste`, in one pass."""
+        if self._waste is None:
+            self._waste = [row.waste for row in self._rows] \
+                if self._rows is not None else [
+                    NAN if status != "completed" or makespan <= 0
+                    else 1.0 - self.work_target / makespan
+                    for status, makespan in zip(self.columns["status"],
+                                                self.columns["makespan"])]
+        return self._waste
+
+    @property
+    def successes(self) -> int:
+        """Replicas that completed."""
+        if self._rows is not None:
+            return sum(row.succeeded for row in self._rows)
+        return self.columns["status"].count("completed")
+
+    def __len__(self) -> int:
+        return len(self._rows if self._rows is not None
+                   else self.columns["status"])
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CellBlock):
+            return self.rows == other.rows
+        return NotImplemented
+
+    __hash__ = None
+
+
+def as_block(results, records=None) -> CellBlock:
+    """``results`` (a block or any sequence of :class:`DesResult`) as a
+    :class:`CellBlock`; ``records`` are their lines, when known."""
+    if isinstance(results, CellBlock) and records is None:
+        return results
+    return CellBlock.from_rows(results, records)
 
 
 # scipy's ppf costs ~0.1 ms a call and every cell summary needs two, so the
@@ -98,10 +208,10 @@ def _overflow_safe(reduce, finite: np.ndarray) -> float:
     overflows (a batch of extreme but finite values): then the scaled
     two-pass ``scale * reduce(finite / scale)`` with ``scale = max|x|``,
     equal up to rounding for the scale-equivariant mean and sample std,
-    and finite wherever the true value is representable."""
+    and finite wherever the true value is representable.  Call it under
+    ``np.errstate(over="raise")``; the scaled pass cannot overflow."""
     try:
-        with np.errstate(over="raise"):
-            return float(reduce(finite))
+        return float(reduce(finite))
     except FloatingPointError:
         scale = float(np.abs(finite).max())
         return scale * float(reduce(finite / scale))
@@ -109,6 +219,19 @@ def _overflow_safe(reduce, finite: np.ndarray) -> float:
 
 def _sample_std(finite: np.ndarray) -> float:
     return finite.std(ddof=1)
+
+
+def _finite(samples: Sequence[float]) -> tuple[int, np.ndarray]:
+    """``(number of samples, the finite ones)``."""
+    arr = np.asarray(list(samples), dtype=float)
+    return arr.size, arr[np.isfinite(arr)]
+
+
+def _half_width(std: float, n: int, confidence: float) -> float:
+    """Student-t CI half-width of a mean over ``n >= 2`` samples."""
+    if std == 0.0:
+        return 0.0
+    return float(t_quantile(confidence, n - 1) * std / np.sqrt(n))
 
 
 def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
@@ -121,16 +244,12 @@ def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     ``inf`` until two finite samples exist: an undetermined interval must
     never satisfy a tolerance check.
     """
-    arr = np.asarray(list(samples), dtype=float)
-    finite = arr[np.isfinite(arr)]
+    _, finite = _finite(samples)
     if finite.size < 2:
         return float("inf")
-    std = _overflow_safe(_sample_std, finite)
-    if std == 0.0:
-        return 0.0
-    return float(
-        t_quantile(confidence, finite.size - 1) * std / np.sqrt(finite.size)
-    )
+    with np.errstate(over="raise"):
+        std = _overflow_safe(_sample_std, finite)
+    return _half_width(std, finite.size, confidence)
 
 
 @dataclass(frozen=True)
@@ -165,18 +284,18 @@ class MonteCarloSummary:
         from the mean but still count as failures for the success rate."""
         if not 0 < confidence < 1:
             raise ParameterError("confidence must lie in (0, 1)")
-        arr = np.asarray(list(samples), dtype=float)
-        n_total = arr.size
+        n_total, finite = _finite(samples)
         if n_total == 0:
             raise ParameterError("need at least one sample")
-        finite = arr[np.isfinite(arr)]
         n_ok = finite.size
         n_success = n_ok if successes is None else successes
-        mean = _overflow_safe(np.mean, finite) if n_ok else float("nan")
-        std = _overflow_safe(_sample_std, finite) if n_ok > 1 else 0.0
-        half = ci_half_width(arr, confidence)
-        if not np.isfinite(half):
-            half = 0.0  # < 2 finite samples: degenerate point interval
+        # One pass: the std is the one ci_half_width would compute.
+        with np.errstate(over="raise"):
+            mean = _overflow_safe(np.mean, finite) if n_ok else float("nan")
+            std = _overflow_safe(_sample_std, finite) if n_ok > 1 else 0.0
+        half = _half_width(std, n_ok, confidence) if n_ok > 1 else 0.0
+        if not math.isfinite(half):
+            half = 0.0  # an overflowing interval: degenerate point
         rate = n_success / n_total
         return cls(
             n_replicas=n_total,
@@ -221,12 +340,7 @@ class MonteCarloSummary:
             raise ParameterError("n_finite must lie in [0, n_total]")
         mean = float(mean) if n_finite else float("nan")
         std = float(np.sqrt(m2 / (n_finite - 1))) if n_finite > 1 else 0.0
-        if n_finite < 2 or std == 0.0:
-            half = 0.0
-        else:
-            half = float(
-                t_quantile(confidence, n_finite - 1) * std / np.sqrt(n_finite)
-            )
+        half = _half_width(std, n_finite, confidence) if n_finite > 1 else 0.0
         return cls(
             n_replicas=n_total,
             mean=mean,

@@ -18,7 +18,8 @@ The sink decides the on-disk format:
 * :class:`FramedJsonlSink` — framed records
   (:class:`repro.io.ResultFrame`: cell index + replica + file-wide
   sequence number, spelled by the :func:`repro.io.frame_record`
-  template around each record line) appended the moment a cell
+  template around each record line, one cell per
+  :func:`repro.io.frame_cell`) appended the moment a cell
   completes, in *completion* order.  No head-of-line blocking; resume
   reconstructs per-cell completion from the framing alone, so
   arbitrary truncation recovers exactly like the ordered sink does.
@@ -252,17 +253,6 @@ def frame_groups(
         yield cell, results, start, end
 
 
-def _frame_text(cell: int, records, seq: int) -> str:
-    """One cell's frames: replicas from 0, sequence numbers from ``seq``."""
-    from .. import io as repro_io
-
-    return "".join(
-        repro_io.frame_record(line, cell=cell, replica=r, seq=seq + r)
-        + "\n"
-        for r, line in enumerate(records)
-    )
-
-
 def manifest_path(results: str | pathlib.Path) -> pathlib.Path:
     """The ``.manifest`` sidecar of a results file."""
     results = pathlib.Path(results)
@@ -292,6 +282,8 @@ def write_framed(
     write (a full disk, say) it is removed and any previous output and
     manifest are left as they were.
     """
+    from .. import io as repro_io
+
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = out_path.with_name(out_path.name + f".tmp-{os.getpid()}")
@@ -299,7 +291,7 @@ def write_framed(
     try:
         with tmp.open("w", encoding="utf-8") as fh:
             for cell, records in cells:
-                fh.write(_frame_text(cell, records, seq))
+                fh.write(repro_io.frame_cell(records, cell=cell, seq=seq))
                 seq += len(records)
         os.replace(tmp, out_path)
     except BaseException:
@@ -390,7 +382,9 @@ class FramedJsonlSink(ResultSink):
         self._seq = 0
 
     def emit(self, plan, records) -> None:
-        text = _frame_text(plan.index, records, self._seq)
+        from .. import io as repro_io
+
+        text = repro_io.frame_cell(records, cell=plan.index, seq=self._seq)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(text)
         self._seq += len(records)

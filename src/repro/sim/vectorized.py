@@ -17,7 +17,12 @@ own, resolved once by :func:`repro.sim.des.buddy_protocol`.
 
 The engine is the campaign policy's backend: under
 ``backend="vectorized"`` every cell runs here, shared-trace cells
-included.
+included.  A cell leaves the engine as one
+:class:`~repro.sim.results.CellBlock`, its columns filled straight from
+the batch's arrays; the session summarises the ``waste`` column, the
+sink and the store write the block's per-cell-template record lines,
+and :class:`~repro.sim.results.DesResult` objects are built only if a
+caller reads the cell's ``results``.
 
 Identity / equivalence contract
 -------------------------------
@@ -74,18 +79,19 @@ to the DES:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from ..core.risk import success_probability
 from ..errors import ParameterError
-from .adaptive import ReplicaController
+from .adaptive import ReplicaController, stop_count
 from .backends import _horizon, replica_seed, trace_seed
 from .campaign import CampaignConfig
 from .des import buddy_protocol
 from .renewal import failure_blocks
-from .results import DesResult
+from .results import NAN, CellBlock
 from .rng import RngFactory
 
 __all__ = [
@@ -228,7 +234,7 @@ def run_cell_vectorized(
     controller: ReplicaController,
     trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
-) -> list[DesResult]:
+) -> CellBlock:
     """Execute one grid cell's replicas as a numpy batch.
 
     The control flow mirrors :func:`repro.sim.backends.run_cell`
@@ -239,6 +245,12 @@ def run_cell_vectorized(
     sequence a scalar run would produce.  Replicas past the stop are
     computed speculatively (array work is cheap) and discarded.
 
+    The cell comes back as one :class:`~repro.sim.results.CellBlock`
+    filled straight from the batch's arrays (one ``tolist()`` per
+    column); its :class:`~repro.sim.results.DesResult` rows are built
+    only if a caller reads them.  ``heartbeat`` fires once, after the
+    batch.
+
     ``trace_cache`` holds the shared-trace streams across the cells of
     one backend run (like :func:`~repro.sim.backends.run_cell`'s DES
     traces); it only saves work, never changes bytes.
@@ -246,10 +258,11 @@ def run_cell_vectorized(
     params = config.base_params.with_updates(M=plan.M)
     model = buddy_protocol(plan.protocol, params, plan.phi)
     period = model.period
+    work_per_period = model.work_per_period
     horizon_wall = _horizon(config)
     # Productive time needed for the target work: the pattern delivers
     # work_per_period seconds of work every `period` seconds it runs.
-    productive = period * config.work_target / model.work_per_period
+    productive = period * config.work_target / work_per_period
 
     n_replicas = controller.max_replicas
     times_per_replica, u_fatal, u_when = _draws(
@@ -271,72 +284,72 @@ def run_cell_vectorized(
     # paper's Eq. 11/16 to first order), over every replica at once.
     p_succ = success_probability(model.spec, params, plan.phi, total_time,
                                  method="exponential")
-    is_fatal = (u_fatal >= p_succ).tolist()
-    fatal_at = (u_when * total_time).tolist()
-    total_time = total_time.tolist()
+    fatal_at = u_when * total_time
+    fatal = (u_fatal >= p_succ) & (fatal_at <= horizon_wall)
+    timeout = ~fatal & (total_time > horizon_wall)
+    completed = ~(fatal | timeout)
+    makespan = np.where(fatal, fatal_at,
+                        np.where(timeout, horizon_wall, total_time))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(completed, 1.0, np.where(
+            total_time > 0, makespan / total_time, 0.0))
+    # A failure counts when its wall-clock position, to first order
+    # (blocks assumed spread uniformly over the run), is at or before
+    # the end: every one of a completed run, and the fatal strike.
+    failures = np.array(counts)
+    if not completed.all():
+        dilation = total_time / productive if productive > 0 else \
+            np.ones(n_replicas)
+        struck = all_times * dilation[rep_ids] <= makespan[rep_ids]
+        failures = np.where(
+            completed, failures,
+            np.bincount(rep_ids[struck], minlength=n_replicas) + fatal)
+    # One np.sum per replica slice, exactly as a scalar run sums it:
+    # numpy's pairwise summation rounds differently from a batched
+    # bincount(weights=...) or add.reduceat over the same values, and
+    # the pinned vectorized bytes hold the slice sums.
+    fractions = offsets / period
+    ends = list(accumulate(counts))
+    lost = np.array([fractions[end - count:end].sum()
+                     for end, count in zip(ends, counts)])
 
-    meta = {
-        "protocol": model.key,
-        "period": period,
-        "phi": model.phi,
-        "seed": None,
-        "n": params.n,
-        "M": params.M,
-        "engine": "vectorized",
-    }
+    # First-order renewal estimates: ``failures`` is exact for
+    # completed runs and ``rollbacks`` equals it (every strike rolls
+    # back once in these protocols); ``work_lost`` charges each strike
+    # the work accrued since its period began; ``commits`` counts
+    # completed patterns; ``risk_time`` opens one risk window per
+    # strike.  Only ``status``/``makespan`` (hence ``waste``) are
+    # covered by the equivalence contract.
     work_target = config.work_target
-    results: list[DesResult] = []
-    cursor = controller.cursor()
-    end = 0
-    for r, times in enumerate(times_per_replica):
-        start, end = end, end + counts[r]
-        t_total = total_time[r]
-        # Wall-clock position of each failure, to first order (blocks
-        # assumed spread uniformly over the run).
-        dilation = t_total / productive if productive > 0 else 1.0
-        if is_fatal[r] and fatal_at[r] <= horizon_wall:
-            status, makespan = "fatal", fatal_at[r]
-            fatal_time = makespan
-            failures = int(np.count_nonzero(times * dilation <= makespan)) + 1
-            frac = makespan / t_total if t_total > 0 else 0.0
-        elif t_total > horizon_wall:
-            status, makespan = "timeout", horizon_wall
-            fatal_time = float("nan")
-            failures = int(np.count_nonzero(times * dilation <= makespan))
-            frac = horizon_wall / t_total
-        else:
-            status, makespan = "completed", t_total
-            fatal_time = float("nan")
-            failures = times.size
-            frac = 1.0
-        work_done = work_target * frac
-        replica_meta = meta.copy()
-        replica_meta["seed"] = replica_seed(config, r)
-        # First-order renewal estimates: ``failures`` is exact for
-        # completed runs and ``rollbacks`` equals it (every strike rolls
-        # back once in these protocols); ``work_lost`` charges each
-        # strike the work accrued since its period began; ``commits``
-        # counts completed patterns; ``risk_time`` opens one risk window
-        # per strike.  Only ``status``/``makespan`` (hence ``waste``) are
-        # covered by the equivalence contract.
-        result = DesResult(
-            status=status,
-            makespan=float(makespan),
-            work_target=work_target,
-            work_done=float(work_done),
-            failures=failures,
-            rollbacks=failures,
-            work_lost=float((offsets[start:end] / period).sum()
-                            * model.work_per_period * frac),
-            commits=int(work_done // model.work_per_period),
-            risk_time=float(failures) * model.risk,
-            fatal_time=fatal_time,
-            fatal_group=(),
-            meta=replica_meta,
-        )
-        results.append(result)
-        if heartbeat is not None:
-            heartbeat()
-        if cursor.push(result.waste):
-            break
-    return results
+    work_done = (work_target * frac).tolist()
+    failures_col = failures.tolist()
+    fatal_col = fatal.tolist()
+    makespan_col = makespan.tolist()
+    block = CellBlock(
+        {"protocol": model.key, "period": period, "phi": model.phi,
+         "n": params.n, "M": params.M, "engine": "vectorized"},
+        work_target,
+        {
+            "status": ["fatal" if is_fatal else "timeout" if is_timeout
+                       else "completed" for is_fatal, is_timeout
+                       in zip(fatal_col, timeout.tolist())],
+            "makespan": makespan_col,
+            "work_done": work_done,
+            "failures": failures_col,
+            "rollbacks": failures_col,
+            "work_lost": (lost * work_per_period * frac).tolist(),
+            "commits": [int(done // work_per_period) for done in work_done],
+            "risk_time": (failures * model.risk).tolist(),
+            "fatal_time": [time if is_fatal else NAN
+                           for time, is_fatal in zip(makespan_col, fatal_col)],
+            "fatal_group": [()] * n_replicas,
+            "seed": [replica_seed(config, r) for r in range(n_replicas)],
+        },
+    )
+    if heartbeat is not None:
+        heartbeat()
+    kept = stop_count(controller, block.waste) or n_replicas
+    if kept == n_replicas:
+        return block
+    return CellBlock(block.meta, work_target, {
+        name: column[:kept] for name, column in block.columns.items()})

@@ -60,7 +60,7 @@ from ..obs.trace import current_tracer
 from ..sim.backends import replica_seed, trace_seed
 from ..sim.campaign import CampaignConfig
 from ..sim.distributed import _atomic_write
-from ..sim.results import DesResult
+from ..sim.results import CellBlock, DesResult
 from ..sim.sinks import write_framed
 from ..sim.spec import STORE_MODES  # noqa: F401 - canonical home is the policy
 from .cache import (
@@ -325,6 +325,12 @@ class StoredCell:
     def records(self) -> tuple[str, ...]:
         count = len(self.results)
         return tuple(self.entry.payload_text.split("\n", count)[:count])
+
+    @property
+    def block(self) -> CellBlock:
+        """The prefix as the :class:`~repro.sim.results.CellBlock` a
+        session emits, carrying its verified lines."""
+        return CellBlock.from_rows(self.results, self.records)
 
     def cell(self, plan):
         """``make_cell(plan, self.results)``, built once per entry and

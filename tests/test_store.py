@@ -855,17 +855,17 @@ class TestCellEntries:
 
 def _count_encodes(monkeypatch) -> list:
     """Every record encode from here on, by result: each call of
-    ``repro.io.dump_result`` or ``repro.io.dump_frame`` made from
-    outside the other."""
+    ``repro.io.dump_result`` or ``repro.io.dump_frame``, and each row of
+    a ``repro.io.dump_cell`` block, made from outside the others."""
     from repro import io as repro_io
 
     calls: list = []
     depth = [0]
 
-    def counting(encode):
+    def counting(encode, rows=lambda result: [result]):
         def wrapper(result, **framing):
             if not depth[0]:
-                calls.append(result)
+                calls.extend(rows(result))
             depth[0] += 1
             try:
                 return encode(result, **framing)
@@ -876,6 +876,8 @@ def _count_encodes(monkeypatch) -> list:
     for name in ("dump_result", "dump_frame"):
         monkeypatch.setattr(repro_io, name,
                             counting(getattr(repro_io, name)))
+    monkeypatch.setattr(repro_io, "dump_cell", counting(
+        repro_io.dump_cell, rows=lambda block: block.rows))
     return calls
 
 
