@@ -12,8 +12,9 @@ proposition, asserted on the runs being timed):
 
 * **Losslessness** — the merged cold output is byte-identical to a
   single-machine framed run of the same spec, and the store passes a
-  full ``--verify`` sweep after the concurrent publish storm (atomic
-  renames never expose torn entries).
+  full ``--verify`` sweep after the concurrent publish storm (each
+  publish commits by an index rename, so no torn entry is ever
+  exposed).
 * **Warm service** — a second fleet against the same store simulates
   nothing: every cell is served from the warehouse, the merged bytes do
   not change, and the warm fleet's wall-clock beats the cold one (it

@@ -3,28 +3,28 @@
 Not a paper artefact — this measures the tentpole claim of the store's
 performance layer (segments + hot-cell cache): per-lookup cost on a
 warm, lookup-heavy replay must be *independent of store size*, because
-a compacted lookup is one in-memory index probe + one ``pread`` and a
-cache hit is no I/O at all.  The loose one-file-per-entry layout is the
-baseline it must beat.
+a lookup is one in-memory index probe + one ``pread`` and a cache hit
+is no I/O at all.  The baseline it must beat is the store exactly as
+publish leaves it — many writer segments, read without the cache.
 
 For each store size (10k / 100k / 500k cell entries by default;
 override with ``STORE_SCALE_SIZES=1000,5000`` for a quick local pass):
 
 * **populate** — publish N synthetic cell entries through the ordinary
-  atomic-rename path (synthetic keys varying only the seed field, each
-  entry a prefix of ``REPLICAS`` copies of one template result, so half
-  a million entries need no simulation);
-* **loose**    — per-lookup latency against the uncompacted tree with
-  the cache disabled (full re-verification per hit: the pre-PR cost);
-* **segment**  — the same probes after ``compact()`` (index + pread,
-  still full verification — disk layout win alone);
+  append path, one store instance (synthetic keys varying only the
+  seed field, each entry a prefix of ``REPLICAS`` copies of one
+  template result, so half a million entries need no simulation);
+* **writer**   — per-lookup latency against the uncompacted writer
+  segments with the cache disabled (full re-verification per hit);
+* **segment**  — the same probes after ``compact()`` merged them into
+  one segment (index + pread, still full verification);
 * **cached**   — the same probes served by the hot-cell cache
   (digest-level re-check: the warm-replay steady state).
 
 Gates (the CI nightly fails if either regresses):
 
 * cached warm lookups at the top size are **≥ 10x** faster than the
-  loose baseline at that size;
+  uncached writer-segment baseline at that size;
 * cached per-lookup latency at the top size is within **2x** of the
   smallest size — flat, not merely faster.
 
@@ -101,7 +101,7 @@ def _per_lookup(store: CampaignStore, keys: list[dict]) -> float:
 
 def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
     lines = []
-    loose_us: dict[int, float] = {}
+    writer_us: dict[int, float] = {}
     segment_us: dict[int, float] = {}
     cached_us: dict[int, float] = {}
 
@@ -114,13 +114,13 @@ def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
         t_populate = time.perf_counter() - start
         keys = _probe_keys(n)
 
-        loose = CampaignStore(store_dir, cache=None)
-        loose_us[n] = _per_lookup(loose, keys) * 1e6
+        uncompacted = CampaignStore(store_dir, cache=None)
+        writer_us[n] = _per_lookup(uncompacted, keys) * 1e6
 
         start = time.perf_counter()
-        report = loose.compact()
+        report = uncompacted.compact()
         t_compact = time.perf_counter() - start
-        assert report.packed_entries == n and report.loose_remaining == 0
+        assert report.packed_entries == n and report.segments_total == 1
 
         segment_us[n] = _per_lookup(
             CampaignStore(store_dir, cache=None), keys) * 1e6
@@ -132,22 +132,22 @@ def test_warm_lookup_latency_flat_with_store_size(tmp_path, record):
 
         lines.append(
             f"{n:>7} cell entries: populate {t_populate:5.1f}s, compact "
-            f"{t_compact:5.1f}s; per-lookup loose {loose_us[n]:7.1f}us, "
+            f"{t_compact:5.1f}s; per-lookup writer {writer_us[n]:7.1f}us, "
             f"segment {segment_us[n]:6.1f}us, cached {cached_us[n]:5.2f}us"
         )
 
     top, small = SIZES[-1], SIZES[0]
-    speedup = loose_us[top] / cached_us[top]
+    speedup = writer_us[top] / cached_us[top]
     flatness = cached_us[top] / cached_us[small]
     lines.append(
-        f"gates: cached-vs-loose at {top} = {speedup:.0f}x (need >= 10x); "
+        f"gates: cached-vs-writer at {top} = {speedup:.0f}x (need >= 10x); "
         f"cached {small} -> {top} = {flatness:.2f}x (need <= 2x)"
     )
     record("fleet-scale store: lookup latency vs store size", lines)
 
     assert speedup >= 10.0, (
         f"warm cached replay at {top} entries is only {speedup:.1f}x "
-        f"faster than the loose layout (need >= 10x)"
+        f"faster than uncached writer segments (need >= 10x)"
     )
     assert flatness <= 2.0, (
         f"warm-lookup latency grew {flatness:.2f}x from {small} to "
@@ -185,7 +185,8 @@ def test_export_byte_identical_across_compaction(tmp_path, record):
     identical = (tmp_path / "pre.jsonl").read_bytes() \
         == (tmp_path / "post.jsonl").read_bytes()
     record("store export across compaction", [
-        f"packed {report.packed_entries} cell entries into 1 segment; "
+        f"packed {report.packed_entries} cell entries into "
+        f"{report.segments_total} segment; "
         f"export byte-identical: {identical}",
     ])
     assert identical

@@ -6,7 +6,7 @@ Covers the content-addressed store surface (repro.store) in ~60 lines:
   * re-run the identical spec warm (0 simulations, byte-identical file),
   * run a half-overlapping grid (only the missing cells simulate),
   * inspect the store (stat/verify) and export a spec's results file,
-  * compact the loose entries into a segment (exports stay identical),
+  * compact the writer segments into one (exports stay identical),
   * trim it to a byte budget with LRU gc.
 
 Run:  python examples/campaign_store.py
@@ -58,9 +58,10 @@ def main() -> None:
         export = warehouse.export(spec, tmp / "export.jsonl")
         print(f"export : {export.describe()}")
 
-        # Compaction packs the loose files into one segment file +
-        # index — flat lookup latency at fleet scale — and is invisible
-        # to every consumer: the export is byte-identical.
+        # Compaction merges the publishing runs' writer segments into
+        # one hash-sorted segment — a footprint then streams in a few
+        # sequential reads — and is invisible to every consumer: the
+        # export is byte-identical.
         compacted = warehouse.compact()
         print(f"compact: {compacted.describe()}")
         warehouse.export(spec, tmp / "export2.jsonl")

@@ -53,10 +53,10 @@ Commands
     Inspect and manage a results store: ``store ls`` (filterable
     listing, one row per cell entry with its stored replica count),
     ``store stat`` (totals, ``--verify`` re-checks every entry
-    against its stored bytes), ``store gc`` (LRU eviction to
-    ``--max-bytes``/``--max-age``, with ``--pin-queue``/``--pin-spec``
-    footprints immune), ``store export`` (materialise a spec's
-    byte-identical framed results file with zero simulations).
+    against its stored bytes), ``store gc`` (oldest-published-first
+    eviction to ``--max-bytes``/``--max-age``, with ``--pin-queue``/
+    ``--pin-spec`` footprints immune), ``store compact``, ``store
+    export`` (a spec's byte-identical framed results file, zero runs).
 ``report``
     Re-render analyses offline: ``--from-campaign FILE`` reads a
     campaign's persisted JSON Lines (either sink format) and prints waste
@@ -326,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("ls", "stat", "gc", "compact", "export"),
                     help="'ls' lists entries (filterable), 'stat' prints "
                          "totals (--verify re-checks every entry), 'gc' "
-                         "evicts to a retention budget, 'compact' packs "
-                         "loose entries into a segment file (flat "
-                         "warm-lookup latency at fleet scale), 'export' "
+                         "evicts to a retention budget (and sweeps dead "
+                         "writers' files), 'compact' merges every segment "
+                         "into one (flat warm-lookup latency), 'export' "
                          "materialises a spec's results file with zero "
                          "simulations")
     st.add_argument("--store", type=pathlib.Path, required=True,
@@ -346,11 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="(stat) re-verify every entry against its "
                          "stored bytes; exit 1 on corruption")
     st.add_argument("--max-bytes", type=int, default=None, metavar="N",
-                    help="(gc) evict least-recently-used entries until "
+                    help="(gc) evict oldest-published entries until "
                          "the store holds at most N bytes")
     st.add_argument("--max-age", default=None, metavar="AGE",
-                    help="(gc) evict entries idle longer than AGE "
-                         "(e.g. '7d', '12h', 3600)")
+                    help="(gc) evict entries published longer than AGE "
+                         "ago, by the stamp in their index row, which "
+                         "lookups never refresh (e.g. '7d', 3600)")
     st.add_argument("--pin-queue", type=pathlib.Path, action="append",
                     default=[], metavar="DIR",
                     help="(gc) never evict cells referenced by this "
@@ -847,7 +848,7 @@ def _run_store_command(args: argparse.Namespace) -> int:
         rows = [
             [e.protocol, e.M, e.phi, e.n, e.seed,
              "-" if e.trace_seed is None else e.trace_seed,
-             e.replicas if e.origin != "retired" else "retired", e.size]
+             e.replicas, e.size]
             for e in shown
         ]
         print(ascii_table(

@@ -34,9 +34,10 @@ Layers:
 Concurrency model: many reader threads (report queries, progress polls,
 event streamers) plus a small writer pool (campaign sessions) share one
 store *instance* — safe because store reads are lock-free on disk
-(atomic-rename publish means a reader never sees a torn entry), the
-hot-cell cache takes a lock only around its map, and the event logs use
-one condition variable each.  The store's
+(a publish commits by an index rename, so a reader never sees a torn
+entry), the writer threads share the instance's one writer segment
+under one lock, the hot-cell cache takes a lock only around its map,
+and the event logs use one condition variable each.  The store's
 ``repro_store_readers_peak_concurrent`` gauge (``GET /metrics``)
 exists to *prove* the concurrency under load rather than assume it.
 

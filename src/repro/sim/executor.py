@@ -113,11 +113,10 @@ Layer diagram (single machine, and the distributed shard-merge flow)::
               hot-cell cache (in-process     "des": per-event simulation (exact)
                 LRU, digest re-check)        "vectorized": cells as numpy batches
               → segments/<id>.seg + .idx      (renewal closed forms; shared
-                (compacted: index probe        traces as common random
-                + one pread)                   numbers — repro.sim.vectorized)
-              → objects/<2-hex>/<sha256(cell key)>.json
-                (loose: the atomic-rename publish path; `store
-                compact` folds loose files into segments)
+                (each publishing instance      traces as common random
+                appends to its own segment,    numbers — repro.sim.vectorized)
+                committed by an index rename;
+                `store compact` merges them)
               — one entry per cell (its replica prefix); the key
                 carries the engine when != "des"
 

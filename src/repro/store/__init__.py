@@ -19,35 +19,40 @@ Design:
   prefixes nest and fixed-count and adaptive campaigns share entries).
   Deliberately finer than a campaign fingerprint: two different
   campaigns whose grids overlap share cached cells.
-* **Concurrency** — publishing is one write-then-rename per cell (the
-  queue directory's atomic-publish pattern), so any number of processes
-  publish and look up the same cells race-free; a longer prefix
-  replaces a shorter one, never the reverse, and a shorter publish that
-  wins a race costs only a recompute.
+* **One layout** (:mod:`repro.store.segments`) — every entry lives in
+  an append-only segment file plus its hash index.  Each publishing
+  store instance appends to its own writer segment and commits each
+  entry by rewriting that segment's index (write-then-rename), so any
+  number of processes publish and look up the same cells race-free;
+  bytes past a segment's last committed row are never served.  Copies
+  of one entry in several segments resolve to the longest, so a longer
+  prefix supersedes a shorter one, never the reverse.
 * **Integrity** — every lookup re-verifies the entry once per cell:
   full-key match (collisions/tampering refused), the payload digest,
   and each replica re-serialising to exactly its stored line, which is
   the byte string a warm campaign emits.
-* **Old stores** — version-1 per-replica entries still open but are
-  never served: each recomputes, ``store verify`` names it by path, and
-  ``gc`` evicts it.
+* **Old stores** — a directory left by older layouts (loose
+  ``objects/`` files, version-1 segments) still opens, but none of it
+  is served: each cell recomputes, and ``store verify`` names every
+  leftover file by path.
 * **Retention** (:meth:`CampaignStore.gc`) — bounded-size caching, not
-  an unbounded archive: LRU/mtime eviction to a byte budget, with the
+  an unbounded archive: oldest-published-first eviction to a byte
+  budget or age, by the publish stamp in each index row, with the
   footprints of pinned specs and in-progress queue campaigns immune.
 * **Query layer** — :meth:`CampaignStore.query`/``ls``/``stat`` over the
-  self-describing object tree, :meth:`CampaignStore.export` to
+  segment indexes (no data read), :meth:`CampaignStore.export` to
   materialise a spec's byte-identical results file with zero
   simulations, and :func:`cells_from_store` behind
   ``repro-checkpoint report --from-spec --store``.
 * **Scale** (:mod:`repro.store.segments`, :mod:`repro.store.cache`) —
-  ``store compact`` packs loose entries into append-only segment files
-  with a sorted hash index (warm lookup = one index probe + one
-  ``pread``; ``ls``/``stat``/``query`` read no data at all), the loose
-  tree fans out across 2-hex shard directories, and a process-wide
-  byte-bounded :class:`~repro.store.cache.HotCellCache` serves hot
-  cells without disk I/O (full verification on first read,
-  digest-level on cached re-reads) — warm-replay and report latency
-  stay flat as the store grows to fleet scale.
+  a warm lookup is one index probe + one ``pread``; ``store compact``
+  merges the writer segments into one hash-sorted segment (dropping
+  superseded copies and uncommitted bytes) so a footprint streams in a
+  few sequential reads, and a process-wide byte-bounded
+  :class:`~repro.store.cache.HotCellCache` serves hot cells without
+  disk I/O (full verification on first read, digest-level on cached
+  re-reads) — warm-replay and report latency stay flat as the store
+  grows to fleet scale.
 
 Campaigns opt in through the volatile
 :class:`~repro.sim.spec.ExecutionPolicy` fields ``store``/``store_mode``

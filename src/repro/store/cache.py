@@ -124,9 +124,6 @@ class CachedEntry:
     re-serialising, and at ``"full"`` level without touching disk; a
     hit also serves those lines as the cell's record text, so a warm
     campaign writes the verified bytes instead of re-encoding them.
-    ``hash``/``origin`` record where the bytes came from, so a loose hit
-    can refresh its file's gc-LRU clock without recomputing the content
-    address.
 
     ``cells`` memoizes the aggregated cell of each prefix length served
     from this entry (:meth:`repro.store.store.StoredCell.cell` fills
@@ -141,8 +138,6 @@ class CachedEntry:
     results: tuple
     payload_text: str
     payload_sha256: str
-    hash: str = ""
-    origin: str = "loose"
     cells: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

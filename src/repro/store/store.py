@@ -12,25 +12,9 @@ module holds the mechanism:
 One entry per grid cell holds the cell's ordered replica prefix
 ``[0, n)``: a header line (format, version, key, replica count, payload
 digest) followed by one canonical :func:`repro.io.dump_result` line per
-replica.  Storage layout (the two coexist; a lookup serves the longer
-copy):
-
-* ``segments/<id>.seg`` + ``.idx`` — compacted entries
-  (:mod:`repro.store.segments`): one index probe + one ``pread`` per
-  lookup, index-only queries, written by :meth:`CampaignStore.compact`;
-* ``objects/<2-hex>/<hash>.json`` — loose entries, the atomic-rename
-  publish path (2-hex fan-out so no single directory grows unbounded).
-
-Retired formats are never served: a ``<hash>.json`` directly under
-``objects/`` (the flat layout) and the version-1 one-entry-per-replica
-entries, loose or in version-1 segments.  Lookups miss and recompute,
-:meth:`CampaignStore.verify` reports each one as an error by path.
-``gc`` evicts every version-1 segment whole and ages retired loose
-files out like any entry.
-
-Hot reads are additionally served by an in-process byte-bounded LRU
-(:mod:`repro.store.cache`): full verification on the first disk read,
-digest-level verification on cached re-reads.
+replica.  Every entry lives in ``segments/<id>.seg`` + ``.idx``
+(:mod:`repro.store.segments`); nothing else in the directory is ever
+served, and :meth:`CampaignStore.verify` names each such file by path.
 
 Import discipline: this module imports only the seed-schedule helpers
 from :mod:`repro.sim.backends` at module level; everything that would
@@ -41,12 +25,11 @@ that need it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import pathlib
-import re
+import resource
 import threading
 import time
 from dataclasses import dataclass, field
@@ -69,7 +52,15 @@ from .cache import (
     cache_key,
     default_cache,
 )
-from .segments import Segment, SegmentEntry, load_segments, write_segment
+from .segments import (
+    LockedSegment,
+    Segment,
+    SegmentEntry,
+    SegmentWriter,
+    load_segments,
+    lock_segment,
+    write_segment,
+)
 
 __all__ = [
     "STORE_FORMAT",
@@ -96,17 +87,25 @@ _ENTRY_FORMAT = "repro-store-entry"
 #: opens; readers refuse other numbers by name, like every envelope in
 #: :mod:`repro.io`.
 STORE_VERSION = 1
-#: Written entry version: one entry per grid cell.  Version 1 (one
-#: entry per replica) is retired — never served, reported by ``verify``.
+#: Entry version: one entry per grid cell.  Entries of any other
+#: version are refused by name.
 ENTRY_VERSION = 2
-_RETIRED = ("retired per-replica entry (store-entry version 1) is never "
-            "served; delete it or evict it with `repro-checkpoint store gc`")
 
-_HASH_RE = re.compile(r"^[0-9a-f]{64}\.json$")
-#: A publish is write-temp-then-rename; gc only sweeps temp files (and
-#: orphan segment data files from crashed compactions) older than this
-#: (seconds) so it cannot race a live writer's rename.
+#: Index commits and rewrites write temp files then rename them, and a
+#: writer creates its ``.seg`` just before its first commit; gc only
+#: sweeps temp files and never-committed ``.seg`` files older than this
+#: (seconds), so it cannot race a live writer.
 _TMP_SWEEP_GRACE = 3600.0
+#: Reads a lookup makes of an entry whose segment concurrent rewrites
+#: keep unlinking under it (one segment re-scan before each retry)
+#: before it settles for a miss.  Each retry only happens after a
+#: rewrite committed the entry's new home, so a store compacted and
+#: gc'd back to back every few milliseconds still serves every lookup.
+_READ_ATTEMPTS = 16
+#: Source segments one rewrite holds locked (one descriptor each) at
+#: once, capped at a quarter of the process's descriptor limit; a
+#: compaction with more sources merges in rounds.
+_REWRITE_FANIN = 256
 #: Engines whose results the store may key (mirrors
 #: :data:`repro.sim.spec.CAMPAIGN_BACKENDS`; duplicated here because the
 #: store validates *keys*, which outlive any one policy object).
@@ -196,17 +195,6 @@ def _entry_text(key: dict, records) -> str:
     return json.dumps(header, sort_keys=True) + "\n" + body
 
 
-def _header_replicas(data: bytes) -> int:
-    """The replica count a live entry's header line claims, else -1."""
-    try:
-        header = json.loads(data.partition(b"\n")[0])
-        if header.get("version") != ENTRY_VERSION:
-            return -1
-        return int(header["replicas"])
-    except (ValueError, TypeError, KeyError, AttributeError):
-        return -1
-
-
 def _check_entry(label, data: bytes) -> tuple[dict, str]:
     """An entry's header and replica-line body, structurally checked:
     the header parses and speaks :data:`ENTRY_VERSION`, and the body
@@ -217,8 +205,8 @@ def _check_entry(label, data: bytes) -> tuple[dict, str]:
         header = json.loads(head)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(
-            f"{label}: corrupt store entry (invalid JSON: {exc}); delete "
-            "it (or run `repro-checkpoint store gc`) and re-run to "
+            f"{label}: corrupt store entry (invalid JSON: {exc}); drop "
+            "it with `repro-checkpoint store compact` and re-run to "
             "repopulate it"
         ) from exc
     if not isinstance(header, dict) \
@@ -229,15 +217,15 @@ def _check_entry(label, data: bytes) -> tuple[dict, str]:
         )
     version = header.get("version")
     if version != ENTRY_VERSION:
-        raise ParameterError(f"{label}: {_RETIRED}" if version == 1 else (
+        raise ParameterError(
             f"{label}: unsupported store-entry version {version!r} (this "
-            f"library speaks version {ENTRY_VERSION})"))
+            f"library speaks version {ENTRY_VERSION})")
     if _digest(body) != header.get("payload_sha256") \
             or body.count("\n") != header.get("replicas"):
         raise ParameterError(
             f"{label}: entry payload does not match its recorded "
-            "digest; the entry is corrupt — delete it and re-run to "
-            "repopulate"
+            "digest; the entry is corrupt — drop it with `store compact` "
+            "and re-run to repopulate"
         )
     return header, body
 
@@ -269,10 +257,29 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
             raise ParameterError(
                 f"{label}: entry payload does not survive a "
                 "serialisation round-trip; the entry is corrupt — "
-                "delete it and re-run to repopulate"
+                "drop it with `store compact` and re-run to repopulate"
             )
         results.append(result)
     return header, tuple(results), body
+
+
+def _check_row(label, data: bytes, row: SegmentEntry, *,
+               full: bool = False) -> None:
+    """Check the bytes stored for index ``row`` against it: the whole
+    row length, a sound entry (:func:`_check_entry`; with ``full`` every
+    check a lookup makes) whose key hashes to the row's hash, and the
+    row's replica count and queryable fields.  Raises naming ``label``."""
+    if len(data) != row.length:
+        raise ParameterError(
+            f"{label}: segment data is shorter than the index row")
+    header = (_verify_entry(label, data, None) if full
+              else _check_entry(label, data))[0]
+    key = header.get("key")
+    if not isinstance(key, dict) or key_hash(key) != row.hash \
+            or header["replicas"] != row.replicas \
+            or not _key_fields(key).items() <= row._asdict().items():
+        raise ParameterError(
+            f"{label}: index row disagrees with the stored key")
 
 
 def _key_fields(key: dict) -> dict:
@@ -379,12 +386,10 @@ class StoreEntry:
     trace_seed: int | None
     work_target: float
     size: int
+    #: Publish stamp from the entry's index row (what ``gc`` ages).
     mtime: float
-    #: Replicas the entry holds (one for a retired per-replica entry).
-    replicas: int = 1
-    #: Where the bytes live: ``"loose"`` (one file), ``"segment"``, or
-    #: ``"retired"`` (a version-1 per-replica entry, never served).
-    origin: str = "loose"
+    #: Replicas the entry holds.
+    replicas: int
 
 
 @dataclass(frozen=True)
@@ -396,25 +401,15 @@ class StoreStat:
     protocols: dict[str, int]
     oldest_mtime: float | None
     newest_mtime: float | None
-    #: Layout breakdown: loose files vs segment-resident entries, plus
-    #: retired per-replica entries wherever they sit.
-    loose_entries: int = 0
-    segment_entries: int = 0
+    #: Committed segments the entries live in.
     segments: int = 0
-    retired_entries: int = 0
 
     def describe(self) -> str:
         per_protocol = ", ".join(
             f"{k}={v}" for k, v in sorted(self.protocols.items())
         ) or "empty"
-        layout = f"{self.loose_entries} loose"
-        if self.segments:
-            layout += (f" + {self.segment_entries} in "
-                       f"{self.segments} segment(s)")
-        if self.retired_entries:
-            layout += f", {self.retired_entries} retired"
         return (f"{self.entries} entries, {self.total_bytes} bytes "
-                f"({per_protocol}; {layout})")
+                f"({per_protocol}; in {self.segments} segment(s))")
 
 
 @dataclass(frozen=True)
@@ -475,88 +470,82 @@ class VerifyReport:
     def describe(self) -> str:
         if self.ok:
             return f"{self.checked} entries verified, no corruption"
-        return (f"{self.checked} entries checked, "
-                f"{len(self.errors)} corrupt: {self.errors[0]}")
+        return (f"{self.checked} entries and files checked, "
+                f"{len(self.errors)} corrupt or unknown: {self.errors[0]}")
 
 
 @dataclass(frozen=True)
 class CompactReport:
     """What one :meth:`CampaignStore.compact` pass did (or would do)."""
 
-    #: Loose entry files found in the 2-hex fan-out (segment duplicates
-    #: included).
-    loose_before: int
+    #: Segments merged: every segment the pass could lock, uncommitted
+    #: ones (a writer killed before its first commit) included.
+    merged_segments: int
     #: Entries packed into the new segment.
     packed_entries: int
     packed_bytes: int
-    #: Loose files removed because a segment already held their hash
-    #: with at least as many replicas (leftovers of a crashed compaction
-    #: or a publish/compact race).
-    deduplicated: int
-    #: Loose files left in place because they failed validation
-    #: (retired per-replica entries included).
+    #: Data bytes of the merged segments not carried over: shorter or
+    #: duplicate copies, corrupt rows and uncommitted tails.
+    reclaimed_bytes: int
+    #: Rows dropped because they failed validation, by label.
     corrupt: tuple[str, ...]
-    #: Id of the segment written, or ``None`` when nothing was packed.
+    #: Segments left alone because another process held their lock.
+    locked_segments: int
+    #: Id of the last segment written, or ``None`` when nothing was
+    #: packed.
     segment_id: str | None
     #: Store-wide totals after the pass.
     segments_total: int
-    segment_entries_total: int
-    loose_remaining: int
+    entries_total: int
     dry_run: bool
 
     def describe(self) -> str:
         verb = "would pack" if self.dry_run else "packed"
-        head = (f"{verb} {self.packed_entries} of {self.loose_before} "
-                f"loose entries ({self.packed_bytes} bytes)")
+        head = (f"{verb} {self.packed_entries} entries "
+                f"({self.packed_bytes} bytes) from "
+                f"{self.merged_segments} segment(s)")
         if self.segment_id is not None:
             head += f" into segment {self.segment_id[:12]}"
-        tail = (f"; store now: {self.segment_entries_total} entries in "
-                f"{self.segments_total} segment(s), "
-                f"{self.loose_remaining} loose")
-        if self.deduplicated:
-            tail += f", {self.deduplicated} duplicates removed"
+        head += f", {self.reclaimed_bytes} bytes reclaimed"
+        tail = (f"; store now: {self.entries_total} entries in "
+                f"{self.segments_total} segment(s)")
+        if self.locked_segments:
+            tail += f", {self.locked_segments} locked segment(s) skipped"
         if self.corrupt:
-            tail += (f", {len(self.corrupt)} corrupt left loose: "
+            tail += (f", {len(self.corrupt)} corrupt row(s) dropped: "
                      f"{self.corrupt[0]}")
         return head + tail
+
+
+@dataclass
+class _Rewrite:
+    """What one :meth:`CampaignStore._rewrite` carried over."""
+
+    #: The rows carried over, in hash order.
+    kept: list[SegmentEntry] = field(default_factory=list)
+    #: Data-file bytes of the sources (committed rows and tails alike).
+    source_bytes: int = 0
+    corrupt: list[str] = field(default_factory=list)
+    segment: Segment | None = None
 
 
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 class CampaignStore:
-    """A content-addressed, concurrency-safe warehouse of cell results.
+    """A content-addressed, concurrency-safe warehouse of cell results
+    (the design is in :mod:`repro.store`).
 
-    One entry per grid cell, filed under the SHA-256 of its
-    :func:`cell_key` and holding the cell's ordered replica prefix
-    ``[0, n)``.  Publishing is one write-then-rename per cell (the same
-    atomic-publish pattern as the distributed queue's done markers), so
-    readers never observe a torn entry; a longer prefix replaces a
-    shorter one and a shorter one never replaces a longer one (if a
-    shorter publish wins a race, the only cost is a recompute).
-    Lookups re-verify the entry against its stored bytes, once per cell
-    — the full key must match (hash collisions and tampering are
-    refused, never silently served), the replica lines must match their
-    digest, and each decoded replica must re-serialise to exactly its
-    stored line, which is the byte string a warm campaign will emit.
-
-    Entries live loose (one file each, the write path) or packed into
-    segments (:meth:`compact`, the read-at-scale path); lookups serve
-    the longer of the two copies, then re-scan for segments a
-    concurrent compaction may have just committed — so an entry is
-    always found wherever a racing maintenance pass left it.
-
-    Hot entries are additionally served from an in-process read-through
-    LRU (:mod:`repro.store.cache`): the first read does the full
-    integrity check, cached re-reads re-verify at the configurable
-    ``cached_verification`` level (``"digest"`` by default; ``"full"``
-    adds the in-memory round-trip).  Pass ``cache=None`` to always read
-    from disk.
-
-    Loose lookup hits refresh the entry file's mtime, making mtime a
-    last-access clock; segment-resident entries keep the access stamp
-    recorded in their index row.  :meth:`gc` evicts least-recently-used
-    entries first when trimming to a size budget.
+    An instance that publishes owns one writer segment
+    (:mod:`repro.store.segments`); copies of one entry in several
+    segments resolve to the longest (the lowest segment id among
+    equals), and lookups re-scan the segments before declaring a miss,
+    so an entry is found wherever a racing publish, compaction or
+    ``gc`` left it.  Hot entries are served from an in-process
+    read-through LRU (:mod:`repro.store.cache`): full verification on
+    the first read, then re-verification at the ``cached_verification``
+    level (``"digest"`` by default; ``"full"`` adds the in-memory
+    round-trip).  Pass ``cache=None`` to always read from disk.
     """
 
     def __init__(
@@ -619,9 +608,15 @@ class CampaignStore:
             "repro_store_preload_entries_total",
             help="Cell entries admitted to the hot-cell cache by preload."))
         #: Lazily-loaded committed segments (id → Segment) and the
-        #: merged hash → segment-id probe map (see _refresh_segments).
+        #: merged hash → segment-id probe map (see _refresh_segments),
+        #: re-scanned by one thread at a time under ``_scan_lock``.
         self._segments: dict[str, Segment] | None = None
         self._segment_map: dict[str, str] = {}
+        self._scan_lock = threading.Lock()
+        #: This instance's writer segment, created by its first publish
+        #: and shared by its threads under ``_write_lock``.
+        self._writer: SegmentWriter | None = None
+        self._write_lock = threading.Lock()
         manifest = self.root / "store.json"
         if manifest.exists():
             try:
@@ -644,7 +639,7 @@ class CampaignStore:
                     f"version {STORE_VERSION})"
                 )
         elif create:
-            (self.root / "objects").mkdir(parents=True, exist_ok=True)
+            self._segments_dir().mkdir(parents=True, exist_ok=True)
             _atomic_write(manifest, json.dumps(
                 {"format": STORE_FORMAT, "version": STORE_VERSION},
                 sort_keys=True,
@@ -668,89 +663,72 @@ class CampaignStore:
             return None
         return self._cache.stats()
 
-    # -- paths ---------------------------------------------------------
-    def _objects(self) -> pathlib.Path:
-        return self.root / "objects"
-
     def _segments_dir(self) -> pathlib.Path:
         return self.root / "segments"
-
-    def _entry_path(self, hash_: str) -> pathlib.Path:
-        return self._objects() / hash_[:2] / f"{hash_}.json"
 
     # -- segment state -------------------------------------------------
     def _refresh_segments(self) -> None:
         """(Re-)scan the segments directory for committed segments.
 
-        The probe map sends each hash to its longest live copy (the
-        lowest id among equals, so every process resolves duplicates to
-        the same copy); retired segments load but are never probed.
+        The probe map sends each hash to its longest copy (the lowest id
+        among equals, so every process resolves duplicates to the same
+        copy).  Segments only gain rows until a rewrite removes them, so
+        unless one was removed only new and re-read segments' rows are
+        merged: a re-scan of an unchanged store does no row work.
         """
-        segments = {s.id: s for s in load_segments(self._segments_dir())}
-        merged: dict[str, str] = {}
-        for sid in sorted(segments):
-            if segments[sid].retired:
-                continue
-            for hash_, row in segments[sid].entries.items():
-                best = merged.get(hash_)
-                if best is None or row.replicas \
-                        > segments[best].entries[hash_].replicas:
-                    merged[hash_] = sid
-        self._segments = segments
-        self._segment_map = merged
+        with self._scan_lock:
+            previous = self._segments or {}
+            segments = {s.id: s for s in load_segments(self._segments_dir(),
+                                                        previous)}
+            if all(sid in segments for sid in previous):
+                merged = self._segment_map
+                changed = [sid for sid, segment in segments.items()
+                           if previous.get(sid) is not segment]
+            else:
+                merged, changed = {}, list(segments)
+            for sid in changed:
+                for hash_, row in segments[sid].entries.items():
+                    best = merged.get(hash_)
+                    held = segments[best].entries.get(hash_) \
+                        if best in segments else None
+                    if held is None or row.replicas > held.replicas or (
+                            row.replicas == held.replicas and sid < best):
+                        merged[hash_] = sid
+            self._segment_map = merged
+            self._segments = segments
 
     def _segment_row(self, hash_: str) -> tuple[Segment, SegmentEntry] | None:
         if self._segments is None:
             self._refresh_segments()
-        sid = self._segment_map.get(hash_)
-        if sid is None:
-            return None
-        return self._segments[sid], self._segments[sid].entries[hash_]
+        segment = self._segments.get(self._segment_map.get(hash_))
+        row = None if segment is None else segment.entries.get(hash_)
+        return None if row is None else (segment, row)
 
-    def _read_longest(self, hash_: str):
-        """``(bytes, label, origin)`` of the longer stored copy of an
-        entry, or ``None``.
+    def _read_longest(self, hash_: str) -> tuple[bytes, str] | None:
+        """``(bytes, label)`` of the longest stored copy of an entry, or
+        ``None``.
 
         Uses the cached index view; a segment rewritten underneath us
-        (gc) reads as a miss here and the caller's re-scan finds the
+        reads as a miss here and the caller's re-scan finds the
         successor.
         """
-        path = self._entry_path(hash_)
-        try:
-            loose = path.read_bytes()
-        except FileNotFoundError:
-            loose = None
         found = self._segment_row(hash_)
-        if found is not None:
-            segment, row = found
-            if loose is None or _header_replicas(loose) <= row.replicas:
-                try:
-                    data = segment.read(row)
-                except OSError:
-                    data = b""  # concurrently rewritten
-                if len(data) == row.length:
-                    return data, f"{segment.data_path}@{row.offset}", \
-                        "segment"
-        return None if loose is None else (loose, str(path), "loose")
+        if found is None:
+            return None
+        segment, row = found
+        try:
+            data = segment.read(row)
+        except OSError:
+            return None  # concurrently rewritten
+        if len(data) != row.length:
+            return None
+        return data, f"{segment.data_path}@{row.offset}"
 
     def _stored_replicas(self, hash_: str) -> int:
         """Length of the longest stored copy of an entry (0 when absent),
-        from its index row and loose header line — no payload is read."""
+        from its index row — no data is read."""
         found = self._segment_row(hash_)
-        stored = 0 if found is None else found[1].replicas
-        try:
-            with self._entry_path(hash_).open("rb") as fh:
-                stored = max(stored, _header_replicas(fh.readline()))
-        except OSError:
-            pass
-        return stored
-
-    def _touch(self, hash_: str) -> None:
-        """Refresh the loose LRU clock (no-op for segment entries)."""
-        try:
-            os.utime(self._entry_path(hash_))
-        except OSError:
-            pass  # segment-resident or concurrently evicted
+        return 0 if found is None else found[1].replicas
 
     # -- publish / lookup ----------------------------------------------
     def publish(self, key: dict, records) -> bool:
@@ -758,11 +736,10 @@ class CampaignStore:
         (one :func:`repro.io.dump_result` per replica, in seed order);
         False when a copy at least as long is already present.
 
-        Always writes a *loose* entry — one atomic write-temp-then-
-        rename, the property that makes any number of concurrent
-        publishers race-free; compaction folds loose entries into
-        segments later.  A crashed publisher leaves only a temp file
-        that the next :meth:`gc` sweeps up.
+        Appends the entry to this instance's writer segment and commits
+        it by rewriting that segment's index (write-then-rename, no
+        fsync); :mod:`repro.store.segments` has the commit and roll
+        rules.
         """
         tracer = current_tracer()
         if tracer is not None:
@@ -772,14 +749,46 @@ class CampaignStore:
 
     def _publish(self, key: dict, records) -> bool:
         hash_ = key_hash(key)
-        if self._stored_replicas(hash_) >= len(records):
-            self._m_publish["duplicate"].inc()
-            return False
-        path = self._entry_path(hash_)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, _entry_text(key, records))
+        # Checked under the writer lock: two threads publishing one
+        # cell must not leave the shorter copy as the writer's row.
+        with self._write_lock:
+            if self._stored_replicas(hash_) >= len(records):
+                self._m_publish["duplicate"].inc()
+                return False
+            segment = self._append(
+                SegmentEntry(hash=hash_, offset=0, length=0, mtime=0.0,
+                             replicas=len(records), **_key_fields(key)),
+                _entry_text(key, records).encode("utf-8"))
+            self._segments[segment.id] = segment
+            self._segment_map[hash_] = segment.id
         self._m_publish["stored"].inc()
         return True
+
+    def _append(self, meta: SegmentEntry, data: bytes) -> Segment:
+        """Append one entry through this instance's writer (the caller
+        holds ``_write_lock``); returns the writer's segment."""
+        for _ in range(3):
+            writer = self._writer
+            if writer is None or writer.full \
+                    or writer.pid != os.getpid():
+                self._drop_writer()
+                writer = self._writer = SegmentWriter(self._segments_dir())
+            try:
+                row = writer.append(meta, data)
+            except OSError:
+                self._drop_writer()
+                raise
+            if row is not None:
+                return writer.segment
+            self._drop_writer()  # taken by a compaction or gc
+        raise OSError(f"{self._segments_dir()}: every fresh writer segment "
+                      "was taken by a concurrent compaction")
+
+    def _drop_writer(self) -> None:
+        """Close the writer segment; the next publish opens a fresh one."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def lookup(self, key: dict) -> tuple | None:
         """The stored replica prefix of ``key``, or ``None`` on a miss.
@@ -789,16 +798,10 @@ class CampaignStore:
         :class:`~repro.errors.ParameterError` naming the entry — a store
         must never silently substitute wrong results for a simulation.
 
-        Read path: the in-process hot-cell cache (digest-level re-check)
-        first, then the longer of the segment and loose copies, then one
-        segment re-scan — the re-scan is what makes a concurrent
-        compaction invisible: an entry whose loose file was just packed
-        away is found in the segment the compaction committed first.
-
-        Safe to call from many threads at once against one instance
-        (the campaign service does); the
-        ``repro_store_readers_peak_concurrent`` gauge reports how
-        concurrent the reads actually were.
+        Read path: the hot-cell cache (digest-level re-check), then the
+        longest segment copy, then one segment re-scan, which finds an
+        entry another process just committed or rewrote.  Safe to call
+        from many threads at once (the campaign service does).
         """
         entry = self._read(key)
         return None if entry is None else entry.results
@@ -841,27 +844,23 @@ class CampaignStore:
             hit = self._cache.get(self._cache_root, token)
             if hit is not None and hit.key == key:
                 if hit.verify(self._cached_verification):
-                    if hit.origin == "loose":
-                        self._touch(hit.hash)  # LRU clock for gc
                     return hit
                 # In-memory corruption: drop it and re-read from disk.
                 self._cache.invalidate(self._cache_root, token)
 
         hash_ = key_hash(key)
-        found = self._read_longest(hash_)
-        if found is None:
-            # A concurrent compaction may have just moved the loose
-            # file into a segment we have not scanned yet.
-            self._refresh_segments()
+        for attempt in range(_READ_ATTEMPTS):
             found = self._read_longest(hash_)
-            if found is None:
+            if found is not None:
+                return self._admit(key, token, *found)
+            if attempt and self._segment_row(hash_) is None:
                 return None
-        entry = self._admit(key, token, hash_, *found)
-        if found[2] == "loose":
-            self._touch(hash_)  # LRU clock for gc
-        return entry
+            # Another process may have committed the entry, or rewritten
+            # its segment away, since we last scanned.
+            self._refresh_segments()
+        return None
 
-    def _admit(self, key, token, hash_, data, label, origin) -> CachedEntry:
+    def _admit(self, key, token, data, label) -> CachedEntry:
         """Fully verify an entry read from disk, stage it in the hot-cell
         cache, and return it."""
         started = time.perf_counter()
@@ -870,7 +869,6 @@ class CampaignStore:
         entry = CachedEntry(
             key=key, results=results, payload_text=body,
             payload_sha256=header["payload_sha256"],
-            hash=hash_, origin=origin,
         )
         if self._cache is not None:
             self._cache.put(self._cache_root, token, entry)
@@ -883,21 +881,20 @@ class CampaignStore:
         one store consult of every caller (``store export``, ``report
         --from-spec``, the executor before dispatch, a queue worker per
         claim): instead of one index probe plus one
-        ``pread`` per cell entry, the footprint's segment-resident
-        entries are grouped per segment, coalesced into contiguous
-        spans, and streamed with a few sequential reads
+        ``pread`` per cell entry, the footprint's entries are grouped
+        per segment, coalesced into contiguous spans, and streamed with
+        a few sequential reads
         (:meth:`~repro.store.segments.Segment.read_many`) — a spec
         whose footprint resolves to few segments reads each of them
         once, front to back.  Every admitted entry passes the same full
         verification a cold :meth:`lookup` performs; the per-cell
         lookup that follows is then a memory hit.
 
-        Purely an I/O-pattern optimisation, never a semantic one: cells
-        with a loose copy (which may be the longer one), absent keys and
-        torn bulk reads (a concurrent gc rewrite) are simply left for
-        the per-cell lookup path, and with the cache disabled there is
-        nowhere to stage decoded entries, so this is a no-op.  Returns
-        the number of cell entries admitted.
+        Purely an I/O-pattern optimisation, never a semantic one: absent
+        keys and torn bulk reads (a concurrent rewrite) are simply left
+        for the per-cell lookup path, and with the cache disabled there
+        is nowhere to stage decoded entries, so this is a no-op.
+        Returns the number of cell entries admitted.
         """
         if self._cache is None:
             return 0
@@ -910,28 +907,26 @@ class CampaignStore:
         return self._preload(keys)
 
     def _preload(self, keys) -> int:
-        wanted: dict[str, list[tuple[dict, tuple, str]]] = {}
+        wanted: dict[str, tuple[Segment, list]] = {}
         for key in keys:
             token = cache_key(key)
             if self._cache.peek(self._cache_root, token) is not None:
                 continue
             hash_ = key_hash(key)
             found = self._segment_row(hash_)
-            if found is not None and not self._entry_path(hash_).exists():
-                wanted.setdefault(found[0].id, []).append(
-                    (key, token, hash_))
+            if found is not None:
+                segment, row = found
+                wanted.setdefault(segment.id, (segment, []))[1].append(
+                    (key, token, row))
         loaded = 0
-        for sid, items in wanted.items():
-            segment = self._segments[sid]
-            data = segment.read_many(
-                [segment.entries[hash_] for _, _, hash_ in items]
-            )
-            for key, token, hash_ in items:
-                raw = data.get(hash_)
+        for segment, items in wanted.values():
+            data = segment.read_many(row for _, _, row in items)
+            for key, token, row in items:
+                raw = data.get(row.hash)
                 if raw is None:
                     continue  # torn read: lookup's re-scan recovers
-                label = f"{segment.data_path}@{segment.entries[hash_].offset}"
-                self._admit(key, token, hash_, raw, label, "segment")
+                label = f"{segment.data_path}@{row.offset}"
+                self._admit(key, token, raw, label)
                 loaded += 1
         self._m_preload.inc(loaded)
         return loaded
@@ -965,8 +960,10 @@ class CampaignStore:
         if hit is None and entry is not None and held is not None \
                 and len(entry.results) < controller.max_replicas:
             # The short prefix came from the cache: a longer one may
-            # have landed since (another process, or a fill in this one).
+            # have landed since (another process, or a fill in this
+            # one), so re-read it through a fresh segment scan.
             self._cache.invalidate(self._cache_root, cache_key(key))
+            self._refresh_segments()
             hit = _replay(self._read(key), controller)
         return hit
 
@@ -1017,11 +1014,10 @@ class CampaignStore:
         :meth:`coverage` does: each cell contributes its verified
         entry's length, capped at the grid's replica budget, and only a
         cell the hot-cell cache does not hold in full probes the index
-        rows and loose headers (after one segment re-scan for the whole
-        pass).  A cell that probe finds absent is not looked up at all,
+        rows (after one segment re-scan for the whole pass).  A cell that probe finds absent is not looked up at all,
         so a cold query costs one re-scan, not one per missing cell.
         The one difference from :meth:`coverage`: an entry still held
-        by the cache after ``gc`` evicted its file counts its cached
+        by the cache after ``gc`` evicted its row counts its cached
         length, because that is what this store will serve.
         """
         budget = spec.grid.replicas
@@ -1071,66 +1067,16 @@ class CampaignStore:
                                 records))
 
     # -- index / query layer -------------------------------------------
-    def _object_files(self) -> Iterator[tuple[str, pathlib.Path]]:
-        """Every loose entry file in the 2-hex fan-out, in hash order."""
-        objects = self._objects()
-        try:
-            names = sorted(os.listdir(objects))
-        except FileNotFoundError:
-            return
-        for name in names:
-            shard_dir = objects / name
-            try:
-                entries = sorted(os.listdir(shard_dir))
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            for entry in entries:
-                if _HASH_RE.match(entry):
-                    yield entry[:-5], shard_dir / entry
-
-    def _listing(self) -> Iterator[tuple]:
-        """Every entry once, as the copy a lookup serves: ``(entry,
-        label, read)``, ``read()`` returning the stored bytes.
-
-        Loose files come first, and only their header line is read: a
-        loose copy no longer than its segment copy is skipped as a
-        duplicate, a longer one hides the segment row.  Index rows
-        follow, straight from memory.  An unreadable loose file yields
-        its :class:`~repro.errors.ParameterError` in place of the entry
-        (and ``read=None``).
-        """
+    def _listing(self) -> Iterator[tuple[StoreEntry, Segment]]:
+        """Every entry once, as the copy a lookup serves, with its
+        segment, after a fresh segment scan — straight from the index
+        rows in memory."""
         self._refresh_segments()
-        shadowed: set[str] = set()
-        for hash_, path in self._object_files():
-            try:
-                stat = path.stat()
-                with path.open("rb") as fh:
-                    header = json.loads(fh.readline())
-                live = header.get("version") == ENTRY_VERSION
-                replicas = int(header["replicas"]) if live else 1
-                fields = _key_fields(header["key"])
-            except (OSError, ValueError, TypeError, KeyError,
-                    AttributeError) as exc:
-                error = ParameterError(
-                    f"{path}: unreadable store entry ({exc})")
-                yield error, str(path), None
-                continue
-            found = self._segment_row(hash_)
-            if live and found is not None:
-                if replicas <= found[1].replicas:
-                    continue  # a duplicate: listed as its segment copy
-                shadowed.add(hash_)
-            yield StoreEntry(
-                hash=hash_, size=stat.st_size, mtime=stat.st_mtime,
-                replicas=replicas, origin="loose" if live else "retired",
-                **fields,
-            ), str(path), path.read_bytes
-        for sid in sorted(self._segments):
-            segment = self._segments[sid]
+        segments, merged = self._segments, self._segment_map
+        for sid in sorted(segments):
+            segment = segments[sid]
             for hash_ in sorted(segment.entries):
-                if not segment.retired and (
-                        self._segment_map[hash_] != sid
-                        or hash_ in shadowed):
+                if merged.get(hash_) != sid:
                     continue  # another copy is the one served
                 row = segment.entries[hash_]
                 yield StoreEntry(
@@ -1139,26 +1085,18 @@ class CampaignStore:
                     trace_seed=row.trace_seed,
                     work_target=row.work_target, size=row.length,
                     mtime=row.mtime, replicas=row.replicas,
-                    origin="retired" if segment.retired else "segment",
-                ), f"{segment.data_path}@{row.offset}", \
-                    functools.partial(segment.read, row)
+                ), segment
 
     def entries(self) -> Iterator[StoreEntry]:
         """Every stored entry, as queryable metadata, streamed.
 
-        Segment-resident entries come straight from the in-memory index
-        rows — **no data file is read at all** — which is what keeps
-        ``ls``/``stat``/``query`` latency flat as the store grows.
-        Loose entries are self-describing (the key travels in the
-        file's header line, the only line read), so the loose index can
-        never drift from the contents and needs no cross-process
-        coordination.  An entry with copies in both layouts is reported
-        once, as the copy a lookup serves (the longer one).  Retired
-        per-replica entries are listed with ``origin="retired"``.
+        Entries come straight from the in-memory index rows — **no data
+        file is read at all** — which is what keeps
+        ``ls``/``stat``/``query`` latency flat as the store grows.  An
+        entry with copies in several segments is reported once, as the
+        copy a lookup serves (the longest).
         """
-        for entry, _, _ in self._listing():
-            if isinstance(entry, ParameterError):
-                raise entry
+        for entry, _ in self._listing():
             yield entry
 
     def query(
@@ -1185,92 +1123,56 @@ class CampaignStore:
         """Aggregate accounting (``store stat``), one streaming pass.
 
         Constant memory: entries are folded into the totals as they
-        stream by, and segment-resident entries are counted from their
-        index rows without touching the data files.
+        stream by, counted from their index rows without touching the
+        data files.
         """
         return self._fold(self.entries())
 
     def _fold(self, entries: Iterable[StoreEntry]) -> StoreStat:
         count = total = 0
-        origins = {"loose": 0, "segment": 0, "retired": 0}
         protocols: dict[str, int] = {}
         oldest: float | None = None
         newest: float | None = None
         for entry in entries:
             count += 1
             total += entry.size
-            origins[entry.origin] += 1
             protocols[entry.protocol] = protocols.get(entry.protocol, 0) + 1
             oldest = entry.mtime if oldest is None else min(oldest, entry.mtime)
             newest = entry.mtime if newest is None else max(newest, entry.mtime)
         return StoreStat(
             entries=count, total_bytes=total, protocols=protocols,
             oldest_mtime=oldest, newest_mtime=newest,
-            loose_entries=origins["loose"],
-            segment_entries=origins["segment"],
             segments=len(self._segments or {}),
-            retired_entries=origins["retired"],
         )
 
     def verify(self) -> VerifyReport:
         """Re-verify every entry against its stored bytes, streamed.
 
-        Checks each entry as the copy a lookup serves: its address (file
-        name, or index row hash) matches the SHA-256 of the stored key
-        (content addressing), every check a lookup makes passes
-        (:func:`_verify_entry`), and an index row's queryable fields and
-        replica count agree with the stored entry.  Retired per-replica
-        entries and the flat layout are reported by path: they are never
-        served.  Collects problems instead of stopping at the first, so
-        one corrupt entry does not hide the rest; nothing is
-        materialised beyond the running aggregates.
+        Checks each entry as the copy a lookup serves: its row's hash
+        is the SHA-256 of the stored key, every check a lookup makes
+        passes (:func:`_verify_entry`), and the row's fields and replica
+        count agree with the stored entry.  Then names, by path, every
+        file a lookup never reads: anything under ``objects/`` (older
+        stores' loose layout), and any index in ``segments/`` that does
+        not load as version 2, with its data file.  Uncommitted bytes
+        and temp files are not errors: no reader sees them.  Collects
+        problems instead of stopping at the first.
         """
         errors: list[str] = []
         stat = self._fold(self._verified(errors))
-        # A root-level <hash>.json is the retired flat layout: lookups
-        # never serve it, so a clean report must not hide it.
-        objects = self._objects()
-        try:
-            names = sorted(os.listdir(objects))
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            if _HASH_RE.match(name):
-                errors.append(
-                    f"{objects / name}: entry in the retired flat layout "
-                    f"is never served; move it into {objects / name[:2]}/ "
-                    "or delete it"
-                )
+        errors.extend(f"{path}: unknown file in a results store, never "
+                      "served; delete it" for path in self._unknown_files())
         return VerifyReport(checked=stat.entries + len(errors),
                             errors=tuple(errors), stat=stat)
 
     def _verified(self, errors: list[str]) -> Iterator[StoreEntry]:
         """The entries that verify clean; the others' problems go to
         ``errors``."""
-        for entry, label, read in self._listing():
+        for entry, segment in self._listing():
+            row = segment.entries[entry.hash]
+            label = f"{segment.data_path}@{row.offset}"
             try:
-                if isinstance(entry, ParameterError):
-                    raise entry
-                if entry.origin == "retired":
-                    raise ParameterError(f"{label}: {_RETIRED}")
-                raw = read()
-                if entry.origin == "segment" and len(raw) != entry.size:
-                    raise ParameterError(
-                        f"{label}: segment data is shorter than the index "
-                        "row"
-                    )
-                header, _, _ = _verify_entry(label, raw, None)
-                if key_hash(header["key"]) != entry.hash:
-                    raise ParameterError(
-                        f"{label}: address does not match the stored "
-                        "key's hash"
-                    )
-                fields = _key_fields(header["key"])
-                if header["replicas"] != entry.replicas or fields != {
-                        name: getattr(entry, name) for name in fields}:
-                    raise ParameterError(
-                        f"{label}: index row disagrees with the stored key"
-                    )
+                _check_row(label, segment.read(row), row, full=True)
             except OSError as exc:
                 errors.append(f"{label}: {exc}")
             except ParameterError as exc:
@@ -1278,111 +1180,179 @@ class CampaignStore:
             else:
                 yield entry
 
+    def _unknown_files(self) -> Iterator[pathlib.Path]:
+        """Files in the store directory no lookup ever reads (see
+        :meth:`verify`), in path order."""
+        for top, _, files in sorted(os.walk(self.root / "objects")):
+            for name in sorted(files):
+                yield pathlib.Path(top) / name
+        segments_dir = self._segments_dir()
+        try:
+            names = sorted(os.listdir(segments_dir))
+        except FileNotFoundError:
+            return
+        present = set(names)
+        # Scanned after the listing: a segment committed since is known.
+        committed = {segment.id for segment in load_segments(segments_dir)}
+        for name in names:
+            stem, _, suffix = name.rpartition(".")
+            if ".tmp" in name or stem in committed \
+                    or (suffix == "seg" and f"{stem}.idx" not in present):
+                continue
+            if (segments_dir / name).exists():  # not rewritten away since
+                yield segments_dir / name
+
     # -- compaction ----------------------------------------------------
     def compact(self, *, dry_run: bool = False) -> CompactReport:
-        """Pack the loose entries into one new segment (``store compact``).
+        """Merge every segment into one hash-sorted segment (``store
+        compact``).
 
-        Safe against every concurrent store user, by construction:
+        Each segment the pass can lock (see :mod:`repro.store.segments`)
+        is merged, its index re-read under the lock; one another process
+        holds is skipped and counted.  Per hash the longest copy that
+        validates is kept (the lowest segment id among equals); corrupt
+        rows are named in the report, and they and bytes past a
+        segment's last committed row are not carried over.
 
-        * **readers** — the segment is committed (index rename) *before*
-          any loose file is unlinked, and lookups re-scan for new
-          segments before declaring a miss, so there is no instant at
-          which a packed entry is findable nowhere;
-        * **writers** — publish only ever creates loose files, which the
-          *next* compaction folds in; a publish racing this pass at
-          worst re-creates a loose copy, which lookups weigh against
-          the segment copy by length and a later pass packs or removes;
-        * **gc** — eviction unlinks loose files or rewrites other
-          segments; a loose file that vanishes mid-pack is simply
-          dropped from the batch.  (A file gc unlinks *after* this pass
-          read it is resurrected inside the segment — rerun ``gc`` after
-          ``compact`` to re-apply a byte budget exactly.)
-
-        Copies in both layouts keep the longest: a loose entry no longer
-        than its segment copy is removed as a duplicate, a longer one is
-        packed and the shorter row rewritten out of its old segment.
-        Each packed file is validated (parse, format, version, address,
-        replica count, payload digest) first; corrupt and retired files
-        are left loose and reported, never baked into a segment.
+        A rewrite locks at most :data:`_REWRITE_FANIN` sources at once
+        (one descriptor each), so more segments merge in rounds: batches
+        into one segment each, then those into one.  ``dry_run`` reports
+        without writing or unlinking anything.
         """
+        segments_dir = self._segments_dir()
+        try:
+            names = set(os.listdir(segments_dir))
+        except FileNotFoundError:
+            names = set()
         self._refresh_segments()
-        listing = list(self._object_files())
+        # Every committed segment, and every .seg never committed.
+        level = sorted(set(self._segments) | {
+            name[:-4] for name in names if name.endswith(".seg")
+            and f"{name[:-4]}.idx" not in names})
+        kept: dict[str, SegmentEntry] = {}  # what the merge keeps
         corrupt: list[str] = []
-        duplicates: list[pathlib.Path] = []
-        packed: list[pathlib.Path] = []
-        superseded: dict[str, set[str]] = {}
-        packed_bytes = 0
-
-        def _records() -> Iterator[tuple[SegmentEntry, bytes]]:
-            nonlocal packed_bytes
-            for hash_, path in listing:
-                try:
-                    stat = path.stat()
-                    raw = path.read_bytes()
-                except OSError:
-                    continue  # concurrently evicted by gc: drop it
-                try:
-                    header, _ = _check_entry(path, raw)
-                    if key_hash(header.get("key")) != hash_:
-                        raise ParameterError(
-                            f"{path}: file name does not match the "
-                            "stored key's hash"
-                        )
-                except ParameterError as exc:
-                    corrupt.append(str(exc))
-                    continue
-                found = self._segment_row(hash_)
-                if found is not None:
-                    if header["replicas"] <= found[1].replicas:
-                        duplicates.append(path)
-                        continue
-                    superseded.setdefault(found[0].id, set()).add(hash_)
-                packed.append(path)
-                packed_bytes += len(raw)
-                yield SegmentEntry(
-                    hash=hash_, offset=0, length=len(raw),
-                    mtime=stat.st_mtime, replicas=header["replicas"],
-                    **_key_fields(header["key"]),
-                ), raw
-
-        if dry_run:
-            for _ in _records():
-                pass
-            segment = None
-        else:
-            segment = write_segment(self._segments_dir(), _records())
-            # The segment is committed: now (and only now) retire the
-            # packed loose files, the duplicates and the shorter rows
-            # the packed entries supersede.
-            for path in packed + duplicates:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            for sid, drops in superseded.items():
-                self._rewrite_segment(sid, drops)
-            self._refresh_segments()
+        written: list[str] = []
+        merged = skipped = source_bytes = 0
+        for held, missed in self._locked_batches(level):
+            rewrite = self._rewrite(held, dry_run=dry_run)
+            merged, skipped = merged + len(held), skipped + missed
+            source_bytes += rewrite.source_bytes
+            corrupt += rewrite.corrupt
+            if rewrite.segment is not None:
+                written.append(rewrite.segment.id)
+            for row in rewrite.kept:  # batches come in id order
+                prior = kept.get(row.hash)
+                if prior is None or row.replicas > prior.replicas:
+                    kept[row.hash] = row
+        while len(written) > 1:
+            # Later rounds go in batch order, so equal-length copies
+            # still resolve to the one from the lowest source id.
+            rewrites = [self._rewrite(held)
+                        for held, _ in self._locked_batches(written)]
+            if not any(r.segment for r in rewrites):
+                break  # another process holds them all
+            written = [r.segment.id for r in rewrites if r.segment]
+        packed = sum(row.length for row in kept.values())
+        self._refresh_segments()
         return CompactReport(
-            loose_before=len(listing),
-            packed_entries=len(packed),
-            packed_bytes=packed_bytes,
-            deduplicated=len(duplicates),
+            merged_segments=merged,
+            packed_entries=len(kept),
+            packed_bytes=packed,
+            reclaimed_bytes=source_bytes - packed,
             corrupt=tuple(corrupt),
-            segment_id=None if segment is None else segment.id,
-            segments_total=len(self._segments or {}),
-            segment_entries_total=len(self._segment_map),
-            loose_remaining=len(corrupt) if not dry_run
-            else len(listing) - len(duplicates),
+            locked_segments=skipped,
+            segment_id=written[-1] if written else None,
+            segments_total=len(self._segments),
+            entries_total=len(self._segment_map),
             dry_run=dry_run,
         )
+
+    def _locked_batches(
+        self, ids: list[str]
+    ) -> Iterator[tuple[list[LockedSegment], int]]:
+        """Lock segments ``ids`` in the given order, at most
+        :data:`_REWRITE_FANIN` at a time: yields ``(held, skipped)`` per
+        batch, ``skipped`` counting the segments another process held.
+        The consumer owns each batch; a failure releases the batch."""
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        fanin = _REWRITE_FANIN if soft == resource.RLIM_INFINITY \
+            else max(2, min(_REWRITE_FANIN, soft // 4))
+        segments_dir, i = self._segments_dir(), 0
+        while i < len(ids):
+            held, skipped = [], 0
+            try:
+                while i < len(ids) and len(held) < fanin:
+                    source = lock_segment(segments_dir, ids[i])
+                    i += 1
+                    if source is None:
+                        skipped += 1
+                    else:
+                        held.append(source)
+            except BaseException:
+                for source in held:
+                    source.release()
+                raise
+            yield held, skipped
+
+    def _rewrite(self, sources: list[LockedSegment], drops=frozenset(), *,
+                 dry_run: bool = False) -> "_Rewrite":
+        """The one rewrite of compaction and ``gc``: merge the locked
+        ``sources`` into one new segment without the ``drops`` hashes,
+        commit it, then unlink the sources (index first) and release
+        their locks.
+
+        Per hash the longest copy that validates is carried over
+        verbatim (the first source in the given order among equals),
+        read through the locked descriptor; rows failing validation are
+        reported in ``corrupt``.  With ``dry_run`` nothing is written or
+        unlinked.
+        """
+        copies: dict[str, list[tuple]] = {}
+        for source in sources:
+            for hash_, row in source.segment.entries.items():
+                if hash_ not in drops:
+                    copies.setdefault(hash_, []).append((source, row))
+        result = _Rewrite()
+
+        def records() -> Iterator[tuple[SegmentEntry, bytes]]:
+            for hash_ in sorted(copies):
+                for source, row in sorted(copies[hash_],
+                                          key=lambda c: -c[1].replicas):
+                    label = f"{source.segment.data_path}@{row.offset}"
+                    try:
+                        data = os.pread(source.fd, row.length, row.offset)
+                        _check_row(label, data, row)
+                    except (OSError, ParameterError) as exc:
+                        result.corrupt.append(str(exc))
+                        continue
+                    result.kept.append(row)
+                    yield row, data
+                    break
+
+        try:
+            result.source_bytes = sum(os.fstat(s.fd).st_size
+                                      for s in sources)
+            if dry_run:
+                for _ in records():
+                    pass
+            else:
+                if copies:
+                    result.segment = write_segment(self._segments_dir(),
+                                                   records())
+                for source in sources:
+                    source.unlink()
+        finally:
+            for source in sources:
+                source.release()
+        return result
 
     # -- coverage / eviction -------------------------------------------
     def coverage(self, spec) -> tuple[int, int]:
         """``(present, total)`` replicas of a spec's footprint.
 
         Each cell counts its longest stored prefix, capped at the grid's
-        replica budget, read from index rows and loose header lines
-        alone — no payload is touched.
+        replica budget, read from the index rows alone — no data is
+        touched.
         """
         self._refresh_segments()
         budget = spec.grid.replicas
@@ -1401,40 +1371,39 @@ class CampaignStore:
         dry_run: bool = False,
         now: float | None = None,
     ) -> GcReport:
-        """Trim the store to a retention budget (LRU by access mtime).
+        """Trim the store to a retention budget, oldest-published first.
 
-        ``max_age`` evicts entries idle longer than that many seconds;
-        ``max_bytes`` then evicts least-recently-used entries until the
-        store fits the budget.  Loose and segment-resident entries are
-        judged by one rule — a loose entry's age is its file mtime, a
-        segment entry's is the access stamp recorded in its index row,
-        and both go through :func:`repro.fsclock.clamped_age` against
-        the *store filesystem's* clock, so cross-machine skew can never
-        age a fresh entry past the budget.  Evicting from a segment
-        atomically rewrites that segment without the evicted rows (or
-        removes it outright when empty).  Rows of a retired version-1
-        segment are evicted whatever the budget, so such a segment is
-        never rewritten, only removed.
+        ``max_age`` evicts entries published more than that many seconds
+        ago; ``max_bytes`` then evicts the oldest entries until the store
+        fits the budget.  An entry's age is the publish stamp in its
+        index row (carried through compaction; a lookup does not refresh
+        it), measured by :func:`repro.fsclock.clamped_age` against the
+        *store filesystem's* clock, so cross-machine skew can never age
+        a fresh entry past the budget.  Eviction goes through the same
+        rewrite as :meth:`compact`: each segment holding an evicted row
+        is rewritten without it (or removed outright when empty); a
+        segment another process holds is left for the next pass.
 
         Entries in the footprint of a ``pin_specs`` spec or of the
         campaign recorded in a ``pin_queues`` queue-directory manifest
         are never evicted — a fleet mid-campaign must not lose the cells
-        its queue still references — wherever they live.  Abandoned temp
-        files from crashed publishers and orphan segment data files from
-        crashed compactions are swept unconditionally.  ``dry_run``
-        reports without deleting.
+        its queue still references.  Temp files and never-committed
+        ``.seg`` files of crashed writers are swept once older than an
+        hour; bytes past a committed segment's last row go when that
+        segment is next rewritten (evicted from here, or compacted).
+        ``dry_run`` reports without deleting.
         """
         if max_bytes is not None and max_bytes < 0:
             raise ParameterError(f"max_bytes must be >= 0, got {max_bytes!r}")
         if max_age is not None and max_age <= 0:
             raise ParameterError(f"max_age must be > 0, got {max_age!r}")
         if now is None:
-            # Entry mtimes were stamped by the store directory's
+            # Publish stamps were taken by the store directory's
             # filesystem (possibly a fileserver on another clock):
             # measure *now* with that same clock, and clamp every age at
             # zero below, so a clock step can never age a just-published
             # entry past --max-age.
-            now = filesystem_now(self._objects())
+            now = filesystem_now(self._segments_dir())
         else:
             now = float(now)
 
@@ -1448,195 +1417,94 @@ class CampaignStore:
         pinned = {key_hash(key) for spec in pins
                   for _, key in _footprint(spec)}
 
-        # Sweep crashed writers' leftovers (never the entries) — but
-        # only stale ones: a fresh temp may be a live writer's in-flight
-        # write-then-rename (or a compaction's data file awaiting its
-        # index commit), and unlinking it mid-flight would crash that
-        # process's os.replace.
         if not dry_run:
             self._sweep_leftovers(now)
 
         self._refresh_segments()
-        # hash → (newest access mtime, total bytes, loose paths,
-        # segment ids); an entry duplicated across layouts is one
-        # logical entry with several physical copies, all of which an
-        # eviction must remove.
+        # hash → [newest stamp, total bytes, segment ids]: an entry
+        # with copies in several segments is one logical entry, all of
+        # whose copies an eviction removes.
         copies: dict[str, list] = {}
-        for sid, segment in (self._segments or {}).items():
+        for sid, segment in self._segments.items():
             for hash_, row in segment.entries.items():
-                copies.setdefault(hash_, []).append(
-                    (row.mtime, row.length,
-                     "retired" if segment.retired else "segment", sid)
-                )
-        for hash_, path in self._object_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently removed
-            copies.setdefault(hash_, []).append(
-                (stat.st_mtime, stat.st_size, "loose", path)
-            )
-
-        listing = [
-            (max(c[0] for c in copy_list),
-             sum(c[1] for c in copy_list),
-             hash_, copy_list)
-            for hash_, copy_list in copies.items()
-        ]
-        entries_before = len(listing)
-        bytes_before = sum(size for _, size, _, _ in listing)
+                item = copies.setdefault(hash_, [row.mtime, 0, []])
+                item[0] = max(item[0], row.mtime)
+                item[1] += row.length
+                item[2].append(sid)
+        listing = sorted((mtime, size, hash_, sids)
+                         for hash_, (mtime, size, sids) in copies.items())
         pinned_present = sum(1 for _, _, h, _ in listing if h in pinned)
 
-        evicted_entries = 0
-        evicted_bytes = 0
-        #: segment id → hashes to drop from it (applied in one rewrite).
-        segment_drops: dict[str, set[str]] = {}
-
-        def _evict(size: int, hash_: str, copy_list: list) -> None:
-            nonlocal evicted_entries, evicted_bytes
-            if not dry_run:
-                for _, _, kind, where in copy_list:
-                    if kind == "loose":
-                        try:
-                            where.unlink()
-                        except OSError:
-                            pass  # a racing gc won
-                    else:
-                        segment_drops.setdefault(where, set()).add(hash_)
-            evicted_entries += 1
-            evicted_bytes += size
-
-        survivors: list[tuple[float, int, str, list]] = []
-        for mtime, size, hash_, copy_list in sorted(
-            listing, key=lambda item: item[:3]
-        ):
-            # Never served: evicted whatever the budget (see docstring).
-            if any(kind == "retired" for _, _, kind, _ in copy_list):
-                _evict(size, hash_, copy_list)
-                continue
-            if hash_ in pinned:
-                survivors.append((mtime, size, hash_, copy_list))
-                continue
-            if max_age is not None and clamped_age(now, mtime) > max_age:
-                _evict(size, hash_, copy_list)
-                continue
-            survivors.append((mtime, size, hash_, copy_list))
-
+        evicted: list[tuple[int, str, list]] = []
+        survivors = []
+        for mtime, size, hash_, sids in listing:
+            if hash_ not in pinned and max_age is not None \
+                    and clamped_age(now, mtime) > max_age:
+                evicted.append((size, hash_, sids))
+            else:
+                survivors.append((size, hash_, sids))
         if max_bytes is not None:
-            total = sum(size for _, size, _, _ in survivors)
-            # Oldest access first; pinned entries are immune however
-            # tight the budget gets.
-            for mtime, size, hash_, copy_list in sorted(
-                survivors, key=lambda item: item[:3]
-            ):
+            total = sum(size for size, _, _ in survivors)
+            # Oldest first; pinned entries are immune however tight the
+            # budget gets.
+            for size, hash_, sids in survivors:
                 if total <= max_bytes:
                     break
-                if hash_ in pinned:
-                    continue
-                _evict(size, hash_, copy_list)
-                total -= size
+                if hash_ not in pinned:
+                    evicted.append((size, hash_, sids))
+                    total -= size
 
-        if segment_drops and not dry_run:
-            for sid, drops in segment_drops.items():
-                self._rewrite_segment(sid, drops)
+        if evicted and not dry_run:
+            drops: dict[str, set[str]] = {}
+            for _, hash_, sids in evicted:
+                for sid in sids:
+                    drops.setdefault(sid, set()).add(hash_)
+            kept: set[str] = set()  # in a segment another process held
+            for sid, hashes in drops.items():
+                source = lock_segment(self._segments_dir(), sid)
+                if source is None:
+                    kept |= hashes
+                else:
+                    self._rewrite([source], hashes)
+            evicted = [item for item in evicted if item[1] not in kept]
             self._refresh_segments()
 
         return GcReport(
-            entries_before=entries_before,
-            bytes_before=bytes_before,
-            evicted_entries=evicted_entries,
-            evicted_bytes=evicted_bytes,
+            entries_before=len(listing),
+            bytes_before=sum(size for _, size, _, _ in listing),
+            evicted_entries=len(evicted),
+            evicted_bytes=sum(size for size, _, _ in evicted),
             pinned_entries=pinned_present,
             dry_run=dry_run,
         )
 
-    def _rewrite_segment(self, sid: str, drops: set[str]) -> None:
-        """Atomically replace segment ``sid`` without the ``drops`` rows.
-
-        Survivor bytes are carried over verbatim (offsets recomputed),
-        so the rewrite can never change what a lookup serves.  The
-        replacement is committed under a fresh id before the old pair is
-        unlinked — index first, so no reader ever resolves an index row
-        to missing data; a reader already holding the old index keeps
-        reading the unlinked inode through its open handle.
-        """
-        from .segments import segment_index_path
-
-        segment = (self._segments or {}).get(sid)
-        if segment is None:
-            return
-        keep = sorted(h for h in segment.entries if h not in drops)
-
-        def _survivor_records() -> Iterator[tuple[SegmentEntry, bytes]]:
-            for hash_ in keep:
-                row = segment.entries[hash_]
-                try:
-                    raw = segment.read(row)
-                except OSError:
-                    continue  # racing rewrite already retired it
-                if len(raw) == row.length:
-                    yield row, raw
-
-        if keep:
-            write_segment(self._segments_dir(), _survivor_records())
-        for path in (segment_index_path(self._segments_dir(), sid),
-                     segment.data_path):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
     def _sweep_leftovers(self, now: float) -> None:
-        """Unlink stale temp files and orphan segment data files."""
-        def _stale(path: pathlib.Path) -> bool:
-            try:
-                return clamped_age(now, path.stat().st_mtime) \
-                    > _TMP_SWEEP_GRACE
-            except OSError:
-                return False
-
-        objects = self._objects()
-        try:
-            names = list(os.listdir(objects))
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            path = objects / name
-            if ".tmp-" in name:
-                if _stale(path):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                continue
-            if not path.is_dir():
-                continue
-            for entry in os.listdir(path):
-                if ".tmp-" not in entry:
-                    continue
-                if _stale(path / entry):
-                    try:
-                        (path / entry).unlink()
-                    except OSError:
-                        pass
+        """Unlink the stale temp files and never-committed ``.seg``
+        files of crashed writers (a ``.seg`` only through its lock, so a
+        writer committing it meanwhile keeps it)."""
         segments_dir = self._segments_dir()
         try:
-            names = list(os.listdir(segments_dir))
+            names = set(os.listdir(segments_dir))
         except FileNotFoundError:
             return
-        present = set(names)
-        for name in names:
+        for name in sorted(names):
+            orphan = name.endswith(".seg") and f"{name[:-4]}.idx" not in names
+            if ".tmp-" not in name and not orphan:
+                continue
             path = segments_dir / name
-            stale_tmp = ".tmp-" in name
-            # A .seg whose .idx never appeared is a crashed compaction's
-            # data file: committed segments always have their index.
-            orphan = name.endswith(".seg") \
-                and f"{name[:-4]}.idx" not in present
-            if (stale_tmp or orphan) and _stale(path):
-                try:
+            try:
+                if clamped_age(now, path.stat().st_mtime) <= _TMP_SWEEP_GRACE:
+                    continue
+                if not orphan:
                     path.unlink()
-                except OSError:
-                    pass
+                    continue
+                source = lock_segment(segments_dir, name[:-4])
+                if source is not None:
+                    if not source.segment.entries:
+                        source.unlink()
+                    source.release()
+            except OSError:
+                pass  # a racing writer renamed it, or gc removed it
 
     # -- export --------------------------------------------------------
     def export(self, spec, out_path: str | pathlib.Path) -> ExportReport:

@@ -28,6 +28,7 @@ from repro.sim.distributed import DistributedBackend, ensure_queue
 from repro.sim.executor import execute_spec
 from repro.sim.spec import CampaignSpec, ExecutionPolicy
 from repro.store import CampaignStore
+from tests.conftest import stamp_entries
 
 SKEW = 1_000_000.0  # client clock a million seconds ahead of the files
 
@@ -166,8 +167,7 @@ class TestStoreGcSkewRegression:
     ):
         store = self.make_store(tmp_path)
         entries = store.stat().entries
-        for path in (tmp_path / "store" / "objects").glob("*/*.json"):
-            os.utime(path, (1.0, 1.0))  # idle since the epoch, fs-time
+        stamp_entries(tmp_path / "store", 1.0)  # published at the epoch
         report = store.gc(max_age=3600.0)
         assert report.evicted_entries == entries
         assert store.stat().entries == 0
@@ -177,7 +177,6 @@ class TestStoreGcSkewRegression:
         control of the clock."""
         store = self.make_store(tmp_path)
         entries = store.stat().entries
-        mtimes = [p.stat().st_mtime for p in
-                  (tmp_path / "store" / "objects").glob("*/*.json")]
+        mtimes = [entry.mtime for entry in store.entries()]
         report = store.gc(max_age=3600.0, now=max(mtimes) + 7200.0)
         assert report.evicted_entries == entries

@@ -11,9 +11,10 @@ The contract under test, in order of importance:
   controllers exactly like live results, so fixed-count and adaptive
   campaigns interoperate through one store.
 * **Cell entries** — one entry per grid cell holds its replica prefix;
-  a longer prefix replaces a shorter one (loose and across
-  compaction), never the reverse, and version-1 per-replica stores
-  open, miss, recompute and are reported by ``verify``.
+  a longer prefix supersedes a shorter one (across segments and
+  compaction), never the reverse, and a directory holding older
+  layouts opens, serves none of them, recomputes and has every leftover
+  file named by ``verify``.
 * **Safety** — corruption is refused loudly, eviction never touches a
   pinned footprint, and concurrent publishers converge race-free.
 """
@@ -45,6 +46,12 @@ from repro.store import (
     key_hash,
 )
 from repro.store.cache import cache_key
+from tests.conftest import (
+    read_entry,
+    rewrite_entry,
+    stamp_entries,
+    store_rows,
+)
 
 
 def make_spec(*, m_values=(300.0, 600.0), share_traces=False, replicas=2,
@@ -356,16 +363,16 @@ class TestControllerInterop:
 
 
 class TestIntegrity:
-    def _entry_paths(self, store_dir):
-        return sorted((store_dir / "objects").glob("*/*.json"))
+    def _entry_hashes(self, store_dir):
+        return sorted(store_rows(store_dir))
 
     def test_corrupt_entry_is_refused_not_served(self, tmp_path):
         store_dir = tmp_path / "store"
         spec = make_spec()
         execute_spec(spec, results_path=tmp_path / "a.jsonl",
                      store=store_dir)
-        victim = self._entry_paths(store_dir)[0]
-        victim.write_text("{ not json")
+        victim = self._entry_hashes(store_dir)[0]
+        rewrite_entry(store_dir, victim, b"{ not json")
         with pytest.raises(ParameterError, match="corrupt store entry"):
             execute_spec(spec, results_path=tmp_path / "b.jsonl",
                          store=store_dir)
@@ -375,8 +382,9 @@ class TestIntegrity:
         spec = make_spec()
         execute_spec(spec, results_path=tmp_path / "a.jsonl",
                      store=store_dir)
-        victim = self._entry_paths(store_dir)[0]
-        victim.write_bytes(victim.read_bytes() + b"\xff\xfe\n")
+        victim = self._entry_hashes(store_dir)[0]
+        rewrite_entry(store_dir, victim,
+                      read_entry(store_dir, victim) + b"\xff\xfe\n")
         report = CampaignStore(store_dir).verify()
         assert len(report.errors) == 1
         assert "corrupt store entry" in report.errors[0]
@@ -388,26 +396,26 @@ class TestIntegrity:
         store_dir = tmp_path / "store"
         execute_spec(make_spec(), results_path=tmp_path / "a.jsonl",
                      store=store_dir)
-        victim = self._entry_paths(store_dir)[0]
-        header, first, rest = victim.read_text().split("\n", 2)
+        victim = self._entry_hashes(store_dir)[0]
+        header, first, rest = \
+            read_entry(store_dir, victim).decode().split("\n", 2)
         replica = json.loads(first)
         replica["payload"]["makespan"] += 1.0
-        victim.write_text("\n".join(
-            [header, json.dumps(replica, sort_keys=True), rest]))
+        rewrite_entry(store_dir, victim, "\n".join(
+            [header, json.dumps(replica, sort_keys=True), rest]).encode())
         report = CampaignStore(store_dir).verify()
         assert not report.ok
         assert len(report.errors) == 1 and "digest" in report.errors[0]
 
     def test_swapped_entries_are_refused(self, tmp_path):
-        """Renaming one valid entry onto another key's address must be
+        """Pointing one key's index row at another valid entry must be
         caught by the full-key comparison on lookup."""
         store_dir = tmp_path / "store"
         spec = make_spec()
         execute_spec(spec, results_path=tmp_path / "a.jsonl",
                      store=store_dir)
-        a, b = self._entry_paths(store_dir)[:2]
-        payload = a.read_bytes()
-        b.write_bytes(payload)
+        a, b = self._entry_hashes(store_dir)[:2]
+        rewrite_entry(store_dir, b, read_entry(store_dir, a))
         with pytest.raises(ParameterError, match="does not match"):
             execute_spec(spec, results_path=tmp_path / "b.jsonl",
                          store=store_dir)
@@ -428,24 +436,20 @@ class TestGc:
         store = CampaignStore(store_dir)
         before = store.stat()
 
-        # Touch half the entries (a warm lookup) so they are recent.
+        # Stamp everything ancient, half the entries a little less so.
         spec = make_spec()
         config = spec.config()
         plans = plan_cells(config)
-        recent = plans[:2]
-        for path in (store_dir / "objects").glob("*/*.json"):
-            os.utime(path, (1.0, 1.0))  # everything ancient...
-        recent_hashes = set()
-        for plan in recent:
-            h = key_hash(cell_key(config, plan))
-            recent_hashes.add(h)
-            os.utime(store_dir / "objects" / h[:2] / f"{h}.json")
+        recent_hashes = {key_hash(cell_key(config, plan))
+                         for plan in plans[:2]}
+        stamp_entries(store_dir, 1.0)
+        stamp_entries(store_dir, 2.0, recent_hashes)
 
         budget = before.total_bytes // 2
         report = store.gc(max_bytes=budget)
         assert report.bytes_after <= budget
         survivors = {e.hash for e in store.entries()}
-        # LRU: every survivor is one of the recently-touched entries.
+        # Oldest first: every survivor is one of the recent entries.
         assert survivors <= recent_hashes
 
     def test_gc_never_evicts_a_pinned_queue_footprint(self, tmp_path):
@@ -487,8 +491,7 @@ class TestGc:
         execute_spec(make_spec(), results_path=tmp_path / "a.jsonl",
                      store=store_dir)
         store = CampaignStore(store_dir)
-        for path in (store_dir / "objects").glob("*/*.json"):
-            os.utime(path, (1.0, 1.0))
+        stamp_entries(store_dir, 1.0)
         dry = store.gc(max_age=3600.0, dry_run=True)
         assert dry.evicted_entries == 4
         assert store.stat().entries == 4  # nothing actually deleted
@@ -580,18 +583,6 @@ class TestQueryExportReport:
         assert "no re-simulation" in from_store
 
 
-def _loose_entries(store_dir) -> dict[str, bytes]:
-    return {p.name: p.read_bytes()
-            for p in (store_dir / "objects").glob("*/*.json")}
-
-
-def _restore_loose(store_dir, entries: dict[str, bytes]) -> None:
-    for name, data in entries.items():
-        path = store_dir / "objects" / name[:2] / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-
-
 class TestCellEntries:
     def test_longer_prefix_replaces_shorter_never_the_reverse(
             self, tmp_path):
@@ -607,7 +598,11 @@ class TestCellEntries:
                      backend=backend, store=store_dir)
         assert backend.cells_dispatched == 4  # a 2-prefix cannot serve 4
         assert [e.replicas for e in store.entries()] == [4] * 4
-        assert len(_loose_entries(store_dir)) == 4  # replaced in place
+        # The 2-prefixes are superseded; compaction drops them.
+        report = store.compact()
+        assert (report.packed_entries, report.merged_segments) == (4, 2)
+        assert {row.replicas for _, row in store_rows(store_dir).values()} \
+            == {4}
 
         config = make_spec(replicas=2).grid
         plan = plan_cells(config)[0]
@@ -665,20 +660,21 @@ class TestCellEntries:
         assert len(lookups) == 4
 
     def test_compact_keeps_the_longest_copy(self, tmp_path):
-        from repro.store.segments import load_segments
+        from repro.store.segments import load_segments, write_segment
 
         store_dir = tmp_path / "store"
         execute_spec(make_spec(replicas=2),
                      results_path=tmp_path / "two.jsonl", store=store_dir)
-        short = _loose_entries(store_dir)
         store = CampaignStore(store_dir, cache=None)
-        store.compact()  # the 2-prefixes, segment-resident
+        store.compact()  # the 2-prefixes, in one compacted segment
+        (compacted,) = load_segments(store_dir / "segments")
+        short = [(row, compacted.read(row))
+                 for _, row in sorted(compacted.entries.items())]
         execute_spec(make_spec(replicas=4),
                      results_path=tmp_path / "four.jsonl", store=store_dir)
-        # The 4-prefixes sit loose beside their shorter segment copies:
-        # they are the ones listed and served.
-        assert [(e.origin, e.replicas) for e in store.entries()] \
-            == [("loose", 4)] * 4
+        # The 4-prefixes sit in the second run's writer segment beside
+        # their shorter copies: they are the ones listed and served.
+        assert [e.replicas for e in store.entries()] == [4] * 4
         assert store.coverage(make_spec(replicas=4)) == (16, 16)
 
         def warm_four(name):
@@ -692,30 +688,29 @@ class TestCellEntries:
 
         warm_four("warm-a.jsonl")
         report = store.compact()
-        assert (report.packed_entries, report.deduplicated) == (4, 0)
-        # The superseded rows were rewritten out of the old segment,
-        # which emptied and went away.
+        assert (report.packed_entries, report.merged_segments) == (4, 2)
+        # The superseded copies were not carried over.
+        assert report.reclaimed_bytes == sum(len(data) for _, data in short)
         (segment,) = load_segments(store_dir / "segments")
         assert {row.replicas for row in segment.entries.values()} == {4}
         warm_four("warm-b.jsonl")
 
-        # The reverse: stale 2-prefix loose copies beside the 4-prefix
-        # segment are never served, and compaction removes them.
-        _restore_loose(store_dir, short)
+        # The reverse: stale 2-prefix copies in a later segment are
+        # never served, and compaction drops them.
+        write_segment(store_dir / "segments", short)
         warm_four("warm-c.jsonl")
-        assert [(e.origin, e.replicas) for e in store.entries()] \
-            == [("segment", 4)] * 4
+        assert [e.replicas for e in store.entries()] == [4] * 4
         report = store.compact()
-        assert (report.packed_entries, report.deduplicated) == (0, 4)
-        assert _loose_entries(store_dir) == {}
+        assert (report.packed_entries, report.merged_segments) == (4, 2)
+        assert {row.replicas for _, row in store_rows(store_dir).values()} \
+            == {4}
         assert store.verify().ok
 
-    def test_version1_store_opens_misses_recomputes_and_is_reported(
-            self, tmp_path):
-        """A store written with one entry per replica still opens; its
-        entries (loose or in a version-1 segment) are never served,
-        every cell recomputes byte-identically, verify names each old
-        entry by path, and gc evicts them."""
+    def test_old_store_opens_serves_nothing_and_is_reported(self, tmp_path):
+        """A directory left by older layouts still opens: its loose
+        entries (version 1 and version 2), a flat-layout file and a
+        version-1 segment are never served, every cell recomputes
+        byte-identically, and verify names every leftover path."""
         import hashlib
 
         from repro import io as repro_io
@@ -727,47 +722,65 @@ class TestCellEntries:
         execute_spec(spec, results_path=tmp_path / "ref.jsonl")
         store_dir = tmp_path / "store"
         CampaignStore(store_dir)
-        loose, rows, data = [], [], b""
+        objects = store_dir / "objects"
+        leftovers, rows, data = [], [], b""
+
+        def loose(hash_, text, flat=False):
+            path = objects / (f"{hash_}.json" if flat
+                              else f"{hash_[:2]}/{hash_}.json")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            leftovers.append(str(path))
+
         for plan in plan_cells(config):
             results = run_cell(config, plan, FixedReplicas(2))
+            texts = [repro_io.dump_result(r) for r in results]
+            key = cell_key(config, plan)
+            if plan.index == 0:  # a version-2 loose entry, and flat
+                body = "".join(line + "\n" for line in texts)
+                text = json.dumps({
+                    "format": "repro-store-entry", "version": 2,
+                    "key": key, "replicas": 2,
+                    "payload_sha256": hashlib.sha256(
+                        body.encode()).hexdigest(),
+                }, sort_keys=True) + "\n" + body
+                loose(key_hash(key), text)
+                loose(key_hash(key), text, flat=True)
+                continue
             for replica, result in enumerate(results):
-                key = dict(cell_key(config, plan), version=1,
-                           seed=replica_seed(config, replica))
+                old_key = dict(key, version=1,
+                               seed=replica_seed(config, replica))
                 payload = repro_io.to_envelope(result)
                 text = json.dumps({
                     "format": "repro-store-entry", "version": 1,
-                    "key": key, "payload": payload,
+                    "key": old_key, "payload": payload,
                     "payload_sha256": hashlib.sha256(json.dumps(
                         payload, sort_keys=True).encode()).hexdigest(),
                 }, sort_keys=True) + "\n"
-                hash_ = key_hash(key)
-                if plan.index == 0:
-                    path = store_dir / "objects" / hash_[:2] / f"{hash_}.json"
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(text)
-                    os.utime(path, (1.0, 1.0))
-                    loose.append(str(path))
+                hash_ = key_hash(old_key)
+                if plan.index == 1:  # version-1 loose entries
+                    loose(hash_, text)
                 else:  # a version-1 segment row: 11 fields, no replicas
                     rows.append([hash_, len(data), len(text), 1.0,
                                  plan.protocol, plan.M, plan.phi, 12,
-                                 key["seed"], None, 900.0])
+                                 old_key["seed"], None, 900.0])
                     data += text.encode()
-        (store_dir / "segments").mkdir()
         (store_dir / "segments" / "old.seg").write_bytes(data)
         (store_dir / "segments" / "old.idx").write_text(json.dumps({
             "format": "repro-store-segment-index", "version": 1,
             "segment": "old.seg", "entries": rows,
         }))
+        leftovers += [str(store_dir / "segments" / name)
+                      for name in ("old.idx", "old.seg")]
 
         store = CampaignStore(store_dir, cache=None)
-        stat = store.stat()
-        assert (stat.entries, stat.retired_entries) == (8, 8)
-        assert "8 retired" in stat.describe()
+        assert store.stat().entries == 0
+        assert store.coverage(spec) == (0, 8)
         report = store.verify()
-        assert report.checked == 8 and len(report.errors) == 8
-        assert all("retired per-replica entry" in e for e in report.errors)
-        assert sorted(e.split(": ")[0] for e in report.errors
-                      if ".seg@" not in e) == sorted(loose)
+        assert report.checked == len(leftovers) == 6
+        assert sorted(e.split(": ")[0] for e in report.errors) \
+            == sorted(leftovers)
+        assert all("never served" in e for e in report.errors)
 
         backend = CountingBackend()
         warm = execute_spec(spec, results_path=tmp_path / "warm.jsonl",
@@ -776,17 +789,15 @@ class TestCellEntries:
         assert warm.report.cells_cached == 0
         assert (tmp_path / "warm.jsonl").read_bytes() \
             == (tmp_path / "ref.jsonl").read_bytes()
-
-        # Any budget drops the version-1 segment whole, never rewriting
-        # it; the retired loose files age out like any entry.
-        gc = store.gc(max_bytes=10**12)
-        assert gc.evicted_entries == 6
-        assert list((store_dir / "segments").iterdir()) == []
-        gc = store.gc(max_age=3600.0)
-        assert gc.evicted_entries == 2
-        stat = store.stat()
-        assert (stat.entries, stat.retired_entries, stat.segments) \
-            == (4, 0, 0)
+        # Compaction and gc leave the leftovers alone; verify keeps
+        # naming them until they are deleted.
+        store.compact()
+        store.gc(max_bytes=0)
+        report = store.verify()
+        assert sorted(e.split(": ")[0] for e in report.errors) \
+            == sorted(leftovers)
+        for path in leftovers:
+            os.unlink(path)
         assert store.verify().ok
 
     def test_racing_publishers_of_one_cell_never_tear(self, tmp_path):
@@ -847,7 +858,8 @@ class TestCellEntries:
         run = execute_spec(spec, results_path=tmp_path / "hc.jsonl",
                            store=store_dir)
         assert run.report.cells_run == 18
-        assert len(_loose_entries(store_dir)) == 18
+        assert len(store_rows(store_dir)) == 18
+        assert len(list((store_dir / "segments").glob("*.idx"))) == 1
         store = CampaignStore(store_dir, cache=None)
         assert [e.replicas for e in store.entries()] == [32] * 18
         assert store.coverage(spec) == (576, 576)
@@ -898,7 +910,7 @@ class TestEncodeOnce:
         assert len(replicas) == 12
         assert len(calls) == len(replicas)
         assert {id(r) for r in calls} == {id(r) for r in replicas}
-        assert len(_loose_entries(tmp_path / "store")) == 4
+        assert len(store_rows(tmp_path / "store")) == 4
 
     @pytest.mark.parametrize("sink", ["ordered", "framed"])
     def test_warm_rerun_encodes_only_inside_admit(

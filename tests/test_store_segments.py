@@ -1,22 +1,24 @@
-"""Fleet-scale store layer: segments, the loose layout, hot-cell cache.
+"""Fleet-scale store layer: writer segments, compaction, hot-cell cache.
 
 The contracts under test, in order of importance:
 
 * **Transparency** — compaction changes *where* bytes live, never which
   bytes a lookup serves: warm runs and exports are byte-identical
   before and after ``store compact``, and adversarial interleavings
-  (reader/writer racing a compactor in separate OS processes) never
-  lose an entry.
-* **Retention parity** — ``gc`` ages and pins segment-resident entries
-  by exactly the rules loose files follow, including the clock-skew
-  clamp, and evicts from a segment by atomic rewrite.
+  (writers, a compactor and ``gc`` in separate OS processes, writers
+  killed mid-publish) never lose a committed entry.
+* **One append path** — every publish appends to its writer's own
+  segment and commits by an index rename; the writer rolls to a fresh
+  segment after a fixed row count, a write error, a fork, or when a
+  rewrite holds or removed its segment, and bytes past the last
+  committed row are never served.
+* **Retention** — ``gc`` ages and pins entries by the publish stamp in
+  their index row, including the clock-skew clamp, and evicts by
+  atomic rewrite; lookups never refresh a stamp.
 * **Cache honesty** — the in-process hot-cell cache serves re-reads
   without disk I/O but still refuses corruption: a poisoned cached
   entry falls back to the (verified) disk copy, and disk corruption is
   caught on first read because publishes never pre-warm the cache.
-* **One loose layout** — a root-level entry left by the retired flat
-  layout is never served: lookups miss and recompute, and ``verify``
-  names the file.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -44,7 +49,13 @@ from repro.store import (
     key_hash,
 )
 from repro.store.cache import DEFAULT_CACHE_BYTES, CachedEntry, cache_key
-from repro.store.segments import load_segments
+from repro.store.segments import load_segments, write_segment
+from tests.conftest import (
+    read_entry,
+    rewrite_entry,
+    stamp_entries,
+    store_rows,
+)
 
 
 def make_spec(*, m_values=(300.0, 600.0), replicas=2, seed=2027,
@@ -75,15 +86,56 @@ def populate(tmp_path, *, seed=2027) -> tuple[CampaignSpec, pathlib.Path]:
     return spec, store_dir
 
 
-def loose_files(store_dir: pathlib.Path) -> list[pathlib.Path]:
-    objects = store_dir / "objects"
-    return sorted(objects.glob("*/*.json"))
-
-
 def dump(results) -> list[str]:
     from repro import io as repro_io
 
     return [repro_io.dump_result(r) for r in results]
+
+
+def segment_files(store_dir: pathlib.Path) -> list[str]:
+    return sorted(os.listdir(store_dir / "segments"))
+
+
+#: The synthetic entries the writer tests publish: the shape of a real
+#: cell key, varying only the seed, each holding the same two replicas.
+_SYNTHETIC = textwrap.dedent("""\
+    from repro.io import dump_result
+    from repro.sim.results import DesResult
+
+    RECORDS = (dump_result(DesResult(
+        status="success", makespan=1000.0, work_target=900.0,
+        work_done=900.0, failures=1, rollbacks=1, work_lost=10.0,
+        commits=9, risk_time=100.0,
+    )),) * 2
+
+
+    def synthetic_key(seed):
+        return {
+            "format": "repro-store-entry", "version": 2,
+            "protocol": "double-nbl", "phi": 1.0, "work_target": 900.0,
+            "max_time": None, "params": {"M": 600.0, "n": 12},
+            "distribution": None, "seed": seed, "trace_seed": None,
+        }
+""")
+_synthetic: dict = {}
+exec(_SYNTHETIC, _synthetic)
+RECORDS, synthetic_key = _synthetic["RECORDS"], _synthetic["synthetic_key"]
+
+
+def sizes(store_dir: pathlib.Path) -> dict[str, int]:
+    """Data-file size of every segment, committed or not, by id."""
+    return {path.stem: path.stat().st_size
+            for path in (store_dir / "segments").glob("*.seg")}
+
+
+def committed_bytes(store_dir: pathlib.Path) -> int:
+    return sum(data_bytes(segment)
+               for segment in load_segments(store_dir / "segments"))
+
+
+def data_bytes(segment) -> int:
+    """Committed data bytes of one segment (its rows' lengths)."""
+    return sum(row.length for row in segment.entries.values())
 
 
 class TestCompaction:
@@ -94,16 +146,17 @@ class TestCompaction:
 
         report = store.compact()
         assert report.packed_entries == 4
-        assert report.loose_before == 4
+        assert report.merged_segments == 1
         assert report.segment_id is not None
-        assert report.segments_total == 1
-        assert report.segment_entries_total == 4
-        assert report.loose_remaining == 0
-        assert not report.corrupt and not report.deduplicated
-        assert loose_files(store_dir) == []
-        assert "packed 4 of 4 loose entries" in report.describe()
+        assert (report.segments_total, report.entries_total) == (1, 4)
+        assert report.reclaimed_bytes == 0
+        assert not report.corrupt and not report.locked_segments
+        assert "packed 4 entries" in report.describe()
+        assert segment_files(store_dir) == [f"{report.segment_id}.idx",
+                                            f"{report.segment_id}.seg"]
 
-        # Every lookup now resolves through the segment, byte-for-byte.
+        # Every lookup now resolves through the new segment,
+        # byte-for-byte ...
         for key in all_keys(spec):
             assert dump(store.lookup(key)) == before[key_hash(key)]
         # ... including from a store object that never saw the compaction.
@@ -111,92 +164,394 @@ class TestCompaction:
         for key in all_keys(spec):
             assert dump(fresh.lookup(key)) == before[key_hash(key)]
 
-    def test_stat_and_entries_report_layout_breakdown(self, tmp_path):
+    def test_stat_and_entries_keep_their_metadata(self, tmp_path):
         spec, store_dir = populate(tmp_path)
         store = CampaignStore(store_dir, cache=None)
-        loose_stat = store.stat()
-        assert (loose_stat.loose_entries, loose_stat.segment_entries,
-                loose_stat.segments) == (4, 0, 0)
-        loose_meta = {
+        assert (store.stat().entries, store.stat().segments) == (4, 1)
+        meta = {
             (e.hash, e.protocol, e.M, e.phi, e.n, e.seed, e.work_target,
-             e.size, e.replicas)
+             e.size, e.mtime, e.replicas)
             for e in store.entries()
         }
 
         store.compact()
         stat = store.stat()
-        assert stat.entries == 4
-        assert (stat.loose_entries, stat.segment_entries, stat.segments) \
-            == (0, 4, 1)
+        assert (stat.entries, stat.segments) == (4, 1)
         assert stat.describe().startswith("4 entries")
-        assert "4 in 1 segment(s)" in stat.describe()
+        assert "in 1 segment(s)" in stat.describe()
         # The queryable metadata is identical, served from the index
-        # alone; only the origin changed.
-        entries = list(store.entries())
-        assert all(e.origin == "segment" for e in entries)
+        # alone — publish stamps included.
         assert {
             (e.hash, e.protocol, e.M, e.phi, e.n, e.seed, e.work_target,
-             e.size, e.replicas)
-            for e in entries
-        } == loose_meta
+             e.size, e.mtime, e.replicas)
+            for e in store.entries()
+        } == meta
         assert len(list(store.query(protocol="double-nbl"))) == 2
 
     def test_dry_run_changes_nothing(self, tmp_path):
         _, store_dir = populate(tmp_path)
+        files = segment_files(store_dir)
         store = CampaignStore(store_dir, cache=None)
         report = store.compact(dry_run=True)
         assert report.dry_run and report.packed_entries == 4
         assert report.segment_id is None
         assert "would pack" in report.describe()
-        assert len(loose_files(store_dir)) == 4
-        assert list(load_segments(store_dir / "segments")) == []
+        assert segment_files(store_dir) == files
 
-    def test_incremental_compaction_adds_segments(self, tmp_path):
+    def test_compaction_merges_every_segment(self, tmp_path):
         spec_a, store_dir = populate(tmp_path)
         store = CampaignStore(store_dir, cache=None)
         store.compact()
-        # A second campaign publishes 4 new loose entries.
+        # A second campaign publishes 4 new entries into its own writer
+        # segment; compaction merges both into one.
         spec_b, _ = populate(tmp_path, seed=999)
+        assert store.stat().segments == 2
         report = store.compact()
-        assert report.packed_entries == 4
-        assert report.segments_total == 2
+        assert (report.merged_segments, report.packed_entries) == (2, 8)
+        assert report.segments_total == 1
         stat = store.stat()
-        assert stat.entries == 8 and stat.segments == 2
+        assert stat.entries == 8 and stat.segments == 1
         for key in all_keys(spec_a) + all_keys(spec_b):
             assert store.lookup(key) is not None
-        # Nothing loose left: a third pass is a no-op.
+        # Identical entry sets make identical segments: a second pass
+        # writes the same bytes under a fresh id.
+        (first,) = load_segments(store_dir / "segments")
+        first_bytes = first.data_path.read_bytes()
         report = store.compact()
-        assert report.packed_entries == 0 and report.segment_id is None
-        assert report.segments_total == 2
+        assert (report.merged_segments, report.packed_entries) == (1, 8)
+        (second,) = load_segments(store_dir / "segments")
+        assert second.id != first.id
+        assert second.data_path.read_bytes() == first_bytes
+        assert second.entries == first.entries
 
-    def test_corrupt_loose_entry_is_left_loose_and_reported(self, tmp_path):
+    def test_corrupt_row_is_dropped_and_reported(self, tmp_path):
         spec, store_dir = populate(tmp_path)
-        victim = loose_files(store_dir)[0]
-        victim.write_text("garbage\n")
+        victim = all_keys(spec)[0]
+        rewrite_entry(store_dir, key_hash(victim), b"garbage\n")
         store = CampaignStore(store_dir, cache=None)
         report = store.compact()
         assert report.packed_entries == 3
-        assert len(report.corrupt) == 1 and str(victim) in report.corrupt[0]
-        assert "corrupt left loose" in report.describe()
-        assert victim.exists()  # quarantined in place, never packed
-        verify = store.verify()
-        assert not verify.ok and len(verify.errors) == 1
+        assert len(report.corrupt) == 1 and ".seg@" in report.corrupt[0]
+        assert "corrupt row(s) dropped" in report.describe()
+        # Never baked into the merged segment: the cell now misses (and
+        # recomputes), and what is left verifies clean.
+        assert store.lookup(victim) is None
+        assert store.verify().ok and store.stat().entries == 3
 
-    def test_duplicate_loose_copy_is_removed(self, tmp_path):
+    def test_duplicate_copy_is_dropped(self, tmp_path):
         spec, store_dir = populate(tmp_path)
-        victim = loose_files(store_dir)[0]
-        aside = tmp_path / "aside.json"
-        aside.write_bytes(victim.read_bytes())
         store = CampaignStore(store_dir, cache=None)
         store.compact()
-        # A compaction/publish race can leave a loose duplicate of a
-        # segment-resident entry; the next pass retires it.
-        victim.parent.mkdir(parents=True, exist_ok=True)
-        victim.write_bytes(aside.read_bytes())
-        report = store.compact()
-        assert report.deduplicated == 1 and report.packed_entries == 0
-        assert not victim.exists()
+        (segment,) = load_segments(store_dir / "segments")
+        copy = [(row, segment.read(row))
+                for _, row in sorted(segment.entries.items())]
+        write_segment(store_dir / "segments", copy)
+        # Listed once, as the copy in the lower segment id.
         assert store.stat().entries == 4
+        report = store.compact()
+        assert (report.merged_segments, report.packed_entries) == (2, 4)
+        assert report.reclaimed_bytes == data_bytes(segment)
+        assert store.stat().segments == 1
+
+
+def many_segments(store_dir: pathlib.Path, count: int,
+                  monkeypatch) -> None:
+    """``count`` one-entry writer segments (a writer that rolls after
+    every row), seeds ``0 .. count - 1``."""
+    from repro.store import segments
+
+    with monkeypatch.context() as patch:
+        patch.setattr(segments, "WRITER_ROWS", 1)
+        store = CampaignStore(store_dir, cache=None)
+        for seed in range(count):
+            store.publish(synthetic_key(seed), RECORDS)
+        store._drop_writer()
+
+
+#: Compacts the store at argv[1] with the soft descriptor limit lowered
+#: to argv[2].
+_COMPACTOR_AT_FD_LIMIT = textwrap.dedent("""\
+    import json, resource, sys
+    from repro.store import CampaignStore
+
+    store = CampaignStore(sys.argv[1], cache=None)
+    resource.setrlimit(resource.RLIMIT_NOFILE,
+                       (int(sys.argv[2]),
+                        resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+    report = store.compact()
+    print(json.dumps([report.merged_segments, report.packed_entries,
+                      report.segments_total, report.locked_segments]))
+""")
+
+
+class TestCompactionRounds:
+    """More segments than one rewrite may hold open: merged in rounds."""
+
+    def test_rounds_merge_to_one_segment(self, tmp_path, monkeypatch):
+        from repro.store import store as store_module
+
+        store_dir = tmp_path / "store"
+        many_segments(store_dir, 10, monkeypatch)
+        # A longer copy of seed 0 in a later segment, and an equal copy
+        # of seed 1: the longest wins, and equals are packed once.
+        store = CampaignStore(store_dir, cache=None)
+        store.publish(synthetic_key(0), RECORDS * 2)
+        path, row = store_rows(store_dir)[key_hash(synthetic_key(1))]
+        (segment,) = [s for s in load_segments(store_dir / "segments")
+                      if s.data_path == path]
+        write_segment(store_dir / "segments", [(row, segment.read(row))])
+        store._drop_writer()
+        before = {seed: dump(store.lookup(synthetic_key(seed)))
+                  for seed in range(10)}
+        total = sum(sizes(store_dir).values())
+
+        monkeypatch.setattr(store_module, "_REWRITE_FANIN", 3)
+        report = store.compact()
+        assert report.merged_segments == 12
+        assert (report.packed_entries, report.segments_total) == (10, 1)
+        assert report.reclaimed_bytes == total - report.packed_bytes
+        (merged,) = load_segments(store_dir / "segments")
+        assert merged.id == report.segment_id
+        assert merged.entries[key_hash(synthetic_key(0))].replicas == 4
+        assert sum(sizes(store_dir).values()) == report.packed_bytes
+        fresh = CampaignStore(store_dir, cache=None)
+        for seed in range(10):
+            assert dump(fresh.lookup(synthetic_key(seed))) == before[seed]
+        assert fresh.verify().ok
+
+    def test_dry_run_in_rounds_reports_the_merge(self, tmp_path,
+                                                  monkeypatch):
+        from repro.store import store as store_module
+
+        store_dir = tmp_path / "store"
+        many_segments(store_dir, 7, monkeypatch)
+        files = segment_files(store_dir)
+        monkeypatch.setattr(store_module, "_REWRITE_FANIN", 2)
+        report = CampaignStore(store_dir, cache=None).compact(dry_run=True)
+        assert (report.merged_segments, report.packed_entries) == (7, 7)
+        assert report.reclaimed_bytes == 0 and report.segment_id is None
+        assert segment_files(store_dir) == files
+
+    def test_failed_locking_releases_every_lock(self, tmp_path,
+                                                monkeypatch):
+        import errno
+        import fcntl
+
+        from repro.store import store as store_module
+
+        store_dir = tmp_path / "store"
+        many_segments(store_dir, 5, monkeypatch)
+        real_lock, calls = store_module.lock_segment, []
+
+        def exhausted_on_third(segments_dir, id_):
+            calls.append(id_)
+            if len(calls) == 3:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_lock(segments_dir, id_)
+
+        monkeypatch.setattr(store_module, "lock_segment", exhausted_on_third)
+        with pytest.raises(OSError):
+            CampaignStore(store_dir, cache=None).compact()
+        for path in (store_dir / "segments").glob("*.seg"):
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        assert len(segment_files(store_dir)) == 10  # nothing rewritten
+
+    def test_compacts_more_segments_than_the_descriptor_limit(
+            self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "store"
+        many_segments(store_dir, 100, monkeypatch)
+        proc = _spawn(_COMPACTOR_AT_FD_LIMIT, store_dir, 64)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == [100, 100, 1, 0]
+        store = CampaignStore(store_dir, cache=None)
+        assert store.verify().ok and store.stat().entries == 100
+        assert len(segment_files(store_dir)) == 2
+
+
+class TestWriterSegments:
+    """The one publish path: appends to the instance's own segment."""
+
+    def test_fresh_store_has_no_objects_tree(self, tmp_path):
+        CampaignStore(tmp_path / "store")
+        assert sorted(os.listdir(tmp_path / "store")) \
+            == ["segments", "store.json"]
+        _, store_dir = populate(tmp_path)
+        assert not (store_dir / "objects").exists()
+
+    def test_each_publishing_instance_owns_one_segment(self, tmp_path):
+        a = CampaignStore(tmp_path / "store", cache=None)
+        b = CampaignStore(tmp_path / "store", cache=None)
+        for seed in range(3):
+            assert a.publish(synthetic_key(seed), RECORDS)
+            assert b.publish(synthetic_key(100 + seed), RECORDS)
+        segments = load_segments(tmp_path / "store" / "segments")
+        assert sorted(len(s.entries) for s in segments) == [3, 3]
+        # Each sees the other's entries after a re-scan, and a copy at
+        # least as long is never published twice.
+        assert a.lookup(synthetic_key(100)) is not None
+        assert not a.publish(synthetic_key(100), RECORDS)
+        assert a.verify().ok
+
+    def test_index_bytes_are_canonical_json(self, tmp_path):
+        """A writer's commit and a rewrite write the same index bytes:
+        the index document as ``json.dumps(..., sort_keys=True)``."""
+        store = CampaignStore(tmp_path / "store", cache=None)
+        for seed in (3, 1, 2):
+            store.publish(synthetic_key(seed), RECORDS)
+
+        def canonical():
+            (idx,) = (tmp_path / "store" / "segments").glob("*.idx")
+            text = idx.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+            return json.loads(text)["entries"]
+
+        written = canonical()
+        store.compact()
+        assert [row[0] for row in canonical()] \
+            == [row[0] for row in written] == sorted(
+                key_hash(synthetic_key(seed)) for seed in (1, 2, 3))
+
+    def test_rescan_rereads_only_changed_indexes(self, tmp_path,
+                                                 monkeypatch):
+        from repro.store import segments
+
+        a = CampaignStore(tmp_path / "store", cache=None)
+        b = CampaignStore(tmp_path / "store", cache=None)
+        a.publish(synthetic_key(0), RECORDS)
+        b.publish(synthetic_key(1), RECORDS)
+        reads = []
+        load = segments._load_index
+        monkeypatch.setattr(segments, "_load_index",
+                            lambda d, id_: reads.append(id_) or load(d, id_))
+        a._refresh_segments()
+        b.publish(synthetic_key(2), RECORDS)
+        reads.clear()
+        a._refresh_segments()
+        assert reads == [b._writer.segment.id]  # the one that changed
+        reads.clear()
+        a._refresh_segments()
+        assert reads == []
+        assert a.lookup(synthetic_key(2)) is not None
+
+    def test_probe_map_follows_longest_then_lowest_id(self, tmp_path):
+        """The incremental map update resolves copies exactly as a full
+        rebuild: longest first, the lowest segment id among equals."""
+        store_dir = tmp_path / "store"
+        a = CampaignStore(store_dir, cache=None)
+        a.publish(synthetic_key(0), RECORDS)
+        a.lookup(synthetic_key(0))  # a's view is now loaded
+        (segment,) = load_segments(store_dir / "segments")
+        row = segment.entries[key_hash(synthetic_key(0))]
+        for _ in range(4):  # equal copies under random ids
+            write_segment(store_dir / "segments", [(row, segment.read(row))])
+        b = CampaignStore(store_dir, cache=None)
+        b.publish(synthetic_key(0), RECORDS * 2)
+        c = CampaignStore(store_dir, cache=None)
+        c.publish(synthetic_key(1), RECORDS)
+        a._refresh_segments()
+        rebuilt = CampaignStore(store_dir, cache=None)
+        rebuilt._refresh_segments()
+        assert a._segment_map == rebuilt._segment_map
+        assert a._segment_map[key_hash(synthetic_key(0))] \
+            == b._writer.segment.id
+        # A removal (the longest copy's segment, gc'd) rebuilds the map.
+        b.gc(max_bytes=0, pin_specs=())
+        assert a.lookup(synthetic_key(0)) is None
+        assert a._segment_map == {}
+
+    def test_writer_rolls_after_writer_rows(self, tmp_path, monkeypatch):
+        from repro.store import segments
+
+        monkeypatch.setattr(segments, "WRITER_ROWS", 3)
+        store = CampaignStore(tmp_path / "store", cache=None)
+        for seed in range(7):
+            store.publish(synthetic_key(seed), RECORDS)
+        assert sorted(len(s.entries) for s in load_segments(
+            tmp_path / "store" / "segments")) == [1, 3, 3]
+        assert store.stat().entries == 7
+
+    def test_writer_rolls_when_its_segment_is_locked(self, tmp_path):
+        import fcntl
+
+        store = CampaignStore(tmp_path / "store", cache=None)
+        store.publish(synthetic_key(0), RECORDS)
+        (held,) = (tmp_path / "store" / "segments").glob("*.seg")
+        fd = os.open(held, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            store.publish(synthetic_key(1), RECORDS)
+        finally:
+            os.close(fd)
+        store.publish(synthetic_key(2), RECORDS)
+        segments = load_segments(tmp_path / "store" / "segments")
+        assert sorted(len(s.entries) for s in segments) == [1, 2]
+        assert {len(s.entries) for s in segments
+                if s.data_path == held} == {1}
+        assert store.verify().ok
+
+    def test_writer_rolls_after_compaction_took_its_segment(self, tmp_path):
+        store = CampaignStore(tmp_path / "store", cache=None)
+        for seed in range(2):
+            store.publish(synthetic_key(seed), RECORDS)
+        report = store.compact()  # merges (and unlinks) our own segment
+        store.publish(synthetic_key(2), RECORDS)
+        segments = load_segments(tmp_path / "store" / "segments")
+        assert sorted(len(s.entries) for s in segments) == [1, 2]
+        assert report.segment_id in {s.id for s in segments}
+        for seed in range(3):
+            assert store.lookup(synthetic_key(seed)) is not None
+        assert store.compact().segments_total == 1
+        assert store.verify().ok
+
+    def test_write_error_rolls_and_leaves_an_invisible_tail(
+            self, tmp_path, monkeypatch):
+        from repro.store import segments
+
+        store = CampaignStore(tmp_path / "store", cache=None)
+        store.publish(synthetic_key(0), RECORDS)
+        real_write = os.write
+
+        def half_then_full(fd, data):
+            real_write(fd, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(segments.os, "write", half_then_full)
+        with pytest.raises(OSError):
+            store.publish(synthetic_key(1), RECORDS)
+        monkeypatch.setattr(segments.os, "write", real_write)
+        store.publish(synthetic_key(2), RECORDS)
+
+        store_dir = tmp_path / "store"
+        assert sorted(len(s.entries) for s in load_segments(
+            store_dir / "segments")) == [1, 1]
+        assert store.lookup(synthetic_key(1)) is None
+        assert store.verify().ok
+        torn = sum(sizes(store_dir).values()) - committed_bytes(store_dir)
+        assert torn > 0
+        report = store.compact()
+        assert report.reclaimed_bytes == torn
+        assert sum(sizes(store_dir).values()) == committed_bytes(store_dir)
+
+    def test_writer_rolls_when_the_pid_changes(self, tmp_path,
+                                              monkeypatch):
+        """A forked child inherits the instance and its writer segment:
+        it must not append to its parent's, so a pid change rolls."""
+        store = CampaignStore(tmp_path / "store", cache=None)
+        store.publish(synthetic_key(0), RECORDS)
+        parent = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+        store.publish(synthetic_key(1), RECORDS)
+        store.publish(synthetic_key(2), RECORDS)
+        segments = load_segments(tmp_path / "store" / "segments")
+        assert sorted(len(s.entries) for s in segments) == [1, 2]
+        for seed in range(3):
+            assert store.lookup(synthetic_key(seed)) is not None
+        assert store.verify().ok
 
 
 class TestByteIdentity:
@@ -248,7 +603,7 @@ class TestBulkReads:
         finally:
             os.pread = real_pread
         assert len(reads) == 1
-        assert reads[0] == (0, segment.data_bytes)
+        assert reads[0] == (0, data_bytes(segment))
         # Per-row bytes are exactly what the per-entry path serves.
         assert set(data) == set(segment.entries)
         for row in rows:
@@ -272,14 +627,15 @@ class TestBulkReads:
         (segment,) = load_segments(store_dir / "segments")
         good = next(iter(segment.entries.values()))
         torn = SegmentEntry(
-            hash="deadbeef", offset=segment.data_bytes, length=64,
+            hash="deadbeef", offset=data_bytes(segment), length=64,
             mtime=good.mtime, protocol=good.protocol, M=good.M,
             phi=good.phi, n=good.n, seed=good.seed,
             trace_seed=good.trace_seed, work_target=good.work_target,
+            replicas=good.replicas,
         )
         data = segment.read_many([good, torn])
         assert good.hash in data and "deadbeef" not in data
-        # A vanished data file (concurrent gc rewrite) is an empty
+        # A vanished data file (a concurrent rewrite) is an empty
         # result, not an exception — the caller's re-scan recovers.
         segment.data_path.unlink()
         assert segment.read_many([good]) == {}
@@ -306,14 +662,14 @@ class TestBulkReads:
             self, tmp_path):
         spec, store_dir = populate(tmp_path)
         CampaignStore(store_dir, cache=None).export(
-            spec, tmp_path / "loose.jsonl"
+            spec, tmp_path / "written.jsonl"
         )
         CampaignStore(store_dir, cache=None).compact()
         store = CampaignStore(store_dir, cache=HotCellCache())
         report = store.export(spec, tmp_path / "bulk.jsonl")
         assert report.frames == len(all_keys(spec)) * spec.grid.replicas
         assert (tmp_path / "bulk.jsonl").read_bytes() \
-            == (tmp_path / "loose.jsonl").read_bytes()
+            == (tmp_path / "written.jsonl").read_bytes()
         stats = store.cache_stats()
         assert stats.entries == len(all_keys(spec))
         assert stats.misses == 0  # every read was staged first
@@ -327,7 +683,23 @@ class TestVerifySegments:
         report = store.verify()
         assert report.ok and report.checked == 4
         assert "no corruption" in report.describe()
-        assert report.stat.segment_entries == 4
+        assert (report.stat.entries, report.stat.segments) == (4, 1)
+
+    def test_uncommitted_bytes_are_not_errors(self, tmp_path):
+        """Bytes past the last committed row and a .seg never committed
+        are invisible to readers, so not corruption; verify does name a
+        file that is not a store segment."""
+        _, store_dir = populate(tmp_path)
+        (seg,) = (store_dir / "segments").glob("*.seg")
+        with seg.open("ab") as fh:
+            fh.write(b"torn tail")
+        (store_dir / "segments" / "f00d.seg").write_bytes(b"uncommitted")
+        assert CampaignStore(store_dir, cache=None).verify().ok
+        stray = store_dir / "segments" / "notes.txt"
+        stray.write_text("hello")
+        report = CampaignStore(store_dir, cache=None).verify()
+        assert report.errors == (f"{stray}: unknown file in a results "
+                                 "store, never served; delete it",)
 
     def test_flipped_segment_bytes_are_refused(self, tmp_path):
         spec, store_dir = populate(tmp_path)
@@ -362,29 +734,35 @@ class TestVerifySegments:
         assert "index row disagrees" in report.errors[0]
 
 
-class TestRetiredFlatLayout:
-    def test_flat_entry_is_a_miss_and_verify_names_it(self, tmp_path):
+class TestLeftoverLooseFile:
+    def test_loose_entry_is_a_miss_and_verify_names_it(self, tmp_path):
+        """An entry in the loose ``objects/`` layout of an older store is
+        never served: its cell recomputes (byte-identically) into a
+        segment, and verify names the file until it is deleted."""
         spec, store_dir = populate(tmp_path)
-        objects = store_dir / "objects"
         key = all_keys(spec)[0]
         hash_ = key_hash(key)
-        sharded = objects / hash_[:2] / f"{hash_}.json"
-        flat = objects / f"{hash_}.json"
-        os.replace(sharded, flat)
+        loose = store_dir / "objects" / hash_[:2] / f"{hash_}.json"
+        loose.parent.mkdir(parents=True)
+        loose.write_bytes(read_entry(store_dir, hash_))
+        (idx,) = (store_dir / "segments").glob("*.idx")
+        index = json.loads(idx.read_text())
+        index["entries"] = [r for r in index["entries"] if r[0] != hash_]
+        idx.write_text(json.dumps(index) + "\n")
         store = CampaignStore(store_dir, cache=None)
         assert store.lookup(key) is None
         report = store.verify()
         assert report.checked == 4 and len(report.errors) == 1
-        assert report.errors[0].startswith(f"{flat}: ")
+        assert report.errors[0].startswith(f"{loose}: ")
         assert "never served" in report.errors[0]
-        # A warm re-run recomputes the one cell whose entry moved,
-        # byte-identically, and republishes it in the sharded layout.
         warm = execute_spec(spec, results_path=tmp_path / "warm.jsonl",
                             store=store_dir)
         assert (warm.report.cells_cached, warm.report.cells_run) == (3, 1)
         assert (tmp_path / "warm.jsonl").read_bytes() == \
             (tmp_path / "cold-2027.jsonl").read_bytes()
-        assert sharded.exists()
+        assert loose.exists() and store.lookup(key) is not None
+        loose.unlink()
+        assert store.verify().ok
 
 
 class TestGcSegments:
@@ -392,17 +770,13 @@ class TestGcSegments:
             self, tmp_path):
         spec, store_dir = populate(tmp_path)
         # Age the first campaign's entries *before* compaction: the
-        # segment index inherits these mtimes as its LRU clock.
-        old = 1_000_000.0
-        for path in loose_files(store_dir):
-            os.utime(path, (old, old))
+        # merged segment carries their stamps over.
+        stamp_entries(store_dir, 1_000_000.0)
         store = CampaignStore(store_dir, cache=None)
         store.compact()
         spec_b, _ = populate(tmp_path, seed=999)
-        store.compact()
 
-        now = os.stat(next(iter(loose_files(tmp_path / "store")), None)
-                      or (store_dir / "store.json")).st_mtime
+        now = max(e.mtime for e in store.entries())
         report = store.gc(max_age=3600.0, now=now)
         assert report.evicted_entries == 4
         assert store.stat().entries == 4
@@ -411,8 +785,17 @@ class TestGcSegments:
         for key in all_keys(spec_b):
             assert store.lookup(key) is not None
         # The aged-out segment was removed outright, the fresh one kept.
-        assert len(list(load_segments(store_dir / "segments"))) == 1
+        assert len(load_segments(store_dir / "segments")) == 1
         assert store.verify().ok
+
+    def test_lookups_do_not_refresh_the_stamp(self, tmp_path):
+        spec, store_dir = populate(tmp_path)
+        stamp_entries(store_dir, 1_000_000.0)
+        store = CampaignStore(store_dir, cache=None)
+        for key in all_keys(spec):
+            assert store.lookup(key) is not None
+        assert {e.mtime for e in store.entries()} == {1_000_000.0}
+        assert store.gc(max_age=3600.0).evicted_entries == 4
 
     def test_clock_skew_cannot_age_segment_entries(self, tmp_path):
         """The PR 6 clamped-age guarantee, extended to segments: a
@@ -441,27 +824,50 @@ class TestGcSegments:
         for key in all_keys(spec_b):
             assert store.lookup(key) is None
         # Still one segment: the rewrite, holding exactly the pins.
-        segments = list(load_segments(store_dir / "segments"))
+        segments = load_segments(store_dir / "segments")
         assert len(segments) == 1
         assert set(segments[0].entries) \
             == {key_hash(k) for k in all_keys(spec_a)}
         assert store.verify().ok
 
-    def test_gc_mixed_layout_applies_one_lru_order(self, tmp_path):
-        """Half the entries compacted, half loose: a byte budget evicts
-        oldest-first across both layouts."""
+    def test_gc_sweeps_stale_uncommitted_segments(self, tmp_path):
+        import fcntl
+
+        spec, store_dir = populate(tmp_path)
+        segments_dir = store_dir / "segments"
+        stale, fresh, held = (segments_dir / f"{name}.seg"
+                              for name in ("a" * 32, "b" * 32, "c" * 32))
+        for path in (stale, fresh, held):
+            path.write_bytes(b"torn append of a killed writer")
+        os.utime(stale, (1_000_000.0, 1_000_000.0))
+        os.utime(held, (1_000_000.0, 1_000_000.0))
+        fd = os.open(held, os.O_RDONLY)  # a live writer mid-append
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            store = CampaignStore(store_dir, cache=None)
+            report = store.gc(max_age=3600.0 * 24 * 365 * 100)
+        finally:
+            os.close(fd)
+        assert report.evicted_entries == 0
+        assert not stale.exists()
+        assert fresh.exists() and held.exists()
+        for key in all_keys(spec):
+            assert store.lookup(key) is not None
+        assert store.verify().ok
+
+    def test_gc_applies_one_order_across_segments(self, tmp_path):
+        """Old entries compacted, fresh ones in a writer segment: a byte
+        budget evicts oldest-first across both."""
         spec_a, store_dir = populate(tmp_path)
         store = CampaignStore(store_dir, cache=None)
-        old = 1_000_000.0
-        for path in loose_files(store_dir):
-            os.utime(path, (old, old))
-        store.compact()  # old entries, segment-resident
-        spec_b, _ = populate(tmp_path, seed=999)  # fresh, loose
-        total = store.stat().total_bytes
-        keep = total - sum(p.stat().st_size for p in loose_files(store_dir)) // 2
-        report = store.gc(max_bytes=keep)
+        stamp_entries(store_dir, 1_000_000.0)
+        store.compact()  # old entries, one compacted segment
+        spec_b, _ = populate(tmp_path, seed=999)  # fresh, writer segment
+        rows = store_rows(store_dir)
+        fresh = sum(rows[key_hash(k)][1].length for k in all_keys(spec_b))
+        report = store.gc(max_bytes=store.stat().total_bytes - fresh // 2)
         assert report.evicted_entries > 0
-        # Only the *old* (segment) side lost entries.
+        # Only the *old* side lost entries.
         for key in all_keys(spec_b):
             assert store.lookup(key) is not None
 
@@ -499,8 +905,8 @@ class TestHotCellCache:
         first = dump(store.lookup(key))
         # Remove the bytes from disk entirely: a cached re-read must
         # still serve the verified copy (entries are immutable).
-        (store_dir / "objects" / key_hash(key)[:2]
-         / f"{key_hash(key)}.json").unlink()
+        for path in (store_dir / "segments").iterdir():
+            path.unlink()
         assert dump(store.lookup(key)) == first
         assert cache.stats().hits == 1
 
@@ -509,8 +915,8 @@ class TestHotCellCache:
         populated the cache, a corrupted file would be silently papered
         over by the in-memory copy."""
         spec, store_dir = populate(tmp_path)  # publishes via executor
-        for path in loose_files(store_dir):
-            path.write_text("garbage\n")
+        for hash_ in store_rows(store_dir):
+            rewrite_entry(store_dir, hash_, b"garbage\n")
         store = CampaignStore(store_dir)  # default shared cache
         with pytest.raises(ParameterError):
             store.lookup(all_keys(spec)[0])
@@ -523,7 +929,7 @@ class TestHotCellCache:
         truth = dump(store.lookup(key))
         cache.put(str(store_dir.resolve()), cache_key(key), CachedEntry(
             key=key, results=(), payload_text="tampered",
-            payload_sha256="0" * 64, hash=key_hash(key),
+            payload_sha256="0" * 64,
         ))
         # Digest re-check fails → invalidate → disk re-read, full check.
         assert dump(store.lookup(key)) == truth
@@ -578,31 +984,122 @@ class TestHotCellCache:
             assert default_cache() is restored
 
 
-_READER_WRITER = textwrap.dedent("""\
-    import json, pathlib, sys
-    from repro.errors import ParameterError
-    from repro.io import dump_result
-    from repro.sim.results import DesResult
+_PUBLISHER = _SYNTHETIC + textwrap.dedent("""\
+    import sys
     from repro.store import CampaignStore
 
-    root, keys_path, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    store = CampaignStore(sys.argv[1], cache=None)
+    first = int(sys.argv[2])
+    for seed in range(first, first + 1_000_000):
+        store.publish(synthetic_key(seed), RECORDS)
+        print(seed, flush=True)  # committed: the publish returned
+""")
+
+
+def _spawn(code, *argv) -> subprocess.Popen:
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(pathlib.Path(__file__).resolve().parents[1]),
+         env.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _kill_during_publish(store_dir: pathlib.Path) -> set[int]:
+    """Ten publishers, each killed with SIGKILL at a seeded point inside
+    its publish loop; after each kill every committed row verifies.
+    Returns the seeds the publishers reported committed."""
+    rng = random.Random(20431)
+    committed: set[int] = set()
+    for point in range(10):
+        proc = _spawn(_PUBLISHER, store_dir, point * 100_000)
+        # Raw reads, as communicate() makes: a buffered readline could
+        # swallow output that communicate() then never sees.
+        head = b""
+        while b"\n" not in head:  # publishing has started
+            head += os.read(proc.stdout.fileno(), 4096)
+        time.sleep(rng.uniform(0.0, 0.05))
+        proc.send_signal(signal.SIGKILL)
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        lines = (head.decode() + out).splitlines(keepends=True)
+        committed |= {int(line) for line in lines if line.endswith("\n")}
+        report = CampaignStore(store_dir, cache=None).verify()
+        assert report.ok, report.errors[:3]
+    return committed
+
+
+def _torn_entry(store_dir: pathlib.Path) -> set[int]:
+    """Five committed entries, then bytes past the last committed row:
+    garbage, and a well-formed entry whose index row was never written
+    (as a writer killed between append and commit leaves it); plus a
+    data file whose writer never committed at all."""
+    store = CampaignStore(store_dir, cache=None)
+    for seed in range(5):
+        store.publish(synthetic_key(seed), RECORDS)
+    donor = CampaignStore(store_dir.parent / "donor", cache=None)
+    donor.publish(synthetic_key(99), RECORDS)
+    entry = read_entry(donor.root, key_hash(synthetic_key(99)))
+    (seg,) = (store_dir / "segments").glob("*.seg")
+    with seg.open("ab") as fh:
+        fh.write(b"\x00garbage")
+        fh.write(entry)
+    (store_dir / "segments" / "deadbeef.seg").write_bytes(entry)
+    return set(range(5))
+
+
+@pytest.mark.parametrize("failure_case", [
+    pytest.param("KILL_DURING_PUBLISH", marks=pytest.mark.campaign),
+    "TORN_ENTRY",
+])
+def test_store_fault(failure_case, tmp_path):
+    """Store cases of the fault matrix: after the fault every committed
+    row still serves, nothing uncommitted is ever served, ``verify`` is
+    clean, and ``compact`` reclaims exactly the uncommitted bytes."""
+    store_dir = tmp_path / "store"
+    CampaignStore(store_dir)
+    inject = {"KILL_DURING_PUBLISH": _kill_during_publish,
+              "TORN_ENTRY": _torn_entry}[failure_case]
+    committed = inject(store_dir)
+    assert committed
+
+    store = CampaignStore(store_dir, cache=None)
+    served = {e.hash for e in store.entries()}
+    assert {key_hash(synthetic_key(s)) for s in committed} <= served
+    assert store.lookup(synthetic_key(99)) is None
+    assert store.verify().ok
+    torn = sum(sizes(store_dir).values()) - committed_bytes(store_dir)
+    assert torn > 0 or failure_case == "KILL_DURING_PUBLISH"
+    report = store.compact()
+    assert report.reclaimed_bytes == torn and not report.corrupt
+    assert report.packed_entries == len(served)
+    assert sum(sizes(store_dir).values()) == committed_bytes(store_dir)
+    # One segment is left, beside at most the temp file of an index
+    # commit a kill interrupted (gc sweeps those once stale).
+    assert [name for name in segment_files(store_dir)
+            if ".tmp-" not in name] == [f"{report.segment_id}.idx",
+                                         f"{report.segment_id}.seg"]
+    assert {e.hash for e in store.entries()} == served
+    assert store.verify().ok
+
+
+_READER_WRITER = _SYNTHETIC + textwrap.dedent("""\
+    import json, pathlib, sys
+    from repro.store import CampaignStore
+
+    root, keys_path = sys.argv[1], sys.argv[2]
+    rounds, first = int(sys.argv[3]), int(sys.argv[4])
     keys = json.loads(pathlib.Path(keys_path).read_text())
     store = CampaignStore(root, cache=None)
-    synthetic = DesResult(
-        status="success", makespan=1000.0, work_target=900.0,
-        work_done=900.0, failures=1, rollbacks=1, work_lost=10.0,
-        commits=9, risk_time=100.0,
-    )
     for i in range(rounds):
         for key in keys:
             if store.lookup(key) is None:
                 raise SystemExit(f"lost entry during compaction: {key}")
-        store.publish({
-            "format": "repro-store-entry", "version": 2,
-            "protocol": "double-nbl", "phi": 1.0, "work_target": 900.0,
-            "max_time": None, "params": {"M": 600.0, "n": 12},
-            "distribution": None, "seed": 10_000 + i, "trace_seed": None,
-        }, (dump_result(synthetic),) * 2)
+        store.publish(synthetic_key(first + i), RECORDS)
     print("reader-writer-ok")
 """)
 
@@ -618,46 +1115,77 @@ _COMPACTOR = textwrap.dedent("""\
     print(f"compactor-ok {packed}")
 """)
 
+#: Evicts, pass after pass, the sacrificial entries stamped at or before
+#: one more of the given publish stamps — a real segment rewrite per
+#: pass, racing the writers and the compactor.
+_GC = textwrap.dedent("""\
+    import json, pathlib, sys, time
+    from repro.store import CampaignStore
+
+    root, stamps = sys.argv[1], json.loads(pathlib.Path(sys.argv[2]).read_text())
+    evicted = 0
+    for stamp in stamps:
+        evicted += CampaignStore(root, cache=None).gc(
+            max_age=1.0, now=stamp + 1.0 + 1e-6).evicted_entries
+        time.sleep(0.01)
+    print(f"gc-ok {evicted}")
+""")
+
 
 @pytest.mark.campaign
 class TestConcurrentCompaction:
-    """Two independently started OS processes against one store: a
-    reader/writer hammering lookups and publishes while a compactor
-    repeatedly packs loose entries out from under it."""
-
-    def _spawn(self, code, *argv):
-        env = dict(os.environ)
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.Popen(
-            [sys.executable, "-c", code, *map(str, argv)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True,
-        )
+    """Independently started OS processes against one store: two
+    reader/writers hammering lookups and publishes while a compactor
+    repeatedly merges every segment out from under them and a gc racer
+    rewrites segments to evict old entries."""
 
     def test_reader_writer_races_compactor_losslessly(self, tmp_path):
-        spec, store_dir = populate(tmp_path)
+        store_dir = tmp_path / "store"
+        rounds = 30
+        # Sacrificial entries, published first (so the oldest), a
+        # clock tick or more apart: each gc pass evicts one more.
+        sacrificial = CampaignStore(store_dir, cache=None)
+        for i in range(rounds):
+            sacrificial.publish(synthetic_key(50_000 + i), RECORDS)
+            time.sleep(0.02)
+        stamps = sorted(e.mtime for e in sacrificial.entries())
+        time.sleep(0.05)
+        spec, _ = populate(tmp_path)
+        assert min(e.mtime for e in sacrificial.entries()
+                   if e.seed < 50_000) > stamps[-1]
         keys_path = tmp_path / "keys.json"
         keys_path.write_text(json.dumps(all_keys(spec)))
-        rounds = 30
+        stamps_path = tmp_path / "stamps.json"
+        stamps_path.write_text(json.dumps(stamps))
 
-        reader = self._spawn(_READER_WRITER, store_dir, keys_path, rounds)
-        compactor = self._spawn(_COMPACTOR, store_dir, rounds)
-        r_out, r_err = reader.communicate(timeout=120)
-        c_out, c_err = compactor.communicate(timeout=120)
-        assert reader.returncode == 0, r_err
-        assert compactor.returncode == 0, c_err
-        assert "reader-writer-ok" in r_out
-        assert "compactor-ok" in c_out
+        procs = {
+            "reader-writer-ok": [
+                _spawn(_READER_WRITER, store_dir, keys_path, rounds, first)
+                for first in (10_000, 20_000)],
+            "compactor-ok": [_spawn(_COMPACTOR, store_dir, rounds)],
+            "gc-ok": [_spawn(_GC, store_dir, stamps_path)],
+        }
+        for marker, group in procs.items():
+            for proc in group:
+                out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+                assert marker in out
 
         # Whatever the interleaving: nothing lost, nothing corrupt.
         store = CampaignStore(store_dir, cache=None)
-        for key in all_keys(spec):
+        for key in all_keys(spec) + [synthetic_key(first + i)
+                                     for first in (10_000, 20_000)
+                                     for i in range(rounds)]:
             assert store.lookup(key) is not None
-        stat = store.stat()
-        assert stat.entries == 4 + rounds  # originals + publishes
+        # The gc racer may have found the last sacrificial rows locked.
+        store.gc(max_age=1.0, now=stamps[-1] + 1.0 + 1e-6)
+        assert store.stat().entries == 4 + 2 * rounds  # originals + publishes
         assert store.verify().ok
-        # A final pass leaves the store fully compacted and consistent.
+        # A final pass leaves one consistent segment: no index without
+        # its data file, no data file without its index.
         store.compact()
-        assert store.stat().loose_entries == 0
+        names = segment_files(store_dir)
+        assert {n[:-4] for n in names if n.endswith(".idx")} \
+            == {n[:-4] for n in names if n.endswith(".seg")}
+        assert len(names) == 2
         assert store.verify().ok
