@@ -7,9 +7,14 @@ with one trace cache per campaign, on one core.  It prints
 
 * the unprofiled wall time of each of N campaigns (and their median),
 * the garbage collections those campaigns triggered, per generation,
-  with their pause time (timed with :data:`gc.callbacks`),
+  with their pause time (timed with :data:`gc.callbacks`), and for each
+  full collection the object types most promoted to the oldest
+  generation since the previous one (a :func:`gc.get_objects` census at
+  its start, ``generation=2``; the census time is taken out of the
+  walls and pauses),
 * the engine's counts for one campaign: events executed (queued and
-  walked in place), queued steps and ``schedule`` calls,
+  walked in place), queued steps, and events queued by kind, through
+  ``schedule`` or as a reserved number (``queue``),
 * the cProfile top rows of one more campaign.
 
 Usage::
@@ -26,6 +31,7 @@ import io
 import pstats
 import statistics
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.experiments.scenarios import get_campaign_preset
@@ -36,6 +42,8 @@ from repro.sim.executor import plan_cells
 PRESET = "high-churn"
 REPLICAS = 32
 SEED = 20433
+#: The platform machine's event kinds, in the order they are reported.
+KINDS = ["failure", "phase-end", "risk-end", "block-end", "complete"]
 
 
 def campaign() -> int:
@@ -49,38 +57,69 @@ def campaign() -> int:
 
 
 @contextmanager
-def gc_pauses():
-    """Collect ``{generation: [pause seconds, ...]}`` while active."""
-    pauses: dict[int, list[float]] = {0: [], 1: [], 2: []}
+def gc_watch(top: int = 6):
+    """Watch the collector while active: ``pauses`` maps each generation
+    to its collections' pause seconds (timed with :data:`gc.callbacks`);
+    ``promoted`` holds, per full collection, the ``top`` types by count
+    of the objects promoted to the oldest generation since the previous
+    one (or since entering), taken from :func:`gc.get_objects` at the
+    collection's start; ``census_s`` is the time those censuses took,
+    which no pause includes."""
+    watch = {"pauses": {0: [], 1: [], 2: []}, "promoted": [],
+             "census_s": 0.0}
+    old = {id(obj) for obj in gc.get_objects(generation=2)}
     started: list[float] = []
 
-    def callback(phase, info):
+    def census(phase):
+        nonlocal old
+        t0 = time.perf_counter()
         if phase == "start":
+            promoted = Counter(
+                type(obj).__name__ for obj in gc.get_objects(generation=2)
+                if id(obj) not in old)
+            watch["promoted"].append(dict(promoted.most_common(top)))
+        else:  # the survivors are the next census's baseline
+            old = {id(obj) for obj in gc.get_objects(generation=2)}
+        watch["census_s"] += time.perf_counter() - t0
+
+    def callback(phase, info):
+        generation = info["generation"]
+        if phase == "start":
+            if generation == 2:
+                census(phase)
             started.append(time.perf_counter())
         elif started:
-            pauses[info["generation"]].append(
+            watch["pauses"][generation].append(
                 time.perf_counter() - started.pop())
+            if generation == 2:
+                census(phase)
 
     gc.callbacks.append(callback)
     try:
-        yield pauses
+        yield watch
     finally:
         gc.callbacks.remove(callback)
 
 
 @contextmanager
 def engine_counts():
-    """Count engine steps, ``schedule`` calls and executed events."""
-    counts = {"executed": 0, "step": 0, "schedule": 0}
-    step, schedule, run = Engine.step, Engine.schedule, Engine.run
+    """Count engine steps, executed events and queued events by kind
+    (``schedule`` calls and reserved-number ``queue`` calls apart)."""
+    counts = {"executed": 0, "step": 0, "schedule": Counter(),
+              "queue": Counter()}
+    step, schedule, queue, run = (
+        Engine.step, Engine.schedule, Engine.queue, Engine.run)
 
     def counted_step(self):
         counts["step"] += 1
         return step(self)
 
-    def counted_schedule(self, *args, **kwargs):
-        counts["schedule"] += 1
-        return schedule(self, *args, **kwargs)
+    def counted(push, name):
+        def pushed(self, *args, **kwargs):
+            event = push(self, *args, **kwargs)
+            counts[name][event.kind] += 1
+            return event
+        return pushed
 
     def counted_run(self, *args, **kwargs):
         before = self.executed
@@ -89,12 +128,14 @@ def engine_counts():
         finally:
             counts["executed"] += self.executed - before
 
-    Engine.step, Engine.schedule, Engine.run = (
-        counted_step, counted_schedule, counted_run)
+    Engine.step, Engine.schedule, Engine.queue, Engine.run = (
+        counted_step, counted(schedule, "schedule"), counted(queue, "queue"),
+        counted_run)
     try:
         yield counts
     finally:
-        Engine.step, Engine.schedule, Engine.run = step, schedule, run
+        Engine.step, Engine.schedule, Engine.queue, Engine.run = (
+            step, schedule, queue, run)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -110,25 +151,37 @@ def main(argv: list[str] | None = None) -> None:
     print(f"workload: {PRESET} x{REPLICAS} as shipped, campaign seed {SEED}, "
           "run_cell with one trace cache per campaign")
     walls = []
-    with gc_pauses() as pauses:
+    with gc_watch() as watch:
         for _ in range(args.campaigns):
-            t0 = time.perf_counter()
+            t0, census_s = time.perf_counter(), watch["census_s"]
             replicas = campaign()
-            walls.append(time.perf_counter() - t0)
+            walls.append(time.perf_counter() - t0
+                         - (watch["census_s"] - census_s))
     print(f"un-profiled wall, {args.campaigns} campaigns of {replicas} "
           f"replicas: " + ", ".join(f"{w:.3f}" for w in walls)
-          + f" s (median {statistics.median(walls):.3f} s)")
-    for generation, times in pauses.items():
+          + f" s (median {statistics.median(walls):.3f} s; "
+          "full-collection censuses excluded)")
+    for generation, times in watch["pauses"].items():
         print(f"gc generation {generation}: {len(times)} collections, "
               f"{sum(times) * 1e3:.1f} ms paused"
               + (f" (longest {max(times) * 1e3:.1f} ms)" if times else ""))
+    for i, types in enumerate(watch["promoted"], 1):
+        print(f"  full collection {i}, most promoted since the last: "
+              + ", ".join(f"{name} {count}" for name, count in types.items()))
 
     with engine_counts() as counts:
         campaign()
     walked = counts["executed"] - counts["step"]
+    scheduled, reserved = counts["schedule"], counts["queue"]
+    queued = scheduled + reserved
     print(f"engine, one campaign: {counts['executed']} events executed "
           f"({counts['step']} queued steps, {walked} walked in place), "
-          f"{counts['schedule']} schedule calls")
+          f"{queued.total()} events queued ({scheduled.total()} schedule "
+          f"calls, {reserved.total()} reserved queues)")
+    print("queued by kind: " + ", ".join(
+        f"{kind} {queued[kind]}"
+        + (f" ({reserved[kind]} reserved)" if reserved[kind] else "")
+        for kind in KINDS + sorted(set(queued) - set(KINDS))))
 
     profiler = cProfile.Profile()
     profiler.enable()

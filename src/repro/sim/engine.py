@@ -15,6 +15,17 @@ Determinism: two events at the same timestamp fire in scheduling order
 heap holds ``(time, seq, event)`` tuples, so ordering is the built-in
 tuple comparison and never reaches the event itself.
 
+Reserved sequence numbers: a state machine that keeps some of its future
+events off the heap (the platform's per-replica failure cursor queues
+only the earliest of its nodes' next failures) takes each one's sequence
+number when it decides the event's time, with :meth:`Engine.reserve`,
+and queues it later under that number with :meth:`Engine.queue`.  Among
+equal times the event then fires where :meth:`Engine.schedule` at
+reservation time would have put it: before everything scheduled after
+the reservation, after everything scheduled before it.  Each reserved
+number is queued at most once, so no two heap entries share a
+``(time, seq)`` key.
+
 Walk windows: a state machine whose next transitions are fixed and land
 *strictly* before every queued event need not queue them.  While
 :meth:`Engine.run` is running, :meth:`Engine.walk_window` tells it how
@@ -36,7 +47,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from ..errors import SimulationError
 
@@ -97,16 +108,44 @@ class Engine:
     ) -> Event:
         """Schedule ``callback(engine, event)`` at absolute ``time``."""
         if not time >= self.now:  # also refuses NaN, which breaks heap order
-            if time != time:
-                raise SimulationError("cannot schedule at a NaN time")
-            raise SimulationError(
-                f"cannot schedule into the past: t={time} < now={self.now}"
-            )
+            self._refuse(time)
         time = float(time)
         seq = next(self._seq)
         event = Event(time, seq, callback, payload, kind)
         heapq.heappush(self._queue, (time, seq, event))
         return event
+
+    def reserve(self, time: float) -> int:
+        """Take the FIFO sequence number of an event at ``time`` now, to
+        :meth:`queue` it later; refuses the times :meth:`schedule` does."""
+        if not time >= self.now:
+            self._refuse(time)
+        return next(self._seq)
+
+    def queue(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[["Engine", Event], None],
+        payload: Any = None,
+        kind: str = "",
+    ) -> Event:
+        """Queue ``callback(engine, event)`` at absolute ``time`` under
+        ``seq``, a number from :meth:`reserve` not queued before: at
+        equal times it fires in reservation order."""
+        if not time >= self.now:
+            self._refuse(time)
+        time = float(time)
+        event = Event(time, seq, callback, payload, kind)
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
+
+    def _refuse(self, time: float) -> NoReturn:
+        if time != time:
+            raise SimulationError("cannot schedule at a NaN time")
+        raise SimulationError(
+            f"cannot schedule into the past: t={time} < now={self.now}"
+        )
 
     def schedule_in(
         self,

@@ -30,9 +30,16 @@ The same machine runs the centralised baseline (no risk windows) and the
 no-checkpointing baseline (rollback to zero), so cross-protocol
 comparisons share one execution engine.
 
-What is an engine event: every failure, risk-window end, recovery-block
-end and completion, plus each phase end that ties or follows the next
-queued event or lies past the run's ``until`` or ``max_events``.  Any
+What is an engine event: each replica's earliest pending failure, every
+risk-window end, recovery-block end and completion, plus each phase end
+that ties or follows the next queued event or lies past the run's
+``until`` or ``max_events``.  The nodes' other pending failures wait in
+the platform's failure cursor (a small heap of ``(time, seq, node)``),
+each holding the FIFO number it reserved when its delay was drawn
+(:meth:`~repro.sim.engine.Engine.reserve`); the cursor queues its head
+under that number (:meth:`~repro.sim.engine.Engine.queue`), and the next
+head once that one fires, so a failure wins or loses a tie with a phase,
+risk or block end exactly as if every failure were queued.  Any
 other phase end — most of them, since phases are short against the
 time between failures — is walked in place: :meth:`PlatformSim._enter_phase`
 opens one engine window per walk (:meth:`~repro.sim.engine.Engine.walk_window`),
@@ -45,6 +52,7 @@ byte-identical to queuing them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -120,8 +128,8 @@ class PlatformSim:
         Protocol adapter.
     injector:
         Per-node failure processes.  A node whose next delay is
-        :data:`~repro.sim.failures.NEVER` never fails again, so no event
-        is scheduled for it.
+        :data:`~repro.sim.failures.NEVER` never fails again, so it leaves
+        the failure cursor.
     application:
         Work target and progress tracking.
     engine:
@@ -177,6 +185,11 @@ class PlatformSim:
         self._resume: tuple[int, float, float] | None = None
         self._pending: Event | None = None  # PHASE_END or COMPLETE
         self._block_event: Event | None = None
+        #: The failure cursor: every node's next failure as a heap of
+        #: ``(time, reserved seq, node)``; only its head is queued, as
+        #: ``_failure_event``.
+        self._failures: list[tuple[float, int, int]] = []
+        self._failure_event: Event | None = None
         self._node_gen = [0] * injector.n_nodes
         self.fatal_time = float("nan")
         self.fatal_group: tuple[int, ...] = ()
@@ -184,13 +197,25 @@ class PlatformSim:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule initial failures and enter the first phase at t=0."""
+        """Draw every node's first failure, queue the earliest, and enter
+        the first phase at t=0."""
+        engine = self.engine
+        failures = self._failures
         for node in range(self.injector.n_nodes):
             delay = self.injector.next_failure_delay(node)
-            if delay != NEVER:  # an exhausted node's event could never fire
-                self.engine.schedule(delay, self._on_failure, payload=node,
-                                     kind="failure")
+            if delay != NEVER:  # an exhausted node's failure could never fire
+                failures.append((delay, engine.reserve(delay), node))
+        heapq.heapify(failures)
+        self._arm_failure()
         self._enter_phase(0)
+
+    def _arm_failure(self) -> None:
+        """Queue the failure cursor's head (none queued yet), if any."""
+        failures = self._failures
+        if failures:
+            time, seq, node = failures[0]
+            self._failure_event = self.engine.queue(
+                time, seq, self._on_failure, payload=node, kind="failure")
 
     # ------------------------------------------------------------------
     # RUNNING mode
@@ -342,7 +367,17 @@ class PlatformSim:
         node = event.payload
         # Renewal process: the (replacement) node's next failure.
         delay = self.injector.next_failure_delay(node)
-        if delay != NEVER:
+        if event is self._failure_event:  # the cursor's head fired
+            if delay != NEVER:
+                time = engine.now + delay
+                heapq.heapreplace(self._failures,
+                                  (time, engine.reserve(time), node))
+            else:
+                heapq.heappop(self._failures)
+            self._arm_failure()
+        elif delay != NEVER:
+            # A failure fired from outside the cursor: its node's next
+            # failure is an event of its own, off the cursor.
             engine.schedule(engine.now + delay, self._on_failure,
                             payload=node, kind="failure")
         if self.status is not None:

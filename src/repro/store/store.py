@@ -613,6 +613,12 @@ class CampaignStore:
         self._segments: dict[str, Segment] | None = None
         self._segment_map: dict[str, str] = {}
         self._scan_lock = threading.Lock()
+        #: Scans so far: a pass (or a lookup) whose miss finds this
+        #: moved since it began knows its view is already fresh.
+        self._scans = 0
+        #: Per thread, ``since``: the scan count when its running load
+        #: pass began (see _load_footprint).
+        self._pass = threading.local()
         #: This instance's writer segment, created by its first publish
         #: and shared by its threads under ``_write_lock``.
         self._writer: SegmentWriter | None = None
@@ -696,6 +702,7 @@ class CampaignStore:
                         merged[hash_] = sid
             self._segment_map = merged
             self._segments = segments
+            self._scans += 1
 
     def _segment_row(self, hash_: str) -> tuple[Segment, SegmentEntry] | None:
         if self._segments is None:
@@ -799,16 +806,21 @@ class CampaignStore:
         must never silently substitute wrong results for a simulation.
 
         Read path: the hot-cell cache (digest-level re-check), then the
-        longest segment copy, then one segment re-scan, which finds an
-        entry another process just committed or rewrote.  Safe to call
-        from many threads at once (the campaign service does).
+        longest segment copy, then — unless a scan already ran since the
+        lookup began — one segment re-scan, which finds an entry another
+        process just committed or rewrote.  Safe to call from many
+        threads at once (the campaign service does).
         """
         entry = self._read(key)
         return None if entry is None else entry.results
 
     def _read(self, key: dict) -> CachedEntry | None:
         """:meth:`lookup`, returning the whole verified entry (its
-        replicas and their stored lines)."""
+        replicas and their stored lines).  A miss re-scans only if no
+        scan ran since this thread's load pass (or this lookup) began."""
+        since = getattr(self._pass, "since", None)
+        if since is None:
+            since = self._scans
         with self._read_lock:
             self._m_lookups.inc()
             self._m_active.inc()
@@ -819,10 +831,10 @@ class CampaignStore:
         tracer = current_tracer()
         try:
             if tracer is None:
-                entry = self._lookup(key)
+                entry = self._lookup(key, since)
             else:
                 with tracer.span("store.lookup", "store") as span:
-                    entry = self._lookup(key)
+                    entry = self._lookup(key, since)
                     span.args["result"] = \
                         "hit" if entry is not None else "miss"
             outcome = "hit" if entry is not None else "miss"
@@ -834,7 +846,7 @@ class CampaignStore:
             with self._read_lock:
                 self._m_active.dec()
 
-    def _lookup(self, key: dict) -> CachedEntry | None:
+    def _lookup(self, key: dict, since: int) -> CachedEntry | None:
         token = None
         if self._cache is not None:
             # Probed by cheap surrogate, resolved by full-key equality:
@@ -853,10 +865,13 @@ class CampaignStore:
             found = self._read_longest(hash_)
             if found is not None:
                 return self._admit(key, token, *found)
-            if attempt and self._segment_row(hash_) is None:
+            # A row that failed to read was rewritten away: re-scan while
+            # it keeps moving.  No row is a miss, unless another process
+            # committed the entry since our last scan — not the case when
+            # one ran since ``since``.
+            if self._segment_row(hash_) is None \
+                    and (attempt or self._scans != since):
                 return None
-            # Another process may have committed the entry, or rewritten
-            # its segment away, since we last scanned.
             self._refresh_segments()
         return None
 
@@ -984,7 +999,10 @@ class CampaignStore:
         One :meth:`preload` of every cell entry (segment-resident ones
         stream in with a few sequential reads per segment), then one
         :meth:`load_cell` per plan, which the preload made a cache hit.
-        Misses are simply absent from the result.
+        Misses are simply absent from the result.  The pass re-scans
+        the segments at most once, at its first miss, and not at all
+        when a scan already ran since it began (a fresh instance's first
+        read) or when every cell hits.
         """
         footprint = [(plan, cell_key(config, plan, engine=engine))
                      for plan in plans]
@@ -992,16 +1010,22 @@ class CampaignStore:
         return {plan.index: hit for (plan, _), hit in zip(footprint, hits)
                 if hit is not None}
 
-    def _load_footprint(self, config, footprint, controller,
-                        engine) -> list[StoredCell | None]:
+    def _load_footprint(self, config, footprint, controller, engine,
+                        since: int | None = None
+                        ) -> list[StoredCell | None]:
         """:meth:`load_cells` over ``(plan, cell key)`` pairs whose keys
         are already computed: one preload, then one :meth:`load_cell`
         per pair (through the instance, so a wrapped ``load_cell`` sees
-        every cell), aligned with ``footprint``."""
-        self.preload(key for _, key in footprint)
-        return [self.load_cell(config, plan, controller, engine=engine,
-                               key=key)
-                for plan, key in footprint]
+        every cell), aligned with ``footprint``.  One pass: its misses
+        re-scan only if no scan ran since ``since`` (default: now)."""
+        self._pass.since = self._scans if since is None else since
+        try:
+            self.preload(key for _, key in footprint)
+            return [self.load_cell(config, plan, controller,
+                                   engine=engine, key=key)
+                    for plan, key in footprint]
+        finally:
+            self._pass.since = None
 
     def resolve(self, spec) -> tuple[int, int, list[tuple]]:
         """``(present, total, [(plan, StoredCell | None)])`` of a spec:
@@ -1022,13 +1046,11 @@ class CampaignStore:
         """
         budget = spec.grid.replicas
         footprint = _footprint(spec)
-        rescanned = False
+        since = self._scans
 
         def on_disk(key: dict) -> int:
-            nonlocal rescanned
-            if not rescanned:
+            if self._scans == since:
                 self._refresh_segments()
-                rescanned = True
             return min(self._stored_replicas(key_hash(key)), budget)
 
         probed: dict[int, int] = {}
@@ -1044,7 +1066,7 @@ class CampaignStore:
         hits = dict(zip(
             (plan.index for plan, _ in live),
             self._load_footprint(spec.config(), live, spec.controller(),
-                                 spec.policy.backend)))
+                                 spec.policy.backend, since)))
         present = 0
         cells = []
         for plan, key in footprint:

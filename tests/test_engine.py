@@ -69,6 +69,78 @@ class TestScheduling:
         assert got == [(42, "test")]
 
 
+class TestReservedSequence:
+    """``reserve`` takes an event's FIFO number when its time is decided;
+    ``queue`` puts it on the heap later under that number."""
+
+    def test_queue_refuses_past_and_nan_times(self):
+        eng = Engine()
+        seq = eng.reserve(5.0)
+        eng.schedule(5.0, lambda e, ev: None)
+        eng.step()
+        with pytest.raises(SimulationError, match="past"):
+            eng.queue(1.0, seq, lambda e, ev: None)
+        with pytest.raises(SimulationError, match="NaN"):
+            eng.queue(float("nan"), seq, lambda e, ev: None)
+        assert eng.pending() == 0
+
+    def test_reserve_refuses_past_and_nan_times(self):
+        eng = Engine()
+        eng.schedule(5.0, lambda e, ev: None)
+        eng.step()
+        with pytest.raises(SimulationError, match="past"):
+            eng.reserve(1.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            eng.reserve(float("nan"))
+
+    def test_equal_times_fire_in_reservation_order(self):
+        eng = Engine()
+        hits = []
+        first = eng.reserve(2.0)
+        eng.schedule(2.0, lambda e, ev: hits.append("scheduled"))
+        last = eng.reserve(2.0)
+        # Queued in the opposite order, at the same instant.
+        eng.queue(2.0, last, lambda e, ev: hits.append("last"),
+                  payload=7, kind="late")
+        event = eng.queue(2.0, first, lambda e, ev: hits.append("first"))
+        assert (event.time, event.seq) == (2.0, first)
+        eng.run()
+        assert hits == ["first", "scheduled", "last"]
+        assert eng.executed == 3
+
+    def test_queue_from_a_callback_keeps_the_reserved_place(self):
+        # A number reserved before an event at the same instant was
+        # scheduled still wins the tie when it is queued while that
+        # event's predecessor fires.
+        eng = Engine()
+        hits = []
+        seq = eng.reserve(3.0)
+        eng.schedule(3.0, lambda e, ev: hits.append("scheduled"))
+        eng.schedule(1.0, lambda e, ev: e.queue(
+            3.0, seq, lambda e2, ev2: hits.append("reserved")))
+        eng.run()
+        assert hits == ["reserved", "scheduled"]
+
+    @given(ops=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                                  st.booleans()), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_reserved_events_fire_where_schedule_would(self, ops):
+        """Each op either schedules at once or reserves and queues at the
+        end; the firing order is that of scheduling every op in turn."""
+        eng = Engine()
+        fired = []
+        later = []
+        for i, (t, deferred) in enumerate(ops):
+            if deferred:
+                later.append((t, eng.reserve(t), i))
+            else:
+                eng.schedule(t, lambda e, ev, i=i: fired.append(i))
+        for t, seq, i in reversed(later):
+            eng.queue(t, seq, lambda e, ev, i=i: fired.append(i))
+        eng.run()
+        assert fired == sorted(range(len(ops)), key=lambda i: ops[i][0])
+
+
 class TestCancellation:
     def test_cancelled_event_skipped(self):
         eng = Engine()

@@ -419,72 +419,113 @@ class TestQueuedPhaseEnds(TestInlinePhaseWalk):
         _queue_every_phase_end(monkeypatch)
 
 
+def _queue_every_failure(monkeypatch):
+    """Queue each drawn failure as its own event the moment it is drawn,
+    as the machine did before the failure cursor: one pending failure
+    per node on the engine heap, in draw order."""
+
+    def schedule_every_draw(self):
+        for time, _, node in sorted(self._failures,
+                                    key=lambda entry: entry[1]):
+            self.engine.schedule(time, self._on_failure, payload=node,
+                                 kind="failure")
+        self._failures.clear()
+
+    monkeypatch.setattr(PlatformSim, "_arm_failure", schedule_every_draw)
+
+
+def _observe(monkeypatch):
+    """Record each run's ``engine.executed``, the platform state each
+    failure finds, how many phase ends were walked in place, and how
+    many failure events were queued."""
+    seen = {"executed": [], "failures": [], "walked": 0, "queued": 0}
+    run, on_failure = Engine.run, PlatformSim._on_failure
+    commit_walk = Engine.commit_walk
+    schedule, queue = Engine.schedule, Engine.queue
+
+    def recorded_run(self, *args, **kwargs):
+        try:
+            run(self, *args, **kwargs)
+        finally:
+            seen["executed"].append(self.executed)
+
+    def recorded_failure(self, engine, event):
+        seen["failures"].append((
+            engine.now, self.mode, self.phase_idx, self.phase_start,
+            self._phase_entry_offset, self.period_start_work,
+            self.app.work_done,
+        ))
+        on_failure(self, engine, event)
+
+    def recorded_commit_walk(self, now, steps):
+        seen["walked"] += steps
+        commit_walk(self, now, steps)
+
+    def counted(push):
+        def pushed(self, *args, **kwargs):
+            event = push(self, *args, **kwargs)
+            seen["queued"] += event.kind == "failure"
+            return event
+        return pushed
+
+    monkeypatch.setattr(Engine, "run", recorded_run)
+    monkeypatch.setattr(Engine, "commit_walk", recorded_commit_walk)
+    monkeypatch.setattr(Engine, "schedule", counted(schedule))
+    monkeypatch.setattr(Engine, "queue", counted(queue))
+    monkeypatch.setattr(PlatformSim, "_on_failure", recorded_failure)
+    return seen
+
+
+def _differential(monkeypatch, run, reference):
+    """``run()`` as shipped, then again after ``reference(monkeypatch)``:
+    the same output, ``engine.executed`` per run and platform state at
+    every failure.  Returns both observations."""
+    seen = _observe(monkeypatch)
+    shipped_out = run()
+    shipped = dict(seen)
+    seen.update(executed=[], failures=[], walked=0, queued=0)
+    reference(monkeypatch)
+    reference_out = run()
+    assert shipped_out == reference_out
+    assert shipped["executed"] == seen["executed"]
+    assert shipped["failures"] == seen["failures"]
+    return shipped, seen
+
+
+def _preset_run(key, tmp_path):
+    """A ``run()`` for :func:`_differential`: the preset's campaign (4
+    replicas) into a fresh results file, returning its record lines."""
+    spec = CAMPAIGN_PRESETS[key].spec(replicas=4, seed=4242)
+    paths = iter([tmp_path / "shipped.jsonl", tmp_path / "reference.jsonl"])
+
+    def run():
+        path = next(paths)
+        for _ in CampaignSession(spec, results_path=path).events():
+            pass
+        return path.read_bytes().splitlines()
+
+    return run, 4 * len(plan_cells(spec.config()))
+
+
 class TestWalkMatchesQueuedMachine:
     """Differential check of the walk: the same runs with the walk and
     with every phase end queued give the same records, the same
     ``engine.executed`` per replica, and the same platform state at
     every failure (the walk writes its locals back where it stops)."""
 
-    @staticmethod
-    def _observe(monkeypatch):
-        """Record each run's ``engine.executed``, the platform state each
-        failure finds, and how many phase ends were walked in place."""
-        seen = {"executed": [], "failures": [], "walked": 0}
-        run, on_failure = Engine.run, PlatformSim._on_failure
-        commit_walk = Engine.commit_walk
-
-        def recorded_run(self, *args, **kwargs):
-            try:
-                run(self, *args, **kwargs)
-            finally:
-                seen["executed"].append(self.executed)
-
-        def recorded_failure(self, engine, event):
-            seen["failures"].append((
-                engine.now, self.mode, self.phase_idx, self.phase_start,
-                self._phase_entry_offset, self.period_start_work,
-                self.app.work_done,
-            ))
-            on_failure(self, engine, event)
-
-        def recorded_commit_walk(self, now, steps):
-            seen["walked"] += steps
-            commit_walk(self, now, steps)
-
-        monkeypatch.setattr(Engine, "run", recorded_run)
-        monkeypatch.setattr(Engine, "commit_walk", recorded_commit_walk)
-        monkeypatch.setattr(PlatformSim, "_on_failure", recorded_failure)
-        return seen
-
     def _both(self, monkeypatch, run):
         """``run()`` with the walk, then with every phase end queued."""
-        seen = self._observe(monkeypatch)
-        walked_out = run()
-        walked = dict(seen)
-        seen.update(executed=[], failures=[], walked=0)
-        _queue_every_phase_end(monkeypatch)
-        queued_out = run()
-        queued = seen
+        walked, queued = _differential(monkeypatch, run,
+                                       _queue_every_phase_end)
         assert walked["walked"] > 0 and queued["walked"] == 0
-        assert walked_out == queued_out
-        assert walked["executed"] == queued["executed"]
-        assert walked["failures"] == queued["failures"]
         return walked
 
     @pytest.mark.parametrize("key", sorted(CAMPAIGN_PRESETS))
     def test_preset_records(self, key, tmp_path, monkeypatch):
-        spec = CAMPAIGN_PRESETS[key].spec(replicas=4, seed=4242)
-        paths = iter([tmp_path / "walked.jsonl", tmp_path / "queued.jsonl"])
-
-        def run():
-            path = next(paths)
-            for _ in CampaignSession(spec, results_path=path).events():
-                pass
-            return path.read_bytes().splitlines()
-
+        run, replicas = _preset_run(key, tmp_path)
         seen = self._both(monkeypatch, run)
         # One DES run per replica, all in this process.
-        assert len(seen["executed"]) == 4 * len(plan_cells(spec.config()))
+        assert len(seen["executed"]) == replicas
 
     def test_state_at_failures_during_walks_and_blocks(self, monkeypatch):
         # Node 0 fails mid-compute, node 2 inside node 0's recovery
@@ -531,3 +572,91 @@ class TestWalkMatchesQueuedMachine:
 
         self._both(monkeypatch, run)
 
+
+
+class TestCursorMatchesPerNodeQueue:
+    """Differential check of the failure cursor: the same runs with only
+    each replica's earliest pending failure queued and with one queued
+    failure per node (every draw scheduled as it is made) give the same
+    records, the same ``engine.executed`` per replica, and the same
+    platform state at every failure: a failure keeps the tie order of
+    the FIFO number it reserved when its delay was drawn."""
+
+    @pytest.mark.parametrize("key", sorted(CAMPAIGN_PRESETS))
+    def test_preset_records(self, key, tmp_path, monkeypatch):
+        run, replicas = _preset_run(key, tmp_path)
+        cursor, per_node = _differential(monkeypatch, run,
+                                         _queue_every_failure)
+        assert len(cursor["executed"]) == replicas
+        # Each replica's drawn-but-unfired failures never reached the
+        # heap (every preset has nodes with failures left at the end).
+        assert cursor["queued"] < per_node["queued"]
+
+    def test_failure_keeps_its_draw_order_in_a_tie(self, monkeypatch):
+        """Node 0's failure, drawn at t=0, lands on the instant node 1's
+        risk window (opened at t=10, 38 s) ends, but is queued only after
+        node 2's failure at t=12.  Its number was reserved at the draw,
+        before the risk end was scheduled, so it fires first: node 0
+        fails inside its buddy's window, which is fatal."""
+
+        outcomes = []
+
+        def run():
+            status, now, app, sim = run_platform(
+                DOUBLE_NBL, 10 * 97.0,
+                {0: [10.0 + 38.0], 1: [10.0], 2: [12.0]})
+            outcomes.append((status, now, sim.fatal_group))
+            return outcomes[-1], sim.engine.executed
+
+        _differential(monkeypatch, run, _queue_every_failure)
+        assert outcomes[0] == ("fatal", 48.0, (0, 1))
+
+    def test_one_failure_queued_per_replica(self):
+        engine = Engine()
+        sim = PlatformSim(
+            BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD),
+            ScriptedInjector(4, {0: [300.0], 1: [250.0], 2: [400.0],
+                                 3: [120.0]}),
+            Application(work_target=3 * 97.0), engine,
+            Cluster(contiguous_groups(4, 2)))
+        sim.start()
+        assert sorted((event.kind, event.time)
+                      for _, _, event in engine._queue) \
+            == [("failure", 120.0), ("phase-end", 2.0)]
+        assert sorted(sim._failures) == sorted(
+            (time, seq, node) for seq, (node, time) in enumerate(
+                [(0, 300.0), (1, 250.0), (2, 400.0), (3, 120.0)]))
+
+    def test_failure_fired_from_outside_the_cursor(self, monkeypatch):
+        """A failure fired from outside the cursor draws its node's next
+        failure (here before the cursor's queued head) as an event of its
+        own, and the queued head keeps its place."""
+
+        class DelayInjector:
+            n_nodes = 4
+
+            def __init__(self):
+                self._delays = {0: [1000.0, 30.0], 2: [400.0]}
+
+            def next_failure_delay(self, node):
+                delays = self._delays.get(node)
+                return delays.pop(0) if delays else NEVER
+
+        def run():
+            protocol = BuddySimProtocol(DOUBLE_NBL, PARAMS, PHI, PERIOD)
+            engine = Engine()
+            app = Application(work_target=10 * 97.0)
+            sim = PlatformSim(protocol, DelayInjector(), app, engine,
+                              Cluster(contiguous_groups(4, 2)))
+            sim.start()
+            engine.schedule(120.0, sim._on_failure, payload=0,
+                            kind="failure")
+            engine.run(until=1e9, max_events=1000)
+            return (sim.finalize(), engine.now, engine.executed,
+                    app.commits, app.work_lost, sim.failures_seen)
+
+        cursor, _ = _differential(monkeypatch, run, _queue_every_failure)
+        # Node 0 at 120 (from outside) and 150 (its own next draw), then
+        # the cursor's node 2 at 400 and node 0 at 1000.
+        assert [state[0] for state in cursor["failures"]] \
+            == [120.0, 150.0, 400.0, 1000.0]

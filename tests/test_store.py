@@ -1144,6 +1144,40 @@ class TestResolvePass:
         assert sorted(key_hash(key) for (key,) in reads) == sorted(
             key_hash(cell_key(spec.config(), plan)) for plan in warm)
 
+    def test_cold_campaign_scans_segments_once(self, tmp_path,
+                                               monkeypatch):
+        """An 18-cell campaign into an empty store: its one store pass
+        misses every cell and reads the segments directory once, not
+        once per missed cell; a warm pass on the same instance reads it
+        not at all, and a pass with new misses once."""
+        import repro.store.store as store_module
+        from repro.experiments.scenarios import get_campaign_preset
+
+        scans = []
+        real = store_module.load_segments
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "load_segments", counting)
+        policy = ExecutionPolicy(backend="vectorized")
+        spec = get_campaign_preset("high-churn").spec(
+            replicas=2, seed=11, policy=policy)
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        loads = self._counting(monkeypatch, store, "load_cell")
+        execution = execute_spec(spec, store=store)
+        assert len(loads) == execution.report.cells_total == 18
+        assert execution.report.cells_cached == 0
+        assert len(scans) == 1
+        scans.clear()
+        assert execute_spec(spec, store=store).report.cells_cached == 18
+        assert scans == []
+        fresh = get_campaign_preset("high-churn").spec(
+            replicas=2, seed=12, policy=policy)
+        execute_spec(fresh, store=store)
+        assert len(scans) == 1
+
     def test_warm_pass_touches_no_segment_index(self, tmp_path,
                                                  monkeypatch):
         spec = make_spec()
