@@ -11,7 +11,12 @@ that produced it, as generated at the commit named below:
 * ``ordered_hetero`` (ordered sink, 3 fixed replicas) — the
   ``hetero-mtbf`` preset's shared traces under a non-exponential
   (hyperexponential ``Mixture``) law, generated at commit b0732b9, the
-  last commit that drew every shared trace eagerly to the horizon.
+  last commit that drew every shared trace eagerly to the horizon;
+* ``framed_wilson`` (framed sink, WilsonSuccessRate control) — the
+  ``high-churn`` preset at 8 replicas, where fatal failures are common
+  enough that the Wilson rule stops cells at 3, 5 and 7 replicas;
+  generated at commit ccd21cf.  Its manifest also pins the
+  WilsonSuccessRate fingerprint bytes.
 
 ``tests/test_events.py`` re-runs the specs through the current engine
 and compares bytes — the hard constraint is that these files never
@@ -32,7 +37,7 @@ import sys
 sys.path.insert(0, "src")
 
 from repro.experiments.scenarios import get_campaign_preset  # noqa: E402
-from repro.sim.adaptive import AdaptiveCI  # noqa: E402
+from repro.sim.adaptive import AdaptiveCI, WilsonSuccessRate  # noqa: E402
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy  # noqa: E402
 
 HERE = pathlib.Path(__file__).parent
@@ -40,7 +45,9 @@ HERE = pathlib.Path(__file__).parent
 #: The grids: the smoke preset (2 protocols x 2 MTBFs x 1 phi, 12
 #: nodes), replicas raised to 6 for the adaptive case so the stopping
 #: rule has room to cut cells short; and the hetero-mtbf preset (3
-#: protocols x 3 MTBFs x 2 phi, 24 nodes) at 3 replicas.
+#: protocols x 3 MTBFs x 2 phi, 24 nodes) at 3 replicas; and the
+#: high-churn preset (3 protocols x 3 MTBFs x 2 phi, 24 nodes) at up to 8
+#: replicas under the Wilson success-rate rule.
 GOLDENS: dict[str, CampaignSpec] = {
     "ordered_fixed": get_campaign_preset("smoke").spec(
         replicas=4, policy=ExecutionPolicy()
@@ -57,6 +64,15 @@ GOLDENS: dict[str, CampaignSpec] = {
     ),
     "ordered_hetero": get_campaign_preset("hetero-mtbf").spec(
         replicas=3, policy=ExecutionPolicy()
+    ),
+    "framed_wilson": get_campaign_preset("high-churn").spec(
+        replicas=8,
+        policy=ExecutionPolicy(
+            sink="framed",
+            controller=WilsonSuccessRate(
+                max_replicas=8, tolerance=0.6, min_replicas=2, batch=1
+            ),
+        ),
     ),
 }
 

@@ -44,7 +44,7 @@ from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 #: Every frozen output: (grid, sink kind, control kind).
 GOLDEN_NAMES = ("ordered_fixed", "framed_fixed", "framed_adaptive",
-                "ordered_hetero")
+                "ordered_hetero", "framed_wilson")
 
 
 def golden(name: str):
