@@ -12,9 +12,18 @@ The hierarchy distinguishes *user input* problems (:class:`ParameterError`,
 :class:`UnitParseError`) from *model domain* problems
 (:class:`InfeasibleModelError`) and *simulation* problems
 (:class:`SimulationError`, :class:`FatalFailureError`).
+
+:func:`check_int` and :func:`check_real` are the two checks every
+number of a campaign spec passes through: a value of the wrong type
+(a string, ``None``, a bool, ``8.7`` for a count) is refused by name as
+a :class:`ParameterError`, never coerced and never left to raise a bare
+``TypeError``.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class ReproError(Exception):
@@ -23,6 +32,32 @@ class ReproError(Exception):
 
 class ParameterError(ReproError, ValueError):
     """A model or simulation parameter is invalid (negative time, ...)."""
+
+
+def check_int(name: str, value, floor: int) -> int:
+    """``value`` as an ``int``, unless it is not an integer ``>= floor``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < floor):
+        raise ParameterError(
+            f"{name} must be an integer >= {floor}, got {value!r}"
+        )
+    return int(value)
+
+
+def check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+               *, closed: bool = False) -> float:
+    """``value`` as a ``float``, unless it is not a finite real in
+    ``(low, high)`` (``[low, high)`` when ``closed``)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value) or value >= high
+            or (value < low if closed else value <= low)):
+        bounds = f"{'>=' if closed else '>'} {low:g}"
+        if high < math.inf:
+            bounds += f" and < {high:g}"
+        raise ParameterError(
+            f"{name} must be a finite number {bounds}, got {value!r}"
+        )
+    return float(value)
 
 
 class UnitParseError(ReproError, ValueError):

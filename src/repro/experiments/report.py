@@ -219,34 +219,6 @@ def format_m_axis(m_values: np.ndarray) -> list[str]:
 # ----------------------------------------------------------------------
 # Campaign reports (from persisted JSON Lines, zero re-simulation)
 # ----------------------------------------------------------------------
-class _CellAccumulator:
-    """Streaming (Welford) statistics of one grid cell's raw runs.
-
-    Holds five scalars instead of the runs themselves, so reconstructing
-    per-cell summaries from a campaign file is O(#cells) memory however
-    many replicas each cell recorded.
-    """
-
-    __slots__ = ("n", "finite", "mean", "m2", "successes")
-
-    def __init__(self):
-        self.n = 0
-        self.finite = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.successes = 0
-
-    def push(self, run) -> None:
-        self.n += 1
-        self.successes += run.succeeded
-        waste = run.waste
-        if np.isfinite(waste):
-            self.finite += 1
-            delta = waste - self.mean
-            self.mean += delta / self.finite
-            self.m2 += delta * (waste - self.mean)
-
-
 def campaign_cells_from_file(path):
     """Reconstruct per-cell summaries from a campaign results file.
 
@@ -257,17 +229,20 @@ def campaign_cells_from_file(path):
     in first-seen protocol order with M and φ ascending — the campaign
     grid order, whatever order the records landed in.
 
-    The file is **streamed**: each record updates a per-cell running
-    (Welford) accumulator and is dropped, so memory is proportional to
-    the grid, never to the replica count — a million-record adaptive
-    campaign reports in constant space.  The returned cells therefore
-    carry summaries only (``cell.results`` is empty).
+    The file is **streamed**: each record updates its cell's
+    :class:`~repro.sim.results.RunningMoments` (the adaptive cursors'
+    Welford moments) and a success count, and is dropped, so memory is
+    proportional to the grid, never to the replica count — a
+    million-record adaptive campaign reports in constant space.  The
+    returned cells therefore carry summaries only (``cell.results`` is
+    empty).
     """
     from .. import io as repro_io
     from ..sim.campaign import CampaignCell
-    from ..sim.results import MonteCarloSummary
+    from ..sim.results import MonteCarloSummary, RunningMoments
 
-    groups: dict[tuple[str, float, float], _CellAccumulator] = {}
+    groups: dict[tuple[str, float, float], RunningMoments] = {}
+    successes: dict[tuple[str, float, float], int] = {}
     protocol_order: dict[str, int] = {}
     for position, (cell_index, run) in enumerate(
         repro_io.scan_campaign_runs(path)
@@ -290,10 +265,12 @@ def campaign_cells_from_file(path):
         protocol_order[protocol] = min(
             protocol_order.get(protocol, rank), rank
         )
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = _CellAccumulator()
-        acc.push(run)
+        moments = groups.get(key)
+        if moments is None:
+            moments = groups[key] = RunningMoments()
+            successes[key] = 0
+        moments.push(run.waste)
+        successes[key] += run.succeeded
 
     if not groups:
         raise ParameterError(
@@ -308,10 +285,8 @@ def campaign_cells_from_file(path):
         groups, key=lambda k: (protocol_order[k[0]], k[1], k[2])
     ):
         protocol, m, phi = key
-        acc = groups[key]
         summary = MonteCarloSummary.from_moments(
-            n_total=acc.n, n_finite=acc.finite, mean=acc.mean, m2=acc.m2,
-            successes=acc.successes,
+            groups[key], successes=successes[key],
             meta={"protocol": protocol, "M": m, "phi": phi},
         )
         cells.append(CampaignCell(

@@ -74,8 +74,10 @@ touching the others:
     serial), :class:`~repro.sim.adaptive.AdaptiveCI` (stop once the
     mean-waste CI half-width meets a tolerance) or
     :class:`~repro.sim.adaptive.WilsonSuccessRate` (stop once the
-    success-rate Wilson interval is narrow) — deterministic given the
-    seed schedule, so adaptive campaigns resume exactly.
+    success-rate Wilson interval is narrow).  The two adaptive rules
+    share one batched core and one O(1) cursor over running moments;
+    every rule is deterministic given the seed schedule, so adaptive
+    campaigns resume exactly.
 
 Supporting modules: ``engine`` (event queue), ``rng`` (reproducible
 streams), ``distributions`` (failure laws), ``failures`` (injection),

@@ -1,4 +1,4 @@
-"""Adaptive replica control: stop a grid cell once its CI is tight.
+"""Adaptive replica control: stop a grid cell once its interval is tight.
 
 A campaign spends its budget replica by replica, but cells converge at
 very different rates: a low-variance cell (large MTBF, few failures) may
@@ -11,12 +11,15 @@ cell needs every replica it can get.  A :class:`ReplicaController` decides
 * :class:`AdaptiveCI` — run replicas in batches and stop as soon as the
   Student-t confidence-interval half-width of the mean waste falls below
   a tolerance (never before ``min_replicas``, never past ``max_replicas``).
-* :class:`WilsonSuccessRate` — batch like :class:`AdaptiveCI`, but stop
-  once the *Wilson interval width of the success rate* is small enough:
-  the right rule when a campaign estimates fatal-failure probabilities
-  (the paper's risk analysis) rather than mean waste — a cell whose runs
-  all succeed (or all die) pins its proportion down long before its waste
-  CI converges.
+* :class:`WilsonSuccessRate` — batch the same way, but stop once the
+  *Wilson interval width of the success rate* is small enough: the right
+  rule when a campaign estimates fatal-failure probabilities (the
+  paper's risk analysis) rather than mean waste.
+
+Both adaptive rules are one batched rule (the fields and their checks,
+the fingerprint, the batch boundaries, one O(1) cursor over
+:class:`~repro.sim.results.RunningMoments`); each names only the
+interval width its tolerance bounds.
 
 On the event pipeline the controller appears twice: backends drive its
 incremental cursor while running cells, and the
@@ -27,7 +30,8 @@ stream whose replica counts disagree with the stopping rule.
 Controllers are part of the campaign's identity: each serialises to a
 JSON ``fingerprint()`` stored in manifests and
 :class:`~repro.sim.spec.CampaignSpec` objects, and
-:func:`controller_from_dict` inverts it.
+:func:`controller_from_dict` inverts it, refusing any field of the
+wrong type by name.
 
 Determinism
 -----------
@@ -39,13 +43,11 @@ makes adaptive campaigns resumable: :func:`stop_count` replays the
 decision sequence over recorded samples, letting a resume scan tell a
 finished cell from an interrupted one without re-simulating anything.
 
-Both the live execution path (:func:`repro.sim.backends.run_cell`) and
-the replay (:func:`stop_count`) drive the rule through the same
-:class:`StopCursor`, an incremental one-sample-at-a-time evaluator, so
-the two paths agree bit-for-bit by construction *and* replaying a cell
-with thousands of recorded replicas costs O(n) instead of the O(n²) a
-naive prefix-by-prefix :meth:`~ReplicaController.should_stop` replay
-would (``ci_half_width`` over every prefix).
+The live path (:func:`repro.sim.backends.run_cell`) and the replay
+(:func:`stop_count`) drive the same :class:`StopCursor`, so they agree
+bit-for-bit by construction, and replaying n recorded replicas costs
+O(n) instead of the O(n²) of a prefix-by-prefix
+:meth:`~ReplicaController.should_stop` replay.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
-from ..errors import ParameterError
-from .results import ci_half_width, t_quantile, wilson_interval
+from ..errors import ParameterError, check_int, check_real
+from .results import RunningMoments, ci_half_width, t_quantile, wilson_interval
 
 __all__ = [
     "ReplicaController",
@@ -132,10 +134,7 @@ class FixedReplicas(ReplicaController):
     max_replicas: int
 
     def __post_init__(self) -> None:
-        if self.max_replicas < 1:
-            raise ParameterError(
-                f"max_replicas must be >= 1, got {self.max_replicas}"
-            )
+        check_int("max_replicas", self.max_replicas, 1)
 
     def should_stop(self, wastes: Sequence[float]) -> bool:
         return len(wastes) >= self.max_replicas
@@ -156,203 +155,140 @@ class _FixedCursor(StopCursor):
         return self._n >= self._max
 
 
+#: The batched rules' fields, in fingerprint order.
+_FIELDS = ("max_replicas", "tolerance", "min_replicas", "batch", "confidence")
+
+
 @dataclass(frozen=True)
-class AdaptiveCI(ReplicaController):
-    """Stop once the mean-waste CI half-width is at most ``tolerance``.
+class _BatchedRule(ReplicaController):
+    """Stop once an interval is at most ``tolerance`` wide, in batches.
 
     The check runs at batch boundaries only (``min_replicas``,
     ``min_replicas + batch``, ...) so replicas are committed in chunks —
     checking after every single replica would make the early decisions
-    hypersensitive to the first few samples.
+    hypersensitive to the first few samples.  A subclass names the
+    interval width its ``tolerance`` bounds, twice: over a sample prefix
+    (:meth:`_prefix_width`, the reference :meth:`should_stop` reads) and
+    over :class:`~repro.sim.results.RunningMoments`
+    (:meth:`_moments_width`, what the O(1) cursor reads).
     """
 
     max_replicas: int
-    #: Absolute half-width target on the mean waste (waste lives in [0, 1]).
     tolerance: float
     min_replicas: int = 3
     batch: int = 2
     confidence: float = 0.95
 
-    def __post_init__(self) -> None:
-        if self.max_replicas < 1:
-            raise ParameterError(
-                f"max_replicas must be >= 1, got {self.max_replicas}"
-            )
-        if not math.isfinite(self.tolerance) or self.tolerance <= 0:
-            raise ParameterError(
-                f"tolerance must be finite and > 0, got {self.tolerance!r}"
-            )
-        if self.min_replicas < 2:
-            raise ParameterError(
-                f"min_replicas must be >= 2 (one sample has no CI), "
-                f"got {self.min_replicas}"
-            )
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        if not 0 < self.confidence < 1:
-            raise ParameterError(
-                f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
+    #: Smallest allowed ``min_replicas``.
+    MIN_REPLICAS_FLOOR: ClassVar[int] = 1
+    #: Exclusive upper bound on ``tolerance``.
+    TOLERANCE_BELOW: ClassVar[float] = math.inf
 
-    def should_stop(self, wastes: Sequence[float]) -> bool:
-        n = len(wastes)
+    def __post_init__(self) -> None:
+        checked = (check_int("max_replicas", self.max_replicas, 1),
+                   check_real("tolerance", self.tolerance,
+                              high=self.TOLERANCE_BELOW),
+                   check_int("min_replicas", self.min_replicas,
+                             self.MIN_REPLICAS_FLOOR),
+                   check_int("batch", self.batch, 1),
+                   check_real("confidence", self.confidence, high=1.0))
+        for name, value in zip(_FIELDS, checked):
+            object.__setattr__(self, name, value)
+
+    def _stops(self, n: int, width, over) -> bool:
+        """Stop at the ceiling, never between batch boundaries, and on
+        one once ``width(over)`` is within tolerance."""
         if n >= self.max_replicas:
             return True
         if n < self.min_replicas or (n - self.min_replicas) % self.batch:
             return False
-        return ci_half_width(wastes, self.confidence) <= self.tolerance
+        return width(over) <= self.tolerance
+
+    def should_stop(self, wastes: Sequence[float]) -> bool:
+        return self._stops(len(wastes), self._prefix_width, wastes)
 
     def cursor(self) -> StopCursor:
-        return _AdaptiveCursor(self)
+        return _BatchedCursor(self)
 
     def fingerprint(self) -> dict:
-        return {
-            "kind": "AdaptiveCI",
-            "max_replicas": int(self.max_replicas),
-            "tolerance": float(self.tolerance),
-            "min_replicas": int(self.min_replicas),
-            "batch": int(self.batch),
-            "confidence": float(self.confidence),
-        }
+        return {"kind": type(self).__name__,
+                **{name: getattr(self, name) for name in _FIELDS}}
+
+    @abstractmethod
+    def _prefix_width(self, wastes: Sequence[float]) -> float:
+        """The interval width over a whole sample prefix."""
+
+    @abstractmethod
+    def _moments_width(self, moments: RunningMoments) -> float:
+        """The same width over the prefix's running moments."""
 
 
-class _AdaptiveCursor(StopCursor):
-    """O(1)-per-push cursor for :class:`AdaptiveCI` (Welford statistics).
+class _BatchedCursor(StopCursor):
+    """O(1)-per-push cursor for every batched rule: the width at a
+    batch boundary reads the prefix's running moments instead of a pass
+    over the prefix, so replaying n recorded replicas is O(n) total."""
 
-    Maintains the running count/mean/M2 of the *finite* samples, so the
-    CI half-width at a batch boundary costs one ``t.ppf`` instead of a
-    full pass over the prefix — replaying a cell with n recorded replicas
-    is O(n) total.  The half-width formula is the same as
-    :func:`~repro.sim.results.ci_half_width` (Student-t, ``ddof=1``,
-    finite samples only, ``inf`` below two finite samples, ``0`` at zero
-    variance); the accumulation order differs from numpy's pairwise
-    summation by at most a few ulps, which is irrelevant in practice and
-    *cannot* desynchronise live runs from resumes because both drive this
-    same cursor.
-    """
-
-    def __init__(self, rule: AdaptiveCI):
+    def __init__(self, rule: _BatchedRule):
         self._rule = rule
-        self._n = 0          # all samples, NaNs included (len(wastes))
-        self._k = 0          # finite samples
-        self._mean = 0.0
-        self._m2 = 0.0
+        self.moments = RunningMoments()
 
     def push(self, waste: float) -> bool:
-        self._n += 1
-        if math.isfinite(waste):
-            self._k += 1
-            delta = waste - self._mean
-            self._mean += delta / self._k
-            self._m2 += delta * (waste - self._mean)
+        self.moments.push(waste)
         rule = self._rule
-        if self._n >= rule.max_replicas:
-            return True
-        if (self._n < rule.min_replicas
-                or (self._n - rule.min_replicas) % rule.batch):
-            return False
-        return self._half_width() <= rule.tolerance
+        return rule._stops(self.moments.n, rule._moments_width, self.moments)
 
-    def _half_width(self) -> float:
-        if self._k < 2:
+
+class AdaptiveCI(_BatchedRule):
+    """Stop once the mean-waste CI half-width is at most ``tolerance``
+    (absolute: waste lives in [0, 1]; one sample has no CI, so
+    ``min_replicas >= 2``).
+
+    The cursor's half-width is :func:`~repro.sim.results.ci_half_width`'s
+    formula over Welford moments: a few ulps from numpy's pairwise sums,
+    which cannot desynchronise live runs from resumes, since both drive
+    the cursor.
+    """
+
+    MIN_REPLICAS_FLOOR = 2
+
+    def _prefix_width(self, wastes: Sequence[float]) -> float:
+        return ci_half_width(wastes, self.confidence)
+
+    def _moments_width(self, moments: RunningMoments) -> float:
+        k = moments.finite
+        if k < 2:
             return float("inf")
-        variance = self._m2 / (self._k - 1)
+        variance = moments.m2 / (k - 1)
         if variance <= 0.0:
             return 0.0
-        return float(
-            t_quantile(self._rule.confidence, self._k - 1)
-            * math.sqrt(variance) / math.sqrt(self._k)
-        )
+        return float(t_quantile(self.confidence, k - 1)
+                     * math.sqrt(variance) / math.sqrt(k))
 
 
-@dataclass(frozen=True)
-class WilsonSuccessRate(ReplicaController):
+class WilsonSuccessRate(_BatchedRule):
     """Stop once the Wilson interval width of the success rate is small.
 
     The controller only sees waste samples, but a replica's waste is
     finite **iff** the run completed (:attr:`DesResult.waste` is NaN for
     fatal/timeout runs), so the success count is recoverable from the
     samples alone — which keeps resume replays pure functions of the
-    recorded wastes, exactly like the other rules.
-
-    ``tolerance`` bounds the *full* interval width (``hi − lo``, a value
-    in ``(0, 1)``).  Checks run at the same batch boundaries as
-    :class:`AdaptiveCI` so the early decisions are not hypersensitive to
-    the first couple of replicas.
+    recorded wastes, exactly like the other rules.  ``tolerance`` bounds
+    the *full* interval width (``hi − lo``), so it lies in ``(0, 1)``.
     """
 
-    max_replicas: int
-    #: Maximum Wilson interval width (hi − lo) of the success rate.
-    tolerance: float
-    min_replicas: int = 3
-    batch: int = 2
-    confidence: float = 0.95
+    TOLERANCE_BELOW = 1.0
 
-    def __post_init__(self) -> None:
-        if self.max_replicas < 1:
-            raise ParameterError(
-                f"max_replicas must be >= 1, got {self.max_replicas}"
-            )
-        if not math.isfinite(self.tolerance) or not 0 < self.tolerance < 1:
-            raise ParameterError(
-                f"tolerance must lie in (0, 1) — it bounds the width of a "
-                f"proportion interval — got {self.tolerance!r}"
-            )
-        if self.min_replicas < 1:
-            raise ParameterError(
-                f"min_replicas must be >= 1, got {self.min_replicas}"
-            )
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        if not 0 < self.confidence < 1:
-            raise ParameterError(
-                f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
-
-    def should_stop(self, wastes: Sequence[float]) -> bool:
-        n = len(wastes)
-        if n >= self.max_replicas:
-            return True
-        if n < self.min_replicas or (n - self.min_replicas) % self.batch:
-            return False
+    def _prefix_width(self, wastes: Sequence[float]) -> float:
         successes = sum(1 for w in wastes if math.isfinite(w))
-        lo, hi = wilson_interval(successes, n, self.confidence)
-        return hi - lo <= self.tolerance
+        lo, hi = wilson_interval(successes, len(wastes), self.confidence)
+        return hi - lo
 
-    def cursor(self) -> StopCursor:
-        return _WilsonCursor(self)
-
-    def fingerprint(self) -> dict:
-        return {
-            "kind": "WilsonSuccessRate",
-            "max_replicas": int(self.max_replicas),
-            "tolerance": float(self.tolerance),
-            "min_replicas": int(self.min_replicas),
-            "batch": int(self.batch),
-            "confidence": float(self.confidence),
-        }
+    def _moments_width(self, moments: RunningMoments) -> float:
+        lo, hi = wilson_interval(moments.finite, moments.n, self.confidence)
+        return hi - lo
 
 
-class _WilsonCursor(StopCursor):
-    """O(1)-per-push cursor for :class:`WilsonSuccessRate` (two counters)."""
-
-    def __init__(self, rule: WilsonSuccessRate):
-        self._rule = rule
-        self._n = 0
-        self._successes = 0
-
-    def push(self, waste: float) -> bool:
-        self._n += 1
-        if math.isfinite(waste):
-            self._successes += 1
-        rule = self._rule
-        if self._n >= rule.max_replicas:
-            return True
-        if (self._n < rule.min_replicas
-                or (self._n - rule.min_replicas) % rule.batch):
-            return False
-        lo, hi = wilson_interval(self._successes, self._n, rule.confidence)
-        return hi - lo <= rule.tolerance
+_RULES = {rule.__name__: rule for rule in (AdaptiveCI, WilsonSuccessRate)}
 
 
 def controller_from_dict(data: dict | None) -> ReplicaController | None:
@@ -360,10 +296,10 @@ def controller_from_dict(data: dict | None) -> ReplicaController | None:
 
     ``None`` — the fingerprint of the default fixed-count rule — returns
     ``None``: the caller owns the replica budget and builds the
-    :class:`FixedReplicas` itself.  Decodes the built-in adaptive rules;
-    anything else is refused by name, so a spec or queue manifest written
-    by a newer library fails loudly instead of silently running
-    fixed-count.
+    :class:`FixedReplicas` itself.  Decodes the built-in batched rules;
+    an unknown kind, a missing or unknown field and a value of the wrong
+    type are refused by name, so a spec or queue manifest written by a
+    newer library fails loudly instead of silently running fixed-count.
     """
     if data is None:
         return None
@@ -373,25 +309,21 @@ def controller_from_dict(data: dict | None) -> ReplicaController | None:
             f"got {type(data).__name__}"
         )
     kind = data.get("kind")
-    kinds = {"AdaptiveCI": AdaptiveCI, "WilsonSuccessRate": WilsonSuccessRate}
-    if kind not in kinds:
+    rule = _RULES.get(kind) if isinstance(kind, str) else None
+    if rule is None:
         raise ParameterError(
             f"unknown replica controller {kind!r}; this library knows "
-            f"{sorted(kinds)} (and the fixed-count default, spelled null)"
+            f"{sorted(_RULES)} (and the fixed-count default, spelled null)"
         )
-    try:
-        return kinds[kind](
-            max_replicas=int(data["max_replicas"]),
-            tolerance=float(data["tolerance"]),
-            min_replicas=int(data["min_replicas"]),
-            batch=int(data["batch"]),
-            confidence=float(data["confidence"]),
-        )
-    except KeyError as exc:
-        raise ParameterError(
-            f"replica-controller spec of kind {kind!r} is missing "
-            f"field {exc}"
-        ) from exc
+    given = set(data) - {"kind"}
+    for what, names in (("missing", set(_FIELDS) - given),
+                        ("unknown", given - set(_FIELDS))):
+        if names:
+            raise ParameterError(
+                f"replica-controller spec of kind {kind!r} has {what} "
+                f"field(s) {sorted(names)}"
+            )
+    return rule(**{name: data[name] for name in _FIELDS})
 
 
 def stop_count(

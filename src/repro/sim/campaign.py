@@ -27,16 +27,14 @@ failure stream per (M, replica), of which every cell consumes a prefix
 
 from __future__ import annotations
 
-import math
-import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..core.parameters import Parameters
 from ..core.protocols import ProtocolSpec, get_protocol
-from ..errors import ParameterError
+from ..errors import ParameterError, check_int, check_real
 from .distributions import FailureDistribution
 from .results import CellBlock, DesResult, MonteCarloSummary
 
@@ -69,17 +67,19 @@ class CampaignConfig:
         validate_campaign(self)
 
 
+def _check_list(name: str, values) -> None:
+    if (isinstance(values, str) or not isinstance(values, Sequence)
+            or not values):
+        raise ParameterError(
+            f"{name} must be a non-empty list, got {values!r}"
+        )
+
+
 def _check_axis(name: str, values: Sequence[float], *, positive: bool) -> None:
-    if not values:
-        raise ParameterError(f"need at least one {name} value")
+    _check_list(name, values)
     seen: set[float] = set()
     for v in values:
-        v = float(v)
-        if not math.isfinite(v) or v < 0 or (positive and v == 0):
-            bound = "> 0" if positive else ">= 0"
-            raise ParameterError(
-                f"{name} values must be finite and {bound}, got {v!r}"
-            )
+        v = check_real(f"{name} values", v, closed=not positive)
         if v in seen:
             raise ParameterError(
                 f"duplicate {name} value {v!r}: grid axes must be unique "
@@ -97,34 +97,17 @@ def validate_campaign(config: CampaignConfig) -> None:
     deserialised or duck-typed) fail loudly instead of producing an empty
     or half-meaningless sweep.
     """
-    if not config.protocols:
-        raise ParameterError("need at least one protocol")
+    _check_list("protocols", config.protocols)
     keys = [get_protocol(spec).key for spec in config.protocols]
     if len(set(keys)) != len(keys):
         raise ParameterError(f"duplicate protocols in campaign: {keys}")
     _check_axis("M", config.m_values, positive=True)
     _check_axis("phi", config.phi_values, positive=False)
-    if (not isinstance(config.replicas, numbers.Integral)
-            or isinstance(config.replicas, bool) or config.replicas < 1):
-        raise ParameterError(
-            f"replicas must be an integer >= 1, got {config.replicas!r} "
-            "(a campaign with no replicas has no cells to run)"
-        )
-    if not math.isfinite(config.work_target) or config.work_target <= 0:
-        raise ParameterError(
-            f"work_target must be finite and > 0, got {config.work_target!r}"
-        )
-    if (not isinstance(config.seed, numbers.Integral)
-            or isinstance(config.seed, bool) or config.seed < 0):
-        raise ParameterError(
-            f"seed must be a non-negative integer, got {config.seed!r}"
-        )
-    if config.max_time is not None and (
-        not math.isfinite(config.max_time) or config.max_time <= 0
-    ):
-        raise ParameterError(
-            f"max_time must be finite and > 0, got {config.max_time!r}"
-        )
+    check_int("replicas", config.replicas, 1)
+    check_real("work_target", config.work_target)
+    check_int("seed", config.seed, 0)
+    if config.max_time is not None:
+        check_real("max_time", config.max_time)
 
 
 @dataclass(frozen=True)

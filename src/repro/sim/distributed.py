@@ -88,7 +88,7 @@ from ..errors import ParameterError
 from ..fsclock import clamped_age, filesystem_now
 from ..obs import Counter, default_registry
 from ..obs.trace import current_tracer
-from .adaptive import ReplicaController, stop_count
+from .adaptive import ReplicaController
 from .backends import (
     CampaignBackend,
     _execute_chunk,
@@ -97,7 +97,7 @@ from .backends import (
 )
 from .campaign import CampaignConfig
 from .results import CellBlock, DesResult
-from .sinks import _check_cell, frame_groups, write_framed
+from .sinks import _check_cell, _complete, frame_groups, write_framed
 
 __all__ = [
     "DistributedBackend",
@@ -840,14 +840,7 @@ def merge_shards(
     merged: list[tuple[int, list[str]]] = []
     for cell in sorted(copies):
         results, records, _ = copies[cell]
-        stops_at = stop_count(controller, [res.waste for res in results])
-        if stops_at is not None and stops_at < len(results):
-            raise ParameterError(
-                f"{queue}: cell {cell} holds {len(results)} replicas but "
-                f"the replica controller stops it after {stops_at}; the "
-                "shards were written under different adaptive settings"
-            )
-        if stops_at is None:
+        if not _complete(queue, cell, results, controller):
             incomplete += 1
             continue
         merged.append((cell, records))

@@ -20,7 +20,7 @@ from scipy import stats as sps
 from ..errors import ParameterError
 
 __all__ = ["DesResult", "CellBlock", "as_block", "MonteCarloSummary",
-           "wilson_interval", "ci_half_width"]
+           "RunningMoments", "wilson_interval", "ci_half_width"]
 
 #: The one NaN object unset ``fatal_time`` fields share, so rows built
 #: at different times compare equal field for field.
@@ -252,6 +252,31 @@ def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
     return _half_width(std, finite.size, confidence)
 
 
+class RunningMoments:
+    """Streaming (Welford) moments of a sample sequence, NaNs included.
+
+    ``n`` counts every sample; ``finite``, ``mean`` and ``m2`` (the sum
+    of squared deviations, Welford's M₂) describe the finite ones.  Four
+    scalars instead of the samples: the adaptive replica cursors
+    (:mod:`repro.sim.adaptive`) and the streaming campaign report both
+    keep one per cell.
+    """
+
+    __slots__ = ("n", "finite", "mean", "m2")
+
+    def __init__(self):
+        self.n = self.finite = 0
+        self.mean = self.m2 = 0.0
+
+    def push(self, sample: float) -> None:
+        self.n += 1
+        if math.isfinite(sample):
+            self.finite += 1
+            delta = sample - self.mean
+            self.mean += delta / self.finite
+            self.m2 += delta * (sample - self.mean)
+
+
 @dataclass(frozen=True)
 class MonteCarloSummary:
     """Aggregate of many replicas of one configuration."""
@@ -312,11 +337,8 @@ class MonteCarloSummary:
     @classmethod
     def from_moments(
         cls,
+        moments: "RunningMoments",
         *,
-        n_total: int,
-        n_finite: int,
-        mean: float,
-        m2: float,
         successes: int,
         confidence: float = 0.95,
         meta: dict | None = None,
@@ -325,21 +347,18 @@ class MonteCarloSummary:
 
         The constant-memory twin of :meth:`from_samples` for streaming
         aggregation (``report --from-campaign`` over million-record
-        files): ``n_finite``, ``mean`` and ``m2`` (the sum of squared
-        deviations, Welford's M₂) describe the finite samples; NaN
-        samples are counted only in ``n_total``.  The degenerate cases
-        mirror :meth:`from_samples` exactly — NaN mean with no finite
-        sample, zero std below two, a point interval until the CI is
-        determined.
+        files).  The degenerate cases mirror :meth:`from_samples`
+        exactly — NaN mean with no finite sample, zero std below two, a
+        point interval until the CI is determined.
         """
+        n_total, n_finite = moments.n, moments.finite
         if not 0 < confidence < 1:
             raise ParameterError("confidence must lie in (0, 1)")
         if n_total <= 0:
             raise ParameterError("need at least one sample")
-        if not 0 <= n_finite <= n_total:
-            raise ParameterError("n_finite must lie in [0, n_total]")
-        mean = float(mean) if n_finite else float("nan")
-        std = float(np.sqrt(m2 / (n_finite - 1))) if n_finite > 1 else 0.0
+        mean = float(moments.mean) if n_finite else float("nan")
+        std = (float(np.sqrt(moments.m2 / (n_finite - 1)))
+               if n_finite > 1 else 0.0)
         half = _half_width(std, n_finite, confidence) if n_finite > 1 else 0.0
         return cls(
             n_replicas=n_total,

@@ -184,6 +184,21 @@ def _check_identity(
         )
 
 
+def _complete(where, cell: int, results, controller) -> bool:
+    """Does the replica controller stop a recovered cell exactly at its
+    last replica?  ``False`` marks an incomplete cell (the rule would run
+    more); a cell holding more replicas than the rule runs is refused:
+    it was written under different adaptive settings."""
+    stops_at = stop_count(controller, [r.waste for r in results])
+    if stops_at is not None and stops_at < len(results):
+        raise ParameterError(
+            f"{where}: cell {cell} holds {len(results)} replicas but the "
+            f"replica controller stops it after {stops_at}; it was "
+            "written under different adaptive settings"
+        )
+    return stops_at is not None
+
+
 def _check_cell(
     path: pathlib.Path,
     cell: int,
@@ -407,15 +422,7 @@ class FramedJsonlSink(ResultSink):
                     f"{self.path}: cell {cell} is reopened by a later "
                     "frame group; refusing to resume a corrupt frames file"
                 )
-            stops_at = stop_count(controller, [r.waste for r in results])
-            if stops_at is not None and stops_at < len(results):
-                raise ParameterError(
-                    f"{self.path}: cell {cell} holds {len(results)} "
-                    f"replicas but the replica controller stops it after "
-                    f"{stops_at}; refusing to resume a file written under "
-                    "different adaptive settings"
-                )
-            if stops_at == len(results):
+            if _complete(self.path, cell, results, controller):
                 done[cell] = results
                 keep = end
                 self._seq += len(results)

@@ -61,12 +61,11 @@ is the only way to describe a campaign: every runner (the façade,
 from __future__ import annotations
 
 import json
-import numbers
 import pathlib
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Callable
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_int, check_real
 from .adaptive import FixedReplicas, ReplicaController, controller_from_dict
 from .campaign import CampaignCell, CampaignConfig
 from .distributions import distribution_from_dict
@@ -122,15 +121,6 @@ _VOLATILE_POLICY_FIELDS = {
 }
 
 
-def _check_number(name: str, value: Any, *, positive: bool) -> float:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0:
-        raise ParameterError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """How a campaign executes: backend, sink, replica control, chunking.
@@ -183,22 +173,16 @@ class ExecutionPolicy:
                 f"unknown backend {self.backend!r}; "
                 f"known: {list(CAMPAIGN_BACKENDS)}"
             )
-        if self.workers is not None:
-            if (not isinstance(self.workers, numbers.Integral)
-                    or isinstance(self.workers, bool) or self.workers < 0):
-                raise ParameterError(
-                    f"workers must be >= 0 (0/None = every core), "
-                    f"got {self.workers!r}"
+        for name, floor in (("workers", 0), ("chunk_size", 1),
+                            ("worker_processes", 0)):
+            if getattr(self, name) is not None:
+                object.__setattr__(
+                    self, name, check_int(name, getattr(self, name), floor)
                 )
-            object.__setattr__(self, "workers", int(self.workers))
-        if self.chunk_size is not None:
-            if (not isinstance(self.chunk_size, numbers.Integral)
-                    or isinstance(self.chunk_size, bool)
-                    or self.chunk_size < 1):
-                raise ParameterError(
-                    f"chunk_size must be >= 1, got {self.chunk_size!r}"
-                )
-            object.__setattr__(self, "chunk_size", int(self.chunk_size))
+        for name in ("lease_timeout", "poll_interval"):
+            object.__setattr__(
+                self, name, check_real(name, getattr(self, name))
+            )
         if self.sink not in SINK_MODES:
             raise ParameterError(
                 f"unknown sink mode {self.sink!r}; known: {list(SINK_MODES)}"
@@ -208,25 +192,6 @@ class ExecutionPolicy:
             raise ParameterError(
                 f"controller must be a ReplicaController, "
                 f"got {type(self.controller).__name__}"
-            )
-        object.__setattr__(
-            self, "lease_timeout",
-            _check_number("lease_timeout", self.lease_timeout, positive=True),
-        )
-        object.__setattr__(
-            self, "poll_interval",
-            _check_number("poll_interval", self.poll_interval, positive=True),
-        )
-        if self.worker_processes is not None:
-            if (not isinstance(self.worker_processes, numbers.Integral)
-                    or isinstance(self.worker_processes, bool)
-                    or self.worker_processes < 0):
-                raise ParameterError(
-                    f"worker_processes must be >= 0 (0/None = every "
-                    f"core), got {self.worker_processes!r}"
-                )
-            object.__setattr__(
-                self, "worker_processes", int(self.worker_processes)
             )
         if self.store_mode not in STORE_MODES:
             raise ParameterError(
@@ -478,10 +443,10 @@ class CampaignSpec:
             raise ParameterError(f"grid is missing field(s): {sorted(missing)}")
         dist = grid.get("distribution")
         config = CampaignConfig(
-            protocols=tuple(grid["protocols"]),
+            protocols=grid["protocols"],
             base_params=Parameters.from_mapping(grid["params"]),
-            m_values=tuple(grid["m_values"]),
-            phi_values=tuple(grid["phi_values"]),
+            m_values=grid["m_values"],
+            phi_values=grid["phi_values"],
             work_target=grid["work_target"],
             replicas=grid.get("replicas", 5),
             seed=grid.get("seed", 777),

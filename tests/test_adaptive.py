@@ -19,6 +19,7 @@ from repro.errors import ParameterError
 from repro.sim.adaptive import (
     AdaptiveCI,
     FixedReplicas,
+    WilsonSuccessRate,
     ci_half_width,
     stop_count,
 )
@@ -146,6 +147,7 @@ class TestCursor:
         [float("nan")] * 6,                           # never finite
         [0.1, float("nan"), 0.11, 0.1, float("nan"), 0.12],
         [0.0, 1.0] * 5,                               # never converges
+        [float("nan"), 0.2, float("nan"), 0.3] * 2,   # half succeed
     ]
     RULES = [
         FixedReplicas(4),
@@ -153,6 +155,13 @@ class TestCursor:
         AdaptiveCI(max_replicas=10, tolerance=1e-9, min_replicas=3),
         AdaptiveCI(max_replicas=6, tolerance=0.05, min_replicas=4, batch=3),
         AdaptiveCI(max_replicas=10, tolerance=0.02, min_replicas=2, batch=1),
+        WilsonSuccessRate(max_replicas=10, tolerance=0.75, min_replicas=1,
+                          batch=1),
+        WilsonSuccessRate(max_replicas=10, tolerance=0.7, min_replicas=3),
+        WilsonSuccessRate(max_replicas=6, tolerance=1e-9, min_replicas=2,
+                          batch=3),
+        WilsonSuccessRate(max_replicas=8, tolerance=0.6, min_replicas=2,
+                          batch=1),
     ]
 
     def test_cursor_matches_prefix_replay(self):
@@ -173,9 +182,10 @@ class TestCursor:
         samples = [0.1 + 0.01 * ((i * 7919) % 13) for i in range(50)]
         for n, s in enumerate(samples, 1):
             cursor.push(s)
-            assert cursor._half_width() == \
+            half = rule._moments_width(cursor.moments)
+            assert half == \
                 pytest.approx(ci_half_width(samples[:n]), rel=1e-12, abs=0.0) \
-                or (math.isinf(cursor._half_width())
+                or (math.isinf(half)
                     and math.isinf(ci_half_width(samples[:n])))
 
     def test_replay_is_linear_in_ci_evaluations(self, monkeypatch):
@@ -184,14 +194,14 @@ class TestCursor:
         from repro.sim import adaptive as adaptive_mod
 
         calls = {"n": 0}
-        original = adaptive_mod._AdaptiveCursor._half_width
+        original = adaptive_mod.AdaptiveCI._moments_width
 
-        def counting(self):
+        def counting(self, moments):
             calls["n"] += 1
-            return original(self)
+            return original(self, moments)
 
         monkeypatch.setattr(
-            adaptive_mod._AdaptiveCursor, "_half_width", counting
+            adaptive_mod.AdaptiveCI, "_moments_width", counting
         )
         n = 500
         rule = AdaptiveCI(max_replicas=n + 1, tolerance=1e-30,

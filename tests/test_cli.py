@@ -189,6 +189,21 @@ class TestCampaignCommand:
         err = capsys.readouterr().err
         assert "--spec fixes the whole campaign" in err and "--workers" in err
 
+    def test_malformed_spec_file_prints_cleanly(self, capsys, tmp_path):
+        """A spec number of the wrong type is a one-line ``campaign:``
+        message with exit 2, not a traceback."""
+        import json
+
+        assert main(self.QUICK + ["--dump-spec"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        spec["grid"]["m_values"] = ["x"]
+        spec_file = tmp_path / "grid.json"
+        spec_file.write_text(json.dumps(spec))
+        rc = main(["campaign", "--spec", str(spec_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign: ") and "M values" in err
+
     def test_spec_file_resume(self, capsys, tmp_path):
         spec_file = tmp_path / "grid.json"
         results = tmp_path / "r.jsonl"

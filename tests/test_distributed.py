@@ -589,6 +589,30 @@ class TestAdaptiveDistributed:
         merge_shards(queue, merged)
         assert merged.read_bytes() == ref
 
+    def test_refuses_cell_longer_than_the_rule_runs(self, tmp_path):
+        """A hand-written shard holds all 8 replicas of every cell (a
+        fixed-count run of the same grid: same seeds, same identity), but
+        the queue's AdaptiveCI rule stops each cell after 3: the shard
+        was written under different adaptive settings."""
+        controller = AdaptiveCI(max_replicas=8, tolerance=0.5,
+                                min_replicas=3, batch=1)
+        adaptive = make_spec(ExecutionPolicy(sink="framed",
+                                             controller=controller),
+                             replicas=8)
+        queue = tmp_path / "queue"
+        ensure_queue(queue, adaptive.fingerprint(),
+                     n_chunks=2, chunk_size=2, n_cells=4)
+        shard = shard_path(queue, "w1")
+        shard.parent.mkdir(parents=True, exist_ok=True)
+        shard.write_bytes(framed_reference(tmp_path / "fixed.jsonl",
+                                           replicas=8))
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(ParameterError,
+                           match="holds 8 replicas but the replica "
+                                 "controller stops it after 3"):
+            merge_shards(queue, out, require_complete=False)
+        assert not out.exists()
+
 
 @pytest.mark.campaign
 class TestMultiProcessAcceptance:

@@ -686,6 +686,29 @@ class TestServiceSmoke:
                 detail = json.loads(excinfo.value.read())
                 assert "error" in detail
 
+    def test_malformed_spec_numbers_get_a_400_reply(self, tmp_path):
+        """A spec number of the wrong type is a named 400, on submit and
+        on a report query alike — not a connection closed unanswered."""
+        adaptive = CampaignSpec(grid=make_spec().grid, policy=ExecutionPolicy(
+            sink="framed",
+            controller=AdaptiveCI(max_replicas=2, tolerance=0.1),
+        )).to_dict()
+        adaptive["policy"]["controller"]["max_replicas"] = "x"
+        bad_grid = make_spec().to_dict()
+        bad_grid["grid"]["work_target"] = "x"
+        with CampaignService(
+            store=tmp_path / "store", data_dir=tmp_path / "svc",
+        ) as service:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_json(service.url("/campaigns"), adaptive)
+            assert excinfo.value.code == 400
+            assert "max_replicas" in json.loads(excinfo.value.read())["error"]
+            query = urllib.parse.urlencode({"spec": json.dumps(bad_grid)})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_json(service.url("/reports?" + query))
+            assert excinfo.value.code == 400
+            assert "work_target" in json.loads(excinfo.value.read())["error"]
+
     def test_keep_alive_gets_do_not_stall(self, tmp_path):
         """Fifty small GETs in a row on one persistent connection.  The
         handler writes headers and body separately; with Nagle's

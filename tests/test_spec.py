@@ -206,6 +206,85 @@ class TestValidation:
         assert spec.grid.protocols == ("double-nbl", "triple")
 
 
+def adaptive_spec_dict() -> dict:
+    """An AdaptiveCI spec as the JSON a client would send."""
+    return CampaignSpec(
+        grid=make_grid(replicas=6),
+        policy=ExecutionPolicy(
+            sink="framed",
+            controller=AdaptiveCI(max_replicas=6, tolerance=0.2),
+        ),
+    ).to_dict()
+
+
+#: Malformed controller fields: decoded strictly, never coerced.
+BAD_CONTROLLER_FIELDS = [
+    ("max_replicas", "x"),
+    ("max_replicas", 8.7),
+    ("max_replicas", True),
+    ("min_replicas", 2.5),
+    ("batch", True),
+    ("tolerance", None),
+    ("tolerance", "0.1"),
+    ("extra", 1),
+]
+
+#: Malformed grid fields: each once raised TypeError/ValueError (or, for
+#: ``protocols``, was split into characters) instead of a named error.
+BAD_GRID_FIELDS = [
+    ("work_target", "x", "work_target"),
+    ("work_target", None, "work_target"),
+    ("m_values", ["x"], "M"),
+    ("m_values", 5, "M"),
+    ("phi_values", [None], "phi"),
+    ("max_time", "x", "max_time"),
+    ("protocols", "double-nbl", "protocols"),
+]
+
+
+class TestStrictDecoding:
+    @pytest.mark.parametrize("field, value", BAD_CONTROLLER_FIELDS)
+    def test_controller_field_of_wrong_type_is_refused_by_name(
+        self, field, value
+    ):
+        data = adaptive_spec_dict()
+        data["policy"]["controller"][field] = value
+        with pytest.raises(ParameterError, match=field):
+            CampaignSpec.from_dict(data)
+
+    def test_missing_controller_field_is_refused_by_name(self):
+        data = adaptive_spec_dict()
+        del data["policy"]["controller"]["batch"]
+        with pytest.raises(ParameterError, match="missing.*batch"):
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field, value, name", BAD_GRID_FIELDS)
+    def test_grid_field_of_wrong_type_is_refused_by_name(
+        self, field, value, name
+    ):
+        data = adaptive_spec_dict()
+        data["grid"][field] = value
+        with pytest.raises(ParameterError, match=name):
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", "2"), ("chunk_size", 1.5), ("worker_processes", True),
+        ("lease_timeout", "60"), ("poll_interval", float("nan")),
+    ])
+    def test_policy_number_of_wrong_type_is_refused_by_name(
+        self, field, value
+    ):
+        with pytest.raises(ParameterError, match=field):
+            ExecutionPolicy(**{field: value})
+
+    def test_int_tolerance_still_fingerprints_as_float(self):
+        fp = AdaptiveCI(max_replicas=4, tolerance=1).fingerprint()
+        assert json.dumps(fp) == (
+            '{"kind": "AdaptiveCI", "max_replicas": 4, "tolerance": 1.0, '
+            '"min_replicas": 3, "batch": 2, "confidence": 0.95}'
+        )
+
+
 # ----------------------------------------------------------------------
 # Spec-driven execution
 # ----------------------------------------------------------------------
