@@ -58,7 +58,9 @@ class FailureInjector:
     node_distribution:
         Inter-arrival law of a *single node* (mean = node MTBF).
     rng_factory:
-        Stream factory; node ``i`` uses ``rng_factory.node(i)``.
+        Stream factory; node ``i`` uses ``rng_factory.node(i)``.  The
+        streams are built together by :meth:`RngFactory.nodes`, which
+        seeds them in one batch (the same streams, state for state).
     """
 
     def __init__(
@@ -71,7 +73,7 @@ class FailureInjector:
             raise ParameterError("n_nodes must be >= 1")
         self.n_nodes = int(n_nodes)
         self.distribution = node_distribution
-        self._rngs = [rng_factory.node(i) for i in range(self.n_nodes)]
+        self._rngs = rng_factory.nodes(self.n_nodes)
 
     @classmethod
     def from_platform_mtbf(

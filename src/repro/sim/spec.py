@@ -441,6 +441,16 @@ class CampaignSpec:
                    "work_target"} - set(grid)
         if missing:
             raise ParameterError(f"grid is missing field(s): {sorted(missing)}")
+        if not isinstance(grid["params"], dict):
+            raise ParameterError(
+                f"grid params must be an object of model parameters, "
+                f"got {grid['params']!r}"
+            )
+        share_traces = grid.get("share_traces", False)
+        if not isinstance(share_traces, bool):
+            raise ParameterError(
+                f"share_traces must be true or false, got {share_traces!r}"
+            )
         dist = grid.get("distribution")
         config = CampaignConfig(
             protocols=grid["protocols"],
@@ -450,7 +460,7 @@ class CampaignSpec:
             work_target=grid["work_target"],
             replicas=grid.get("replicas", 5),
             seed=grid.get("seed", 777),
-            share_traces=bool(grid.get("share_traces", False)),
+            share_traces=share_traces,
             max_time=grid.get("max_time"),
             distribution=None if dist is None else distribution_from_dict(dist),
         )

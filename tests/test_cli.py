@@ -204,6 +204,24 @@ class TestCampaignCommand:
         err = capsys.readouterr().err
         assert err.startswith("campaign: ") and "M values" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("share_traces", "no"), ("params", 5),
+    ])
+    def test_malformed_spec_grid_field_exits_2(
+        self, capsys, tmp_path, field, value
+    ):
+        import json
+
+        assert main(self.QUICK + ["--dump-spec"]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        spec["grid"][field] = value
+        spec_file = tmp_path / "grid.json"
+        spec_file.write_text(json.dumps(spec))
+        rc = main(["campaign", "--spec", str(spec_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign: ") and field in err
+
     def test_spec_file_resume(self, capsys, tmp_path):
         spec_file = tmp_path / "grid.json"
         results = tmp_path / "r.jsonl"

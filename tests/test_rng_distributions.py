@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.sim.distributions import (
@@ -15,7 +16,7 @@ from repro.sim.distributions import (
     Mixture,
     Weibull,
 )
-from repro.sim.rng import RngFactory
+from repro.sim.rng import RngFactory, _SeedWords
 
 
 class TestRngFactory:
@@ -61,6 +62,65 @@ class TestRngFactory:
 
     def test_none_seed_allowed(self):
         assert RngFactory(None).seed is None
+
+
+#: One law of every kind; each first draw goes through a different
+#: Generator path (``choice`` reaches the buffered 32-bit ``integers``).
+EVERY_KIND = [
+    Exponential(100.0),
+    Weibull(100.0, 0.7),
+    LogNormal(100.0, 1.2),
+    Gamma(100.0, 2.0),
+    Deterministic(100.0),
+    Empirical([1.0, 5.0, 20.0, 400.0]),
+    Mixture([Exponential(25.0), Weibull(400.0, 1.5)], [0.8, 0.2]),
+]
+
+
+class TestBatchedNodeStreams:
+    """``nodes(count)`` is ``[node(i) for i in range(count)]``, seeded in
+    one batch; ``node(i)`` is numpy's own SeedSequence path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.just(0),
+            st.integers(1, 2**32 - 1),
+            st.integers(2**32, 2**64 - 1),
+            st.integers(2**64, 2**200),
+            st.none(),
+        ),
+        child=st.one_of(st.none(), st.integers(0, 2**40)),
+        count=st.integers(1, 300),
+    )
+    def test_batch_is_the_per_node_streams(self, seed, child, count):
+        factory = RngFactory(seed)
+        if child is not None:
+            factory = factory.child_factory(child)
+        batch = factory.nodes(count)
+        assert len(batch) == count
+        for i, rng in enumerate(batch):
+            assert rng.bit_generator.state == factory.node(i).bit_generator.state
+        for i in sorted({0, count // 2, count - 1}):
+            ours, reference = batch[i], factory.node(i)
+            for dist in EVERY_KIND:
+                assert dist.sample(ours) == dist.sample(reference)
+            assert ours.integers(1 << 30) == reference.integers(1 << 30)
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_empty_and_negative_counts(self):
+        assert RngFactory(3).nodes(0) == []
+        with pytest.raises(ParameterError):
+            RngFactory(3).nodes(-1)
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64),
+    ])
+    def test_seed_words_refuse_other_requests(self, n_words, dtype):
+        words = np.arange(4, dtype=np.uint64)
+        assert _SeedWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ParameterError, match="4 uint64 words"):
+            _SeedWords(words).generate_state(n_words, dtype)
 
 
 class TestDistributionMeans:

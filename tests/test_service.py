@@ -709,6 +709,29 @@ class TestServiceSmoke:
             assert excinfo.value.code == 400
             assert "work_target" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("share_traces", "no"), ("params", 5),
+    ])
+    def test_malformed_grid_field_gets_a_400_reply(
+        self, tmp_path, field, value
+    ):
+        """A string ``share_traces`` once ran as shared traces, and a
+        non-object ``params`` dropped the connection unanswered."""
+        bad_grid = make_spec().to_dict()
+        bad_grid["grid"][field] = value
+        query = urllib.parse.urlencode({"spec": json.dumps(bad_grid)})
+        with CampaignService(
+            store=tmp_path / "store", data_dir=tmp_path / "svc",
+        ) as service:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_json(service.url("/campaigns"), bad_grid)
+            assert excinfo.value.code == 400
+            assert field in json.loads(excinfo.value.read())["error"]
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_json(service.url("/reports?" + query))
+            assert excinfo.value.code == 400
+            assert field in json.loads(excinfo.value.read())["error"]
+
     def test_keep_alive_gets_do_not_stall(self, tmp_path):
         """Fifty small GETs in a row on one persistent connection.  The
         handler writes headers and body separately; with Nagle's

@@ -239,6 +239,11 @@ BAD_GRID_FIELDS = [
     ("phi_values", [None], "phi"),
     ("max_time", "x", "max_time"),
     ("protocols", "double-nbl", "protocols"),
+    ("share_traces", "no", "share_traces"),
+    ("share_traces", 1, "share_traces"),
+    ("share_traces", None, "share_traces"),
+    ("params", 5, "params"),
+    ("params", [["D", 60]], "params"),
 ]
 
 
