@@ -448,6 +448,73 @@ class TestVectorizedBytes:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestVectorizedPresetBytes:
+    """Every shipped preset's vectorized output is pinned, byte for byte,
+    under every chunk layout.
+
+    Each digest is the sha256 of the ordered results file of the preset
+    (its own failure law and trace sharing) under ``backend="vectorized"``
+    at 4 replicas and seed 4242, recorded before the engine ran a chunk's
+    cells as one lane batch.  The same bytes must come out of the
+    default chunks (one (protocol, M) row each), one cell per chunk and
+    one chunk holding the whole grid (mixed M and protocols), so bytes
+    depend on neither the chunk layout nor the batch's composition.
+    """
+
+    DIGESTS = {
+        "exa-weibull":
+            "b4eb2ef269641778ab2d059b56526c0e1b1c68e03a365bdb54f171e3e4335c93",
+        "hetero-mtbf":
+            "6eab7cf527700654014a511c9bdad6a6aa37f3cb9e0b11761633bebbed17aded",
+        "high-churn":
+            "f65013b63fa6d2e3cc350dd2c63bcce2da0215a33727c1e1e8af3fd3911cd7ca",
+        "slow-storage":
+            "0ba5ca82173b51d6f9cf82e6289703688d33db2d6b638a2f5dbf8140738e9a16",
+        "smoke":
+            "e983e306627a40fc2c97fc0b98df90b9d7cc0bf73392345a9d3c3f3f448e78a9",
+        "trace-bootstrap":
+            "52ae62a737891290ca9dbe768cc100767f89a43385cab3733e28c7e10368f823",
+        "weibull-wearout":
+            "64bcac812c69bdbc035d41a6fa7b943a84bda6d491b7074e2b8d2305341f605e",
+    }
+    #: ``high-churn`` with ``share_traces=False``: every replica its own
+    #: stream, drawn per cell.
+    UNSHARED_DIGEST = (
+        "c6d1aa4d62d7d4126aa0d44a1a86cfc2eed0035807f2112e3428b233053ec335")
+
+    @staticmethod
+    def digest(tmp_path, spec, layout) -> str:
+        chunk_size = {"default": None, "cell": 1,
+                      "grid": len(plan_cells(spec.grid))}[layout]
+        spec = CampaignSpec(grid=spec.grid, policy=ExecutionPolicy(
+            backend="vectorized", chunk_size=chunk_size))
+        path = tmp_path / f"{layout}.jsonl"
+        execute_spec(spec, results_path=path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_every_preset_is_pinned(self):
+        from repro.experiments.scenarios import CAMPAIGN_PRESETS
+
+        assert sorted(self.DIGESTS) == sorted(CAMPAIGN_PRESETS)
+
+    @pytest.mark.parametrize("layout", ["default", "cell", "grid"])
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_preset_bytes(self, key, layout, tmp_path):
+        from repro.experiments.scenarios import get_campaign_preset
+
+        spec = get_campaign_preset(key).spec(replicas=4, seed=4242)
+        assert spec.policy.sink == "ordered"
+        assert self.digest(tmp_path, spec, layout) == self.DIGESTS[key]
+
+    @pytest.mark.parametrize("layout", ["default", "grid"])
+    def test_unshared_bytes(self, layout, tmp_path):
+        from repro.experiments.scenarios import get_campaign_preset
+
+        spec = get_campaign_preset("high-churn").spec(
+            replicas=4, seed=4242, share_traces=False)
+        assert self.digest(tmp_path, spec, layout) == self.UNSHARED_DIGEST
+
+
 class TestStoreSeparation:
     def test_engine_key_field(self):
         config = make_grid()
