@@ -59,6 +59,8 @@ __all__ = [
     "fatal_failure_probability",
     "success_probability_base",
     "group_fatal_probability",
+    "fatal_rate",
+    "chain_success",
     "expected_fatal_count",
 ]
 
@@ -96,12 +98,29 @@ def group_fatal_probability(
     if method == "paper":
         p_fatal = math.factorial(g) * lam**g * T_arr * risk ** (g - 1)
         return np.clip(p_fatal, 0.0, 1.0)
-    # Exact-exponential chain.
+    return -np.expm1(-fatal_rate(spec, params, phi) * T_arr)
+
+
+def fatal_rate(spec: ProtocolSpec | str, params: Parameters, phi):
+    """The exact-exponential chain's fatal rate of one group, ``g·λ·q``."""
+    spec = get_protocol(spec)
+    g, lam = spec.group_size, params.lam
+    risk = np.asarray(spec.risk_window(params, phi), dtype=float)
     q = np.ones_like(risk)
     for j in range(1, g):
         q = q * -np.expm1(-j * lam * risk)
-    rate = g * lam * q
-    return -np.expm1(-rate * T_arr)
+    return g * lam * q
+
+
+def chain_success(rate, n_groups, T):
+    """Exact-exponential success of ``n_groups`` groups, each failing
+    fatally at ``rate``, over ``T`` (all broadcast)."""
+    if np.any(np.asarray(T) < 0):
+        raise ParameterError("T must be >= 0")
+    # Recover the per-group log-survival exactly (−inf ⇒ certain failure).
+    with np.errstate(divide="ignore"):
+        return np.exp(n_groups * np.log1p(-np.minimum(
+            -np.expm1(-rate * np.asarray(T, dtype=float)), 1.0)))
 
 
 def success_probability(
@@ -122,18 +141,14 @@ def success_probability(
     spec = get_protocol(spec)
     g = spec.group_size
     n_groups = params.n / g
-    p_fatal = group_fatal_probability(spec, params, phi, T, method=method)
     if method == "paper":
+        p_fatal = group_fatal_probability(spec, params, phi, T, method=method)
         # (1 − p)^(n/g) via log1p; p >= 1 ⇒ certain failure.
         with np.errstate(divide="ignore", invalid="ignore"):
             log_term = np.where(p_fatal < 1.0, np.log1p(-np.minimum(p_fatal, 1.0)), -np.inf)
         out = np.exp(n_groups * log_term)
     else:
-        # exp(−rate·T) per group already folded into p_fatal: recover the
-        # per-group log-survival exactly (−inf ⇒ certain failure).
-        with np.errstate(divide="ignore"):
-            log_term = np.log1p(-np.minimum(p_fatal, 1.0))
-        out = np.exp(n_groups * log_term)
+        out = chain_success(fatal_rate(spec, params, phi), n_groups, T)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 

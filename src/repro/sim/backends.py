@@ -56,7 +56,7 @@ __all__ = [
     "replica_seed",
     "trace_seed",
     "run_cell",
-    "run_cell_for_engine",
+    "run_chunk_for_engine",
 ]
 
 #: Seed stride between replicas (kept identical to the historical serial
@@ -161,40 +161,27 @@ def run_cell(
     return CellBlock.from_rows(results)
 
 
-def run_cell_for_engine(
+def run_chunk_for_engine(
     engine: str,
-    config: CampaignConfig,
-    plan,
-    controller: ReplicaController,
-    trace_cache: dict | None = None,
-    heartbeat: Callable[[], None] | None = None,
-) -> CellBlock:
-    """Run one cell on ``engine``, the policy's backend.
-
-    ``engine="des"`` is :func:`run_cell`; ``engine="vectorized"`` batches
-    the cell's replicas through the renewal closed forms
-    (:func:`repro.sim.vectorized.run_cell_vectorized`), shared-trace
-    cells included: their common streams live in ``trace_cache`` beside
-    the DES traces, under distinct keys.
-    """
-    from .vectorized import run_cell_vectorized
-
-    run = run_cell_vectorized if engine == "vectorized" else run_cell
-    return run(config, plan, controller, trace_cache, heartbeat)
-
-
-def _execute_chunk(
     config: CampaignConfig,
     plans: list,
     controller: ReplicaController,
-    engine: str = "des",
+    trace_cache: dict | None = None,
+    heartbeat: Callable[[], None] | None = None,
 ) -> list[CellBlock]:
-    """Worker entry point: run a chunk of cells, sharing traces within it."""
-    trace_cache: dict = {}
-    return [
-        run_cell_for_engine(engine, config, plan, controller, trace_cache)
-        for plan in plans
-    ]
+    """Run a chunk of cells on ``engine``, one block per plan:
+    :func:`run_cell` per plan, or lane batches through the renewal closed
+    forms (:func:`repro.sim.vectorized.run_chunk_vectorized`).  Shared
+    traces live in ``trace_cache`` (one engine's under keys distinct from
+    the other's), else in a cache of the chunk's own."""
+    trace_cache = {} if trace_cache is None else trace_cache
+    if engine == "vectorized":
+        from .vectorized import run_chunk_vectorized
+
+        return run_chunk_vectorized(config, plans, controller, trace_cache,
+                                    heartbeat)
+    return [run_cell(config, plan, controller, trace_cache, heartbeat)
+            for plan in plans]
 
 
 class CampaignBackend(ABC):
@@ -245,12 +232,9 @@ class SerialBackend(CampaignBackend):
     def execute(self, config, chunks, controller):
         trace_cache: dict = {}
         for index, chunk in enumerate(chunks):
-            yield index, [
-                run_cell_for_engine(
-                    self.engine, config, plan, controller, trace_cache
-                )
-                for plan in chunk
-            ], ["backend"] * len(chunk)
+            yield index, run_chunk_for_engine(
+                self.engine, config, chunk, controller, trace_cache
+            ), ["backend"] * len(chunk)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -283,7 +267,7 @@ class ProcessPoolBackend(CampaignBackend):
         ) as pool:
             futures = {
                 pool.submit(
-                    _execute_chunk, config, chunk, controller, self.engine
+                    run_chunk_for_engine, self.engine, config, chunk, controller
                 ): index
                 for index, chunk in enumerate(chunks)
             }

@@ -91,9 +91,8 @@ from ..obs.trace import current_tracer
 from .adaptive import ReplicaController
 from .backends import (
     CampaignBackend,
-    _execute_chunk,
     _resolve_workers,
-    run_cell_for_engine,
+    run_chunk_for_engine,
 )
 from .campaign import CampaignConfig
 from .results import CellBlock, DesResult
@@ -698,8 +697,9 @@ class DistributedBackend(CampaignBackend):
         in-process or concurrently across the worker's pool — pooling
         spans *all* held chunks, which is what lets a fine-grained chunk
         layout still saturate the local cores.  Either way the lease keeps beating: in-process via
-        :func:`run_cell`'s per-replica hook, pooled via the coordinating
-        process refreshing while it waits on cell futures.
+        the engine's hook (per replica in the DES, per grid row in the
+        vectorized engine), pooled via the coordinating process
+        refreshing while it waits on cell futures.
         """
         held = [plan for plans in plan_chunks for plan in plans]
         slots: dict[int, CellBlock] = {}
@@ -712,9 +712,8 @@ class DistributedBackend(CampaignBackend):
         remaining = [plan for plan in held if plan.index not in served]
         if pool is not None and remaining:
             futures = {
-                pool.submit(
-                    _execute_chunk, config, [plan], controller, self.engine
-                ): plan.index
+                pool.submit(run_chunk_for_engine, self.engine, config,
+                            [plan], controller): plan.index
                 for plan in remaining
             }
             pending = set(futures)
@@ -726,12 +725,10 @@ class DistributedBackend(CampaignBackend):
                 for future in done:
                     slots[futures[future]] = future.result()[0]
         else:
-            trace_cache: dict = {}
-            for plan in remaining:
-                slots[plan.index] = run_cell_for_engine(
-                    self.engine, config, plan, controller, trace_cache,
-                    heartbeat=heartbeat,
-                )
+            slots.update(zip(
+                (plan.index for plan in remaining),
+                run_chunk_for_engine(self.engine, config, remaining,
+                                     controller, heartbeat=heartbeat)))
         return [
             ([slots[plan.index] for plan in plans],
              ["store" if plan.index in served else "backend"

@@ -85,27 +85,32 @@ class RenewalResult:
 
 
 def failure_blocks(
-    model: BuddySimProtocol, offsets: np.ndarray,
+    models: list[BuddySimProtocol], row: np.ndarray, offsets: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each failure's phase and the wall seconds it costs.
 
-    ``offsets`` are pattern offsets in ``[0, model.period)``.  Each is
-    binned into its phase (the last phase absorbs any rounding slack
-    between the summed phase lengths and the period), and its block is
-    ``stall + max(base + offset into the phase − shift, 0)`` over the
-    cell model's re-execution terms, evaluated over all strikes at once.
-    Returns ``(phase_of, blocks)``.  The one kernel behind
-    :func:`run_renewal` and the vectorized campaign engine
-    (:mod:`repro.sim.vectorized`).
+    ``offsets`` are pattern offsets in ``[0, period)`` of the cell models
+    ``models[row]``.  Each falls in the last phase starting at or before
+    it (the last phase absorbs any rounding slack between the summed
+    phase lengths and the period), and its block is ``stall + max(base +
+    offset into the phase − shift, 0)`` over its model's re-execution
+    terms, evaluated over all strikes of all models at once.  Returns
+    ``(phase_of, blocks)``.  The one kernel behind :func:`run_renewal`
+    and the vectorized campaign engine (:mod:`repro.sim.vectorized`).
     """
-    bounds = np.cumsum((0.0,) + model.lengths)
-    phase_of = np.clip(
-        np.searchsorted(bounds, offsets, side="right") - 1,
-        0, len(model.lengths) - 1,
-    )
-    local = offsets - bounds[phase_of]
-    base = np.array(model.re_bases)[phase_of]
-    blocks = model.stall + np.maximum(base + local - model.re_shift, 0.0)
+    # Phase starts, +inf past a model's last phase; RE bases beside them.
+    starts = np.full((len(models), max(len(m.lengths) for m in models)),
+                     np.inf)
+    bases = np.zeros(starts.shape)
+    for index, model in enumerate(models):
+        starts[index, :len(model.lengths)] = np.cumsum(
+            (0.0,) + model.lengths)[:-1]
+        bases[index, :len(model.lengths)] = model.re_bases
+    phase_of = (offsets[:, None] >= starts[row, 1:]).sum(axis=1)
+    local = offsets - starts[row, phase_of]
+    stall, shift = (np.array([getattr(model, name) for model in models])[row]
+                    for name in ("stall", "re_shift"))
+    blocks = stall + np.maximum(bases[row, phase_of] + local - shift, 0.0)
     return phase_of, blocks
 
 
@@ -120,7 +125,8 @@ def run_renewal(config: RenewalConfig) -> RenewalResult:
     n_fail = int(rng.poisson(horizon / params.M))
     offsets = np.sort(rng.uniform(0.0, horizon, size=n_fail)) % period
 
-    phase_of, blocks = failure_blocks(model, offsets)
+    phase_of, blocks = failure_blocks(
+        [model], np.zeros(n_fail, dtype=np.intp), offsets)
     phase_hits = np.bincount(phase_of, minlength=3)
 
     total_time = horizon + float(blocks.sum())

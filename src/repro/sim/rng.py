@@ -11,25 +11,25 @@ single root seed via :class:`numpy.random.SeedSequence`.  This gives:
   streams were instantiated (important when comparing protocol variants on
   *common random numbers*).
 
-A failure process needs one stream per node, but draws only a few values
-from each (about 1.5 per stream in a shared-trace ``high-churn``
-campaign), so seeding the streams one by one cost more than drawing
-from them.  :meth:`RngFactory.nodes` seeds all of a process's node streams in one
-batch.  For one factory, numpy's :class:`~numpy.random.SeedSequence`
-entropy assembly and pool mixing depend on the node index only through
-the last spawn-key word; the batch runs the node-independent part once
-as scalar arithmetic, then mixes the last word and generates the 8-word
-PCG64 seed for every node at once, in ``uint64``-lane numpy operations
-masked to 32 bits.  Each stream is then ``PCG64`` fed its precomputed
-words.  numpy fixes this seeding algorithm under its stream-compatibility
-policy (NEP 19), and :meth:`RngFactory.node` keeps numpy's own
-``SeedSequence`` path: it is the reference the batch is tested against,
-state for state.
+A failure process needs one stream per node and the vectorized engine
+one per replica of a grid row, but draws little from each (about 1.5
+values per node stream in a shared-trace ``high-churn`` campaign), so
+seeding streams one by one cost more than drawing from them.  One kernel
+(:func:`_seed_words`) seeds many streams at once: numpy's
+:class:`~numpy.random.SeedSequence` mixing runs over the entropy words
+every stream shares as scalar arithmetic, and from the first word that
+differs as ``uint64`` lanes masked to 32 bits; each stream is then
+``PCG64`` fed its precomputed words.  :meth:`RngFactory.nodes` and
+:func:`replica_streams` both call it.  numpy fixes this algorithm under
+its stream-compatibility policy (NEP 19); :meth:`RngFactory.node` and
+:meth:`RngFactory.replica` keep numpy's own path, the references the
+batches are tested against, state for state.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -37,7 +37,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from ..errors import ParameterError
 
-__all__ = ["RngFactory"]
+__all__ = ["RngFactory", "replica_streams"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -63,12 +63,6 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's ``mix`` of two 32-bit words."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
 def _hash_steps(hash_const: int, mult: int,
                 count: int) -> tuple[list[int], list[int]]:
     """The (xor, multiplier) pairs of ``count`` consecutive hash steps."""
@@ -80,6 +74,27 @@ def _hash_steps(hash_const: int, mult: int,
     return xors, mults
 
 
+def _hashmix(value, xor, mult):
+    """SeedSequence's ``hashmix`` at one hash step, on ints or ``uint64``
+    lanes (whose products wrap, keeping their low 32 bits exact)."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words (ints or lanes)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+@lru_cache(maxsize=16)
+def _mix_steps(words: int) -> tuple:
+    """mix_entropy's hash steps over ``words`` words, as ints and uint64s:
+    4 fill the pool, 12 cross-mix it, then 4 per further word."""
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * (words + 3))
+    return (*steps, *(np.array(part, dtype=np.uint64) for part in steps))
+
+
 #: generate_state(4, uint64) draws 8 uint32 words cycling the pool; its
 #: hash constants do not depend on the pool.
 _STATE_CYCLE = np.arange(2 * _SEED_WORDS) % _POOL_SIZE
@@ -88,49 +103,44 @@ _STATE_XOR, _STATE_MULT = (
     for steps in _hash_steps(_INIT_B, _MULT_B, 2 * _SEED_WORDS))
 
 
-def _node_seed_words(entropy_words: list[int], indices: np.ndarray) -> np.ndarray:
-    """The PCG64 seed words of ``SeedSequence(entropy + [index])`` per index.
+def _seed_words(entropy: list) -> np.ndarray:
+    """Row ``i``: ``SeedSequence(...).generate_state(4, np.uint64)`` over
+    lane ``i``'s assembled entropy, every lane at once.
 
-    ``entropy_words`` is the assembled entropy up to, not including, the
-    last word; ``indices`` (uint64, each < 2**32) are the last words.
-    Returns a ``(len(indices), 4)`` uint64 array, row ``i`` equal to
-    ``SeedSequence(...).generate_state(4, np.uint64)`` for ``indices[i]``.
+    ``entropy`` holds one entry per word: an int every lane shares, or a
+    ``uint64`` array of one word (< 2**32) per lane.  Shared words mix as
+    ints; once a lane word is in, the pool is a ``(lanes, 4)`` array and
+    each step mixes a source into its three destinations, or a word into
+    all four, across every lane in one operation.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    # mix_entropy, scalar, over every word but the node index (the pool
-    # is always full: spawned entropy is padded to the pool size).
-    pool = [hashmix(word) for word in entropy_words[:_POOL_SIZE]]
+    words = entropy + [0] * (_POOL_SIZE - len(entropy))
+    xors, mults, xor_lanes, mult_lanes = _mix_steps(len(words))
+    pool = [_hashmix(*step) for step in zip(words[:_POOL_SIZE], xors, mults)]
+    if any(isinstance(word, np.ndarray) for word in pool):
+        pool = np.column_stack(np.broadcast_arrays(
+            *(np.asarray(word, dtype=np.uint64) for word in pool)))
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy_words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # The node index, mixed into each pool word by its own hash step:
-    # one row of lanes per node.  uint64 products wrap, which keeps their
-    # low 32 bits exact; masks are needed only before each right shift.
-    xors, mults = _hash_steps(hash_const, _MULT_A, _POOL_SIZE)
-    value = (indices[:, None] ^ np.array(xors, dtype=np.uint64)) * np.array(
-        mults, dtype=np.uint64)
-    value &= _MASK32
-    value ^= value >> _XSHIFT
-    value *= _MIX_MULT_R
-    lanes = np.array([_MIX_MULT_L * word & _MASK32 for word in pool],
-                     dtype=np.uint64) - value
-    lanes &= _MASK32
-    lanes ^= lanes >> _XSHIFT
+        dsts = [dst for dst in range(_POOL_SIZE) if dst != src]
+        steps = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
+        if isinstance(pool, list):
+            for dst, xor, mult in zip(dsts, xors[steps], mults[steps]):
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, mult))
+        else:
+            pool[:, dsts] = _mix(pool[:, dsts], _hashmix(
+                pool[:, src, None], xor_lanes[steps], mult_lanes[steps]))
+    for index, word in enumerate(words[_POOL_SIZE:], 4):
+        steps = slice(_POOL_SIZE * index, _POOL_SIZE * index + _POOL_SIZE)
+        if isinstance(pool, list) and isinstance(word, int):
+            pool = [_mix(value, _hashmix(word, xor, mult)) for value, xor, mult
+                    in zip(pool, xors[steps], mults[steps])]
+        else:
+            pool = _mix(np.asarray(pool, dtype=np.uint64), _hashmix(
+                np.asarray(word, dtype=np.uint64)[..., None],
+                xor_lanes[steps], mult_lanes[steps]))
     # generate_state: 8 words, paired little-endian into 64-bit words
     # (C order: PCG64 reads each row as 4 contiguous words).
-    state = lanes[:, _STATE_CYCLE] ^ _STATE_XOR
+    state = np.asarray(pool, dtype=np.uint64).reshape(-1, _POOL_SIZE)
+    state = state[:, _STATE_CYCLE] ^ _STATE_XOR
     state *= _STATE_MULT
     state &= _MASK32
     state ^= state >> _XSHIFT
@@ -139,8 +149,18 @@ def _node_seed_words(entropy_words: list[int], indices: np.ndarray) -> np.ndarra
     return np.ascontiguousarray(words)
 
 
+def _spawned_entropy(entropy: int, spawn_key: tuple[int, ...]) -> list[int]:
+    """The entropy words numpy assembles for a spawned ``SeedSequence``:
+    the run entropy padded to the pool size, then the spawn key."""
+    words = _uint32_words(entropy)
+    words += [0] * (_POOL_SIZE - len(words))
+    for word in spawn_key:
+        words += _uint32_words(word)
+    return words
+
+
 class _SeedWords(ISeedSequence):
-    """A node stream's precomputed PCG64 seed, handed to ``PCG64``."""
+    """A stream's precomputed PCG64 seed, handed to ``PCG64``."""
 
     __slots__ = ("_words",)
 
@@ -211,12 +231,10 @@ class RngFactory:
         # Each node index must be one 32-bit word, the last of the entropy.
         if not 0 <= count <= _MASK32 + 1:
             raise ParameterError(f"count must be in [0, 2**32], got {count}")
-        # numpy pads a spawned sequence's run entropy to the pool size.
-        entropy = _uint32_words(self._entropy)
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-        for word in self._spawn_key + (self._NODE_DOMAIN,):
-            entropy += _uint32_words(word)
-        words = _node_seed_words(entropy, np.arange(count, dtype=np.uint64))
+        words = _seed_words(
+            _spawned_entropy(self._entropy,
+                             self._spawn_key + (self._NODE_DOMAIN,))
+            + [np.arange(count, dtype=np.uint64)])
         return [Generator(PCG64(_SeedWords(row))) for row in words]
 
     def replica(self, replica_id: int) -> np.random.Generator:
@@ -244,3 +262,20 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngFactory(seed={self._seed!r})"
+
+
+def replica_streams(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """``[RngFactory(seed).replica(0) for seed in seeds]``, state for
+    state: one :func:`_seed_words` pass per entropy length."""
+    entropies = [_spawned_entropy(RngFactory(seed)._entropy,
+                                  (RngFactory._REPLICA_DOMAIN, 0))
+                 for seed in seeds]
+    streams: list = [None] * len(entropies)
+    for length in {len(words) for words in entropies}:
+        lanes = [lane for lane, words in enumerate(entropies)
+                 if len(words) == length]
+        columns = np.array([entropies[lane] for lane in lanes],
+                           dtype=np.uint64).T
+        for lane, row in zip(lanes, _seed_words(list(columns))):
+            streams[lane] = Generator(PCG64(_SeedWords(row)))
+    return streams

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..errors import ParameterError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "GroupAssignment",
@@ -147,6 +150,8 @@ def ring_of_racks(n_racks: int, nodes_per_rack: int) -> nx.Graph:
     distance inter-rack via the rack heads).  This is the stand-in for real
     machine topologies used by the topology-aware example.
     """
+    import networkx as nx
+
     if n_racks < 1 or nodes_per_rack < 1:
         raise ParameterError("need at least one rack and one node per rack")
     graph = nx.Graph()
@@ -180,6 +185,8 @@ def topology_aware_groups(
     a group never lies entirely inside one failure domain.  Falls back to
     same-domain peers when nothing else remains.
     """
+    import networkx as nx
+
     n_nodes = graph.number_of_nodes()
     _check(n_nodes, group_size)
     if set(graph.nodes) != set(range(n_nodes)):

@@ -1,4 +1,4 @@
-"""Vectorized cell execution: whole cells as numpy batches.
+"""Vectorized cell execution: chunks of cells as numpy lane batches.
 
 The DES pays interpreter overhead for every failure, recovery block and
 risk window of every replica, and for every period phase it walks
@@ -6,14 +6,17 @@ risk window of every replica, and for every period phase it walks
 per-event loop with the protocols' renewal closed forms — the same
 kernel (:func:`repro.sim.renewal.failure_blocks`) that
 :func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
-every replica of a campaign cell as one batch of array operations:
-sample all failure times, bin all pattern offsets into phases with one
-``searchsorted``, evaluate every strike's ``RE`` formula in one array
-expression across all replicas, and reduce block sums per replica with
-one ``bincount``.  Cost becomes O(failures) array
-math instead of O(events) Python dispatch.  The cell's model (period,
-phase lengths, stall, risk window, re-execution terms) is the DES's
-own, resolved once by :func:`repro.sim.des.buddy_protocol`.
+a chunk of cells at once (:func:`run_chunk_vectorized`): a grid row's
+cells are one batch whose *lanes* are their (cell, replica) pairs.  One
+mask selects every lane's failure prefix, one array expression bins
+every strike into its cell's phases and charges its ``RE`` formula, one
+``bincount`` sums blocks per lane, and one success-probability pass
+covers every lane.  Cost becomes O(failures) array math instead of
+O(events) Python dispatch.  The cell's model (period, phase lengths,
+stall, risk window, re-execution terms) is the DES's own, resolved once
+by :func:`repro.sim.des.buddy_protocol`, and each lane's arithmetic is
+elementwise over its own cell and replica, so bytes depend on neither
+the chunk layout nor the batch's composition.
 
 The engine is the campaign policy's backend: under
 ``backend="vectorized"`` every cell runs here, shared-trace cells
@@ -32,9 +35,9 @@ to the DES:
 * Each replica draws from its *own* stream seeded with the cell's
   :func:`~repro.sim.backends.replica_seed` — results are pure functions
   of the cell's store key (protocol, M, φ, workload, failure law, seed)
-  and the replica index alone, never of batch shape, worker identity or
-  execution order.  Re-running a cell anywhere reproduces its bytes
-  exactly, which is what the content-addressed store's convergent
+  and the replica index alone, never of batch shape, chunk layout,
+  worker or execution order.  Re-running a cell anywhere reproduces its
+  bytes exactly, which is what the content-addressed store's convergent
   publish requires; the store keys vectorized cells separately from DES
   cells (the ``engine`` key field), so the two engines can never serve
   each other's results.
@@ -44,8 +47,9 @@ to the DES:
   instants and its two fatality uniforms from one stream seeded with
   :func:`~repro.sim.backends.trace_seed`, over the wall-clock horizon
   (``max_time``, else ``200·work_target``: the DES's shared-trace
-  horizon, a function of the config alone).  The stream is sampled
-  once, sorted, and each cell consumes its prefix ``[0, productive)``.
+  horizon, a function of the config alone).  The row is sampled once
+  into a replica × instant matrix, sorted row by row in one pass, and
+  each cell consumes its prefix ``[0, productive)``.
   Restricting a Poisson or per-node renewal process to a prefix leaves
   its law unchanged, so every cell that can complete sees exactly the
   non-shared failure process and the contract below carries over; only
@@ -79,12 +83,11 @@ to the DES:
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from ..core.risk import success_probability
+from ..core.risk import chain_success, fatal_rate
 from ..errors import ParameterError
 from .adaptive import ReplicaController, stop_count
 from .backends import _horizon, replica_seed, trace_seed
@@ -92,11 +95,12 @@ from .campaign import CampaignConfig
 from .des import buddy_protocol
 from .renewal import failure_blocks
 from .results import NAN, CellBlock
-from .rng import RngFactory
+from .rng import replica_streams
 
 __all__ = [
     "plan_engine",
     "run_cell_vectorized",
+    "run_chunk_vectorized",
 ]
 
 #: Safety valve for pathological failure laws whose draws never advance
@@ -109,181 +113,159 @@ def plan_engine(backend: str, config: CampaignConfig, plan) -> str:
     return backend
 
 
-def _sample_failure_times(
-    rng: np.random.Generator, config: CampaignConfig, M: float,
-    n_nodes: int, horizon: float,
-) -> np.ndarray:
-    """All failure instants in ``[0, horizon)`` of productive time.
+def _sample(config: CampaignConfig, M: float, n_nodes: int, horizon: float,
+            seeds: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each seed's failure instants in ``[0, horizon)`` of productive
+    time, in draw order, and its two fatality uniforms (``(seeds, 2)``).
 
-    Exponential platform (``distribution is None``): the platform
+    Seed ``s`` draws from ``RngFactory(s).replica(0)`` (seeded in one
+    batch): instants, then the uniforms.  Exponential platform: the
     superposition is Poisson with rate ``1/M``, so draw the count and
-    place it uniformly — exactly :func:`repro.sim.renewal.run_renewal`.
-
+    place it uniformly, as :func:`repro.sim.renewal.run_renewal` does.
     General laws: per-node renewal processes with inter-arrivals from
-    ``distribution.rescale(n·M)`` (the same construction as
-    :func:`repro.sim.failures.FailureInjector.from_platform_mtbf`),
-    sampled as batched matrices via ``sample(rng, size)`` and advanced
-    with ``cumsum`` until every node's clock passes the horizon.  This
-    captures the law's dispersion (a Weibull platform is burstier than
-    Poisson); it is distribution-equal, not stream-equal, to the DES's
-    per-node streams.
+    ``distribution.rescale(n·M)``, drawn as ``(n_nodes, batch)``
+    matrices and advanced with ``cumsum`` until every node's clock passes
+    the horizon (the first round stacked over the streams).  This keeps
+    the law's dispersion; it is distribution-equal, not stream-equal, to
+    the DES's per-node streams.
     """
+    rngs = replica_streams(seeds)
     if config.distribution is None:
-        n_fail = int(rng.poisson(horizon / M))
-        return rng.uniform(0.0, horizon, size=n_fail)
+        streams = [rng.uniform(0.0, horizon, size=int(rng.poisson(horizon / M)))
+                   for rng in rngs]
+        return streams, np.array([rng.uniform(size=2) for rng in rngs])
     node_dist = config.distribution.rescale(M * n_nodes)
     lam = horizon / (M * n_nodes)  # expected failures per node
     batch = max(4, int(np.ceil(lam + 6.0 * np.sqrt(max(lam, 1.0)) + 4.0)))
-    clocks = np.zeros(n_nodes)
-    active = np.arange(n_nodes)
-    collected: list[np.ndarray] = []
-    for _ in range(_MAX_SAMPLING_ROUNDS):
-        if active.size == 0:
-            break
-        draws = np.asarray(
-            node_dist.sample(rng, size=(active.size, batch)), dtype=float
-        )
-        if not np.all(draws >= 0.0) or float(draws.max(initial=0.0)) <= 0.0:
+
+    def advance(clocks, draws: np.ndarray) -> np.ndarray:
+        if not np.all(draws >= 0.0) or np.any(
+                draws.max(axis=(-2, -1), initial=0.0) <= 0.0):
             raise ParameterError(
                 "failure distribution produced non-advancing inter-arrival "
-                "times; cannot sample a renewal process from it"
-            )
-        times = clocks[active, None] + np.cumsum(draws, axis=1)
-        collected.append(times[times < horizon])
-        clocks[active] = times[:, -1]
-        active = active[times[:, -1] < horizon]
-    else:
-        raise ParameterError(
-            "failure sampling did not converge; distribution inter-arrivals "
-            "are too small relative to the horizon"
-        )
-    if not collected:
-        return np.empty(0)
-    return np.concatenate(collected)
+                "times; cannot sample a renewal process from it")
+        return clocks + np.cumsum(draws, axis=-1)
+
+    times = advance(0.0, np.array(
+        [node_dist.sample(rng, size=(n_nodes, batch)) for rng in rngs],
+        dtype=float))
+    inside = times < horizon
+    collected = [[first] for first in np.split(
+        times[inside], np.cumsum(inside.sum(axis=(1, 2)))[:-1])]
+    for rng, stream, clocks in zip(rngs, collected, times[:, :, -1].copy()):
+        active = np.flatnonzero(clocks < horizon)
+        for _ in range(_MAX_SAMPLING_ROUNDS - 1):
+            if active.size == 0:
+                break
+            more = advance(clocks[active, None], np.asarray(
+                node_dist.sample(rng, size=(active.size, batch)), dtype=float))
+            stream.append(more[more < horizon])
+            clocks[active] = more[:, -1]
+            active = active[more[:, -1] < horizon]
+        else:
+            raise ParameterError(
+                "failure sampling did not converge; distribution "
+                "inter-arrivals are too small relative to the horizon")
+    return ([np.concatenate(stream) for stream in collected],
+            np.array([rng.uniform(size=2) for rng in rngs]))
 
 
-def _sample_replicas(config: CampaignConfig, params, seeds: list[int],
-                     horizon: float) -> tuple[list[np.ndarray], np.ndarray,
-                                              np.ndarray]:
-    """Each seed's failure instants in ``[0, horizon)`` and its two
-    fatality uniforms.
+def _lane_draws(config: CampaignConfig, m_index: int, params,
+                productive: np.ndarray, n_replicas: int, cache: dict):
+    """Every lane's failure instants in ``[0, productive)`` (lane
+    ``c·n_replicas + r`` is replica ``r`` of cell ``c``), the per-lane
+    counts and the ``(lanes, 2)`` fatality uniforms.
 
-    The draw order inside a stream is fixed — count/offsets, then the
-    two fatality uniforms — so outcomes never perturb downstream draws.
+    Each cell draws its own streams (store purity), or grid row
+    ``m_index`` samples its shared streams once per ``cache`` into one
+    sorted replica per row (``+inf``-padded), whose column minima never
+    decrease: one ``searchsorted`` bounds the columns the cells reach.
     """
-    times = []
-    u_fatal = np.empty(len(seeds))
-    u_when = np.empty(len(seeds))
-    for r, seed in enumerate(seeds):
-        rng = RngFactory(seed).replica(0)
-        times.append(_sample_failure_times(
-            rng, config, params.M, params.n, horizon))
-        u_fatal[r] = rng.uniform()
-        u_when[r] = rng.uniform()
-    return times, u_fatal, u_when
-
-
-def _shared_row(config: CampaignConfig, m_index: int, params,
-                n_replicas: int, horizon: float,
-                cache: dict) -> tuple[list[np.ndarray], np.ndarray,
-                                      np.ndarray]:
-    """``(sorted failure instants per replica, u_fatal, u_when)`` of
-    grid row ``m_index``.
-
-    Replica ``r`` samples once per ``cache`` from its shared-trace seed
-    over the wall-clock horizon, a function of the config alone — the
-    general-law sampler's batch shape depends on its horizon, so a
-    per-cell horizon would break the pairing.  Every cell of the row
-    takes a prefix of each replica's instants and the same two
-    fatality uniforms.
-    """
+    if not config.share_traces:
+        seeds = [replica_seed(config, r) for r in range(n_replicas)]
+        cells = [_sample(config, params.M, params.n, horizon, seeds)
+                 for horizon in productive.tolist()]
+        streams = [stream for times, _ in cells for stream in times]
+        return (np.concatenate(streams), np.array([s.size for s in streams]),
+                np.concatenate([uniforms for _, uniforms in cells]))
     key = ("vectorized", m_index, n_replicas)
     if key not in cache:
-        streams, u_fatal, u_when = _sample_replicas(
-            config, params,
-            [trace_seed(config, m_index, r) for r in range(n_replicas)],
-            horizon)
-        cache[key] = ([np.sort(stream) for stream in streams],
-                      u_fatal, u_when)
-    return cache[key]
+        streams, uniforms = _sample(
+            config, params.M, params.n, _horizon(config),
+            [trace_seed(config, m_index, r) for r in range(n_replicas)])
+        counts = np.array([stream.size for stream in streams])
+        instants = np.full((n_replicas, counts.max()), np.inf)
+        instants[np.arange(counts.max()) < counts[:, None]] = \
+            np.concatenate(streams)
+        instants.sort(axis=1)
+        cache[key] = instants, instants.min(axis=0), uniforms
+    instants, reach, uniforms = cache[key]
+    instants = instants[:, :reach.searchsorted(productive.max())]
+    inside = instants < productive[:, None, None]
+    return (np.broadcast_to(instants, inside.shape)[inside],
+            inside.sum(axis=2).ravel(), np.tile(uniforms, (productive.size, 1)))
 
 
-def _draws(config: CampaignConfig, plan, params, n_replicas: int,
-           productive: float, horizon: float,
-           cache: dict) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Per-replica failure instants in ``[0, productive)`` and the two
-    fatality uniforms.
+def _lane_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each lane's run of ``values`` summed bit for bit as ``np.sum``
+    sums it (``bincount`` and ``add.reduceat`` round differently): up to
+    128 values in 8 accumulators over whole blocks of 8, combined in
+    pairs, then the rest one by one.  A zero-padded row of each lane's
+    whole blocks sums the same way, ``cumsum`` adds the rest in order,
+    and a longer run sums alone."""
+    starts = np.cumsum(counts) - counts
+    whole, small = counts // 8 * 8, counts <= 128
+    padded = np.append(values, 0.0)
 
-    Without shared traces each replica samples its own stream (store
-    purity).  With shared traces each replica takes the prefix of its
-    row's common stream (:func:`_shared_row`).
-    """
-    if config.share_traces:
-        streams, u_fatal, u_when = _shared_row(
-            config, plan.m_index, params, n_replicas, horizon, cache)
-        return ([stream[:stream.searchsorted(productive)]
-                 for stream in streams], u_fatal, u_when)
-    return _sample_replicas(
-        config, params, [replica_seed(config, r) for r in range(n_replicas)],
-        productive)
+    def gather(offsets, lengths, width):
+        column = np.arange(width)
+        return padded[np.where(column < lengths[:, None],
+                               offsets[:, None] + column, values.size)]
+
+    rows = gather(starts, np.where(small, whole, 0),
+                  max(8, int(whole[small].max(initial=0))))
+    rest = gather(starts + whole, np.where(small, counts - whole, 0), 7)
+    sums = np.cumsum(np.column_stack([rows.sum(axis=1), rest]), axis=1)[:, -1]
+    for lane in np.flatnonzero(~small):
+        sums[lane] = values[starts[lane]:starts[lane] + counts[lane]].sum()
+    return sums
 
 
-def run_cell_vectorized(
-    config: CampaignConfig,
-    plan,
-    controller: ReplicaController,
-    trace_cache: dict | None = None,
-    heartbeat: Callable[[], None] | None = None,
-) -> CellBlock:
-    """Execute one grid cell's replicas as a numpy batch.
-
-    The control flow mirrors :func:`repro.sim.backends.run_cell`
-    observably: replicas exist in seed order, the controller's
-    :class:`~repro.sim.adaptive.StopCursor` is replayed over their waste
-    samples and the first stop truncates the cell — so adaptive
-    controllers, resume scans and store cursor replays see exactly the
-    sequence a scalar run would produce.  Replicas past the stop are
-    computed speculatively (array work is cheap) and discarded.
-
-    The cell comes back as one :class:`~repro.sim.results.CellBlock`
-    filled straight from the batch's arrays (one ``tolist()`` per
-    column); its :class:`~repro.sim.results.DesResult` rows are built
-    only if a caller reads them.  ``heartbeat`` fires once, after the
-    batch.
-
-    ``trace_cache`` holds the shared-trace streams across the cells of
-    one backend run (like :func:`~repro.sim.backends.run_cell`'s DES
-    traces); it only saves work, never changes bytes.
-    """
-    params = config.base_params.with_updates(M=plan.M)
-    model = buddy_protocol(plan.protocol, params, plan.phi)
-    period = model.period
-    work_per_period = model.work_per_period
-    horizon_wall = _horizon(config)
+def _run_row(config: CampaignConfig, plans: list,
+             controller: ReplicaController, cache: dict) -> list[CellBlock]:
+    """The cells of one grid row (one ``m_index``), as one lane batch."""
+    params = config.base_params.with_updates(M=plans[0].M)
+    models = [buddy_protocol(plan.protocol, params, plan.phi)
+              for plan in plans]
+    period = np.array([model.period for model in models])
+    per_work = np.array([model.work_per_period for model in models])
     # Productive time needed for the target work: the pattern delivers
     # work_per_period seconds of work every `period` seconds it runs.
-    productive = period * config.work_target / work_per_period
-
+    productive = period * config.work_target / per_work
     n_replicas = controller.max_replicas
-    times_per_replica, u_fatal, u_when = _draws(
-        config, plan, params, n_replicas, productive, horizon_wall,
-        {} if trace_cache is None else trace_cache,
-    )
-    counts = [times.size for times in times_per_replica]
-    all_times = np.concatenate(times_per_replica)
-    rep_ids = np.repeat(np.arange(n_replicas), counts)
+    times, counts, uniforms = _lane_draws(
+        config, plans[0].m_index, params, productive, n_replicas, cache)
+    lanes = counts.size
+    cell = np.arange(lanes) // n_replicas
+    lane_of = np.repeat(np.arange(lanes), counts)
+    cell_of = cell[lane_of]
 
-    # One batch over every failure of every replica: pattern offset →
-    # phase bin → its phase's RE formula, over all strikes at once.
-    offsets = all_times % period
-    _, blocks = failure_blocks(model, offsets)
-    block_sum = np.bincount(rep_ids, weights=blocks, minlength=n_replicas)
-    total_time = productive + block_sum
+    # One batch over every failure of every lane: pattern offset →
+    # phase → its phase's RE formula; block sums per lane.
+    offsets = times % period[cell_of]
+    _, blocks = failure_blocks(models, cell_of, offsets)
+    lane_productive = productive[cell]
+    total_time = lane_productive + np.bincount(
+        lane_of, weights=blocks, minlength=lanes)
     # Fatality from the success-probability model (exact-exponential
     # variant: stays a probability in saturated regimes, agrees with the
-    # paper's Eq. 11/16 to first order), over every replica at once.
-    p_succ = success_probability(model.spec, params, plan.phi, total_time,
-                                 method="exponential")
+    # paper's Eq. 11/16 to first order), over every lane at once.
+    rate = np.array([fatal_rate(model.spec, params, plan.phi)
+                     for model, plan in zip(models, plans)])
+    n_groups = np.array([params.n / model.group_size for model in models])
+    p_succ = chain_success(rate[cell], n_groups[cell], total_time)
+    horizon_wall = _horizon(config)
+    u_fatal, u_when = uniforms.T
     fatal_at = u_when * total_time
     fatal = (u_fatal >= p_succ) & (fatal_at <= horizon_wall)
     timeout = ~fatal & (total_time > horizon_wall)
@@ -293,25 +275,18 @@ def run_cell_vectorized(
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(completed, 1.0, np.where(
             total_time > 0, makespan / total_time, 0.0))
+        dilation = np.where(lane_productive > 0,
+                            total_time / lane_productive, 1.0)
     # A failure counts when its wall-clock position, to first order
     # (blocks assumed spread uniformly over the run), is at or before
     # the end: every one of a completed run, and the fatal strike.
-    failures = np.array(counts)
+    failures = counts
     if not completed.all():
-        dilation = total_time / productive if productive > 0 else \
-            np.ones(n_replicas)
-        struck = all_times * dilation[rep_ids] <= makespan[rep_ids]
+        struck = times * dilation[lane_of] <= makespan[lane_of]
         failures = np.where(
             completed, failures,
-            np.bincount(rep_ids[struck], minlength=n_replicas) + fatal)
-    # One np.sum per replica slice, exactly as a scalar run sums it:
-    # numpy's pairwise summation rounds differently from a batched
-    # bincount(weights=...) or add.reduceat over the same values, and
-    # the pinned vectorized bytes hold the slice sums.
-    fractions = offsets / period
-    ends = list(accumulate(counts))
-    lost = np.array([fractions[end - count:end].sum()
-                     for end, count in zip(ends, counts)])
+            np.bincount(lane_of[struck], minlength=lanes) + fatal)
+    lost = _lane_sums(offsets / period[cell_of], counts)
 
     # First-order renewal estimates: ``failures`` is exact for
     # completed runs and ``rollbacks`` equals it (every strike rolls
@@ -321,35 +296,76 @@ def run_cell_vectorized(
     # strike.  Only ``status``/``makespan`` (hence ``waste``) are
     # covered by the equivalence contract.
     work_target = config.work_target
-    work_done = (work_target * frac).tolist()
-    failures_col = failures.tolist()
-    fatal_col = fatal.tolist()
-    makespan_col = makespan.tolist()
-    block = CellBlock(
-        {"protocol": model.key, "period": period, "phi": model.phi,
-         "n": params.n, "M": params.M, "engine": "vectorized"},
-        work_target,
-        {
-            "status": ["fatal" if is_fatal else "timeout" if is_timeout
-                       else "completed" for is_fatal, is_timeout
-                       in zip(fatal_col, timeout.tolist())],
-            "makespan": makespan_col,
-            "work_done": work_done,
-            "failures": failures_col,
-            "rollbacks": failures_col,
-            "work_lost": (lost * work_per_period * frac).tolist(),
-            "commits": [int(done // work_per_period) for done in work_done],
-            "risk_time": (failures * model.risk).tolist(),
-            "fatal_time": [time if is_fatal else NAN
-                           for time, is_fatal in zip(makespan_col, fatal_col)],
-            "fatal_group": [()] * n_replicas,
-            "seed": [replica_seed(config, r) for r in range(n_replicas)],
-        },
-    )
-    if heartbeat is not None:
-        heartbeat()
-    kept = stop_count(controller, block.waste) or n_replicas
-    if kept == n_replicas:
-        return block
-    return CellBlock(block.meta, work_target, {
-        name: column[:kept] for name, column in block.columns.items()})
+    fatal_col, makespan_col = fatal.tolist(), makespan.tolist()
+    columns = {
+        "status": ["fatal" if is_fatal else "timeout" if is_timeout
+                   else "completed" for is_fatal, is_timeout
+                   in zip(fatal_col, timeout.tolist())],
+        "makespan": makespan_col,
+        "work_done": (work_target * frac).tolist(),
+        "failures": failures.tolist(),
+        "work_lost": (lost * per_work[cell] * frac).tolist(),
+        "risk_time": (failures * np.array(
+            [model.risk for model in models])[cell]).tolist(),
+        "fatal_time": [time if is_fatal else NAN
+                       for time, is_fatal in zip(makespan_col, fatal_col)],
+    }
+    seeds = [replica_seed(config, r) for r in range(n_replicas)]
+    out = []
+    for index, model in enumerate(models):
+        lane = slice(index * n_replicas, (index + 1) * n_replicas)
+        cut = {name: column[lane] for name, column in columns.items()}
+        cut.update(
+            rollbacks=cut["failures"], fatal_group=[()] * n_replicas,
+            seed=seeds, commits=[int(done // model.work_per_period)
+                                 for done in cut["work_done"]])
+        block = CellBlock(
+            {"protocol": model.key, "period": model.period, "phi": model.phi,
+             "n": params.n, "M": params.M, "engine": "vectorized"},
+            work_target, cut)
+        kept = stop_count(controller, block.waste) or n_replicas
+        if kept < n_replicas:
+            block = CellBlock(block.meta, work_target, {
+                name: column[:kept] for name, column in cut.items()})
+        out.append(block)
+    return out
+
+
+def run_chunk_vectorized(
+    config: CampaignConfig,
+    plans: list,
+    controller: ReplicaController,
+    trace_cache: dict | None = None,
+    heartbeat: Callable[[], None] | None = None,
+) -> list[CellBlock]:
+    """Execute a chunk of cells, one block per plan, in plan order.
+
+    Each grid row runs as one lane batch; ``heartbeat`` fires after each.
+    As in :func:`repro.sim.backends.run_cell`, the controller's stop
+    cursor is replayed over each cell's waste samples in seed order and
+    the first stop truncates the cell (replicas past it are computed and
+    discarded).  Each :class:`~repro.sim.results.CellBlock` is filled
+    from the batch's arrays.  ``trace_cache`` holds the shared-trace
+    streams across one backend run's chunks; it never changes bytes.
+    """
+    cache = {} if trace_cache is None else trace_cache
+    rows: dict[int, list[int]] = {}
+    for position, plan in enumerate(plans):
+        rows.setdefault(plan.m_index, []).append(position)
+    blocks: list = [None] * len(plans)
+    for positions in rows.values():
+        for position, block in zip(positions, _run_row(
+                config, [plans[p] for p in positions], controller, cache)):
+            blocks[position] = block
+        if heartbeat is not None:
+            heartbeat()
+    return blocks
+
+
+def run_cell_vectorized(config: CampaignConfig, plan,
+                        controller: ReplicaController,
+                        trace_cache: dict | None = None,
+                        heartbeat: Callable[[], None] | None = None):
+    """One cell: the one-plan :func:`run_chunk_vectorized`."""
+    return run_chunk_vectorized(
+        config, [plan], controller, trace_cache, heartbeat)[0]

@@ -22,7 +22,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.experiments.scenarios import CAMPAIGN_PRESETS, get_campaign_preset
 from repro.io import dump_result, from_envelope, to_envelope
-from repro.sim.backends import ProcessPoolBackend, run_cell_for_engine
+from repro.sim.backends import ProcessPoolBackend, run_chunk_for_engine
 from repro.sim.events import CellFinished, make_cell
 from repro.sim.executor import CellPlan, execute_spec, plan_cells
 from repro.sim.results import (
@@ -118,9 +118,9 @@ def column_block(columns: dict, work_target=900.0, **meta) -> CellBlock:
 def test_preset_cells_match_the_reference_codec(preset, engine):
     spec = get_campaign_preset(preset).spec(replicas=3)
     config, controller = spec.grid, spec.controller()
-    cache: dict = {}
-    for plan in plan_cells(config):
-        block = run_cell_for_engine(engine, config, plan, controller, cache)
+    plans = plan_cells(config)
+    for plan, block in zip(plans, run_chunk_for_engine(
+            engine, config, plans, controller, {})):
         if engine == "vectorized":
             assert block._rows is None  # rows not built by the engine
         check_block(plan, block)
@@ -135,10 +135,9 @@ def test_timed_out_and_fatal_replicas(engine):
     statuses, groups = set(), 0
     for max_time in (None, 1500.0):
         config = dataclasses.replace(spec.grid, max_time=max_time)
-        cache: dict = {}
-        for plan in plan_cells(config):
-            block = run_cell_for_engine(engine, config, plan,
-                                        spec.controller(), cache)
+        plans = plan_cells(config)
+        for plan, block in zip(plans, run_chunk_for_engine(
+                engine, config, plans, spec.controller(), {})):
             check_block(plan, block)
             statuses.update(row.status for row in block.rows)
             groups += sum(bool(row.fatal_group) for row in block.rows)
@@ -278,7 +277,8 @@ def test_from_samples_refuses_no_samples():
 def test_block_survives_pickle(engine):
     spec = get_campaign_preset("smoke").spec(replicas=3)
     plan = plan_cells(spec.grid)[0]
-    block = run_cell_for_engine(engine, spec.grid, plan, spec.controller())
+    [block] = run_chunk_for_engine(engine, spec.grid, [plan],
+                                   spec.controller())
     copy = pickle.loads(pickle.dumps(block))
     assert copy.records == block.records
     assert_same_rows(copy.rows, block.rows)

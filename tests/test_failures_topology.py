@@ -167,3 +167,23 @@ class TestTopologyAware:
     def test_ring_validation(self):
         with pytest.raises(ParameterError):
             ring_of_racks(0, 4)
+
+    def test_package_imports_without_networkx(self):
+        """Only the two graph functions need ``networkx``: the CLI and
+        the service import with it blocked, and load none of it."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro.cli, repro.service\n"
+            "loaded = [m for m in sys.modules"
+            " if m.split('.')[0] == 'networkx' and sys.modules[m] is not None]\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.sim.distributions import (
@@ -16,7 +16,7 @@ from repro.sim.distributions import (
     Mixture,
     Weibull,
 )
-from repro.sim.rng import RngFactory, _SeedWords
+from repro.sim.rng import RngFactory, _SeedWords, replica_streams
 
 
 class TestRngFactory:
@@ -121,6 +121,36 @@ class TestBatchedNodeStreams:
         assert _SeedWords(words).generate_state(4, np.uint64) is words
         with pytest.raises(ParameterError, match="4 uint64 words"):
             _SeedWords(words).generate_state(n_words, dtype)
+
+
+class TestBatchedReplicaStreams:
+    """``replica_streams(seeds)`` is ``[RngFactory(seed).replica(0) for
+    seed in seeds]``, seeded in one batch per entropy length;
+    ``replica(0)`` is numpy's own SeedSequence path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.one_of(
+        st.just(0),
+        st.integers(1, 2**32 - 1),
+        st.integers(2**32, 2**64 - 1),
+        st.integers(2**64, 2**128 - 1),
+        st.integers(2**128 + 1, 2**300),
+    ), min_size=1, max_size=40))
+    @example(seeds=[0, 7, 2**32, 2**64 + 3, 2**128 + 1, 2**200, 7])
+    def test_batch_is_the_replica_streams(self, seeds):
+        batch = replica_streams(seeds)
+        assert len(batch) == len(seeds)
+        for seed, ours in zip(seeds, batch):
+            reference = RngFactory(seed).replica(0)
+            assert ours.bit_generator.state == reference.bit_generator.state
+            assert ours.uniform(size=3).tolist() \
+                == reference.uniform(size=3).tolist()
+
+    def test_empty_and_invalid_seeds(self):
+        assert replica_streams([]) == []
+        for bad in (-1, 1.5):
+            with pytest.raises(ParameterError, match="non-negative int"):
+                replica_streams([3, bad])
 
 
 class TestDistributionMeans:

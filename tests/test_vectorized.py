@@ -23,10 +23,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import DOUBLE_BOF, DOUBLE_NBL, TRIPLE, io as repro_io, scenarios
 from repro.errors import InfeasibleModelError, ParameterError
-from repro.sim.adaptive import AdaptiveCI, FixedReplicas
+from repro.sim.adaptive import AdaptiveCI, FixedReplicas, WilsonSuccessRate
 from repro.sim.backends import (
     ProcessPoolBackend,
     SerialBackend,
@@ -38,7 +39,11 @@ from repro.sim.distributions import Gamma, LogNormal, Mixture, Weibull
 from repro.sim.executor import execute_spec, plan_cells
 from repro.sim.results import ci_half_width
 from repro.sim.spec import CAMPAIGN_BACKENDS, Campaign, CampaignSpec, ExecutionPolicy
-from repro.sim.vectorized import plan_engine, run_cell_vectorized
+from repro.sim.vectorized import (
+    plan_engine,
+    run_cell_vectorized,
+    run_chunk_vectorized,
+)
 from repro.store import CampaignStore, cell_key, key_hash
 from tests.conftest import ALL_PROTOCOLS
 
@@ -378,6 +383,94 @@ class TestStatisticalEquivalence:
             # DES sees clustered failures the first-order model omits.
             assert np.mean([r.succeeded for r in des]) > 0.85
             assert np.mean([r.succeeded for r in vec]) > 0.85
+
+
+#: Grids whose chunks the partition property splits: shared and own
+#: streams, exponential and Weibull laws, a capped horizon (timeouts and
+#: deaths), two M rows and three protocols each.
+CHUNK_GRIDS = {
+    "shared": lambda: shared_grid(),
+    "own-streams": lambda: shared_grid(share_traces=False),
+    "weibull": lambda: shared_grid(distribution=Weibull(1.0, 0.7)),
+    "capped": lambda: shared_grid(m_values=(60.0, 300.0), max_time=2000.0),
+}
+CHUNK_CONTROLLERS = {
+    "fixed": FixedReplicas(6),
+    "adaptive-ci": AdaptiveCI(max_replicas=8, tolerance=0.05),
+    "wilson": WilsonSuccessRate(max_replicas=8, tolerance=0.5),
+}
+_ONE_PLAN_RECORDS: dict = {}
+
+
+def one_plan_records(grid_key: str, controller_key: str) -> dict:
+    """Each cell's records from its own one-plan batch, by plan index."""
+    key = (grid_key, controller_key)
+    if key not in _ONE_PLAN_RECORDS:
+        grid = CHUNK_GRIDS[grid_key]()
+        controller = CHUNK_CONTROLLERS[controller_key]
+        _ONE_PLAN_RECORDS[key] = {
+            plan.index: run_chunk_vectorized(grid, [plan], controller)[0].records
+            for plan in plan_cells(grid)}
+    return _ONE_PLAN_RECORDS[key]
+
+
+class TestChunkBatch:
+    """A chunk runs as one lane batch per grid row, and a cell's bytes
+    depend on neither the chunk layout nor the batch's composition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), grid_key=st.sampled_from(sorted(CHUNK_GRIDS)),
+           controller_key=st.sampled_from(sorted(CHUNK_CONTROLLERS)),
+           shared_cache=st.booleans())
+    def test_any_partition_matches_one_plan_calls(
+            self, data, grid_key, controller_key, shared_cache):
+        expected = one_plan_records(grid_key, controller_key)
+        grid = CHUNK_GRIDS[grid_key]()
+        plans = data.draw(st.permutations(plan_cells(grid)), label="order")
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(plans) - 1)),
+                                label="cuts"))
+        cache: dict = {}
+        for start, end in zip([0] + cuts, cuts + [len(plans)]):
+            chunk = plans[start:end]
+            blocks = run_chunk_vectorized(
+                grid, chunk, CHUNK_CONTROLLERS[controller_key],
+                cache if shared_cache else {})
+            assert len(blocks) == len(chunk)
+            for plan, block in zip(chunk, blocks):
+                assert block.records == expected[plan.index], plan
+
+    def test_controllers_truncate_some_cells(self):
+        """The adaptive cases above do stop cells early (else they would
+        test nothing a fixed controller does not)."""
+        for key in ("adaptive-ci", "wilson"):
+            lengths = {len(records) for records
+                       in one_plan_records("shared", key).values()}
+            assert min(lengths) < CHUNK_CONTROLLERS[key].max_replicas, key
+
+    def test_lane_sums_are_numpy_sums(self):
+        """Lost-work fractions sum per lane exactly as ``np.sum`` sums
+        each lane's run, at every blocking boundary and past 128."""
+        from repro.sim.vectorized import _lane_sums
+
+        rng = np.random.default_rng(7)
+        counts = np.array([0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300,
+                           1000, 3, 0, 64])
+        values = rng.random(counts.sum()) * 10.0 ** rng.uniform(
+            -3, 3, counts.sum())
+        starts = np.cumsum(counts) - counts
+        assert _lane_sums(values, counts).tolist() == [
+            values[start:start + count].sum()
+            for start, count in zip(starts, counts)]
+
+    def test_heartbeat_fires_once_per_row(self):
+        grid = shared_grid()
+        beats = []
+        blocks = run_chunk_vectorized(grid, plan_cells(grid),
+                                      FixedReplicas(4),
+                                      heartbeat=lambda: beats.append(1))
+        assert len(blocks) == len(plan_cells(grid))
+        assert len(beats) == len(grid.m_values)
+        assert run_chunk_vectorized(grid, [], FixedReplicas(4)) == []
 
 
 class TestSpecAndResume:
