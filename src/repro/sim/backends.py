@@ -8,14 +8,17 @@ delegates the raw computation to a :class:`CampaignBackend`, and turns
 each finished cell into the typed events every consumer (sink writer,
 store publisher, progress tracker) subscribes to:
 
-* :class:`SerialBackend` — in-process, one shared-trace cache across the
-  whole grid; reproduces the historical serial execution exactly.
+* :class:`SerialBackend` — in-process, one :func:`run_chunks` call and
+  one shared-trace cache across the whole grid; reproduces the
+  historical serial execution exactly.
 * :class:`ProcessPoolBackend` — chunks across worker processes, yielded
   in *completion* order so a slow cell never blocks downstream handling
   of finished ones (the session re-sequences them for a grid-order sink).
 Every backend accepts an ``engine`` — the policy's backend, ``"des"``
 or ``"vectorized"`` — and runs every cell of the campaign on it: the
-*backend* decides where cells run, the *engine* decides how.  The
+*backend* decides where cells run, the *engine* decides how, and in
+what batches (:func:`run_chunks`: the DES cell by cell, the vectorized
+engine one grid row of every chunk it is handed at once).  The
 vectorized engine (:mod:`repro.sim.vectorized`) runs whole cells as
 numpy batches via the renewal closed forms instead of per-event
 simulation; shared failure traces become common random-number streams
@@ -57,6 +60,7 @@ __all__ = [
     "trace_seed",
     "run_cell",
     "run_chunk_for_engine",
+    "run_chunks",
 ]
 
 #: Seed stride between replicas (kept identical to the historical serial
@@ -161,27 +165,37 @@ def run_cell(
     return CellBlock.from_rows(results)
 
 
-def run_chunk_for_engine(
-    engine: str,
-    config: CampaignConfig,
-    plans: list,
-    controller: ReplicaController,
-    trace_cache: dict | None = None,
-    heartbeat: Callable[[], None] | None = None,
-) -> list[CellBlock]:
-    """Run a chunk of cells on ``engine``, one block per plan:
-    :func:`run_cell` per plan, or lane batches through the renewal closed
-    forms (:func:`repro.sim.vectorized.run_chunk_vectorized`).  Shared
-    traces live in ``trace_cache`` (one engine's under keys distinct from
-    the other's), else in a cache of the chunk's own."""
+def run_chunks(engine: str, config: CampaignConfig, chunks: Sequence[list],
+               controller: ReplicaController, trace_cache: dict | None = None,
+               heartbeat: Callable[[], None] | None = None,
+               ) -> Iterator[list[CellBlock]]:
+    """Each chunk's blocks (one per plan) on ``engine``, in chunk order.
+
+    The engine decides the batching grain: the DES yields each chunk as
+    soon as its :func:`run_cell` calls finish; the vectorized engine
+    first runs each grid row of every chunk as one lane batch
+    (:func:`repro.sim.vectorized.run_chunk_vectorized`).  Shared traces
+    live in ``trace_cache`` (one engine's under keys distinct from the
+    other's), else in a cache of the call's own."""
     trace_cache = {} if trace_cache is None else trace_cache
     if engine == "vectorized":
         from .vectorized import run_chunk_vectorized
 
-        return run_chunk_vectorized(config, plans, controller, trace_cache,
-                                    heartbeat)
-    return [run_cell(config, plan, controller, trace_cache, heartbeat)
-            for plan in plans]
+        blocks = iter(run_chunk_vectorized(
+            config, [plan for plans in chunks for plan in plans],
+            controller, trace_cache, heartbeat))
+        yield from [[next(blocks) for _ in plans] for plans in chunks]
+        return
+    for plans in chunks:
+        yield [run_cell(config, plan, controller, trace_cache, heartbeat)
+               for plan in plans]
+
+
+def run_chunk_for_engine(engine, config, plans, controller,
+                         trace_cache=None, heartbeat=None) -> list[CellBlock]:
+    """The one-chunk :func:`run_chunks` (a pool task)."""
+    return next(run_chunks(engine, config, [plans], controller,
+                           trace_cache, heartbeat))
 
 
 class CampaignBackend(ABC):
@@ -219,7 +233,8 @@ class CampaignBackend(ABC):
 
 
 class SerialBackend(CampaignBackend):
-    """In-process execution, chunks in submission order.
+    """In-process execution: every chunk in one :func:`run_chunks` call
+    (the engine picks the batching grain), yielded in submission order.
 
     One trace cache spans the whole campaign, so each shared
     (m_index, replica) failure schedule is built once and every failure
@@ -230,11 +245,9 @@ class SerialBackend(CampaignBackend):
         self.engine = engine
 
     def execute(self, config, chunks, controller):
-        trace_cache: dict = {}
-        for index, chunk in enumerate(chunks):
-            yield index, run_chunk_for_engine(
-                self.engine, config, chunk, controller, trace_cache
-            ), ["backend"] * len(chunk)
+        for index, blocks in enumerate(
+                run_chunks(self.engine, config, chunks, controller)):
+            yield index, blocks, ["backend"] * len(blocks)
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -6,8 +6,9 @@ risk window of every replica, and for every period phase it walks
 per-event loop with the protocols' renewal closed forms — the same
 kernel (:func:`repro.sim.renewal.failure_blocks`) that
 :func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
-a chunk of cells at once (:func:`run_chunk_vectorized`): a grid row's
-cells are one batch whose *lanes* are their (cell, replica) pairs.  One
+every cell it is handed at once (:func:`run_chunk_vectorized`; a serial
+campaign hands it every chunk): a grid row's cells are one batch whose
+*lanes* are their (cell, replica) pairs.  One
 mask selects every lane's failure prefix, one array expression bins
 every strike into its cell's phases and charges its ``RE`` formula, one
 ``bincount`` sums blocks per lane, and one success-probability pass
@@ -47,9 +48,9 @@ to the DES:
   instants and its two fatality uniforms from one stream seeded with
   :func:`~repro.sim.backends.trace_seed`, over the wall-clock horizon
   (``max_time``, else ``200·work_target``: the DES's shared-trace
-  horizon, a function of the config alone).  The row is sampled once
-  into a replica × instant matrix, sorted row by row in one pass, and
-  each cell consumes its prefix ``[0, productive)``.
+  horizon, a function of the config alone).  The row is sampled once,
+  and each cell consumes its prefix ``[0, productive)``: a batch sorts
+  only the instants below its longest productive time.
   Restricting a Poisson or per-node renewal process to a prefix leaves
   its law unchanged, so every cell that can complete sees exactly the
   non-shared failure process and the contract below carries over; only
@@ -177,9 +178,11 @@ def _lane_draws(config: CampaignConfig, m_index: int, params,
     counts and the ``(lanes, 2)`` fatality uniforms.
 
     Each cell draws its own streams (store purity), or grid row
-    ``m_index`` samples its shared streams once per ``cache`` into one
-    sorted replica per row (``+inf``-padded), whose column minima never
-    decrease: one ``searchsorted`` bounds the columns the cells reach.
+    ``m_index`` samples its shared streams once per ``cache``, in draw
+    order.  A call keeps only the instants below its longest productive
+    time and sorts those, replica by replica (``+inf``-padded): each
+    lane reads the same values, in the same order, as the prefix of its
+    fully sorted stream, without sorting what no lane reads.
     """
     if not config.share_traces:
         seeds = [replica_seed(config, r) for r in range(n_replicas)]
@@ -190,19 +193,18 @@ def _lane_draws(config: CampaignConfig, m_index: int, params,
                 np.concatenate([uniforms for _, uniforms in cells]))
     key = ("vectorized", m_index, n_replicas)
     if key not in cache:
-        streams, uniforms = _sample(
+        cache[key] = _sample(
             config, params.M, params.n, _horizon(config),
             [trace_seed(config, m_index, r) for r in range(n_replicas)])
-        counts = np.array([stream.size for stream in streams])
-        instants = np.full((n_replicas, counts.max()), np.inf)
-        instants[np.arange(counts.max()) < counts[:, None]] = \
-            np.concatenate(streams)
-        instants.sort(axis=1)
-        cache[key] = instants, instants.min(axis=0), uniforms
-    instants, reach, uniforms = cache[key]
-    instants = instants[:, :reach.searchsorted(productive.max())]
-    inside = instants < productive[:, None, None]
-    return (np.broadcast_to(instants, inside.shape)[inside],
+    streams, uniforms = cache[key]
+    bound = productive.max()
+    kept = [stream[stream < bound] for stream in streams]
+    counts = np.array([stream.size for stream in kept])
+    row = np.full((n_replicas, counts.max()), np.inf)
+    row[np.arange(counts.max()) < counts[:, None]] = np.concatenate(kept)
+    row.sort(axis=1)
+    inside = row < productive[:, None, None]
+    return (np.broadcast_to(row, inside.shape)[inside],
             inside.sum(axis=2).ravel(), np.tile(uniforms, (productive.size, 1)))
 
 

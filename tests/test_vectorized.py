@@ -473,6 +473,93 @@ class TestChunkBatch:
         assert run_chunk_vectorized(grid, [], FixedReplicas(4)) == []
 
 
+class TestSerialRowBatch:
+    """A serial campaign hands every chunk to one engine call: the
+    vectorized engine runs each grid row once across all of them, the
+    DES still streams chunk by chunk, chunks come back in chunk order,
+    and cancellation stays cell-aligned."""
+
+    @staticmethod
+    def count_rows(monkeypatch) -> list:
+        import repro.sim.vectorized as vectorized
+
+        rows, run_row = [], vectorized._run_row
+
+        def counted(config, plans, controller, cache):
+            rows.append([plan.index for plan in plans])
+            return run_row(config, plans, controller, cache)
+
+        monkeypatch.setattr(vectorized, "_run_row", counted)
+        return rows
+
+    def test_one_engine_pass_per_grid_row(self, monkeypatch):
+        expected = one_plan_records("shared", "fixed")
+        rows = self.count_rows(monkeypatch)
+        grid, controller = shared_grid(), CHUNK_CONTROLLERS["fixed"]
+        chunks = [[plan] for plan in plan_cells(grid)]
+        produced = list(SerialBackend("vectorized").execute(
+            grid, chunks, controller))
+        assert [index for index, _, _ in produced] == list(range(len(chunks)))
+        for (index, blocks, sources), chunk in zip(produced, chunks):
+            assert sources == ["backend"] * len(chunk)
+            assert [block.records for block in blocks] == [
+                expected[plan.index] for plan in chunk]
+        assert len(rows) == len(grid.m_values)
+        assert sorted(index for row in rows for index in row) == [
+            plan.index for plan in plan_cells(grid)]
+
+    def test_session_runs_each_row_once(self, monkeypatch, tmp_path):
+        rows = self.count_rows(monkeypatch)
+        grid = shared_grid()
+        spec = CampaignSpec(grid=grid, policy=ExecutionPolicy(
+            backend="vectorized"))
+        execution = execute_spec(spec, results_path=tmp_path / "r.jsonl")
+        assert execution.report.chunk_size == len(grid.phi_values)
+        assert len(rows) == len(grid.m_values)
+
+    def test_des_streams_chunk_by_chunk(self, monkeypatch):
+        import repro.sim.backends as backends
+
+        ran: list = []
+        monkeypatch.setattr(backends, "run_cell", lambda config, plan, *_:
+                            ran.append(plan.index) or plan.index)
+        grid = shared_grid()
+        plans = plan_cells(grid)
+        chunks = [plans[:2], plans[2:5], plans[5:]]
+        produced = backends.run_chunks("des", grid, chunks, FixedReplicas(1))
+        for chunk in chunks:
+            assert next(produced) == [plan.index for plan in chunk]
+            assert ran == [plan.index for plan in chunk]
+            ran.clear()
+        assert next(produced, None) is None
+
+    def test_cancel_after_first_cell_resumes_to_same_bytes(self, tmp_path):
+        from repro.errors import CampaignCancelled
+        from repro.sim.events import CellFinished, EventConsumer
+        from repro.sim.sinks import frame_groups
+
+        spec = CampaignSpec(grid=shared_grid(), policy=ExecutionPolicy(
+            backend="vectorized", sink="framed"))
+        full, cut = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+        Campaign(spec).run(full)
+
+        class CancelOnFirstCell(EventConsumer):
+            def on_event(self, event):
+                if isinstance(event, CellFinished):
+                    session.cancel()
+
+        session = Campaign(spec).session(cut, consumers=[CancelOnFirstCell()])
+        with pytest.raises(CampaignCancelled):
+            session.run()
+        assert session.state == "cancelled"
+        groups = list(frame_groups(cut))
+        assert [cell for cell, *_ in groups] == [0]
+        assert groups[-1][3] == cut.stat().st_size  # whole cells only
+        assert full.read_bytes().startswith(cut.read_bytes())
+        Campaign(spec).resume(cut)
+        assert cut.read_bytes() == full.read_bytes()
+
+
 class TestSpecAndResume:
     def test_policy_roundtrip_and_default(self):
         policy = ExecutionPolicy(backend="vectorized")
@@ -576,11 +663,11 @@ class TestVectorizedPresetBytes:
         "c6d1aa4d62d7d4126aa0d44a1a86cfc2eed0035807f2112e3428b233053ec335")
 
     @staticmethod
-    def digest(tmp_path, spec, layout) -> str:
+    def digest(tmp_path, spec, layout, workers=1) -> str:
         chunk_size = {"default": None, "cell": 1,
                       "grid": len(plan_cells(spec.grid))}[layout]
         spec = CampaignSpec(grid=spec.grid, policy=ExecutionPolicy(
-            backend="vectorized", chunk_size=chunk_size))
+            backend="vectorized", chunk_size=chunk_size, workers=workers))
         path = tmp_path / f"{layout}.jsonl"
         execute_spec(spec, results_path=path)
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -598,6 +685,17 @@ class TestVectorizedPresetBytes:
         spec = get_campaign_preset(key).spec(replicas=4, seed=4242)
         assert spec.policy.sink == "ordered"
         assert self.digest(tmp_path, spec, layout) == self.DIGESTS[key]
+
+    @pytest.mark.parametrize("key", ["high-churn", "exa-weibull"])
+    def test_per_chunk_pool_bytes(self, key, tmp_path):
+        """The process pool runs one chunk per task, the grain a serial
+        campaign no longer uses: one cell per chunk over two workers
+        writes the pinned bytes too."""
+        from repro.experiments.scenarios import get_campaign_preset
+
+        spec = get_campaign_preset(key).spec(replicas=4, seed=4242)
+        assert self.digest(tmp_path, spec, "cell", workers=2) == \
+            self.DIGESTS[key]
 
     @pytest.mark.parametrize("layout", ["default", "grid"])
     def test_unshared_bytes(self, layout, tmp_path):
