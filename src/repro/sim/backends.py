@@ -16,13 +16,11 @@ store publisher, progress tracker) subscribes to:
   of finished ones (the session re-sequences them for a grid-order sink).
 Every backend accepts an ``engine`` — the policy's backend, ``"des"``
 or ``"vectorized"`` — and runs every cell of the campaign on it: the
-*backend* decides where cells run, the *engine* decides how, and in
-what batches (:func:`run_chunks`: the DES cell by cell, the vectorized
-engine one grid row of every chunk it is handed at once).  The
-vectorized engine (:mod:`repro.sim.vectorized`) runs whole cells as
-numpy batches via the renewal closed forms instead of per-event
-simulation; shared failure traces become common random-number streams
-per (M, replica).
+*backend* decides where cells run, the *engine* how and in what
+batches (:func:`run_chunks`).  The vectorized engine
+(:mod:`repro.sim.vectorized`) runs whole cells as numpy batches via the
+renewal closed forms instead of per-event simulation; shared failure
+traces become common random-number streams per (M, replica).
 
 The interface is deliberately narrow — ``execute(config, chunks,
 controller)`` yielding ``(chunk_index, per-cell blocks, per-cell

@@ -8,14 +8,14 @@ kernel (:func:`repro.sim.renewal.failure_blocks`) that
 :func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
 every cell it is handed at once (:func:`run_chunk_vectorized`; a serial
 campaign hands it every chunk): a grid row's cells are one batch whose
-*lanes* are their (cell, replica) pairs.  One
-mask selects every lane's failure prefix, one array expression bins
-every strike into its cell's phases and charges its ``RE`` formula, one
-``bincount`` sums blocks per lane, and one success-probability pass
-covers every lane.  Cost becomes O(failures) array math instead of
-O(events) Python dispatch.  The cell's model (period, phase lengths,
-stall, risk window, re-execution terms) is the DES's own, resolved once
-by :func:`repro.sim.des.buddy_protocol`, and each lane's arithmetic is
+*lanes* are their (cell, replica) pairs.  One mask selects every lane's
+failure prefix, one array expression bins every strike into its cell's
+phases and charges its ``RE`` formula, one ``bincount`` sums blocks per
+lane, and one success-probability pass covers every lane.  Cost
+becomes O(failures) array math instead of O(events) Python dispatch.
+The cell's model (period, phase lengths, stall, risk window,
+re-execution terms) is the DES's own, resolved once by
+:func:`repro.sim.des.buddy_protocol`, and each lane's arithmetic is
 elementwise over its own cell and replica, so bytes depend on neither
 the chunk layout nor the batch's composition.
 
@@ -340,7 +340,8 @@ def run_chunk_vectorized(
     trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
 ) -> list[CellBlock]:
-    """Execute a chunk of cells, one block per plan, in plan order.
+    """Execute cells (a chunk, or every chunk of a serial campaign), one
+    block per plan, in plan order.
 
     Each grid row runs as one lane batch; ``heartbeat`` fires after each.
     As in :func:`repro.sim.backends.run_cell`, the controller's stop
