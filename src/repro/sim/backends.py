@@ -8,9 +8,9 @@ delegates the raw computation to a :class:`CampaignBackend`, and turns
 each finished cell into the typed events every consumer (sink writer,
 store publisher, progress tracker) subscribes to:
 
-* :class:`SerialBackend` — in-process, one :func:`run_chunks` call and
-  one shared-trace cache across the whole grid; reproduces the
-  historical serial execution exactly.
+* :class:`SerialBackend` — in-process, one :func:`run_chunks` call
+  across the whole grid; reproduces the historical serial execution
+  exactly.
 * :class:`ProcessPoolBackend` — chunks across worker processes, yielded
   in *completion* order so a slow cell never blocks downstream handling
   of finished ones (the session re-sequences them for a grid-order sink).
@@ -164,36 +164,31 @@ def run_cell(
 
 
 def run_chunks(engine: str, config: CampaignConfig, chunks: Sequence[list],
-               controller: ReplicaController, trace_cache: dict | None = None,
+               controller: ReplicaController,
                heartbeat: Callable[[], None] | None = None,
                ) -> Iterator[list[CellBlock]]:
     """Each chunk's blocks (one per plan) on ``engine``, in chunk order.
 
     The engine decides the batching grain: the DES yields each chunk as
-    soon as its :func:`run_cell` calls finish; the vectorized engine
-    first runs each grid row of every chunk as one lane batch
-    (:func:`repro.sim.vectorized.run_chunk_vectorized`).  Shared traces
-    live in ``trace_cache`` (one engine's under keys distinct from the
-    other's), else in a cache of the call's own."""
-    trace_cache = {} if trace_cache is None else trace_cache
+    soon as its :func:`run_cell` calls finish, over one trace cache; the
+    vectorized engine runs each grid row once across every chunk and
+    yields a chunk once its rows are done
+    (:func:`repro.sim.vectorized.run_chunks_vectorized`)."""
     if engine == "vectorized":
-        from .vectorized import run_chunk_vectorized
+        from .vectorized import run_chunks_vectorized
 
-        blocks = iter(run_chunk_vectorized(
-            config, [plan for plans in chunks for plan in plans],
-            controller, trace_cache, heartbeat))
-        yield from [[next(blocks) for _ in plans] for plans in chunks]
+        yield from run_chunks_vectorized(config, chunks, controller, heartbeat)
         return
+    trace_cache: dict = {}
     for plans in chunks:
         yield [run_cell(config, plan, controller, trace_cache, heartbeat)
                for plan in plans]
 
 
 def run_chunk_for_engine(engine, config, plans, controller,
-                         trace_cache=None, heartbeat=None) -> list[CellBlock]:
+                         heartbeat=None) -> list[CellBlock]:
     """The one-chunk :func:`run_chunks` (a pool task)."""
-    return next(run_chunks(engine, config, [plans], controller,
-                           trace_cache, heartbeat))
+    return next(run_chunks(engine, config, [plans], controller, heartbeat))
 
 
 class CampaignBackend(ABC):
@@ -234,9 +229,14 @@ class SerialBackend(CampaignBackend):
     """In-process execution: every chunk in one :func:`run_chunks` call
     (the engine picks the batching grain), yielded in submission order.
 
-    One trace cache spans the whole campaign, so each shared
-    (m_index, replica) failure schedule is built once and every failure
-    in it is drawn at most once, however many cells replay it.
+    Under the DES one trace cache spans the whole campaign, so each
+    shared (m_index, replica) failure schedule is built once and every
+    failure in it is drawn at most once, however many cells replay it;
+    each chunk streams out as soon as its cells finish.  The vectorized
+    engine runs each grid row once, in the order the chunks first need
+    them, so a chunk (hence its sink write, store publish and resume
+    point) waits for every row it spans, and the rows it runs early
+    for later chunks wait in memory.
     """
 
     def __init__(self, engine: str = "des"):

@@ -6,18 +6,17 @@ risk window of every replica, and for every period phase it walks
 per-event loop with the protocols' renewal closed forms — the same
 kernel (:func:`repro.sim.renewal.failure_blocks`) that
 :func:`repro.sim.renewal.run_renewal` runs for one replica — applied to
-every cell it is handed at once (:func:`run_chunk_vectorized`; a serial
+every cell it is handed at once (:func:`run_chunks_vectorized`; a serial
 campaign hands it every chunk): a grid row's cells are one batch whose
 *lanes* are their (cell, replica) pairs.  One mask selects every lane's
 failure prefix, one array expression bins every strike into its cell's
 phases and charges its ``RE`` formula, one ``bincount`` sums blocks per
-lane, and one success-probability pass covers every lane.  Cost
-becomes O(failures) array math instead of O(events) Python dispatch.
-The cell's model (period, phase lengths, stall, risk window,
-re-execution terms) is the DES's own, resolved once by
-:func:`repro.sim.des.buddy_protocol`, and each lane's arithmetic is
-elementwise over its own cell and replica, so bytes depend on neither
-the chunk layout nor the batch's composition.
+lane, and one success-probability pass covers every lane.  Cost becomes
+O(failures) array math instead of O(events) Python dispatch.  The cell's
+model (period, phase lengths, stall, risk window, re-execution terms) is
+the DES's own, resolved once by :func:`repro.sim.des.buddy_protocol`,
+and each lane's arithmetic is elementwise over its own cell and replica,
+so bytes depend on neither the chunk layout nor the batch's composition.
 
 The engine is the campaign policy's backend: under
 ``backend="vectorized"`` every cell runs here, shared-trace cells
@@ -48,19 +47,17 @@ to the DES:
   instants and its two fatality uniforms from one stream seeded with
   :func:`~repro.sim.backends.trace_seed`, over the wall-clock horizon
   (``max_time``, else ``200·work_target``: the DES's shared-trace
-  horizon, a function of the config alone).  The row is sampled once,
-  and each cell consumes its prefix ``[0, productive)``: a batch sorts
-  only the instants below its longest productive time.
+  horizon, a function of the config alone).  A row batch samples the
+  row once, and each cell consumes its prefix ``[0, productive)``: the
+  batch sorts only the instants below its longest productive time.
   Restricting a Poisson or per-node renewal process to a prefix leaves
   its law unchanged, so every cell that can complete sees exactly the
   non-shared failure process and the contract below carries over; only
   the pairing across cells is new.  (A cell whose productive time
   passes the horizon can only time out or die, and its failures past
   the horizon are not sampled.)  Seed, horizon and law are all store-key
-  fields, so the bytes stay pure functions of the key.  Streams live in
-  the backends' ``trace_cache`` under keys distinct from the DES
-  traces, so any worker regenerates identical streams whichever cells
-  it claims.
+  fields, so the bytes stay pure functions of the key, and any worker
+  regenerates identical streams whichever cells it claims.
 * Against the DES the contract is *distribution-level*: completed-
   replica waste agrees to the first order at which the paper's formulas
   operate — the renewal estimator thins failures arriving during
@@ -84,7 +81,7 @@ to the DES:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +99,7 @@ __all__ = [
     "plan_engine",
     "run_cell_vectorized",
     "run_chunk_vectorized",
+    "run_chunks_vectorized",
 ]
 
 #: Safety valve for pathological failure laws whose draws never advance
@@ -172,17 +170,17 @@ def _sample(config: CampaignConfig, M: float, n_nodes: int, horizon: float,
 
 
 def _lane_draws(config: CampaignConfig, m_index: int, params,
-                productive: np.ndarray, n_replicas: int, cache: dict):
+                productive: np.ndarray, n_replicas: int):
     """Every lane's failure instants in ``[0, productive)`` (lane
     ``c·n_replicas + r`` is replica ``r`` of cell ``c``), the per-lane
     counts and the ``(lanes, 2)`` fatality uniforms.
 
     Each cell draws its own streams (store purity), or grid row
-    ``m_index`` samples its shared streams once per ``cache``, in draw
-    order.  A call keeps only the instants below its longest productive
-    time and sorts those, replica by replica (``+inf``-padded): each
-    lane reads the same values, in the same order, as the prefix of its
-    fully sorted stream, without sorting what no lane reads.
+    ``m_index`` samples its shared streams once, in draw order.  The
+    call keeps only the instants below its longest productive time and
+    sorts those, replica by replica (``+inf``-padded): each lane reads
+    the same values, in the same order, as the prefix of its fully
+    sorted stream, without sorting what no lane reads.
     """
     if not config.share_traces:
         seeds = [replica_seed(config, r) for r in range(n_replicas)]
@@ -191,12 +189,9 @@ def _lane_draws(config: CampaignConfig, m_index: int, params,
         streams = [stream for times, _ in cells for stream in times]
         return (np.concatenate(streams), np.array([s.size for s in streams]),
                 np.concatenate([uniforms for _, uniforms in cells]))
-    key = ("vectorized", m_index, n_replicas)
-    if key not in cache:
-        cache[key] = _sample(
-            config, params.M, params.n, _horizon(config),
-            [trace_seed(config, m_index, r) for r in range(n_replicas)])
-    streams, uniforms = cache[key]
+    streams, uniforms = _sample(
+        config, params.M, params.n, _horizon(config),
+        [trace_seed(config, m_index, r) for r in range(n_replicas)])
     bound = productive.max()
     kept = [stream[stream < bound] for stream in streams]
     counts = np.array([stream.size for stream in kept])
@@ -234,7 +229,7 @@ def _lane_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _run_row(config: CampaignConfig, plans: list,
-             controller: ReplicaController, cache: dict) -> list[CellBlock]:
+             controller: ReplicaController) -> list[CellBlock]:
     """The cells of one grid row (one ``m_index``), as one lane batch."""
     params = config.base_params.with_updates(M=plans[0].M)
     models = [buddy_protocol(plan.protocol, params, plan.phi)
@@ -246,7 +241,7 @@ def _run_row(config: CampaignConfig, plans: list,
     productive = period * config.work_target / per_work
     n_replicas = controller.max_replicas
     times, counts, uniforms = _lane_draws(
-        config, plans[0].m_index, params, productive, n_replicas, cache)
+        config, plans[0].m_index, params, productive, n_replicas)
     lanes = counts.size
     cell = np.arange(lanes) // n_replicas
     lane_of = np.repeat(np.arange(lanes), counts)
@@ -333,42 +328,51 @@ def _run_row(config: CampaignConfig, plans: list,
     return out
 
 
-def run_chunk_vectorized(
+def run_chunks_vectorized(
     config: CampaignConfig,
-    plans: list,
+    chunks: Sequence[list],
     controller: ReplicaController,
-    trace_cache: dict | None = None,
     heartbeat: Callable[[], None] | None = None,
-) -> list[CellBlock]:
-    """Execute cells (a chunk, or every chunk of a serial campaign), one
-    block per plan, in plan order.
+) -> Iterator[list[CellBlock]]:
+    """Each chunk's blocks (one per plan), in chunk order.
 
-    Each grid row runs as one lane batch; ``heartbeat`` fires after each.
-    As in :func:`repro.sim.backends.run_cell`, the controller's stop
-    cursor is replayed over each cell's waste samples in seed order and
-    the first stop truncates the cell (replicas past it are computed and
-    discarded).  Each :class:`~repro.sim.results.CellBlock` is filled
-    from the batch's arrays.  ``trace_cache`` holds the shared-trace
-    streams across one backend run's chunks; it never changes bytes.
+    Each grid row runs once, as one lane batch over its cells in every
+    chunk; ``heartbeat`` fires after each.  Rows run in the order the
+    chunks first need them, and a chunk is yielded as soon as its rows
+    are done.  As in :func:`repro.sim.backends.run_cell`, the
+    controller's stop cursor is replayed over each cell's waste samples
+    in seed order and the first stop truncates the cell (replicas past
+    it are computed and discarded).  Each
+    :class:`~repro.sim.results.CellBlock` is filled from the batch's
+    arrays.
     """
-    cache = {} if trace_cache is None else trace_cache
-    rows: dict[int, list[int]] = {}
-    for position, plan in enumerate(plans):
-        rows.setdefault(plan.m_index, []).append(position)
-    blocks: list = [None] * len(plans)
-    for positions in rows.values():
-        for position, block in zip(positions, _run_row(
-                config, [plans[p] for p in positions], controller, cache)):
-            blocks[position] = block
-        if heartbeat is not None:
-            heartbeat()
-    return blocks
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for c, plans in enumerate(chunks):
+        for p, plan in enumerate(plans):
+            rows.setdefault(plan.m_index, []).append((c, p))
+    blocks: list = [[None] * len(plans) for plans in chunks]
+    for c, plans in enumerate(chunks):
+        for slots in filter(None, (rows.pop(plan.m_index, None)
+                                   for plan in plans)):
+            for (i, p), block in zip(slots, _run_row(
+                    config, [chunks[i][p] for i, p in slots], controller)):
+                blocks[i][p] = block
+            if heartbeat is not None:
+                heartbeat()
+        yield blocks[c]
+        blocks[c] = None
+
+
+def run_chunk_vectorized(config: CampaignConfig, plans: list,
+                         controller: ReplicaController,
+                         heartbeat: Callable[[], None] | None = None,
+                         ) -> list[CellBlock]:
+    """One chunk: the one-chunk :func:`run_chunks_vectorized`."""
+    return next(run_chunks_vectorized(config, [plans], controller, heartbeat))
 
 
 def run_cell_vectorized(config: CampaignConfig, plan,
                         controller: ReplicaController,
-                        trace_cache: dict | None = None,
                         heartbeat: Callable[[], None] | None = None):
     """One cell: the one-plan :func:`run_chunk_vectorized`."""
-    return run_chunk_vectorized(
-        config, [plan], controller, trace_cache, heartbeat)[0]
+    return run_chunk_vectorized(config, [plan], controller, heartbeat)[0]

@@ -120,7 +120,7 @@ def test_preset_cells_match_the_reference_codec(preset, engine):
     config, controller = spec.grid, spec.controller()
     plans = plan_cells(config)
     for plan, block in zip(plans, run_chunk_for_engine(
-            engine, config, plans, controller, {})):
+            engine, config, plans, controller)):
         if engine == "vectorized":
             assert block._rows is None  # rows not built by the engine
         check_block(plan, block)
@@ -137,7 +137,7 @@ def test_timed_out_and_fatal_replicas(engine):
         config = dataclasses.replace(spec.grid, max_time=max_time)
         plans = plan_cells(config)
         for plan, block in zip(plans, run_chunk_for_engine(
-                engine, config, plans, spec.controller(), {})):
+                engine, config, plans, spec.controller())):
             check_block(plan, block)
             statuses.update(row.status for row in block.rows)
             groups += sum(bool(row.fatal_group) for row in block.rows)

@@ -205,21 +205,6 @@ class TestCommonRandomNumbers:
                                 backend=ProcessPoolBackend(2, "vectorized"))
         assert pooled == serial
 
-    def test_cell_alone_matches_cell_in_campaign(self):
-        """A cell run with an empty cache (a pool or queue worker's
-        one-cell chunk) equals the same cell run after its row's other
-        cells have filled the cache."""
-        grid = shared_grid()
-        plans = plan_cells(grid)
-        cache: dict = {}
-        in_campaign = [
-            run_cell_vectorized(grid, plan, FixedReplicas(4), cache)
-            for plan in plans
-        ]
-        for plan, expected in zip(plans, in_campaign):
-            alone = run_cell_vectorized(grid, plan, FixedReplicas(4), {})
-            assert cell_bytes(alone) == cell_bytes(expected)
-
     def test_shared_replicas_independent_of_batch_shape(self):
         grid = shared_grid(replicas=8)
         for plan in plan_cells(grid):
@@ -420,21 +405,18 @@ class TestChunkBatch:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), grid_key=st.sampled_from(sorted(CHUNK_GRIDS)),
-           controller_key=st.sampled_from(sorted(CHUNK_CONTROLLERS)),
-           shared_cache=st.booleans())
+           controller_key=st.sampled_from(sorted(CHUNK_CONTROLLERS)))
     def test_any_partition_matches_one_plan_calls(
-            self, data, grid_key, controller_key, shared_cache):
+            self, data, grid_key, controller_key):
         expected = one_plan_records(grid_key, controller_key)
         grid = CHUNK_GRIDS[grid_key]()
         plans = data.draw(st.permutations(plan_cells(grid)), label="order")
         cuts = sorted(data.draw(st.sets(st.integers(1, len(plans) - 1)),
                                 label="cuts"))
-        cache: dict = {}
         for start, end in zip([0] + cuts, cuts + [len(plans)]):
             chunk = plans[start:end]
             blocks = run_chunk_vectorized(
-                grid, chunk, CHUNK_CONTROLLERS[controller_key],
-                cache if shared_cache else {})
+                grid, chunk, CHUNK_CONTROLLERS[controller_key])
             assert len(blocks) == len(chunk)
             for plan, block in zip(chunk, blocks):
                 assert block.records == expected[plan.index], plan
@@ -475,9 +457,10 @@ class TestChunkBatch:
 
 class TestSerialRowBatch:
     """A serial campaign hands every chunk to one engine call: the
-    vectorized engine runs each grid row once across all of them, the
-    DES still streams chunk by chunk, chunks come back in chunk order,
-    and cancellation stays cell-aligned."""
+    vectorized engine runs each grid row once across all of them and
+    yields a chunk once its rows are done, the DES still streams chunk
+    by chunk, chunks come back in chunk order, and cancellation stays
+    cell-aligned."""
 
     @staticmethod
     def count_rows(monkeypatch) -> list:
@@ -485,9 +468,9 @@ class TestSerialRowBatch:
 
         rows, run_row = [], vectorized._run_row
 
-        def counted(config, plans, controller, cache):
+        def counted(config, plans, controller):
             rows.append([plan.index for plan in plans])
-            return run_row(config, plans, controller, cache)
+            return run_row(config, plans, controller)
 
         monkeypatch.setattr(vectorized, "_run_row", counted)
         return rows
@@ -497,9 +480,17 @@ class TestSerialRowBatch:
         rows = self.count_rows(monkeypatch)
         grid, controller = shared_grid(), CHUNK_CONTROLLERS["fixed"]
         chunks = [[plan] for plan in plan_cells(grid)]
-        produced = list(SerialBackend("vectorized").execute(
-            grid, chunks, controller))
+        produced, rows_run = [], []
+        for item in SerialBackend("vectorized").execute(
+                grid, chunks, controller):
+            produced.append(item)
+            rows_run.append(len(rows))
         assert [index for index, _, _ in produced] == list(range(len(chunks)))
+        # A chunk streams out once the rows it spans are done.
+        assert rows_run == [len({plan.m_index for chunk in chunks[:i + 1]
+                                 for plan in chunk})
+                            for i in range(len(chunks))]
+        assert rows_run[0] == 1
         for (index, blocks, sources), chunk in zip(produced, chunks):
             assert sources == ["backend"] * len(chunk)
             assert [block.records for block in blocks] == [
@@ -617,10 +608,9 @@ class TestVectorizedBytes:
                                  phi_values=(0.5,), replicas=4, n=12,
                                  max_time=4000.0, share_traces=share,
                                  distribution=law)
-                cache: dict = {}
                 for plan in plan_cells(grid):
                     results = run_cell_vectorized(
-                        grid, plan, FixedReplicas(4), cache)
+                        grid, plan, FixedReplicas(4))
                     statuses.update(r.status for r in results)
                     for line in cell_bytes(results):
                         digest.update(line.encode())
