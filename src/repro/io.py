@@ -26,7 +26,8 @@ scalars, user or marker-like ``meta``, summaries) takes the walker, and
 both paths spell and accept exactly the same lines.  A whole campaign
 cell held as columns (:class:`~repro.sim.results.CellBlock`) is encoded
 by :func:`dump_cell` through the same template, its cell-constant text
-formatted once per cell, to the same lines.
+formatted once per cell, to the same lines; :func:`load_cell` checks
+and reads such lines back as one block, as a store hit does.
 
 For out-of-order campaign sinks, a *framed* variant wraps the same
 record with its provenance — which grid cell produced it, which replica
@@ -70,13 +71,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ParameterError
-from .sim.results import DesResult, MonteCarloSummary
+from .sim.results import ROW_FIELDS, CellBlock, DesResult, MonteCarloSummary
 
 __all__ = [
     "encode_floats",
     "decode_floats",
     "dump_result",
     "dump_cell",
+    "load_cell",
     "load_result",
     "save_results",
     "load_results",
@@ -204,7 +206,7 @@ _DES_NUMBERS = tuple(name for name in _DES_FIELDS
 _DES_META_KEYS = frozenset(
     ("protocol", "period", "phi", "seed", "n", "M", "engine"))
 #: The JSON types a fast-path ``meta`` value may decode to.
-_META_TYPES = (str, int, float)
+_META_TYPES = frozenset((str, int, float))
 _NUMBER_TYPES = frozenset((int, float))
 #: The record line of a :class:`DesResult` — ``json.dumps`` of its
 #: envelope with ``sort_keys`` and the default separators — as one
@@ -371,38 +373,80 @@ def _dump_des_result(result: DesResult) -> str | None:
     return _DES_TEMPLATE % tuple(texts)
 
 
-def _load_des_result(payload: Any) -> DesResult | None:
-    """The fast path of :func:`from_envelope` for a ``DesResult``
-    payload: direct field extraction under strict shape checks.  ``None``
-    when the payload is not exactly the shape :func:`_dump_des_result`
-    writes; the generic walker then decides (and refuses what is
-    corrupt)."""
+def _des_fields(payload: Any) -> dict | None:
+    """A ``DesResult`` payload's field values under the fast path's
+    strict shape checks (sentinels become :data:`_FLOAT_STRINGS`
+    floats), or ``None`` when it is not exactly the shape
+    :func:`_dump_des_result` writes.  The one copy of those rules, for
+    :func:`_load_des_result` and :func:`load_cell`."""
     if type(payload) is not dict or payload.keys() != _DES_FIELDSET:
         return None
-    meta = payload["meta"]
-    group = payload["fatal_group"]
-    status = payload["status"]
-    if (type(status) is not str or type(meta) is not dict
+    fields = payload.copy()
+    meta, group = fields["meta"], fields["fatal_group"]
+    if (type(fields["status"]) is not str or type(meta) is not dict
             or not meta.keys() <= _DES_META_KEYS
-            or any(type(v) not in _META_TYPES for v in meta.values())
+            or not _META_TYPES.issuperset(map(type, meta.values()))
             or type(group) is not list
-            or any(type(member) is not int for member in group)):
+            or not {int}.issuperset(map(type, group))):
         return None
-    values = {}
+    fields["meta"], fields["fatal_group"] = meta.copy(), tuple(group)
     for name in _DES_NUMBERS:
-        value = payload[name]
-        kind = type(value)
-        if kind is dict and len(value) == 1:
+        value = fields[name]
+        if type(value) not in _NUMBER_TYPES:
             # A typed sentinel: {"__float__": "nan" | "inf" | "-inf"}.
+            if type(value) is not dict or len(value) != 1:
+                return None
             value = value.get("__float__")
             if type(value) is not str or value not in _FLOAT_STRINGS:
                 return None
-            value = _FLOAT_STRINGS[value]
-        elif kind is not float and kind is not int:
+            fields[name] = _FLOAT_STRINGS[value]
+    return fields
+
+
+def _load_des_result(payload: Any) -> DesResult | None:
+    """The fast path of :func:`from_envelope` for a ``DesResult``
+    payload (:func:`_des_fields`); ``None`` leaves it to the generic
+    walker, which also refuses what is corrupt."""
+    fields = _des_fields(payload)
+    return None if fields is None else DesResult(**fields)
+
+
+def load_cell(lines) -> CellBlock | None:
+    """The inverse of :func:`dump_cell`: one cell's record lines as a
+    columnar :class:`~repro.sim.results.CellBlock` carrying them, from
+    one batched ``json.loads`` and one cell-template re-encode
+    (:func:`_encode_cell`) that must give back every line.  The
+    template fixes the envelope, key order and separators, so that
+    proves each line loads to its row and dumps back to itself: the
+    check :func:`load_result` then :func:`dump_result` makes.  ``None``
+    when the lines are not that shape (a row without a seed, ``meta``
+    or ``work_target`` differing between rows, any error) leaves the
+    verdict, and its wording, to that per-line check."""
+    # The seed key is in every template line (quotes inside strings are
+    # escaped): a cheap refusal before the decode.
+    if not lines or not all('"seed": ' in line for line in lines):
+        return None
+    try:
+        envelopes = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(envelopes) != len(lines):
+        return None
+    rows = []
+    for envelope in envelopes:
+        fields = _des_fields(envelope.get("payload")) \
+            if type(envelope) is dict else None
+        if fields is None or "seed" not in fields["meta"]:
             return None
-        values[name] = value
-    return DesResult(status=status, fatal_group=tuple(group),
-                     meta=dict(meta), **values)
+        fields["seed"] = fields["meta"].pop("seed")
+        rows.append(fields)
+    # The template spells row 0's meta and work target on every line,
+    # so the lines are given back only if every row shares them.
+    meta, work_target = rows[0]["meta"], rows[0]["work_target"]
+    columns = {name: [row[name] for row in rows] for name in ROW_FIELDS}
+    if _encode_cell(meta, work_target, columns) != list(lines):
+        return None
+    return CellBlock(meta, work_target, columns, records=tuple(lines))
 
 
 def to_envelope(result: DesResult | MonteCarloSummary) -> dict:

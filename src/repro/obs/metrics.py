@@ -115,12 +115,14 @@ class _Instrument:
     kind = ""
 
     def __init__(self, name: str, *, help: str = "", unit: str = "",
-                 labels: Mapping[str, str] | None = None):
+                 labels: Mapping[str, str] | None = None, lock=None):
         self.name = _check_name(name)
         self.help = str(help)
         self.unit = str(unit)
         self.labels = _check_labels(labels)
-        self._lock = threading.Lock()
+        #: Guards the value; instruments updated together may share one
+        #: (``lock=``) and be updated in one section (``*_held``).
+        self._lock = threading.Lock() if lock is None else lock
 
     @property
     def key(self) -> tuple[str, tuple[tuple[str, str], ...]]:
@@ -142,17 +144,21 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name, *, help="", unit="", labels=None):
-        super().__init__(name, help=help, unit=unit, labels=labels)
+    def __init__(self, name, **kwargs):
+        super().__init__(name, **kwargs)
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self.inc_held(amount)
+
+    def inc_held(self, amount: float = 1.0) -> None:
+        """:meth:`inc`, holding the lock."""
         if amount < 0:
             raise ParameterError(
                 f"counter {self.name} cannot decrease (inc {amount!r})"
             )
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
@@ -167,9 +173,8 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name, *, help="", unit="", labels=None,
-                 aggregate: str = "sum"):
-        super().__init__(name, help=help, unit=unit, labels=labels)
+    def __init__(self, name, *, aggregate: str = "sum", **kwargs):
+        super().__init__(name, **kwargs)
         if aggregate not in ("sum", "max"):
             raise ParameterError(
                 f"gauge aggregate must be 'sum' or 'max', got {aggregate!r}"
@@ -189,6 +194,16 @@ class Gauge(_Instrument):
         with self._lock:
             self._value -= amount
 
+    def add_held(self, amount: float) -> float:
+        """Add ``amount`` holding the lock; returns the new level."""
+        self._value += amount
+        return self._value
+
+    def raise_held(self, value: float) -> None:
+        """Raise the level to ``value`` if higher, holding the lock."""
+        if value > self._value:
+            self._value = float(value)
+
     @property
     def value(self) -> float:
         with self._lock:
@@ -206,8 +221,8 @@ class Histogram(_Instrument):
     kind = "histogram"
 
     def __init__(self, name, buckets: Iterable[float] = DEFAULT_TIME_BUCKETS,
-                 *, help="", unit="", labels=None):
-        super().__init__(name, help=help, unit=unit, labels=labels)
+                 **kwargs):
+        super().__init__(name, **kwargs)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(not math.isfinite(b) for b in bounds) \
                 or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
@@ -221,16 +236,20 @@ class Histogram(_Instrument):
         self._count = 0
 
     def observe(self, value: float) -> None:
+        with self._lock:
+            self.observe_held(value)
+
+    def observe_held(self, value: float) -> None:
+        """:meth:`observe`, holding the lock."""
         value = float(value)
         index = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 index = i
                 break
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[index] += 1
+        self._sum += value
+        self._count += 1
 
     @property
     def count(self) -> int:

@@ -565,7 +565,7 @@ class SinkWriter(EventConsumer):
     the sink recovered; re-appending would duplicate them.  A
     :class:`~repro.sim.sinks.NullSink` is skipped too: it writes
     nothing, so asking for its cells' records would encode them for
-    nobody.
+    nobody.  However the stream ends, the sink's file handle closes.
     """
 
     def __init__(self, sink: ResultSink):
@@ -575,6 +575,9 @@ class SinkWriter(EventConsumer):
         if isinstance(event, CellFinished) and event.source != "resume" \
                 and not isinstance(self.sink, NullSink):
             self.sink.emit(event.plan, event.records)
+
+    def close(self, error: BaseException | None = None) -> None:
+        self.sink.close()
 
 
 class StorePublisher(EventConsumer):

@@ -84,12 +84,13 @@ class CellBlock(Sequence):
     the per-replica ``columns`` (:data:`ROW_FIELDS`) from its arrays,
     plus what the whole cell shares: ``meta`` (the engine-written keys
     but ``seed``) and ``work_target``; its :class:`DesResult` rows are
-    built only when read (:attr:`rows`, indexing, iteration).  The DES,
-    a store hit and a resumed cell pass their rows (:meth:`from_rows`),
-    a store hit with the lines it verified.  Downstream reads
-    :attr:`waste` (summary, controller replay), ``len`` (progress,
-    metrics) and :attr:`records` (sink, store: one per-cell template,
-    :func:`repro.io.dump_cell`).
+    built only when read (:attr:`rows`, indexing, iteration).  A store
+    hit is columnar too (:func:`repro.io.load_cell`, the entry's lines
+    as records; a hit serves a :meth:`prefix`).  The DES, a resumed
+    cell and a stored entry outside the template's shape pass their
+    rows (:meth:`from_rows`).  Downstream reads :attr:`waste` (summary,
+    controller replay), ``len`` (progress, metrics) and :attr:`records`
+    (sink, store: one per-cell template, :func:`repro.io.dump_cell`).
     """
 
     __slots__ = ("meta", "work_target", "columns", "_rows", "_records",
@@ -105,6 +106,17 @@ class CellBlock(Sequence):
         encodes alone, the one-row case of the cell template)."""
         return cls(None, None, None, tuple(rows),
                    None if records is None else tuple(records))
+
+    def prefix(self, count: int) -> "CellBlock":
+        """The first ``count`` replicas, with whatever of their columns,
+        rows and records this block holds."""
+        if count == len(self):
+            return self
+        columns = None if self.columns is None else {
+            name: column[:count] for name, column in self.columns.items()}
+        return CellBlock(self.meta, self.work_target, columns,
+                         *(None if seq is None else seq[:count]
+                           for seq in (self._rows, self._records)))
 
     @property
     def rows(self) -> tuple[DesResult, ...]:

@@ -35,9 +35,10 @@ M, effective φ, per-replica seed, platform size, workload), truncate any
 torn trailing cell, and report which cells are already complete.  A file
 the campaign cannot have written is refused, never truncated.
 
-Writes are cell-atomic — one ``write`` of the cell's joined text, then
-the close that flushes it — so an interrupted campaign tears at most
-the trailing cell, which is exactly the damage ``recover`` knows how to
+Writes are cell-atomic — one ``write`` of the cell's joined text to the
+handle kept open from the first append to :meth:`ResultSink.close`,
+then a ``flush`` — so an interrupted campaign tears at most the
+trailing cell, which is exactly the damage ``recover`` knows how to
 undo.
 
 Every framed path (resume, shard rejoin, queue merge, store export)
@@ -92,11 +93,26 @@ class ResultSink(ABC):
     ordered: bool = True
     #: The results file (``None`` for :class:`NullSink`).
     path: pathlib.Path | None = None
+    #: The results file's append handle (first append to close).
+    _fh = None
 
     @abstractmethod
     def emit(self, plan, records) -> None:
         """Persist one finished cell: ``records`` holds one canonical
         record line (:func:`repro.io.dump_result`) per replica."""
+
+    def _append(self, text: str) -> None:
+        """Append one cell's text: one ``write``, then a ``flush``."""
+        if self._fh is None:
+            self._fh = self.path.open("a", encoding="utf-8")
+        self._fh.write(text)
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Close the results file's handle (the campaign ended)."""
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
 
     def begin(self) -> None:
         """Start a fresh campaign: truncate — a campaign owns its file."""
@@ -331,8 +347,7 @@ class OrderedJsonlSink(ResultSink):
         self.path = pathlib.Path(path)
 
     def emit(self, plan, records) -> None:
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in records))
+        self._append("".join(line + "\n" for line in records))
 
     def recover(self, config, plans, controller, trusted):
         from .. import io as repro_io
@@ -399,9 +414,8 @@ class FramedJsonlSink(ResultSink):
     def emit(self, plan, records) -> None:
         from .. import io as repro_io
 
-        text = repro_io.frame_cell(records, cell=plan.index, seq=self._seq)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(text)
+        self._append(repro_io.frame_cell(records, cell=plan.index,
+                                         seq=self._seq))
         self._seq += len(records)
 
     def recover(self, config, plans, controller, trusted):

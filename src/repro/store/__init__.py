@@ -30,7 +30,8 @@ Design:
 * **Integrity** — every lookup re-verifies the entry once per cell:
   full-key match (collisions/tampering refused), the payload digest,
   and each replica re-serialising to exactly its stored line, which is
-  the byte string a warm campaign emits.
+  the byte string a warm campaign emits — one batched decode and one
+  cell-template re-encode per entry (:func:`repro.io.load_cell`).
 * **Old stores** — a directory left by older layouts (loose
   ``objects/`` files, version-1 segments) still opens, but none of it
   is served: each cell recomputes, and ``store verify`` names every

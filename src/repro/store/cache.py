@@ -5,8 +5,8 @@ store-mode cell reads, :class:`~repro.sim.distributed.DistributedBackend`
 workers, and ``report --from-spec`` — pays the same per-hit cost on a
 warm lookup: read the cell entry's bytes, decode every replica, and
 re-verify them against the stored payload (full-key match, payload
-digest, serialisation round-trip).  That is the right price to pay
-*once* — the store must never silently serve a wrong result — but hot
+digest, serialisation round-trip: :func:`repro.io.load_cell`).  That
+is the right price to pay *once* — the store must never silently serve a wrong result — but hot
 cells (a report queried in a loop, overlapping campaigns replaying the
 same grid rows, a long-lived service answering the same waste-surface
 query) re-pay it on every hit.
@@ -28,9 +28,10 @@ level*:
   round-trip serialisation are skipped;
 * ``"full"`` may be requested for cached re-reads too
   (``CampaignStore(..., cached_verification="full")``): the cached
-  result objects are additionally re-serialised and compared against
-  the cached payload text, catching in-place mutation of the shared
-  results at decode-equivalent cost (disk is still not touched).
+  block is additionally re-encoded through the cell template
+  (:func:`repro.io.dump_cell`), with any rows hits built from it, and
+  compared against the cached payload text, catching in-place mutation
+  of the shared results (disk is still not touched).
 
 One module-level default cache (:func:`default_cache`) is shared by
 every ``CampaignStore`` that does not bring its own, so the executor, a
@@ -72,6 +73,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ParameterError
 from ..obs import Counter, Gauge, default_registry
+from ..sim.results import CellBlock
 
 __all__ = [
     "CACHED_VERIFICATION_LEVELS",
@@ -117,13 +119,15 @@ def cache_key(key: dict) -> tuple:
 class CachedEntry:
     """One verified, decoded cell entry as the cache holds it.
 
-    ``results`` is the stored replica prefix, in seed order, and
-    ``payload_text`` its stored lines (one :func:`repro.io.dump_result`
-    per replica), exactly what ``payload_sha256`` digests.  Keeping it
-    lets a cached re-read re-verify at ``"digest"`` level without
-    re-serialising, and at ``"full"`` level without touching disk; a
-    hit also serves those lines as the cell's record text, so a warm
-    campaign writes the verified bytes instead of re-encoding them.
+    ``block`` is the stored replica prefix, in seed order, as the
+    columnar :class:`~repro.sim.results.CellBlock` the admit check
+    built (:func:`repro.io.load_cell`), its stored lines as its
+    records, and ``payload_text`` those lines joined, exactly what
+    ``payload_sha256`` digests.  Keeping it lets a cached re-read
+    re-verify at ``"digest"`` level without re-serialising, and at
+    ``"full"`` level (one template re-encode) without touching disk; a
+    hit serves a prefix of the block, so a warm campaign writes the
+    verified bytes and builds no :class:`~repro.sim.results.DesResult`.
 
     ``cells`` memoizes the aggregated cell of each prefix length served
     from this entry (:meth:`repro.store.store.StoredCell.cell` fills
@@ -135,7 +139,7 @@ class CachedEntry:
     """
 
     key: dict
-    results: tuple
+    block: CellBlock
     payload_text: str
     payload_sha256: str
     cells: dict = field(default_factory=dict, compare=False, repr=False)
@@ -154,9 +158,14 @@ class CachedEntry:
         if level == "full":
             from .. import io as repro_io
 
-            return "".join(
-                repro_io.dump_result(r) + "\n" for r in self.results
-            ) == self.payload_text
+            lines = repro_io.dump_cell(self.block)
+            # Rows earlier hits built from the columns are shared with
+            # later hits, so they are re-encoded too.
+            rows = self.block._rows if self.block.columns is not None \
+                else None
+            return "".join(line + "\n" for line in lines) \
+                == self.payload_text and (rows is None or tuple(
+                    map(repro_io.dump_result, rows)) == lines)
         return True
 
 

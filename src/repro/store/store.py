@@ -235,7 +235,10 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
     the full stored key against ``expected_key`` (a collision or renamed
     file is a hard error, not a wrong answer), and each replica line
     decoding into a raw DES run that re-serialises to exactly that
-    line.  Returns ``(header, results, body)``."""
+    line.  Returns ``(header, block, body)``: a store hit is columnar,
+    an entry the engines wrote checked by one batched decode and one
+    cell-template re-encode (:func:`repro.io.load_cell`).  The per-line
+    loop below serves any other valid entry and words every refusal."""
     from .. import io as repro_io
 
     header, body = _check_entry(label, data)
@@ -245,8 +248,12 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
             "(hash collision or tampered entry); refusing to serve "
             "a different simulation's result"
         )
+    lines = body.split("\n")[:-1]
+    block = repro_io.load_cell(lines)
+    if block is not None:
+        return header, block, body
     results = []
-    for line in body.split("\n")[:-1]:
+    for line in lines:
         result = repro_io.load_result(line)
         if not isinstance(result, DesResult):
             raise ParameterError(
@@ -260,7 +267,7 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
                 "drop it with `store compact` and re-run to repopulate"
             )
         results.append(result)
-    return header, tuple(results), body
+    return header, CellBlock.from_rows(results, lines), body
 
 
 def _check_row(label, data: bytes, row: SegmentEntry, *,
@@ -311,12 +318,13 @@ class StoredCell:
     """A store hit: a cell's replica prefix, and the verified entry it
     was read from.
 
-    :attr:`records` are the prefix's stored lines (one
-    :func:`repro.io.dump_result` per replica) — the exact text a warm
-    campaign writes, so nobody re-encodes it.  They are sliced on
-    demand: a caller that only aggregates (a report) never pays for
-    them.  :meth:`cell` is the prefix's aggregated cell, kept on the
-    entry's memo (:attr:`CachedEntry.cells`).
+    A store hit is columnar: :attr:`block` is a prefix of the entry's
+    :class:`~repro.sim.results.CellBlock`, columns and stored lines
+    (:attr:`records`, the exact text a warm campaign writes) sliced
+    together, so a warm campaign re-encodes nothing and builds no
+    :class:`~repro.sim.results.DesResult` (:attr:`results` builds them
+    on demand).  :meth:`cell` is the prefix's aggregated cell, kept on
+    the entry's memo (:attr:`CachedEntry.cells`).
 
     A ``StoredCell`` is only ever built from an entry that passed its
     check in the same lookup — full verification on a disk read,
@@ -325,34 +333,31 @@ class StoredCell:
     intact entry.
     """
 
-    results: list
+    block: CellBlock
     entry: CachedEntry = field(repr=False)
 
     @property
-    def records(self) -> tuple[str, ...]:
-        count = len(self.results)
-        return tuple(self.entry.payload_text.split("\n", count)[:count])
+    def results(self) -> tuple[DesResult, ...]:
+        return self.block.rows
 
     @property
-    def block(self) -> CellBlock:
-        """The prefix as the :class:`~repro.sim.results.CellBlock` a
-        session emits, carrying its verified lines."""
-        return CellBlock.from_rows(self.results, self.records)
+    def records(self) -> tuple[str, ...]:
+        return self.block.records
 
     def cell(self, plan):
-        """``make_cell(plan, self.results)``, built once per entry and
+        """``make_cell(plan, self.block)``, built once per entry and
         prefix length.
 
         Concurrent callers may both build it; ``setdefault`` keeps the
         first, so every caller gets the same cell object.
         """
         memo = self.entry.cells
-        count = len(self.results)
+        count = len(self.block)
         cell = memo.get(count)
         if cell is None:
             from ..sim.events import make_cell
 
-            cell = memo.setdefault(count, make_cell(plan, self.results))
+            cell = memo.setdefault(count, make_cell(plan, self.block))
         return cell
 
 
@@ -361,11 +366,11 @@ def _replay(entry: CachedEntry | None, controller) -> StoredCell | None:
     stops, or ``None`` when it never stops inside it."""
     if entry is None:
         return None
-    stored = entry.results
+    stored = entry.block
     cursor = controller.cursor()
-    for count, result in enumerate(stored[:controller.max_replicas], 1):
-        if cursor.push(result.waste):
-            return StoredCell(list(stored[:count]), entry)
+    for count, waste in enumerate(stored.waste[:controller.max_replicas], 1):
+        if cursor.push(waste):
+            return StoredCell(stored.prefix(count), entry)
     return None
 
 
@@ -567,31 +572,32 @@ class CampaignStore:
         self._cache_root = str(self.root.resolve())
         #: Concurrent-read accounting: per-instance registry
         #: instruments, summed over live instances by the process-wide
-        #: registry for ``GET /metrics``.  ``_read_lock`` serialises the
-        #: active/peak pair (the high-water mark must see a consistent
-        #: active count).
+        #: registry for ``GET /metrics``.  They share ``_read_lock``: a
+        #: lookup books them in one section on entry (the high-water
+        #: mark sees a consistent active count) and one on exit.
         registry = default_registry()
-        self._read_lock = threading.Lock()
+        self._read_lock = lock = threading.Lock()
         self._m_lookups = registry.register(Counter(
             "repro_store_lookups_total",
-            help="Store lookups (hit or miss)."))
+            help="Store lookups (hit or miss).", lock=lock))
         self._m_active = registry.register(Gauge(
             "repro_store_readers_active",
-            help="Lookups in flight right now."))
+            help="Lookups in flight right now.", lock=lock))
         self._m_peak = registry.register(Gauge(
             "repro_store_readers_peak_concurrent", aggregate="max",
-            help="High-water mark of simultaneous readers."))
+            help="High-water mark of simultaneous readers.", lock=lock))
         self._m_results = {
             outcome: registry.register(Counter(
                 "repro_store_lookup_results_total",
-                help="Lookup outcomes.", labels={"result": outcome}))
+                help="Lookup outcomes.", labels={"result": outcome},
+                lock=lock))
             for outcome in ("hit", "miss")
         }
         self._m_lookup_seconds = {
             outcome: registry.register(Histogram(
                 "repro_store_lookup_seconds", DEFAULT_TIME_BUCKETS,
                 help="Full lookup latency by outcome.", unit="seconds",
-                labels={"result": outcome}))
+                labels={"result": outcome}, lock=lock))
             for outcome in ("hit", "miss")
         }
         self._m_verify_seconds = registry.register(Histogram(
@@ -812,7 +818,7 @@ class CampaignStore:
         threads at once (the campaign service does).
         """
         entry = self._read(key)
-        return None if entry is None else entry.results
+        return None if entry is None else entry.block.rows
 
     def _read(self, key: dict) -> CachedEntry | None:
         """:meth:`lookup`, returning the whole verified entry (its
@@ -822,13 +828,11 @@ class CampaignStore:
         if since is None:
             since = self._scans
         with self._read_lock:
-            self._m_lookups.inc()
-            self._m_active.inc()
-            active = self._m_active.value
-            if active > self._m_peak.value:
-                self._m_peak.set(active)
+            self._m_lookups.inc_held()
+            self._m_peak.raise_held(self._m_active.add_held(1))
         started = time.perf_counter()
         tracer = current_tracer()
+        outcome = None
         try:
             if tracer is None:
                 entry = self._lookup(key, since)
@@ -838,13 +842,14 @@ class CampaignStore:
                     span.args["result"] = \
                         "hit" if entry is not None else "miss"
             outcome = "hit" if entry is not None else "miss"
-            self._m_results[outcome].inc()
-            self._m_lookup_seconds[outcome].observe(
-                time.perf_counter() - started)
             return entry
         finally:
+            elapsed = time.perf_counter() - started
             with self._read_lock:
-                self._m_active.dec()
+                self._m_active.add_held(-1)
+                if outcome is not None:
+                    self._m_results[outcome].inc_held()
+                    self._m_lookup_seconds[outcome].observe_held(elapsed)
 
     def _lookup(self, key: dict, since: int) -> CachedEntry | None:
         token = None
@@ -879,10 +884,10 @@ class CampaignStore:
         """Fully verify an entry read from disk, stage it in the hot-cell
         cache, and return it."""
         started = time.perf_counter()
-        header, results, body = _verify_entry(label, data, key)
+        header, block, body = _verify_entry(label, data, key)
         self._m_verify_seconds.observe(time.perf_counter() - started)
         entry = CachedEntry(
-            key=key, results=results, payload_text=body,
+            key=key, block=block, payload_text=body,
             payload_sha256=header["payload_sha256"],
         )
         if self._cache is not None:
@@ -973,7 +978,7 @@ class CampaignStore:
         entry = self._read(key)
         hit = _replay(entry, controller)
         if hit is None and entry is not None and held is not None \
-                and len(entry.results) < controller.max_replicas:
+                and len(entry.block) < controller.max_replicas:
             # The short prefix came from the cache: a longer one may
             # have landed since (another process, or a fill in this
             # one), so re-read it through a fresh segment scan.
@@ -1057,7 +1062,7 @@ class CampaignStore:
         absent = set()
         for plan, key in footprint:
             held = self._held(key)
-            if held is None or len(held.results) < budget:
+            if held is None or len(held.block) < budget:
                 probed[plan.index] = on_disk(key)
                 if held is None and not probed[plan.index]:
                     absent.add(plan.index)
@@ -1071,7 +1076,7 @@ class CampaignStore:
         cells = []
         for plan, key in footprint:
             hit = hits.get(plan.index)
-            stored = 0 if hit is None else min(len(hit.entry.results),
+            stored = 0 if hit is None else min(len(hit.entry.block),
                                                 budget)
             if stored < budget:
                 disk = probed.get(plan.index)

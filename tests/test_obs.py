@@ -435,7 +435,7 @@ class TestThinViews:
         cache = HotCellCache(max_bytes=1 << 20, registry=registry)
         text = '{"payload": 1}'
         entry = CachedEntry(
-            key={"k": 1}, results=(object(),), payload_text=text,
+            key={"k": 1}, block=None, payload_text=text,
             payload_sha256=__import__("hashlib")
             .sha256(text.encode()).hexdigest(),
         )

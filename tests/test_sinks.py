@@ -359,3 +359,70 @@ class TestCellAtomicWrites:
         assert len(writes) == len(execution.cells) == 4
         assert [w.count("\n") for w in writes] == [32] * 4
         assert "".join(writes).encode("utf-8") == path.read_bytes()
+
+
+class TestKeptHandle:
+    """A sink appends through one handle per campaign, opened at its
+    first cell and closed however the campaign ends."""
+
+    @staticmethod
+    def _appends(monkeypatch, path) -> list:
+        """Every append handle opened on ``path`` from here on."""
+        handles: list = []
+        real_open = pathlib.Path.open
+
+        def recording_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if self == path and "a" in mode:
+                handles.append(fh)
+            return fh
+
+        monkeypatch.setattr(pathlib.Path, "open", recording_open)
+        return handles
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_one_handle_per_campaign(self, sink, tmp_path, monkeypatch):
+        path = tmp_path / f"{sink}.jsonl"
+        handles = self._appends(monkeypatch, path)
+        execution = execute_spec(make_spec(ExecutionPolicy(sink=sink)),
+                                 results_path=path)
+        assert len(execution.cells) == 6
+        assert len(handles) == 1 and handles[0].closed
+
+    @pytest.mark.parametrize("sink", ["ordered", "framed"])
+    def test_closed_after_cancel_and_after_a_consumer_raises(
+            self, sink, tmp_path, monkeypatch):
+        from repro.errors import CampaignCancelled
+        from repro.sim.events import CellFinished, EventConsumer
+        from repro.sim.spec import Campaign
+
+        class Boom(RuntimeError):
+            pass
+
+        class OnFirstCell(EventConsumer):
+            def __init__(self, act):
+                self.act = act
+
+            def on_event(self, event):
+                if isinstance(event, CellFinished):
+                    self.act()
+
+        def cancel():
+            session.cancel()
+
+        def boom():
+            raise Boom("consumer failed")
+
+        spec = make_spec(ExecutionPolicy(sink=sink))
+        for act, error in ((cancel, CampaignCancelled), (boom, Boom)):
+            path = tmp_path / f"{act.__name__}.jsonl"
+            handles = self._appends(monkeypatch, path)
+            session = Campaign(spec).session(
+                path, consumers=[OnFirstCell(act)])
+            with pytest.raises(error):
+                session.run()
+            assert len(handles) == 1 and handles[0].closed
+            assert path.read_text().count("\n") == 4  # one whole cell
+            monkeypatch.undo()
+            Campaign(spec).resume(path)
+            assert len(path.read_text().splitlines()) == 24

@@ -865,6 +865,214 @@ class TestCellEntries:
         assert store.coverage(spec) == (576, 576)
 
 
+_ROUND_TRIP = ("entry payload does not survive a serialisation round-trip; "
+               "the entry is corrupt — drop it with `store compact` and "
+               "re-run to repopulate")
+
+
+def _line_edits() -> dict:
+    """Edits of one stored replica line, by name."""
+    import re
+
+    summary = json.dumps({
+        "format": "repro-results", "kind": "MonteCarloSummary",
+        "payload": {"ci_high": 0.1, "ci_low": 0.1, "confidence": 0.95,
+                    "mean": 0.1, "meta": {}, "n_replicas": 1, "std": 0.0,
+                    "success_ci": [0.0, 1.0], "success_rate": 1.0},
+        "version": 2}, sort_keys=True)
+    return {
+        "reordered-keys": lambda line: line.replace(
+            '"format": "repro-results", "kind": "DesResult"',
+            '"kind": "DesResult", "format": "repro-results"', 1),
+        "float-for-int": lambda line: re.sub(
+            r'"commits": (\d+)', r'"commits": \1.0', line, count=1),
+        "extra-space": lambda line: line.replace('"kind": ', '"kind":  ', 1),
+        "two-values": lambda line: line + ", " + line,
+        "bool-for-int": lambda line: re.sub(
+            r'"rollbacks": \d+', '"rollbacks": true', line, count=1),
+        "nan-literal": lambda line: line.replace(
+            '{"__float__": "nan"}', "NaN", 1),
+        "duplicate-key": lambda line: line.replace(
+            '{"format": "repro-results"',
+            '{"format": "repro-results", "format": "repro-results"', 1),
+        "summary-line": lambda line: summary,
+        "other-period": lambda line: re.sub(
+            r'"period": [0-9.]+', '"period": 1.5', line, count=1),
+    }
+
+
+class TestAdmitCheck:
+    """The full check a disk read makes: every stored line decodes to
+    an engine-shape ``DesResult`` that re-encodes to exactly that line.
+    Each case edits one replica line and recomputes the header's
+    ``payload_sha256``, so only the decode/round-trip check can tell."""
+
+    def _edited(self, tmp_path, edit):
+        """A fresh store whose first entry has replica line 1 edited:
+        ``(store dir, key, label, stored lines)``."""
+        import hashlib
+
+        store_dir = tmp_path / "store"
+        execute_spec(make_spec(replicas=3), store=store_dir)
+        hash_ = sorted(store_rows(store_dir))[0]
+        header, *lines = \
+            read_entry(store_dir, hash_).decode().split("\n")[:-1]
+        lines[1] = edit(lines[1])
+        body = "".join(line + "\n" for line in lines)
+        head = json.loads(header)
+        head["payload_sha256"] = hashlib.sha256(body.encode()).hexdigest()
+        rewrite_entry(store_dir, hash_, (
+            json.dumps(head, sort_keys=True) + "\n" + body).encode())
+        path, row = store_rows(store_dir)[hash_]
+        return store_dir, head["key"], f"{path}@{row.offset}", lines
+
+    @pytest.mark.parametrize("case, message", [
+        ("reordered-keys", "{label}: " + _ROUND_TRIP),
+        ("extra-space", "{label}: " + _ROUND_TRIP),
+        ("two-values", "invalid JSON: {extra}"),
+        ("nan-literal", "{label}: " + _ROUND_TRIP),
+        ("duplicate-key", "{label}: " + _ROUND_TRIP),
+        ("summary-line",
+         "{label}: store entries hold raw DES runs, found a "
+         "MonteCarloSummary"),
+    ])
+    def test_non_canonical_line_is_refused(self, case, message, tmp_path):
+        store_dir, key, label, lines = self._edited(
+            tmp_path, _line_edits()[case])
+        try:
+            json.loads(lines[1])
+            extra = None
+        except json.JSONDecodeError as exc:
+            extra = str(exc)
+        expected = message.format(label=label, extra=extra)
+        with pytest.raises(ParameterError) as refused:
+            CampaignStore(store_dir, cache=None).lookup(key)
+        assert str(refused.value) == expected
+        report = CampaignStore(store_dir, cache=None).verify()
+        assert report.errors == (expected,)
+
+    @pytest.mark.parametrize("case", [
+        "other-period", "float-for-int", "bool-for-int"])
+    def test_canonical_line_is_served_as_decoded(self, case, tmp_path):
+        """A line the per-line reference round-trips is served: rows
+        whose meta differ between replicas, and the walker's spellings
+        of a float or a bool where the engines write an int."""
+        from repro import io as repro_io
+
+        store_dir, key, _, lines = self._edited(
+            tmp_path, _line_edits()[case])
+        rows = CampaignStore(store_dir, cache=None).lookup(key)
+        assert rows == tuple(repro_io.load_result(line) for line in lines)
+        assert [repro_io.dump_result(row) for row in rows] == lines
+        assert CampaignStore(store_dir, cache=None).verify().ok
+        config = make_spec(replicas=3).grid
+        plan = next(plan for plan in plan_cells(config)
+                    if cell_key(config, plan) == key)
+        from repro.sim.adaptive import FixedReplicas
+
+        hit = CampaignStore(store_dir, cache=HotCellCache()).load_cell(
+            config, plan, FixedReplicas(3))
+        assert list(hit.records) == lines and tuple(hit.results) == rows
+
+    def test_full_cached_level_re_encodes_the_block(self, tmp_path):
+        """``cached_verification="full"`` re-encodes a cached entry's
+        block through the cell template, and the rows hits built from
+        it: a column or a served row changed in place is caught, and
+        the entry is read again from disk."""
+        spec = make_spec(replicas=3)
+        execute_spec(spec, store=tmp_path / "store")
+        key = cell_key(spec.config(), plan_cells(spec.config())[0])
+        cache = HotCellCache()
+        store = CampaignStore(tmp_path / "store", cache=cache,
+                              cached_verification="full")
+        truth = store.lookup(key)
+        entry = cache.peek(store._cache_root, cache_key(key))
+        assert entry.block.columns is not None
+        assert store.lookup(key) == truth
+        assert cache.peek(store._cache_root, cache_key(key)) is entry
+        entry.block.columns["failures"][0] += 1
+        assert store.lookup(key) == truth
+        reread = cache.peek(store._cache_root, cache_key(key))
+        assert reread is not entry
+        store.lookup(key)[0].meta["protocol"] = "tampered"
+        assert store.lookup(key) == truth
+        assert cache.peek(store._cache_root, cache_key(key)) is not reread
+
+    def test_rows_outside_the_template_take_the_per_line_loop(
+            self, tmp_path):
+        """Rows whose meta differ have no columnar shape: the batched
+        decode declines them, and the per-line loop serves them."""
+        from repro import io as repro_io
+
+        _, _, _, lines = self._edited(
+            tmp_path, _line_edits()["other-period"])
+        assert repro_io.load_cell(lines) is None
+        assert repro_io.load_cell(lines[:1]) is not None
+        assert repro_io.load_cell(lines[1:2]) is not None
+
+
+def _numbers(**floats):
+    from hypothesis import strategies as st
+
+    return st.one_of(st.floats(**floats),
+                     st.integers(min_value=-2**63, max_value=2**64))
+
+
+def _engine_cells():
+    """Rows of one cell in the engines' shape: a shared meta (with or
+    without ``engine``) and work target, a seed per row, any mix of
+    ints and finite or non-finite floats in the numeric fields, and
+    fatal groups."""
+    from hypothesis import strategies as st
+
+    from repro.sim.results import DesResult
+
+    finite = _numbers(allow_nan=False, allow_infinity=False)
+    meta = st.fixed_dictionaries({}, optional={
+        "protocol": st.text(max_size=8), "period": finite, "phi": finite,
+        "n": st.integers(min_value=0, max_value=10**6), "M": finite,
+        "engine": st.sampled_from(["des", "vectorized"])})
+    row = st.fixed_dictionaries({
+        "status": st.sampled_from(["completed", "fatal", "timeout"]),
+        "makespan": _numbers(), "work_done": _numbers(),
+        "failures": _numbers(), "rollbacks": _numbers(),
+        "work_lost": _numbers(), "commits": _numbers(),
+        "risk_time": _numbers(), "fatal_time": _numbers(),
+        "fatal_group": st.lists(st.integers(min_value=0, max_value=10**9),
+                                max_size=3).map(tuple),
+        "seed": st.integers(min_value=0, max_value=2**63)})
+    return st.tuples(meta, _numbers(),
+                     st.lists(row, min_size=1, max_size=6)).map(
+        lambda cell: [DesResult(work_target=cell[1], meta={
+            **cell[0], "seed": fields.pop("seed")}, **fields)
+            for fields in map(dict, cell[2])])
+
+
+class TestLoadCell:
+    def test_matches_the_per_line_path(self):
+        """For any rows in the engines' shape, the batched decode gives
+        the per-line path's rows, wastes and records."""
+        from hypothesis import given, settings
+
+        from repro import io as repro_io
+
+        @settings(max_examples=150, deadline=None)
+        @given(rows=_engine_cells())
+        def check(rows):
+            lines = [repro_io.dump_result(row) for row in rows]
+            block = repro_io.load_cell(lines)
+            assert block is not None
+            reference = tuple(map(repro_io.load_result, lines))
+            assert block.rows == reference
+            assert block.records == tuple(lines)
+            assert repro_io.dump_cell(block) == tuple(lines)
+            assert list(map(repr, block.waste)) \
+                == [repr(row.waste) for row in reference]
+            assert block.successes == sum(r.succeeded for r in reference)
+
+        check()
+
+
 def _count_encodes(monkeypatch) -> list:
     """Every record encode from here on, by result: each call of
     ``repro.io.dump_result`` or ``repro.io.dump_frame``, and each row of
@@ -915,27 +1123,42 @@ class TestEncodeOnce:
     @pytest.mark.parametrize("sink", ["ordered", "framed"])
     def test_warm_rerun_encodes_only_inside_admit(
             self, sink, tmp_path, monkeypatch):
+        """A warm re-run's only encodes are its admit checks: one cell
+        template re-encode per entry (``repro.io.load_cell``) and no
+        ``dump_result``; the sink and session encode nothing."""
+        from repro import io as repro_io
+
         spec = make_spec(replicas=3, policy=ExecutionPolicy(sink=sink))
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
         execute_spec(spec, results_path=cold, store=tmp_path / "store")
         calls = _count_encodes(monkeypatch)
+        templates: list = []
+        encode_cell = repro_io._encode_cell
+
+        def counting_template(*args):
+            templates.append(args)
+            return encode_cell(*args)
+
+        monkeypatch.setattr(repro_io, "_encode_cell", counting_template)
         store = CampaignStore(tmp_path / "store", cache=HotCellCache())
-        inside: list[int] = []
+        inside: list[tuple[int, int]] = []
         admit = store._admit
 
         def counting_admit(*args):
-            before = len(calls)
+            before = len(calls), len(templates)
             try:
                 return admit(*args)
             finally:
-                inside.append(len(calls) - before)
+                inside.append((len(calls) - before[0],
+                               len(templates) - before[1]))
 
         store._admit = counting_admit
         backend = CountingBackend()
         execute_spec(spec, results_path=warm, backend=backend, store=store)
         assert backend.cells_dispatched == 0
-        assert inside == [3] * 4  # one verification encode per replica
-        assert len(calls) == sum(inside)  # the sink and session add 0
+        # Per entry: no dump_result, one template encode.
+        assert inside == [(0, 1)] * 4
+        assert calls == [] and len(templates) == 4  # sink, session: 0
         assert warm.read_bytes() == cold.read_bytes()
 
     def test_campaign_nobody_writes_encodes_nothing(self, monkeypatch):
@@ -963,6 +1186,67 @@ class TestEncodeOnce:
                      results_path=warm, backend=backend, store=store_dir)
         assert backend.cells_dispatched == 0
         assert warm.read_bytes() == two.read_bytes()
+
+
+class TestReadBookkeeping:
+    """A lookup books every ``repro_store_*`` read series in two locked
+    sections (on entry and on exit) and keeps each one's value."""
+
+    def test_series_values_under_concurrent_lookups(self, tmp_path):
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store")
+        config = spec.config()
+        keys = [cell_key(config, plan) for plan in plan_cells(config)]
+        keys.append(dict(keys[0], seed=-1))  # absent
+        store = CampaignStore(tmp_path / "store", cache=HotCellCache())
+        # Two lookups meet inside the store, so the high-water mark
+        # must read 2 once both are in flight, and 1 stays the level a
+        # single reader leaves.
+        barrier = threading.Barrier(2)
+        lookup = store._lookup
+
+        def meeting_lookup(key, since):
+            if key is keys[0]:
+                barrier.wait(timeout=10.0)
+            return lookup(key, since)
+
+        store._lookup = meeting_lookup
+        threads = [threading.Thread(target=store.lookup, args=(keys[0],))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        store._lookup = lookup
+        for _ in range(3):
+            for key in keys:
+                store.lookup(key)
+        hits, misses = 2 + 3 * 4, 3
+        assert store._m_lookups.value == hits + misses
+        assert store._m_results["hit"].value == hits
+        assert store._m_results["miss"].value == misses
+        assert store._m_lookup_seconds["hit"].count == hits
+        assert store._m_lookup_seconds["miss"].count == misses
+        assert store._m_active.value == 0
+        assert store._m_peak.value == 2
+
+    def test_a_failed_lookup_leaves_no_reader_behind(self, tmp_path):
+        spec = make_spec()
+        execute_spec(spec, store=tmp_path / "store")
+        store = CampaignStore(tmp_path / "store", cache=None)
+
+        def failing_lookup(key, since):
+            raise OSError("disk gone")
+
+        store._lookup = failing_lookup
+        with pytest.raises(OSError):
+            store.lookup(cell_key(spec.config(),
+                                  plan_cells(spec.config())[0]))
+        assert store._m_lookups.value == 1
+        assert store._m_active.value == 0 and store._m_peak.value == 1
+        assert store._m_results["hit"].value \
+            + store._m_results["miss"].value == 0
 
 
 def _assert_same_cell(got, want) -> None:

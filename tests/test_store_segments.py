@@ -881,7 +881,7 @@ class TestHotCellCache:
             import hashlib
 
             return CachedEntry(
-                key={"i": i}, results=(), payload_text=text,
+                key={"i": i}, block=None, payload_text=text,
                 payload_sha256=hashlib.sha256(
                     text.encode("utf-8")).hexdigest(),
             )
@@ -928,7 +928,7 @@ class TestHotCellCache:
         key = all_keys(spec)[0]
         truth = dump(store.lookup(key))
         cache.put(str(store_dir.resolve()), cache_key(key), CachedEntry(
-            key=key, results=(), payload_text="tampered",
+            key=key, block=None, payload_text="tampered",
             payload_sha256="0" * 64,
         ))
         # Digest re-check fails → invalidate → disk re-read, full check.
@@ -950,7 +950,7 @@ class TestHotCellCache:
         assert cache_key(other) == cache_key(key)
         occupant = cache.get(str(store_dir.resolve()), cache_key(key))
         cache.put(str(store_dir.resolve()), cache_key(other),
-                  CachedEntry(key=other, results=occupant.results,
+                  CachedEntry(key=other, block=occupant.block,
                               payload_text=occupant.payload_text,
                               payload_sha256=occupant.payload_sha256))
         # The poisoned surrogate does not satisfy `key` ...
