@@ -30,13 +30,17 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DOUBLE_NBL, TRIPLE, scenarios
+from repro import io as repro_io
 from repro.errors import ParameterError
 from repro.sim.adaptive import AdaptiveCI
 from repro.sim.backends import CampaignBackend, SerialBackend
 from repro.sim.campaign import CampaignConfig
 from repro.sim.executor import execute_spec, plan_cells
+from repro.sim.results import DesResult
 from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 from repro.store import (
     CampaignStore,
@@ -957,7 +961,7 @@ class TestAdmitCheck:
         """A line the per-line reference round-trips is served: rows
         whose meta differ between replicas, and the walker's spellings
         of a float or a bool where the engines write an int."""
-        from repro import io as repro_io
+        from repro.sim.adaptive import FixedReplicas
 
         store_dir, key, _, lines = self._edited(
             tmp_path, _line_edits()[case])
@@ -968,8 +972,6 @@ class TestAdmitCheck:
         config = make_spec(replicas=3).grid
         plan = next(plan for plan in plan_cells(config)
                     if cell_key(config, plan) == key)
-        from repro.sim.adaptive import FixedReplicas
-
         hit = CampaignStore(store_dir, cache=HotCellCache()).load_cell(
             config, plan, FixedReplicas(3))
         assert list(hit.records) == lines and tuple(hit.results) == rows
@@ -1002,8 +1004,6 @@ class TestAdmitCheck:
             self, tmp_path):
         """Rows whose meta differ have no columnar shape: the batched
         decode declines them, and the per-line loop serves them."""
-        from repro import io as repro_io
-
         _, _, _, lines = self._edited(
             tmp_path, _line_edits()["other-period"])
         assert repro_io.load_cell(lines) is None
@@ -1012,8 +1012,6 @@ class TestAdmitCheck:
 
 
 def _numbers(**floats):
-    from hypothesis import strategies as st
-
     return st.one_of(st.floats(**floats),
                      st.integers(min_value=-2**63, max_value=2**64))
 
@@ -1023,10 +1021,6 @@ def _engine_cells():
     without ``engine``) and work target, a seed per row, any mix of
     ints and finite or non-finite floats in the numeric fields, and
     fatal groups."""
-    from hypothesis import strategies as st
-
-    from repro.sim.results import DesResult
-
     finite = _numbers(allow_nan=False, allow_infinity=False)
     meta = st.fixed_dictionaries({}, optional={
         "protocol": st.text(max_size=8), "period": finite, "phi": finite,
@@ -1049,28 +1043,21 @@ def _engine_cells():
 
 
 class TestLoadCell:
-    def test_matches_the_per_line_path(self):
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_engine_cells())
+    def test_matches_the_per_line_path(self, rows):
         """For any rows in the engines' shape, the batched decode gives
         the per-line path's rows, wastes and records."""
-        from hypothesis import given, settings
-
-        from repro import io as repro_io
-
-        @settings(max_examples=150, deadline=None)
-        @given(rows=_engine_cells())
-        def check(rows):
-            lines = [repro_io.dump_result(row) for row in rows]
-            block = repro_io.load_cell(lines)
-            assert block is not None
-            reference = tuple(map(repro_io.load_result, lines))
-            assert block.rows == reference
-            assert block.records == tuple(lines)
-            assert repro_io.dump_cell(block) == tuple(lines)
-            assert list(map(repr, block.waste)) \
-                == [repr(row.waste) for row in reference]
-            assert block.successes == sum(r.succeeded for r in reference)
-
-        check()
+        lines = [repro_io.dump_result(row) for row in rows]
+        block = repro_io.load_cell(lines)
+        assert block is not None
+        reference = tuple(map(repro_io.load_result, lines))
+        assert block.rows == reference
+        assert block.records == tuple(lines)
+        assert repro_io.dump_cell(block) == tuple(lines)
+        assert list(map(repr, block.waste)) \
+            == [repr(row.waste) for row in reference]
+        assert block.successes == sum(r.succeeded for r in reference)
 
 
 def _count_encodes(monkeypatch) -> list:
@@ -1126,8 +1113,6 @@ class TestEncodeOnce:
         """A warm re-run's only encodes are its admit checks: one cell
         template re-encode per entry (``repro.io.load_cell``) and no
         ``dump_result``; the sink and session encode nothing."""
-        from repro import io as repro_io
-
         spec = make_spec(replicas=3, policy=ExecutionPolicy(sink=sink))
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
         execute_spec(spec, results_path=cold, store=tmp_path / "store")
