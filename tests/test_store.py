@@ -1146,6 +1146,27 @@ class TestEncodeOnce:
         assert calls == [] and len(templates) == 4  # sink, session: 0
         assert warm.read_bytes() == cold.read_bytes()
 
+    def test_warm_rerun_builds_no_rows(self, tmp_path, monkeypatch):
+        """A store hit is columnar from the admit check to the sink: a
+        warm re-run builds no ``DesResult`` at all."""
+        spec = make_spec(replicas=3)
+        cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+        execute_spec(spec, results_path=cold, store=tmp_path / "store")
+        built: list = []
+        init = DesResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DesResult, "__init__", counting_init)
+        warm_run = execute_spec(spec, results_path=warm,
+                                store=CampaignStore(tmp_path / "store",
+                                                    cache=HotCellCache()))
+        assert warm_run.report.cells_cached == 4
+        assert built == []
+        assert warm.read_bytes() == cold.read_bytes()
+
     def test_campaign_nobody_writes_encodes_nothing(self, monkeypatch):
         calls = _count_encodes(monkeypatch)
         execution = execute_spec(make_spec(replicas=3))
