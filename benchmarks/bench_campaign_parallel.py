@@ -12,6 +12,7 @@ ratio rather than asserting it.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import time
@@ -30,13 +31,16 @@ from repro.sim.spec import Campaign, CampaignSpec, ExecutionPolicy
 #: compares the medians of its two sides, so one slow sample on a shared
 #: host cannot decide it.
 PAIRS = 5
-#: Back-to-back campaigns per timed sample of an overhead gate, so the
-#: gates' fixed allowance stays a small share of the timed path.
-REPEATS = 8
 #: The overhead gates' fixed allowance (timer and scheduling jitter).
 #: It must stay within 5% of the timed path, or it, not the percentage,
 #: decides the gate.
 SLACK_S = 0.02
+#: The shortest timed path (one sample) that keeps ``SLACK_S`` within 5%
+#: of it.  Each overhead gate sizes its samples from a measured campaign
+#: to reach it with half to spare (a shared host's speed can drift by a
+#: third within seconds), so a faster DES lengthens the samples instead
+#: of silencing the gate.
+MIN_TIMED_S = SLACK_S / 0.05
 
 
 def _interleaved_medians(baseline, candidate, pairs: int = PAIRS):
@@ -53,10 +57,24 @@ def _interleaved_medians(baseline, candidate, pairs: int = PAIRS):
     return statistics.median(times[baseline]), statistics.median(times[candidate])
 
 
+def _campaigns_per_sample(run) -> int:
+    """Back-to-back ``run()`` campaigns per timed sample: enough for
+    1.5 x ``MIN_TIMED_S`` at the fastest of three measured campaigns,
+    after one that warms imports and caches."""
+    run()
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return max(1, math.ceil(1.5 * MIN_TIMED_S / min(times)))
+
+
 def _check_slack(timed_s: float) -> None:
     assert SLACK_S <= 0.05 * timed_s, (
         f"the timed path ({timed_s:.3f}s) is too short for the fixed "
-        f"{SLACK_S}s allowance to stay within 5% of it; raise REPEATS"
+        f"{SLACK_S}s allowance to stay within 5% of it; the samples ran "
+        "faster than the campaigns that sized them"
     )
 
 
@@ -228,7 +246,8 @@ def test_event_pipeline_overhead_gate(tmp_path, record):
     tracker fan-out) must add <= 5% wall-clock to the serial DES path,
     measured against a stripped direct loop — run_cell + sink.emit and
     nothing else, the pre-refactor executor's inner loop floor.  Each
-    sample is ``REPEATS`` back-to-back campaigns; medians of ``PAIRS``
+    sample is as many back-to-back campaigns as a measured direct
+    campaign says reach ``MIN_TIMED_S``; medians of ``PAIRS``
     interleaved samples each, so machine noise hits both sides."""
     from repro.sim.backends import run_cell
     from repro.sim.executor import execute_spec, plan_cells
@@ -251,9 +270,11 @@ def test_event_pipeline_overhead_gate(tmp_path, record):
     def piped(path):
         execute_spec(spec, results_path=path)
 
+    repeats = _campaigns_per_sample(lambda: direct(tmp_path / "size.jsonl"))
+
     def sample(run, name):
         def timed(i: int) -> None:
-            for k in range(REPEATS):
+            for k in range(repeats):
                 run(tmp_path / f"{name}-{i}-{k}.jsonl")
         return timed
 
@@ -275,7 +296,7 @@ def test_event_pipeline_overhead_gate(tmp_path, record):
 
     record("Event-pipeline overhead gate (serial DES path)", [
         "grid: 3 protocols x 3 M x 3 phi x 4 replicas = 108 DES runs, "
-        f"{REPEATS} campaigns per sample, medians of {PAIRS} pairs",
+        f"{repeats} campaigns per sample, medians of {PAIRS} pairs",
         f"direct loop (run_cell + sink.emit): {med_direct:.3f}s",
         f"event pipeline (execute_spec):      {med_piped:.3f}s",
         f"overhead: {overhead:+.1%} (gate: +5.0%)",
@@ -287,9 +308,9 @@ def test_observability_overhead_gate(tmp_path, record):
     metrics consumer subscribed (the shipping configuration) must add
     <= 3% wall-clock over the identical campaign with observability
     disabled (``repro.obs.set_enabled(False)``, what ``REPRO_OBS=off``
-    selects at import).  Each sample is ``REPEATS`` back-to-back
-    campaigns; medians of ``PAIRS`` interleaved samples each, same
-    bytes."""
+    selects at import).  Each sample is as many back-to-back campaigns
+    as a measured uninstrumented campaign says reach ``MIN_TIMED_S``;
+    medians of ``PAIRS`` interleaved samples each, same bytes."""
     from repro.obs import set_enabled
     from repro.sim.executor import execute_spec
 
@@ -302,15 +323,17 @@ def test_observability_overhead_gate(tmp_path, record):
         finally:
             set_enabled(True)
 
-    executions = []
+    carried = []  # per instrumented run: did it carry its metrics?
+    repeats = _campaigns_per_sample(
+        lambda: run(tmp_path / "size.jsonl", False))
 
     def sample(instrumented: bool, name: str):
         def timed(i: int) -> None:
-            for k in range(REPEATS):
+            for k in range(repeats):
                 execution = run(tmp_path / f"{name}-{i}-{k}.jsonl",
                                 instrumented)
                 if instrumented:
-                    executions.append(execution)
+                    carried.append(execution.report.metrics is not None)
         return timed
 
     med_off, med_on = _interleaved_medians(
@@ -320,8 +343,7 @@ def test_observability_overhead_gate(tmp_path, record):
     # the instrumented runs actually carried their metrics snapshot.
     assert (tmp_path / "on-0-0.jsonl").read_bytes() \
         == (tmp_path / "off-0-0.jsonl").read_bytes()
-    assert len(executions) == PAIRS * REPEATS
-    assert all(e.report.metrics is not None for e in executions)
+    assert carried == [True] * (PAIRS * repeats)
 
     _check_slack(med_off)
     overhead = med_on / med_off - 1.0
@@ -334,7 +356,7 @@ def test_observability_overhead_gate(tmp_path, record):
 
     record("Observability overhead gate (metrics consumer on vs off)", [
         "grid: 3 protocols x 3 M x 3 phi x 4 replicas = 108 DES runs, "
-        f"{REPEATS} campaigns per sample, medians of {PAIRS} pairs",
+        f"{repeats} campaigns per sample, medians of {PAIRS} pairs",
         f"REPRO_OBS=off:          {med_off:.3f}s",
         f"instrumented (default): {med_on:.3f}s",
         f"overhead: {overhead:+.1%} (gate: +3.0%)",

@@ -7,11 +7,15 @@ with one trace cache per campaign, on one core.  It prints
 
 * the unprofiled wall time of each of N campaigns (and their median),
 * the garbage collections those campaigns triggered, per generation,
-  with their pause time (timed with :data:`gc.callbacks`), and for each
+  with their pause time and the objects they found unreachable (timed
+  and counted with :data:`gc.callbacks`), and for each
   full collection the object types most promoted to the oldest
   generation since the previous one (a :func:`gc.get_objects` census at
   its start, ``generation=2``; the census time is taken out of the
   walls and pauses),
+* the cyclic garbage one more campaign leaves, run with the collector
+  paused after a clean collection: how many objects the collection
+  after it finds unreachable, and their most common types,
 * the engine's counts for one campaign: events executed (queued and
   walked in place), queued steps, and events queued by kind, through
   ``schedule`` or as a reserved number (``queue``),
@@ -59,13 +63,15 @@ def campaign() -> int:
 @contextmanager
 def gc_watch(top: int = 6):
     """Watch the collector while active: ``pauses`` maps each generation
-    to its collections' pause seconds (timed with :data:`gc.callbacks`);
+    to its collections' pause seconds (timed with :data:`gc.callbacks`)
+    and ``collected`` to the objects each found unreachable;
     ``promoted`` holds, per full collection, the ``top`` types by count
     of the objects promoted to the oldest generation since the previous
     one (or since entering), taken from :func:`gc.get_objects` at the
     collection's start; ``census_s`` is the time those censuses took,
     which no pause includes."""
-    watch = {"pauses": {0: [], 1: [], 2: []}, "promoted": [],
+    watch = {"pauses": {0: [], 1: [], 2: []},
+             "collected": {0: [], 1: [], 2: []}, "promoted": [],
              "census_s": 0.0}
     old = {id(obj) for obj in gc.get_objects(generation=2)}
     started: list[float] = []
@@ -91,6 +97,7 @@ def gc_watch(top: int = 6):
         elif started:
             watch["pauses"][generation].append(
                 time.perf_counter() - started.pop())
+            watch["collected"][generation].append(info["collected"])
             if generation == 2:
                 census(phase)
 
@@ -99,6 +106,24 @@ def gc_watch(top: int = 6):
         yield watch
     finally:
         gc.callbacks.remove(callback)
+
+
+def cyclic_garbage(top: int = 8) -> tuple[int, dict[str, int]]:
+    """Run one campaign with the collector paused after a clean
+    collection; the objects the next collection finds unreachable (the
+    campaign's reference cycles) and the ``top`` types among them."""
+    gc.collect()
+    gc.disable()
+    try:
+        campaign()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep them in gc.garbage to count
+        unreachable = gc.collect()
+        types = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    return unreachable, dict(types.most_common(top))
 
 
 @contextmanager
@@ -164,10 +189,19 @@ def main(argv: list[str] | None = None) -> None:
     for generation, times in watch["pauses"].items():
         print(f"gc generation {generation}: {len(times)} collections, "
               f"{sum(times) * 1e3:.1f} ms paused"
-              + (f" (longest {max(times) * 1e3:.1f} ms)" if times else ""))
+              + (f" (longest {max(times) * 1e3:.1f} ms)" if times else "")
+              + f", {sum(watch['collected'][generation])} objects "
+              "unreachable")
     for i, types in enumerate(watch["promoted"], 1):
         print(f"  full collection {i}, most promoted since the last: "
               + ", ".join(f"{name} {count}" for name, count in types.items()))
+
+    unreachable, types = cyclic_garbage()
+    print(f"cyclic garbage, one campaign with the collector paused: "
+          f"{unreachable} objects unreachable"
+          + (": " + ", ".join(f"{name} {count}"
+                              for name, count in types.items())
+             if types else ""))
 
     with engine_counts() as counts:
         campaign()

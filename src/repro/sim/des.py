@@ -158,7 +158,12 @@ def _build_cluster(
 
 
 def run_des(config: DesConfig) -> DesResult:
-    """Run one event simulation to completion / fatal failure / timeout."""
+    """Run one event simulation to completion / fatal failure / timeout.
+
+    A finished run holds no queued event or event handle (the engine is
+    cleared, the platform finalized), so no reference cycle is left and
+    all it built is freed by refcount when this returns, not by the
+    garbage collector."""
     # The seed's streams feed the failure injector and random groupings
     # only; a replayed trace with fixed groups never reads them.
     rng_factory = None
@@ -184,6 +189,7 @@ def run_des(config: DesConfig) -> DesResult:
     )
     engine.run(until=horizon, max_events=config.max_events)
     status = platform.finalize()
+    engine.clear()
     return DesResult(
         status=status,
         makespan=engine.now,

@@ -39,6 +39,10 @@ stays an event is everything that can interleave: anything at or after
 the next queued time (equal times keep their FIFO order on the heap),
 past the horizon, or past the budget.  Outside a run, or after
 :meth:`Engine.stop`, the window is empty and every transition is queued.
+
+After a run, the engine's owner calls :meth:`Engine.clear`: an event
+left queued holds its callback, often a bound method of the machine that
+holds the engine, a cycle only the garbage collector would free.
 """
 
 from __future__ import annotations
@@ -255,6 +259,10 @@ class Engine:
     def stop(self) -> None:
         """Stop the run loop after the current event (e.g. on fatal failure)."""
         self._stopped = True
+
+    def clear(self) -> None:
+        """Drop every queued event (and the callback it holds)."""
+        self._queue.clear()
 
     def pending(self) -> int:
         """Number of live events still queued."""

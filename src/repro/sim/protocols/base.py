@@ -446,7 +446,10 @@ class PlatformSim:
 
     # ------------------------------------------------------------------
     def finalize(self) -> str:
-        """Resolve the run status after the engine stopped."""
+        """Resolve the run status after the engine stopped, and drop the
+        event handles: each holds a bound method of this platform, a
+        cycle the collector would otherwise have to free."""
+        self._pending = self._block_event = self._failure_event = None
         if self.status is None:
             self.status = "timeout"
         if self.cluster is not None:

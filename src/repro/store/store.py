@@ -254,7 +254,10 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
         return header, block, body
     results = []
     for line in lines:
-        result = repro_io.load_result(line)
+        try:
+            result = repro_io.load_result(line)
+        except ParameterError as exc:
+            raise ParameterError(f"{label}: {exc}") from exc
         if not isinstance(result, DesResult):
             raise ParameterError(
                 f"{label}: store entries hold raw DES runs, found a "

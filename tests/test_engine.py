@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,36 @@ class TestRunControl:
         assert eng.peek_time() == 4.0
         Engine.cancel(ev)
         assert eng.peek_time() is None
+
+    def test_clear_releases_the_queued_callbacks(self):
+        # A callback that is a bound method of an object holding the
+        # engine makes a cycle; once cleared, refcounting frees it.
+        class Machine:
+            def __init__(self, engine):
+                self.engine = engine
+                engine.schedule(5.0, self.on_event)
+                Engine.cancel(engine.schedule(6.0, self.on_event))
+
+            def on_event(self, engine, event):
+                engine.stop()
+
+        eng = Engine()
+        machine = Machine(eng)
+        eng.schedule(1.0, lambda e, v: None)
+        eng.run(until=2.0)
+        assert eng.pending() == 1
+        alive = weakref.ref(machine)
+        eng.clear()
+        assert eng.pending() == 0 and eng.peek_time() is None
+        assert (eng.now, eng.executed) == (2.0, 1)
+        del machine, eng
+        assert alive() is None
+        # A cleared engine stays usable.
+        eng = Engine()
+        eng.clear()
+        eng.schedule(1.0, lambda e, v: None)
+        eng.run()
+        assert eng.executed == 1
 
 
 class TestWalkWindow:

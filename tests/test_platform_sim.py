@@ -7,7 +7,12 @@ block-insertion semantics.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +20,7 @@ from repro import DOUBLE_NBL, TRIPLE, Parameters
 from repro.errors import SimulationError
 from repro.experiments.scenarios import CAMPAIGN_PRESETS
 from repro.sim.application import Application
+from repro.sim.backends import run_cell
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Engine
 from repro.sim.executor import CampaignSession, plan_cells
@@ -660,3 +666,73 @@ class TestCursorMatchesPerNodeQueue:
         # the cursor's node 2 at 400 and node 0 at 1000.
         assert [state[0] for state in cursor["failures"]] \
             == [120.0, 150.0, 400.0, 1000.0]
+
+
+@contextmanager
+def _collector_paused():
+    """Start from a clean collection with the collector off; always turn
+    it back on."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestReplicasLeaveNoCycle:
+    """A finished replica holds no reference cycle: the platform drops
+    its event handles in ``finalize`` and ``run_des`` clears the engine,
+    so everything a run built is freed by refcount, and the collector
+    finds nothing to free."""
+
+    @pytest.mark.parametrize("schedules, until, status", [
+        ({}, 1e9, "completed"),
+        ({0: [200.0]}, 150.0, "timeout"),   # phase end and failure queued
+        ({0: [50.0]}, 80.0, "timeout"),     # inside the recovery block
+        ({0: [10.0], 1: [20.0]}, 1e9, "fatal"),
+    ])
+    def test_finalized_platform_is_freed_by_refcount(self, schedules, until,
+                                                     status):
+        with _collector_paused():
+            got, _, app, sim = run_platform(DOUBLE_NBL, 3 * 97.0, schedules,
+                                            until=until)
+            assert got == status
+            assert sim._pending is sim._block_event is None
+            assert sim._failure_event is None
+            sim.engine.clear()  # what run_des, the engine's owner, does
+            alive = weakref.ref(sim)
+            del sim, app
+            assert alive() is None
+
+    def test_preset_cells_leave_no_cyclic_garbage(self):
+        """The first cells of every preset, with a shared trace cache,
+        with each replica's own streams, and with a horizon that cuts
+        every run short: completed, fatal and timed-out replicas."""
+        runs = {}
+        for key in sorted(CAMPAIGN_PRESETS):
+            spec = CAMPAIGN_PRESETS[key].spec(replicas=4, seed=4242)
+            config = spec.config()
+            runs[key] = (spec.controller(), [
+                replace(config, share_traces=True),
+                replace(config, share_traces=False),
+                replace(config, max_time=500.0)])
+
+        def run(controller, configs):
+            statuses = Counter()
+            for config in configs:
+                trace_cache: dict = {}
+                for plan in plan_cells(config)[:4]:
+                    block = run_cell(config, plan, controller, trace_cache)
+                    statuses.update(row.status for row in block)
+            return statuses
+
+        for args in runs.values():  # imports and module caches first
+            run(*args)
+        statuses, unreachable = Counter(), {}
+        for key, args in runs.items():
+            with _collector_paused():
+                statuses += run(*args)
+                unreachable[key] = gc.collect()
+        assert unreachable == dict.fromkeys(runs, 0)
+        assert set(statuses) == {"completed", "fatal", "timeout"}

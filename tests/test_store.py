@@ -933,7 +933,7 @@ class TestAdmitCheck:
     @pytest.mark.parametrize("case, message", [
         ("reordered-keys", "{label}: " + _ROUND_TRIP),
         ("extra-space", "{label}: " + _ROUND_TRIP),
-        ("two-values", "invalid JSON: {extra}"),
+        ("two-values", "{label}: invalid JSON: {extra}"),
         ("nan-literal", "{label}: " + _ROUND_TRIP),
         ("duplicate-key", "{label}: " + _ROUND_TRIP),
         ("summary-line",
