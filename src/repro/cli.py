@@ -92,7 +92,6 @@ from .core.risk import risk_window, success_probability
 from .core.waste import waste_at_optimum
 from .experiments import scenarios
 from .experiments.registry import EXPERIMENTS, run_experiment
-from .experiments.validation import validate_all
 from .units import format_time, parse_time
 
 __all__ = ["main", "build_parser"]
@@ -938,6 +937,8 @@ def _cmd_experiment(key: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .experiments.validation import validate_all
+
     scen = scenarios.get_scenario(args.scenario)
     params = scen.parameters(M=args.M)
     risk_params = scen.parameters(M=args.risk_M)

@@ -7,43 +7,38 @@ Each entry renders to text via ``.render()`` and exports CSV via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from importlib import import_module
+from typing import Any
 
 from ..errors import ExperimentError
-from . import fig4, fig5, fig6, fig7, fig8, fig9, intro, table1
 
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "run_experiment"]
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered paper artefact."""
+    """A paper artefact, generated by the module named ``key``: imported on
+    first use, as the figures pull in the analysis layer and scipy.optimize."""
 
     key: str
     title: str
     paper_ref: str
-    generate: Callable[..., Any]
+
+    def generate(self, **kwargs) -> Any:
+        return import_module(f"{__package__}.{self.key}").generate(**kwargs)
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     exp.key: exp
     for exp in (
-        Experiment("intro", "Exascale reliability arithmetic", "Section I",
-                   lambda **kw: intro.generate(**kw)),
-        Experiment("table1", "Scenario parameters", "Table I",
-                   lambda **kw: table1.generate()),
-        Experiment("fig4", "Waste surfaces, Base", "Figure 4",
-                   lambda **kw: fig4.generate(**kw)),
-        Experiment("fig5", "Waste ratios, Base, M=7h", "Figure 5",
-                   lambda **kw: fig5.generate(**kw)),
-        Experiment("fig6", "Success-probability ratios, Base", "Figure 6",
-                   lambda **kw: fig6.generate(**kw)),
-        Experiment("fig7", "Waste surfaces, Exa", "Figure 7",
-                   lambda **kw: fig7.generate(**kw)),
-        Experiment("fig8", "Waste ratios, Exa, M=7h", "Figure 8",
-                   lambda **kw: fig8.generate(**kw)),
-        Experiment("fig9", "Success-probability ratios, Exa", "Figure 9",
-                   lambda **kw: fig9.generate(**kw)),
+        Experiment("intro", "Exascale reliability arithmetic", "Section I"),
+        Experiment("table1", "Scenario parameters", "Table I"),
+        Experiment("fig4", "Waste surfaces, Base", "Figure 4"),
+        Experiment("fig5", "Waste ratios, Base, M=7h", "Figure 5"),
+        Experiment("fig6", "Success-probability ratios, Base", "Figure 6"),
+        Experiment("fig7", "Waste surfaces, Exa", "Figure 7"),
+        Experiment("fig8", "Waste ratios, Exa, M=7h", "Figure 8"),
+        Experiment("fig9", "Success-probability ratios, Exa", "Figure 9"),
     )
 }
 

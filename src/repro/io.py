@@ -205,6 +205,8 @@ _DES_NUMBERS = tuple(name for name in _DES_FIELDS
                      if name not in ("fatal_group", "meta", "status"))
 _DES_META_KEYS = frozenset(
     ("protocol", "period", "phi", "seed", "n", "M", "engine"))
+#: The fields the engines write as exact ints (a store refuses others).
+COUNT_FIELDS = ("commits", "failures", "rollbacks")
 #: The JSON types a fast-path ``meta`` value may decode to.
 _META_TYPES = frozenset((str, int, float))
 _NUMBER_TYPES = frozenset((int, float))
@@ -419,9 +421,9 @@ def load_cell(lines) -> CellBlock | None:
     template fixes the envelope, key order and separators, so that
     proves each line loads to its row and dumps back to itself: the
     check :func:`load_result` then :func:`dump_result` makes.  ``None``
-    when the lines are not that shape (a row without a seed, ``meta``
-    or ``work_target`` differing between rows, any error) leaves the
-    verdict, and its wording, to that per-line check."""
+    when the lines are not that shape (a row without a seed, a count not
+    an int, ``meta`` or ``work_target`` differing between rows, any
+    error) leaves the verdict, and its wording, to that per-line check."""
     # The seed key is in every template line (quotes inside strings are
     # escaped): a cheap refusal before the decode.
     if not lines or not all('"seed": ' in line for line in lines):
@@ -444,7 +446,9 @@ def load_cell(lines) -> CellBlock | None:
     # so the lines are given back only if every row shares them.
     meta, work_target = rows[0]["meta"], rows[0]["work_target"]
     columns = {name: [row[name] for row in rows] for name in ROW_FIELDS}
-    if _encode_cell(meta, work_target, columns) != list(lines):
+    if not all({int}.issuperset(map(type, columns[name]))
+               for name in COUNT_FIELDS) \
+            or _encode_cell(meta, work_target, columns) != list(lines):
         return None
     return CellBlock(meta, work_target, columns, records=tuple(lines))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from ..errors import ParameterError
 
@@ -183,17 +183,17 @@ def as_block(results, records=None) -> CellBlock:
     return CellBlock.from_rows(results, records)
 
 
-# scipy's ppf costs ~0.1 ms a call and every cell summary needs two, so the
-# quantiles are cached; their arguments take few distinct values.
+# scipy.stats' t.ppf and norm.ppf call these kernels; every cell summary
+# needs two and their arguments take few distinct values, so they are cached.
 @lru_cache(maxsize=1024)
 def t_quantile(confidence: float, df: int) -> float:
     """Two-sided Student-t quantile ``t_{(1 + confidence)/2, df}``."""
-    return float(sps.t.ppf(0.5 + confidence / 2.0, df=df))
+    return float(special.stdtrit(df, 0.5 + confidence / 2.0))
 
 
 @lru_cache(maxsize=64)
 def _z_quantile(confidence: float) -> float:
-    return float(sps.norm.ppf(0.5 + confidence / 2.0))
+    return float(special.ndtri(0.5 + confidence / 2.0))
 
 
 def wilson_interval(

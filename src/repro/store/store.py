@@ -195,6 +195,11 @@ def _entry_text(key: dict, records) -> str:
     return json.dumps(header, sort_keys=True) + "\n" + body
 
 
+#: How a refusal of an entry's payload ends.
+_CORRUPT = ("the entry is corrupt — drop it with `store compact` and re-run "
+            "to repopulate")
+
+
 def _check_entry(label, data: bytes) -> tuple[dict, str]:
     """An entry's header and replica-line body, structurally checked:
     the header parses and speaks :data:`ENTRY_VERSION`, and the body
@@ -222,23 +227,20 @@ def _check_entry(label, data: bytes) -> tuple[dict, str]:
             f"library speaks version {ENTRY_VERSION})")
     if _digest(body) != header.get("payload_sha256") \
             or body.count("\n") != header.get("replicas"):
-        raise ParameterError(
-            f"{label}: entry payload does not match its recorded "
-            "digest; the entry is corrupt — drop it with `store compact` "
-            "and re-run to repopulate"
-        )
+        raise ParameterError(f"{label}: entry payload does not match its "
+                             f"recorded digest; {_CORRUPT}")
     return header, body
 
 
 def _verify_entry(label, data: bytes, expected_key: dict | None):
-    """Every check a lookup makes, once per entry: :func:`_check_entry`,
-    the full stored key against ``expected_key`` (a collision or renamed
-    file is a hard error, not a wrong answer), and each replica line
-    decoding into a raw DES run that re-serialises to exactly that
-    line.  Returns ``(header, block, body)``: a store hit is columnar,
-    an entry the engines wrote checked by one batched decode and one
-    cell-template re-encode (:func:`repro.io.load_cell`).  The per-line
-    loop below serves any other valid entry and words every refusal."""
+    """Every check a lookup makes, once per entry: :func:`_check_entry`, the
+    full stored key against ``expected_key`` (a collision or renamed file is a
+    hard error, not a wrong answer), and each replica line decoding into an
+    engine-shape DES run that re-serialises to exactly that line.  Returns
+    ``(header, block, body)``: a store hit is columnar, an entry the engines
+    wrote checked by one batched decode and one cell-template re-encode
+    (:func:`repro.io.load_cell`).  The per-line loop serves any other valid
+    entry and words each refusal."""
     from .. import io as repro_io
 
     header, body = _check_entry(label, data)
@@ -259,16 +261,18 @@ def _verify_entry(label, data: bytes, expected_key: dict | None):
         except ParameterError as exc:
             raise ParameterError(f"{label}: {exc}") from exc
         if not isinstance(result, DesResult):
-            raise ParameterError(
-                f"{label}: store entries hold raw DES runs, found a "
-                f"{type(result).__name__}"
-            )
+            raise ParameterError(f"{label}: store entries hold raw DES "
+                                 f"runs, found a {type(result).__name__}")
+        for name, value in vars(result).items():
+            if type(value) is bool or name in repro_io.COUNT_FIELDS \
+                    and type(value) is not int:
+                raise ParameterError(
+                    f"{label}: replica field {name!r} holds a "
+                    f"{type(value).__name__}, which the engines never "
+                    f"write there; {_CORRUPT}")
         if repro_io.dump_result(result) != line:
-            raise ParameterError(
-                f"{label}: entry payload does not survive a "
-                "serialisation round-trip; the entry is corrupt — "
-                "drop it with `store compact` and re-run to repopulate"
-            )
+            raise ParameterError(f"{label}: entry payload does not survive "
+                                 f"a serialisation round-trip; {_CORRUPT}")
         results.append(result)
     return header, CellBlock.from_rows(results, lines), body
 

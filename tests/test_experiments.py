@@ -132,6 +132,18 @@ class TestRegistry:
         data = run_experiment("fig5", num_phi=5)
         assert data.figure_id == "fig5"
 
+    @pytest.mark.parametrize("key, sizes", [
+        ("intro", {}), ("table1", {}),
+        ("fig4", {"num_phi": 5, "num_m": 5}), ("fig5", {"num_phi": 5}),
+        ("fig6", {"num_m": 3, "num_t": 3}),
+        ("fig7", {"num_phi": 5, "num_m": 5}), ("fig8", {"num_phi": 5}),
+        ("fig9", {"num_m": 3, "num_t": 3}),
+    ])
+    def test_every_key_runs(self, key, sizes):
+        """Each registered key imports its module on first use and
+        generates an artefact that renders."""
+        assert run_experiment(key, **sizes).render()
+
     def test_unknown(self):
         with pytest.raises(ExperimentError):
             get_experiment("fig99")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.sim.results import DesResult, MonteCarloSummary, wilson_interval
+from repro.sim.results import (DesResult, MonteCarloSummary, _z_quantile,
+                               t_quantile, wilson_interval)
 
 
 def make_result(**kw) -> DesResult:
@@ -123,3 +126,44 @@ class TestExtremeSamples:
             summary = MonteCarloSummary.from_samples(values)
             assert summary.mean == float(values.mean())
             assert summary.std == float(values.std(ddof=1))
+
+
+
+_confidence = st.floats(min_value=0.0, max_value=1.0,
+                        exclude_min=True, exclude_max=True)
+
+
+class TestQuantileKernels:
+    """The quantiles come from the scipy.special kernels that
+    scipy.stats' ``t.ppf`` and ``norm.ppf`` call; these pin them to
+    scipy.stats value for value (``repr`` tells NaN and ``-0.0`` apart),
+    so a scipy whose ppf stops calling them fails here.  The explicit
+    examples are the levels campaigns use and confidences next to 0 and
+    1, where the tails are steepest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(confidence=_confidence,
+           df=st.integers(min_value=1, max_value=10**6))
+    @example(confidence=0.95, df=2)
+    @example(confidence=0.99, df=30)
+    @example(confidence=5e-324, df=1)
+    @example(confidence=1e-12, df=10**6)
+    @example(confidence=1.0 - 1e-12, df=1)
+    @example(confidence=1.0 - 2.0 ** -53, df=10**6)
+    def test_t_quantile_is_stats_t_ppf(self, confidence, df):
+        from scipy import stats
+
+        assert repr(t_quantile(confidence, df)) == repr(
+            float(stats.t.ppf(0.5 + confidence / 2, df=df)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(confidence=_confidence)
+    @example(confidence=0.95)
+    @example(confidence=0.99)
+    @example(confidence=5e-324)
+    @example(confidence=1.0 - 2.0 ** -53)
+    def test_z_quantile_is_stats_norm_ppf(self, confidence):
+        from scipy import stats
+
+        assert repr(_z_quantile(confidence)) == repr(
+            float(stats.norm.ppf(0.5 + confidence / 2)))

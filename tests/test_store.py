@@ -872,6 +872,9 @@ class TestCellEntries:
 _ROUND_TRIP = ("entry payload does not survive a serialisation round-trip; "
                "the entry is corrupt — drop it with `store compact` and "
                "re-run to repopulate")
+_FOREIGN = ("replica field {!r} holds a {}, which the engines never write "
+            "there; the entry is corrupt — drop it with `store compact` and "
+            "re-run to repopulate")
 
 
 def _line_edits() -> dict:
@@ -939,6 +942,8 @@ class TestAdmitCheck:
         ("summary-line",
          "{label}: store entries hold raw DES runs, found a "
          "MonteCarloSummary"),
+        ("float-for-int", "{label}: " + _FOREIGN.format("commits", "float")),
+        ("bool-for-int", "{label}: " + _FOREIGN.format("rollbacks", "bool")),
     ])
     def test_non_canonical_line_is_refused(self, case, message, tmp_path):
         store_dir, key, label, lines = self._edited(
@@ -955,12 +960,10 @@ class TestAdmitCheck:
         report = CampaignStore(store_dir, cache=None).verify()
         assert report.errors == (expected,)
 
-    @pytest.mark.parametrize("case", [
-        "other-period", "float-for-int", "bool-for-int"])
+    @pytest.mark.parametrize("case", ["other-period"])
     def test_canonical_line_is_served_as_decoded(self, case, tmp_path):
         """A line the per-line reference round-trips is served: rows
-        whose meta differ between replicas, and the walker's spellings
-        of a float or a bool where the engines write an int."""
+        whose meta differ between replicas."""
         from repro.sim.adaptive import FixedReplicas
 
         store_dir, key, _, lines = self._edited(
@@ -1018,10 +1021,11 @@ def _numbers(**floats):
 
 def _engine_cells():
     """Rows of one cell in the engines' shape: a shared meta (with or
-    without ``engine``) and work target, a seed per row, any mix of
-    ints and finite or non-finite floats in the numeric fields, and
-    fatal groups."""
+    without ``engine``) and work target, a seed per row, int counts,
+    any mix of ints and finite or non-finite floats in the other
+    numeric fields, and fatal groups."""
     finite = _numbers(allow_nan=False, allow_infinity=False)
+    count = st.integers(min_value=-2**63, max_value=2**64)
     meta = st.fixed_dictionaries({}, optional={
         "protocol": st.text(max_size=8), "period": finite, "phi": finite,
         "n": st.integers(min_value=0, max_value=10**6), "M": finite,
@@ -1029,8 +1033,8 @@ def _engine_cells():
     row = st.fixed_dictionaries({
         "status": st.sampled_from(["completed", "fatal", "timeout"]),
         "makespan": _numbers(), "work_done": _numbers(),
-        "failures": _numbers(), "rollbacks": _numbers(),
-        "work_lost": _numbers(), "commits": _numbers(),
+        "failures": count, "rollbacks": count,
+        "work_lost": _numbers(), "commits": count,
         "risk_time": _numbers(), "fatal_time": _numbers(),
         "fatal_group": st.lists(st.integers(min_value=0, max_value=10**9),
                                 max_size=3).map(tuple),
