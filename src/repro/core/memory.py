@@ -89,9 +89,6 @@ class MemoryBudget:
         if not 0.0 <= self.cow_dirty_fraction <= 1.0:
             raise ParameterError("cow_dirty_fraction must lie in [0, 1]")
 
-    def steady_state(self, spec: ProtocolSpec | str) -> int:
-        return steady_state_bytes(spec, self.checkpoint_bytes)
-
     def peak(self, spec: ProtocolSpec | str) -> int:
         return peak_bytes(
             spec, self.checkpoint_bytes, cow_dirty_fraction=self.cow_dirty_fraction

@@ -230,11 +230,13 @@ def campaign_cells_from_file(path):
     grid order, whatever order the records landed in.
 
     The file is **streamed**: each record updates its cell's
-    :class:`~repro.sim.results.RunningMoments` (the adaptive cursors'
-    Welford moments) and a success count, and is dropped, so memory is
-    proportional to the grid, never to the replica count — a
-    million-record adaptive campaign reports in constant space.  The
-    returned cells therefore carry summaries only (``cell.results`` is
+    :class:`~repro.sim.results.RunningMoments` and a success count, and
+    is dropped, so memory is proportional to the grid, never to the
+    replica count — a million-record adaptive campaign reports in
+    constant space.  Those moments are the kernel every summary reads
+    (the live session, the store, the adaptive cursors), so each cell's
+    summary is the one the campaign's own run reported, bit for bit.
+    The returned cells carry summaries only (``cell.results`` is
     empty).
     """
     from .. import io as repro_io

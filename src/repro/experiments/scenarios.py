@@ -93,10 +93,6 @@ class Scenario:
             raise ParameterError("need at least 2 grid points")
         return np.linspace(0.0, self.R, num)
 
-    def phi_over_r_grid(self, num: int = 41) -> np.ndarray:
-        """Normalised ``φ/R ∈ [0, 1]`` grid used by figure axes."""
-        return self.phi_grid(num) / self.R
-
     def m_grid(self, num: int = 49) -> np.ndarray:
         """Log-spaced MTBF grid (seconds) for the waste surfaces."""
         lo, hi = self.m_grid_bounds

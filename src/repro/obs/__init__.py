@@ -11,8 +11,9 @@ reproduction answer the same question about *its own* execution:
   ``GET /metrics`` by :mod:`repro.service`);
 * :class:`Tracer` (:mod:`repro.obs.trace`) — nested spans (campaign →
   cell; store lookup/publish/preload; queue
-  claim/steal/lease-refresh; HTTP request) exportable as NDJSON and
-  Chrome trace-event JSON (``repro-checkpoint campaign --trace FILE``);
+  claim/steal/lease-refresh; HTTP request) with a versioned wire dict,
+  exportable as Chrome trace-event JSON (``repro-checkpoint campaign
+  --trace FILE``);
 * :class:`MetricsConsumer` (:mod:`repro.obs.consumer`) — the EventBus
   subscriber that turns the campaign event stream into series and
   feeds ``ExecutionReport.metrics``.

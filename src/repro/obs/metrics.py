@@ -190,10 +190,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     def add_held(self, amount: float) -> float:
         """Add ``amount`` holding the lock; returns the new level."""
         self._value += amount

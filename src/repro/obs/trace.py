@@ -1,14 +1,12 @@
 """Span tracing: nested, timestamped regions of one process's work.
 
 A :class:`Tracer` records *spans* — named intervals with a parent, a
-category, a thread and free-form JSON-safe args — and exports them two
-ways:
-
-* NDJSON, one versioned span dict per line (the library's usual wire
-  posture: ``format``/``version`` markers, refused by name on the way
-  back in);
-* Chrome trace-event JSON (``chrome://tracing`` / Perfetto loadable),
-  which is what ``repro-checkpoint campaign --trace FILE`` writes.
+category, a thread and free-form JSON-safe args.  Each span has a
+versioned wire dict (:meth:`Span.to_dict` / :func:`span_from_dict`, the
+library's usual wire posture: ``format``/``version`` markers, refused
+by name on the way back in), and a tracer exports Chrome trace-event
+JSON (``chrome://tracing`` / Perfetto loadable), which is what
+``repro-checkpoint campaign --trace FILE`` writes.
 
 The executor opens a ``campaign`` root span and a ``cell`` span per
 ``CellFinished`` it publishes (aggregation plus the synchronous
@@ -158,15 +156,6 @@ class Tracer:
             return tuple(sorted(self._spans, key=lambda s: s.start))
 
     # -- export --------------------------------------------------------
-    def write_ndjson(self, path: str | pathlib.Path) -> int:
-        """One span wire dict per line; returns the number written."""
-        spans = self.spans()
-        with pathlib.Path(path).open("w", encoding="utf-8") as fh:
-            for record in spans:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True,
-                                    allow_nan=False) + "\n")
-        return len(spans)
-
     def to_chrome(self) -> dict:
         """The Chrome trace-event representation (complete ``"X"``
         events, microsecond timestamps, one pid)."""

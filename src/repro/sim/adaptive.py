@@ -19,7 +19,7 @@ cell needs every replica it can get.  A :class:`ReplicaController` decides
 Both adaptive rules are one batched rule (the fields and their checks,
 the fingerprint, the batch boundaries, one O(1) cursor over
 :class:`~repro.sim.results.RunningMoments`); each names only the
-interval width its tolerance bounds.
+interval width its tolerance bounds, once, over the running moments.
 
 On the event pipeline the controller appears twice: backends drive its
 incremental cursor while running cells, and the
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from ..errors import ParameterError, check_int, check_real
-from .results import RunningMoments, ci_half_width, t_quantile, wilson_interval
+from .results import RunningMoments, ci_half_width, wilson_interval
 
 __all__ = [
     "ReplicaController",
@@ -167,10 +167,10 @@ class _BatchedRule(ReplicaController):
     ``min_replicas + batch``, ...) so replicas are committed in chunks —
     checking after every single replica would make the early decisions
     hypersensitive to the first few samples.  A subclass names the
-    interval width its ``tolerance`` bounds, twice: over a sample prefix
-    (:meth:`_prefix_width`, the reference :meth:`should_stop` reads) and
-    over :class:`~repro.sim.results.RunningMoments`
-    (:meth:`_moments_width`, what the O(1) cursor reads).
+    interval width its ``tolerance`` bounds once, over the
+    :class:`~repro.sim.results.RunningMoments` of a sample prefix
+    (:meth:`_moments_width`); :meth:`should_stop` and the O(1) cursor
+    both read it, so they agree by construction.
     """
 
     max_replicas: int
@@ -205,7 +205,8 @@ class _BatchedRule(ReplicaController):
         return width(over) <= self.tolerance
 
     def should_stop(self, wastes: Sequence[float]) -> bool:
-        return self._stops(len(wastes), self._prefix_width, wastes)
+        return self._stops(len(wastes), self._moments_width,
+                           RunningMoments.of(wastes))
 
     def cursor(self) -> StopCursor:
         return _BatchedCursor(self)
@@ -215,12 +216,8 @@ class _BatchedRule(ReplicaController):
                 **{name: getattr(self, name) for name in _FIELDS}}
 
     @abstractmethod
-    def _prefix_width(self, wastes: Sequence[float]) -> float:
-        """The interval width over a whole sample prefix."""
-
-    @abstractmethod
     def _moments_width(self, moments: RunningMoments) -> float:
-        """The same width over the prefix's running moments."""
+        """The interval width over a sample prefix's running moments."""
 
 
 class _BatchedCursor(StopCursor):
@@ -243,26 +240,16 @@ class AdaptiveCI(_BatchedRule):
     (absolute: waste lives in [0, 1]; one sample has no CI, so
     ``min_replicas >= 2``).
 
-    The cursor's half-width is :func:`~repro.sim.results.ci_half_width`'s
-    formula over Welford moments: a few ulps from numpy's pairwise sums,
-    which cannot desynchronise live runs from resumes, since both drive
-    the cursor.
+    The half-width is the one every cell summary reports
+    (:meth:`RunningMoments.half_width
+    <repro.sim.results.RunningMoments.half_width>`), so a stopped cell's
+    interval is the interval the rule accepted.
     """
 
     MIN_REPLICAS_FLOOR = 2
 
-    def _prefix_width(self, wastes: Sequence[float]) -> float:
-        return ci_half_width(wastes, self.confidence)
-
     def _moments_width(self, moments: RunningMoments) -> float:
-        k = moments.finite
-        if k < 2:
-            return float("inf")
-        variance = moments.m2 / (k - 1)
-        if variance <= 0.0:
-            return 0.0
-        return float(t_quantile(self.confidence, k - 1)
-                     * math.sqrt(variance) / math.sqrt(k))
+        return moments.half_width(self.confidence)
 
 
 class WilsonSuccessRate(_BatchedRule):
@@ -277,11 +264,6 @@ class WilsonSuccessRate(_BatchedRule):
     """
 
     TOLERANCE_BELOW = 1.0
-
-    def _prefix_width(self, wastes: Sequence[float]) -> float:
-        successes = sum(1 for w in wastes if math.isfinite(w))
-        lo, hi = wilson_interval(successes, len(wastes), self.confidence)
-        return hi - lo
 
     def _moments_width(self, moments: RunningMoments) -> float:
         lo, hi = wilson_interval(moments.finite, moments.n, self.confidence)
@@ -341,7 +323,7 @@ def stop_count(
     The replay is incremental (:meth:`ReplicaController.cursor`): linear
     in ``len(wastes)`` for the built-in controllers, so recovering a
     framed file with thousands of replicas per cell does not go
-    quadratic in ``ci_half_width`` calls.
+    quadratic in prefix re-reads.
     """
     cursor = controller.cursor()
     for n, waste in enumerate(wastes, 1):

@@ -109,12 +109,6 @@ class Cluster:
         self.states[node] = NodeState.DOWN
         return False
 
-    def on_restored(self, node: int) -> None:
-        """Replacement node is running (post D+R) but images still pending."""
-        if self.states[node] is not NodeState.DOWN:
-            raise SimulationError(f"node {node} restored while {self.states[node]}")
-        self.states[node] = NodeState.AT_RISK
-
     def on_risk_end(self, node: int, now: float) -> None:
         """Risk window closed: group fully re-replicated."""
         group = self.group_of(node)

@@ -151,18 +151,6 @@ class Engine:
             f"cannot schedule into the past: t={time} < now={self.now}"
         )
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[["Engine", Event], None],
-        payload: Any = None,
-        kind: str = "",
-    ) -> Event:
-        """Schedule relative to the current time."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self.now + delay, callback, payload, kind)
-
     @staticmethod
     def cancel(event: Event) -> None:
         """Cancel a pending event (no-op if it already fired)."""

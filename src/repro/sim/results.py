@@ -4,7 +4,11 @@
 holds one campaign cell's runs as columns;
 :class:`MonteCarloSummary` aggregates replicas with confidence intervals
 (Student-t for means, Wilson for proportions) so model-vs-simulation
-comparisons can assert statistically, not by eyeball.
+comparisons can assert statistically, not by eyeball.  One kernel,
+:class:`RunningMoments` (Welford), computes every summary's mean, std
+and Student-t half-width, whether the samples are held (a live cell, a
+store hit) or streamed (``report --from-campaign``, the stopping rules'
+cursors).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
 from scipy import special
 
 from ..errors import ParameterError
@@ -208,70 +211,34 @@ def wilson_interval(
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     centre = (phat + z**2 / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z**2 / (4 * trials**2)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z**2 / (4 * trials**2)) / denom
     # Degenerate counts have exact one-sided bounds; avoid fp residue.
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
     hi = 1.0 if successes == trials else min(1.0, centre + half)
     return (float(lo), float(hi))
 
 
-def _overflow_safe(reduce, finite: np.ndarray) -> float:
-    """``reduce(finite)`` exactly as numpy computes it, unless that
-    overflows (a batch of extreme but finite values): then the scaled
-    two-pass ``scale * reduce(finite / scale)`` with ``scale = max|x|``,
-    equal up to rounding for the scale-equivariant mean and sample std,
-    and finite wherever the true value is representable.  Call it under
-    ``np.errstate(over="raise")``; the scaled pass cannot overflow."""
-    try:
-        return float(reduce(finite))
-    except FloatingPointError:
-        scale = float(np.abs(finite).max())
-        return scale * float(reduce(finite / scale))
-
-
-def _sample_std(finite: np.ndarray) -> float:
-    return finite.std(ddof=1)
-
-
-def _finite(samples: Sequence[float]) -> tuple[int, np.ndarray]:
-    """``(number of samples, the finite ones)``."""
-    arr = np.asarray(list(samples), dtype=float)
-    return arr.size, arr[np.isfinite(arr)]
-
-
-def _half_width(std: float, n: int, confidence: float) -> float:
-    """Student-t CI half-width of a mean over ``n >= 2`` samples."""
+def _half_width(finite: int, std: float, confidence: float) -> float:
+    """Student-t CI half-width of a mean over ``finite`` samples whose
+    sample std is ``std``: ``inf`` below two samples, ``0.0`` without
+    spread.  Every summary and stopping rule reads this one form."""
+    if finite < 2:
+        return math.inf
     if std == 0.0:
         return 0.0
-    return float(t_quantile(confidence, n - 1) * std / np.sqrt(n))
-
-
-def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
-    """Student-t CI half-width of the mean over the finite samples.
-
-    NaNs (unfinished runs) are excluded, exactly as
-    :meth:`MonteCarloSummary.from_samples` excludes them from the mean —
-    this is the single definition both the summaries and the adaptive
-    replica controller (:mod:`repro.sim.adaptive`) rely on.  Returns
-    ``inf`` until two finite samples exist: an undetermined interval must
-    never satisfy a tolerance check.
-    """
-    _, finite = _finite(samples)
-    if finite.size < 2:
-        return float("inf")
-    with np.errstate(over="raise"):
-        std = _overflow_safe(_sample_std, finite)
-    return _half_width(std, finite.size, confidence)
+    return t_quantile(confidence, finite - 1) * std / math.sqrt(finite)
 
 
 class RunningMoments:
     """Streaming (Welford) moments of a sample sequence, NaNs included.
 
     ``n`` counts every sample; ``finite``, ``mean`` and ``m2`` (the sum
-    of squared deviations, Welford's M₂) describe the finite ones.  Four
-    scalars instead of the samples: the adaptive replica cursors
-    (:mod:`repro.sim.adaptive`) and the streaming campaign report both
-    keep one per cell.
+    of squared deviations, Welford's M₂) describe the finite ones.  The
+    one kernel behind every summary's mean, std and Student-t interval:
+    :meth:`MonteCarloSummary.from_samples` pushes a cell's samples
+    through it, and the adaptive replica cursors
+    (:mod:`repro.sim.adaptive`) and the streaming campaign report keep
+    one per cell, four scalars instead of the samples.
     """
 
     __slots__ = ("n", "finite", "mean", "m2")
@@ -280,6 +247,15 @@ class RunningMoments:
         self.n = self.finite = 0
         self.mean = self.m2 = 0.0
 
+    @classmethod
+    def of(cls, samples) -> "RunningMoments":
+        """The moments of ``samples``, pushed in order."""
+        moments = cls()
+        push = moments.push
+        for sample in samples:
+            push(sample)
+        return moments
+
     def push(self, sample: float) -> None:
         self.n += 1
         if math.isfinite(sample):
@@ -287,6 +263,48 @@ class RunningMoments:
             delta = sample - self.mean
             self.mean += delta / self.finite
             self.m2 += delta * (sample - self.mean)
+
+    def std(self) -> float:
+        """Sample std of the finite samples (``0.0`` below two)."""
+        if self.finite < 2:
+            return 0.0
+        variance = self.m2 / (self.finite - 1)
+        return 0.0 if variance <= 0.0 else math.sqrt(variance)
+
+    def half_width(self, confidence: float) -> float:
+        """Student-t CI half-width of the mean (``inf`` below two finite
+        samples)."""
+        return _half_width(self.finite, self.std(), confidence)
+
+
+def _held_moments(samples: Sequence[float]) -> tuple[int, int, float, float]:
+    """``(n, finite, mean, std)`` of held samples, through
+    :class:`RunningMoments`.  When a batch of extreme but finite values
+    overflows the moments, they are rerun over ``x / max|x|`` and scaled
+    back: equal up to rounding for the scale-equivariant mean and sample
+    std, and finite wherever the true value is representable."""
+    values = list(map(float, samples))
+    moments = RunningMoments.of(values)
+    mean, std = moments.mean, moments.std()
+    if moments.finite and not (math.isfinite(mean) and math.isfinite(std)):
+        scale = max(abs(x) for x in values if math.isfinite(x))
+        scaled = RunningMoments.of([x / scale for x in values])
+        mean, std = scale * scaled.mean, scale * scaled.std()
+    return moments.n, moments.finite, mean, std
+
+
+def ci_half_width(samples: Sequence[float], confidence: float = 0.95) -> float:
+    """Student-t CI half-width of the mean over the finite samples.
+
+    NaNs (unfinished runs) are excluded, exactly as
+    :meth:`MonteCarloSummary.from_samples` excludes them from the mean;
+    both read the same :class:`RunningMoments`, as does the adaptive
+    replica controller (:mod:`repro.sim.adaptive`).  Returns ``inf``
+    until two finite samples exist: an undetermined interval must never
+    satisfy a tolerance check.
+    """
+    _, finite, _, std = _held_moments(samples)
+    return _half_width(finite, std, confidence)
 
 
 @dataclass(frozen=True)
@@ -319,59 +337,44 @@ class MonteCarloSummary:
     ) -> "MonteCarloSummary":
         """Summarise per-replica values; NaNs (unfinished runs) are dropped
         from the mean but still count as failures for the success rate."""
-        if not 0 < confidence < 1:
-            raise ParameterError("confidence must lie in (0, 1)")
-        n_total, finite = _finite(samples)
-        if n_total == 0:
-            raise ParameterError("need at least one sample")
-        n_ok = finite.size
-        n_success = n_ok if successes is None else successes
-        # One pass: the std is the one ci_half_width would compute.
-        with np.errstate(over="raise"):
-            mean = _overflow_safe(np.mean, finite) if n_ok else float("nan")
-            std = _overflow_safe(_sample_std, finite) if n_ok > 1 else 0.0
-        half = _half_width(std, n_ok, confidence) if n_ok > 1 else 0.0
-        if not math.isfinite(half):
-            half = 0.0  # an overflowing interval: degenerate point
-        rate = n_success / n_total
-        return cls(
-            n_replicas=n_total,
-            mean=mean,
-            std=std,
-            ci_low=mean - half,
-            ci_high=mean + half,
-            confidence=confidence,
-            success_rate=rate,
-            success_ci=wilson_interval(n_success, n_total, confidence),
-            meta=meta or {},
-        )
+        n_total, n_finite, mean, std = _held_moments(samples)
+        return cls._build(n_total, n_finite, mean, std,
+                          n_finite if successes is None else successes,
+                          confidence, meta)
 
     @classmethod
     def from_moments(
         cls,
-        moments: "RunningMoments",
+        moments: RunningMoments,
         *,
         successes: int,
         confidence: float = 0.95,
         meta: dict | None = None,
     ) -> "MonteCarloSummary":
-        """Summarise from running (Welford) moments instead of samples.
+        """Summarise from running (Welford) moments instead of samples,
+        for streaming aggregation (``report --from-campaign`` over
+        million-record files, in constant memory).  Over the samples
+        :meth:`from_samples` would push, in the same order, the summary
+        is the same bit for bit; only an overflowing batch differs,
+        which needs the held samples to rescale."""
+        return cls._build(moments.n, moments.finite, moments.mean,
+                          moments.std(), successes, confidence, meta)
 
-        The constant-memory twin of :meth:`from_samples` for streaming
-        aggregation (``report --from-campaign`` over million-record
-        files).  The degenerate cases mirror :meth:`from_samples`
-        exactly — NaN mean with no finite sample, zero std below two, a
-        point interval until the CI is determined.
-        """
-        n_total, n_finite = moments.n, moments.finite
+    @classmethod
+    def _build(cls, n_total, n_finite, mean, std, successes, confidence,
+               meta) -> "MonteCarloSummary":
+        """The summary of ``n_total`` samples, ``n_finite`` of them with
+        this mean and std: a NaN mean without a finite sample, and a
+        point interval wherever the half-width is not finite (below two
+        finite samples, or an overflowing interval)."""
         if not 0 < confidence < 1:
             raise ParameterError("confidence must lie in (0, 1)")
         if n_total <= 0:
             raise ParameterError("need at least one sample")
-        mean = float(moments.mean) if n_finite else float("nan")
-        std = (float(np.sqrt(moments.m2 / (n_finite - 1)))
-               if n_finite > 1 else 0.0)
-        half = _half_width(std, n_finite, confidence) if n_finite > 1 else 0.0
+        mean = float(mean) if n_finite else NAN
+        half = _half_width(n_finite, std, confidence)
+        if not math.isfinite(half):
+            half = 0.0
         return cls(
             n_replicas=n_total,
             mean=mean,

@@ -30,6 +30,7 @@ from repro.sim.results import (
     CellBlock,
     DesResult,
     MonteCarloSummary,
+    RunningMoments,
     ci_half_width,
     t_quantile,
     wilson_interval,
@@ -215,37 +216,35 @@ class TestSyntheticBlocks:
 
 
 # ----------------------------------------------------------------------
-# The one-pass summary keeps the two-pass bits
+# The summary is the moments kernel plus its documented rules
 # ----------------------------------------------------------------------
-def two_pass_summary(samples, successes=None, confidence=0.95):
-    """``from_samples`` as it computed before the one-pass rewrite: the
-    std computed twice, each reduction under its own errstate."""
-    def safe(reduce, finite):
-        try:
-            with np.errstate(over="raise"):
-                return float(reduce(finite))
-        except FloatingPointError:
-            scale = float(np.abs(finite).max())
-            return scale * float(reduce(finite / scale))
-
-    arr = np.asarray(list(samples), dtype=float)
-    finite = arr[np.isfinite(arr)]
-    n_success = finite.size if successes is None else successes
-    mean = safe(np.mean, finite) if finite.size else float("nan")
-    std = safe(lambda f: f.std(ddof=1), finite) if finite.size > 1 else 0.0
-    half = float("inf")
-    if finite.size >= 2:
-        s = safe(lambda f: f.std(ddof=1), finite)
-        half = 0.0 if s == 0.0 else float(
-            t_quantile(confidence, finite.size - 1) * s
-            / np.sqrt(finite.size))
-    if not np.isfinite(half):
+def moments_summary(samples, successes=None, confidence=0.95):
+    """``from_samples`` by its documented rules: the mean and std of
+    :class:`RunningMoments` (rerun over ``x / max|x|`` and scaled back
+    where they overflow), a NaN mean without a finite sample, and a
+    point interval below two finite samples or where the half-width is
+    not finite."""
+    samples = [float(x) for x in samples]
+    moments = RunningMoments.of(samples)
+    n, k = moments.n, moments.finite
+    mean, std = moments.mean, moments.std()
+    if k and not (math.isfinite(mean) and math.isfinite(std)):
+        scale = max(abs(x) for x in samples if math.isfinite(x))
+        scaled = RunningMoments.of([x / scale for x in samples])
+        mean, std = scale * scaled.mean, scale * scaled.std()
+    if not k:
+        mean = float("nan")
+    half = 0.0
+    if k >= 2 and std != 0.0:
+        half = t_quantile(confidence, k - 1) * std / math.sqrt(k)
+    if not math.isfinite(half):
         half = 0.0
+    n_success = k if successes is None else successes
     return MonteCarloSummary(
-        n_replicas=arr.size, mean=mean, std=std, ci_low=mean - half,
+        n_replicas=n, mean=mean, std=std, ci_low=mean - half,
         ci_high=mean + half, confidence=confidence,
-        success_rate=n_success / arr.size,
-        success_ci=wilson_interval(n_success, arr.size, confidence))
+        success_rate=n_success / n,
+        success_ci=wilson_interval(n_success, n, confidence))
 
 
 @pytest.mark.parametrize("samples", [
@@ -257,7 +256,7 @@ def two_pass_summary(samples, successes=None, confidence=0.95):
 ])
 def test_from_samples_keeps_its_bits(samples):
     summary = MonteCarloSummary.from_samples(samples)
-    assert_same_summary(summary, two_pass_summary(samples))
+    assert_same_summary(summary, moments_summary(samples))
     half = ci_half_width(samples)
     if sum(math.isfinite(x) for x in samples) < 2:
         assert half == math.inf
@@ -298,3 +297,39 @@ def test_process_pool_writes_serial_bytes(engine, tmp_path):
     assert pooled.read_bytes() == serial.read_bytes()
     assert all(isinstance(cell.block, CellBlock)
                for cell in execution.cells)
+
+
+# ----------------------------------------------------------------------
+# One summary, whichever source
+# ----------------------------------------------------------------------
+SUMMARY_FIELDS = ("mean", "std", "ci_low", "ci_high", "success_rate",
+                  "success_ci")
+
+
+def summary_reprs(cells) -> list:
+    return [(cell.protocol, cell.M, cell.phi,
+             *(repr(getattr(cell.summary, name)) for name in SUMMARY_FIELDS))
+            for cell in cells]
+
+
+@pytest.mark.parametrize("preset", sorted(CAMPAIGN_PRESETS))
+def test_session_store_and_file_summaries_agree(preset, tmp_path):
+    """The session's cells, ``cells_from_store`` and the streaming
+    ``report --from-campaign`` reader summarise every cell alike, to the
+    last bit, and render the same report."""
+    from repro.experiments.report import (_render_campaign_cells,
+                                          campaign_cells_from_file)
+    from repro.store import CampaignStore, cells_from_store
+
+    spec = get_campaign_preset(preset).spec(
+        replicas=4, policy=ExecutionPolicy(sink="framed"))
+    results, store = tmp_path / "results.jsonl", tmp_path / "store"
+    session = execute_spec(spec, results_path=results, store=store).cells
+    stored = cells_from_store(CampaignStore(store), spec)
+    streamed = campaign_cells_from_file(results)
+    want = summary_reprs(session)
+    assert summary_reprs(stored) == want
+    assert summary_reprs(streamed) == want
+    text = _render_campaign_cells(session, source=preset)
+    assert _render_campaign_cells(stored, source=preset) == text
+    assert _render_campaign_cells(streamed, source=preset) == text

@@ -31,14 +31,6 @@ class TestScheduling:
         eng.run()
         assert hits == ["a", "b", "c"]
 
-    def test_schedule_in(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(1.0, lambda e, ev: e.schedule_in(2.0,
-                     lambda e2, ev2: seen.append(e2.now)))
-        eng.run()
-        assert seen == [3.0]
-
     def test_rejects_past(self):
         eng = Engine()
         eng.schedule(5.0, lambda e, ev: None)
@@ -52,14 +44,7 @@ class TestScheduling:
         eng = Engine()
         with pytest.raises(SimulationError, match="NaN"):
             eng.schedule(float("nan"), lambda e, ev: None)
-        with pytest.raises(SimulationError, match="NaN"):
-            eng.schedule_in(float("nan"), lambda e, ev: None)
         assert eng.pending() == 0
-
-    def test_rejects_negative_delay(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            eng.schedule_in(-1.0, lambda e, ev: None)
 
     def test_payload_and_kind(self):
         eng = Engine()
@@ -194,7 +179,7 @@ class TestRunControl:
         eng = Engine()
 
         def reschedule(e, v):
-            e.schedule_in(1.0, reschedule)
+            e.schedule(e.now + 1.0, reschedule)
 
         eng.schedule(0.0, reschedule)
         with pytest.raises(SimulationError):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.sim.results import (DesResult, MonteCarloSummary, _z_quantile,
-                               t_quantile, wilson_interval)
+from repro.sim.results import (DesResult, MonteCarloSummary, RunningMoments,
+                               _z_quantile, t_quantile, wilson_interval)
 
 
 def make_result(**kw) -> DesResult:
@@ -118,14 +118,18 @@ class TestExtremeSamples:
         assert summary.std == pytest.approx(expected, rel=1e-12)
         assert summary.mean == pytest.approx(1e199, rel=1e-12)
 
-    def test_ordinary_batches_keep_numpy_bits(self):
-        """The scaled fallback only runs when numpy overflows."""
+    def test_ordinary_batches_keep_the_moments_bits(self):
+        """The scaled fallback only runs when the moments overflow:
+        otherwise the summary is the streaming one, bit for bit."""
         rng = np.random.default_rng(7)
         for values in (rng.random(40), rng.normal(0.3, 1e-9, 17),
                        np.array([0.25, 0.75])):
+            moments = RunningMoments.of(values.tolist())
             summary = MonteCarloSummary.from_samples(values)
-            assert summary.mean == float(values.mean())
-            assert summary.std == float(values.std(ddof=1))
+            assert summary.mean == moments.mean
+            assert summary.std == moments.std()
+            assert summary == MonteCarloSummary.from_moments(
+                moments, successes=len(values))
 
 
 
